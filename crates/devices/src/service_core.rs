@@ -35,10 +35,11 @@ pub struct Subscription {
 struct RouteEntry {
     ti: TriggerIdentity,
     fields: FieldMap,
-    /// Pre-serialized realtime notification body (the versioned
-    /// [`wire::RealtimeNotificationV1`] for `ti` is constant, so
-    /// serializing it per event would be pure waste).
-    hint_body: bytes::Bytes,
+    /// Serialized realtime notification body, built by the first hint
+    /// sent (the versioned [`wire::RealtimeNotificationV1`] for `ti` is
+    /// constant, so serializing it per event would be pure waste; most
+    /// subscriptions never notify at all, so neither is it built up front).
+    hint_body: Option<bytes::Bytes>,
     /// A notification for this subscription is outstanding: sent to the
     /// engine and not yet followed by a poll serving the subscription.
     /// Further events are buffered without notifying again, so a burst
@@ -207,15 +208,10 @@ impl ServiceCore {
                 fields: fields.clone(),
             },
         );
-        let hint_body = wire::to_bytes(&wire::RealtimeNotificationV1::single(
-            self.endpoint.slug().clone(),
-            trigger.clone(),
-            ti.clone(),
-        ));
         self.route.entry(key).or_default().push(RouteEntry {
             ti: ti.clone(),
             fields: fields.clone(),
-            hint_body,
+            hint_body: None,
             hint_outstanding: false,
         });
     }
@@ -341,9 +337,16 @@ impl ServiceCore {
                 }
                 e.hint_outstanding = true;
                 self.hints_sent += 1;
+                let body = e.hint_body.get_or_insert_with(|| {
+                    wire::to_bytes(&wire::RealtimeNotificationV1::single(
+                        self.endpoint.slug().clone(),
+                        trigger.clone(),
+                        e.ti.clone(),
+                    ))
+                });
                 let req = Request::post(REALTIME_NOTIFY_PATH)
                     .with_header(SERVICE_KEY_HEADER, self.endpoint.key().0.clone())
-                    .with_body(e.hint_body.clone());
+                    .with_body(body.clone());
                 ctx.send_request(engine, req, Token(u64::MAX), RequestOpts::timeout_secs(30));
                 if ctx.tracing() {
                     ctx.trace("service.hint", format!("{} {}", self.endpoint.slug(), e.ti));

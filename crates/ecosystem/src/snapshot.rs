@@ -63,24 +63,22 @@ pub struct AppletRecord {
 // Manual `Serialize` so an all-classic snapshot keeps its exact
 // pre-multi-step byte representation: `steps` appears only when nonempty.
 impl Serialize for AppletRecord {
-    fn to_value(&self) -> serde::Value {
-        let mut m = BTreeMap::new();
-        let mut put = |name: &str, v: serde::Value| {
-            m.insert(name.to_string(), v);
-        };
-        put("id", self.id.to_value());
-        put("name", self.name.to_value());
-        put("trigger_service", self.trigger_service.to_value());
-        put("trigger", self.trigger.to_value());
-        put("action_service", self.action_service.to_value());
-        put("action", self.action.to_value());
-        put("author", self.author.to_value());
-        put("add_count", self.add_count.to_value());
-        put("created_week", self.created_week.to_value());
+    fn write_json(&self, out: &mut String) {
+        let mut fields: Vec<(&str, &dyn Serialize)> = vec![
+            ("id", &self.id),
+            ("name", &self.name),
+            ("trigger_service", &self.trigger_service),
+            ("trigger", &self.trigger),
+            ("action_service", &self.action_service),
+            ("action", &self.action),
+            ("author", &self.author),
+            ("add_count", &self.add_count),
+            ("created_week", &self.created_week),
+        ];
         if !self.steps.is_empty() {
-            put("steps", self.steps.to_value());
+            fields.push(("steps", &self.steps));
         }
-        serde::Value::Object(m)
+        serde::ser::write_fields(out, &mut fields);
     }
 }
 

@@ -14,7 +14,7 @@
 //! are recorded in integer microseconds.
 
 use serde::de;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sub-bucket resolution: 2^5 = 32 sub-buckets per power of two.
@@ -69,14 +69,14 @@ impl PartialEq for Counter {
 }
 
 impl Serialize for Counter {
-    fn to_value(&self) -> Value {
-        self.get().to_value()
+    fn write_json(&self, out: &mut String) {
+        self.get().write_json(out);
     }
 }
 
 impl Deserialize for Counter {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        Ok(Counter(AtomicU64::new(u64::from_value(v)?)))
+    fn read_json(r: &mut de::Reader<'_>) -> Result<Self, de::Error> {
+        Ok(Counter(AtomicU64::new(u64::read_json(r)?)))
     }
 }
 
@@ -328,14 +328,14 @@ impl PartialEq for Histogram {
 }
 
 impl Serialize for Histogram {
-    fn to_value(&self) -> Value {
-        self.snapshot().to_value()
+    fn write_json(&self, out: &mut String) {
+        self.snapshot().write_json(out);
     }
 }
 
 impl Deserialize for Histogram {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        Ok(Histogram::from_snapshot(&HistogramSnapshot::from_value(v)?))
+    fn read_json(r: &mut de::Reader<'_>) -> Result<Self, de::Error> {
+        Ok(Histogram::from_snapshot(&HistogramSnapshot::read_json(r)?))
     }
 }
 
@@ -655,67 +655,67 @@ impl FleetMetrics {
 }
 
 impl Serialize for FleetMetrics {
-    fn to_value(&self) -> Value {
-        let mut m = std::collections::BTreeMap::new();
-        let mut put = |name: &str, v: Value| {
-            m.insert(name.to_string(), v);
-        };
-        put("t2a_micros", self.t2a_micros.to_value());
-        put("dispatch_depth", self.dispatch_depth.to_value());
-        put("polls_sent", self.polls_sent.to_value());
-        put("polls_batched", self.polls_batched.to_value());
-        put("polls_coalesced", self.polls_coalesced.to_value());
-        put("events_new", self.events_new.to_value());
-        put("actions_ok", self.actions_ok.to_value());
-        put("actions_failed", self.actions_failed.to_value());
-        put("activations", self.activations.to_value());
-        put("lost", self.lost.to_value());
-        put("sim_events", self.sim_events.to_value());
-        put("engine_events", self.engine_events.to_value());
-        put("cells", self.cells.to_value());
-        put("users", self.users.to_value());
-        put("applets", self.applets.to_value());
+    fn write_json(&self, out: &mut String) {
+        let mut fields: Vec<(&str, &dyn Serialize)> = vec![
+            ("t2a_micros", &self.t2a_micros),
+            ("dispatch_depth", &self.dispatch_depth),
+            ("polls_sent", &self.polls_sent),
+            ("polls_batched", &self.polls_batched),
+            ("polls_coalesced", &self.polls_coalesced),
+            ("events_new", &self.events_new),
+            ("actions_ok", &self.actions_ok),
+            ("actions_failed", &self.actions_failed),
+            ("activations", &self.activations),
+            ("lost", &self.lost),
+            ("sim_events", &self.sim_events),
+            ("engine_events", &self.engine_events),
+            ("cells", &self.cells),
+            ("users", &self.users),
+            ("applets", &self.applets),
+        ];
         // Resilience counters: serialized only when nonzero, so a clean run
         // keeps its pre-resilience byte representation (and digest).
-        let mut put_nonzero = |name: &str, c: &Counter| {
-            if c.get() > 0 {
-                m.insert(name.to_string(), c.to_value());
+        let nonzero_only = [
+            ("polls_failed", &self.polls_failed),
+            ("polls_retried", &self.polls_retried),
+            ("polls_shed", &self.polls_shed),
+            ("breaker_trips", &self.breaker_trips),
+            ("actions_retried", &self.actions_retried),
+            ("dead_letters", &self.dead_letters),
+            ("faults_injected", &self.faults_injected),
+            // Realtime counters follow the same rule: a realtime-off run (the
+            // default) serializes exactly as before the subsystem existed.
+            ("realtime_notifications", &self.realtime_notifications),
+            ("realtime_polls", &self.realtime_polls),
+            ("realtime_suppressed", &self.realtime_suppressed),
+            ("realtime_malformed", &self.realtime_malformed),
+            // DAG counters likewise: a single-step run (the default) serializes
+            // exactly as before multi-step applets existed.
+            ("dag_runs", &self.dag_runs),
+            ("dag_nodes_filter", &self.dag_nodes_filter),
+            ("dag_nodes_transform", &self.dag_nodes_transform),
+            ("dag_nodes_query", &self.dag_nodes_query),
+            ("dag_nodes_action", &self.dag_nodes_action),
+            ("dag_node_retries", &self.dag_node_retries),
+            // Churn counters likewise: a frozen-population run (the default)
+            // serializes exactly as before the churn subsystem existed.
+            ("churn_installs", &self.churn_installs),
+            ("churn_uninstalls", &self.churn_uninstalls),
+            ("churn_onboards", &self.churn_onboards),
+            ("churn_retirements", &self.churn_retirements),
+            ("churn_orphans", &self.churn_orphans),
+        ];
+        for (name, counter) in nonzero_only {
+            if counter.get() > 0 {
+                fields.push((name, counter));
             }
-        };
-        put_nonzero("polls_failed", &self.polls_failed);
-        put_nonzero("polls_retried", &self.polls_retried);
-        put_nonzero("polls_shed", &self.polls_shed);
-        put_nonzero("breaker_trips", &self.breaker_trips);
-        put_nonzero("actions_retried", &self.actions_retried);
-        put_nonzero("dead_letters", &self.dead_letters);
-        put_nonzero("faults_injected", &self.faults_injected);
-        // Realtime counters follow the same rule: a realtime-off run (the
-        // default) serializes exactly as before the subsystem existed.
-        put_nonzero("realtime_notifications", &self.realtime_notifications);
-        put_nonzero("realtime_polls", &self.realtime_polls);
-        put_nonzero("realtime_suppressed", &self.realtime_suppressed);
-        put_nonzero("realtime_malformed", &self.realtime_malformed);
-        // DAG counters likewise: a single-step run (the default) serializes
-        // exactly as before multi-step applets existed.
-        put_nonzero("dag_runs", &self.dag_runs);
-        put_nonzero("dag_nodes_filter", &self.dag_nodes_filter);
-        put_nonzero("dag_nodes_transform", &self.dag_nodes_transform);
-        put_nonzero("dag_nodes_query", &self.dag_nodes_query);
-        put_nonzero("dag_nodes_action", &self.dag_nodes_action);
-        put_nonzero("dag_node_retries", &self.dag_node_retries);
-        // Churn counters likewise: a frozen-population run (the default)
-        // serializes exactly as before the churn subsystem existed.
-        put_nonzero("churn_installs", &self.churn_installs);
-        put_nonzero("churn_uninstalls", &self.churn_uninstalls);
-        put_nonzero("churn_onboards", &self.churn_onboards);
-        put_nonzero("churn_retirements", &self.churn_retirements);
-        put_nonzero("churn_orphans", &self.churn_orphans);
+        }
         // Attribution, like the resilience counters, appears only when a
         // run actually recorded it — attribution-off digests are unmoved.
         if !self.attribution.is_empty() {
-            m.insert("attribution".to_string(), self.attribution.to_value());
+            fields.push(("attribution", &self.attribution));
         }
-        Value::Object(m)
+        serde::ser::write_fields(out, &mut fields);
     }
 }
 

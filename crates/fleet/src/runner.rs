@@ -16,7 +16,7 @@ use crate::report::{FleetReport, ShardSummary};
 use crate::shard::{assign_round_robin, plan_cells};
 use ecosystem::{Ecosystem, GeneratorConfig, PopulationSampler};
 use engine::{EngineConfig, EnginePolicy, PollPolicy};
-use serde::{de, Deserialize, Serialize, Value};
+use serde::{de, Deserialize, Serialize};
 use simnet::rng::derive_seed;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -86,16 +86,16 @@ impl std::fmt::Display for FleetPolicy {
 }
 
 impl Serialize for FleetPolicy {
-    fn to_value(&self) -> Value {
-        Value::String(self.name().to_string())
+    fn write_json(&self, out: &mut String) {
+        self.name().write_json(out);
     }
 }
 
 impl Deserialize for FleetPolicy {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        v.as_str()
-            .and_then(FleetPolicy::parse)
-            .ok_or_else(|| de::Error::expected("fleet policy name", v))
+    fn read_json(r: &mut de::Reader<'_>) -> Result<Self, de::Error> {
+        let name = r.str()?;
+        FleetPolicy::parse(&name)
+            .ok_or_else(|| de::Error::custom(format!("unknown fleet policy `{name}`")))
     }
 }
 
@@ -161,16 +161,16 @@ impl std::fmt::Display for ChaosProfile {
 }
 
 impl Serialize for ChaosProfile {
-    fn to_value(&self) -> Value {
-        Value::String(self.name().to_string())
+    fn write_json(&self, out: &mut String) {
+        self.name().write_json(out);
     }
 }
 
 impl Deserialize for ChaosProfile {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        v.as_str()
-            .and_then(ChaosProfile::parse)
-            .ok_or_else(|| de::Error::expected("chaos profile name", v))
+    fn read_json(r: &mut de::Reader<'_>) -> Result<Self, de::Error> {
+        let name = r.str()?;
+        ChaosProfile::parse(&name)
+            .ok_or_else(|| de::Error::custom(format!("unknown chaos profile `{name}`")))
     }
 }
 
@@ -249,16 +249,16 @@ impl std::fmt::Display for ChurnProfile {
 }
 
 impl Serialize for ChurnProfile {
-    fn to_value(&self) -> Value {
-        Value::String(self.name().to_string())
+    fn write_json(&self, out: &mut String) {
+        self.name().write_json(out);
     }
 }
 
 impl Deserialize for ChurnProfile {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        v.as_str()
-            .and_then(ChurnProfile::parse)
-            .ok_or_else(|| de::Error::expected("churn profile name", v))
+    fn read_json(r: &mut de::Reader<'_>) -> Result<Self, de::Error> {
+        let name = r.str()?;
+        ChurnProfile::parse(&name)
+            .ok_or_else(|| de::Error::custom(format!("unknown churn profile `{name}`")))
     }
 }
 
@@ -706,7 +706,7 @@ mod tests {
         // churn/scenario fields existed must deserialize with defaults.
         let cfg = FleetConfig::new(100, 2, FleetPolicy::Fast);
         let mut v = cfg.to_value();
-        if let Value::Object(map) = &mut v {
+        if let serde::Value::Object(map) = &mut v {
             map.remove("churn");
             map.remove("scenario");
         } else {

@@ -1,5 +1,8 @@
-//! The in-memory JSON tree shared by the serde/serde_json shims.
+//! The dynamic JSON tree: what callers use when the shape of a document is
+//! not known at compile time. Typed encoding and decoding never build one.
 
+use crate::de::{Error, Reader};
+use crate::{ser, Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Index;
@@ -127,84 +130,52 @@ impl Value {
             _ => None,
         }
     }
+}
 
-    /// Append compact JSON directly to `out`.
-    ///
-    /// This is the serialization hot path: going through the `fmt`
-    /// machinery costs one formatter dispatch per character in escaped
-    /// strings, while this writer pushes whole clean spans.
-    pub fn write_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
+impl Serialize for Number {
+    fn write_json(&self, out: &mut String) {
+        match *self {
+            Number::U(n) => ser::write_u64(out, n),
+            Number::I(n) => ser::write_i64(out, n),
+            Number::F(n) => ser::write_f64(out, n),
+        }
+    }
+}
+
+impl Serialize for Value {
+    fn write_json(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
-            Value::Bool(true) => out.push_str("true"),
-            Value::Bool(false) => out.push_str("false"),
-            Value::Number(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Value::String(s) => push_escaped(out, s),
-            Value::Array(a) => {
-                out.push('[');
-                for (i, v) in a.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write_json(out);
-                }
-                out.push(']');
-            }
-            Value::Object(m) => {
-                out.push('{');
-                for (i, (k, v)) in m.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_escaped(out, k);
-                    out.push(':');
-                    v.write_json(out);
-                }
-                out.push('}');
-            }
+            Value::Bool(b) => b.write_json(out),
+            Value::Number(n) => n.write_json(out),
+            Value::String(s) => ser::write_str(out, s),
+            Value::Array(a) => ser::write_seq(out, a),
+            // The map is already in sorted key order.
+            Value::Object(m) => m.write_json(out),
         }
+    }
+
+    fn to_value(&self) -> Value {
+        self.clone()
     }
 }
 
-/// Append `s` to `out` as a JSON string literal (quoted and escaped),
-/// producing exactly the bytes `Value::String(s).write_json(out)` would
-/// without materializing a `Value`. Lets callers assemble small fixed-shape
-/// objects directly into a `String` instead of building a map first.
-pub fn write_json_str(out: &mut String, s: &str) {
-    push_escaped(out, s);
-}
-
-/// Append a JSON-escaped string, copying escape-free spans in bulk.
-/// Only `"`, `\` and control bytes need escaping, and all are ASCII, so
-/// a byte scan never splits a multi-byte UTF-8 sequence.
-fn push_escaped(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    out.push('"');
-    let bytes = s.as_bytes();
-    let mut start = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        if b == b'"' || b == b'\\' || b < 0x20 {
-            out.push_str(&s[start..i]);
-            match b {
-                b'"' => out.push_str("\\\""),
-                b'\\' => out.push_str("\\\\"),
-                b'\n' => out.push_str("\\n"),
-                b'\r' => out.push_str("\\r"),
-                b'\t' => out.push_str("\\t"),
-                0x08 => out.push_str("\\b"),
-                0x0c => out.push_str("\\f"),
-                _ => {
-                    let _ = write!(out, "\\u{:04x}", b);
-                }
-            }
-            start = i + 1;
+impl Deserialize for Value {
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        match r.peek() {
+            Some(b'"') => String::read_json(r).map(Value::String),
+            Some(b'[') => Vec::read_json(r).map(Value::Array),
+            Some(b'{') => BTreeMap::read_json(r).map(Value::Object),
+            Some(b't' | b'f') => r.bool().map(Value::Bool),
+            Some(b'-' | b'0'..=b'9') => r.number().map(Value::Number),
+            _ if r.eat_null() => Ok(Value::Null),
+            _ => Err(r.invalid_type("a value")),
         }
     }
-    out.push_str(&s[start..]);
-    out.push('"');
+
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Ok(v.clone())
+    }
 }
 
 static NULL: Value = Value::Null;
@@ -226,24 +197,22 @@ impl Index<usize> for Value {
     }
 }
 
+/// Compact JSON, matching `serde_json::to_string` formatting.
+fn display_json(value: &impl Serialize, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    let mut s = String::new();
+    value.write_json(&mut s);
+    f.write_str(&s)
+}
+
 impl fmt::Display for Number {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Number::U(n) => write!(f, "{n}"),
-            Number::I(n) => write!(f, "{n}"),
-            Number::F(n) if n.is_finite() => write!(f, "{n}"),
-            // JSON has no NaN/Infinity; serde_json emits null.
-            Number::F(_) => write!(f, "null"),
-        }
+        display_json(self, f)
     }
 }
 
 impl fmt::Display for Value {
-    /// Compact JSON, matching `serde_json::to_string` formatting.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = String::new();
-        self.write_json(&mut s);
-        f.write_str(&s)
+        display_json(self, f)
     }
 }
 

@@ -1,10 +1,13 @@
 //! Offline shim for `serde_derive`.
 //!
 //! Implements `#[derive(Serialize)]` / `#[derive(Deserialize)]` against the
-//! value-tree traits in the sibling `serde` shim, using only the compiler's
+//! streaming traits in the sibling `serde` shim, using only the compiler's
 //! built-in `proc_macro` API (the real crate's `syn`/`quote` stack is not
-//! available offline). The generated representation matches upstream serde's
-//! externally-tagged defaults for the shapes this workspace uses:
+//! available offline). Each derive emits exactly one method: an encoder that
+//! appends JSON text (`write_json`, object members in sorted name order) or
+//! a decoder that pulls from a `serde::de::Reader` (`read_json`). The
+//! representation matches upstream serde's externally-tagged defaults for
+//! the shapes this workspace uses:
 //!
 //! * named structs -> JSON objects (honouring `#[serde(default)]` and
 //!   `#[serde(default = "path")]`, with missing `Option` fields -> `None`)
@@ -374,31 +377,60 @@ fn is_option(ty: &str) -> bool {
         || t.starts_with("std :: option :: Option")
 }
 
+/// `__out.push_str("<text>");`
+fn push_lit(text: &str) -> String {
+    format!("__out.push_str({text:?});\n")
+}
+
+/// `<expr>.write_json(__out);`
+fn write_expr(expr: &str) -> String {
+    format!("::serde::Serialize::write_json({expr}, __out);\n")
+}
+
+/// Statements writing `fields` as a JSON object, members in sorted name
+/// order — the order a `BTreeMap`-backed tree prints, and the one invariant
+/// that keeps typed output and `Value` output byte-identical. `access` maps
+/// a field name to the expression borrowing it.
+fn write_object(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let mut names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+    names.sort_unstable();
+    let mut code = String::new();
+    for (i, n) in names.iter().enumerate() {
+        let lead = if i == 0 { "{" } else { "," };
+        code.push_str(&push_lit(&format!("{lead}\"{n}\":")));
+        code.push_str(&write_expr(&access(n)));
+    }
+    code.push_str(&push_lit(if names.is_empty() { "{}" } else { "}" }));
+    code
+}
+
+/// Statements writing `exprs` as the payload of a tuple struct or variant:
+/// the bare value for one field, a JSON array otherwise.
+fn write_tuple(exprs: &[String]) -> String {
+    if let [only] = exprs {
+        return write_expr(only);
+    }
+    let mut code = push_lit("[");
+    for (i, e) in exprs.iter().enumerate() {
+        if i > 0 {
+            code.push_str(&push_lit(","));
+        }
+        code.push_str(&write_expr(e));
+    }
+    code.push_str(&push_lit("]"));
+    code
+}
+
 fn gen_serialize(item: &Item) -> String {
     match item {
         Item::NamedStruct { name, fields } => {
-            let mut body = String::from("let mut __m = ::std::collections::BTreeMap::new();\n");
-            for f in fields {
-                body.push_str(&format!(
-                    "__m.insert(\"{n}\".to_string(), ::serde::Serialize::to_value(&self.{n}));\n",
-                    n = f.name
-                ));
-            }
-            body.push_str("::serde::Value::Object(__m)");
-            wrap_ser(name, &body)
+            wrap_ser(name, &write_object(fields, |n| format!("&self.{n}")))
         }
         Item::TupleStruct { name, arity } => {
-            let body = if *arity == 1 {
-                "::serde::Serialize::to_value(&self.0)".to_string()
-            } else {
-                let elems: Vec<String> = (0..*arity)
-                    .map(|k| format!("::serde::Serialize::to_value(&self.{k})"))
-                    .collect();
-                format!("::serde::Value::Array(vec![{}])", elems.join(", "))
-            };
-            wrap_ser(name, &body)
+            let exprs: Vec<String> = (0..*arity).map(|k| format!("&self.{k}")).collect();
+            wrap_ser(name, &write_tuple(&exprs))
         }
-        Item::UnitStruct { name } => wrap_ser(name, "::serde::Value::Null"),
+        Item::UnitStruct { name } => wrap_ser(name, &push_lit("null")),
         Item::Enum {
             name,
             variants,
@@ -407,55 +439,35 @@ fn gen_serialize(item: &Item) -> String {
             let mut arms = String::new();
             for v in variants {
                 let tag = rename(attrs, &v.name);
+                let open = push_lit(&format!("{{\"{tag}\":"));
+                let close = push_lit("}");
                 match &v.shape {
                     VariantShape::Unit => arms.push_str(&format!(
-                        "{name}::{v} => ::serde::Value::String(\"{tag}\".to_string()),\n",
-                        v = v.name
+                        "{name}::{v} => {{\n{lit}}}\n",
+                        v = v.name,
+                        lit = push_lit(&format!("\"{tag}\""))
                     )),
                     VariantShape::Tuple(arity) => {
                         let binds: Vec<String> = (0..*arity).map(|k| format!("__f{k}")).collect();
-                        let inner = if *arity == 1 {
-                            "::serde::Serialize::to_value(__f0)".to_string()
-                        } else {
-                            let elems: Vec<String> = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b})"))
-                                .collect();
-                            format!("::serde::Value::Array(vec![{}])", elems.join(", "))
-                        };
                         arms.push_str(&format!(
-                            "{name}::{v}({binds}) => {{\n\
-                             let mut __m = ::std::collections::BTreeMap::new();\n\
-                             __m.insert(\"{tag}\".to_string(), {inner});\n\
-                             ::serde::Value::Object(__m)\n}}\n",
+                            "{name}::{v}({binds}) => {{\n{open}{inner}{close}}}\n",
                             v = v.name,
                             binds = binds.join(", "),
+                            inner = write_tuple(&binds),
                         ));
                     }
                     VariantShape::Struct(fields) => {
-                        let binds: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
-                        let mut inner = String::from(
-                            "let mut __inner = ::std::collections::BTreeMap::new();\n",
-                        );
-                        for f in fields {
-                            inner.push_str(&format!(
-                                "__inner.insert(\"{n}\".to_string(), ::serde::Serialize::to_value({n}));\n",
-                                n = f.name
-                            ));
-                        }
+                        let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
                         arms.push_str(&format!(
-                            "{name}::{v} {{ {binds} }} => {{\n\
-                             {inner}\
-                             let mut __m = ::std::collections::BTreeMap::new();\n\
-                             __m.insert(\"{tag}\".to_string(), ::serde::Value::Object(__inner));\n\
-                             ::serde::Value::Object(__m)\n}}\n",
+                            "{name}::{v} {{ {binds} }} => {{\n{open}{inner}{close}}}\n",
                             v = v.name,
                             binds = binds.join(", "),
+                            inner = write_object(fields, str::to_string),
                         ));
                     }
                 }
             }
-            wrap_ser(name, &format!("match self {{\n{arms}\n}}"))
+            wrap_ser(name, &format!("match self {{\n{arms}}}"))
         }
     }
 }
@@ -464,65 +476,74 @@ fn wrap_ser(name: &str, body: &str) -> String {
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
-         fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n}}\n"
+         fn write_json(&self, __out: &mut ::std::string::String) {{\n{body}\n}}\n}}\n"
     )
 }
 
-/// Expression producing field `f` out of object map `__obj` (a
-/// `&BTreeMap<String, Value>`), honouring defaults and Option fields.
-fn field_extract(f: &Field) -> String {
-    let missing = match &f.default {
-        Some(path) if path.is_empty() => "::std::default::Default::default()".to_string(),
-        Some(path) => format!("{path}()"),
-        None if is_option(&f.ty) => "::std::option::Option::None".to_string(),
-        None => {
-            return format!(
-                "match __obj.get(\"{n}\") {{\n\
-                 Some(__v) => ::serde::Deserialize::from_value(__v)?,\n\
-                 None => return Err(::serde::de::Error::missing_field(\"{n}\")),\n}}",
+/// Expression decoding an object's members from `__r` into `ctor {{ .. }}`:
+/// one `Option` slot per field, filled as keys arrive (so a repeated key's
+/// last value wins), unknown members skipped with their syntax checked,
+/// absent ones resolved through `default` / `Option` / an error.
+fn read_object(ctor: &str, fields: &[Field]) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut inits = String::new();
+    for (i, f) in fields.iter().enumerate() {
+        slots.push_str(&format!("let mut __s{i} = ::std::option::Option::None;\n"));
+        arms.push_str(&format!(
+            "\"{n}\" => __s{i} = ::std::option::Option::Some(::serde::Deserialize::read_json(__r)?),\n",
+            n = f.name
+        ));
+        let missing = match &f.default {
+            Some(path) if path.is_empty() => "::std::default::Default::default()".to_string(),
+            Some(path) => format!("{path}()"),
+            None if is_option(&f.ty) => "::std::option::Option::None".to_string(),
+            None => format!(
+                "return ::std::result::Result::Err(::serde::de::Error::missing_field(\"{n}\"))",
                 n = f.name
-            )
-        }
-    };
+            ),
+        };
+        inits.push_str(&format!(
+            "{n}: match __s{i} {{\n\
+             ::std::option::Option::Some(__v) => __v,\n\
+             ::std::option::Option::None => {missing},\n}},\n",
+            n = f.name
+        ));
+    }
     format!(
-        "match __obj.get(\"{n}\") {{\n\
-         Some(__v) => ::serde::Deserialize::from_value(__v)?,\n\
-         None => {missing},\n}}",
-        n = f.name
+        "{{\n{slots}\
+         let mut __key = __r.begin_object()?;\n\
+         while let ::std::option::Option::Some(__k) = __key {{\n\
+         match &*__k {{\n{arms}_ => __r.skip_value()?,\n}}\n\
+         __key = __r.next_key()?;\n}}\n\
+         {ctor} {{\n{inits}}}\n}}"
+    )
+}
+
+/// Expression decoding the payload of a tuple struct or variant into
+/// `ctor(..)`: the bare value for one field, a JSON array of exactly
+/// `arity` elements otherwise.
+fn read_tuple(ctor: &str, arity: usize) -> String {
+    if arity == 1 {
+        return format!("{ctor}(::serde::Deserialize::read_json(__r)?)");
+    }
+    let elems = vec!["__r.element(&mut __more)?"; arity].join(", ");
+    format!(
+        "{{\nlet mut __more = __r.begin_array()?;\n\
+         let __v = {ctor}({elems});\n\
+         __r.end_array(__more)?;\n__v\n}}"
     )
 }
 
 fn gen_deserialize(item: &Item) -> String {
     match item {
         Item::NamedStruct { name, fields } => {
-            let mut inits = String::new();
-            for f in fields {
-                inits.push_str(&format!("{}: {},\n", f.name, field_extract(f)));
-            }
-            let body = format!(
-                "let __obj = __v.as_object().ok_or_else(|| ::serde::de::Error::expected(\"struct {name}\", __v))?;\n\
-                 Ok({name} {{\n{inits}}})"
-            );
-            wrap_de(name, &body)
+            wrap_de(name, &format!("Ok({})", read_object(name, fields)))
         }
         Item::TupleStruct { name, arity } => {
-            let body = if *arity == 1 {
-                format!("Ok({name}(::serde::Deserialize::from_value(__v)?))")
-            } else {
-                let elems: Vec<String> = (0..*arity)
-                    .map(|k| format!("::serde::Deserialize::from_value(&__arr[{k}])?"))
-                    .collect();
-                format!(
-                    "let __arr = __v.as_array().ok_or_else(|| ::serde::de::Error::expected(\"tuple struct {name}\", __v))?;\n\
-                     if __arr.len() != {arity} {{\n\
-                     return Err(::serde::de::Error::expected(\"{arity} elements\", __v));\n}}\n\
-                     Ok({name}({elems}))",
-                    elems = elems.join(", ")
-                )
-            };
-            wrap_de(name, &body)
+            wrap_de(name, &format!("Ok({})", read_tuple(name, *arity)))
         }
-        Item::UnitStruct { name } => wrap_de(name, &format!("Ok({name})")),
+        Item::UnitStruct { name } => wrap_de(name, &format!("__r.skip_value()?;\nOk({name})")),
         Item::Enum {
             name,
             variants,
@@ -532,59 +553,38 @@ fn gen_deserialize(item: &Item) -> String {
             let mut tagged_arms = String::new();
             for v in variants {
                 let tag = rename(attrs, &v.name);
+                let ctor = format!("{name}::{}", v.name);
                 match &v.shape {
                     VariantShape::Unit => {
-                        unit_arms.push_str(&format!("\"{tag}\" => Ok({name}::{v}),\n", v = v.name));
+                        unit_arms.push_str(&format!("\"{tag}\" => Ok({ctor}),\n"));
                         // Accept the `{"Variant": null}` object form as well.
-                        tagged_arms
-                            .push_str(&format!("\"{tag}\" => Ok({name}::{v}),\n", v = v.name));
-                    }
-                    VariantShape::Tuple(arity) => {
-                        let build = if *arity == 1 {
-                            format!(
-                                "Ok({name}::{v}(::serde::Deserialize::from_value(__inner)?))",
-                                v = v.name
-                            )
-                        } else {
-                            let elems: Vec<String> = (0..*arity)
-                                .map(|k| format!("::serde::Deserialize::from_value(&__arr[{k}])?"))
-                                .collect();
-                            format!(
-                                "{{\nlet __arr = __inner.as_array().ok_or_else(|| ::serde::de::Error::expected(\"array for variant {v}\", __inner))?;\n\
-                                 if __arr.len() != {arity} {{\n\
-                                 return Err(::serde::de::Error::expected(\"{arity} elements\", __inner));\n}}\n\
-                                 Ok({name}::{v}({elems}))\n}}",
-                                v = v.name,
-                                elems = elems.join(", ")
-                            )
-                        };
-                        tagged_arms.push_str(&format!("\"{tag}\" => {build},\n"));
-                    }
-                    VariantShape::Struct(fields) => {
-                        let mut inits = String::new();
-                        for f in fields {
-                            inits.push_str(&format!("{}: {},\n", f.name, field_extract(f)));
-                        }
                         tagged_arms.push_str(&format!(
-                            "\"{tag}\" => {{\n\
-                             let __obj = __inner.as_object().ok_or_else(|| ::serde::de::Error::expected(\"object for variant {v}\", __inner))?;\n\
-                             Ok({name}::{v} {{\n{inits}}})\n}}\n",
-                            v = v.name
+                            "\"{tag}\" => {{\n__r.skip_value()?;\n{ctor}\n}}\n"
                         ));
                     }
+                    VariantShape::Tuple(arity) => tagged_arms
+                        .push_str(&format!("\"{tag}\" => {},\n", read_tuple(&ctor, *arity))),
+                    VariantShape::Struct(fields) => tagged_arms
+                        .push_str(&format!("\"{tag}\" => {},\n", read_object(&ctor, fields))),
                 }
             }
+            let unknown = format!(
+                "::std::result::Result::Err(::serde::de::Error::unknown_variant(__other, \"{name}\"))"
+            );
             let body = format!(
-                "match __v {{\n\
-                 ::serde::Value::String(__s) => match __s.as_str() {{\n\
+                "match __r.peek() {{\n\
+                 ::std::option::Option::Some(b'\"') => match &*__r.str()? {{\n\
                  {unit_arms}\
-                 __other => Err(::serde::de::Error::unknown_variant(__other, \"{name}\")),\n}},\n\
-                 ::serde::Value::Object(__m) if __m.len() == 1 => {{\n\
-                 let (__tag, __inner) = __m.iter().next().expect(\"len checked\");\n\
-                 match __tag.as_str() {{\n\
+                 __other => {unknown},\n}},\n\
+                 ::std::option::Option::Some(b'{{') => {{\n\
+                 let ::std::option::Option::Some(__tag) = __r.begin_object()? else {{\n\
+                 return ::std::result::Result::Err(__r.invalid_type(\"enum {name} (one variant key)\"));\n}};\n\
+                 let __v = match &*__tag {{\n\
                  {tagged_arms}\
-                 __other => Err(::serde::de::Error::unknown_variant(__other, \"{name}\")),\n}}\n}}\n\
-                 _ => Err(::serde::de::Error::expected(\"enum {name}\", __v)),\n}}"
+                 __other => return {unknown},\n}};\n\
+                 __r.end_object()?;\n\
+                 Ok(__v)\n}}\n\
+                 _ => ::std::result::Result::Err(__r.invalid_type(\"enum {name}\")),\n}}"
             );
             wrap_de(name, &body)
         }
@@ -595,7 +595,6 @@ fn wrap_de(name: &str, body: &str) -> String {
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
-         #[allow(unused_variables)]\n\
-         fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::de::Error> {{\n{body}\n}}\n}}\n"
+         fn read_json(__r: &mut ::serde::de::Reader<'_>) -> ::std::result::Result<Self, ::serde::de::Error> {{\n{body}\n}}\n}}\n"
     )
 }

@@ -1,10 +1,13 @@
 //! Offline shim for `serde_json`.
 //!
-//! Parses and prints JSON text over the value tree defined in the `serde`
-//! shim. Covers the workspace's usage: `to_vec` / `to_string` / `from_slice`
-//! / `from_str`, [`Value`] inspection, and a `json!` macro for object and
-//! array literals whose values are plain expressions or nested `json!` forms.
+//! The entry points over the `serde` shim's streaming traits: `to_vec` /
+//! `to_string` write a value's JSON straight into a buffer, `from_slice` /
+//! `from_str` decode straight out of the text (no intermediate tree in
+//! either direction). [`Value`] and the `json!` macro (object and array
+//! literals whose values are plain expressions or nested `json!` forms) are
+//! the dynamic-JSON surface for callers that want a tree.
 
+#![forbid(unsafe_code)]
 // The `json!` TT-muncher necessarily builds arrays by pushing into a fresh
 // Vec; the lint would fire at every expansion site.
 #![allow(clippy::vec_init_then_push)]
@@ -17,8 +20,9 @@ use serde::Serialize;
 
 /// Serialize a value to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    value.to_value().write_json(&mut out);
+    // Most wire bodies fit; starting here skips the first few regrowths.
+    let mut out = String::with_capacity(128);
+    value.write_json(&mut out);
     Ok(out)
 }
 
@@ -29,8 +33,7 @@ pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
 
 /// Deserialize a value from a JSON string.
 pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T, Error> {
-    let value = parse_value(s)?;
-    T::from_value(&value)
+    serde::de::from_str(s)
 }
 
 /// Deserialize a value from JSON bytes.
@@ -120,278 +123,6 @@ macro_rules! json_array_munch {
 #[doc(hidden)]
 pub fn value_of<T: Serialize + ?Sized>(value: &T) -> Value {
     value.to_value()
-}
-
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::custom(format!(
-            "trailing characters at byte {}",
-            p.pos
-        )));
-    }
-    Ok(v)
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::custom(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
-            Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(Error::custom(format!(
-                "unexpected character `{}` at byte {}",
-                b as char, self.pos
-            ))),
-            None => Err(Error::custom("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(out));
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(out));
-                }
-                _ => {
-                    return Err(Error::custom(format!(
-                        "expected `,` or `]` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut out = std::collections::BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            out.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(out));
-                }
-                _ => {
-                    return Err(Error::custom(format!(
-                        "expected `,` or `}}` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        // Fast path: most strings contain no escapes, so scan for the
-        // closing quote and bulk-copy the span instead of pushing one
-        // char at a time. Fall into the escape-aware loop only when a
-        // backslash shows up.
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'"' => {
-                    let span = &self.bytes[start..self.pos];
-                    self.pos += 1;
-                    // The input came from a `&str`, so the span is valid UTF-8.
-                    return Ok(unsafe { std::str::from_utf8_unchecked(span) }.to_owned());
-                }
-                b'\\' => break,
-                _ => self.pos += 1,
-            }
-        }
-        let mut out =
-            unsafe { std::str::from_utf8_unchecked(&self.bytes[start..self.pos]) }.to_owned();
-        loop {
-            match self.peek() {
-                None => return Err(Error::custom("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0c}'),
-                        Some(b'u') => {
-                            let cp = self.unicode_escape()?;
-                            out.push(cp);
-                            continue; // unicode_escape advanced pos itself
-                        }
-                        other => {
-                            return Err(Error::custom(format!("bad escape {other:?}")));
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Bulk-copy the clean span up to the next quote or escape
-                    // (input is already valid UTF-8, so byte scanning is safe).
-                    let span_start = self.pos;
-                    while let Some(&b) = self.bytes.get(self.pos) {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let span = &self.bytes[span_start..self.pos];
-                    out.push_str(unsafe { std::str::from_utf8_unchecked(span) });
-                }
-            }
-        }
-    }
-
-    /// Parse the `XXXX` after `\u` (pos is at the `u`), handling surrogate
-    /// pairs. Leaves pos just past the escape.
-    fn unicode_escape(&mut self) -> Result<char, Error> {
-        self.pos += 1; // past 'u'
-        let hi = self.hex4()?;
-        if (0xD800..0xDC00).contains(&hi) {
-            // High surrogate: require a following \uXXXX low surrogate.
-            if self.eat_keyword("\\u") {
-                let lo = self.hex4()?;
-                if (0xDC00..0xE000).contains(&lo) {
-                    let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                    return char::from_u32(cp).ok_or_else(|| Error::custom("bad surrogate pair"));
-                }
-            }
-            return Err(Error::custom("lone surrogate in \\u escape"));
-        }
-        char::from_u32(hi).ok_or_else(|| Error::custom("bad \\u escape"))
-    }
-
-    fn hex4(&mut self) -> Result<u32, Error> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let b = self
-                .peek()
-                .ok_or_else(|| Error::custom("eof in \\u escape"))?;
-            let d = (b as char)
-                .to_digit(16)
-                .ok_or_else(|| Error::custom("non-hex digit in \\u escape"))?;
-            v = v * 16 + d;
-            self.pos += 1;
-        }
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number text");
-        if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::Number(Number::U(u)));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Number(Number::I(i)));
-            }
-        }
-        text.parse::<f64>()
-            .map(|f| Value::Number(Number::F(f)))
-            .map_err(|e| Error::custom(format!("bad number `{text}`: {e}")))
-    }
 }
 
 #[cfg(test)]
