@@ -92,7 +92,11 @@ struct Harness {
 /// non-empty one attaches the DAG. Every applet's base action carries
 /// `eid = {{id}}` so deliveries are observable either way.
 fn dag_harness(cfg: EngineConfig, slot_steps: &[Vec<StepNode>]) -> Harness {
-    let mut sim = Sim::new(chaos_seed());
+    dag_harness_seeded(chaos_seed(), cfg, slot_steps)
+}
+
+fn dag_harness_seeded(seed: u64, cfg: EngineConfig, slot_steps: &[Vec<StepNode>]) -> Harness {
+    let mut sim = Sim::new(seed);
     let mut ep = ServiceEndpoint::new(ServiceSlug::new(SLUG), ServiceKey("sk_dag".into()));
     for k in 0..slot_steps.len() {
         ep = ep
@@ -452,13 +456,11 @@ fn ifttt_continues_where_zapier_halts() {
 // Chaos: query/action nodes ride the breaker/retry stack like polls.
 // ---------------------------------------------------------------------
 
-/// Under link loss plus a sustained 503 outage, DAG query/action nodes
-/// retry on the backoff schedule (through the same per-service breaker
-/// that polls trip), and every fetched event still concludes exactly
-/// once — delivered, filtered, or dead-lettered.
-#[test]
-fn dag_nodes_retry_through_the_breaker_under_chaos() {
-    let steps = vec![
+/// The query → action DAG the chaos scenarios run: the action's payload
+/// is the query's echoed output, so a delivery proves the enrichment
+/// survived every retry.
+fn query_then_action() -> Vec<StepNode> {
+    vec![
         StepNode::new(StepSpec::Query {
             query: "look".into(),
             prefix: "ctx".into(),
@@ -477,8 +479,13 @@ fn dag_nodes_retry_through_the_breaker_under_chaos() {
             },
         })
         .after(&[0]),
-    ];
-    let mut h = dag_harness(EngineConfig::fast().resilient(), &[steps]);
+    ]
+}
+
+/// 25 % link loss plus a periodic 503 outage, twelve emission rounds on
+/// every slot in `slots`, then a long drain (loss has ended; retries and
+/// breaker probes settle).
+fn run_dag_chaos(h: &mut Harness, slots: &[usize]) {
     let horizon = SimTime::from_secs(420);
     let plan = FaultPlan::new().link_loss(h.link, 0.25, SimTime::from_secs(5), horizon);
     h.sim.apply_fault_plan(&plan);
@@ -496,10 +503,21 @@ fn dag_nodes_retry_through_the_breaker_under_chaos() {
     });
     for i in 0..12u64 {
         h.sim.run_until(SimTime::from_secs(12 + i * 15));
-        h.emit(0);
+        for &k in slots {
+            h.emit(k);
+        }
     }
-    // Long drain: loss has ended, retries and breaker probes settle.
     h.sim.run_until(SimTime::from_secs(900));
+}
+
+/// Under link loss plus a sustained 503 outage, DAG query/action nodes
+/// retry on the backoff schedule (through the same per-service breaker
+/// that polls trip), and every fetched event still concludes exactly
+/// once — delivered, filtered, or dead-lettered.
+#[test]
+fn dag_nodes_retry_through_the_breaker_under_chaos() {
+    let mut h = dag_harness(EngineConfig::fast().resilient(), &[query_then_action()]);
+    run_dag_chaos(&mut h, &[0]);
 
     let s = h.stats();
     assert_eq!(s.events_new, 12, "every event is eventually fetched");
@@ -518,6 +536,110 @@ fn dag_nodes_retry_through_the_breaker_under_chaos() {
     for eid in h.received() {
         assert!(eid.starts_with('e'), "delivered payload {eid:?}");
     }
+}
+
+// ---------------------------------------------------------------------
+// Event-order pins: the full ObsEvent stream under chaos, hashed.
+// ---------------------------------------------------------------------
+
+/// FNV-1a over the `Debug` text of every event, with dispatch ids
+/// renumbered by first appearance (they are arena handles: which value a
+/// run gets is storage, the order runs appear in is behaviour).
+fn stream_hash(events: &[ObsEvent]) -> u64 {
+    const KEY: &str = "dispatch: ";
+    let mut ids: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for ev in events {
+        let mut text = format!("{ev:?}");
+        if let Some(at) = text.find(KEY).map(|i| i + KEY.len()) {
+            let len = text[at..]
+                .find(|c: char| !c.is_ascii_digit())
+                .expect("the id is followed by a delimiter");
+            let next = ids.len();
+            let id = *ids.entry(text[at..at + len].to_string()).or_insert(next);
+            text.replace_range(at..at + len, &id.to_string());
+        }
+        for b in text.bytes().chain([b'\n']) {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Four classic applets under `chaos_recovery.rs`'s conservation
+/// schedule: 2 % link loss, periodic 503s, one server-side timeout
+/// window, 24 events round-robin.
+fn classic_chaos_stream(seed: u64) -> Vec<ObsEvent> {
+    let mut h = dag_harness_seeded(seed, EngineConfig::fast().resilient(), &vec![Vec::new(); 4]);
+    let plan =
+        FaultPlan::new().link_loss(h.link, 0.02, SimTime::from_secs(5), SimTime::from_secs(300));
+    h.sim.apply_fault_plan(&plan);
+    let outages = ServerFaultPlan::new()
+        .periodic(
+            ServerFault::Http503 {
+                retry_after_secs: 2,
+            },
+            SimTime::from_secs(10),
+            SimDuration::from_secs(30),
+            SimDuration::from_secs(8),
+            SimTime::from_secs(120),
+        )
+        .window(
+            ServerFault::Timeout,
+            SimTime::from_secs(95),
+            SimTime::from_secs(100),
+        );
+    h.sim.with_node::<DagService, _>(h.svc, move |s, _| {
+        s.core.fault_plan = Some(outages);
+    });
+    for i in 0..24u64 {
+        h.sim.run_until(SimTime::from_secs(6 + 2 * i));
+        h.emit(i as usize % 4);
+    }
+    h.sim.run_until(SimTime::from_secs(300));
+    h.assert_conservation();
+    h.recorder.events()
+}
+
+/// One classic applet beside one multi-step applet — the two kinds share
+/// the engine, its breaker and its run arena — under the DAG chaos
+/// schedule.
+fn mixed_chaos_stream(seed: u64) -> Vec<ObsEvent> {
+    let mut h = dag_harness_seeded(
+        seed,
+        EngineConfig::fast().resilient(),
+        &[Vec::new(), query_then_action()],
+    );
+    run_dag_chaos(&mut h, &[0, 1]);
+    h.assert_conservation();
+    h.recorder.events()
+}
+
+/// Fleet digests see counters and histograms; these see event *order*
+/// (e.g. `ActionFinished` against `BreakerTripped` on one response). The
+/// hashes were captured at commit 62d9117, where classic applets and
+/// multi-step applets still ran through separate code paths.
+#[test]
+fn chaos_event_streams_match_the_two_path_engine() {
+    const PINS: [(u64, u64, u64); 4] = [
+        (2017, 0x6e4c_caad_c8af_3ea3, 0x37a7_1f6c_cd11_d6fd),
+        (2018, 0xcf90_0587_e99e_bd7a, 0xdcb5_f2e8_cda6_1a7d),
+        (31337, 0xc364_83f6_759e_18c2, 0x6fdb_4e61_e269_cbb1),
+        (777, 0x6857_61b9_29d7_efda, 0xa9e9_4d58_3b11_b4eb),
+    ];
+    let line = |seed: u64, classic: u64, mixed: u64| format!("{seed}: {classic:016x} {mixed:016x}");
+    let got: Vec<String> = PINS
+        .iter()
+        .map(|&(seed, _, _)| {
+            line(
+                seed,
+                stream_hash(&classic_chaos_stream(seed)),
+                stream_hash(&mixed_chaos_stream(seed)),
+            )
+        })
+        .collect();
+    let want: Vec<String> = PINS.iter().map(|&(s, c, m)| line(s, c, m)).collect();
+    assert_eq!(got, want, "seed: classic-stream mixed-stream");
 }
 
 // ---------------------------------------------------------------------
