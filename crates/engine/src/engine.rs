@@ -22,60 +22,55 @@
 //!   detector can be switched on to evaluate the §6 recommendations.
 
 use crate::applet::{substitute_fields, Applet, AppletId};
+use crate::config::{EngineConfig, EnginePolicy};
+use crate::exec::{DagRun, RunNode};
 use crate::loopdetect::{RuntimeLoopDetector, RuntimeVerdict, StaticLoopDetector};
-use crate::obs::{ObsEvent, ObsSink};
-use crate::permissions::{Capability, Granularity, PermissionManager};
-use crate::polling::PollPolicy;
-use crate::resilience::{BreakerPolicy, CircuitBreaker, RetryPolicy};
+use crate::obs::{EngineStats, ObsEvent, ObsSink};
+use crate::permissions::PermissionManager;
+use crate::resilience::CircuitBreaker;
 use mem::{Arena, FxHashMap, FxHashSet};
 use rand::Rng;
 use simnet::prelude::*;
-use simnet::rng::Dist;
-use std::borrow::Cow;
-use std::collections::HashSet;
 use tap_protocol::auth::{
     AccessToken, ServiceKey, AUTHORIZATION_HEADER, REQUEST_ID_HEADER, RETRY_AFTER_HEADER,
     SERVICE_KEY_HEADER,
 };
 use tap_protocol::endpoints::query_path;
-use tap_protocol::endpoints::{action_path, trigger_path, BATCH_POLL_PATH, REALTIME_NOTIFY_PATH};
+use tap_protocol::endpoints::{BATCH_POLL_PATH, REALTIME_NOTIFY_PATH};
 use tap_protocol::error::FailureClass;
 use tap_protocol::wire::{
     self, ActionRequestBody, BatchPollEntry, BatchPollRequestBody, BatchPollResponseBody,
-    BatchPollResult, ErrorBody, PollRequestBody, PollResponseBody, QueryRequestBody,
-    QueryResponseBody, RealtimeAckBody, RealtimeNotification, TriggerEvent, DEFAULT_POLL_LIMIT,
+    BatchPollResult, ErrorBody, PollResponseBody, QueryRequestBody, QueryResponseBody,
+    RealtimeAckBody, RealtimeNotification, TriggerEvent,
 };
-use tap_protocol::{
-    is_degenerate, validate_steps, ActionSlug, FieldMap, Interner, QuerySlug, ServiceSlug,
-    StepFailurePolicy, StepKind, StepNode, StepSpec, Symbol, TriggerIdentity, UserId,
-};
+use tap_protocol::{Interner, ServiceSlug, Symbol, TriggerIdentity, UserId};
 
 // Correlation-token tags (top byte).
-const TAG_SHIFT: u64 = 56;
+pub(crate) const TAG_SHIFT: u64 = 56;
 const TAG_POLL: u64 = 1 << TAG_SHIFT;
 const TAG_ACTION: u64 = 2 << TAG_SHIFT;
 const TAG_OAUTH_AUTH: u64 = 3 << TAG_SHIFT;
 const TAG_OAUTH_TOKEN: u64 = 4 << TAG_SHIFT;
 const TAG_QUERY: u64 = 5 << TAG_SHIFT;
 const TAG_BATCH: u64 = 6 << TAG_SHIFT;
-const TAG_DAG: u64 = 7 << TAG_SHIFT;
-const TAG_MASK: u64 = 0xFF << TAG_SHIFT;
+pub(crate) const TAG_DAG: u64 = 7 << TAG_SHIFT;
+pub(crate) const TAG_MASK: u64 = 0xFF << TAG_SHIFT;
 /// Query tokens pack (dispatch << 4 | query index); 16 queries per applet.
 const QUERY_IDX_BITS: u64 = 4;
 
 // Timer-key tags.
 const TK_POLL: u64 = 1 << TAG_SHIFT;
 const TK_DISPATCH: u64 = 2 << TAG_SHIFT;
-const TK_DAG: u64 = 3 << TAG_SHIFT;
+pub(crate) const TK_DAG: u64 = 3 << TAG_SHIFT;
 
 /// DAG tokens and timers pack `(run << 6) | node index`; the all-ones
 /// node sentinel marks a run-start timer rather than a node retry.
-const DAG_NODE_BITS: u64 = 6;
-const DAG_NODE_MASK: u64 = (1 << DAG_NODE_BITS) - 1;
-const DAG_RUN_START: u64 = DAG_NODE_MASK;
+pub(crate) const DAG_NODE_BITS: u64 = 6;
+pub(crate) const DAG_NODE_MASK: u64 = (1 << DAG_NODE_BITS) - 1;
+pub(crate) const DAG_RUN_START: u64 = DAG_NODE_MASK;
 /// Dispatch ids of DAG runs carry this bit, keeping the id space (and the
 /// attribution chains keyed on it) disjoint from single-step dispatches.
-const DAG_DISPATCH_BIT: u64 = 1 << 63;
+pub(crate) const DAG_DISPATCH_BIT: u64 = 1 << 63;
 
 /// A partner service as the engine knows it.
 #[derive(Debug, Clone)]
@@ -85,442 +80,84 @@ pub struct ServiceRegistration {
     pub key: ServiceKey,
 }
 
-/// Runtime loop-detection configuration.
-#[derive(Debug, Clone)]
-pub struct RuntimeLoopConfig {
-    /// Flag when more than this many executions…
-    pub max_executions: usize,
-    /// …occur within this window.
-    pub window: SimDuration,
-    /// Disable a flagged applet automatically.
-    pub auto_disable: bool,
-}
-
-/// Which TAP ecosystem's execution semantics the engine mimics for
-/// multi-step applet DAGs. Single-step applets behave identically under
-/// both policies, so the switch never perturbs a classic workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EnginePolicy {
-    /// IFTTT-style: network steps of a run launch as soon as their
-    /// predecessors complete (parallel where the DAG allows), and a
-    /// terminally failed step defaults to resolving empty while the rest
-    /// of the run continues.
-    #[default]
-    IftttLike,
-    /// Zapier-style: network steps run strictly one at a time in node
-    /// order, and a terminally failed step defaults to halting the run —
-    /// remaining nodes are skipped and the run dead-letters.
-    ZapierLike,
-}
-
-/// Engine behaviour knobs. Defaults reproduce production IFTTT as measured
-/// by the paper; experiment E3 swaps `polling` for `PollPolicy::fixed(1.0)`.
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// Poll scheduling policy.
-    pub polling: PollPolicy,
-    /// Multi-step execution semantics (see [`EnginePolicy`]).
-    pub policy: EnginePolicy,
-    /// Services whose realtime hints are honored (the paper: Alexa).
-    pub realtime_allowlist: HashSet<ServiceSlug>,
-    /// Delay between an honored hint and the prompt poll it schedules (s).
-    pub hint_processing: Dist,
-    /// Debounce window armed after a realtime-scheduled poll resolves:
-    /// further notifications for the same subscription inside the window
-    /// are absorbed (counted as `realtime_suppressed`), so a burst of
-    /// service events costs at most one out-of-cadence poll per window.
-    pub realtime_debounce: SimDuration,
-    /// Engine-internal delay between a poll response with events and the
-    /// first action request (Table 5 measures ≈1 s).
-    pub dispatch_overhead: Dist,
-    /// Gap between successive actions of one batch (s).
-    pub inter_action_gap: Dist,
-    /// Delay of the first poll after installing an applet (s).
-    pub initial_poll_delay: Dist,
-    /// Timeout for polls and action requests.
-    pub request_timeout: SimDuration,
-    /// Retry budget + backoff for failed action dispatches. Disabled by
-    /// default (give up immediately), which is what the paper's black-box
-    /// view of IFTTT suggests.
-    pub action_retry: RetryPolicy,
-    /// Retry budget + backoff for failed subscription polls, on top of the
-    /// regular cadence. Disabled by default: historically a failed poll
-    /// just waited for the next cycle.
-    pub poll_retry: RetryPolicy,
-    /// Per-trigger-service circuit breaker; `None` (default) never sheds.
-    pub breaker: Option<BreakerPolicy>,
-    /// Permission model granularity.
-    pub permission_granularity: Granularity,
-    /// Reject applet installs that would create a (statically visible) loop.
-    pub static_loop_check: bool,
-    /// Runtime loop detection, if any.
-    pub runtime_loop: Option<RuntimeLoopConfig>,
-    /// Coalesce sibling subscriptions — same (user, trigger service,
-    /// cadence class) — into one multi-trigger batch poll request. Off by
-    /// default so E3 and the IftttLike calibration stay comparable with
-    /// earlier revisions; the fleet workload turns it on.
-    pub batch_polling: bool,
-    /// How far ahead (seconds) a sibling's scheduled poll may be and still
-    /// ride the current batch request. Jittered per batch.
-    pub coalesce_window: Dist,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            polling: PollPolicy::ifttt_like(),
-            policy: EnginePolicy::IftttLike,
-            realtime_allowlist: HashSet::new(),
-            hint_processing: Dist::Uniform { lo: 0.5, hi: 1.5 },
-            realtime_debounce: SimDuration::from_secs(5),
-            dispatch_overhead: Dist::LogNormal {
-                mu: 0.0,
-                sigma: 0.35,
-                cap: 5.0,
-            },
-            inter_action_gap: Dist::Uniform { lo: 0.05, hi: 0.3 },
-            initial_poll_delay: Dist::Uniform { lo: 1.0, hi: 5.0 },
-            request_timeout: SimDuration::from_secs(30),
-            action_retry: RetryPolicy::none(),
-            poll_retry: RetryPolicy::none(),
-            breaker: None,
-            permission_granularity: Granularity::ServiceLevel,
-            static_loop_check: false,
-            runtime_loop: None,
-            batch_polling: false,
-            // Wide enough to capture the initial-poll stagger (1–5 s);
-            // after the first batch the group is phase-locked anyway.
-            coalesce_window: Dist::Uniform { lo: 4.0, hi: 6.0 },
-        }
-    }
-}
-
-impl EngineConfig {
-    /// Production-like config with Alexa on the realtime allowlist, as the
-    /// paper infers from the low latency of A5–A7.
-    pub fn ifttt_like() -> Self {
-        EngineConfig::default().allow_realtime(ServiceSlug::new("amazon_alexa"))
-    }
-
-    /// The authors' fast engine of E3: 1-second polling.
-    pub fn fast() -> Self {
-        EngineConfig {
-            polling: PollPolicy::fixed(1.0),
-            dispatch_overhead: Dist::Uniform { lo: 0.05, hi: 0.2 },
-            initial_poll_delay: Dist::Uniform { lo: 0.1, hi: 1.0 },
-            ..EngineConfig::default()
-        }
-    }
-
-    /// Turn on the full resilience stack (retries with exponential
-    /// backoff, poll retry, circuit breaking) on top of `self`. Used by
-    /// chaos experiments; leaves every scheduling distribution untouched,
-    /// so a fault-free run behaves identically to the base config.
-    pub fn resilient(self) -> Self {
-        self.with_action_retry(RetryPolicy::retries(3))
-            .with_poll_retry(RetryPolicy::retries(2))
-            .with_breaker(BreakerPolicy::default())
-            // A lost response stalls its chain for a whole request timeout
-            // before the retry machinery can react; under injected loss the
-            // default 30 s dominates recovery latency, so tighten it.
-            .with_request_timeout(SimDuration::from_secs(10))
-    }
-
-    /// Replace the poll scheduling policy.
-    pub fn with_polling(mut self, polling: PollPolicy) -> Self {
-        self.polling = polling;
-        self
-    }
-
-    /// Select the multi-step execution semantics.
-    pub fn with_policy(mut self, policy: EnginePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Turn sibling-subscription batch polling on or off.
-    pub fn with_batch_polling(mut self, on: bool) -> Self {
-        self.batch_polling = on;
-        self
-    }
-
-    /// Set the poll/action request timeout.
-    pub fn with_request_timeout(mut self, timeout: SimDuration) -> Self {
-        self.request_timeout = timeout;
-        self
-    }
-
-    /// Set the retry budget for failed action dispatches.
-    pub fn with_action_retry(mut self, policy: RetryPolicy) -> Self {
-        self.action_retry = policy;
-        self
-    }
-
-    /// Set the retry budget for failed subscription polls.
-    pub fn with_poll_retry(mut self, policy: RetryPolicy) -> Self {
-        self.poll_retry = policy;
-        self
-    }
-
-    /// Install a per-trigger-service circuit-breaker policy.
-    pub fn with_breaker(mut self, policy: BreakerPolicy) -> Self {
-        self.breaker = Some(policy);
-        self
-    }
-
-    /// Set the permission model granularity (§6).
-    pub fn with_permission_granularity(mut self, granularity: Granularity) -> Self {
-        self.permission_granularity = granularity;
-        self
-    }
-
-    /// Enable or disable the static install-time loop check (§6).
-    pub fn with_static_loop_check(mut self, on: bool) -> Self {
-        self.static_loop_check = on;
-        self
-    }
-
-    /// Install a runtime loop-detection configuration (§6).
-    pub fn with_runtime_loop(mut self, cfg: RuntimeLoopConfig) -> Self {
-        self.runtime_loop = Some(cfg);
-        self
-    }
-
-    /// Add a service to the realtime-hint allowlist.
-    pub fn allow_realtime(mut self, slug: ServiceSlug) -> Self {
-        self.realtime_allowlist.insert(slug);
-        self
-    }
-
-    /// Set the post-poll debounce window for realtime notifications.
-    pub fn with_realtime_debounce(mut self, window: SimDuration) -> Self {
-        self.realtime_debounce = window;
-        self
-    }
-}
-
-/// Why an applet install was rejected.
-#[derive(Debug, Clone, PartialEq)]
-pub enum InstallError {
-    UnknownService(ServiceSlug),
-    /// The user has not connected (OAuth-authorized) this service.
-    NotConnected(ServiceSlug),
-    /// Static loop check rejected the applet.
-    LoopDetected(Vec<AppletId>),
-    /// The applet's multi-step DAG failed validation.
-    InvalidSteps(String),
-}
-
-/// One applet- or service-lifecycle transition, applied through the
-/// single [`TapEngine::apply_lifecycle`] entry point. This is the churn
-/// op the fleet's live-world driver speaks: every install path the engine
-/// ever had (legacy single-step, degenerate-DAG wrap, multi-step) and
-/// every teardown the static workload never needed route through here.
-#[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // transient op value, consumed immediately
-pub enum LifecycleEvent {
-    /// Install and enable an applet (schedules its first trigger poll).
-    /// Degenerate one-node action DAGs fold onto the single-step path
-    /// exactly as the legacy constructor did.
-    InstallApplet(Applet),
-    /// Remove an applet permanently: cancel its pending poll timer, shrink
-    /// its coalescing group (evicting the cached batch body and reverting
-    /// the survivor's `grouped` hint when membership drops to 1), clear
-    /// realtime state, prune identity routing, and dead-letter its
-    /// in-flight dispatches and DAG runs. The slot is tombstoned, never
-    /// compacted, so in-flight tokens and timers miss instead of aliasing.
-    UninstallApplet(AppletId),
-    /// Register a partner service mid-run (what service publication does),
-    /// optionally adding it to the realtime allowlist.
-    OnboardService {
-        /// Service slug new installs will reference.
-        slug: ServiceSlug,
-        /// Simulation node serving the partner API.
-        node: NodeId,
-        /// Service key presented on every request.
-        key: ServiceKey,
-        /// Honor this service's realtime hints (§4's Alexa treatment).
-        realtime: bool,
-    },
-    /// A service dies permanently — a terminal outage, distinct from a
-    /// chaos blip: every applet touching it (as trigger or action) is
-    /// uninstalled with full unwind, its tokens and breaker state are
-    /// dropped, and its realtime allowlist entry is revoked.
-    RetireService(ServiceSlug),
-}
-
-/// Successful outcome of one [`TapEngine::apply_lifecycle`] application.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LifecycleAck {
-    Installed(AppletId),
-    Uninstalled(AppletId),
-    Onboarded(ServiceSlug),
-    Retired {
-        service: ServiceSlug,
-        /// Live applets uninstalled by the retirement cascade.
-        applets_removed: u32,
-    },
-}
-
-/// Why a lifecycle event was rejected.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LifecycleError {
-    /// An install was rejected (see [`InstallError`]).
-    Install(InstallError),
-    /// Uninstall of an applet id that is not installed (or already gone).
-    UnknownApplet(AppletId),
-    /// Retirement of a service that was never registered (or already
-    /// retired).
-    UnknownService(ServiceSlug),
-}
-
-/// Aggregate engine counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    pub polls_sent: u64,
-    pub polls_empty: u64,
-    pub polls_failed: u64,
-    pub events_received: u64,
-    pub events_new: u64,
-    pub actions_sent: u64,
-    pub actions_ok: u64,
-    pub actions_failed: u64,
-    pub hints_received: u64,
-    pub hints_honored: u64,
-    pub hints_ignored: u64,
-    pub loops_flagged: u64,
-    /// Dispatches suppressed by an applet condition.
-    pub actions_filtered: u64,
-    /// Pre-dispatch queries sent.
-    pub queries_sent: u64,
-    /// Pre-dispatch queries that failed (treated as empty results).
-    pub queries_failed: u64,
-    /// Action dispatches retried after a failure.
-    pub actions_retried: u64,
-    /// Coalesced batch poll requests sent (each carries ≥ 2 entries).
-    pub polls_batched: u64,
-    /// Subscription polls that rode a sibling's batch request instead of
-    /// costing their own round trip (batch members minus initiators).
-    pub polls_coalesced: u64,
-    /// Failed polls re-sent on the backoff schedule (subset of
-    /// `polls_failed`).
-    pub polls_retried: u64,
-    /// Polls shed by an open circuit breaker (deferred to the next cycle).
-    pub polls_shed: u64,
-    /// Breaker transitions into `Open` (including failed half-open probes).
-    pub breaker_trips: u64,
-    /// Action dispatches permanently abandoned: retries exhausted or a
-    /// terminal client error. Always incremented alongside
-    /// `actions_failed`, so `events_new == actions_ok + actions_filtered +
-    /// dead_letters` once the engine is idle.
-    pub dead_letters: u64,
-    /// Batch poll failures that dropped their group to singleton polls for
-    /// a cycle.
-    pub batch_fallbacks: u64,
-    /// Realtime notifications accepted into the immediate-poll scheduler
-    /// (equals `hints_honored`; one per honored notification request).
-    pub realtime_notifications: u64,
-    /// Out-of-cadence polls sent because a realtime notification preempted
-    /// the subscription's pending cadence entry (subset of `polls_sent`).
-    pub realtime_polls: u64,
-    /// Hinted subscriptions whose notification was absorbed: an immediate
-    /// poll already outstanding, the debounce window open, or a cadence
-    /// poll in flight.
-    pub realtime_suppressed: u64,
-    /// Realtime notification bodies that failed to parse (answered 400).
-    pub realtime_malformed: u64,
-    /// Multi-step DAG runs started.
-    pub dag_runs: u64,
-    /// Filter nodes executed (both predicate outcomes count).
-    pub dag_nodes_filter: u64,
-    /// Transform nodes executed.
-    pub dag_nodes_transform: u64,
-    /// Query nodes completed successfully.
-    pub dag_nodes_query: u64,
-    /// Action nodes completed successfully.
-    pub dag_nodes_action: u64,
-    /// Failed DAG query/action attempts re-sent on the backoff schedule.
-    pub dag_node_retries: u64,
-}
-
 /// Dense per-applet index: slots are assigned sequentially at install and
 /// never reused — an uninstalled applet leaves a tombstone, not a hole —
 /// so hot paths index straight into the engine's `tasks`/`applets`
 /// vectors instead of hashing an [`AppletId`].
-type Slot = u32;
+pub(crate) type Slot = u32;
 
 #[derive(Debug)]
-struct PollTask {
+pub(crate) struct PollTask {
     /// The public applet id this slot was assigned to (observability
     /// events and traces speak applet ids, not slots).
-    id: AppletId,
+    pub(crate) id: AppletId,
     /// Interned symbols for the hot (user, service) token lookups — the
     /// strings are hashed once at install, never per poll.
-    owner: Symbol,
-    trigger_service: Symbol,
-    action_service: Symbol,
+    pub(crate) owner: Symbol,
+    pub(crate) trigger_service: Symbol,
+    pub(crate) action_service: Symbol,
     /// Cached request constants: the trigger endpoint path and the fully
     /// serialized poll body (identity, fields, user, limit are all fixed
     /// per applet), so a poll clones a `Bytes` handle instead of
     /// re-serializing JSON.
-    poll_path: String,
-    poll_body: bytes::Bytes,
+    pub(crate) poll_path: String,
+    pub(crate) poll_body: bytes::Bytes,
     /// Cached action endpoint path.
-    action_path: String,
+    pub(crate) action_path: String,
     /// Serialized action body, cached when the applet's action fields are
     /// empty (then ingredient substitution cannot change the payload).
     /// `None` means the body depends on the triggering event.
-    action_body: Option<bytes::Bytes>,
+    pub(crate) action_body: Option<bytes::Bytes>,
     /// Event ids already dispatched, as interned symbols.
-    seen: FxHashSet<Symbol>,
-    enabled: bool,
-    next_poll: Option<TimerId>,
+    pub(crate) seen: FxHashSet<Symbol>,
+    pub(crate) enabled: bool,
+    pub(crate) next_poll: Option<TimerId>,
     /// Absolute time the pending poll timer fires (meaningful only while
     /// `next_poll` is `Some`); lets a sibling's batch decide whether this
     /// subscription's poll is close enough to coalesce.
-    next_poll_at: SimTime,
+    pub(crate) next_poll_at: SimTime,
     /// Coalescing-group key: (owner, trigger service, cadence class).
-    group: (Symbol, Symbol, u8),
+    pub(crate) group: (Symbol, Symbol, u8),
     /// Whether the coalescing group ever had a sibling. Most users install
     /// one applet per service, so most poll timers can skip the batch
     /// machinery (group scan, window jitter draw, member collection)
     /// entirely. Purely a fast-path hint: `send_batch_poll` still falls
     /// back to a single poll when no sibling is actually coalescible.
-    grouped: bool,
+    pub(crate) grouped: bool,
     /// Cached wire entry this subscription contributes to a batch poll.
-    batch_entry: BatchPollEntry,
+    pub(crate) batch_entry: BatchPollEntry,
     /// Consecutive failed polls for this subscription (resets on success;
     /// bounds the poll-retry budget).
-    retries: u32,
+    pub(crate) retries: u32,
     /// When the in-flight poll (single or batched) left the engine. The
     /// engine keeps at most one poll in flight per subscription, so the
     /// value read at response time is the matching request's send time —
     /// attribution sinks use it to split cadence wait from poll RTT.
-    poll_sent_at: SimTime,
+    pub(crate) poll_sent_at: SimTime,
     /// A realtime notification preempted this subscription's cadence
     /// timer: an immediate poll is armed or in flight, and further hints
     /// are absorbed until its response (or shed) clears the flag. The
     /// timer-XOR-in-flight invariant means the flag never faces two
     /// outstanding polls.
-    rt_pending: bool,
+    pub(crate) rt_pending: bool,
     /// Where the preempted cadence entry would have fired, kept for a
     /// grouped member split out of its batch: the out-of-band poll's
     /// response restores this schedule so the group's phase lock survives
     /// the detour. `None` (solo subscriptions) draws a fresh cadence gap.
-    rt_resume_at: Option<SimTime>,
+    pub(crate) rt_resume_at: Option<SimTime>,
     /// End of the debounce window armed when a realtime poll resolves;
     /// notifications arriving before this are absorbed.
-    rt_debounce_until: SimTime,
+    pub(crate) rt_debounce_until: SimTime,
     /// The applet was uninstalled: the slot is a tombstone. It stays
     /// allocated (in-flight tokens and timer keys carry slot numbers, so
     /// compaction would alias them) but is removed from every routing
     /// structure, and late poll responses for it are discarded.
-    uninstalled: bool,
+    pub(crate) uninstalled: bool,
 }
 
 #[derive(Debug)]
-struct DispatchJob {
-    slot: Slot,
+pub(crate) struct DispatchJob {
+    pub(crate) slot: Slot,
     event: TriggerEvent,
     /// Query responses still outstanding before the action can go out.
     pending_queries: usize,
@@ -532,56 +169,6 @@ struct DispatchJob {
     attempts: u32,
 }
 
-/// Execution state of one DAG node within a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum NodeStatus {
-    /// Not started; waiting on predecessors (or a free launch slot).
-    #[default]
-    Pending,
-    /// A network request (or retry timer) is outstanding.
-    InFlight,
-    /// Completed successfully; `out` holds its contribution.
-    Done,
-    /// A filter predicate evaluated false: downstream nodes are skipped
-    /// without any failure being recorded.
-    Cut,
-    /// Never ran because a predecessor was cut, skipped, or failed.
-    Skipped,
-    /// Failed terminally under a halting failure policy.
-    Failed,
-}
-
-#[derive(Debug, Default)]
-struct RunNode {
-    status: NodeStatus,
-    /// Network attempts already sent (query/action nodes only).
-    attempts: u32,
-    /// Ingredients this node contributes to its dependents: a transform's
-    /// substituted fields, or a query's prefixed result keys.
-    out: FieldMap,
-}
-
-/// One activation walking a multi-step applet DAG — the multi-step
-/// counterpart of [`DispatchJob`]. A run ends with exactly one terminal
-/// event (ok / dead letter / filtered), so the single-step conservation
-/// invariant extends unchanged to multi-step applets.
-#[derive(Debug)]
-struct DagRun {
-    slot: Slot,
-    event: TriggerEvent,
-    nodes: Vec<RunNode>,
-    /// Network requests (or pending retry timers) outstanding.
-    outstanding: usize,
-    /// A halting node failure marked the whole run failed.
-    failed: bool,
-    any_action_ok: bool,
-    /// An action node failed terminally under a `Continue` policy.
-    any_action_failed: bool,
-    /// ZapierLike step semantics: at most one network node in flight,
-    /// lowest index first.
-    serial: bool,
-}
-
 /// The engine node.
 #[derive(Debug)]
 pub struct TapEngine {
@@ -590,28 +177,28 @@ pub struct TapEngine {
     /// Engine-local interner for service slugs, user ids, trigger
     /// identities, and event ids. Symbols never leave the engine: stats,
     /// traces, and wire bodies all use the resolved strings.
-    syms: Interner,
-    services: FxHashMap<Symbol, ServiceRegistration>,
+    pub(crate) syms: Interner,
+    pub(crate) services: FxHashMap<Symbol, ServiceRegistration>,
     /// Service keys are interned at registration, so the per-notification
     /// authentication lookup hashes a `Symbol`, not the key string.
-    service_by_key: FxHashMap<Symbol, ServiceSlug>,
+    pub(crate) service_by_key: FxHashMap<Symbol, ServiceSlug>,
     /// Per-(user, service) `Authorization` header values, precomputed
     /// at token install so poll/action/query sends clone a string
     /// instead of formatting one.
-    tokens: FxHashMap<(Symbol, Symbol), String>,
+    pub(crate) tokens: FxHashMap<(Symbol, Symbol), String>,
     pending_oauth: FxHashMap<u64, (UserId, ServiceSlug)>,
     next_oauth: u64,
     /// [`AppletId`] → dense slot, consulted only on the public id-keyed
     /// API; internal paths carry slots.
-    slot_of: FxHashMap<u32, Slot>,
+    pub(crate) slot_of: FxHashMap<u32, Slot>,
     /// Applet catalog, indexed by slot (install order; never removed).
-    applets: Vec<Applet>,
+    pub(crate) applets: Vec<Applet>,
     /// Per-applet polling state, indexed by slot parallel to `applets`.
-    tasks: Vec<PollTask>,
-    by_identity: FxHashMap<Symbol, Vec<Slot>>,
+    pub(crate) tasks: Vec<PollTask>,
+    pub(crate) by_identity: FxHashMap<Symbol, Vec<Slot>>,
     /// Coalescing groups, in install order (the order batch entries are
     /// listed on the wire and demuxed back).
-    poll_groups: FxHashMap<(Symbol, Symbol, u8), Vec<Slot>>,
+    pub(crate) poll_groups: FxHashMap<(Symbol, Symbol, u8), Vec<Slot>>,
     /// In-flight batch polls: the arena handle is the wire sequence
     /// number; the value is the member slots, in entry order.
     pending_batches: Arena<Vec<Slot>>,
@@ -619,13 +206,13 @@ pub struct TapEngine {
     /// group's membership is unchanged — after the first response
     /// phase-locks a group this is every round, so a steady-state batch
     /// poll clones a `Bytes` handle exactly like a single poll does.
-    batch_bodies: FxHashMap<(Symbol, Symbol, u8), (Vec<Slot>, bytes::Bytes)>,
+    pub(crate) batch_bodies: FxHashMap<(Symbol, Symbol, u8), (Vec<Slot>, bytes::Bytes)>,
     /// In-flight single-step dispatches; the generation-checked arena
     /// handle is the dispatch id carried by tokens and timer keys.
-    dispatches: Arena<DispatchJob>,
+    pub(crate) dispatches: Arena<DispatchJob>,
     /// In-flight multi-step runs; the arena handle is the run id (the low
     /// bits of the run's tagged dispatch id).
-    dag_runs: Arena<DagRun>,
+    pub(crate) dag_runs: Arena<DagRun>,
     /// Permission manager (service-level by default, §6).
     pub permissions: PermissionManager,
     /// Static loop detector (consulted only if configured).
@@ -635,10 +222,10 @@ pub struct TapEngine {
     pub stats: EngineStats,
     /// Per-trigger-service circuit breakers (allocated lazily; only
     /// consulted when `config.breaker` is set).
-    breakers: FxHashMap<Symbol, CircuitBreaker>,
+    pub(crate) breakers: FxHashMap<Symbol, CircuitBreaker>,
     /// Groups temporarily demoted to singleton polls after a batch poll
     /// failure, until the stored instant.
-    degraded_until: FxHashMap<(Symbol, Symbol, u8), SimTime>,
+    pub(crate) degraded_until: FxHashMap<(Symbol, Symbol, u8), SimTime>,
     /// Optional instrumentation sink (see [`crate::obs`]).
     sink: Option<std::sync::Arc<dyn ObsSink>>,
     /// Recycled batch member lists: popped when a batch poll assembles its
@@ -732,7 +319,7 @@ impl TapEngine {
     /// Emit one instrumentation event: apply its counter increments to
     /// [`TapEngine::stats`] and forward it to the sink, if any. Every
     /// stats mutation in the engine goes through here.
-    fn obs(&mut self, ev: ObsEvent) {
+    pub(crate) fn obs(&mut self, ev: ObsEvent) {
         self.stats.apply(&ev);
         if let Some(sink) = &self.sink {
             sink.on_event(&ev);
@@ -755,7 +342,7 @@ impl TapEngine {
             .insert(sym, ServiceRegistration { slug, node, key });
     }
 
-    fn service_sym(&self, slug: &ServiceSlug) -> Option<Symbol> {
+    pub(crate) fn service_sym(&self, slug: &ServiceSlug) -> Option<Symbol> {
         // Services are interned at registration; an unknown string cannot
         // name a registered service.
         self.syms.get(slug.as_str())
@@ -812,364 +399,6 @@ impl TapEngine {
         self.slot_of.get(&id.0).map(|&s| &self.applets[s as usize])
     }
 
-    /// Apply one lifecycle transition — the single entry point for every
-    /// install, uninstall, onboarding, and retirement the engine supports.
-    /// The legacy constructors ([`TapEngine::install_applet`],
-    /// [`TapEngine::register_service`]) are thin wrappers over this.
-    ///
-    /// Determinism contract: an event sequence that is never applied
-    /// consumes no randomness and perturbs no state, and applying events
-    /// draws RNG only where the equivalent legacy path already did (the
-    /// initial-poll delay of an install), so a churn-free run is
-    /// byte-identical to one built through the legacy surface.
-    pub fn apply_lifecycle(
-        &mut self,
-        ctx: &mut Context<'_>,
-        ev: LifecycleEvent,
-    ) -> Result<LifecycleAck, LifecycleError> {
-        match ev {
-            LifecycleEvent::InstallApplet(applet) => self
-                .do_install(ctx, applet)
-                .map(LifecycleAck::Installed)
-                .map_err(LifecycleError::Install),
-            LifecycleEvent::UninstallApplet(id) => self.do_uninstall(ctx, id),
-            LifecycleEvent::OnboardService {
-                slug,
-                node,
-                key,
-                realtime,
-            } => {
-                if realtime {
-                    self.config.realtime_allowlist.insert(slug.clone());
-                }
-                self.register_service(slug.clone(), node, key);
-                ctx.trace("engine.service_onboarded", slug.0.clone());
-                Ok(LifecycleAck::Onboarded(slug))
-            }
-            LifecycleEvent::RetireService(slug) => self.do_retire(ctx, slug),
-        }
-    }
-
-    /// Install and enable an applet. Schedules its first trigger poll.
-    ///
-    /// Deprecated: thin compatibility wrapper over
-    /// [`TapEngine::apply_lifecycle`] with
-    /// [`LifecycleEvent::InstallApplet`] — new code should apply a
-    /// lifecycle event so installs and uninstalls go through one surface.
-    pub fn install_applet(
-        &mut self,
-        ctx: &mut Context<'_>,
-        applet: Applet,
-    ) -> Result<AppletId, InstallError> {
-        match self.apply_lifecycle(ctx, LifecycleEvent::InstallApplet(applet)) {
-            Ok(LifecycleAck::Installed(id)) => Ok(id),
-            Ok(ack) => unreachable!("install acked {ack:?}"),
-            Err(LifecycleError::Install(e)) => Err(e),
-            Err(e) => unreachable!("install failed with {e:?}"),
-        }
-    }
-
-    fn do_install(
-        &mut self,
-        ctx: &mut Context<'_>,
-        mut applet: Applet,
-    ) -> Result<AppletId, InstallError> {
-        // Degenerate-DAG fast path: a one-node action DAG *is* a classic
-        // applet, so fold it back onto the single-step path at install
-        // time. Everything downstream — cached bodies, dispatch timers,
-        // RNG draw order — is then byte-identical to an applet that never
-        // had steps.
-        if is_degenerate(&applet.steps) {
-            let node = applet.steps.pop().expect("degenerate DAG has one node");
-            if let StepSpec::Action { action, fields } = node.spec {
-                applet.action.action = ActionSlug::new(action);
-                applet.action.fields = fields;
-            }
-        }
-        if !applet.steps.is_empty() {
-            validate_steps(&applet.steps).map_err(|e| InstallError::InvalidSteps(e.to_string()))?;
-        }
-        for service in [&applet.trigger.service, &applet.action.service] {
-            if !self
-                .service_sym(service)
-                .is_some_and(|s| self.services.contains_key(&s))
-            {
-                return Err(InstallError::UnknownService(service.clone()));
-            }
-            if !self.is_connected(&applet.owner, service) {
-                return Err(InstallError::NotConnected(service.clone()));
-            }
-        }
-        if self.config.static_loop_check {
-            let mut all: Vec<Applet> = self.applets.clone();
-            all.push(applet.clone());
-            let cycles = self.static_detector.find_cycles(&all);
-            let involved: Vec<AppletId> = cycles
-                .into_iter()
-                .flatten()
-                .filter(|id| *id == applet.id || self.slot_of.contains_key(&id.0))
-                .collect();
-            if involved.contains(&applet.id) {
-                return Err(InstallError::LoopDetected(involved));
-            }
-        }
-        // Coarse or fine permission grants for both halves (§6).
-        self.permissions.request(
-            &applet.owner,
-            &applet.trigger.service,
-            Capability::new(format!("trigger:{}", applet.trigger.trigger)),
-        );
-        self.permissions.request(
-            &applet.owner,
-            &applet.action.service,
-            Capability::new(format!("action:{}", applet.action.action)),
-        );
-        let identity = TriggerIdentity::derive(
-            &applet.owner,
-            &applet.trigger.service,
-            &applet.trigger.trigger,
-            &applet.trigger.fields,
-        );
-        let id = applet.id;
-        let slot: Slot = self.tasks.len() as Slot;
-        let identity_sym = self.syms.intern(identity.as_str());
-        self.by_identity.entry(identity_sym).or_default().push(slot);
-        let poll_body = wire::to_bytes(&PollRequestBody {
-            trigger_identity: identity.clone(),
-            trigger_fields: applet.trigger.fields.clone(),
-            user: applet.owner.clone(),
-            limit: DEFAULT_POLL_LIMIT,
-        });
-        let action_body = if applet.action.fields.is_empty() {
-            Some(wire::to_bytes(&ActionRequestBody {
-                action_fields: FieldMap::new(),
-                user: applet.owner.clone(),
-            }))
-        } else {
-            None
-        };
-        let owner_sym = self.syms.intern(applet.owner.as_str());
-        let trigger_service_sym = self.syms.intern(applet.trigger.service.as_str());
-        let group = (
-            owner_sym,
-            trigger_service_sym,
-            self.config.polling.cadence_class(&applet),
-        );
-        let siblings = self.poll_groups.entry(group).or_default();
-        siblings.push(slot);
-        let grouped = siblings.len() >= 2;
-        if siblings.len() == 2 {
-            // The group just gained its first sibling: the existing member
-            // was installed solo and must start taking the batch path too.
-            let first = siblings[0];
-            self.tasks[first as usize].grouped = true;
-        }
-        self.tasks.push(PollTask {
-            id,
-            owner: owner_sym,
-            trigger_service: trigger_service_sym,
-            action_service: self.syms.intern(applet.action.service.as_str()),
-            poll_path: trigger_path(&applet.trigger.trigger),
-            poll_body,
-            action_path: action_path(&applet.action.action),
-            action_body,
-            seen: FxHashSet::default(),
-            enabled: true,
-            next_poll: None,
-            next_poll_at: SimTime::ZERO,
-            group,
-            grouped,
-            batch_entry: BatchPollEntry {
-                trigger: applet.trigger.trigger.clone(),
-                trigger_identity: identity,
-                trigger_fields: applet.trigger.fields.clone(),
-                limit: DEFAULT_POLL_LIMIT,
-            },
-            retries: 0,
-            poll_sent_at: SimTime::ZERO,
-            rt_pending: false,
-            rt_resume_at: None,
-            rt_debounce_until: SimTime::ZERO,
-            uninstalled: false,
-        });
-        self.applets.push(applet);
-        self.slot_of.insert(id.0, slot);
-        let delay = SimDuration::from_secs_f64(self.config.initial_poll_delay.sample(ctx.rng()));
-        self.schedule_poll(ctx, slot, delay);
-        ctx.trace("engine.applet_installed", TraceDetail::Applet(id.0));
-        Ok(id)
-    }
-
-    fn do_uninstall(
-        &mut self,
-        ctx: &mut Context<'_>,
-        id: AppletId,
-    ) -> Result<LifecycleAck, LifecycleError> {
-        let Some(slot) = self.slot_of.remove(&id.0) else {
-            return Err(LifecycleError::UnknownApplet(id));
-        };
-        self.retire_slot(ctx, slot);
-        ctx.trace("engine.applet_uninstalled", TraceDetail::Applet(id.0));
-        Ok(LifecycleAck::Uninstalled(id))
-    }
-
-    /// Tear down one slot's runtime state: the shared unwind behind both
-    /// uninstall and the per-applet half of service retirement. The caller
-    /// has already removed the public `slot_of` mapping.
-    fn retire_slot(&mut self, ctx: &mut Context<'_>, slot: Slot) {
-        // Timing wheel: the pending cadence (or realtime-armed) poll dies
-        // with the applet, and every realtime flag is cleared so the
-        // tombstone can never absorb or arm anything again.
-        let task = &mut self.tasks[slot as usize];
-        task.uninstalled = true;
-        task.enabled = false;
-        task.rt_pending = false;
-        task.rt_resume_at = None;
-        task.rt_debounce_until = SimTime::ZERO;
-        if let Some(timer) = task.next_poll.take() {
-            ctx.cancel_timer(timer);
-        }
-        // The seen-set is the slot's only unbounded allocation; a
-        // tombstone does not need it.
-        task.seen = FxHashSet::default();
-        let group = task.group;
-        let identity_sym = self.syms.get(task.batch_entry.trigger_identity.as_str());
-        // Coalescing group: shrink the membership, evict the cached batch
-        // body (it was serialized for the old member list and would
-        // otherwise be replayed stale), and revert the survivor's
-        // `grouped` hint when the group drops back to one member so it
-        // returns to the singleton fast path.
-        if let Some(members) = self.poll_groups.get_mut(&group) {
-            members.retain(|&m| m != slot);
-            self.batch_bodies.remove(&group);
-            if members.len() == 1 {
-                let survivor = members[0];
-                self.tasks[survivor as usize].grouped = false;
-            } else if members.is_empty() {
-                self.poll_groups.remove(&group);
-                self.degraded_until.remove(&group);
-            }
-        }
-        // Identity routing: realtime notifications resolve through this,
-        // so pruning it is what makes later hints miss.
-        if let Some(sym) = identity_sym {
-            if let Some(slots) = self.by_identity.get_mut(&sym) {
-                slots.retain(|&m| m != slot);
-                if slots.is_empty() {
-                    self.by_identity.remove(&sym);
-                }
-            }
-        }
-        // In-flight work owned by the slot dead-letters now — the slab
-        // handles are reclaimed and the conservation invariant
-        // (`events_new == actions_ok + actions_filtered + dead_letters`)
-        // holds through the teardown.
-        self.dead_letter_in_flight(ctx, |s| s == slot);
-    }
-
-    /// Dead-letter every in-flight dispatch and DAG run whose slot
-    /// matches, emitting the same terminal pair an exhausted retry budget
-    /// would. Handles are drained in sorted order: arena iteration order
-    /// is storage-dependent (slab vs reference map), the handle values are
-    /// not.
-    fn dead_letter_in_flight(&mut self, ctx: &mut Context<'_>, doomed: impl Fn(Slot) -> bool) {
-        let mut jobs: Vec<u64> = self
-            .dispatches
-            .iter()
-            .filter(|(_, job)| doomed(job.slot))
-            .map(|(h, _)| h)
-            .collect();
-        jobs.sort_unstable();
-        for dispatch in jobs {
-            let job = self.dispatches.remove(dispatch).expect("collected live");
-            let applet = self.tasks[job.slot as usize].id;
-            self.obs(ObsEvent::ActionFinished {
-                applet,
-                dispatch,
-                ok: false,
-                at: ctx.now(),
-            });
-            self.obs(ObsEvent::ActionDeadLettered {
-                applet,
-                dispatch,
-                at: ctx.now(),
-            });
-            ctx.trace(
-                "engine.uninstall_dead_letter",
-                TraceDetail::Applet(applet.0),
-            );
-        }
-        let mut runs: Vec<u64> = self
-            .dag_runs
-            .iter()
-            .filter(|(_, run)| doomed(run.slot))
-            .map(|(h, _)| h)
-            .collect();
-        runs.sort_unstable();
-        for run_id in runs {
-            let run = self.dag_runs.remove(run_id).expect("collected live");
-            let applet = self.tasks[run.slot as usize].id;
-            let dispatch = DAG_DISPATCH_BIT | run_id;
-            self.obs(ObsEvent::ActionFinished {
-                applet,
-                dispatch,
-                ok: false,
-                at: ctx.now(),
-            });
-            self.obs(ObsEvent::ActionDeadLettered {
-                applet,
-                dispatch,
-                at: ctx.now(),
-            });
-            ctx.trace(
-                "engine.uninstall_dead_letter",
-                TraceDetail::Applet(applet.0),
-            );
-        }
-    }
-
-    fn do_retire(
-        &mut self,
-        ctx: &mut Context<'_>,
-        slug: ServiceSlug,
-    ) -> Result<LifecycleAck, LifecycleError> {
-        let Some(sym) = self
-            .service_sym(&slug)
-            .filter(|s| self.services.contains_key(s))
-        else {
-            return Err(LifecycleError::UnknownService(slug));
-        };
-        // Every live applet touching the dying service — polling it or
-        // dispatching to it — goes through the full uninstall unwind.
-        let doomed: Vec<Slot> = self
-            .tasks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                !t.uninstalled && (t.trigger_service == sym || t.action_service == sym)
-            })
-            .map(|(i, _)| i as Slot)
-            .collect();
-        let applets_removed = doomed.len() as u32;
-        for slot in doomed {
-            let id = self.tasks[slot as usize].id;
-            self.slot_of.remove(&id.0);
-            self.retire_slot(ctx, slot);
-        }
-        let reg = self.services.remove(&sym).expect("registration checked");
-        if let Some(key_sym) = self.syms.get(&reg.key.0) {
-            self.service_by_key.remove(&key_sym);
-        }
-        self.tokens.retain(|&(_, s), _| s != sym);
-        self.config.realtime_allowlist.remove(&slug);
-        self.breakers.remove(&sym);
-        ctx.trace("engine.service_retired", slug.0.clone());
-        Ok(LifecycleAck::Retired {
-            service: slug,
-            applets_removed,
-        })
-    }
-
     /// Enable or disable an applet (disabled applets stop polling).
     pub fn set_enabled(&mut self, ctx: &mut Context<'_>, id: AppletId, enabled: bool) {
         let Some(&slot) = self.slot_of.get(&id.0) else {
@@ -1195,7 +424,7 @@ impl TapEngine {
             .is_some_and(|&s| self.tasks[s as usize].enabled)
     }
 
-    fn schedule_poll(&mut self, ctx: &mut Context<'_>, slot: Slot, after: SimDuration) {
+    pub(crate) fn schedule_poll(&mut self, ctx: &mut Context<'_>, slot: Slot, after: SimDuration) {
         let Some(task) = self.tasks.get_mut(slot as usize) else {
             return;
         };
@@ -1213,7 +442,7 @@ impl TapEngine {
 
     /// Consult the per-service breaker gate. `false` whenever breaking is
     /// not configured, without touching any state.
-    fn breaker_sheds(&mut self, now: SimTime, service: Symbol) -> bool {
+    pub(crate) fn breaker_sheds(&mut self, now: SimTime, service: Symbol) -> bool {
         let Some(policy) = &self.config.breaker else {
             return false;
         };
@@ -1268,7 +497,7 @@ impl TapEngine {
 
     /// Feed one poll/action outcome for `service` into its breaker (no-op
     /// without a breaker policy). Counts trips.
-    fn breaker_record(&mut self, ctx: &mut Context<'_>, service: Symbol, ok: bool) {
+    pub(crate) fn breaker_record(&mut self, ctx: &mut Context<'_>, service: Symbol, ok: bool) {
         let Some(policy) = &self.config.breaker else {
             return;
         };
@@ -2050,409 +1279,6 @@ impl TapEngine {
         }
     }
 
-    /// Drive one DAG run as far as it can go without waiting on the
-    /// network: skip nodes whose predecessors were cut or failed, execute
-    /// filter/transform nodes synchronously, launch ready query/action
-    /// nodes (one at a time under ZapierLike serial semantics), and
-    /// finish the run once nothing is pending or in flight.
-    fn dag_advance(&mut self, ctx: &mut Context<'_>, run_id: u64) {
-        enum Act {
-            Skip(usize),
-            Sync(usize),
-            Launch(usize),
-            Finish,
-            Wait,
-        }
-        loop {
-            let act = {
-                let Some(run) = self.dag_runs.get(run_id) else {
-                    return;
-                };
-                let steps = &self.applets[run.slot as usize].steps;
-                let mut act = Act::Wait;
-                for (i, node) in run.nodes.iter().enumerate() {
-                    if node.status != NodeStatus::Pending {
-                        continue;
-                    }
-                    if steps[i].deps.iter().any(|&d| {
-                        matches!(
-                            run.nodes[d as usize].status,
-                            NodeStatus::Cut | NodeStatus::Skipped | NodeStatus::Failed
-                        )
-                    }) {
-                        act = Act::Skip(i);
-                        break;
-                    }
-                    if !steps[i]
-                        .deps
-                        .iter()
-                        .all(|&d| run.nodes[d as usize].status == NodeStatus::Done)
-                    {
-                        continue;
-                    }
-                    match steps[i].spec {
-                        StepSpec::Filter { .. } | StepSpec::Transform { .. } => {
-                            act = Act::Sync(i);
-                            break;
-                        }
-                        StepSpec::Query { .. } | StepSpec::Action { .. } => {
-                            if run.serial && run.outstanding > 0 {
-                                continue;
-                            }
-                            act = Act::Launch(i);
-                            break;
-                        }
-                    }
-                }
-                if matches!(act, Act::Wait)
-                    && run.outstanding == 0
-                    && run.nodes.iter().all(|n| {
-                        n.status != NodeStatus::Pending && n.status != NodeStatus::InFlight
-                    })
-                {
-                    act = Act::Finish;
-                }
-                act
-            };
-            match act {
-                Act::Wait => return,
-                Act::Finish => {
-                    self.dag_finish(ctx, run_id);
-                    return;
-                }
-                Act::Skip(i) => {
-                    let run = self.dag_runs.get_mut(run_id).expect("run checked above");
-                    run.nodes[i].status = NodeStatus::Skipped;
-                }
-                Act::Sync(i) => {
-                    let (applet_id, done, out, kind) = {
-                        let run = self.dag_runs.get(run_id).expect("run checked above");
-                        let applet = &self.applets[run.slot as usize];
-                        let input = dag_node_input(run, &applet.steps, i);
-                        match &applet.steps[i].spec {
-                            StepSpec::Filter { predicate } => (
-                                applet.id,
-                                predicate.eval(&input),
-                                FieldMap::new(),
-                                StepKind::Filter,
-                            ),
-                            StepSpec::Transform { fields } => (
-                                applet.id,
-                                true,
-                                substitute_fields(fields, &input),
-                                StepKind::Transform,
-                            ),
-                            _ => unreachable!("scan yields Sync only for filter/transform"),
-                        }
-                    };
-                    let run = self.dag_runs.get_mut(run_id).expect("run checked above");
-                    run.nodes[i].status = if done {
-                        NodeStatus::Done
-                    } else {
-                        NodeStatus::Cut
-                    };
-                    run.nodes[i].out = out;
-                    self.obs(ObsEvent::DagNodeExecuted {
-                        applet: applet_id,
-                        dispatch: DAG_DISPATCH_BIT | run_id,
-                        node: i as u16,
-                        kind,
-                        at: ctx.now(),
-                    });
-                }
-                Act::Launch(i) => {
-                    {
-                        let run = self.dag_runs.get_mut(run_id).expect("run checked above");
-                        run.nodes[i].status = NodeStatus::InFlight;
-                        run.outstanding += 1;
-                    }
-                    self.dag_send(ctx, run_id, i);
-                }
-            }
-        }
-    }
-
-    /// Send (or re-send, from a retry timer) the network request of one
-    /// query/action node. The node is `InFlight` and counted in
-    /// `outstanding`; a breaker shed is treated as a retryable transport
-    /// failure that consumes an attempt, so query steps face the same
-    /// breaker/retry stack polls do.
-    fn dag_send(&mut self, ctx: &mut Context<'_>, run_id: u64, idx: usize) {
-        let Some(run) = self.dag_runs.get(run_id) else {
-            return;
-        };
-        if run.nodes.get(idx).map(|n| n.status) != Some(NodeStatus::InFlight) {
-            return;
-        }
-        let slot = run.slot;
-        let id = self.tasks[slot as usize].id;
-        if run.failed {
-            // The run halted while this node waited on a retry timer:
-            // resolve it without wasting the request.
-            let run = self.dag_runs.get_mut(run_id).expect("run checked above");
-            run.outstanding -= 1;
-            run.nodes[idx].status = NodeStatus::Failed;
-            self.dag_advance(ctx, run_id);
-            return;
-        }
-        let (owner, action_service) = {
-            let t = &self.tasks[slot as usize];
-            (t.owner, t.action_service)
-        };
-        {
-            let run = self.dag_runs.get_mut(run_id).expect("run checked above");
-            run.nodes[idx].attempts += 1;
-        }
-        if self.breaker_sheds(ctx.now(), action_service) {
-            self.dag_node_failure(ctx, run_id, idx, FailureClass::Transport, None);
-            return;
-        }
-        let (req, sent_ev, node) = {
-            let Some(reg) = self.services.get(&action_service) else {
-                return;
-            };
-            let Some(bearer) = self.tokens.get(&(owner, action_service)) else {
-                return;
-            };
-            let run = self.dag_runs.get(run_id).expect("run checked above");
-            let applet = &self.applets[slot as usize];
-            let input = dag_node_input(run, &applet.steps, idx);
-            let attempt = run.nodes[idx].attempts;
-            match &applet.steps[idx].spec {
-                StepSpec::Query { query, fields, .. } => (
-                    Request::post(query_path(&QuerySlug::new(query.clone())))
-                        .with_header(SERVICE_KEY_HEADER, reg.key.0.clone())
-                        .with_header(AUTHORIZATION_HEADER, bearer.clone())
-                        .with_body(wire::to_bytes(&QueryRequestBody {
-                            query_fields: substitute_fields(fields, &input),
-                            user: applet.owner.clone(),
-                        })),
-                    ObsEvent::QuerySent {
-                        applet: id,
-                        dispatch: DAG_DISPATCH_BIT | run_id,
-                        at: ctx.now(),
-                    },
-                    reg.node,
-                ),
-                StepSpec::Action { action, fields } => (
-                    Request::post(action_path(&ActionSlug::new(action.clone())))
-                        .with_header(SERVICE_KEY_HEADER, reg.key.0.clone())
-                        .with_header(AUTHORIZATION_HEADER, bearer.clone())
-                        .with_body(wire::to_bytes(&ActionRequestBody {
-                            action_fields: substitute_fields(fields, &input),
-                            user: applet.owner.clone(),
-                        })),
-                    ObsEvent::ActionSent {
-                        applet: id,
-                        dispatch: DAG_DISPATCH_BIT | run_id,
-                        attempt,
-                        at: ctx.now(),
-                    },
-                    reg.node,
-                ),
-                _ => return,
-            }
-        };
-        self.obs(sent_ev);
-        if ctx.tracing() {
-            ctx.trace("engine.dag_node_sent", format!("{id:?} node {idx}"));
-        }
-        ctx.send_request(
-            node,
-            req,
-            Token(TAG_DAG | (run_id << DAG_NODE_BITS) | idx as u64),
-            RequestOpts {
-                timeout: Some(self.config.request_timeout),
-            },
-        );
-    }
-
-    /// A network node's attempt failed (bad status, timeout, or a breaker
-    /// shed). Either re-arm a retry on the backoff schedule — query nodes
-    /// draw on the poll-retry budget, action nodes on the action-retry
-    /// budget, with the node's `max_retries` overriding either — or
-    /// resolve the node terminally under its effective failure policy.
-    fn dag_node_failure(
-        &mut self,
-        ctx: &mut Context<'_>,
-        run_id: u64,
-        idx: usize,
-        class: FailureClass,
-        retry_after: Option<SimDuration>,
-    ) {
-        let Some(run) = self.dag_runs.get(run_id) else {
-            return;
-        };
-        let slot = run.slot;
-        let attempts = run.nodes[idx].attempts;
-        let applet = &self.applets[slot as usize];
-        let id = applet.id;
-        let step = &applet.steps[idx];
-        let is_action = matches!(step.spec, StepSpec::Action { .. });
-        let base = if is_action {
-            &self.config.action_retry
-        } else {
-            &self.config.poll_retry
-        };
-        let retry = match step.max_retries {
-            Some(budget) => class.is_retryable() && attempts <= budget,
-            None => base.should_retry(attempts, class),
-        };
-        let on_failure = step.on_failure;
-        if retry {
-            let mut delay = base.backoff.delay(attempts.saturating_sub(1), ctx.rng());
-            if let Some(ra) = retry_after {
-                delay = delay.max(ra);
-            }
-            self.obs(ObsEvent::DagNodeRetried {
-                applet: id,
-                dispatch: DAG_DISPATCH_BIT | run_id,
-                node: idx as u16,
-                at: ctx.now(),
-            });
-            if is_action {
-                self.obs(ObsEvent::ActionRetried {
-                    applet: id,
-                    dispatch: DAG_DISPATCH_BIT | run_id,
-                    at: ctx.now(),
-                });
-            }
-            ctx.set_timer(delay, TK_DAG | (run_id << DAG_NODE_BITS) | idx as u64);
-            return; // node stays InFlight; outstanding keeps counting it
-        }
-        let policy = match on_failure {
-            StepFailurePolicy::PolicyDefault => match self.config.policy {
-                EnginePolicy::IftttLike => StepFailurePolicy::Continue,
-                EnginePolicy::ZapierLike => StepFailurePolicy::Halt,
-            },
-            explicit => explicit,
-        };
-        if !is_action {
-            self.obs(ObsEvent::QueryFailed {
-                dispatch: DAG_DISPATCH_BIT | run_id,
-                at: ctx.now(),
-            });
-        }
-        let run = self.dag_runs.get_mut(run_id).expect("run checked above");
-        run.outstanding -= 1;
-        match policy {
-            StepFailurePolicy::Continue => {
-                // The node resolves empty and downstream nodes still run —
-                // the single-step engine's historical treatment of a
-                // failed pre-dispatch query.
-                run.nodes[idx].status = NodeStatus::Done;
-                run.nodes[idx].out = FieldMap::new();
-                if is_action {
-                    run.any_action_failed = true;
-                }
-            }
-            _ => {
-                run.nodes[idx].status = NodeStatus::Failed;
-                run.failed = true;
-                for n in &mut run.nodes {
-                    if n.status == NodeStatus::Pending {
-                        n.status = NodeStatus::Skipped;
-                    }
-                }
-            }
-        }
-        self.dag_advance(ctx, run_id);
-    }
-
-    /// One DAG run reached quiescence: emit exactly one terminal event —
-    /// dead letter if the run failed (or an action failed with no sibling
-    /// succeeding), success if any action landed, filtered otherwise — so
-    /// `events_new == actions_ok + actions_filtered + dead_letters` holds
-    /// for multi-step applets exactly as it does for single-step ones.
-    fn dag_finish(&mut self, ctx: &mut Context<'_>, run_id: u64) {
-        let Some(run) = self.dag_runs.remove(run_id) else {
-            return;
-        };
-        let dispatch = DAG_DISPATCH_BIT | run_id;
-        let applet = self.tasks[run.slot as usize].id;
-        if run.failed || (run.any_action_failed && !run.any_action_ok) {
-            self.obs(ObsEvent::ActionFinished {
-                applet,
-                dispatch,
-                ok: false,
-                at: ctx.now(),
-            });
-            self.obs(ObsEvent::ActionDeadLettered {
-                applet,
-                dispatch,
-                at: ctx.now(),
-            });
-            ctx.trace("engine.dag_dead_letter", TraceDetail::Applet(applet.0));
-        } else if run.any_action_ok {
-            self.obs(ObsEvent::ActionFinished {
-                applet,
-                dispatch,
-                ok: true,
-                at: ctx.now(),
-            });
-            ctx.trace("engine.dag_ok", TraceDetail::Applet(applet.0));
-        } else {
-            self.obs(ObsEvent::ActionFiltered {
-                applet,
-                dispatch,
-                at: ctx.now(),
-            });
-            ctx.trace("engine.dag_filtered", TraceDetail::Applet(applet.0));
-        }
-    }
-
-    /// A response for one DAG node came back.
-    fn on_dag_response(&mut self, ctx: &mut Context<'_>, run_id: u64, idx: usize, resp: Response) {
-        let Some(run) = self.dag_runs.get(run_id) else {
-            return;
-        };
-        if run.nodes.get(idx).map(|n| n.status) != Some(NodeStatus::InFlight) {
-            return;
-        }
-        let slot = run.slot;
-        let id = self.tasks[slot as usize].id;
-        let service = self.tasks[slot as usize].action_service;
-        if !resp.is_success() {
-            self.breaker_record(ctx, service, false);
-            let class = FailureClass::of_status(resp.status).unwrap_or(FailureClass::Transport);
-            self.dag_node_failure(ctx, run_id, idx, class, retry_after_hint(&resp));
-            return;
-        }
-        self.breaker_record(ctx, service, true);
-        let applet = &self.applets[slot as usize];
-        let (kind, is_action, out) = match &applet.steps[idx].spec {
-            StepSpec::Query { prefix, .. } => {
-                // Merge the result keys under the node's prefix, exactly
-                // like the single-step query path; an unparseable 200
-                // resolves empty without a failure.
-                let mut out = FieldMap::new();
-                if let Ok(body) = wire::from_bytes::<QueryResponseBody>(&resp.body) {
-                    for (k, v) in body.data {
-                        out.insert(format!("{prefix}.{k}"), v);
-                    }
-                }
-                (StepKind::Query, false, out)
-            }
-            StepSpec::Action { .. } => (StepKind::Action, true, FieldMap::new()),
-            _ => return,
-        };
-        let run = self.dag_runs.get_mut(run_id).expect("run checked above");
-        run.outstanding -= 1;
-        run.nodes[idx].status = NodeStatus::Done;
-        run.nodes[idx].out = out;
-        if is_action {
-            run.any_action_ok = true;
-        }
-        self.obs(ObsEvent::DagNodeExecuted {
-            applet: id,
-            dispatch: DAG_DISPATCH_BIT | run_id,
-            node: idx as u16,
-            kind,
-            at: ctx.now(),
-        });
-        self.dag_advance(ctx, run_id);
-    }
-
     fn on_realtime_notification(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
         self.obs(ObsEvent::HintReceived { at: ctx.now() });
         let Some(slug) = req
@@ -2569,44 +1395,9 @@ fn parse_realtime_items(body: &[u8], from: &ServiceSlug) -> Option<Vec<TriggerId
         .map(|n| n.data.into_iter().map(|i| i.trigger_identity).collect())
 }
 
-/// The ingredient view a DAG node executes against: the trigger event's
-/// ingredients overlaid with the outputs of every *transitive* ancestor,
-/// applied in node-index order (later ancestors win key collisions,
-/// mirroring the query-merge precedence of the single-step path).
-/// Borrows the event's ingredients directly when no ancestor contributed
-/// anything — the common case for early nodes and pure action chains.
-fn dag_node_input<'r>(run: &'r DagRun, steps: &[StepNode], node: usize) -> Cow<'r, FieldMap> {
-    let mask = ancestor_mask(steps, node);
-    let any_overlay = (0..node).any(|i| mask & (1 << i) != 0 && !run.nodes[i].out.is_empty());
-    if !any_overlay {
-        return Cow::Borrowed(&run.event.ingredients);
-    }
-    let mut input = run.event.ingredients.clone();
-    for i in 0..node {
-        if mask & (1 << i) != 0 {
-            for (k, v) in &run.nodes[i].out {
-                input.insert(k.clone(), v.clone());
-            }
-        }
-    }
-    Cow::Owned(input)
-}
-
-/// Transitive ancestor set of `node` as a bitmask. Deps always point at
-/// strictly lower indices (enforced by `validate_steps`), so the
-/// recursion is bounded by the node count (≤ 16).
-fn ancestor_mask(steps: &[StepNode], node: usize) -> u32 {
-    let mut mask = 0u32;
-    for &d in &steps[node].deps {
-        let d = d as usize;
-        mask |= (1u32 << d) | ancestor_mask(steps, d);
-    }
-    mask
-}
-
 /// The `Retry-After` delay a 5xx response advertises, if any. The engine's
 /// backoff never retries *sooner* than the service asked.
-fn retry_after_hint(resp: &Response) -> Option<SimDuration> {
+pub(crate) fn retry_after_hint(resp: &Response) -> Option<SimDuration> {
     let secs: f64 = resp.header(RETRY_AFTER_HEADER)?.parse().ok()?;
     (secs >= 0.0).then(|| SimDuration::from_secs_f64(secs))
 }

@@ -23,7 +23,10 @@
 
 pub mod applet;
 pub mod conditions;
+pub mod config;
 pub mod engine;
+mod exec;
+pub mod lifecycle;
 pub mod loopdetect;
 pub mod obs;
 pub mod permissions;
@@ -32,12 +35,11 @@ pub mod resilience;
 
 pub use applet::{substitute_fields, ActionRef, Applet, AppletId, QueryRef, TriggerRef};
 pub use conditions::Condition;
-pub use engine::{
-    EngineConfig, EnginePolicy, EngineStats, InstallError, LifecycleAck, LifecycleError,
-    LifecycleEvent, RuntimeLoopConfig, ServiceRegistration, TapEngine,
-};
+pub use config::{EngineConfig, EnginePolicy, RuntimeLoopConfig};
+pub use engine::{ServiceRegistration, TapEngine};
+pub use lifecycle::{InstallError, LifecycleAck, LifecycleError, LifecycleEvent};
 pub use loopdetect::{FeedRule, RuntimeLoopDetector, StaticLoopDetector};
-pub use obs::{FlightRecorder, ObsEvent, ObsSink, Stat};
+pub use obs::{EngineStats, FlightRecorder, ObsEvent, ObsSink, Stat};
 pub use permissions::{AuditEntry, Capability, Granularity, PermissionManager};
 pub use polling::PollPolicy;
 pub use resilience::{BackoffPolicy, BreakerPolicy, BreakerState, CircuitBreaker, RetryPolicy};

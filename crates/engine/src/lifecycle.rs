@@ -1,0 +1,453 @@
+//! The applet/service lifecycle surface: install, uninstall, onboard,
+//! retire — one entry point, [`TapEngine::apply_lifecycle`], and the
+//! per-applet unwind behind it.
+
+use crate::applet::{Applet, AppletId};
+use crate::engine::{PollTask, Slot, TapEngine, DAG_DISPATCH_BIT};
+use crate::obs::ObsEvent;
+use crate::permissions::Capability;
+use mem::FxHashSet;
+use simnet::prelude::*;
+use tap_protocol::auth::ServiceKey;
+use tap_protocol::endpoints::{action_path, trigger_path};
+use tap_protocol::wire::{
+    self, ActionRequestBody, BatchPollEntry, PollRequestBody, DEFAULT_POLL_LIMIT,
+};
+use tap_protocol::{
+    is_degenerate, validate_steps, ActionSlug, FieldMap, ServiceSlug, StepSpec, TriggerIdentity,
+};
+
+/// Why an applet install was rejected.
+#[derive(Debug, Clone, PartialEq)]
+pub enum InstallError {
+    UnknownService(ServiceSlug),
+    /// The user has not connected (OAuth-authorized) this service.
+    NotConnected(ServiceSlug),
+    /// Static loop check rejected the applet.
+    LoopDetected(Vec<AppletId>),
+    /// The applet's multi-step DAG failed validation.
+    InvalidSteps(String),
+}
+
+/// One applet- or service-lifecycle transition, applied through the
+/// single [`TapEngine::apply_lifecycle`] entry point. This is the churn
+/// op the fleet's live-world driver speaks: every install path the engine
+/// ever had (legacy single-step, degenerate-DAG wrap, multi-step) and
+/// every teardown the static workload never needed route through here.
+#[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)] // transient op value, consumed immediately
+pub enum LifecycleEvent {
+    /// Install and enable an applet (schedules its first trigger poll).
+    /// Degenerate one-node action DAGs fold onto the single-step path
+    /// exactly as the legacy constructor did.
+    InstallApplet(Applet),
+    /// Remove an applet permanently: cancel its pending poll timer, shrink
+    /// its coalescing group (evicting the cached batch body and reverting
+    /// the survivor's `grouped` hint when membership drops to 1), clear
+    /// realtime state, prune identity routing, and dead-letter its
+    /// in-flight dispatches and DAG runs. The slot is tombstoned, never
+    /// compacted, so in-flight tokens and timers miss instead of aliasing.
+    UninstallApplet(AppletId),
+    /// Register a partner service mid-run (what service publication does),
+    /// optionally adding it to the realtime allowlist.
+    OnboardService {
+        /// Service slug new installs will reference.
+        slug: ServiceSlug,
+        /// Simulation node serving the partner API.
+        node: NodeId,
+        /// Service key presented on every request.
+        key: ServiceKey,
+        /// Honor this service's realtime hints (§4's Alexa treatment).
+        realtime: bool,
+    },
+    /// A service dies permanently — a terminal outage, distinct from a
+    /// chaos blip: every applet touching it (as trigger or action) is
+    /// uninstalled with full unwind, its tokens and breaker state are
+    /// dropped, and its realtime allowlist entry is revoked.
+    RetireService(ServiceSlug),
+}
+
+/// Successful outcome of one [`TapEngine::apply_lifecycle`] application.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LifecycleAck {
+    Installed(AppletId),
+    Uninstalled(AppletId),
+    Onboarded(ServiceSlug),
+    Retired {
+        service: ServiceSlug,
+        /// Live applets uninstalled by the retirement cascade.
+        applets_removed: u32,
+    },
+}
+
+/// Why a lifecycle event was rejected.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LifecycleError {
+    /// An install was rejected (see [`InstallError`]).
+    Install(InstallError),
+    /// Uninstall of an applet id that is not installed (or already gone).
+    UnknownApplet(AppletId),
+    /// Retirement of a service that was never registered (or already
+    /// retired).
+    UnknownService(ServiceSlug),
+}
+
+impl TapEngine {
+    /// Apply one lifecycle transition — the single entry point for every
+    /// install, uninstall, onboarding, and retirement the engine supports.
+    /// The legacy constructors ([`TapEngine::install_applet`],
+    /// [`TapEngine::register_service`]) are thin wrappers over this.
+    ///
+    /// Determinism contract: an event sequence that is never applied
+    /// consumes no randomness and perturbs no state, and applying events
+    /// draws RNG only where the equivalent legacy path already did (the
+    /// initial-poll delay of an install), so a churn-free run is
+    /// byte-identical to one built through the legacy surface.
+    pub fn apply_lifecycle(
+        &mut self,
+        ctx: &mut Context<'_>,
+        ev: LifecycleEvent,
+    ) -> Result<LifecycleAck, LifecycleError> {
+        match ev {
+            LifecycleEvent::InstallApplet(applet) => self
+                .do_install(ctx, applet)
+                .map(LifecycleAck::Installed)
+                .map_err(LifecycleError::Install),
+            LifecycleEvent::UninstallApplet(id) => self.do_uninstall(ctx, id),
+            LifecycleEvent::OnboardService {
+                slug,
+                node,
+                key,
+                realtime,
+            } => {
+                if realtime {
+                    self.config.realtime_allowlist.insert(slug.clone());
+                }
+                self.register_service(slug.clone(), node, key);
+                ctx.trace("engine.service_onboarded", slug.0.clone());
+                Ok(LifecycleAck::Onboarded(slug))
+            }
+            LifecycleEvent::RetireService(slug) => self.do_retire(ctx, slug),
+        }
+    }
+
+    /// Install and enable an applet. Schedules its first trigger poll.
+    ///
+    /// Deprecated: thin compatibility wrapper over
+    /// [`TapEngine::apply_lifecycle`] with
+    /// [`LifecycleEvent::InstallApplet`] — new code should apply a
+    /// lifecycle event so installs and uninstalls go through one surface.
+    pub fn install_applet(
+        &mut self,
+        ctx: &mut Context<'_>,
+        applet: Applet,
+    ) -> Result<AppletId, InstallError> {
+        match self.apply_lifecycle(ctx, LifecycleEvent::InstallApplet(applet)) {
+            Ok(LifecycleAck::Installed(id)) => Ok(id),
+            Ok(ack) => unreachable!("install acked {ack:?}"),
+            Err(LifecycleError::Install(e)) => Err(e),
+            Err(e) => unreachable!("install failed with {e:?}"),
+        }
+    }
+
+    fn do_install(
+        &mut self,
+        ctx: &mut Context<'_>,
+        mut applet: Applet,
+    ) -> Result<AppletId, InstallError> {
+        // Degenerate-DAG fast path: a one-node action DAG *is* a classic
+        // applet, so fold it back onto the single-step path at install
+        // time. Everything downstream — cached bodies, dispatch timers,
+        // RNG draw order — is then byte-identical to an applet that never
+        // had steps.
+        if is_degenerate(&applet.steps) {
+            let node = applet.steps.pop().expect("degenerate DAG has one node");
+            if let StepSpec::Action { action, fields } = node.spec {
+                applet.action.action = ActionSlug::new(action);
+                applet.action.fields = fields;
+            }
+        }
+        if !applet.steps.is_empty() {
+            validate_steps(&applet.steps).map_err(|e| InstallError::InvalidSteps(e.to_string()))?;
+        }
+        for service in [&applet.trigger.service, &applet.action.service] {
+            if !self
+                .service_sym(service)
+                .is_some_and(|s| self.services.contains_key(&s))
+            {
+                return Err(InstallError::UnknownService(service.clone()));
+            }
+            if !self.is_connected(&applet.owner, service) {
+                return Err(InstallError::NotConnected(service.clone()));
+            }
+        }
+        if self.config.static_loop_check {
+            let mut all: Vec<Applet> = self.applets.clone();
+            all.push(applet.clone());
+            let cycles = self.static_detector.find_cycles(&all);
+            let involved: Vec<AppletId> = cycles
+                .into_iter()
+                .flatten()
+                .filter(|id| *id == applet.id || self.slot_of.contains_key(&id.0))
+                .collect();
+            if involved.contains(&applet.id) {
+                return Err(InstallError::LoopDetected(involved));
+            }
+        }
+        // Coarse or fine permission grants for both halves (§6).
+        self.permissions.request(
+            &applet.owner,
+            &applet.trigger.service,
+            Capability::new(format!("trigger:{}", applet.trigger.trigger)),
+        );
+        self.permissions.request(
+            &applet.owner,
+            &applet.action.service,
+            Capability::new(format!("action:{}", applet.action.action)),
+        );
+        let identity = TriggerIdentity::derive(
+            &applet.owner,
+            &applet.trigger.service,
+            &applet.trigger.trigger,
+            &applet.trigger.fields,
+        );
+        let id = applet.id;
+        let slot: Slot = self.tasks.len() as Slot;
+        let identity_sym = self.syms.intern(identity.as_str());
+        self.by_identity.entry(identity_sym).or_default().push(slot);
+        let poll_body = wire::to_bytes(&PollRequestBody {
+            trigger_identity: identity.clone(),
+            trigger_fields: applet.trigger.fields.clone(),
+            user: applet.owner.clone(),
+            limit: DEFAULT_POLL_LIMIT,
+        });
+        let action_body = if applet.action.fields.is_empty() {
+            Some(wire::to_bytes(&ActionRequestBody {
+                action_fields: FieldMap::new(),
+                user: applet.owner.clone(),
+            }))
+        } else {
+            None
+        };
+        let owner_sym = self.syms.intern(applet.owner.as_str());
+        let trigger_service_sym = self.syms.intern(applet.trigger.service.as_str());
+        let group = (
+            owner_sym,
+            trigger_service_sym,
+            self.config.polling.cadence_class(&applet),
+        );
+        let siblings = self.poll_groups.entry(group).or_default();
+        siblings.push(slot);
+        let grouped = siblings.len() >= 2;
+        if siblings.len() == 2 {
+            // The group just gained its first sibling: the existing member
+            // was installed solo and must start taking the batch path too.
+            let first = siblings[0];
+            self.tasks[first as usize].grouped = true;
+        }
+        self.tasks.push(PollTask {
+            id,
+            owner: owner_sym,
+            trigger_service: trigger_service_sym,
+            action_service: self.syms.intern(applet.action.service.as_str()),
+            poll_path: trigger_path(&applet.trigger.trigger),
+            poll_body,
+            action_path: action_path(&applet.action.action),
+            action_body,
+            seen: FxHashSet::default(),
+            enabled: true,
+            next_poll: None,
+            next_poll_at: SimTime::ZERO,
+            group,
+            grouped,
+            batch_entry: BatchPollEntry {
+                trigger: applet.trigger.trigger.clone(),
+                trigger_identity: identity,
+                trigger_fields: applet.trigger.fields.clone(),
+                limit: DEFAULT_POLL_LIMIT,
+            },
+            retries: 0,
+            poll_sent_at: SimTime::ZERO,
+            rt_pending: false,
+            rt_resume_at: None,
+            rt_debounce_until: SimTime::ZERO,
+            uninstalled: false,
+        });
+        self.applets.push(applet);
+        self.slot_of.insert(id.0, slot);
+        let delay = SimDuration::from_secs_f64(self.config.initial_poll_delay.sample(ctx.rng()));
+        self.schedule_poll(ctx, slot, delay);
+        ctx.trace("engine.applet_installed", TraceDetail::Applet(id.0));
+        Ok(id)
+    }
+
+    fn do_uninstall(
+        &mut self,
+        ctx: &mut Context<'_>,
+        id: AppletId,
+    ) -> Result<LifecycleAck, LifecycleError> {
+        let Some(slot) = self.slot_of.remove(&id.0) else {
+            return Err(LifecycleError::UnknownApplet(id));
+        };
+        self.retire_slot(ctx, slot);
+        ctx.trace("engine.applet_uninstalled", TraceDetail::Applet(id.0));
+        Ok(LifecycleAck::Uninstalled(id))
+    }
+
+    /// Tear down one slot's runtime state: the shared unwind behind both
+    /// uninstall and the per-applet half of service retirement. The caller
+    /// has already removed the public `slot_of` mapping.
+    fn retire_slot(&mut self, ctx: &mut Context<'_>, slot: Slot) {
+        // Timing wheel: the pending cadence (or realtime-armed) poll dies
+        // with the applet, and every realtime flag is cleared so the
+        // tombstone can never absorb or arm anything again.
+        let task = &mut self.tasks[slot as usize];
+        task.uninstalled = true;
+        task.enabled = false;
+        task.rt_pending = false;
+        task.rt_resume_at = None;
+        task.rt_debounce_until = SimTime::ZERO;
+        if let Some(timer) = task.next_poll.take() {
+            ctx.cancel_timer(timer);
+        }
+        // The seen-set is the slot's only unbounded allocation; a
+        // tombstone does not need it.
+        task.seen = FxHashSet::default();
+        let group = task.group;
+        let identity_sym = self.syms.get(task.batch_entry.trigger_identity.as_str());
+        // Coalescing group: shrink the membership, evict the cached batch
+        // body (it was serialized for the old member list and would
+        // otherwise be replayed stale), and revert the survivor's
+        // `grouped` hint when the group drops back to one member so it
+        // returns to the singleton fast path.
+        if let Some(members) = self.poll_groups.get_mut(&group) {
+            members.retain(|&m| m != slot);
+            self.batch_bodies.remove(&group);
+            if members.len() == 1 {
+                let survivor = members[0];
+                self.tasks[survivor as usize].grouped = false;
+            } else if members.is_empty() {
+                self.poll_groups.remove(&group);
+                self.degraded_until.remove(&group);
+            }
+        }
+        // Identity routing: realtime notifications resolve through this,
+        // so pruning it is what makes later hints miss.
+        if let Some(sym) = identity_sym {
+            if let Some(slots) = self.by_identity.get_mut(&sym) {
+                slots.retain(|&m| m != slot);
+                if slots.is_empty() {
+                    self.by_identity.remove(&sym);
+                }
+            }
+        }
+        // In-flight work owned by the slot dead-letters now — the slab
+        // handles are reclaimed and the conservation invariant
+        // (`events_new == actions_ok + actions_filtered + dead_letters`)
+        // holds through the teardown.
+        self.dead_letter_in_flight(ctx, |s| s == slot);
+    }
+
+    /// Dead-letter every in-flight dispatch and DAG run whose slot
+    /// matches, emitting the same terminal pair an exhausted retry budget
+    /// would. Handles are drained in sorted order: arena iteration order
+    /// is storage-dependent (slab vs reference map), the handle values are
+    /// not.
+    fn dead_letter_in_flight(&mut self, ctx: &mut Context<'_>, doomed: impl Fn(Slot) -> bool) {
+        let mut jobs: Vec<u64> = self
+            .dispatches
+            .iter()
+            .filter(|(_, job)| doomed(job.slot))
+            .map(|(h, _)| h)
+            .collect();
+        jobs.sort_unstable();
+        for dispatch in jobs {
+            let job = self.dispatches.remove(dispatch).expect("collected live");
+            let applet = self.tasks[job.slot as usize].id;
+            self.obs(ObsEvent::ActionFinished {
+                applet,
+                dispatch,
+                ok: false,
+                at: ctx.now(),
+            });
+            self.obs(ObsEvent::ActionDeadLettered {
+                applet,
+                dispatch,
+                at: ctx.now(),
+            });
+            ctx.trace(
+                "engine.uninstall_dead_letter",
+                TraceDetail::Applet(applet.0),
+            );
+        }
+        let mut runs: Vec<u64> = self
+            .dag_runs
+            .iter()
+            .filter(|(_, run)| doomed(run.slot))
+            .map(|(h, _)| h)
+            .collect();
+        runs.sort_unstable();
+        for run_id in runs {
+            let run = self.dag_runs.remove(run_id).expect("collected live");
+            let applet = self.tasks[run.slot as usize].id;
+            let dispatch = DAG_DISPATCH_BIT | run_id;
+            self.obs(ObsEvent::ActionFinished {
+                applet,
+                dispatch,
+                ok: false,
+                at: ctx.now(),
+            });
+            self.obs(ObsEvent::ActionDeadLettered {
+                applet,
+                dispatch,
+                at: ctx.now(),
+            });
+            ctx.trace(
+                "engine.uninstall_dead_letter",
+                TraceDetail::Applet(applet.0),
+            );
+        }
+    }
+
+    fn do_retire(
+        &mut self,
+        ctx: &mut Context<'_>,
+        slug: ServiceSlug,
+    ) -> Result<LifecycleAck, LifecycleError> {
+        let Some(sym) = self
+            .service_sym(&slug)
+            .filter(|s| self.services.contains_key(s))
+        else {
+            return Err(LifecycleError::UnknownService(slug));
+        };
+        // Every live applet touching the dying service — polling it or
+        // dispatching to it — goes through the full uninstall unwind.
+        let doomed: Vec<Slot> = self
+            .tasks
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| {
+                !t.uninstalled && (t.trigger_service == sym || t.action_service == sym)
+            })
+            .map(|(i, _)| i as Slot)
+            .collect();
+        let applets_removed = doomed.len() as u32;
+        for slot in doomed {
+            let id = self.tasks[slot as usize].id;
+            self.slot_of.remove(&id.0);
+            self.retire_slot(ctx, slot);
+        }
+        let reg = self.services.remove(&sym).expect("registration checked");
+        if let Some(key_sym) = self.syms.get(&reg.key.0) {
+            self.service_by_key.remove(&key_sym);
+        }
+        self.tokens.retain(|&(_, s), _| s != sym);
+        self.config.realtime_allowlist.remove(&slug);
+        self.breakers.remove(&sym);
+        ctx.trace("engine.service_retired", slug.0.clone());
+        Ok(LifecycleAck::Retired {
+            service: slug,
+            applets_removed,
+        })
+    }
+}

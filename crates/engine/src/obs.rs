@@ -28,7 +28,6 @@
 //!   digging without enabling the trace log.
 
 use crate::applet::AppletId;
-use crate::engine::EngineStats;
 use simnet::time::SimTime;
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -304,6 +303,75 @@ pub enum ObsEvent {
         /// Scheduling time.
         at: SimTime,
     },
+}
+
+/// Aggregate engine counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    pub polls_sent: u64,
+    pub polls_empty: u64,
+    pub polls_failed: u64,
+    pub events_received: u64,
+    pub events_new: u64,
+    pub actions_sent: u64,
+    pub actions_ok: u64,
+    pub actions_failed: u64,
+    pub hints_received: u64,
+    pub hints_honored: u64,
+    pub hints_ignored: u64,
+    pub loops_flagged: u64,
+    /// Dispatches suppressed by an applet condition.
+    pub actions_filtered: u64,
+    /// Pre-dispatch queries sent.
+    pub queries_sent: u64,
+    /// Pre-dispatch queries that failed (treated as empty results).
+    pub queries_failed: u64,
+    /// Action dispatches retried after a failure.
+    pub actions_retried: u64,
+    /// Coalesced batch poll requests sent (each carries ≥ 2 entries).
+    pub polls_batched: u64,
+    /// Subscription polls that rode a sibling's batch request instead of
+    /// costing their own round trip (batch members minus initiators).
+    pub polls_coalesced: u64,
+    /// Failed polls re-sent on the backoff schedule (subset of
+    /// `polls_failed`).
+    pub polls_retried: u64,
+    /// Polls shed by an open circuit breaker (deferred to the next cycle).
+    pub polls_shed: u64,
+    /// Breaker transitions into `Open` (including failed half-open probes).
+    pub breaker_trips: u64,
+    /// Action dispatches permanently abandoned: retries exhausted or a
+    /// terminal client error. Always incremented alongside
+    /// `actions_failed`, so `events_new == actions_ok + actions_filtered +
+    /// dead_letters` once the engine is idle.
+    pub dead_letters: u64,
+    /// Batch poll failures that dropped their group to singleton polls for
+    /// a cycle.
+    pub batch_fallbacks: u64,
+    /// Realtime notifications accepted into the immediate-poll scheduler
+    /// (equals `hints_honored`; one per honored notification request).
+    pub realtime_notifications: u64,
+    /// Out-of-cadence polls sent because a realtime notification preempted
+    /// the subscription's pending cadence entry (subset of `polls_sent`).
+    pub realtime_polls: u64,
+    /// Hinted subscriptions whose notification was absorbed: an immediate
+    /// poll already outstanding, the debounce window open, or a cadence
+    /// poll in flight.
+    pub realtime_suppressed: u64,
+    /// Realtime notification bodies that failed to parse (answered 400).
+    pub realtime_malformed: u64,
+    /// Multi-step DAG runs started.
+    pub dag_runs: u64,
+    /// Filter nodes executed (both predicate outcomes count).
+    pub dag_nodes_filter: u64,
+    /// Transform nodes executed.
+    pub dag_nodes_transform: u64,
+    /// Query nodes completed successfully.
+    pub dag_nodes_query: u64,
+    /// Action nodes completed successfully.
+    pub dag_nodes_action: u64,
+    /// Failed DAG query/action attempts re-sent on the backoff schedule.
+    pub dag_node_retries: u64,
 }
 
 /// The counters of [`EngineStats`], named. [`ObsEvent::for_each_stat`]
