@@ -58,17 +58,22 @@ pub struct Applet {
     pub add_count: u64,
     /// Optional execution condition over trigger-event ingredients (the
     /// "queries and conditions" feature the paper lists as future work).
+    /// Compiles to a filter node ahead of the action.
     #[serde(default)]
     pub condition: Condition,
     /// Read-only queries resolved before condition evaluation and action
     /// dispatch; their results join the ingredients under their prefixes.
+    /// Each compiles to a query node on its own service.
     #[serde(default)]
     pub queries: Vec<QueryRef>,
     /// Multi-step execution DAG (Zapier-style). Empty for classic
-    /// single-step applets; when non-empty, the DAG's query/action nodes
-    /// run against `action.service` and the `action`/`condition`/`queries`
-    /// fields above are ignored by the executor. A degenerate one-action
-    /// DAG is normalized back onto the classic path at install time.
+    /// applets, whose `action`/`condition`/`queries` fields are compiled
+    /// into the plan instead. When non-empty the steps *are* the plan —
+    /// their query/action nodes run against `action.service` — and
+    /// `condition` and `queries` must be left at their defaults: an
+    /// applet carrying both spellings is rejected at install
+    /// (`InstallError::InvalidSteps`). A single default action node is
+    /// the same plan the classic fields compile to.
     #[serde(default)]
     pub steps: Vec<StepNode>,
 }

@@ -21,7 +21,8 @@ pub struct RuntimeLoopConfig {
 }
 
 /// Which TAP ecosystem's execution semantics the engine mimics for
-/// multi-step applet DAGs. Single-step applets behave identically under
+/// plans with more than one network node. A plan with a single network
+/// node — the ordinary trigger→action applet — behaves identically under
 /// both policies, so the switch never perturbs a classic workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EnginePolicy {

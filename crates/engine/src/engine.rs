@@ -21,10 +21,10 @@
 //!   IFTTT performs no syntax check; both the static check and a runtime
 //!   detector can be switched on to evaluate the §6 recommendations.
 
-use crate::applet::{substitute_fields, Applet, AppletId};
-use crate::config::{EngineConfig, EnginePolicy};
-use crate::exec::{DagRun, RunNode};
-use crate::loopdetect::{RuntimeLoopDetector, RuntimeVerdict, StaticLoopDetector};
+use crate::applet::{Applet, AppletId};
+use crate::config::EngineConfig;
+use crate::exec::{Plan, Run, RunNode};
+use crate::loopdetect::{RuntimeLoopDetector, StaticLoopDetector};
 use crate::obs::{EngineStats, ObsEvent, ObsSink};
 use crate::permissions::PermissionManager;
 use crate::resilience::CircuitBreaker;
@@ -35,42 +35,28 @@ use tap_protocol::auth::{
     AccessToken, ServiceKey, AUTHORIZATION_HEADER, REQUEST_ID_HEADER, RETRY_AFTER_HEADER,
     SERVICE_KEY_HEADER,
 };
-use tap_protocol::endpoints::query_path;
 use tap_protocol::endpoints::{BATCH_POLL_PATH, REALTIME_NOTIFY_PATH};
 use tap_protocol::error::FailureClass;
 use tap_protocol::wire::{
-    self, ActionRequestBody, BatchPollEntry, BatchPollRequestBody, BatchPollResponseBody,
-    BatchPollResult, ErrorBody, PollResponseBody, QueryRequestBody, QueryResponseBody,
-    RealtimeAckBody, RealtimeNotification, TriggerEvent,
+    self, BatchPollEntry, BatchPollRequestBody, BatchPollResponseBody, BatchPollResult, ErrorBody,
+    PollResponseBody, RealtimeAckBody, RealtimeNotification, TriggerEvent,
 };
 use tap_protocol::{Interner, ServiceSlug, Symbol, TriggerIdentity, UserId};
 
 // Correlation-token tags (top byte).
-pub(crate) const TAG_SHIFT: u64 = 56;
+const TAG_SHIFT: u64 = 56;
 const TAG_POLL: u64 = 1 << TAG_SHIFT;
-const TAG_ACTION: u64 = 2 << TAG_SHIFT;
+/// A network node of a run (see `exec.rs` for the payload packing).
+pub(crate) const TAG_RUN: u64 = 2 << TAG_SHIFT;
 const TAG_OAUTH_AUTH: u64 = 3 << TAG_SHIFT;
 const TAG_OAUTH_TOKEN: u64 = 4 << TAG_SHIFT;
-const TAG_QUERY: u64 = 5 << TAG_SHIFT;
 const TAG_BATCH: u64 = 6 << TAG_SHIFT;
-pub(crate) const TAG_DAG: u64 = 7 << TAG_SHIFT;
-pub(crate) const TAG_MASK: u64 = 0xFF << TAG_SHIFT;
-/// Query tokens pack (dispatch << 4 | query index); 16 queries per applet.
-const QUERY_IDX_BITS: u64 = 4;
+const TAG_MASK: u64 = 0xFF << TAG_SHIFT;
 
 // Timer-key tags.
 const TK_POLL: u64 = 1 << TAG_SHIFT;
-const TK_DISPATCH: u64 = 2 << TAG_SHIFT;
-pub(crate) const TK_DAG: u64 = 3 << TAG_SHIFT;
-
-/// DAG tokens and timers pack `(run << 6) | node index`; the all-ones
-/// node sentinel marks a run-start timer rather than a node retry.
-pub(crate) const DAG_NODE_BITS: u64 = 6;
-pub(crate) const DAG_NODE_MASK: u64 = (1 << DAG_NODE_BITS) - 1;
-pub(crate) const DAG_RUN_START: u64 = DAG_NODE_MASK;
-/// Dispatch ids of DAG runs carry this bit, keeping the id space (and the
-/// attribution chains keyed on it) disjoint from single-step dispatches.
-pub(crate) const DAG_DISPATCH_BIT: u64 = 1 << 63;
+/// A run's start timer or a node's retry timer.
+pub(crate) const TK_RUN: u64 = 2 << TAG_SHIFT;
 
 /// A partner service as the engine knows it.
 #[derive(Debug, Clone)]
@@ -102,12 +88,8 @@ pub(crate) struct PollTask {
     /// re-serializing JSON.
     pub(crate) poll_path: String,
     pub(crate) poll_body: bytes::Bytes,
-    /// Cached action endpoint path.
-    pub(crate) action_path: String,
-    /// Serialized action body, cached when the applet's action fields are
-    /// empty (then ingredient substitution cannot change the payload).
-    /// `None` means the body depends on the triggering event.
-    pub(crate) action_body: Option<bytes::Bytes>,
+    /// What a run of this applet executes, compiled at install.
+    pub(crate) plan: Plan,
     /// Event ids already dispatched, as interned symbols.
     pub(crate) seen: FxHashSet<Symbol>,
     pub(crate) enabled: bool,
@@ -155,20 +137,6 @@ pub(crate) struct PollTask {
     pub(crate) uninstalled: bool,
 }
 
-#[derive(Debug)]
-pub(crate) struct DispatchJob {
-    pub(crate) slot: Slot,
-    event: TriggerEvent,
-    /// Query responses still outstanding before the action can go out.
-    pending_queries: usize,
-    /// Query results merged under their prefixes.
-    extra: tap_protocol::FieldMap,
-    /// Set once the queries (if any) have been issued.
-    queries_issued: bool,
-    /// Action attempts already made (for retry accounting).
-    attempts: u32,
-}
-
 /// The engine node.
 #[derive(Debug)]
 pub struct TapEngine {
@@ -207,17 +175,18 @@ pub struct TapEngine {
     /// phase-locks a group this is every round, so a steady-state batch
     /// poll clones a `Bytes` handle exactly like a single poll does.
     pub(crate) batch_bodies: FxHashMap<(Symbol, Symbol, u8), (Vec<Slot>, bytes::Bytes)>,
-    /// In-flight single-step dispatches; the generation-checked arena
-    /// handle is the dispatch id carried by tokens and timer keys.
-    pub(crate) dispatches: Arena<DispatchJob>,
-    /// In-flight multi-step runs; the arena handle is the run id (the low
-    /// bits of the run's tagged dispatch id).
-    pub(crate) dag_runs: Arena<DagRun>,
+    /// In-flight activations, classic and multi-step alike; the
+    /// generation-checked arena handle is the dispatch id carried by
+    /// tokens, timer keys and observation events.
+    pub(crate) runs: Arena<Run>,
+    /// How many of `runs` execute a classic plan: what a classic
+    /// enqueue reports as `DispatchEnqueued.depth` (DESIGN.md §11.3).
+    pub(crate) classic_in_flight: u64,
     /// Permission manager (service-level by default, §6).
     pub permissions: PermissionManager,
     /// Static loop detector (consulted only if configured).
     pub static_detector: StaticLoopDetector,
-    runtime_detector: Option<RuntimeLoopDetector>,
+    pub(crate) runtime_detector: Option<RuntimeLoopDetector>,
     /// Aggregate counters.
     pub stats: EngineStats,
     /// Per-trigger-service circuit breakers (allocated lazily; only
@@ -234,6 +203,10 @@ pub struct TapEngine {
     member_pool: Vec<Vec<Slot>>,
     /// Recycled fresh-event scratch for `ingest_poll_events`.
     event_pool: Vec<Vec<TriggerEvent>>,
+    /// Recycled per-run node storage: a finished run's vector (cleared,
+    /// capacity kept) serves the next enqueue, so a steady-state
+    /// activation allocates nothing for its run.
+    pub(crate) node_pool: Vec<Vec<RunNode>>,
     /// Parsed non-empty poll replies keyed by exact body bytes. Polls do
     /// not consume the service's buffer, so an active subscription returns
     /// the same body every cycle until a new event arrives; one parse then
@@ -278,8 +251,8 @@ impl TapEngine {
             poll_groups: FxHashMap::default(),
             pending_batches: Arena::new(),
             batch_bodies: FxHashMap::default(),
-            dispatches: Arena::new(),
-            dag_runs: Arena::new(),
+            runs: Arena::new(),
+            classic_in_flight: 0,
             permissions,
             static_detector: StaticLoopDetector::new(),
             runtime_detector,
@@ -289,6 +262,7 @@ impl TapEngine {
             sink: None,
             member_pool: Vec::new(),
             event_pool: Vec::new(),
+            node_pool: Vec::new(),
             poll_parse_cache: FxHashMap::default(),
         }
     }
@@ -300,14 +274,11 @@ impl TapEngine {
     #[doc(hidden)]
     pub fn use_reference_storage(&mut self) {
         assert!(
-            self.dispatches.is_empty()
-                && self.dag_runs.is_empty()
-                && self.pending_batches.is_empty(),
+            self.runs.is_empty() && self.pending_batches.is_empty(),
             "reference storage must be selected before any in-flight state exists"
         );
         self.pending_batches = Arena::new_reference();
-        self.dispatches = Arena::new_reference();
-        self.dag_runs = Arena::new_reference();
+        self.runs = Arena::new_reference();
     }
 
     /// Attach an instrumentation sink. One sink may be shared by many
@@ -327,13 +298,8 @@ impl TapEngine {
     }
 
     /// Register a partner service (what service publication does).
-    ///
-    /// Deprecated surface for new code: prefer applying a
-    /// [`LifecycleEvent::OnboardService`] through
-    /// [`TapEngine::apply_lifecycle`], which also covers the realtime
-    /// allowlist and pairs with [`LifecycleEvent::RetireService`] for the
-    /// teardown path. This method remains as the shared implementation
-    /// both surfaces call.
+    /// [`LifecycleEvent::OnboardService`](crate::LifecycleEvent) does this
+    /// and also covers the realtime allowlist.
     pub fn register_service(&mut self, slug: ServiceSlug, node: NodeId, key: ServiceKey) {
         let key_sym = self.syms.intern(&key.0);
         self.service_by_key.insert(key_sym, slug.clone());
@@ -392,6 +358,12 @@ impl TapEngine {
                 timeout: Some(self.config.request_timeout),
             },
         );
+    }
+
+    /// Activations currently in flight (enqueued and not yet concluded).
+    /// Zero once the engine is idle: every run that starts ends.
+    pub fn runs_in_flight(&self) -> usize {
+        self.runs.len()
     }
 
     /// The applet catalog.
@@ -971,17 +943,6 @@ impl TapEngine {
             );
         }
         fresh.reverse();
-        if fresh.is_empty() {
-            self.event_pool.push(fresh);
-            self.obs(ObsEvent::PollDelivered {
-                applet: id,
-                received,
-                fresh: 0,
-                sent_at,
-                at: ctx.now(),
-            });
-            return;
-        }
         {
             let task = &mut self.tasks[slot as usize];
             let syms = &mut self.syms;
@@ -996,287 +957,21 @@ impl TapEngine {
             sent_at,
             at: ctx.now(),
         });
-        if ctx.tracing() {
-            ctx.trace(
-                "engine.events_received",
-                format!("{id:?} {} new events", fresh.len()),
-            );
-        }
-        // Batch dispatch: one action (or one DAG run) per event,
-        // back-to-back. Both branches draw the same overhead and gap
-        // samples, so a population mixing multi-step and classic applets
-        // keeps every classic applet's schedule untouched.
-        let dag = !self.applets[slot as usize].steps.is_empty();
-        let overhead = SimDuration::from_secs_f64(self.config.dispatch_overhead.sample(ctx.rng()));
-        let mut at = overhead;
-        for event in fresh.drain(..) {
-            if dag {
-                let n = self.applets[slot as usize].steps.len();
-                let run = self.dag_runs.insert(DagRun {
-                    slot,
-                    event,
-                    nodes: (0..n).map(|_| RunNode::default()).collect(),
-                    outstanding: 0,
-                    failed: false,
-                    any_action_ok: false,
-                    any_action_failed: false,
-                    serial: self.config.policy == EnginePolicy::ZapierLike,
-                });
-                self.obs(ObsEvent::DispatchEnqueued {
-                    applet: id,
-                    dispatch: DAG_DISPATCH_BIT | run,
-                    depth: (self.dispatches.len() + self.dag_runs.len()) as u64,
-                    poll_sent_at: sent_at,
-                    at: ctx.now(),
-                });
-                ctx.set_timer(at, TK_DAG | (run << DAG_NODE_BITS) | DAG_RUN_START);
-            } else {
-                let d = self.dispatches.insert(DispatchJob {
-                    slot,
-                    event,
-                    pending_queries: 0,
-                    extra: tap_protocol::FieldMap::new(),
-                    queries_issued: false,
-                    attempts: 0,
-                });
-                self.obs(ObsEvent::DispatchEnqueued {
-                    applet: id,
-                    dispatch: d,
-                    depth: self.dispatches.len() as u64,
-                    poll_sent_at: sent_at,
-                    at: ctx.now(),
-                });
-                ctx.set_timer(at, TK_DISPATCH | d);
+        if !fresh.is_empty() {
+            if ctx.tracing() {
+                let detail = format!("{id:?} {} new events", fresh.len());
+                ctx.trace("engine.events_received", detail);
             }
-            at += SimDuration::from_secs_f64(self.config.inter_action_gap.sample(ctx.rng()));
+            // Batch dispatch: one run per event, back-to-back. The
+            // overhead is drawn only when there is something to dispatch.
+            let mut at =
+                SimDuration::from_secs_f64(self.config.dispatch_overhead.sample(ctx.rng()));
+            for event in fresh.drain(..) {
+                self.enqueue_run(ctx, slot, event, at);
+                at += SimDuration::from_secs_f64(self.config.inter_action_gap.sample(ctx.rng()));
+            }
         }
         self.event_pool.push(fresh);
-    }
-
-    fn send_action(&mut self, ctx: &mut Context<'_>, dispatch: u64) {
-        let Some(job) = self.dispatches.get(dispatch) else {
-            return;
-        };
-        let slot = job.slot;
-        let task = &self.tasks[slot as usize];
-        let id = task.id;
-        if !task.enabled {
-            self.dispatches.remove(dispatch);
-            return;
-        }
-        let (owner_sym, action_service_sym) = (task.owner, task.action_service);
-        // Queries (the paper's future-work feature): resolve read-only
-        // lookups before evaluating the condition or dispatching. This
-        // happens before the loop detector so the query-driven re-entry
-        // into this function does not double-count an execution.
-        let job = self.dispatches.get(dispatch).expect("job exists");
-        if !self.applets[slot as usize].queries.is_empty() && !job.queries_issued {
-            let applet = self.applets[slot as usize].clone();
-            self.issue_queries(ctx, dispatch, &applet);
-            return;
-        }
-        if job.pending_queries > 0 {
-            return; // responses still in flight; they re-enter here
-        }
-        // Runtime loop detection at execution time (§6). Retries of the
-        // same dispatch count as one execution, not several.
-        let first_attempt = job.attempts == 0;
-        if first_attempt {
-            let suspected = match &mut self.runtime_detector {
-                Some(det) => det.record(id, ctx.now()) == RuntimeVerdict::LoopSuspected,
-                None => false,
-            };
-            if suspected {
-                self.obs(ObsEvent::LoopFlagged {
-                    applet: id,
-                    at: ctx.now(),
-                });
-                ctx.trace("engine.loop_flagged", TraceDetail::Applet(id.0));
-                if self
-                    .config
-                    .runtime_loop
-                    .as_ref()
-                    .is_some_and(|c| c.auto_disable)
-                {
-                    self.tasks[slot as usize].enabled = false;
-                    ctx.trace("engine.applet_disabled", format!("{id:?} (loop)"));
-                    self.dispatches.remove(dispatch);
-                    return;
-                }
-            }
-        }
-        if !self.services.contains_key(&action_service_sym)
-            || !self.tokens.contains_key(&(owner_sym, action_service_sym))
-        {
-            return;
-        }
-        // Merge query results into the visible ingredient set.
-        let merged = {
-            let job = self.dispatches.get(dispatch).expect("job exists");
-            let mut m = job.event.ingredients.clone();
-            m.extend(job.extra.clone());
-            m
-        };
-        // Conditions: evaluate against the merged ingredients.
-        if !self.applets[slot as usize].condition.eval(&merged) {
-            self.obs(ObsEvent::ActionFiltered {
-                applet: id,
-                dispatch,
-                at: ctx.now(),
-            });
-            ctx.trace("engine.action_filtered", TraceDetail::Applet(id.0));
-            self.dispatches.remove(dispatch);
-            return;
-        }
-        let applet = &self.applets[slot as usize];
-        let job = self.dispatches.get(dispatch).expect("job exists");
-        let task = &self.tasks[slot as usize];
-        let reg = &self.services[&action_service_sym];
-        let bearer = &self.tokens[&(owner_sym, action_service_sym)];
-        // The cached body is only present when the action has no fields to
-        // substitute, in which case serializing per dispatch would produce
-        // these exact bytes anyway.
-        let body = match task.action_body.clone() {
-            Some(cached) => cached,
-            None => wire::to_bytes(&ActionRequestBody {
-                action_fields: substitute_fields(&applet.action.fields, &merged),
-                user: applet.owner.clone(),
-            }),
-        };
-        let req = Request::post(task.action_path.clone())
-            .with_header(SERVICE_KEY_HEADER, reg.key.0.clone())
-            .with_header(AUTHORIZATION_HEADER, bearer.clone())
-            .with_body(body);
-        if ctx.tracing() {
-            ctx.trace(
-                "engine.action_sent",
-                format!(
-                    "{id:?} {} event {}",
-                    applet.action.action, job.event.meta.id
-                ),
-            );
-        }
-        let node = reg.node;
-        let attempt = {
-            let job = self.dispatches.get_mut(dispatch).expect("exists");
-            job.attempts += 1;
-            job.attempts
-        };
-        self.obs(ObsEvent::ActionSent {
-            applet: id,
-            dispatch,
-            attempt,
-            at: ctx.now(),
-        });
-        ctx.send_request(
-            node,
-            req,
-            Token(TAG_ACTION | dispatch),
-            RequestOpts {
-                timeout: Some(self.config.request_timeout),
-            },
-        );
-    }
-
-    /// Fire every query of `applet` for this dispatch; the action resumes
-    /// when the last response (or failure) arrives.
-    fn issue_queries(&mut self, ctx: &mut Context<'_>, dispatch: u64, applet: &Applet) {
-        let ingredients = self
-            .dispatches
-            .get(dispatch)
-            .expect("job exists")
-            .event
-            .ingredients
-            .clone();
-        let mut issued = 0usize;
-        for (qidx, q) in applet.queries.iter().enumerate().take(1 << QUERY_IDX_BITS) {
-            let Some(reg) = self
-                .service_sym(&q.service)
-                .and_then(|s| self.services.get(&s))
-            else {
-                continue;
-            };
-            let token = self
-                .syms
-                .get(applet.owner.as_str())
-                .zip(self.syms.get(q.service.as_str()))
-                .and_then(|key| self.tokens.get(&key));
-            let Some(token) = token else {
-                continue;
-            };
-            let fields = substitute_fields(&q.fields, &ingredients);
-            let body = QueryRequestBody {
-                query_fields: fields,
-                user: applet.owner.clone(),
-            };
-            let req = Request::post(query_path(&q.query))
-                .with_header(SERVICE_KEY_HEADER, reg.key.0.clone())
-                .with_header(AUTHORIZATION_HEADER, token.clone())
-                .with_body(wire::to_bytes(&body));
-            let node = reg.node;
-            self.obs(ObsEvent::QuerySent {
-                applet: applet.id,
-                dispatch,
-                at: ctx.now(),
-            });
-            ctx.trace("engine.query_sent", format!("{:?} {}", applet.id, q.query));
-            let timeout = self.config.request_timeout;
-            ctx.send_request(
-                node,
-                req,
-                Token(TAG_QUERY | (dispatch << QUERY_IDX_BITS) | qidx as u64),
-                RequestOpts {
-                    timeout: Some(timeout),
-                },
-            );
-            issued += 1;
-        }
-        let job = self.dispatches.get_mut(dispatch).expect("job exists");
-        job.queries_issued = true;
-        job.pending_queries = issued;
-        if issued == 0 {
-            // Nothing to wait for (e.g. unresolvable services): proceed.
-            self.send_action(ctx, dispatch);
-        }
-    }
-
-    fn on_query_response(
-        &mut self,
-        ctx: &mut Context<'_>,
-        dispatch: u64,
-        qidx: usize,
-        resp: Response,
-    ) {
-        let prefix = self
-            .dispatches
-            .get(dispatch)
-            .and_then(|job| self.applets[job.slot as usize].queries.get(qidx))
-            .map(|q| q.prefix.clone());
-        let Some(prefix) = prefix else { return };
-        let Some(job) = self.dispatches.get_mut(dispatch) else {
-            return;
-        };
-        if resp.is_success() {
-            if let Ok(body) = wire::from_bytes::<QueryResponseBody>(&resp.body) {
-                for (k, v) in body.data {
-                    job.extra.insert(format!("{prefix}.{k}"), v);
-                }
-            }
-        } else {
-            self.obs(ObsEvent::QueryFailed {
-                dispatch,
-                at: ctx.now(),
-            });
-            ctx.trace(
-                "engine.query_failed",
-                format!("dispatch {dispatch} q{qidx}"),
-            );
-        }
-        let job = self.dispatches.get_mut(dispatch).expect("exists");
-        job.pending_queries = job.pending_queries.saturating_sub(1);
-        if job.pending_queries == 0 {
-            self.send_action(ctx, dispatch);
-        }
     }
 
     fn on_realtime_notification(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
@@ -1439,29 +1134,7 @@ impl Node for TapEngine {
                     self.send_poll(ctx, slot);
                 }
             }
-            TK_DISPATCH => {
-                let dispatch = key & !TAG_MASK;
-                self.send_action(ctx, dispatch);
-            }
-            TK_DAG => {
-                let packed = key & !TAG_MASK;
-                let run_id = packed >> DAG_NODE_BITS;
-                let idx = packed & DAG_NODE_MASK;
-                if idx == DAG_RUN_START {
-                    if let Some(run) = self.dag_runs.get(run_id) {
-                        let applet = self.tasks[run.slot as usize].id;
-                        self.obs(ObsEvent::DagRunStarted {
-                            applet,
-                            dispatch: DAG_DISPATCH_BIT | run_id,
-                            at: ctx.now(),
-                        });
-                        self.dag_advance(ctx, run_id);
-                    }
-                } else {
-                    // A node retry timer fired.
-                    self.dag_send(ctx, run_id, idx as usize);
-                }
-            }
+            TK_RUN => self.on_run_timer(ctx, key & !TAG_MASK),
             _ => {}
         }
     }
@@ -1472,92 +1145,10 @@ impl Node for TapEngine {
                 let slot = (token.0 & !TAG_MASK) as Slot;
                 self.on_poll_response(ctx, slot, resp);
             }
-            TAG_ACTION => {
-                let dispatch = token.0 & !TAG_MASK;
-                let Some(job) = self.dispatches.get(dispatch) else {
-                    return;
-                };
-                let slot = job.slot;
-                let applet = self.tasks[slot as usize].id;
-                let attempts = job.attempts;
-                if resp.is_success() {
-                    self.obs(ObsEvent::ActionFinished {
-                        applet,
-                        dispatch,
-                        ok: true,
-                        at: ctx.now(),
-                    });
-                    ctx.trace("engine.action_ok", TraceDetail::Applet(applet.0));
-                    self.dispatches.remove(dispatch);
-                    if self.config.breaker.is_some() {
-                        let s = self.tasks[slot as usize].action_service;
-                        self.breaker_record(ctx, s, true);
-                    }
-                    return;
-                }
-                let class = FailureClass::of_status(resp.status).unwrap_or(FailureClass::Transport);
-                if self.config.breaker.is_some() {
-                    let s = self.tasks[slot as usize].action_service;
-                    self.breaker_record(ctx, s, false);
-                }
-                if self.config.action_retry.should_retry(attempts, class) {
-                    // Retry after a backoff; the dispatch entry stays.
-                    self.obs(ObsEvent::ActionRetried {
-                        applet,
-                        dispatch,
-                        at: ctx.now(),
-                    });
-                    let mut backoff = self
-                        .config
-                        .action_retry
-                        .backoff
-                        .delay(attempts.saturating_sub(1), ctx.rng());
-                    if let Some(ra) = retry_after_hint(&resp) {
-                        backoff = backoff.max(ra);
-                    }
-                    ctx.trace(
-                        "engine.action_retry",
-                        format!("{applet:?} attempt {} in {backoff}", attempts + 1),
-                    );
-                    ctx.set_timer(backoff, TK_DISPATCH | dispatch);
-                } else {
-                    // Dead letter: retries exhausted, or a terminal 4xx
-                    // that no retry budget can cure.
-                    self.obs(ObsEvent::ActionFinished {
-                        applet,
-                        dispatch,
-                        ok: false,
-                        at: ctx.now(),
-                    });
-                    self.obs(ObsEvent::ActionDeadLettered {
-                        applet,
-                        dispatch,
-                        at: ctx.now(),
-                    });
-                    if ctx.tracing() {
-                        ctx.trace(
-                            "engine.action_failed",
-                            format!("{applet:?} status {} ({class:?})", resp.status),
-                        );
-                    }
-                    self.dispatches.remove(dispatch);
-                }
-            }
+            TAG_RUN => self.on_run_response(ctx, token.0 & !TAG_MASK, resp),
             TAG_BATCH => {
                 let seq = token.0 & !TAG_MASK;
                 self.on_batch_poll_response(ctx, seq, resp);
-            }
-            TAG_QUERY => {
-                let packed = token.0 & !TAG_MASK;
-                let dispatch = packed >> QUERY_IDX_BITS;
-                let qidx = (packed & ((1 << QUERY_IDX_BITS) - 1)) as usize;
-                self.on_query_response(ctx, dispatch, qidx, resp);
-            }
-            TAG_DAG => {
-                let packed = token.0 & !TAG_MASK;
-                let run_id = packed >> DAG_NODE_BITS;
-                let idx = (packed & DAG_NODE_MASK) as usize;
-                self.on_dag_response(ctx, run_id, idx, resp);
             }
             TAG_OAUTH_AUTH => {
                 let seq = token.0 & !TAG_MASK;

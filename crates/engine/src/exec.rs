@@ -1,11 +1,35 @@
-//! The multi-step DAG executor.
+//! One plan, one run loop: how the engine executes an applet.
+//!
+//! At install every [`Applet`] — spelled with the classic `action` /
+//! `condition` / `queries` fields or with `steps` — is compiled into one
+//! [`Plan`]: a topologically ordered node list in which every network
+//! node carries its resolved service symbol, its endpoint path and, when
+//! it has no fields to substitute, its serialized request body. A classic
+//! applet lowers to `[query…] → [filter] → action`, omitting the nodes it
+//! does not need, so the ordinary applet is the one-node plan and a
+//! `steps`-spelled single action compiles to the very same plan.
+//!
+//! Each fresh trigger event becomes one [`Run`] in one arena. A run walks
+//! its plan through [`TapEngine::advance`]; every request is built by
+//! [`TapEngine::send_node`], every failed attempt resolved by
+//! [`TapEngine::node_failure`], and every run ended by
+//! [`TapEngine::finish_run`], which emits its single terminal event.
+//!
+//! Three observable differences between classic and multi-step applets
+//! predate this module and are pinned by digests, so they survive as
+//! rules keyed on [`Plan::classic`] (see DESIGN.md §11.3): a classic run
+//! emits no `Dag*` telemetry, its sends bypass the circuit-breaker gate,
+//! and its `DispatchEnqueued.depth` counts classic runs only.
 
-use crate::applet::substitute_fields;
+use crate::applet::{substitute_fields, Applet};
+use crate::conditions::Condition;
 use crate::config::EnginePolicy;
-use crate::engine::{
-    retry_after_hint, Slot, TapEngine, DAG_DISPATCH_BIT, DAG_NODE_BITS, TAG_DAG, TK_DAG,
-};
+use crate::engine::{retry_after_hint, Slot, TapEngine, TAG_RUN, TK_RUN};
+use crate::lifecycle::InstallError;
+use crate::loopdetect::RuntimeVerdict;
 use crate::obs::ObsEvent;
+use crate::resilience::RetryPolicy;
+use bytes::Bytes;
 use simnet::prelude::*;
 use std::borrow::Cow;
 use tap_protocol::auth::{AUTHORIZATION_HEADER, SERVICE_KEY_HEADER};
@@ -15,10 +39,221 @@ use tap_protocol::wire::{
     self, ActionRequestBody, QueryRequestBody, QueryResponseBody, TriggerEvent,
 };
 use tap_protocol::{
-    ActionSlug, FieldMap, QuerySlug, StepFailurePolicy, StepKind, StepNode, StepSpec,
+    validate_steps, ActionSlug, FieldMap, Interner, QuerySlug, StepFailurePolicy, StepKind,
+    StepPredicate, StepSpec, Symbol, UserId, MAX_STEPS,
 };
 
-/// Execution state of one DAG node within a run.
+/// Run tokens and timer keys pack `(run << NODE_BITS) | node index`; the
+/// all-ones node index marks a run's start timer rather than a node.
+/// Arena handles are 48 bits and a plan holds at most `MAX_STEPS + 2`
+/// nodes, so both fit under the tag byte.
+const NODE_BITS: u64 = 6;
+const NODE_MASK: u64 = (1 << NODE_BITS) - 1;
+const RUN_START: u64 = NODE_MASK;
+
+/// The compiled form of one applet: what a run executes.
+#[derive(Debug)]
+pub(crate) struct Plan {
+    nodes: Vec<PlanNode>,
+    /// The plan came from classic fields, or is their one-action
+    /// spelling in `steps`. The three pinned classic rules (module docs)
+    /// key on this and nothing else does.
+    classic: bool,
+}
+
+#[derive(Debug)]
+struct PlanNode {
+    op: Op,
+    /// Predecessor indices, all lower than this node's own.
+    deps: Vec<u16>,
+    /// Transitive ancestor set as a bitmask over node indices.
+    ancestors: u32,
+    on_failure: StepFailurePolicy,
+    /// Retry budget override (`None` inherits the engine's action- or
+    /// poll-retry policy).
+    max_retries: Option<u32>,
+}
+
+#[derive(Debug)]
+enum Op {
+    Filter(Predicate),
+    Transform(FieldMap),
+    Call(Call),
+}
+
+/// A filter node holds whichever predicate language its applet was
+/// written in; the two are not merged (DESIGN.md §11.4).
+#[derive(Debug)]
+enum Predicate {
+    Condition(Condition),
+    Step(StepPredicate),
+}
+
+impl Predicate {
+    fn eval(&self, input: &FieldMap) -> bool {
+        match self {
+            Predicate::Condition(c) => c.eval(input),
+            Predicate::Step(p) => p.eval(input),
+        }
+    }
+}
+
+/// The request constants of one network node.
+#[derive(Debug)]
+struct Call {
+    kind: CallKind,
+    service: Symbol,
+    path: String,
+    fields: FieldMap,
+    /// The serialized body, cached when there are no fields to
+    /// substitute (serializing per send would produce these exact bytes).
+    body: Option<Bytes>,
+}
+
+#[derive(Debug)]
+enum CallKind {
+    /// Carries the prefix: result keys join the payload as
+    /// `<prefix>.<key>`.
+    Query(String),
+    Action,
+}
+
+impl CallKind {
+    fn body(&self, fields: FieldMap, user: &UserId) -> Bytes {
+        let user = user.clone();
+        match self {
+            CallKind::Query(_) => wire::to_bytes(&QueryRequestBody {
+                query_fields: fields,
+                user,
+            }),
+            CallKind::Action => wire::to_bytes(&ActionRequestBody {
+                action_fields: fields,
+                user,
+            }),
+        }
+    }
+}
+
+impl Op {
+    /// A network node; the body is serialized here when `fields` is empty.
+    fn call(kind: CallKind, service: Symbol, path: String, fields: &FieldMap, user: &UserId) -> Op {
+        let body = fields.is_empty().then(|| kind.body(FieldMap::new(), user));
+        Op::Call(Call {
+            kind,
+            service,
+            path,
+            fields: fields.clone(),
+            body,
+        })
+    }
+}
+
+impl PlanNode {
+    fn call(&self) -> &Call {
+        let Op::Call(call) = &self.op else {
+            unreachable!("only network nodes are launched");
+        };
+        call
+    }
+}
+
+impl Plan {
+    /// Append a node; its deps are already in the plan (they point
+    /// backwards), so its ancestor set is known on the spot.
+    fn push(
+        &mut self,
+        op: Op,
+        deps: Vec<u16>,
+        on_failure: StepFailurePolicy,
+        max_retries: Option<u32>,
+    ) {
+        let ancestors = deps.iter().fold(0, |mask, &d| {
+            mask | (1 << d) | self.nodes[d as usize].ancestors
+        });
+        self.nodes.push(PlanNode {
+            op,
+            deps,
+            ancestors,
+            on_failure,
+            max_retries,
+        });
+    }
+
+    /// Compile an applet. Classic fields lower to `[query…] → [filter] →
+    /// action`: queries have no deps, target their own service, never
+    /// retry and resolve empty on failure; the filter (present unless the
+    /// condition is `Always`) waits on every query; the action waits on
+    /// the filter, or on the queries when there is none. `steps` map node
+    /// for node, with query and action nodes on the applet's action
+    /// service.
+    pub(crate) fn compile(applet: &Applet, syms: &mut Interner) -> Result<Plan, InstallError> {
+        use StepFailurePolicy::{Continue, PolicyDefault};
+        let invalid = |why: String| Err(InstallError::InvalidSteps(why));
+        let user = &applet.owner;
+        let action_service = syms.intern(applet.action.service.as_str());
+        let mut plan = Plan {
+            nodes: Vec::new(),
+            classic: applet.steps.is_empty(),
+        };
+        if plan.classic {
+            let queries = applet.queries.len();
+            if queries > MAX_STEPS {
+                return invalid(format!("{queries} queries exceed the cap of {MAX_STEPS}"));
+            }
+            for q in &applet.queries {
+                let kind = CallKind::Query(q.prefix.clone());
+                let service = syms.intern(q.service.as_str());
+                let call = Op::call(kind, service, query_path(&q.query), &q.fields, user);
+                plan.push(call, Vec::new(), Continue, Some(0));
+            }
+            let mut deps: Vec<u16> = (0..queries as u16).collect();
+            if applet.condition != Condition::Always {
+                let filter = Op::Filter(Predicate::Condition(applet.condition.clone()));
+                plan.push(filter, deps, PolicyDefault, None);
+                deps = vec![queries as u16];
+            }
+            let (path, fields) = (action_path(&applet.action.action), &applet.action.fields);
+            let call = Op::call(CallKind::Action, action_service, path, fields, user);
+            plan.push(call, deps, PolicyDefault, None);
+            return Ok(plan);
+        }
+        if applet.condition != Condition::Always || !applet.queries.is_empty() {
+            return invalid("steps replace the classic condition and queries".into());
+        }
+        if let Err(e) = validate_steps(&applet.steps) {
+            return invalid(e.to_string());
+        }
+        for step in &applet.steps {
+            let op = match &step.spec {
+                StepSpec::Filter { predicate } => Op::Filter(Predicate::Step(predicate.clone())),
+                StepSpec::Transform { fields } => Op::Transform(fields.clone()),
+                StepSpec::Query {
+                    query,
+                    prefix,
+                    fields,
+                } => {
+                    let kind = CallKind::Query(prefix.clone());
+                    let path = query_path(&QuerySlug::new(query.clone()));
+                    Op::call(kind, action_service, path, fields, user)
+                }
+                StepSpec::Action { action, fields } => {
+                    let path = action_path(&ActionSlug::new(action.clone()));
+                    Op::call(CallKind::Action, action_service, path, fields, user)
+                }
+            };
+            plan.push(op, step.deps.clone(), step.on_failure, step.max_retries);
+        }
+        // `validate_steps` admits a one-node plan only when that node is an
+        // action; with default policies it is exactly the plan classic
+        // fields with no condition and no queries compile to — same plan,
+        // same rules, however it was spelled.
+        plan.classic = matches!(&applet.steps[..], [only]
+            if only.on_failure == PolicyDefault && only.max_retries.is_none());
+        Ok(plan)
+    }
+}
+
+/// Execution state of one plan node within a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum NodeStatus {
     /// Not started; waiting on predecessors (or a free launch slot).
@@ -26,15 +261,12 @@ enum NodeStatus {
     Pending,
     /// A network request (or retry timer) is outstanding.
     InFlight,
-    /// Completed successfully; `out` holds its contribution.
+    /// Completed; `out` holds its contribution.
     Done,
-    /// A filter predicate evaluated false: downstream nodes are skipped
-    /// without any failure being recorded.
-    Cut,
-    /// Never ran because a predecessor was cut, skipped, or failed.
-    Skipped,
-    /// Failed terminally under a halting failure policy.
-    Failed,
+    /// Will never contribute: a filter whose predicate was false, a node
+    /// that failed under a halting policy, or anything downstream of
+    /// either. Dependents are dropped in turn.
+    Dropped,
 }
 
 #[derive(Debug, Default)]
@@ -47,251 +279,296 @@ pub(crate) struct RunNode {
     out: FieldMap,
 }
 
-/// One activation walking a multi-step applet DAG — the multi-step
-/// counterpart of [`DispatchJob`]. A run ends with exactly one terminal
-/// event (ok / dead letter / filtered), so the single-step conservation
-/// invariant extends unchanged to multi-step applets.
+/// One activation walking its applet's plan. A run that starts ends with
+/// exactly one terminal event (ok / dead letter / filtered), which is the
+/// conservation invariant `events_new == actions_ok + actions_filtered +
+/// dead_letters`.
 #[derive(Debug)]
-pub(crate) struct DagRun {
+pub(crate) struct Run {
     pub(crate) slot: Slot,
-    pub(crate) event: TriggerEvent,
-    pub(crate) nodes: Vec<RunNode>,
-    /// Network requests (or pending retry timers) outstanding.
-    pub(crate) outstanding: usize,
+    event: TriggerEvent,
+    /// Parallel to the plan's nodes; the vector is recycled through
+    /// `TapEngine::node_pool`.
+    nodes: Vec<RunNode>,
     /// A halting node failure marked the whole run failed.
-    pub(crate) failed: bool,
-    pub(crate) any_action_ok: bool,
+    failed: bool,
+    any_action_ok: bool,
     /// An action node failed terminally under a `Continue` policy.
-    pub(crate) any_action_failed: bool,
-    /// ZapierLike step semantics: at most one network node in flight,
-    /// lowest index first.
-    pub(crate) serial: bool,
+    any_action_failed: bool,
 }
 
 impl TapEngine {
-    /// Drive one DAG run as far as it can go without waiting on the
-    /// network: skip nodes whose predecessors were cut or failed, execute
-    /// filter/transform nodes synchronously, launch ready query/action
-    /// nodes (one at a time under ZapierLike serial semantics), and
-    /// finish the run once nothing is pending or in flight.
-    pub(crate) fn dag_advance(&mut self, ctx: &mut Context<'_>, run_id: u64) {
-        enum Act {
-            Skip(usize),
-            Sync(usize),
-            Launch(usize),
-            Finish,
-            Wait,
+    /// Open a run for one fresh trigger event, announce it
+    /// (`DispatchEnqueued`) and arm its start timer `after` from now.
+    pub(crate) fn enqueue_run(
+        &mut self,
+        ctx: &mut Context<'_>,
+        slot: Slot,
+        event: TriggerEvent,
+        after: SimDuration,
+    ) {
+        let task = &self.tasks[slot as usize];
+        let (applet, poll_sent_at, classic) = (task.id, task.poll_sent_at, task.plan.classic);
+        let mut nodes = self.node_pool.pop().unwrap_or_default();
+        nodes.resize_with(task.plan.nodes.len(), RunNode::default);
+        let run = self.runs.insert(Run {
+            slot,
+            event,
+            nodes,
+            failed: false,
+            any_action_ok: false,
+            any_action_failed: false,
+        });
+        let depth = if classic {
+            self.classic_in_flight += 1;
+            self.classic_in_flight
+        } else {
+            self.runs.len() as u64
+        };
+        self.obs(ObsEvent::DispatchEnqueued {
+            applet,
+            dispatch: run,
+            depth,
+            poll_sent_at,
+            at: ctx.now(),
+        });
+        ctx.set_timer(after, TK_RUN | (run << NODE_BITS) | RUN_START);
+    }
+
+    /// Take a run out of the arena, recycling its node storage.
+    fn release_run(&mut self, run_id: u64) -> Option<Run> {
+        let mut run = self.runs.remove(run_id)?;
+        if self.tasks[run.slot as usize].plan.classic {
+            self.classic_in_flight -= 1;
         }
+        let mut nodes = std::mem::take(&mut run.nodes);
+        nodes.clear();
+        self.node_pool.push(nodes);
+        Some(run)
+    }
+
+    /// A run timer fired: the start timer, or a node's retry timer.
+    pub(crate) fn on_run_timer(&mut self, ctx: &mut Context<'_>, packed: u64) {
+        let run_id = packed >> NODE_BITS;
+        match packed & NODE_MASK {
+            RUN_START => self.start_run(ctx, run_id),
+            idx => self.send_node(ctx, run_id, idx as usize),
+        }
+    }
+
+    /// Run start: the `enabled` check and runtime loop detection (§6)
+    /// apply here, once per run — retries do not count as executions. A
+    /// disabled applet's run is dropped without a terminal event.
+    fn start_run(&mut self, ctx: &mut Context<'_>, run_id: u64) {
+        let Some(run) = self.runs.get(run_id) else {
+            return;
+        };
+        let slot = run.slot as usize;
+        let id = self.tasks[slot].id;
+        let mut go = self.tasks[slot].enabled;
+        let detector = self.runtime_detector.as_mut().filter(|_| go);
+        if detector.is_some_and(|d| d.record(id, ctx.now()) == RuntimeVerdict::LoopSuspected) {
+            self.obs(ObsEvent::LoopFlagged {
+                applet: id,
+                at: ctx.now(),
+            });
+            ctx.trace("engine.loop_flagged", TraceDetail::Applet(id.0));
+            if self
+                .config
+                .runtime_loop
+                .as_ref()
+                .is_some_and(|c| c.auto_disable)
+            {
+                self.tasks[slot].enabled = false;
+                ctx.trace("engine.applet_disabled", format!("{id:?} (loop)"));
+                go = false;
+            }
+        }
+        if !go {
+            self.release_run(run_id);
+            return;
+        }
+        if !self.tasks[slot].plan.classic {
+            self.obs(ObsEvent::DagRunStarted {
+                applet: id,
+                dispatch: run_id,
+                at: ctx.now(),
+            });
+        }
+        self.advance(ctx, run_id);
+    }
+
+    /// Drive one run as far as it can go without waiting on the network,
+    /// in one pass over the plan (deps point backwards, so a node's
+    /// predecessors are settled by the time the pass reaches it): drop
+    /// nodes with a dropped predecessor, execute ready filter/transform
+    /// nodes synchronously, launch ready query/action nodes (one at a
+    /// time under ZapierLike serial semantics), and finish the run once
+    /// nothing is pending or in flight.
+    fn advance(&mut self, ctx: &mut Context<'_>, run_id: u64) {
+        let serial = self.config.policy == EnginePolicy::ZapierLike;
+        let mut next = 0;
         loop {
-            let act = {
-                let Some(run) = self.dag_runs.get(run_id) else {
-                    return;
-                };
-                let steps = &self.applets[run.slot as usize].steps;
-                let mut act = Act::Wait;
-                for (i, node) in run.nodes.iter().enumerate() {
-                    if node.status != NodeStatus::Pending {
-                        continue;
-                    }
-                    if steps[i].deps.iter().any(|&d| {
-                        matches!(
-                            run.nodes[d as usize].status,
-                            NodeStatus::Cut | NodeStatus::Skipped | NodeStatus::Failed
-                        )
-                    }) {
-                        act = Act::Skip(i);
-                        break;
-                    }
-                    if !steps[i]
-                        .deps
-                        .iter()
-                        .all(|&d| run.nodes[d as usize].status == NodeStatus::Done)
-                    {
-                        continue;
-                    }
-                    match steps[i].spec {
-                        StepSpec::Filter { .. } | StepSpec::Transform { .. } => {
-                            act = Act::Sync(i);
-                            break;
-                        }
-                        StepSpec::Query { .. } | StepSpec::Action { .. } => {
-                            if run.serial && run.outstanding > 0 {
-                                continue;
-                            }
-                            act = Act::Launch(i);
-                            break;
-                        }
-                    }
-                }
-                if matches!(act, Act::Wait)
-                    && run.outstanding == 0
-                    && run.nodes.iter().all(|n| {
-                        n.status != NodeStatus::Pending && n.status != NodeStatus::InFlight
-                    })
-                {
-                    act = Act::Finish;
-                }
-                act
+            // Re-fetched per node: a launch can fail on the spot, re-enter
+            // `advance`, and finish the run under this pass.
+            let Some(run) = self.runs.get_mut(run_id) else {
+                return;
             };
-            match act {
-                Act::Wait => return,
-                Act::Finish => {
-                    self.dag_finish(ctx, run_id);
-                    return;
+            let task = &self.tasks[run.slot as usize];
+            let Some(node) = task.plan.nodes.get(next) else {
+                break;
+            };
+            let i = next;
+            next += 1;
+            if run.nodes[i].status != NodeStatus::Pending {
+                continue;
+            }
+            let mut deps = node.deps.iter().map(|&d| run.nodes[d as usize].status);
+            if deps.clone().any(|s| s == NodeStatus::Dropped) {
+                run.nodes[i].status = NodeStatus::Dropped;
+                continue;
+            }
+            if !deps.all(|s| s == NodeStatus::Done) {
+                continue;
+            }
+            let (status, out, kind) = match &node.op {
+                Op::Call(_) => {
+                    let busy = |n: &RunNode| n.status == NodeStatus::InFlight;
+                    if !(serial && run.nodes.iter().any(busy)) {
+                        run.nodes[i].status = NodeStatus::InFlight;
+                        self.send_node(ctx, run_id, i);
+                    }
+                    continue;
                 }
-                Act::Skip(i) => {
-                    let run = self.dag_runs.get_mut(run_id).expect("run checked above");
-                    run.nodes[i].status = NodeStatus::Skipped;
-                }
-                Act::Sync(i) => {
-                    let (applet_id, done, out, kind) = {
-                        let run = self.dag_runs.get(run_id).expect("run checked above");
-                        let applet = &self.applets[run.slot as usize];
-                        let input = dag_node_input(run, &applet.steps, i);
-                        match &applet.steps[i].spec {
-                            StepSpec::Filter { predicate } => (
-                                applet.id,
-                                predicate.eval(&input),
-                                FieldMap::new(),
-                                StepKind::Filter,
-                            ),
-                            StepSpec::Transform { fields } => (
-                                applet.id,
-                                true,
-                                substitute_fields(fields, &input),
-                                StepKind::Transform,
-                            ),
-                            _ => unreachable!("scan yields Sync only for filter/transform"),
-                        }
-                    };
-                    let run = self.dag_runs.get_mut(run_id).expect("run checked above");
-                    run.nodes[i].status = if done {
+                Op::Filter(predicate) => {
+                    let pass = predicate.eval(&node_input(run, &task.plan, i));
+                    let status = if pass {
                         NodeStatus::Done
                     } else {
-                        NodeStatus::Cut
+                        NodeStatus::Dropped
                     };
-                    run.nodes[i].out = out;
-                    self.obs(ObsEvent::DagNodeExecuted {
-                        applet: applet_id,
-                        dispatch: DAG_DISPATCH_BIT | run_id,
-                        node: i as u16,
-                        kind,
-                        at: ctx.now(),
-                    });
+                    (status, FieldMap::new(), StepKind::Filter)
                 }
-                Act::Launch(i) => {
-                    {
-                        let run = self.dag_runs.get_mut(run_id).expect("run checked above");
-                        run.nodes[i].status = NodeStatus::InFlight;
-                        run.outstanding += 1;
-                    }
-                    self.dag_send(ctx, run_id, i);
+                Op::Transform(fields) => {
+                    let out = substitute_fields(fields, &node_input(run, &task.plan, i));
+                    (NodeStatus::Done, out, StepKind::Transform)
                 }
+            };
+            run.nodes[i].status = status;
+            run.nodes[i].out = out;
+            if !task.plan.classic {
+                self.obs(ObsEvent::DagNodeExecuted {
+                    applet: task.id,
+                    dispatch: run_id,
+                    node: i as u16,
+                    kind,
+                    at: ctx.now(),
+                });
             }
+        }
+        let settled = |n: &RunNode| matches!(n.status, NodeStatus::Done | NodeStatus::Dropped);
+        if self
+            .runs
+            .get(run_id)
+            .is_some_and(|run| run.nodes.iter().all(settled))
+        {
+            self.finish_run(ctx, run_id, false);
         }
     }
 
     /// Send (or re-send, from a retry timer) the network request of one
-    /// query/action node. The node is `InFlight` and counted in
-    /// `outstanding`; a breaker shed is treated as a retryable transport
-    /// failure that consumes an attempt, so query steps face the same
-    /// breaker/retry stack polls do.
-    pub(crate) fn dag_send(&mut self, ctx: &mut Context<'_>, run_id: u64, idx: usize) {
-        let Some(run) = self.dag_runs.get(run_id) else {
+    /// query/action node — the one place a run's requests are built. The
+    /// node is `InFlight`. For multi-step plans a breaker shed is a
+    /// retryable transport failure that consumes an attempt, so their
+    /// nodes face the same breaker/retry stack polls do; classic plans
+    /// bypass the gate. A node whose service registration or token is
+    /// gone (the service was retired) fails terminally: no retry can cure
+    /// that.
+    fn send_node(&mut self, ctx: &mut Context<'_>, run_id: u64, idx: usize) {
+        let Some(run) = self.runs.get_mut(run_id) else {
             return;
         };
         if run.nodes.get(idx).map(|n| n.status) != Some(NodeStatus::InFlight) {
             return;
         }
-        let slot = run.slot;
-        let id = self.tasks[slot as usize].id;
         if run.failed {
             // The run halted while this node waited on a retry timer:
             // resolve it without wasting the request.
-            let run = self.dag_runs.get_mut(run_id).expect("run checked above");
-            run.outstanding -= 1;
-            run.nodes[idx].status = NodeStatus::Failed;
-            self.dag_advance(ctx, run_id);
+            run.nodes[idx].status = NodeStatus::Dropped;
+            self.advance(ctx, run_id);
             return;
         }
-        let (owner, action_service) = {
-            let t = &self.tasks[slot as usize];
-            (t.owner, t.action_service)
-        };
-        {
-            let run = self.dag_runs.get_mut(run_id).expect("run checked above");
-            run.nodes[idx].attempts += 1;
-        }
-        if self.breaker_sheds(ctx.now(), action_service) {
-            self.dag_node_failure(ctx, run_id, idx, FailureClass::Transport, None);
+        run.nodes[idx].attempts += 1;
+        let attempt = run.nodes[idx].attempts;
+        let slot = run.slot as usize;
+        let task = &self.tasks[slot];
+        let (id, owner, gated) = (task.id, task.owner, !task.plan.classic);
+        let service = task.plan.nodes[idx].call().service;
+        if gated && self.breaker_sheds(ctx.now(), service) {
+            self.node_failure(ctx, run_id, idx, FailureClass::Transport, None);
             return;
         }
-        let (req, sent_ev, node) = {
-            let Some(reg) = self.services.get(&action_service) else {
-                return;
-            };
-            let Some(bearer) = self.tokens.get(&(owner, action_service)) else {
-                return;
-            };
-            let run = self.dag_runs.get(run_id).expect("run checked above");
-            let applet = &self.applets[slot as usize];
-            let input = dag_node_input(run, &applet.steps, idx);
-            let attempt = run.nodes[idx].attempts;
-            match &applet.steps[idx].spec {
-                StepSpec::Query { query, fields, .. } => (
-                    Request::post(query_path(&QuerySlug::new(query.clone())))
-                        .with_header(SERVICE_KEY_HEADER, reg.key.0.clone())
-                        .with_header(AUTHORIZATION_HEADER, bearer.clone())
-                        .with_body(wire::to_bytes(&QueryRequestBody {
-                            query_fields: substitute_fields(fields, &input),
-                            user: applet.owner.clone(),
-                        })),
-                    ObsEvent::QuerySent {
-                        applet: id,
-                        dispatch: DAG_DISPATCH_BIT | run_id,
-                        at: ctx.now(),
-                    },
-                    reg.node,
-                ),
-                StepSpec::Action { action, fields } => (
-                    Request::post(action_path(&ActionSlug::new(action.clone())))
-                        .with_header(SERVICE_KEY_HEADER, reg.key.0.clone())
-                        .with_header(AUTHORIZATION_HEADER, bearer.clone())
-                        .with_body(wire::to_bytes(&ActionRequestBody {
-                            action_fields: substitute_fields(fields, &input),
-                            user: applet.owner.clone(),
-                        })),
-                    ObsEvent::ActionSent {
-                        applet: id,
-                        dispatch: DAG_DISPATCH_BIT | run_id,
-                        attempt,
-                        at: ctx.now(),
-                    },
-                    reg.node,
-                ),
-                _ => return,
-            }
+        let (Some(reg), Some(bearer)) = (
+            self.services.get(&service),
+            self.tokens.get(&(owner, service)),
+        ) else {
+            self.node_failure(ctx, run_id, idx, FailureClass::ClientError, None);
+            return;
         };
-        self.obs(sent_ev);
+        let run = self.runs.get(run_id).expect("run checked above");
+        let plan = &self.tasks[slot].plan;
+        let call = plan.nodes[idx].call();
+        let body = call.body.clone().unwrap_or_else(|| {
+            let fields = substitute_fields(&call.fields, &node_input(run, plan, idx));
+            call.kind.body(fields, &self.applets[slot].owner)
+        });
+        let req = Request::post(call.path.clone())
+            .with_header(SERVICE_KEY_HEADER, reg.key.0.clone())
+            .with_header(AUTHORIZATION_HEADER, bearer.clone())
+            .with_body(body);
+        let (sent, trace) = match call.kind {
+            CallKind::Query(_) => (
+                ObsEvent::QuerySent {
+                    applet: id,
+                    dispatch: run_id,
+                    at: ctx.now(),
+                },
+                "engine.query_sent",
+            ),
+            CallKind::Action => (
+                ObsEvent::ActionSent {
+                    applet: id,
+                    dispatch: run_id,
+                    attempt,
+                    at: ctx.now(),
+                },
+                "engine.action_sent",
+            ),
+        };
         if ctx.tracing() {
-            ctx.trace("engine.dag_node_sent", format!("{id:?} node {idx}"));
+            let detail = format!("{id:?} {} event {}", call.path, run.event.meta.id);
+            ctx.trace(trace, detail);
         }
+        let node = reg.node;
+        self.obs(sent);
         ctx.send_request(
             node,
             req,
-            Token(TAG_DAG | (run_id << DAG_NODE_BITS) | idx as u64),
+            Token(TAG_RUN | (run_id << NODE_BITS) | idx as u64),
             RequestOpts {
                 timeout: Some(self.config.request_timeout),
             },
         );
     }
 
-    /// A network node's attempt failed (bad status, timeout, or a breaker
-    /// shed). Either re-arm a retry on the backoff schedule — query nodes
-    /// draw on the poll-retry budget, action nodes on the action-retry
-    /// budget, with the node's `max_retries` overriding either — or
-    /// resolve the node terminally under its effective failure policy.
-    fn dag_node_failure(
+    /// A network node's attempt failed (bad status, timeout, breaker
+    /// shed, or a vanished registration) — the one place that decides
+    /// what happens next. Either re-arm a retry on the backoff schedule —
+    /// query nodes draw on the poll-retry budget, action nodes on the
+    /// action-retry budget, with the node's `max_retries` overriding
+    /// either — or resolve the node terminally under its effective
+    /// failure policy.
+    fn node_failure(
         &mut self,
         ctx: &mut Context<'_>,
         run_id: u64,
@@ -299,217 +576,185 @@ impl TapEngine {
         class: FailureClass,
         retry_after: Option<SimDuration>,
     ) {
-        let Some(run) = self.dag_runs.get(run_id) else {
+        let Some(run) = self.runs.get_mut(run_id) else {
             return;
         };
-        let slot = run.slot;
         let attempts = run.nodes[idx].attempts;
-        let applet = &self.applets[slot as usize];
-        let id = applet.id;
-        let step = &applet.steps[idx];
-        let is_action = matches!(step.spec, StepSpec::Action { .. });
+        let task = &self.tasks[run.slot as usize];
+        let (id, classic) = (task.id, task.plan.classic);
+        let node = &task.plan.nodes[idx];
+        let is_action = matches!(node.call().kind, CallKind::Action);
         let base = if is_action {
             &self.config.action_retry
         } else {
             &self.config.poll_retry
         };
-        let retry = match step.max_retries {
-            Some(budget) => class.is_retryable() && attempts <= budget,
-            None => base.should_retry(attempts, class),
+        let budget = RetryPolicy {
+            max_retries: node.max_retries.unwrap_or(base.max_retries),
+            ..*base
         };
-        let on_failure = step.on_failure;
+        let retry = budget.should_retry(attempts, class);
         if retry {
             let mut delay = base.backoff.delay(attempts.saturating_sub(1), ctx.rng());
             if let Some(ra) = retry_after {
                 delay = delay.max(ra);
             }
-            self.obs(ObsEvent::DagNodeRetried {
-                applet: id,
-                dispatch: DAG_DISPATCH_BIT | run_id,
-                node: idx as u16,
-                at: ctx.now(),
-            });
-            if is_action {
-                self.obs(ObsEvent::ActionRetried {
+            if ctx.tracing() {
+                let detail = format!("{id:?} node {idx} attempt {} in {delay}", attempts + 1);
+                ctx.trace("engine.node_retry", detail);
+            }
+            if !classic {
+                self.obs(ObsEvent::DagNodeRetried {
                     applet: id,
-                    dispatch: DAG_DISPATCH_BIT | run_id,
+                    dispatch: run_id,
+                    node: idx as u16,
                     at: ctx.now(),
                 });
             }
-            ctx.set_timer(delay, TK_DAG | (run_id << DAG_NODE_BITS) | idx as u64);
-            return; // node stays InFlight; outstanding keeps counting it
+            if is_action {
+                self.obs(ObsEvent::ActionRetried {
+                    applet: id,
+                    dispatch: run_id,
+                    at: ctx.now(),
+                });
+            }
+            ctx.set_timer(delay, TK_RUN | (run_id << NODE_BITS) | idx as u64);
+            return; // the node stays InFlight while its retry timer runs
         }
-        let policy = match on_failure {
-            StepFailurePolicy::PolicyDefault => match self.config.policy {
-                EnginePolicy::IftttLike => StepFailurePolicy::Continue,
-                EnginePolicy::ZapierLike => StepFailurePolicy::Halt,
-            },
-            explicit => explicit,
+        let halt = match node.on_failure {
+            StepFailurePolicy::PolicyDefault => self.config.policy == EnginePolicy::ZapierLike,
+            explicit => explicit == StepFailurePolicy::Halt,
         };
+        if halt {
+            run.failed = true;
+            for n in &mut run.nodes {
+                if n.status == NodeStatus::Pending {
+                    n.status = NodeStatus::Dropped;
+                }
+            }
+            run.nodes[idx].status = NodeStatus::Dropped;
+        } else {
+            // The node resolves empty and downstream nodes still run.
+            run.nodes[idx].status = NodeStatus::Done;
+            run.nodes[idx].out = FieldMap::new();
+            run.any_action_failed |= is_action;
+        }
         if !is_action {
             self.obs(ObsEvent::QueryFailed {
-                dispatch: DAG_DISPATCH_BIT | run_id,
+                dispatch: run_id,
                 at: ctx.now(),
             });
+            ctx.trace("engine.query_failed", TraceDetail::Applet(id.0));
         }
-        let run = self.dag_runs.get_mut(run_id).expect("run checked above");
-        run.outstanding -= 1;
-        match policy {
-            StepFailurePolicy::Continue => {
-                // The node resolves empty and downstream nodes still run —
-                // the single-step engine's historical treatment of a
-                // failed pre-dispatch query.
-                run.nodes[idx].status = NodeStatus::Done;
-                run.nodes[idx].out = FieldMap::new();
-                if is_action {
-                    run.any_action_failed = true;
-                }
-            }
-            _ => {
-                run.nodes[idx].status = NodeStatus::Failed;
-                run.failed = true;
-                for n in &mut run.nodes {
-                    if n.status == NodeStatus::Pending {
-                        n.status = NodeStatus::Skipped;
-                    }
-                }
-            }
-        }
-        self.dag_advance(ctx, run_id);
+        self.advance(ctx, run_id);
     }
 
-    /// One DAG run reached quiescence: emit exactly one terminal event —
-    /// dead letter if the run failed (or an action failed with no sibling
-    /// succeeding), success if any action landed, filtered otherwise — so
-    /// `events_new == actions_ok + actions_filtered + dead_letters` holds
-    /// for multi-step applets exactly as it does for single-step ones.
-    fn dag_finish(&mut self, ctx: &mut Context<'_>, run_id: u64) {
-        let Some(run) = self.dag_runs.remove(run_id) else {
+    /// End a run — the one place its terminal event is emitted: dead
+    /// letter if it was torn down (its applet was uninstalled), failed,
+    /// or had an action fail with no sibling succeeding; success if any
+    /// action landed; filtered otherwise.
+    pub(crate) fn finish_run(&mut self, ctx: &mut Context<'_>, run_id: u64, torn_down: bool) {
+        let Some(run) = self.release_run(run_id) else {
             return;
         };
-        let dispatch = DAG_DISPATCH_BIT | run_id;
-        let applet = self.tasks[run.slot as usize].id;
-        if run.failed || (run.any_action_failed && !run.any_action_ok) {
+        let (applet, dispatch, at) = (self.tasks[run.slot as usize].id, run_id, ctx.now());
+        let dead = torn_down || run.failed || (run.any_action_failed && !run.any_action_ok);
+        let trace = if dead {
             self.obs(ObsEvent::ActionFinished {
                 applet,
                 dispatch,
                 ok: false,
-                at: ctx.now(),
+                at,
             });
             self.obs(ObsEvent::ActionDeadLettered {
                 applet,
                 dispatch,
-                at: ctx.now(),
+                at,
             });
-            ctx.trace("engine.dag_dead_letter", TraceDetail::Applet(applet.0));
+            "engine.action_failed"
         } else if run.any_action_ok {
             self.obs(ObsEvent::ActionFinished {
                 applet,
                 dispatch,
                 ok: true,
-                at: ctx.now(),
+                at,
             });
-            ctx.trace("engine.dag_ok", TraceDetail::Applet(applet.0));
+            "engine.action_ok"
         } else {
             self.obs(ObsEvent::ActionFiltered {
                 applet,
                 dispatch,
-                at: ctx.now(),
+                at,
             });
-            ctx.trace("engine.dag_filtered", TraceDetail::Applet(applet.0));
-        }
+            "engine.action_filtered"
+        };
+        ctx.trace(trace, TraceDetail::Applet(applet.0));
     }
 
-    /// A response for one DAG node came back.
-    pub(crate) fn on_dag_response(
-        &mut self,
-        ctx: &mut Context<'_>,
-        run_id: u64,
-        idx: usize,
-        resp: Response,
-    ) {
-        let Some(run) = self.dag_runs.get(run_id) else {
+    /// A response for one network node came back.
+    pub(crate) fn on_run_response(&mut self, ctx: &mut Context<'_>, packed: u64, resp: Response) {
+        let (run_id, idx) = (packed >> NODE_BITS, (packed & NODE_MASK) as usize);
+        let Some(run) = self.runs.get_mut(run_id) else {
             return;
         };
         if run.nodes.get(idx).map(|n| n.status) != Some(NodeStatus::InFlight) {
             return;
         }
-        let slot = run.slot;
-        let id = self.tasks[slot as usize].id;
-        let service = self.tasks[slot as usize].action_service;
+        let task = &self.tasks[run.slot as usize];
+        let (id, classic) = (task.id, task.plan.classic);
+        let call = task.plan.nodes[idx].call();
+        let service = call.service;
         if !resp.is_success() {
             self.breaker_record(ctx, service, false);
             let class = FailureClass::of_status(resp.status).unwrap_or(FailureClass::Transport);
-            self.dag_node_failure(ctx, run_id, idx, class, retry_after_hint(&resp));
+            self.node_failure(ctx, run_id, idx, class, retry_after_hint(&resp));
             return;
         }
-        self.breaker_record(ctx, service, true);
-        let applet = &self.applets[slot as usize];
-        let (kind, is_action, out) = match &applet.steps[idx].spec {
-            StepSpec::Query { prefix, .. } => {
-                // Merge the result keys under the node's prefix, exactly
-                // like the single-step query path; an unparseable 200
-                // resolves empty without a failure.
-                let mut out = FieldMap::new();
-                if let Ok(body) = wire::from_bytes::<QueryResponseBody>(&resp.body) {
-                    for (k, v) in body.data {
-                        out.insert(format!("{prefix}.{k}"), v);
-                    }
-                }
-                (StepKind::Query, false, out)
-            }
-            StepSpec::Action { .. } => (StepKind::Action, true, FieldMap::new()),
-            _ => return,
-        };
-        let run = self.dag_runs.get_mut(run_id).expect("run checked above");
-        run.outstanding -= 1;
         run.nodes[idx].status = NodeStatus::Done;
-        run.nodes[idx].out = out;
-        if is_action {
-            run.any_action_ok = true;
+        let kind = match &call.kind {
+            CallKind::Query(prefix) => {
+                // An unparseable 200 resolves empty without a failure.
+                if let Ok(body) = wire::from_bytes::<QueryResponseBody>(&resp.body) {
+                    let prefixed = |(k, v)| (format!("{prefix}.{k}"), v);
+                    run.nodes[idx].out = body.data.into_iter().map(prefixed).collect();
+                }
+                StepKind::Query
+            }
+            CallKind::Action => {
+                run.any_action_ok = true;
+                StepKind::Action
+            }
+        };
+        self.breaker_record(ctx, service, true);
+        if !classic {
+            self.obs(ObsEvent::DagNodeExecuted {
+                applet: id,
+                dispatch: run_id,
+                node: idx as u16,
+                kind,
+                at: ctx.now(),
+            });
         }
-        self.obs(ObsEvent::DagNodeExecuted {
-            applet: id,
-            dispatch: DAG_DISPATCH_BIT | run_id,
-            node: idx as u16,
-            kind,
-            at: ctx.now(),
-        });
-        self.dag_advance(ctx, run_id);
+        self.advance(ctx, run_id);
     }
 }
 
-/// The ingredient view a DAG node executes against: the trigger event's
+/// The ingredient view a node executes against: the trigger event's
 /// ingredients overlaid with the outputs of every *transitive* ancestor,
-/// applied in node-index order (later ancestors win key collisions,
-/// mirroring the query-merge precedence of the single-step path).
+/// applied in node-index order (later ancestors win key collisions).
 /// Borrows the event's ingredients directly when no ancestor contributed
-/// anything — the common case for early nodes and pure action chains.
-fn dag_node_input<'r>(run: &'r DagRun, steps: &[StepNode], node: usize) -> Cow<'r, FieldMap> {
-    let mask = ancestor_mask(steps, node);
-    let any_overlay = (0..node).any(|i| mask & (1 << i) != 0 && !run.nodes[i].out.is_empty());
-    if !any_overlay {
+/// anything — always, for the one-node plan.
+fn node_input<'r>(run: &'r Run, plan: &Plan, node: usize) -> Cow<'r, FieldMap> {
+    let mask = plan.nodes[node].ancestors;
+    let contributes = |i: &usize| mask & (1 << i) != 0 && !run.nodes[*i].out.is_empty();
+    if !(0..node).any(|i| contributes(&i)) {
         return Cow::Borrowed(&run.event.ingredients);
     }
     let mut input = run.event.ingredients.clone();
-    for i in 0..node {
-        if mask & (1 << i) != 0 {
-            for (k, v) in &run.nodes[i].out {
-                input.insert(k.clone(), v.clone());
-            }
+    for i in (0..node).filter(contributes) {
+        for (k, v) in &run.nodes[i].out {
+            input.insert(k.clone(), v.clone());
         }
     }
     Cow::Owned(input)
-}
-
-/// Transitive ancestor set of `node` as a bitmask. Deps always point at
-/// strictly lower indices (enforced by `validate_steps`), so the
-/// recursion is bounded by the node count (≤ 16).
-fn ancestor_mask(steps: &[StepNode], node: usize) -> u32 {
-    let mut mask = 0u32;
-    for &d in &steps[node].deps {
-        let d = d as usize;
-        mask |= (1u32 << d) | ancestor_mask(steps, d);
-    }
-    mask
 }

@@ -2,8 +2,8 @@
 //!
 //! The centralized engine the paper measures from the outside (and, for
 //! experiment E3, re-implements): applet storage, per-subscription trigger
-//! polling with batched event delivery, action dispatch with ingredient
-//! substitution, OAuth2 token caching, realtime-API hint handling with a
+//! polling with batched event delivery, one plan-driven executor for
+//! classic and multi-step applets with ingredient substitution, OAuth2 token caching, realtime-API hint handling with a
 //! per-service allowlist, coarse- and fine-grained permission management,
 //! and static plus runtime infinite-loop detection.
 //!
@@ -15,7 +15,7 @@
 //! * [`TapEngine`] — the engine node; configure with [`EngineConfig`].
 //! * [`LifecycleEvent`] / [`TapEngine::apply_lifecycle`] — the single
 //!   applet/service lifecycle surface (install, uninstall, onboard,
-//!   retire); the legacy install constructors wrap it.
+//!   retire).
 //! * [`PollPolicy`] — production-like, fixed (E3), or smart (§6) polling.
 //! * [`Applet`] / [`AppletId`] — the automation rules.
 //! * [`permissions::PermissionManager`] — §6 permission models + audit.

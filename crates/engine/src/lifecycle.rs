@@ -3,19 +3,15 @@
 //! per-applet unwind behind it.
 
 use crate::applet::{Applet, AppletId};
-use crate::engine::{PollTask, Slot, TapEngine, DAG_DISPATCH_BIT};
-use crate::obs::ObsEvent;
+use crate::engine::{PollTask, Slot, TapEngine};
+use crate::exec::Plan;
 use crate::permissions::Capability;
 use mem::FxHashSet;
 use simnet::prelude::*;
 use tap_protocol::auth::ServiceKey;
-use tap_protocol::endpoints::{action_path, trigger_path};
-use tap_protocol::wire::{
-    self, ActionRequestBody, BatchPollEntry, PollRequestBody, DEFAULT_POLL_LIMIT,
-};
-use tap_protocol::{
-    is_degenerate, validate_steps, ActionSlug, FieldMap, ServiceSlug, StepSpec, TriggerIdentity,
-};
+use tap_protocol::endpoints::trigger_path;
+use tap_protocol::wire::{self, BatchPollEntry, PollRequestBody, DEFAULT_POLL_LIMIT};
+use tap_protocol::{ServiceSlug, TriggerIdentity};
 
 /// Why an applet install was rejected.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,27 +21,27 @@ pub enum InstallError {
     NotConnected(ServiceSlug),
     /// Static loop check rejected the applet.
     LoopDetected(Vec<AppletId>),
-    /// The applet's multi-step DAG failed validation.
+    /// The applet does not compile to a plan: its `steps` fail
+    /// validation, it carries `steps` *and* a classic condition or
+    /// queries, or it has more queries than a plan can hold.
     InvalidSteps(String),
 }
 
 /// One applet- or service-lifecycle transition, applied through the
 /// single [`TapEngine::apply_lifecycle`] entry point. This is the churn
-/// op the fleet's live-world driver speaks: every install path the engine
-/// ever had (legacy single-step, degenerate-DAG wrap, multi-step) and
-/// every teardown the static workload never needed route through here.
+/// op the fleet's live-world driver speaks: every install and every
+/// teardown routes through here.
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)] // transient op value, consumed immediately
 pub enum LifecycleEvent {
-    /// Install and enable an applet (schedules its first trigger poll).
-    /// Degenerate one-node action DAGs fold onto the single-step path
-    /// exactly as the legacy constructor did.
+    /// Install and enable an applet: compile it to its plan and schedule
+    /// its first trigger poll.
     InstallApplet(Applet),
     /// Remove an applet permanently: cancel its pending poll timer, shrink
     /// its coalescing group (evicting the cached batch body and reverting
     /// the survivor's `grouped` hint when membership drops to 1), clear
     /// realtime state, prune identity routing, and dead-letter its
-    /// in-flight dispatches and DAG runs. The slot is tombstoned, never
+    /// in-flight runs. The slot is tombstoned, never
     /// compacted, so in-flight tokens and timers miss instead of aliasing.
     UninstallApplet(AppletId),
     /// Register a partner service mid-run (what service publication does),
@@ -95,14 +91,11 @@ pub enum LifecycleError {
 impl TapEngine {
     /// Apply one lifecycle transition — the single entry point for every
     /// install, uninstall, onboarding, and retirement the engine supports.
-    /// The legacy constructors ([`TapEngine::install_applet`],
-    /// [`TapEngine::register_service`]) are thin wrappers over this.
     ///
     /// Determinism contract: an event sequence that is never applied
     /// consumes no randomness and perturbs no state, and applying events
-    /// draws RNG only where the equivalent legacy path already did (the
-    /// initial-poll delay of an install), so a churn-free run is
-    /// byte-identical to one built through the legacy surface.
+    /// draws RNG in one place only (the initial-poll delay of an
+    /// install).
     pub fn apply_lifecycle(
         &mut self,
         ctx: &mut Context<'_>,
@@ -110,7 +103,7 @@ impl TapEngine {
     ) -> Result<LifecycleAck, LifecycleError> {
         match ev {
             LifecycleEvent::InstallApplet(applet) => self
-                .do_install(ctx, applet)
+                .install_applet(ctx, applet)
                 .map(LifecycleAck::Installed)
                 .map_err(LifecycleError::Install),
             LifecycleEvent::UninstallApplet(id) => self.do_uninstall(ctx, id),
@@ -131,45 +124,16 @@ impl TapEngine {
         }
     }
 
-    /// Install and enable an applet. Schedules its first trigger poll.
-    ///
-    /// Deprecated: thin compatibility wrapper over
-    /// [`TapEngine::apply_lifecycle`] with
-    /// [`LifecycleEvent::InstallApplet`] — new code should apply a
-    /// lifecycle event so installs and uninstalls go through one surface.
+    /// Install and enable an applet: compile it to its plan and schedule
+    /// its first trigger poll. What [`LifecycleEvent::InstallApplet`] does.
     pub fn install_applet(
         &mut self,
         ctx: &mut Context<'_>,
         applet: Applet,
     ) -> Result<AppletId, InstallError> {
-        match self.apply_lifecycle(ctx, LifecycleEvent::InstallApplet(applet)) {
-            Ok(LifecycleAck::Installed(id)) => Ok(id),
-            Ok(ack) => unreachable!("install acked {ack:?}"),
-            Err(LifecycleError::Install(e)) => Err(e),
-            Err(e) => unreachable!("install failed with {e:?}"),
-        }
-    }
-
-    fn do_install(
-        &mut self,
-        ctx: &mut Context<'_>,
-        mut applet: Applet,
-    ) -> Result<AppletId, InstallError> {
-        // Degenerate-DAG fast path: a one-node action DAG *is* a classic
-        // applet, so fold it back onto the single-step path at install
-        // time. Everything downstream — cached bodies, dispatch timers,
-        // RNG draw order — is then byte-identical to an applet that never
-        // had steps.
-        if is_degenerate(&applet.steps) {
-            let node = applet.steps.pop().expect("degenerate DAG has one node");
-            if let StepSpec::Action { action, fields } = node.spec {
-                applet.action.action = ActionSlug::new(action);
-                applet.action.fields = fields;
-            }
-        }
-        if !applet.steps.is_empty() {
-            validate_steps(&applet.steps).map_err(|e| InstallError::InvalidSteps(e.to_string()))?;
-        }
+        // Compile first: a malformed applet is rejected before it leaves
+        // any trace in the routing structures.
+        let plan = Plan::compile(&applet, &mut self.syms)?;
         for service in [&applet.trigger.service, &applet.action.service] {
             if !self
                 .service_sym(service)
@@ -221,14 +185,6 @@ impl TapEngine {
             user: applet.owner.clone(),
             limit: DEFAULT_POLL_LIMIT,
         });
-        let action_body = if applet.action.fields.is_empty() {
-            Some(wire::to_bytes(&ActionRequestBody {
-                action_fields: FieldMap::new(),
-                user: applet.owner.clone(),
-            }))
-        } else {
-            None
-        };
         let owner_sym = self.syms.intern(applet.owner.as_str());
         let trigger_service_sym = self.syms.intern(applet.trigger.service.as_str());
         let group = (
@@ -252,8 +208,7 @@ impl TapEngine {
             action_service: self.syms.intern(applet.action.service.as_str()),
             poll_path: trigger_path(&applet.trigger.trigger),
             poll_body,
-            action_path: action_path(&applet.action.action),
-            action_body,
+            plan,
             seen: FxHashSet::default(),
             enabled: true,
             next_poll: None,
@@ -345,67 +300,23 @@ impl TapEngine {
         // handles are reclaimed and the conservation invariant
         // (`events_new == actions_ok + actions_filtered + dead_letters`)
         // holds through the teardown.
-        self.dead_letter_in_flight(ctx, |s| s == slot);
+        self.dead_letter_in_flight(ctx, slot);
     }
 
-    /// Dead-letter every in-flight dispatch and DAG run whose slot
-    /// matches, emitting the same terminal pair an exhausted retry budget
-    /// would. Handles are drained in sorted order: arena iteration order
-    /// is storage-dependent (slab vs reference map), the handle values are
-    /// not.
-    fn dead_letter_in_flight(&mut self, ctx: &mut Context<'_>, doomed: impl Fn(Slot) -> bool) {
-        let mut jobs: Vec<u64> = self
-            .dispatches
+    /// Dead-letter every in-flight run of `slot`, emitting the same
+    /// terminal pair an exhausted retry budget would. Handles are drained
+    /// in sorted order: arena iteration order is storage-dependent (slab
+    /// vs reference map), the handle values are not.
+    fn dead_letter_in_flight(&mut self, ctx: &mut Context<'_>, slot: Slot) {
+        let mut doomed: Vec<u64> = self
+            .runs
             .iter()
-            .filter(|(_, job)| doomed(job.slot))
+            .filter(|(_, run)| run.slot == slot)
             .map(|(h, _)| h)
             .collect();
-        jobs.sort_unstable();
-        for dispatch in jobs {
-            let job = self.dispatches.remove(dispatch).expect("collected live");
-            let applet = self.tasks[job.slot as usize].id;
-            self.obs(ObsEvent::ActionFinished {
-                applet,
-                dispatch,
-                ok: false,
-                at: ctx.now(),
-            });
-            self.obs(ObsEvent::ActionDeadLettered {
-                applet,
-                dispatch,
-                at: ctx.now(),
-            });
-            ctx.trace(
-                "engine.uninstall_dead_letter",
-                TraceDetail::Applet(applet.0),
-            );
-        }
-        let mut runs: Vec<u64> = self
-            .dag_runs
-            .iter()
-            .filter(|(_, run)| doomed(run.slot))
-            .map(|(h, _)| h)
-            .collect();
-        runs.sort_unstable();
-        for run_id in runs {
-            let run = self.dag_runs.remove(run_id).expect("collected live");
-            let applet = self.tasks[run.slot as usize].id;
-            let dispatch = DAG_DISPATCH_BIT | run_id;
-            self.obs(ObsEvent::ActionFinished {
-                applet,
-                dispatch,
-                ok: false,
-                at: ctx.now(),
-            });
-            self.obs(ObsEvent::ActionDeadLettered {
-                applet,
-                dispatch,
-                at: ctx.now(),
-            });
-            ctx.trace(
-                "engine.uninstall_dead_letter",
-                TraceDetail::Applet(applet.0),
-            );
+        doomed.sort_unstable();
+        for run_id in doomed {
+            self.finish_run(ctx, run_id, true);
         }
     }
 

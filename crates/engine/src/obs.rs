@@ -41,9 +41,9 @@ use tap_protocol::{StepKind, Symbol};
 /// * `service` — the engine-interned symbol of the partner service (only
 ///   meaningful to sinks sharing the engine's interner; counting sinks
 ///   ignore it);
-/// * `dispatch` — the engine's dispatch-job sequence number, linking the
-///   enqueue, the action attempts, and the final outcome of one
-///   activation.
+/// * `dispatch` — the id of the activation's run (an arena handle, unique
+///   among live runs), linking the enqueue, the action attempts, and the
+///   final outcome of one activation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsEvent {
     /// A single trigger poll request left the engine.
@@ -141,7 +141,7 @@ pub enum ObsEvent {
     DispatchEnqueued {
         /// Subscription that produced the event.
         applet: AppletId,
-        /// Dispatch-job sequence number (links later action events).
+        /// Id of the run opened for the event (links later action events).
         dispatch: u64,
         /// Jobs outstanding right after the enqueue (this one included).
         depth: u64,
@@ -265,13 +265,13 @@ pub enum ObsEvent {
         /// Flag time.
         at: SimTime,
     },
-    /// A multi-step DAG run started for one fresh trigger event. The run
-    /// shares the dispatch-id space with single-step jobs (its high bit
-    /// set), so attribution chains stay collision-free.
+    /// A multi-step run started for one fresh trigger event. Classic
+    /// applets' runs emit none of the three `Dag*` events, so `dag_*`
+    /// counters read zero for a population without multi-step applets.
     DagRunStarted {
         /// Subscription whose DAG is executing.
         applet: AppletId,
-        /// Tagged dispatch id of the run.
+        /// Dispatch id of the run.
         dispatch: u64,
         /// Start time.
         at: SimTime,
@@ -281,7 +281,7 @@ pub enum ObsEvent {
     DagNodeExecuted {
         /// Subscription whose DAG is executing.
         applet: AppletId,
-        /// Tagged dispatch id of the run.
+        /// Dispatch id of the run.
         dispatch: u64,
         /// Node index within the DAG.
         node: u16,
@@ -290,13 +290,13 @@ pub enum ObsEvent {
         /// Completion time.
         at: SimTime,
     },
-    /// A failed DAG query or action node was re-sent on the backoff
-    /// schedule (distinct from the single-step `ActionRetried`, which DAG
-    /// action nodes also emit for attribution).
+    /// A failed query or action node of a multi-step run was re-sent on
+    /// the backoff schedule (action nodes also emit `ActionRetried`, as
+    /// every run's do, for attribution).
     DagNodeRetried {
         /// Subscription whose DAG is executing.
         applet: AppletId,
-        /// Tagged dispatch id of the run.
+        /// Dispatch id of the run.
         dispatch: u64,
         /// Node index within the DAG.
         node: u16,

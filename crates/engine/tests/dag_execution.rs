@@ -3,9 +3,9 @@
 //! The PR-7 satellite suite for the trigger → [filter|transform|query]* →
 //! [action]+ generalization:
 //!
-//! * **Degenerate differential** — a classic applet and the same applet
-//!   wrapped in a one-node action DAG produce byte-identical [`ObsEvent`]
-//!   streams and engine stats (the fast path really is the same path).
+//! * **Two spellings, one plan** — a classic applet and the same applet
+//!   spelled as a one-action `steps` list produce byte-identical
+//!   [`ObsEvent`] streams and engine stats (they compile to one plan).
 //! * **Isolation** — a failing filter cuts downstream nodes without a
 //!   dead letter; a transform's output feeds the next node's payload; a
 //!   query node's result keys land under its prefix.
@@ -223,19 +223,19 @@ fn act(slug: &str) -> StepNode {
 }
 
 // ---------------------------------------------------------------------
-// Degenerate differential: wrapped single-action DAG == classic applet.
+// Two spellings, one plan: a `steps`-spelled single action == classic.
 // ---------------------------------------------------------------------
 
-/// The same population and emission schedule through the legacy
-/// single-step path and through degenerate one-node DAGs produces
-/// byte-identical observable event streams, stats, and deliveries — the
-/// install-time normalization really lands on the same code path.
+/// The same population and emission schedule with every applet spelled
+/// through the classic `action` field and through a one-action `steps`
+/// list produces byte-identical observable event streams, stats, and
+/// deliveries — both spellings compile to the same one-node plan.
 #[test]
-fn degenerate_dag_matches_legacy_event_for_event() {
-    let legacy: Vec<Vec<StepNode>> = vec![Vec::new(); 3];
-    let wrapped: Vec<Vec<StepNode>> = (0..3).map(|k| vec![act(&format!("act{k}"))]).collect();
-    let mut a = dag_harness(EngineConfig::fast().resilient(), &legacy);
-    let mut b = dag_harness(EngineConfig::fast().resilient(), &wrapped);
+fn both_spellings_of_a_single_action_run_the_same_plan() {
+    let classic: Vec<Vec<StepNode>> = vec![Vec::new(); 3];
+    let spelled: Vec<Vec<StepNode>> = (0..3).map(|k| vec![act(&format!("act{k}"))]).collect();
+    let mut a = dag_harness(EngineConfig::fast().resilient(), &classic);
+    let mut b = dag_harness(EngineConfig::fast().resilient(), &spelled);
     for round in 0..3u64 {
         let at = SimTime::from_secs(10 + round * 15);
         a.sim.run_until(at);
@@ -254,8 +254,12 @@ fn degenerate_dag_matches_legacy_event_for_event() {
     let (ea, eb) = (a.recorder.events(), b.recorder.events());
     assert_eq!(ea.len(), eb.len(), "event stream length diverges");
     assert_eq!(ea, eb, "observable event streams diverge");
-    // And the wrapped run never took the DAG machinery at all.
-    assert_eq!(b.stats().dag_runs, 0, "degenerate DAG must not start runs");
+    // And the `steps` spelling reports as classic: no multi-step telemetry.
+    assert_eq!(
+        b.stats().dag_runs,
+        0,
+        "a single action is not a multi-step run"
+    );
     assert_eq!(a.stats().actions_ok, 9);
     a.assert_conservation();
 }
@@ -377,6 +381,35 @@ fn query_result_lands_under_its_prefix() {
     assert_eq!(s.dag_nodes_query, 1);
     assert_eq!(s.actions_ok, 1);
     h.assert_conservation();
+}
+
+/// Disabling an applet stops the runs it has enqueued but not started,
+/// multi-step or not: the event was fetched, its run never sends.
+#[test]
+fn disabling_a_multi_step_applet_stops_its_pending_runs() {
+    let steps = vec![
+        StepNode::new(StepSpec::Filter {
+            predicate: StepPredicate::Always,
+        }),
+        act("act0").after(&[0]),
+    ];
+    let mut h = dag_harness(EngineConfig::fast(), &[steps]);
+    h.sim.run_until(SimTime::from_secs(10));
+    h.emit(0);
+    // The run's start timer is at least 50 ms (the dispatch overhead)
+    // behind the poll response that enqueued it.
+    while h.stats().events_new == 0 {
+        h.sim.run_for(SimDuration::from_millis(10));
+    }
+    h.sim.with_node::<TapEngine, _>(h.engine, |e, ctx| {
+        e.set_enabled(ctx, AppletId(1), false);
+    });
+    h.sim.run_until(SimTime::from_secs(60));
+
+    let s = h.stats();
+    assert_eq!(s.events_new, 1);
+    assert_eq!(s.actions_sent, 0, "a disabled applet's run still sent");
+    assert!(h.received().is_empty());
 }
 
 // ---------------------------------------------------------------------

@@ -13,8 +13,8 @@
 
 use devices::service_core::{Processed, ServiceCore};
 use engine::{
-    ActionRef, Applet, AppletId, EngineConfig, FlightRecorder, LifecycleAck, LifecycleError,
-    LifecycleEvent, ObsEvent, TapEngine, TriggerRef,
+    ActionRef, Applet, AppletId, Condition, EngineConfig, FlightRecorder, InstallError,
+    LifecycleAck, LifecycleError, LifecycleEvent, ObsEvent, QueryRef, TapEngine, TriggerRef,
 };
 use proptest::prelude::*;
 use simnet::prelude::*;
@@ -23,7 +23,9 @@ use std::sync::Arc;
 use tap_protocol::auth::ServiceKey;
 use tap_protocol::service::ServiceEndpoint;
 use tap_protocol::wire::TriggerEvent;
-use tap_protocol::{ActionSlug, FieldMap, ServiceSlug, TriggerSlug, UserId};
+use tap_protocol::{
+    ActionSlug, FieldMap, QuerySlug, ServiceSlug, StepNode, StepSpec, TriggerSlug, UserId,
+};
 
 const SLUG: &str = "lifesvc";
 const SLOTS: usize = 3;
@@ -45,6 +47,7 @@ impl LifeService {
                 .with_trigger(format!("t{k}").as_str())
                 .with_action(format!("act{k}").as_str());
         }
+        ep = ep.with_query("look");
         LifeService {
             core: ServiceCore::new(ep),
             blackhole_actions: false,
@@ -318,6 +321,110 @@ fn retirement_drains_in_flight_dispatches_to_dead_letters() {
     assert_eq!(
         w.apply(LifecycleEvent::RetireService(ServiceSlug::new(SLUG))),
         Err(LifecycleError::UnknownService(ServiceSlug::new(SLUG)))
+    );
+}
+
+/// Satellite regression: retirement uninstalls the applets that poll or
+/// act on the dying service, not the ones that only *query* it. Their
+/// later runs must resolve the query node as a terminal failure under its
+/// policy (a classic query continues empty) instead of parking in the run
+/// arena waiting on a registration that is gone.
+#[test]
+fn retiring_a_query_only_service_fails_the_query_node_not_the_run() {
+    let mut w = world(EngineConfig::fast(), 106, 0);
+    let lookup = w.sim.add_node("qsvc", LifeService::new("qsvc", "sk_q"));
+    w.sim.link(w.engine, lookup, LinkSpec::datacenter());
+    let user = w.user.clone();
+    let token = w.sim.with_node::<LifeService, _>(lookup, |s, ctx| {
+        s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
+    });
+    w.apply(LifecycleEvent::OnboardService {
+        slug: ServiceSlug::new("qsvc"),
+        node: lookup,
+        key: ServiceKey("sk_q".into()),
+        realtime: false,
+    })
+    .expect("query service onboards");
+    w.sim.with_node::<TapEngine, _>(w.engine, |e, _| {
+        e.set_token(user.clone(), ServiceSlug::new("qsvc"), token);
+    });
+    let querying = applet(0, 1, &user).with_query(QueryRef {
+        service: ServiceSlug::new("qsvc"),
+        query: QuerySlug::new("look"),
+        fields: FieldMap::new(),
+        prefix: "ctx".into(),
+    });
+    w.apply(LifecycleEvent::InstallApplet(querying))
+        .expect("applet installs");
+    w.sim.run_until(SimTime::from_secs(5));
+    w.emit(0, 0);
+    w.sim.run_until(SimTime::from_secs(20));
+    let before = w.stats();
+    assert_eq!(before.queries_sent, 1, "{before:?}");
+    assert_eq!(before.actions_ok, 1, "{before:?}");
+    // Retire the query service mid-run: the second event's run is
+    // enqueued (its start timer is the dispatch overhead away) but has
+    // not sent anything yet.
+    w.emit(0, 1);
+    while w.stats().events_new < 2 {
+        w.sim.run_for(SimDuration::from_millis(10));
+    }
+    assert_eq!(
+        w.apply(LifecycleEvent::RetireService(ServiceSlug::new("qsvc"))),
+        Ok(LifecycleAck::Retired {
+            service: ServiceSlug::new("qsvc"),
+            applets_removed: 0,
+        })
+    );
+    w.sim.run_until(SimTime::from_secs(90));
+    let after = w.stats();
+    assert_eq!(after.queries_sent, 1, "a query left for a retired service");
+    assert_eq!(after.queries_failed, 1, "the query node failed: {after:?}");
+    assert_eq!(after.actions_ok, 2, "the run continued past it: {after:?}");
+    assert_conserved(&after);
+    assert_eq!(
+        w.sim.node_ref::<TapEngine>(w.engine).runs_in_flight(),
+        0,
+        "a run is parked in the arena"
+    );
+}
+
+/// `steps` replace the classic `condition`/`queries` fields; an applet
+/// carrying both is rejected rather than having one half ignored.
+#[test]
+fn steps_alongside_classic_condition_or_queries_are_rejected() {
+    let mut w = world(EngineConfig::fast(), 107, 0);
+    let user = w.user.clone();
+    let steps = vec![StepNode::new(StepSpec::Action {
+        action: "act0".into(),
+        fields: FieldMap::new(),
+    })];
+    let with_condition = applet(0, 1, &user)
+        .with_steps(steps.clone())
+        .with_condition(Condition::Has { key: "id".into() });
+    let with_query = applet(0, 2, &user)
+        .with_steps(steps.clone())
+        .with_query(QueryRef {
+            service: ServiceSlug::new(SLUG),
+            query: QuerySlug::new("look"),
+            fields: FieldMap::new(),
+            prefix: "ctx".into(),
+        });
+    for bad in [with_condition, with_query] {
+        let err = w.apply(LifecycleEvent::InstallApplet(bad));
+        assert!(
+            matches!(
+                err,
+                Err(LifecycleError::Install(InstallError::InvalidSteps(_)))
+            ),
+            "{err:?}"
+        );
+    }
+    assert_eq!(
+        w.apply(LifecycleEvent::InstallApplet(
+            applet(0, 3, &user).with_steps(steps)
+        )),
+        Ok(LifecycleAck::Installed(AppletId(3)))
     );
 }
 

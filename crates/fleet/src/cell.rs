@@ -300,8 +300,7 @@ pub fn run_cell(
                     },
                 );
                 applet.add_count = install.add_count;
-                let steps =
-                    instantiate_steps(sampler.steps_of(install.applet), k, cfg.wrap_degenerate_dag);
+                let steps = instantiate_steps(sampler.steps_of(install.applet), k);
                 if !steps.is_empty() {
                     applet = applet.with_steps(steps);
                 }
@@ -564,7 +563,7 @@ fn run_churn_timeline(
                 let token = sim.with_node::<FleetService, _>(node, |s, ctx| {
                     s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
                 });
-                let steps = instantiate_steps(sampler.steps_of(info.catalog_applet), 0, false);
+                let steps = instantiate_steps(sampler.steps_of(info.catalog_applet), 0);
                 let add_count = info.add_count;
                 sim.with_node::<TapEngine, _>(engine, |e, ctx| {
                     e.set_token(user.clone(), slug.clone(), token);
@@ -659,21 +658,8 @@ fn run_churn_timeline(
 /// Re-slug a catalog DAG for the cell's service: the first action node
 /// lands on the T2A-paired `noop_{slot}` endpoint, further fan-out actions
 /// on the unpaired `noop_aux`, and query nodes on the cell's `lookup`
-/// endpoint. With `wrap` set and no catalog DAG, the classic applet is
-/// wrapped in a degenerate one-node DAG instead — which the engine
-/// normalizes back onto the legacy path, making wrapped and unwrapped runs
-/// byte-identical (the differential test's whole point).
-fn instantiate_steps(catalog: &[StepNode], slot: usize, wrap: bool) -> Vec<StepNode> {
-    if catalog.is_empty() {
-        return if wrap {
-            vec![StepNode::new(StepSpec::Action {
-                action: format!("noop_{slot}"),
-                fields: FieldMap::new(),
-            })]
-        } else {
-            Vec::new()
-        };
-    }
+/// endpoint. An empty catalog entry (a classic applet) stays empty.
+fn instantiate_steps(catalog: &[StepNode], slot: usize) -> Vec<StepNode> {
     let mut steps = catalog.to_vec();
     let mut first_action = true;
     for node in &mut steps {

@@ -324,13 +324,8 @@ pub struct FleetConfig {
     /// (forwarded to the ecosystem generator). `0.0` (the default) keeps
     /// the catalog — and every pinned digest — byte-identical.
     pub multi_step_share: f64,
-    /// Differential-testing knob: wrap every classic single-step applet in
-    /// a degenerate one-node DAG at install time. The engine normalizes the
-    /// wrapper away, so the run must be byte-identical to the unwrapped
-    /// one — which is exactly what the differential test asserts.
-    pub wrap_degenerate_dag: bool,
     /// Differential-testing knob: every cell engine swaps its slab-backed
-    /// in-flight stores (dispatches, DAG runs, pending batches) for the
+    /// in-flight stores (runs, pending batches) for the
     /// `HashMap` reference implementation. Storage strategy must be
     /// unobservable, so the run must be byte-identical to the slab one —
     /// which is exactly what the differential test asserts.
@@ -360,7 +355,6 @@ impl FleetConfig {
             attribution: false,
             realtime_share: 0.0,
             multi_step_share: 0.0,
-            wrap_degenerate_dag: false,
             reference_storage: false,
         }
     }
@@ -427,13 +421,6 @@ impl FleetConfig {
     /// Set the multi-step applet share of the catalog (clamped to `0..=1`).
     pub fn with_multi_step_share(mut self, share: f64) -> Self {
         self.multi_step_share = share.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Wrap classic applets in degenerate one-node DAGs (differential
-    /// testing of the DAG executor's fast path).
-    pub fn with_wrap_degenerate_dag(mut self, on: bool) -> Self {
-        self.wrap_degenerate_dag = on;
         self
     }
 
@@ -661,7 +648,6 @@ mod tests {
             .with_attribution(true)
             .with_realtime_share(0.3)
             .with_multi_step_share(0.07)
-            .with_wrap_degenerate_dag(true)
             .with_reference_storage(true);
         cfg.hot_threshold = Some(42);
         cfg.eco_scale = 0.02;

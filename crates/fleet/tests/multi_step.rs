@@ -1,11 +1,9 @@
 //! Fleet-level differentials for the multi-step DAG generalization.
 //!
-//! Three claims, each against the same seeded population:
+//! Two claims, each against the same seeded population (that a
+//! `steps`-spelled single action is the classic applet's plan is checked
+//! at engine level, `engine/tests/dag_execution.rs`):
 //!
-//! * **Degenerate differential** — wrapping every classic applet in a
-//!   one-node action DAG (`wrap_degenerate_dag`) reproduces the legacy
-//!   run byte-for-byte: the engine's install-time normalization makes the
-//!   wrapped population indistinguishable in the merged metrics digest.
 //! * **Multi-step conservation** — with a real multi-step share the DAG
 //!   counters light up, every activation still concludes exactly once
 //!   (delivered or lost), and the merge stays shard-invariant.
@@ -23,24 +21,6 @@ use fleet::{run_fleet, FleetConfig, FleetPolicy, FleetReport};
 /// chain, query enrich, fanout) appears, small enough for the debug tier.
 fn cfg_2k(shards: usize) -> FleetConfig {
     fleet::test_support::differential_2k_cfg(shards)
-}
-
-#[test]
-fn wrapping_degenerate_dags_reproduces_the_legacy_digest() {
-    let legacy = run_fleet(&cfg_2k(2));
-    let wrapped = run_fleet(&cfg_2k(2).with_wrap_degenerate_dag(true));
-    assert!(
-        legacy.merged.t2a_micros.count() > 0,
-        "run produced deliveries"
-    );
-    assert_eq!(
-        legacy.merged_json(),
-        wrapped.merged_json(),
-        "wrapping every applet in a degenerate DAG perturbed the run"
-    );
-    assert_eq!(legacy.digest(), wrapped.digest());
-    // And the wrapped run never engaged the DAG machinery.
-    assert_eq!(wrapped.merged.dag_runs.get(), 0);
 }
 
 /// `activations == delivered + lost`: the cell-level conservation

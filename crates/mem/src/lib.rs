@@ -4,8 +4,8 @@
 //! Three things live here, all dependency-free:
 //!
 //! * [`Slab`] / [`Arena`] — generation-checked slot arenas with a LIFO
-//!   free list. The engine's in-flight tables (dispatches, DAG runs,
-//!   pending batches) and the kernel's request table hand out *handles*
+//!   free list. The engine's in-flight tables (runs, pending
+//!   batches) and the kernel's request table hand out *handles*
 //!   instead of hashing sequence numbers: the per-event lookup is an
 //!   index and a generation compare, not a SipHash probe.
 //! * [`FxHasher`] and the [`FxHashMap`] / [`FxHashSet`] aliases — the

@@ -6,16 +6,17 @@
 //! data-lookup queries, and one or more actions. This module defines the
 //! wire-level step vocabulary shared by the ecosystem generator (which
 //! emits multi-step applets under `--multi-step-share`) and the engine
-//! (whose DAG executor walks activations node-by-node).
+//! (which compiles every applet, classic or multi-step, to one plan of
+//! such nodes and walks activations through it node-by-node).
 //!
 //! A DAG is a `Vec<StepNode>` in which node `i` may only depend on nodes
 //! with index `< i` — dependency lists are validated by [`validate_steps`]
 //! so every stored DAG is topologically ordered *by construction*. A node
 //! with an empty `deps` list depends on the trigger event itself. The
 //! degenerate DAG — exactly one [`StepSpec::Action`] node with no deps and
-//! default policies — is semantically identical to a classic single-step
-//! applet, which is what lets the engine route it through the legacy code
-//! path byte-for-byte (see DESIGN.md §11).
+//! default policies — is a second spelling of the classic trigger→action
+//! applet: the engine compiles both to the same one-node plan (see
+//! DESIGN.md §11).
 
 use crate::ids::FieldMap;
 use serde::{Deserialize, Serialize};
@@ -247,9 +248,8 @@ pub fn validate_steps(steps: &[StepNode]) -> Result<(), StepError> {
 }
 
 /// True when `steps` is the *degenerate* DAG: exactly one action node with
-/// no deps, default failure policy, and no retry override. Such a DAG is
-/// behaviourally identical to a classic single-step applet, so the engine
-/// may (and does) normalize it onto the legacy execution path.
+/// no deps, default failure policy, and no retry override — the `steps`
+/// spelling of a classic trigger→action applet.
 pub fn is_degenerate(steps: &[StepNode]) -> bool {
     match steps {
         [node] => {

@@ -265,4 +265,29 @@ mod tests {
             unprotected.actions_executed
         );
     }
+
+    /// The detector guards runs, not a code path: the explicit loop
+    /// spelled as a multi-step applet (filter → send email) is flagged
+    /// and disabled exactly as the classic spelling is.
+    #[test]
+    fn multi_step_loop_is_flagged_and_disabled_like_a_classic_one() {
+        use tap_protocol::{StepNode, StepPredicate, StepSpec};
+        let classic = email_to_email();
+        let steps = vec![
+            StepNode::new(StepSpec::Filter {
+                predicate: StepPredicate::Always,
+            }),
+            StepNode::new(StepSpec::Action {
+                action: classic.action.action.as_str().into(),
+                fields: classic.action.fields.clone(),
+            })
+            .after(&[0]),
+        ];
+        let window = SimDuration::from_secs(90);
+        let run = |applet| run_loop_world(applet, false, Some(detector()), false, window, 605);
+        let multi = run(classic.clone().with_steps(steps));
+        assert!(multi.flagged, "{multi:?}");
+        assert!(multi.disabled, "{multi:?}");
+        assert_eq!(multi, run(classic));
+    }
 }
