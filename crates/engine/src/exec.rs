@@ -26,7 +26,7 @@ use crate::conditions::Condition;
 use crate::config::EnginePolicy;
 use crate::engine::{retry_after_hint, Slot, TapEngine, TAG_RUN, TK_RUN};
 use crate::lifecycle::InstallError;
-use crate::loopdetect::RuntimeVerdict;
+use crate::loopdetect::{RuntimeLoopDetector, RuntimeVerdict};
 use crate::obs::ObsEvent;
 use crate::resilience::RetryPolicy;
 use bytes::Bytes;
@@ -366,8 +366,9 @@ impl TapEngine {
         let slot = run.slot as usize;
         let id = self.tasks[slot].id;
         let mut go = self.tasks[slot].enabled;
-        let detector = self.runtime_detector.as_mut().filter(|_| go);
-        if detector.is_some_and(|d| d.record(id, ctx.now()) == RuntimeVerdict::LoopSuspected) {
+        let suspected =
+            |d: &mut RuntimeLoopDetector| d.record(id, ctx.now()) == RuntimeVerdict::LoopSuspected;
+        if go && self.runtime_detector.as_mut().is_some_and(suspected) {
             self.obs(ObsEvent::LoopFlagged {
                 applet: id,
                 at: ctx.now(),
@@ -407,19 +408,16 @@ impl TapEngine {
     /// nothing is pending or in flight.
     fn advance(&mut self, ctx: &mut Context<'_>, run_id: u64) {
         let serial = self.config.policy == EnginePolicy::ZapierLike;
-        let mut next = 0;
-        loop {
+        for i in 0.. {
             // Re-fetched per node: a launch can fail on the spot, re-enter
             // `advance`, and finish the run under this pass.
             let Some(run) = self.runs.get_mut(run_id) else {
                 return;
             };
             let task = &self.tasks[run.slot as usize];
-            let Some(node) = task.plan.nodes.get(next) else {
+            let Some(node) = task.plan.nodes.get(i) else {
                 break;
             };
-            let i = next;
-            next += 1;
             if run.nodes[i].status != NodeStatus::Pending {
                 continue;
             }
