@@ -186,14 +186,26 @@ impl Plan {
     /// the filter, or on the queries when there is none. `steps` map node
     /// for node, with query and action nodes on the applet's action
     /// service.
-    pub(crate) fn compile(applet: &Applet, syms: &mut Interner) -> Result<Plan, InstallError> {
+    pub(crate) fn compile(
+        applet: &Applet,
+        action_service: Symbol,
+        syms: &mut Interner,
+    ) -> Result<Plan, InstallError> {
         use StepFailurePolicy::{Continue, PolicyDefault};
         let invalid = |why: String| Err(InstallError::InvalidSteps(why));
         let user = &applet.owner;
-        let action_service = syms.intern(applet.action.service.as_str());
+        // Sized exactly: the fleet's classic applet is one node, and a
+        // default-grown vector would reserve room for four.
+        let classic = applet.steps.is_empty();
+        let gated = applet.condition != Condition::Always;
+        let size = if classic {
+            applet.queries.len() + usize::from(gated) + 1
+        } else {
+            applet.steps.len()
+        };
         let mut plan = Plan {
-            nodes: Vec::new(),
-            classic: applet.steps.is_empty(),
+            nodes: Vec::with_capacity(size),
+            classic,
         };
         if plan.classic {
             let queries = applet.queries.len();
@@ -207,7 +219,7 @@ impl Plan {
                 plan.push(call, Vec::new(), Continue, Some(0));
             }
             let mut deps: Vec<u16> = (0..queries as u16).collect();
-            if applet.condition != Condition::Always {
+            if gated {
                 let filter = Op::Filter(Predicate::Condition(applet.condition.clone()));
                 plan.push(filter, deps, PolicyDefault, None);
                 deps = vec![queries as u16];
@@ -217,7 +229,7 @@ impl Plan {
             plan.push(call, deps, PolicyDefault, None);
             return Ok(plan);
         }
-        if applet.condition != Condition::Always || !applet.queries.is_empty() {
+        if gated || !applet.queries.is_empty() {
             return invalid("steps replace the classic condition and queries".into());
         }
         if let Err(e) = validate_steps(&applet.steps) {

@@ -133,7 +133,8 @@ impl TapEngine {
     ) -> Result<AppletId, InstallError> {
         // Compile first: a malformed applet is rejected before it leaves
         // any trace in the routing structures.
-        let plan = Plan::compile(&applet, &mut self.syms)?;
+        let action_service = self.syms.intern(applet.action.service.as_str());
+        let plan = Plan::compile(&applet, action_service, &mut self.syms)?;
         for service in [&applet.trigger.service, &applet.action.service] {
             if !self
                 .service_sym(service)
@@ -205,7 +206,7 @@ impl TapEngine {
             id,
             owner: owner_sym,
             trigger_service: trigger_service_sym,
-            action_service: self.syms.intern(applet.action.service.as_str()),
+            action_service,
             poll_path: trigger_path(&applet.trigger.trigger),
             poll_body,
             plan,
