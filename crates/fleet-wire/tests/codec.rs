@@ -417,3 +417,93 @@ fn config_push_with_bad_json_is_rejected() {
         Err(WireError::BadPayload { .. })
     ));
 }
+
+// ------------------------------------------------------- byte fixtures
+// Captured at e8f8729, when `FleetMetrics`' field list, `merge_from`,
+// `wire_counters()`, `Serialize` and `counter_for` were five hand-written
+// lists. They are now generated from one table; these literals are what
+// says the generated code equals the lists it replaced.
+
+/// Wire counter `i` holds `i + 1`, so (a)'s JSON spells each counter's wire
+/// slot beside its name and (c) pins the slot order on the wire.
+fn numbered_metrics() -> FleetMetrics {
+    let m = FleetMetrics::default();
+    for (i, c) in m.wire_counters().iter().enumerate() {
+        c.add(i as u64 + 1);
+    }
+    m.t2a_micros.record(92_000_000);
+    m.dispatch_depth.record(3);
+    m
+}
+
+const HISTOGRAMS_JSON: [&str; 2] = [
+    r#""dispatch_depth":{"buckets":[[3,1]],"count":1,"max":3,"min":3,"sum":3}"#,
+    r#""t2a_micros":{"buckets":[[715,1]],"count":1,"max":92000000,"min":92000000,"sum":92000000}"#,
+];
+
+#[test]
+fn metrics_json_with_every_counter_set_matches_the_parent_bytes() {
+    let [depth, t2a] = HISTOGRAMS_JSON;
+    let expect = format!(
+        r#"{{"actions_failed":6,"actions_ok":5,"actions_retried":18,"activations":7,"applets":13,"breaker_trips":17,"cells":11,"churn_installs":31,"churn_onboards":33,"churn_orphans":35,"churn_retirements":34,"churn_uninstalls":32,"dag_node_retries":30,"dag_nodes_action":29,"dag_nodes_filter":26,"dag_nodes_query":28,"dag_nodes_transform":27,"dag_runs":25,"dead_letters":19,{depth},"engine_events":10,"events_new":4,"faults_injected":20,"lost":8,"polls_batched":2,"polls_coalesced":3,"polls_failed":14,"polls_retried":15,"polls_sent":1,"polls_shed":16,"realtime_malformed":24,"realtime_notifications":21,"realtime_polls":22,"realtime_suppressed":23,"sim_events":9,{t2a},"users":12}}"#
+    );
+    assert_eq!(numbered_metrics().to_json(), expect);
+}
+
+#[test]
+fn clean_run_metrics_json_carries_no_nonzero_only_key() {
+    // The shape every chaos-, realtime-, DAG- and churn-free golden digest
+    // is computed over: the 13 always-serialized counters and nothing else.
+    let m = FleetMetrics::default();
+    let always = [
+        &m.polls_sent,
+        &m.polls_batched,
+        &m.polls_coalesced,
+        &m.events_new,
+        &m.actions_ok,
+        &m.actions_failed,
+        &m.activations,
+        &m.lost,
+        &m.sim_events,
+        &m.engine_events,
+        &m.cells,
+        &m.users,
+        &m.applets,
+    ];
+    for (i, c) in always.iter().enumerate() {
+        c.add(i as u64 + 1);
+    }
+    m.t2a_micros.record(92_000_000);
+    m.dispatch_depth.record(3);
+    let [depth, t2a] = HISTOGRAMS_JSON;
+    let expect = format!(
+        r#"{{"actions_failed":6,"actions_ok":5,"activations":7,"applets":13,"cells":11,{depth},"engine_events":10,"events_new":4,"lost":8,"polls_batched":2,"polls_coalesced":3,"polls_sent":1,"sim_events":9,{t2a},"users":12}}"#
+    );
+    assert_eq!(m.to_json(), expect);
+}
+
+#[test]
+fn metrics_delta_frame_matches_the_parent_bytes() {
+    let mut fb = FrameBuf::new();
+    let head = DeltaHead {
+        worker_id: 7,
+        cell: 1734,
+    };
+    encode_metrics_delta(&mut fb, head, &numbered_metrics());
+    let hex: String = fb.finish().iter().map(|b| format!("{b:02x}")).collect();
+    // Header; worker 7, cell 1734; `n = 0x23`; (slot:u8, value:u64) pairs
+    // 00→1 … 22→35; the two histogram sections.
+    let expect = "01040000a0010000\
+         07000000c606000000000000\
+         23\
+         000100000000000000010200000000000000020300000000000000030400000000000000040500000000000000\
+         050600000000000000060700000000000000070800000000000000080900000000000000090a00000000000000\
+         0a0b000000000000000b0c000000000000000c0d000000000000000d0e000000000000000e0f00000000000000\
+         0f1000000000000000101100000000000000111200000000000000121300000000000000131400000000000000\
+         141500000000000000151600000000000000161700000000000000171800000000000000181900000000000000\
+         191a000000000000001a1b000000000000001b1c000000000000001c1d000000000000001d1e00000000000000\
+         1e1f000000000000001f2000000000000000202100000000000000212200000000000000222300000000000000\
+         010000000000000000cf7b050000000000cf7b050000000000cf7b05000000000100cb020100000000000000\
+         0100000000000000030000000000000003000000000000000300000000000000010003000100000000000000";
+    assert_eq!(hex, expect);
+}
