@@ -305,146 +305,122 @@ pub enum ObsEvent {
     },
 }
 
-/// Aggregate engine counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    pub polls_sent: u64,
-    pub polls_empty: u64,
-    pub polls_failed: u64,
-    pub events_received: u64,
-    pub events_new: u64,
-    pub actions_sent: u64,
-    pub actions_ok: u64,
-    pub actions_failed: u64,
-    pub hints_received: u64,
-    pub hints_honored: u64,
-    pub hints_ignored: u64,
-    pub loops_flagged: u64,
+/// The engine's counters, declared once: one `field / Variant` row each,
+/// its doc comment landing on both. Generates [`EngineStats`], [`Stat`],
+/// [`Stat::ALL`] and [`EngineStats::slot`]; what an *event* adds to which
+/// counter is not a list and stays hand-written in
+/// [`ObsEvent::for_each_stat`].
+macro_rules! engine_stats {
+    ($( $(#[$doc:meta])* $field:ident / $variant:ident, )*) => {
+        /// Aggregate engine counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct EngineStats {
+            $( $(#[$doc])* pub $field: u64, )*
+        }
+
+        /// The counters of [`EngineStats`], named. [`ObsEvent::for_each_stat`]
+        /// maps events onto `(Stat, increment)` pairs; both the engine's own
+        /// stats and `fleet::FleetMetrics` consume that single mapping.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Stat {
+            $( $(#[$doc])* $variant, )*
+        }
+
+        impl Stat {
+            /// Every counter, in declaration order.
+            pub const ALL: &'static [Stat] = &[$( Stat::$variant, )*];
+        }
+
+        impl EngineStats {
+            /// The counter a [`Stat`] names. Expands to a plain `match`:
+            /// it runs once per counter increment of every [`ObsEvent`].
+            pub fn slot(&mut self, stat: Stat) -> &mut u64 {
+                match stat {
+                    $( Stat::$variant => &mut self.$field, )*
+                }
+            }
+        }
+    };
+}
+
+engine_stats! {
+    /// Subscription polls sent (each member of a batch counts once).
+    polls_sent / PollsSent,
+    /// Polls answered with no new event (canonical empty body, or every
+    /// event already seen).
+    polls_empty / PollsEmpty,
+    /// Polls that failed: non-2xx, timeout, or an unparseable body.
+    polls_failed / PollsFailed,
+    /// Trigger events on the wire, duplicates included.
+    events_received / EventsReceived,
+    /// Previously unseen trigger events (each opens one run).
+    events_new / EventsNew,
+    /// Action requests sent, retries included.
+    actions_sent / ActionsSent,
+    /// Actions acknowledged with success.
+    actions_ok / ActionsOk,
+    /// Actions that concluded in failure.
+    actions_failed / ActionsFailed,
+    /// Realtime-API hints that arrived.
+    hints_received / HintsReceived,
+    /// Hints from allowlisted services (prompt polls scheduled).
+    hints_honored / HintsHonored,
+    /// Hints acknowledged and ignored (service not allowlisted).
+    hints_ignored / HintsIgnored,
+    /// Applets flagged by the runtime loop detector.
+    loops_flagged / LoopsFlagged,
     /// Dispatches suppressed by an applet condition.
-    pub actions_filtered: u64,
+    actions_filtered / ActionsFiltered,
     /// Pre-dispatch queries sent.
-    pub queries_sent: u64,
+    queries_sent / QueriesSent,
     /// Pre-dispatch queries that failed (treated as empty results).
-    pub queries_failed: u64,
+    queries_failed / QueriesFailed,
     /// Action dispatches retried after a failure.
-    pub actions_retried: u64,
+    actions_retried / ActionsRetried,
     /// Coalesced batch poll requests sent (each carries ≥ 2 entries).
-    pub polls_batched: u64,
+    polls_batched / PollsBatched,
     /// Subscription polls that rode a sibling's batch request instead of
     /// costing their own round trip (batch members minus initiators).
-    pub polls_coalesced: u64,
+    polls_coalesced / PollsCoalesced,
     /// Failed polls re-sent on the backoff schedule (subset of
     /// `polls_failed`).
-    pub polls_retried: u64,
+    polls_retried / PollsRetried,
     /// Polls shed by an open circuit breaker (deferred to the next cycle).
-    pub polls_shed: u64,
+    polls_shed / PollsShed,
     /// Breaker transitions into `Open` (including failed half-open probes).
-    pub breaker_trips: u64,
+    breaker_trips / BreakerTrips,
     /// Action dispatches permanently abandoned: retries exhausted or a
     /// terminal client error. Always incremented alongside
     /// `actions_failed`, so `events_new == actions_ok + actions_filtered +
     /// dead_letters` once the engine is idle.
-    pub dead_letters: u64,
+    dead_letters / DeadLetters,
     /// Batch poll failures that dropped their group to singleton polls for
     /// a cycle.
-    pub batch_fallbacks: u64,
+    batch_fallbacks / BatchFallbacks,
     /// Realtime notifications accepted into the immediate-poll scheduler
     /// (equals `hints_honored`; one per honored notification request).
-    pub realtime_notifications: u64,
+    realtime_notifications / RealtimeNotifications,
     /// Out-of-cadence polls sent because a realtime notification preempted
     /// the subscription's pending cadence entry (subset of `polls_sent`).
-    pub realtime_polls: u64,
+    realtime_polls / RealtimePolls,
     /// Hinted subscriptions whose notification was absorbed: an immediate
     /// poll already outstanding, the debounce window open, or a cadence
     /// poll in flight.
-    pub realtime_suppressed: u64,
+    realtime_suppressed / RealtimeSuppressed,
     /// Realtime notification bodies that failed to parse (answered 400).
-    pub realtime_malformed: u64,
+    realtime_malformed / RealtimeMalformed,
     /// Multi-step DAG runs started.
-    pub dag_runs: u64,
+    dag_runs / DagRuns,
     /// Filter nodes executed (both predicate outcomes count).
-    pub dag_nodes_filter: u64,
+    dag_nodes_filter / DagNodesFilter,
     /// Transform nodes executed.
-    pub dag_nodes_transform: u64,
+    dag_nodes_transform / DagNodesTransform,
     /// Query nodes completed successfully.
-    pub dag_nodes_query: u64,
+    dag_nodes_query / DagNodesQuery,
     /// Action nodes completed successfully.
-    pub dag_nodes_action: u64,
+    dag_nodes_action / DagNodesAction,
     /// Failed DAG query/action attempts re-sent on the backoff schedule.
-    pub dag_node_retries: u64,
-}
-
-/// The counters of [`EngineStats`], named. [`ObsEvent::for_each_stat`]
-/// maps events onto `(Stat, increment)` pairs; both the engine's own
-/// stats and `fleet::FleetMetrics` consume that single mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stat {
-    /// `polls_sent`
-    PollsSent,
-    /// `polls_empty`
-    PollsEmpty,
-    /// `polls_failed`
-    PollsFailed,
-    /// `events_received`
-    EventsReceived,
-    /// `events_new`
-    EventsNew,
-    /// `actions_sent`
-    ActionsSent,
-    /// `actions_ok`
-    ActionsOk,
-    /// `actions_failed`
-    ActionsFailed,
-    /// `hints_received`
-    HintsReceived,
-    /// `hints_honored`
-    HintsHonored,
-    /// `hints_ignored`
-    HintsIgnored,
-    /// `loops_flagged`
-    LoopsFlagged,
-    /// `actions_filtered`
-    ActionsFiltered,
-    /// `queries_sent`
-    QueriesSent,
-    /// `queries_failed`
-    QueriesFailed,
-    /// `actions_retried`
-    ActionsRetried,
-    /// `polls_batched`
-    PollsBatched,
-    /// `polls_coalesced`
-    PollsCoalesced,
-    /// `polls_retried`
-    PollsRetried,
-    /// `polls_shed`
-    PollsShed,
-    /// `breaker_trips`
-    BreakerTrips,
-    /// `dead_letters`
-    DeadLetters,
-    /// `batch_fallbacks`
-    BatchFallbacks,
-    /// `realtime_notifications`
-    RealtimeNotifications,
-    /// `realtime_polls`
-    RealtimePolls,
-    /// `realtime_suppressed`
-    RealtimeSuppressed,
-    /// `realtime_malformed`
-    RealtimeMalformed,
-    /// `dag_runs`
-    DagRuns,
-    /// `dag_nodes_filter`
-    DagNodesFilter,
-    /// `dag_nodes_transform`
-    DagNodesTransform,
-    /// `dag_nodes_query`
-    DagNodesQuery,
-    /// `dag_nodes_action`
-    DagNodesAction,
-    /// `dag_node_retries`
-    DagNodeRetries,
+    dag_node_retries / DagNodeRetries,
 }
 
 impl ObsEvent {
@@ -562,45 +538,6 @@ impl EngineStats {
     /// a fresh `EngineStats` reproduces the engine's own totals exactly.
     pub fn apply(&mut self, ev: &ObsEvent) {
         ev.for_each_stat(|stat, n| *self.slot(stat) += n);
-    }
-
-    /// The counter a [`Stat`] names.
-    pub fn slot(&mut self, stat: Stat) -> &mut u64 {
-        match stat {
-            Stat::PollsSent => &mut self.polls_sent,
-            Stat::PollsEmpty => &mut self.polls_empty,
-            Stat::PollsFailed => &mut self.polls_failed,
-            Stat::EventsReceived => &mut self.events_received,
-            Stat::EventsNew => &mut self.events_new,
-            Stat::ActionsSent => &mut self.actions_sent,
-            Stat::ActionsOk => &mut self.actions_ok,
-            Stat::ActionsFailed => &mut self.actions_failed,
-            Stat::HintsReceived => &mut self.hints_received,
-            Stat::HintsHonored => &mut self.hints_honored,
-            Stat::HintsIgnored => &mut self.hints_ignored,
-            Stat::LoopsFlagged => &mut self.loops_flagged,
-            Stat::ActionsFiltered => &mut self.actions_filtered,
-            Stat::QueriesSent => &mut self.queries_sent,
-            Stat::QueriesFailed => &mut self.queries_failed,
-            Stat::ActionsRetried => &mut self.actions_retried,
-            Stat::PollsBatched => &mut self.polls_batched,
-            Stat::PollsCoalesced => &mut self.polls_coalesced,
-            Stat::PollsRetried => &mut self.polls_retried,
-            Stat::PollsShed => &mut self.polls_shed,
-            Stat::BreakerTrips => &mut self.breaker_trips,
-            Stat::DeadLetters => &mut self.dead_letters,
-            Stat::BatchFallbacks => &mut self.batch_fallbacks,
-            Stat::RealtimeNotifications => &mut self.realtime_notifications,
-            Stat::RealtimePolls => &mut self.realtime_polls,
-            Stat::RealtimeSuppressed => &mut self.realtime_suppressed,
-            Stat::RealtimeMalformed => &mut self.realtime_malformed,
-            Stat::DagRuns => &mut self.dag_runs,
-            Stat::DagNodesFilter => &mut self.dag_nodes_filter,
-            Stat::DagNodesTransform => &mut self.dag_nodes_transform,
-            Stat::DagNodesQuery => &mut self.dag_nodes_query,
-            Stat::DagNodesAction => &mut self.dag_nodes_action,
-            Stat::DagNodeRetries => &mut self.dag_node_retries,
-        }
     }
 }
 
@@ -831,80 +768,13 @@ mod tests {
 
     #[test]
     fn every_stat_slot_is_reachable() {
-        // `slot` and `for_each_stat` must agree on the full counter set;
-        // poking each Stat through `slot` exercises the exhaustive match.
+        // Two Stats sharing a field would leave it at 2 and read it twice.
         let mut stats = EngineStats::default();
-        for stat in [
-            Stat::PollsSent,
-            Stat::PollsEmpty,
-            Stat::PollsFailed,
-            Stat::EventsReceived,
-            Stat::EventsNew,
-            Stat::ActionsSent,
-            Stat::ActionsOk,
-            Stat::ActionsFailed,
-            Stat::HintsReceived,
-            Stat::HintsHonored,
-            Stat::HintsIgnored,
-            Stat::LoopsFlagged,
-            Stat::ActionsFiltered,
-            Stat::QueriesSent,
-            Stat::QueriesFailed,
-            Stat::ActionsRetried,
-            Stat::PollsBatched,
-            Stat::PollsCoalesced,
-            Stat::PollsRetried,
-            Stat::PollsShed,
-            Stat::BreakerTrips,
-            Stat::DeadLetters,
-            Stat::BatchFallbacks,
-            Stat::RealtimeNotifications,
-            Stat::RealtimePolls,
-            Stat::RealtimeSuppressed,
-            Stat::RealtimeMalformed,
-            Stat::DagRuns,
-            Stat::DagNodesFilter,
-            Stat::DagNodesTransform,
-            Stat::DagNodesQuery,
-            Stat::DagNodesAction,
-            Stat::DagNodeRetries,
-        ] {
+        for &stat in Stat::ALL {
             *stats.slot(stat) += 1;
         }
-        let total = stats.polls_sent
-            + stats.polls_empty
-            + stats.polls_failed
-            + stats.events_received
-            + stats.events_new
-            + stats.actions_sent
-            + stats.actions_ok
-            + stats.actions_failed
-            + stats.hints_received
-            + stats.hints_honored
-            + stats.hints_ignored
-            + stats.loops_flagged
-            + stats.actions_filtered
-            + stats.queries_sent
-            + stats.queries_failed
-            + stats.actions_retried
-            + stats.polls_batched
-            + stats.polls_coalesced
-            + stats.polls_retried
-            + stats.polls_shed
-            + stats.breaker_trips
-            + stats.dead_letters
-            + stats.batch_fallbacks
-            + stats.realtime_notifications
-            + stats.realtime_polls
-            + stats.realtime_suppressed
-            + stats.realtime_malformed
-            + stats.dag_runs
-            + stats.dag_nodes_filter
-            + stats.dag_nodes_transform
-            + stats.dag_nodes_query
-            + stats.dag_nodes_action
-            + stats.dag_node_retries;
-        assert_eq!(total, 33, "every field hit exactly once");
+        let sum: u64 = Stat::ALL.iter().map(|&stat| *stats.slot(stat)).sum();
+        assert_eq!(sum, Stat::ALL.len() as u64, "every field hit exactly once");
     }
 
     #[test]
