@@ -21,13 +21,6 @@ use crate::frame::{FrameBuf, FrameType, PayloadReader, WireError};
 use fleet::shard::CellSpec;
 use fleet::{AttributionStages, FleetConfig, FleetMetrics, Histogram};
 
-/// Fixed width of the counter section — must equal
-/// `FleetMetrics::wire_counters().len()` (a unit test pins this). Both
-/// sides validate counter indices against it, so a frame from a build
-/// with a *newer* counter set fails loudly instead of merging into the
-/// wrong instrument.
-const N_COUNTERS: usize = 35;
-
 /// `worker_id` + `cell`: the routing prefix shared by both delta frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaHead {
@@ -299,6 +292,10 @@ fn walk_histogram(r: &mut PayloadReader<'_>, target: Option<&Histogram>) -> Resu
 
 // -------------------------------------------------------- metrics delta
 
+// The counter section spends one byte on the entry count and one on each
+// index; the `as u8` casts in the encoder are exact only under this bound.
+const _: () = assert!(FleetMetrics::N_COUNTERS <= u8::MAX as usize);
+
 /// Encode one finished cell's metrics. Counter section: `n:u8`, then `n`
 /// `(index:u8, value:u64)` pairs over the nonzero entries of
 /// [`FleetMetrics::wire_counters`], indices strictly increasing; then
@@ -336,7 +333,9 @@ fn walk_metrics_delta(
     for _ in 0..n {
         let idx = r.u8("counter index")?;
         let v = r.u64("counter value")?;
-        if (idx as usize) >= N_COUNTERS {
+        // A frame from a build with a newer counter set fails loudly here
+        // instead of merging into the wrong instrument.
+        if (idx as usize) >= FleetMetrics::N_COUNTERS {
             return Err(WireError::BadPayload {
                 context: "counter index out of range",
             });
@@ -470,10 +469,8 @@ mod tests {
 
     #[test]
     fn wire_counter_width_matches_the_canonical_array() {
-        // N_COUNTERS is the decoder's bounds check; it must track the
-        // accessor array, or a newly added counter would be rejected.
-        assert_eq!(FleetMetrics::default().wire_counters().len(), N_COUNTERS);
-        assert!(N_COUNTERS <= u8::MAX as usize + 1, "indices fit in u8");
+        // The counter width is `FleetMetrics::N_COUNTERS` by type; the
+        // histogram counts the validation pass assumes are checked here.
         assert_eq!(FleetMetrics::default().wire_histograms().len(), 2);
         assert_eq!(AttributionStages::default().wire_histograms().len(), 6);
     }

@@ -318,7 +318,7 @@ fn metrics_delta_with_out_of_range_counter_index_is_rejected() {
     fb.put_u32(1); // worker
     fb.put_u64(2); // cell
     fb.put_u8(1); // one counter entry
-    fb.put_u8(35); // index out of range (0..35 valid)
+    fb.put_u8(FleetMetrics::N_COUNTERS as u8); // one past the last slot
     fb.put_u64(5);
     fb.put_u64(0); // empty histogram 1
     fb.put_u64(0); // empty histogram 2

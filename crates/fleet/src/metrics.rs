@@ -426,121 +426,181 @@ impl AttributionStages {
     }
 }
 
-/// The full instrument set one fleet run records.
+/// The fleet's plain counters, declared once. A row is a field name and,
+/// after `=>`, the [`engine::Stat`] it mirrors (absent for counters the
+/// fleet books itself). Row order is the wire slot of the distributed
+/// metrics delta, the `always` section first. `always` rows are serialized
+/// unconditionally; `nonzero` rows only when nonzero, so a run that never
+/// touches a later-added subsystem (chaos, realtime, DAGs, churn) produces
+/// the exact byte string — and pinned golden digest — it did before that
+/// subsystem existed. A new counter is therefore a `nonzero` row, appended.
 ///
-/// One `FleetMetrics` is shared (via `Arc`) by every engine and workload
-/// service of a shard; shards then merge into a single instance. It also
-/// implements [`engine::ObsSink`], routing the engine's typed event
-/// stream into these counters through the same [`engine::Stat`] mapping
-/// `EngineStats` itself uses — the two can never drift apart.
-/// Resilience counters (`polls_failed` and friends) are only present in
-/// the serialized form when nonzero: a chaos-free run produces the exact
-/// byte string it did before the resilience layer existed, so the pinned
-/// golden digests keep holding.
-#[derive(Debug, Default, Clone, PartialEq, Deserialize)]
-pub struct FleetMetrics {
-    /// Trigger-to-action latency in µs, measured at the workload service
-    /// (event emission → action request arrival).
-    pub t2a_micros: Histogram,
-    /// Dispatch-queue depth observed at each enqueue.
-    pub dispatch_depth: Histogram,
-    /// Trigger polls the engines sent (batch members each count once).
-    pub polls_sent: Counter,
-    /// Coalesced batch poll requests (each carried ≥ 2 subscriptions).
-    pub polls_batched: Counter,
-    /// Subscription polls that rode a sibling's batch request; HTTP round
-    /// trips = `polls_sent` − `polls_coalesced`.
-    pub polls_coalesced: Counter,
-    /// New (previously unseen) trigger events returned by polls.
-    pub events_new: Counter,
-    /// Action requests acknowledged with success.
-    pub actions_ok: Counter,
-    /// Action requests that gave up after retries.
-    pub actions_failed: Counter,
-    /// Trigger activations fired into the workload services.
-    pub activations: Counter,
-    /// Activations with no action by the cell horizon.
-    pub lost: Counter,
-    /// Simulation kernel events processed across all cells.
-    pub sim_events: Counter,
-    /// Kernel events attributed to engine nodes specifically.
-    pub engine_events: Counter,
-    /// Cells simulated.
-    pub cells: Counter,
-    /// User channels simulated.
-    pub users: Counter,
-    /// Applets installed.
-    pub applets: Counter,
-    /// Polls (or batch members) that came back failed.
-    #[serde(default)]
-    pub polls_failed: Counter,
-    /// Failed polls rescheduled on the backoff schedule.
-    #[serde(default)]
-    pub polls_retried: Counter,
-    /// Polls shed by an open circuit breaker.
-    #[serde(default)]
-    pub polls_shed: Counter,
-    /// Circuit-breaker trips (including failed half-open probes).
-    #[serde(default)]
-    pub breaker_trips: Counter,
-    /// Failed action dispatches re-sent on the backoff schedule.
-    #[serde(default)]
-    pub actions_retried: Counter,
-    /// Actions permanently abandoned after exhausting retries.
-    #[serde(default)]
-    pub dead_letters: Counter,
-    /// Requests the workload services answered with an injected fault.
-    #[serde(default)]
-    pub faults_injected: Counter,
-    /// Realtime notifications the engines honored (allow-listed services).
-    #[serde(default)]
-    pub realtime_notifications: Counter,
-    /// Immediate out-of-band polls fired in response to a notification.
-    #[serde(default)]
-    pub realtime_polls: Counter,
-    /// Notifications absorbed by the debounce window or an in-flight poll.
-    #[serde(default)]
-    pub realtime_suppressed: Counter,
-    /// Notification bodies that failed to parse (answered 400).
-    #[serde(default)]
-    pub realtime_malformed: Counter,
-    /// Multi-step DAG runs started (one per fresh event on a DAG applet).
-    #[serde(default)]
-    pub dag_runs: Counter,
-    /// Filter nodes executed across DAG runs.
-    #[serde(default)]
-    pub dag_nodes_filter: Counter,
-    /// Transform nodes executed across DAG runs.
-    #[serde(default)]
-    pub dag_nodes_transform: Counter,
-    /// Query nodes completed across DAG runs.
-    #[serde(default)]
-    pub dag_nodes_query: Counter,
-    /// Action nodes completed across DAG runs.
-    #[serde(default)]
-    pub dag_nodes_action: Counter,
-    /// Network-node retries scheduled inside DAG runs.
-    #[serde(default)]
-    pub dag_node_retries: Counter,
-    /// Mid-run applet installs applied through the lifecycle API.
-    #[serde(default)]
-    pub churn_installs: Counter,
-    /// Mid-run applet uninstalls applied through the lifecycle API.
-    #[serde(default)]
-    pub churn_uninstalls: Counter,
-    /// Services onboarded mid-run (opened for installs and realtime).
-    #[serde(default)]
-    pub churn_onboards: Counter,
-    /// Services retired mid-run (terminal; in-flight work dead-lettered).
-    #[serde(default)]
-    pub churn_retirements: Counter,
-    /// Planned activations dropped because churn removed their applet
-    /// before the fire time (never emitted, so not `lost`).
-    #[serde(default)]
-    pub churn_orphans: Counter,
-    /// Per-stage T2A latency attribution (empty unless a run opts in).
-    #[serde(default)]
-    pub attribution: AttributionStages,
+/// Generates [`FleetMetrics`] with its `merge_from`, `wire_counters`,
+/// `N_COUNTERS`, `counter_for` and `Serialize`.
+macro_rules! fleet_counters {
+    (
+        always { $( $(#[$adoc:meta])* $a:ident $(=> $astat:ident)?, )* }
+        nonzero { $( $(#[$ndoc:meta])* $n:ident $(=> $nstat:ident)?, )* }
+    ) => {
+        /// The full instrument set one fleet run records.
+        ///
+        /// One `FleetMetrics` is shared (via `Arc`) by every engine and
+        /// workload service of a shard; shards then merge into a single
+        /// instance. It also implements [`engine::ObsSink`], routing the
+        /// engine's typed event stream into these counters through the
+        /// same [`engine::Stat`] mapping `EngineStats` itself uses — the
+        /// two can never drift apart.
+        #[derive(Debug, Default, Clone, PartialEq, Deserialize)]
+        pub struct FleetMetrics {
+            /// Trigger-to-action latency in µs, measured at the workload
+            /// service (event emission → action request arrival).
+            pub t2a_micros: Histogram,
+            /// Dispatch-queue depth observed at each enqueue.
+            pub dispatch_depth: Histogram,
+            $( $(#[$adoc])* pub $a: Counter, )*
+            $( $(#[$ndoc])* #[serde(default)] pub $n: Counter, )*
+            /// Per-stage T2A latency attribution (empty unless a run opts in).
+            #[serde(default)]
+            pub attribution: AttributionStages,
+        }
+
+        impl FleetMetrics {
+            /// Width of the counter section of the metrics delta frame:
+            /// both codec directions bound counter indices by it.
+            pub const N_COUNTERS: usize =
+                [$( stringify!($a), )* $( stringify!($n), )*].len();
+
+            /// Fold `other` into `self`. Exact: commutative, associative, and
+            /// partition-invariant.
+            pub fn merge_from(&self, other: &FleetMetrics) {
+                self.t2a_micros.merge_from(&other.t2a_micros);
+                self.dispatch_depth.merge_from(&other.dispatch_depth);
+                $( self.$a.merge_from(&other.$a); )*
+                $( self.$n.merge_from(&other.$n); )*
+                self.attribution.merge_from(&other.attribution);
+            }
+
+            /// Every plain counter in the fixed canonical order the
+            /// distributed wire protocol streams them in (attribution's
+            /// `unmatched` rides the attribution frame instead). Encoder
+            /// and decoder both walk this one array, so the layouts cannot
+            /// drift apart.
+            pub fn wire_counters(&self) -> [&Counter; Self::N_COUNTERS] {
+                [$( &self.$a, )* $( &self.$n, )*]
+            }
+
+            /// The fleet counter a [`engine::Stat`] routes to, if the fleet
+            /// tracks it; `None` for engine-local bookkeeping (empty polls,
+            /// hints, …). A plain `match`: it runs per counter increment.
+            fn counter_for(&self, stat: engine::Stat) -> Option<&Counter> {
+                match stat {
+                    $( $( engine::Stat::$astat => Some(&self.$a), )? )*
+                    $( $( engine::Stat::$nstat => Some(&self.$n), )? )*
+                    _ => None,
+                }
+            }
+        }
+
+        impl Serialize for FleetMetrics {
+            fn write_json(&self, out: &mut String) {
+                let mut fields: Vec<(&str, &dyn Serialize)> = vec![
+                    ("t2a_micros", &self.t2a_micros),
+                    ("dispatch_depth", &self.dispatch_depth),
+                    $( (stringify!($a), &self.$a), )*
+                ];
+                $(
+                    if self.$n.get() > 0 {
+                        fields.push((stringify!($n), &self.$n));
+                    }
+                )*
+                // Attribution follows the `nonzero` rule: it appears only
+                // when a run recorded it.
+                if !self.attribution.is_empty() {
+                    fields.push(("attribution", &self.attribution));
+                }
+                serde::ser::write_fields(out, &mut fields);
+            }
+        }
+    };
+}
+
+fleet_counters! {
+    always {
+        /// Trigger polls the engines sent (batch members each count once).
+        polls_sent => PollsSent,
+        /// Coalesced batch poll requests (each carried ≥ 2 subscriptions).
+        polls_batched => PollsBatched,
+        /// Subscription polls that rode a sibling's batch request; HTTP
+        /// round trips = `polls_sent` − `polls_coalesced`.
+        polls_coalesced => PollsCoalesced,
+        /// New (previously unseen) trigger events returned by polls.
+        events_new => EventsNew,
+        /// Action requests acknowledged with success.
+        actions_ok => ActionsOk,
+        /// Action requests that gave up after retries.
+        actions_failed => ActionsFailed,
+        /// Trigger activations fired into the workload services.
+        activations,
+        /// Activations with no action by the cell horizon.
+        lost,
+        /// Simulation kernel events processed across all cells.
+        sim_events,
+        /// Kernel events attributed to engine nodes specifically.
+        engine_events,
+        /// Cells simulated.
+        cells,
+        /// User channels simulated.
+        users,
+        /// Applets installed.
+        applets,
+    }
+    nonzero {
+        /// Polls (or batch members) that came back failed.
+        polls_failed => PollsFailed,
+        /// Failed polls rescheduled on the backoff schedule.
+        polls_retried => PollsRetried,
+        /// Polls shed by an open circuit breaker.
+        polls_shed => PollsShed,
+        /// Circuit-breaker trips (including failed half-open probes).
+        breaker_trips => BreakerTrips,
+        /// Failed action dispatches re-sent on the backoff schedule.
+        actions_retried => ActionsRetried,
+        /// Actions permanently abandoned after exhausting retries.
+        dead_letters => DeadLetters,
+        /// Requests the workload services answered with an injected fault.
+        faults_injected,
+        /// Realtime notifications the engines honored (allow-listed services).
+        realtime_notifications => RealtimeNotifications,
+        /// Immediate out-of-band polls fired in response to a notification.
+        realtime_polls => RealtimePolls,
+        /// Notifications absorbed by the debounce window or an in-flight poll.
+        realtime_suppressed => RealtimeSuppressed,
+        /// Notification bodies that failed to parse (answered 400).
+        realtime_malformed => RealtimeMalformed,
+        /// Multi-step DAG runs started (one per fresh event on a DAG applet).
+        dag_runs => DagRuns,
+        /// Filter nodes executed across DAG runs.
+        dag_nodes_filter => DagNodesFilter,
+        /// Transform nodes executed across DAG runs.
+        dag_nodes_transform => DagNodesTransform,
+        /// Query nodes completed across DAG runs.
+        dag_nodes_query => DagNodesQuery,
+        /// Action nodes completed across DAG runs.
+        dag_nodes_action => DagNodesAction,
+        /// Network-node retries scheduled inside DAG runs.
+        dag_node_retries => DagNodeRetries,
+        /// Mid-run applet installs applied through the lifecycle API.
+        churn_installs,
+        /// Mid-run applet uninstalls applied through the lifecycle API.
+        churn_uninstalls,
+        /// Services onboarded mid-run (opened for installs and realtime).
+        churn_onboards,
+        /// Services retired mid-run (terminal; in-flight work dead-lettered).
+        churn_retirements,
+        /// Planned activations dropped because churn removed their applet
+        /// before the fire time (never emitted, so not `lost`).
+        churn_orphans,
+    }
 }
 
 impl FleetMetrics {
@@ -549,217 +609,16 @@ impl FleetMetrics {
         FleetMetrics::default()
     }
 
-    /// Fold `other` into `self`. Exact: commutative, associative, and
-    /// partition-invariant.
-    pub fn merge_from(&self, other: &FleetMetrics) {
-        self.t2a_micros.merge_from(&other.t2a_micros);
-        self.dispatch_depth.merge_from(&other.dispatch_depth);
-        self.polls_sent.merge_from(&other.polls_sent);
-        self.polls_batched.merge_from(&other.polls_batched);
-        self.polls_coalesced.merge_from(&other.polls_coalesced);
-        self.events_new.merge_from(&other.events_new);
-        self.actions_ok.merge_from(&other.actions_ok);
-        self.actions_failed.merge_from(&other.actions_failed);
-        self.activations.merge_from(&other.activations);
-        self.lost.merge_from(&other.lost);
-        self.sim_events.merge_from(&other.sim_events);
-        self.engine_events.merge_from(&other.engine_events);
-        self.cells.merge_from(&other.cells);
-        self.users.merge_from(&other.users);
-        self.applets.merge_from(&other.applets);
-        self.polls_failed.merge_from(&other.polls_failed);
-        self.polls_retried.merge_from(&other.polls_retried);
-        self.polls_shed.merge_from(&other.polls_shed);
-        self.breaker_trips.merge_from(&other.breaker_trips);
-        self.actions_retried.merge_from(&other.actions_retried);
-        self.dead_letters.merge_from(&other.dead_letters);
-        self.faults_injected.merge_from(&other.faults_injected);
-        self.realtime_notifications
-            .merge_from(&other.realtime_notifications);
-        self.realtime_polls.merge_from(&other.realtime_polls);
-        self.realtime_suppressed
-            .merge_from(&other.realtime_suppressed);
-        self.realtime_malformed
-            .merge_from(&other.realtime_malformed);
-        self.dag_runs.merge_from(&other.dag_runs);
-        self.dag_nodes_filter.merge_from(&other.dag_nodes_filter);
-        self.dag_nodes_transform
-            .merge_from(&other.dag_nodes_transform);
-        self.dag_nodes_query.merge_from(&other.dag_nodes_query);
-        self.dag_nodes_action.merge_from(&other.dag_nodes_action);
-        self.dag_node_retries.merge_from(&other.dag_node_retries);
-        self.churn_installs.merge_from(&other.churn_installs);
-        self.churn_uninstalls.merge_from(&other.churn_uninstalls);
-        self.churn_onboards.merge_from(&other.churn_onboards);
-        self.churn_retirements.merge_from(&other.churn_retirements);
-        self.churn_orphans.merge_from(&other.churn_orphans);
-        self.attribution.merge_from(&other.attribution);
-    }
-
     /// Canonical JSON of the full instrument state — the byte string the
     /// determinism invariant compares across shard counts.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("metrics serialize")
     }
 
-    /// Every plain counter in the fixed canonical order the distributed
-    /// wire protocol streams them in (attribution's `unmatched` rides the
-    /// attribution frame instead). Encoder and decoder both walk this one
-    /// array, so adding a counter here automatically extends the metrics
-    /// delta frame on both sides — the layouts cannot drift apart.
-    pub fn wire_counters(&self) -> [&Counter; 35] {
-        [
-            &self.polls_sent,
-            &self.polls_batched,
-            &self.polls_coalesced,
-            &self.events_new,
-            &self.actions_ok,
-            &self.actions_failed,
-            &self.activations,
-            &self.lost,
-            &self.sim_events,
-            &self.engine_events,
-            &self.cells,
-            &self.users,
-            &self.applets,
-            &self.polls_failed,
-            &self.polls_retried,
-            &self.polls_shed,
-            &self.breaker_trips,
-            &self.actions_retried,
-            &self.dead_letters,
-            &self.faults_injected,
-            &self.realtime_notifications,
-            &self.realtime_polls,
-            &self.realtime_suppressed,
-            &self.realtime_malformed,
-            &self.dag_runs,
-            &self.dag_nodes_filter,
-            &self.dag_nodes_transform,
-            &self.dag_nodes_query,
-            &self.dag_nodes_action,
-            &self.dag_node_retries,
-            &self.churn_installs,
-            &self.churn_uninstalls,
-            &self.churn_onboards,
-            &self.churn_retirements,
-            &self.churn_orphans,
-        ]
-    }
-
     /// The non-attribution histograms in wire order, like
     /// [`FleetMetrics::wire_counters`].
     pub fn wire_histograms(&self) -> [&Histogram; 2] {
         [&self.t2a_micros, &self.dispatch_depth]
-    }
-}
-
-impl Serialize for FleetMetrics {
-    fn write_json(&self, out: &mut String) {
-        let mut fields: Vec<(&str, &dyn Serialize)> = vec![
-            ("t2a_micros", &self.t2a_micros),
-            ("dispatch_depth", &self.dispatch_depth),
-            ("polls_sent", &self.polls_sent),
-            ("polls_batched", &self.polls_batched),
-            ("polls_coalesced", &self.polls_coalesced),
-            ("events_new", &self.events_new),
-            ("actions_ok", &self.actions_ok),
-            ("actions_failed", &self.actions_failed),
-            ("activations", &self.activations),
-            ("lost", &self.lost),
-            ("sim_events", &self.sim_events),
-            ("engine_events", &self.engine_events),
-            ("cells", &self.cells),
-            ("users", &self.users),
-            ("applets", &self.applets),
-        ];
-        // Resilience counters: serialized only when nonzero, so a clean run
-        // keeps its pre-resilience byte representation (and digest).
-        let nonzero_only = [
-            ("polls_failed", &self.polls_failed),
-            ("polls_retried", &self.polls_retried),
-            ("polls_shed", &self.polls_shed),
-            ("breaker_trips", &self.breaker_trips),
-            ("actions_retried", &self.actions_retried),
-            ("dead_letters", &self.dead_letters),
-            ("faults_injected", &self.faults_injected),
-            // Realtime counters follow the same rule: a realtime-off run (the
-            // default) serializes exactly as before the subsystem existed.
-            ("realtime_notifications", &self.realtime_notifications),
-            ("realtime_polls", &self.realtime_polls),
-            ("realtime_suppressed", &self.realtime_suppressed),
-            ("realtime_malformed", &self.realtime_malformed),
-            // DAG counters likewise: a single-step run (the default) serializes
-            // exactly as before multi-step applets existed.
-            ("dag_runs", &self.dag_runs),
-            ("dag_nodes_filter", &self.dag_nodes_filter),
-            ("dag_nodes_transform", &self.dag_nodes_transform),
-            ("dag_nodes_query", &self.dag_nodes_query),
-            ("dag_nodes_action", &self.dag_nodes_action),
-            ("dag_node_retries", &self.dag_node_retries),
-            // Churn counters likewise: a frozen-population run (the default)
-            // serializes exactly as before the churn subsystem existed.
-            ("churn_installs", &self.churn_installs),
-            ("churn_uninstalls", &self.churn_uninstalls),
-            ("churn_onboards", &self.churn_onboards),
-            ("churn_retirements", &self.churn_retirements),
-            ("churn_orphans", &self.churn_orphans),
-        ];
-        for (name, counter) in nonzero_only {
-            if counter.get() > 0 {
-                fields.push((name, counter));
-            }
-        }
-        // Attribution, like the resilience counters, appears only when a
-        // run actually recorded it — attribution-off digests are unmoved.
-        if !self.attribution.is_empty() {
-            fields.push(("attribution", &self.attribution));
-        }
-        serde::ser::write_fields(out, &mut fields);
-    }
-}
-
-impl FleetMetrics {
-    /// The fleet counter a [`engine::Stat`] routes to, if the fleet tracks
-    /// it. `None` for engine-local bookkeeping (empty polls, hints, …)
-    /// that the fleet report never surfaced.
-    fn counter_for(&self, stat: engine::Stat) -> Option<&Counter> {
-        use engine::Stat;
-        match stat {
-            Stat::PollsSent => Some(&self.polls_sent),
-            Stat::PollsBatched => Some(&self.polls_batched),
-            Stat::PollsCoalesced => Some(&self.polls_coalesced),
-            Stat::EventsNew => Some(&self.events_new),
-            Stat::ActionsOk => Some(&self.actions_ok),
-            Stat::ActionsFailed => Some(&self.actions_failed),
-            Stat::PollsFailed => Some(&self.polls_failed),
-            Stat::PollsRetried => Some(&self.polls_retried),
-            Stat::PollsShed => Some(&self.polls_shed),
-            Stat::BreakerTrips => Some(&self.breaker_trips),
-            Stat::ActionsRetried => Some(&self.actions_retried),
-            Stat::DeadLetters => Some(&self.dead_letters),
-            Stat::RealtimeNotifications => Some(&self.realtime_notifications),
-            Stat::RealtimePolls => Some(&self.realtime_polls),
-            Stat::RealtimeSuppressed => Some(&self.realtime_suppressed),
-            Stat::RealtimeMalformed => Some(&self.realtime_malformed),
-            Stat::DagRuns => Some(&self.dag_runs),
-            Stat::DagNodesFilter => Some(&self.dag_nodes_filter),
-            Stat::DagNodesTransform => Some(&self.dag_nodes_transform),
-            Stat::DagNodesQuery => Some(&self.dag_nodes_query),
-            Stat::DagNodesAction => Some(&self.dag_nodes_action),
-            Stat::DagNodeRetries => Some(&self.dag_node_retries),
-            Stat::PollsEmpty
-            | Stat::EventsReceived
-            | Stat::ActionsSent
-            | Stat::HintsReceived
-            | Stat::HintsHonored
-            | Stat::HintsIgnored
-            | Stat::LoopsFlagged
-            | Stat::ActionsFiltered
-            | Stat::QueriesSent
-            | Stat::QueriesFailed
-            | Stat::BatchFallbacks => None,
-        }
     }
 }
 
@@ -881,6 +740,23 @@ mod tests {
         assert_eq!(m.dispatch_depth.max(), 7);
         assert_eq!(m.actions_ok.get(), 1);
         assert_eq!(m.actions_failed.get(), 1);
+    }
+
+    #[test]
+    fn every_mirrored_stat_routes_to_its_own_counter() {
+        // Poke every engine Stat once: no fleet counter may be hit twice.
+        let m = FleetMetrics::new();
+        let mut mirrored = 0;
+        for &stat in engine::Stat::ALL {
+            if let Some(c) = m.counter_for(stat) {
+                c.incr();
+                mirrored += 1;
+            }
+        }
+        assert!(m.wire_counters().iter().all(|c| c.get() <= 1));
+        let hit: u64 = m.wire_counters().iter().map(|c| c.get()).sum();
+        assert_eq!(hit, mirrored);
+        assert!(mirrored > 0 && (mirrored as usize) < engine::Stat::ALL.len());
     }
 
     #[test]
