@@ -55,15 +55,10 @@ fn main() {
     let mut shards = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    // Scenario-coverable knobs stay `None` unless the flag was given, so
-    // a `--scenario` file only loses to flags the user actually typed.
-    let mut policy: Option<FleetPolicy> = None;
+    // The flags a scenario file also covers are a second spec: a field is
+    // set only if its flag was typed, so the file loses to those alone.
+    let mut flags = ScenarioSpec::default();
     let mut batch_polling = true;
-    let mut chaos: Option<ChaosProfile> = None;
-    let mut churn: Option<ChurnProfile> = None;
-    let mut attribution = false;
-    let mut realtime_share: Option<f64> = None;
-    let mut multi_step_share: Option<f64> = None;
     let mut max_allocs_per_event: Option<f64> = None;
     let mut scenario_path: Option<String> = None;
     let mut distributed: Option<usize> = None;
@@ -91,16 +86,16 @@ fn main() {
                     .unwrap_or_else(|| usage("--shards needs a positive integer"));
             }
             "--policy" => {
-                policy = Some(
+                flags.policy = Some(
                     it.next()
                         .and_then(|v| FleetPolicy::parse(&v))
                         .unwrap_or_else(|| usage("--policy is ifttt, fast, smart, or zapier")),
                 );
             }
             "--no-batch" => batch_polling = false,
-            "--attribution" => attribution = true,
+            "--attribution" => flags.attribution = Some(true),
             "--realtime-share" => {
-                realtime_share = Some(
+                flags.realtime_share = Some(
                     it.next()
                         .and_then(|v| v.parse::<f64>().ok())
                         .filter(|s| (0.0..=1.0).contains(s))
@@ -108,7 +103,7 @@ fn main() {
                 );
             }
             "--multi-step-share" => {
-                multi_step_share = Some(
+                flags.multi_step_share = Some(
                     it.next()
                         .and_then(|v| v.parse::<f64>().ok())
                         .filter(|s| (0.0..=1.0).contains(s))
@@ -132,14 +127,14 @@ fn main() {
                 );
             }
             "--chaos" => {
-                chaos = Some(
+                flags.chaos = Some(
                     it.next()
                         .and_then(|v| ChaosProfile::parse(&v))
                         .unwrap_or_else(|| usage("--chaos is off, mild, or harsh")),
                 );
             }
             "--churn" => {
-                churn = Some(
+                flags.churn = Some(
                     it.next()
                         .and_then(|v| ChurnProfile::parse(&v))
                         .unwrap_or_else(|| usage("--churn is off, weekly, or accelerated")),
@@ -240,37 +235,19 @@ fn main() {
             );
         }
         "fleet" => {
-            // Resolution order: defaults, then the scenario file, then any
-            // explicitly-typed flags — a flag always wins over the file.
-            let mut cfg = FleetConfig::new(users, shards, policy.unwrap_or(FleetPolicy::IftttLike))
+            // Resolution order: defaults, then the scenario file, then the
+            // flags that were typed — a flag always wins over the file.
+            let mut cfg = FleetConfig::new(users, shards, FleetPolicy::IftttLike)
                 .with_seed(seed)
                 .with_batch_polling(batch_polling);
             if let Some(path) = &scenario_path {
                 let text = std::fs::read_to_string(path)
                     .unwrap_or_else(|e| usage(&format!("--scenario: cannot read {path}: {e}")));
-                let spec = ScenarioSpec::from_json(&text)
-                    .unwrap_or_else(|e| usage(&format!("--scenario: {path} does not parse: {e}")));
-                cfg = cfg.with_scenario(spec);
+                ScenarioSpec::from_json(&text)
+                    .unwrap_or_else(|e| usage(&format!("--scenario: {path} does not parse: {e}")))
+                    .apply_to(&mut cfg);
             }
-            if let Some(p) = policy {
-                cfg.policy = p;
-                cfg.drain_secs = p.default_drain_secs();
-            }
-            if let Some(c) = chaos {
-                cfg = cfg.with_chaos(c);
-            }
-            if let Some(c) = churn {
-                cfg = cfg.with_churn(c);
-            }
-            if attribution {
-                cfg = cfg.with_attribution(true);
-            }
-            if let Some(s) = realtime_share {
-                cfg = cfg.with_realtime_share(s);
-            }
-            if let Some(s) = multi_step_share {
-                cfg = cfg.with_multi_step_share(s);
-            }
+            flags.apply_to(&mut cfg);
             if cfg.chaos.enabled() {
                 // Give retries and breaker recovery room to finish after the
                 // last activation window before stragglers count as lost.
@@ -406,7 +383,8 @@ fn usage(err: &str) -> ! {
          timeline | sequential [n] | concurrent [runs] | loops | workload | crawl [scale] | \
          fleet [--users N] [--shards N] [--policy ifttt|fast|smart|zapier] [--no-batch] \
          [--chaos off|mild|harsh] [--churn off|weekly|accelerated] [--attribution] \
-         [--realtime-share F] [--multi-step-share F] [--scenario FILE] [--distributed N]>"
+         [--realtime-share F] [--multi-step-share F] [--max-allocs-per-event F] \
+         [--scenario FILE] [--distributed N]>"
     );
     std::process::exit(2)
 }

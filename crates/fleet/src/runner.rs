@@ -27,50 +27,85 @@ pub(crate) const ECO_STREAM: u64 = 0xec0_0001;
 /// Seed stream for the population sampler.
 const POP_STREAM: u64 = 0xb0b_0001;
 
-/// Which poll policy the fleet's engines run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetPolicy {
-    /// Production-like jittered minutes-scale polling (§4's measured IFTTT).
-    IftttLike,
-    /// The authors' 1-second-polling engine (E3).
-    Fast,
-    /// §6 popularity-weighted polling; the hot threshold is the p90 knee
-    /// of the catalog's add counts.
-    Smart,
-    /// Zapier-style engine: popularity-weighted cadence (5 min hot / 15 min
-    /// cold, matching Zapier's published plan tiers) and *halt-on-failure*
-    /// multi-step semantics ([`engine::EnginePolicy::ZapierLike`]).
-    Zapier,
+/// An enum whose variants each have one CLI / wire name. The
+/// `Variant => "name"` pairs are the only place a name is spelled; `parse`,
+/// `name`, `Display`, `Serialize` and `Deserialize` are generated from them.
+macro_rules! named_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident, $what:literal {
+            $( $(#[$vmeta:meta])* $variant:ident => $name:literal, )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $ty {
+            $( $(#[$vmeta])* $variant, )*
+        }
+
+        impl $ty {
+            /// Parse a CLI name.
+            pub fn parse(s: &str) -> Option<$ty> {
+                match s {
+                    $( $name => Some($ty::$variant), )*
+                    _ => None,
+                }
+            }
+
+            /// The CLI name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( $ty::$variant => $name, )*
+                }
+            }
+        }
+
+        impl std::fmt::Display for $ty {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(self.name())
+            }
+        }
+
+        impl Serialize for $ty {
+            fn write_json(&self, out: &mut String) {
+                self.name().write_json(out);
+            }
+        }
+
+        impl Deserialize for $ty {
+            fn read_json(r: &mut de::Reader<'_>) -> Result<Self, de::Error> {
+                let name = r.str()?;
+                $ty::parse(&name)
+                    .ok_or_else(|| de::Error::custom(format!("unknown {} `{name}`", $what)))
+            }
+        }
+    };
+}
+
+named_enum! {
+    /// Which poll policy the fleet's engines run.
+    pub enum FleetPolicy, "fleet policy" {
+        /// Production-like jittered minutes-scale polling (§4's measured IFTTT).
+        IftttLike => "ifttt",
+        /// The authors' 1-second-polling engine (E3).
+        Fast => "fast",
+        /// §6 popularity-weighted polling; the hot threshold is the p90 knee
+        /// of the catalog's add counts.
+        Smart => "smart",
+        /// Zapier-style engine: popularity-weighted cadence (5 min hot / 15 min
+        /// cold, matching Zapier's published plan tiers) and *halt-on-failure*
+        /// multi-step semantics ([`engine::EnginePolicy::ZapierLike`]).
+        Zapier => "zapier",
+    }
 }
 
 impl FleetPolicy {
-    /// Parse a CLI policy name.
-    pub fn parse(s: &str) -> Option<FleetPolicy> {
-        match s {
-            "ifttt" => Some(FleetPolicy::IftttLike),
-            "fast" => Some(FleetPolicy::Fast),
-            "smart" => Some(FleetPolicy::Smart),
-            "zapier" => Some(FleetPolicy::Zapier),
-            _ => None,
-        }
-    }
-
-    /// The CLI name of this policy.
-    pub fn name(self) -> &'static str {
-        match self {
-            FleetPolicy::IftttLike => "ifttt",
-            FleetPolicy::Fast => "fast",
-            FleetPolicy::Smart => "smart",
-            FleetPolicy::Zapier => "zapier",
-        }
-    }
-
     /// The policy-aware drain default: production-like polling needs to
     /// survive a full backlog gap (up to 900 s), the 1-second poller needs
-    /// almost none. Every path that sets a policy after construction
-    /// ([`ScenarioSpec::apply_to`](crate::ScenarioSpec), the CLI flag
-    /// override) must re-derive the drain through this, or a scenario-set
-    /// policy would run with the constructor policy's horizon.
+    /// almost none. Every path that sets a policy after construction goes
+    /// through [`ScenarioSpec::apply_to`](crate::ScenarioSpec), which
+    /// re-derives the drain through this — otherwise a scenario-set policy
+    /// would run with the constructor policy's horizon.
     pub fn default_drain_secs(self) -> f64 {
         match self {
             FleetPolicy::Fast => 30.0,
@@ -79,66 +114,29 @@ impl FleetPolicy {
     }
 }
 
-impl std::fmt::Display for FleetPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+named_enum! {
+    /// Deterministic fault-injection profile for a fleet run.
+    ///
+    /// A profile is pure data: every cell derives the same fault windows from
+    /// its own virtual clock, so a chaos run is as reproducible (and as
+    /// shard-count-invariant) as a clean one. `Off` schedules nothing and
+    /// leaves the engine's resilience machinery disabled — the run is
+    /// byte-identical to one built before chaos existed.
+    #[derive(Default)]
+    pub enum ChaosProfile, "chaos profile" {
+        /// No faults, no retries: the historical clean run.
+        #[default]
+        Off => "off",
+        /// 0.5 % packet loss plus a 10 s `503 Retry-After` outage of the
+        /// partner service every 120 s.
+        Mild => "mild",
+        /// 2 % packet loss plus a 20 s outage every 90 s that alternates 503s
+        /// with silent timeouts, and an occasional malformed poll body.
+        Harsh => "harsh",
     }
-}
-
-impl Serialize for FleetPolicy {
-    fn write_json(&self, out: &mut String) {
-        self.name().write_json(out);
-    }
-}
-
-impl Deserialize for FleetPolicy {
-    fn read_json(r: &mut de::Reader<'_>) -> Result<Self, de::Error> {
-        let name = r.str()?;
-        FleetPolicy::parse(&name)
-            .ok_or_else(|| de::Error::custom(format!("unknown fleet policy `{name}`")))
-    }
-}
-
-/// Deterministic fault-injection profile for a fleet run.
-///
-/// A profile is pure data: every cell derives the same fault windows from
-/// its own virtual clock, so a chaos run is as reproducible (and as
-/// shard-count-invariant) as a clean one. `Off` schedules nothing and
-/// leaves the engine's resilience machinery disabled — the run is
-/// byte-identical to one built before chaos existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChaosProfile {
-    /// No faults, no retries: the historical clean run.
-    #[default]
-    Off,
-    /// 0.5 % packet loss plus a 10 s `503 Retry-After` outage of the
-    /// partner service every 120 s.
-    Mild,
-    /// 2 % packet loss plus a 20 s outage every 90 s that alternates 503s
-    /// with silent timeouts, and an occasional malformed poll body.
-    Harsh,
 }
 
 impl ChaosProfile {
-    /// Parse a CLI profile name.
-    pub fn parse(s: &str) -> Option<ChaosProfile> {
-        match s {
-            "off" => Some(ChaosProfile::Off),
-            "mild" => Some(ChaosProfile::Mild),
-            "harsh" => Some(ChaosProfile::Harsh),
-            _ => None,
-        }
-    }
-
-    /// The CLI name of this profile.
-    pub fn name(self) -> &'static str {
-        match self {
-            ChaosProfile::Off => "off",
-            ChaosProfile::Mild => "mild",
-            ChaosProfile::Harsh => "harsh",
-        }
-    }
-
     /// Whether any fault injection is active.
     pub fn enabled(self) -> bool {
         self != ChaosProfile::Off
@@ -154,69 +152,32 @@ impl ChaosProfile {
     }
 }
 
-impl std::fmt::Display for ChaosProfile {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+named_enum! {
+    /// Deterministic ecosystem-churn profile for a fleet run (§3.2's moving
+    /// world): mid-run applet installs/uninstalls, a late service onboarding,
+    /// and a terminal service retirement, all driven through the engine's
+    /// [`engine::LifecycleEvent`] surface.
+    ///
+    /// Like [`ChaosProfile`], a churn profile is pure data: every cell derives
+    /// its own churn plan from a dedicated seed stream, so the run digest is
+    /// shard-count-invariant and identical in-process vs distributed. `Off`
+    /// draws nothing from the stream and allocates nothing — the run is
+    /// byte-identical to one built before churn existed.
+    #[derive(Default)]
+    pub enum ChurnProfile, "churn profile" {
+        /// Static population: the historical frozen-at-t=0 run.
+        #[default]
+        Off => "off",
+        /// Paper-calibrated weekly rates (§3.2: ~+3.7 %/week installs,
+        /// ~2.5 %/week uninstalls) compressed onto the activation window.
+        Weekly => "weekly",
+        /// The weekly rates scaled 10×, for stress runs and smoke tests that
+        /// must see every lifecycle transition inside a short window.
+        Accelerated => "accelerated",
     }
-}
-
-impl Serialize for ChaosProfile {
-    fn write_json(&self, out: &mut String) {
-        self.name().write_json(out);
-    }
-}
-
-impl Deserialize for ChaosProfile {
-    fn read_json(r: &mut de::Reader<'_>) -> Result<Self, de::Error> {
-        let name = r.str()?;
-        ChaosProfile::parse(&name)
-            .ok_or_else(|| de::Error::custom(format!("unknown chaos profile `{name}`")))
-    }
-}
-
-/// Deterministic ecosystem-churn profile for a fleet run (§3.2's moving
-/// world): mid-run applet installs/uninstalls, a late service onboarding,
-/// and a terminal service retirement, all driven through the engine's
-/// [`engine::LifecycleEvent`] surface.
-///
-/// Like [`ChaosProfile`], a churn profile is pure data: every cell derives
-/// its own churn plan from a dedicated seed stream, so the run digest is
-/// shard-count-invariant and identical in-process vs distributed. `Off`
-/// draws nothing from the stream and allocates nothing — the run is
-/// byte-identical to one built before churn existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChurnProfile {
-    /// Static population: the historical frozen-at-t=0 run.
-    #[default]
-    Off,
-    /// Paper-calibrated weekly rates (§3.2: ~+3.7 %/week installs,
-    /// ~2.5 %/week uninstalls) compressed onto the activation window.
-    Weekly,
-    /// The weekly rates scaled 10×, for stress runs and smoke tests that
-    /// must see every lifecycle transition inside a short window.
-    Accelerated,
 }
 
 impl ChurnProfile {
-    /// Parse a CLI profile name.
-    pub fn parse(s: &str) -> Option<ChurnProfile> {
-        match s {
-            "off" => Some(ChurnProfile::Off),
-            "weekly" => Some(ChurnProfile::Weekly),
-            "accelerated" => Some(ChurnProfile::Accelerated),
-            _ => None,
-        }
-    }
-
-    /// The CLI name of this profile.
-    pub fn name(self) -> &'static str {
-        match self {
-            ChurnProfile::Off => "off",
-            ChurnProfile::Weekly => "weekly",
-            ChurnProfile::Accelerated => "accelerated",
-        }
-    }
-
     /// Whether any churn is active.
     pub fn enabled(self) -> bool {
         self != ChurnProfile::Off
@@ -239,26 +200,6 @@ impl ChurnProfile {
             ChurnProfile::Weekly => 4,
             ChurnProfile::Accelerated => 10,
         }
-    }
-}
-
-impl std::fmt::Display for ChurnProfile {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl Serialize for ChurnProfile {
-    fn write_json(&self, out: &mut String) {
-        self.name().write_json(out);
-    }
-}
-
-impl Deserialize for ChurnProfile {
-    fn read_json(r: &mut de::Reader<'_>) -> Result<Self, de::Error> {
-        let name = r.str()?;
-        ChurnProfile::parse(&name)
-            .ok_or_else(|| de::Error::custom(format!("unknown churn profile `{name}`")))
     }
 }
 
@@ -305,11 +246,6 @@ pub struct FleetConfig {
     /// Deserialize-default so pre-churn config JSON still parses.
     #[serde(default)]
     pub churn: ChurnProfile,
-    /// The scenario file this config was resolved from, carried verbatim so
-    /// the distributed ConfigPush ships the exact spec the operator wrote
-    /// (`None` when the run was configured by flags alone).
-    #[serde(default)]
-    pub scenario: Option<crate::scenario::ScenarioSpec>,
     /// Record per-stage T2A latency attribution (off by default — the
     /// counting-only sink keeps golden digests byte-identical;
     /// `--attribution` turns it on).
@@ -351,7 +287,6 @@ impl FleetConfig {
             batch_polling: true,
             chaos: ChaosProfile::default(),
             churn: ChurnProfile::default(),
-            scenario: None,
             attribution: false,
             realtime_share: 0.0,
             multi_step_share: 0.0,
@@ -398,11 +333,9 @@ impl FleetConfig {
     }
 
     /// Apply a [`crate::scenario::ScenarioSpec`]: every field the spec
-    /// sets overwrites this config, and the spec itself is kept so the
-    /// distributed coordinator pushes it verbatim to workers.
+    /// sets overwrites this config.
     pub fn with_scenario(mut self, spec: crate::scenario::ScenarioSpec) -> Self {
         spec.apply_to(&mut self);
-        self.scenario = Some(spec);
         self
     }
 
@@ -689,17 +622,15 @@ mod tests {
     #[test]
     fn pre_churn_config_json_still_parses() {
         // Wire compatibility: a coordinator config serialized before the
-        // churn/scenario fields existed must deserialize with defaults.
+        // churn field existed must deserialize with the default.
         let cfg = FleetConfig::new(100, 2, FleetPolicy::Fast);
         let mut v = cfg.to_value();
         if let serde::Value::Object(map) = &mut v {
             map.remove("churn");
-            map.remove("scenario");
         } else {
             panic!("config serializes to an object");
         }
         let back: FleetConfig = serde_json::from_str(&v.to_string()).expect("legacy config parses");
         assert_eq!(back.churn, ChurnProfile::Off);
-        assert!(back.scenario.is_none());
     }
 }

@@ -7,10 +7,15 @@
 //! is optional: an absent field leaves the [`FleetConfig`] default (or the
 //! explicit CLI flag, since flags are applied *after* the spec and win).
 //!
-//! The spec a run was resolved from rides along inside the config
-//! ([`FleetConfig::scenario`]), so the distributed coordinator's ConfigPush
-//! carries it verbatim to `fleet-shard` workers — a worker can log or
-//! re-apply exactly the scenario the operator wrote.
+//! A spec is applied where it is read and not kept: what the distributed
+//! coordinator's ConfigPush carries to `fleet-shard` workers is the
+//! resolved [`FleetConfig`], which is all a worker needs to rebuild its
+//! cells. The CLI parses its flags into a second spec and applies it after
+//! the file's, so the two sources share [`ScenarioSpec::apply_to`] and its
+//! rules (shares clamped, drain re-derived from a policy).
+//!
+//! A member the spec does not know is an error, not a default: a typo in
+//! a scenario file must not run the stock configuration and exit 0.
 //!
 //! ```json
 //! { "policy": "zapier", "chaos": "mild", "churn": "accelerated",
@@ -23,6 +28,7 @@ use serde::{Deserialize, Serialize};
 /// A partial fleet configuration: only the fields present in the JSON are
 /// applied. See the module docs for precedence.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ScenarioSpec {
     /// Poll policy (`ifttt` / `fast` / `smart` / `zapier`).
     #[serde(default)]
@@ -112,14 +118,13 @@ mod tests {
             attribution: Some(true),
             ..Default::default()
         };
-        let cfg = FleetConfig::new(500, 1, FleetPolicy::Fast).with_scenario(spec.clone());
+        let cfg = FleetConfig::new(500, 1, FleetPolicy::Fast).with_scenario(spec);
         assert_eq!(cfg.churn, ChurnProfile::Accelerated);
         assert!(cfg.attribution);
-        assert_eq!(cfg.scenario, Some(spec));
-        // The spec survives the wire round trip inside the config.
+        // What crosses the wire is the resolved config.
         let json = serde_json::to_string(&cfg).unwrap();
         let back: FleetConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.scenario, cfg.scenario);
+        assert_eq!(format!("{back:?}"), format!("{cfg:?}"));
     }
 
     #[test]
@@ -137,7 +142,13 @@ mod tests {
 
     #[test]
     fn bad_profile_names_are_rejected() {
-        assert!(ScenarioSpec::from_json(r#"{ "churn": "sometimes" }"#).is_err());
-        assert!(ScenarioSpec::from_json(r#"{ "policy": 3 }"#).is_err());
+        for bad in [
+            r#"{ "churn": "sometimes" }"#,
+            r#"{ "policy": 3 }"#,
+            // A misspelled key once parsed to the empty spec.
+            r#"{ "chaoss": "harsh" }"#,
+        ] {
+            assert!(ScenarioSpec::from_json(bad).is_err(), "{bad}");
+        }
     }
 }

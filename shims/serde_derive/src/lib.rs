@@ -10,7 +10,9 @@
 //! the shapes this workspace uses:
 //!
 //! * named structs -> JSON objects (honouring `#[serde(default)]` and
-//!   `#[serde(default = "path")]`, with missing `Option` fields -> `None`)
+//!   `#[serde(default = "path")]`, with missing `Option` fields -> `None`;
+//!   unknown members are skipped unless the struct carries
+//!   `#[serde(deny_unknown_fields)]`)
 //! * newtype / `#[serde(transparent)]` structs -> the inner value
 //! * multi-field tuple structs -> JSON arrays
 //! * enums -> `"Variant"` for unit variants, `{"Variant": ...}` otherwise,
@@ -51,6 +53,7 @@ enum Item {
     NamedStruct {
         name: String,
         fields: Vec<Field>,
+        deny_unknown: bool,
     },
     TupleStruct {
         name: String,
@@ -92,6 +95,7 @@ struct AttrInfo {
     default: Option<String>,
     transparent: bool,
     snake_case: bool,
+    deny_unknown: bool,
 }
 
 /// Consume attributes (`#[...]`) starting at `i`; return parsed serde info.
@@ -143,6 +147,7 @@ fn parse_attr_group(stream: &TokenStream, info: &mut AttrInfo) {
                     ("default", None) => info.default = Some(String::new()),
                     ("default", Some(path)) => info.default = Some(path.clone()),
                     ("transparent", _) => info.transparent = true,
+                    ("deny_unknown_fields", None) => info.deny_unknown = true,
                     ("rename_all", Some(style)) => {
                         if style == "snake_case" {
                             info.snake_case = true;
@@ -204,7 +209,11 @@ fn parse_item(input: TokenStream) -> Item {
         "struct" => match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 let fields = parse_named_fields(&g.stream());
-                Item::NamedStruct { name, fields }
+                Item::NamedStruct {
+                    name,
+                    fields,
+                    deny_unknown: container.deny_unknown,
+                }
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 let arity = count_tuple_fields(&g.stream());
@@ -423,7 +432,7 @@ fn write_tuple(exprs: &[String]) -> String {
 
 fn gen_serialize(item: &Item) -> String {
     match item {
-        Item::NamedStruct { name, fields } => {
+        Item::NamedStruct { name, fields, .. } => {
             wrap_ser(name, &write_object(fields, |n| format!("&self.{n}")))
         }
         Item::TupleStruct { name, arity } => {
@@ -482,9 +491,10 @@ fn wrap_ser(name: &str, body: &str) -> String {
 
 /// Expression decoding an object's members from `__r` into `ctor {{ .. }}`:
 /// one `Option` slot per field, filled as keys arrive (so a repeated key's
-/// last value wins), unknown members skipped with their syntax checked,
-/// absent ones resolved through `default` / `Option` / an error.
-fn read_object(ctor: &str, fields: &[Field]) -> String {
+/// last value wins), unknown members skipped with their syntax checked (an
+/// error under `deny_unknown`), absent ones resolved through `default` /
+/// `Option` / an error.
+fn read_object(ctor: &str, fields: &[Field], deny_unknown: bool) -> String {
     let mut slots = String::new();
     let mut arms = String::new();
     let mut inits = String::new();
@@ -510,11 +520,17 @@ fn read_object(ctor: &str, fields: &[Field]) -> String {
             n = f.name
         ));
     }
+    let unknown = if deny_unknown {
+        "__other => return ::std::result::Result::Err(::serde::de::Error::custom(\
+         ::std::format!(\"unknown field `{}`\", __other))),"
+    } else {
+        "_ => __r.skip_value()?,"
+    };
     format!(
         "{{\n{slots}\
          let mut __key = __r.begin_object()?;\n\
          while let ::std::option::Option::Some(__k) = __key {{\n\
-         match &*__k {{\n{arms}_ => __r.skip_value()?,\n}}\n\
+         match &*__k {{\n{arms}{unknown}\n}}\n\
          __key = __r.next_key()?;\n}}\n\
          {ctor} {{\n{inits}}}\n}}"
     )
@@ -537,9 +553,14 @@ fn read_tuple(ctor: &str, arity: usize) -> String {
 
 fn gen_deserialize(item: &Item) -> String {
     match item {
-        Item::NamedStruct { name, fields } => {
-            wrap_de(name, &format!("Ok({})", read_object(name, fields)))
-        }
+        Item::NamedStruct {
+            name,
+            fields,
+            deny_unknown,
+        } => wrap_de(
+            name,
+            &format!("Ok({})", read_object(name, fields, *deny_unknown)),
+        ),
         Item::TupleStruct { name, arity } => {
             wrap_de(name, &format!("Ok({})", read_tuple(name, *arity)))
         }
@@ -564,8 +585,10 @@ fn gen_deserialize(item: &Item) -> String {
                     }
                     VariantShape::Tuple(arity) => tagged_arms
                         .push_str(&format!("\"{tag}\" => {},\n", read_tuple(&ctor, *arity))),
-                    VariantShape::Struct(fields) => tagged_arms
-                        .push_str(&format!("\"{tag}\" => {},\n", read_object(&ctor, fields))),
+                    VariantShape::Struct(fields) => tagged_arms.push_str(&format!(
+                        "\"{tag}\" => {},\n",
+                        read_object(&ctor, fields, false)
+                    )),
                 }
             }
             let unknown = format!(

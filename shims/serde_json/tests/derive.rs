@@ -238,6 +238,23 @@ fn unknown_member_holding_malformed_json_fails_the_decode() {
     assert!(from_str::<Defaults>(r#"{"required":1,"zzz":[1,{"a":"é"}]}"#).is_ok());
 }
 
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+struct Strict {
+    #[serde(default)]
+    known: Option<u32>,
+}
+
+#[test]
+fn deny_unknown_fields_turns_an_unknown_member_into_an_error() {
+    round_trip(&Strict { known: Some(3) }, r#"{"known":3}"#);
+    assert_eq!(from_str::<Strict>("{}").unwrap(), Strict { known: None });
+    let err = from_str::<Strict>(r#"{"known":3,"knwon":4}"#).unwrap_err();
+    assert!(err.to_string().contains("unknown field `knwon`"), "{err}");
+    // Without the attribute the same member is skipped.
+    assert!(from_str::<Defaults>(r#"{"required":1,"knwon":4}"#).is_ok());
+}
+
 #[test]
 fn derived_types_convert_through_value() {
     let v = Shape::Label {
