@@ -31,16 +31,6 @@ pub fn sample_one<S: Strategy>(strategy: &S, seed: u64) -> S::Value {
     strategy.generate(&mut StdRng::seed_from_u64(seed))
 }
 
-/// Declare property tests.
-///
-/// ```ignore
-/// proptest! {
-///     #[test]
-///     fn addition_commutes(a in 0u32..100, b in 0u32..100) {
-///         prop_assert_eq!(a + b, b + a);
-///     }
-/// }
-/// ```
 /// Per-block configuration (`#![proptest_config(...)]`).
 #[derive(Clone, Copy, Debug)]
 pub struct ProptestConfig {
@@ -60,6 +50,20 @@ impl Default for ProptestConfig {
     }
 }
 
+/// Declare property tests: each `fn` becomes a function that draws its
+/// arguments [`cases()`] times and runs the body (put `#[test]` on it in a
+/// test module).
+///
+/// ```
+/// use proptest::prelude::*;
+///
+/// proptest! {
+///     fn addition_commutes(a in 0u32..100, b in 0u32..100) {
+///         prop_assert_eq!(a + b, b + a);
+///     }
+/// }
+/// addition_commutes();
+/// ```
 #[macro_export]
 macro_rules! proptest {
     (
