@@ -119,11 +119,10 @@ fn distributed_realtime_run_matches_the_pinned_golden() {
 }
 
 /// Churn crosses the wire as plain config: the coordinator's ConfigPush
-/// carries the `churn` profile (and any scenario spec) verbatim, every
-/// worker replans the same per-cell lifecycle timeline from the cell
-/// seed stream, and the merged digest equals the pinned in-process
-/// golden — including the churn counters, which ride the same delta
-/// frames as every other counter.
+/// carries the `churn` profile, every worker replans the same per-cell
+/// lifecycle timeline from the cell seed stream, and the merged digest
+/// equals the pinned in-process golden — including the churn counters,
+/// which ride the same delta frames as every other counter.
 #[test]
 fn distributed_churn_run_matches_the_pinned_golden() {
     let seed = chaos_seed();
@@ -138,9 +137,9 @@ fn distributed_churn_run_matches_the_pinned_golden() {
     assert!(report.merged.churn_retirements.get() > 0);
 }
 
-/// A scenario file's spec rides ConfigPush verbatim: a distributed run
-/// configured through `ScenarioSpec` matches the equivalent flag-built
-/// in-process run byte for byte.
+/// A spec is applied before the push, so ConfigPush carries what it
+/// resolved to: a distributed run configured through `ScenarioSpec` matches
+/// the in-process run of the same config byte for byte.
 #[test]
 fn distributed_scenario_run_matches_in_process() {
     let spec = fleet::ScenarioSpec::from_json(r#"{"churn": "accelerated", "realtime_share": 0.5}"#)
