@@ -145,7 +145,7 @@ mod tests {
         for bad in [
             r#"{ "churn": "sometimes" }"#,
             r#"{ "policy": 3 }"#,
-            // A misspelled key once parsed to the empty spec.
+            // A misspelled key must not parse to the empty spec and run stock config.
             r#"{ "chaoss": "harsh" }"#,
         ] {
             assert!(ScenarioSpec::from_json(bad).is_err(), "{bad}");
