@@ -10,26 +10,13 @@
 //! ifttt-lab loops                    §4: explicit & implicit infinite loops
 //! ifttt-lab workload                 §6: push-vs-poll engine burstiness
 //! ifttt-lab crawl [scale]            §3.1: run the crawler pipeline once
-//! ifttt-lab fleet [--users N] [--shards N] [--policy ifttt|fast|smart|zapier] [--no-batch]
-//!                 [--chaos off|mild|harsh] [--churn off|weekly|accelerated]
-//!                 [--attribution] [--realtime-share F]
-//!                 [--multi-step-share F] [--max-allocs-per-event F]
-//!                 [--scenario FILE] [--distributed N]
-//!                                    sharded fleet-scale workload run;
-//!                                    --churn drives live ecosystem churn
-//!                                    (mid-run installs/uninstalls, service
-//!                                    onboarding/retirement) and appends the
-//!                                    §3.2 weekly growth table from crawls
-//!                                    of the live catalog; --scenario loads
-//!                                    a JSON ScenarioSpec (explicit flags
-//!                                    still override it); --distributed
-//!                                    runs across N fleet-shard worker
-//!                                    processes instead of in-process
-//!                                    threads (same digest)
+//! ifttt-lab fleet [flags]             sharded fleet-scale workload run
+//! ifttt-lab help                      this list, and every flag with its help line
 //! ```
 //!
-//! Every subcommand accepts `--seed <u64>` (default 2017). `--users`
-//! tolerates `_` separators (`--users 1_000_000`).
+//! The flags are not repeated here: they are the rows of the options table
+//! (`fleet::options`), and `ifttt-lab help` prints them from it. `--seed`
+//! applies to every subcommand.
 
 use fleet_wire::{run_fleet_distributed_with_progress, DistributedConfig};
 use ifttt_core::analysis::tables::HeadlineIot;
@@ -38,10 +25,8 @@ use ifttt_core::ecosystem::frontend::IftttFrontend;
 use ifttt_core::ecosystem::generator::{Ecosystem, GeneratorConfig};
 use ifttt_core::ecosystem::model::GROWTH;
 use ifttt_core::engine::RuntimeLoopConfig;
-use ifttt_core::fleet::{
-    run_fleet_with_progress, ChaosProfile, ChurnProfile, FleetConfig, FleetPolicy, LiveGrowth,
-    ScenarioSpec,
-};
+use ifttt_core::fleet::options::usage_lines;
+use ifttt_core::fleet::{run_fleet_with_progress, FleetCli, LiveGrowth};
 use ifttt_core::simnet::prelude::*;
 use ifttt_core::testbed::experiments::{
     explicit_loop_experiment, implicit_loop_experiment, run_workload,
@@ -49,106 +34,8 @@ use ifttt_core::testbed::experiments::{
 use ifttt_core::Lab;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 2017u64;
-    let mut users = 100_000u64;
-    let mut shards = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    // The flags a scenario file also covers are a second spec: a field is
-    // set only if its flag was typed, so the file loses to those alone.
-    let mut flags = ScenarioSpec::default();
-    let mut batch_polling = true;
-    let mut max_allocs_per_event: Option<f64> = None;
-    let mut scenario_path: Option<String> = None;
-    let mut distributed: Option<usize> = None;
-    let mut positional: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs a u64"));
-            }
-            "--users" => {
-                users = it
-                    .next()
-                    .and_then(|v| v.replace('_', "").parse().ok())
-                    .unwrap_or_else(|| usage("--users needs a u64"));
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("--shards needs a positive integer"));
-            }
-            "--policy" => {
-                flags.policy = Some(
-                    it.next()
-                        .and_then(|v| FleetPolicy::parse(&v))
-                        .unwrap_or_else(|| usage("--policy is ifttt, fast, smart, or zapier")),
-                );
-            }
-            "--no-batch" => batch_polling = false,
-            "--attribution" => flags.attribution = Some(true),
-            "--realtime-share" => {
-                flags.realtime_share = Some(
-                    it.next()
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|s| (0.0..=1.0).contains(s))
-                        .unwrap_or_else(|| usage("--realtime-share needs a float in 0..=1")),
-                );
-            }
-            "--multi-step-share" => {
-                flags.multi_step_share = Some(
-                    it.next()
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|s| (0.0..=1.0).contains(s))
-                        .unwrap_or_else(|| usage("--multi-step-share needs a float in 0..=1")),
-                );
-            }
-            "--max-allocs-per-event" => {
-                max_allocs_per_event = Some(
-                    it.next()
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|&f| f > 0.0)
-                        .unwrap_or_else(|| usage("--max-allocs-per-event needs a positive float")),
-                );
-            }
-            "--distributed" => {
-                distributed = Some(
-                    it.next()
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| usage("--distributed needs a positive worker count")),
-                );
-            }
-            "--chaos" => {
-                flags.chaos = Some(
-                    it.next()
-                        .and_then(|v| ChaosProfile::parse(&v))
-                        .unwrap_or_else(|| usage("--chaos is off, mild, or harsh")),
-                );
-            }
-            "--churn" => {
-                flags.churn = Some(
-                    it.next()
-                        .and_then(|v| ChurnProfile::parse(&v))
-                        .unwrap_or_else(|| usage("--churn is off, weekly, or accelerated")),
-                );
-            }
-            "--scenario" => {
-                scenario_path = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage("--scenario needs a file path")),
-                );
-            }
-            _ => positional.push(a),
-        }
-    }
+    let (cli, positional) = FleetCli::parse(std::env::args().skip(1)).unwrap_or_else(|e| usage(&e));
+    let seed = cli.cfg.master_seed;
     let cmd = positional.first().map(String::as_str).unwrap_or("help");
     let arg1: Option<f64> = positional.get(1).and_then(|v| v.parse().ok());
     let lab = Lab::new(seed).with_scale(
@@ -235,37 +122,8 @@ fn main() {
             );
         }
         "fleet" => {
-            // Resolution order: defaults, then the scenario file, then the
-            // flags that were typed — a flag always wins over the file.
-            let mut cfg = FleetConfig::new(users, shards, FleetPolicy::IftttLike)
-                .with_seed(seed)
-                .with_batch_polling(batch_polling);
-            if let Some(path) = &scenario_path {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| usage(&format!("--scenario: cannot read {path}: {e}")));
-                ScenarioSpec::from_json(&text)
-                    .unwrap_or_else(|e| usage(&format!("--scenario: {path} does not parse: {e}")))
-                    .apply_to(&mut cfg);
-            }
-            flags.apply_to(&mut cfg);
-            if cfg.chaos.enabled() {
-                // Give retries and breaker recovery room to finish after the
-                // last activation window before stragglers count as lost.
-                cfg.drain_secs = cfg.drain_secs.max(120.0);
-            }
-            println!(
-                "fleet: {} users, {} shards, policy {}, seed {} (cells of {}, batch polling {}, chaos {}, churn {}, realtime share {}, multi-step share {})",
-                cfg.users,
-                cfg.shards,
-                cfg.policy,
-                cfg.master_seed,
-                cfg.cell_users,
-                if cfg.batch_polling { "on" } else { "off" },
-                cfg.chaos,
-                cfg.churn,
-                cfg.realtime_share,
-                cfg.multi_step_share
-            );
+            let cfg = cli.resolve().unwrap_or_else(|e| usage(&e));
+            println!("{}", cfg.banner());
             let total_cells = cfg.users.div_ceil(cfg.cell_users);
             let mut done = 0u64;
             let mut last_pct = u64::MAX;
@@ -277,7 +135,7 @@ fn main() {
                     last_pct = pct;
                 }
             };
-            let report = match distributed {
+            let report = match cli.distributed {
                 None => run_fleet_with_progress(&cfg, on_progress),
                 Some(workers) => {
                     // The worker binary ships next to this one; both come
@@ -289,7 +147,7 @@ fn main() {
                         .filter(|p| p.exists())
                         .unwrap_or_else(|| {
                             eprintln!(
-                                "--distributed needs the fleet-shard binary next to ifttt-lab \
+                                "a distributed run needs the fleet-shard binary next to ifttt-lab \
                                  (build the whole workspace)"
                             );
                             std::process::exit(1);
@@ -323,11 +181,9 @@ fn main() {
             // Allocation regression gate (CI's alloc-count smoke job):
             // requires the counting allocator, so a budget given to a
             // default build fails loudly instead of passing vacuously.
-            if let Some(budget) = max_allocs_per_event {
+            if let Some(budget) = cli.max_allocs_per_event {
                 if report.allocs == 0 {
-                    eprintln!(
-                        "--max-allocs-per-event requires a build with --features alloc-count"
-                    );
+                    eprintln!("an allocation budget requires a build with --features alloc-count");
                     std::process::exit(1);
                 }
                 let per_event = report.allocs as f64 / report.merged.sim_events.get().max(1) as f64;
@@ -372,19 +228,22 @@ fn main() {
             let snap = c.snapshot(week, "crawled");
             println!("crawled add count: {}", snap.total_add_count());
         }
+        "help" => print!("{}", usage_text()),
         _ => usage("unknown subcommand"),
     }
 }
 
+fn usage_text() -> String {
+    format!(
+        "usage: ifttt-lab [flags] <report [scale] | t2a [runs] | substitution [runs] | \
+         timeline | sequential [n] | concurrent [runs] | loops | workload | crawl [scale] | \
+         fleet | help>\n\nflags:\n{}",
+        usage_lines(FleetCli::FLAGS)
+    )
+}
+
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}\n");
-    eprintln!(
-        "usage: ifttt-lab [--seed N] <report [scale] | t2a [runs] | substitution [runs] | \
-         timeline | sequential [n] | concurrent [runs] | loops | workload | crawl [scale] | \
-         fleet [--users N] [--shards N] [--policy ifttt|fast|smart|zapier] [--no-batch] \
-         [--chaos off|mild|harsh] [--churn off|weekly|accelerated] [--attribution] \
-         [--realtime-share F] [--multi-step-share F] [--max-allocs-per-event F] \
-         [--scenario FILE] [--distributed N]>"
-    );
+    eprint!("{}", usage_text());
     std::process::exit(2)
 }

@@ -1,89 +1,25 @@
 //! `fleet-shard` — one distributed fleet worker process.
 //!
 //! Spawned by the coordinator (`ifttt-lab fleet --distributed N`), never
-//! run by hand:
-//!
-//! ```text
-//! fleet-shard --connect 127.0.0.1:<port> --worker-id <n>
-//!             [--io-timeout-secs <s>]
-//!             [--heartbeat-millis <ms>]              # test hook: heartbeat storm
-//!             [--chaos-exit-after-cells <n>]         # test hook: hard crash
-//!             [--chaos-drop-socket-after-cells <n>]  # test hook: network drop
-//! ```
+//! run by hand; run it with no arguments for its flags. The flags are the
+//! rows of [`fleet_wire::worker::WORKER_FLAGS`], which the coordinator
+//! writes and this binary reads.
 //!
 //! Everything that matters lives in [`fleet_wire::worker::run_worker`];
-//! this file is argument parsing and exit codes (0 ok, 1 error, 2 bad
-//! usage, 3 chaos-injected crash).
+//! this file is exit codes (0 ok, 1 error, 2 bad usage, 3 chaos-injected
+//! crash).
 
-use fleet_wire::worker::{run_worker, WorkerOptions};
-use std::time::Duration;
+use fleet::options::usage_lines;
+use fleet_wire::worker::{run_worker, WorkerOptions, WORKER_FLAGS};
 
 fn main() {
-    let mut connect: Option<String> = None;
-    let mut worker_id: Option<u32> = None;
-    let mut io_timeout_secs = 600u64;
-    let mut heartbeat_millis: Option<u64> = None;
-    let mut chaos_exit: Option<u32> = None;
-    let mut chaos_drop: Option<u32> = None;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--connect" => connect = it.next(),
-            "--worker-id" => worker_id = it.next().and_then(|v| v.parse().ok()),
-            "--io-timeout-secs" => {
-                io_timeout_secs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--io-timeout-secs needs a u64"))
-            }
-            "--heartbeat-millis" => {
-                heartbeat_millis = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--heartbeat-millis needs a u64")),
-                )
-            }
-            "--chaos-exit-after-cells" => {
-                chaos_exit = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--chaos-exit-after-cells needs a u32")),
-                )
-            }
-            "--chaos-drop-socket-after-cells" => {
-                chaos_drop = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--chaos-drop-socket-after-cells needs a u32")),
-                )
-            }
-            _ => usage("unknown argument"),
-        }
-    }
-    let connect = connect.unwrap_or_else(|| usage("--connect is required"));
-    let worker_id = worker_id.unwrap_or_else(|| usage("--worker-id is required"));
-
-    let mut opts = WorkerOptions::new(connect, worker_id);
-    opts.io_timeout = Duration::from_secs(io_timeout_secs.max(1));
-    if let Some(ms) = heartbeat_millis {
-        opts.heartbeat = Duration::from_millis(ms.max(1));
-    }
-    opts.chaos_exit_after_cells = chaos_exit;
-    opts.chaos_drop_socket_after_cells = chaos_drop;
-
+    let opts = WorkerOptions::from_args(std::env::args().skip(1).collect()).unwrap_or_else(|e| {
+        eprintln!("fleet-shard: {e}\nusage: fleet-shard <flags>");
+        eprint!("{}", usage_lines(WORKER_FLAGS));
+        std::process::exit(2)
+    });
     if let Err(e) = run_worker(&opts) {
-        eprintln!("fleet-shard {worker_id}: {e}");
+        eprintln!("fleet-shard {}: {e}", opts.worker_id);
         std::process::exit(1);
     }
-}
-
-fn usage(err: &str) -> ! {
-    eprintln!("fleet-shard: {err}");
-    eprintln!(
-        "usage: fleet-shard --connect HOST:PORT --worker-id N [--io-timeout-secs S] \
-         [--heartbeat-millis MS] [--chaos-exit-after-cells N] \
-         [--chaos-drop-socket-after-cells N]"
-    );
-    std::process::exit(2)
 }

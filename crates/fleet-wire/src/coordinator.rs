@@ -36,6 +36,7 @@ use crate::messages::{
     decode_progress, encode_config_push, encode_drain, validate_attribution_delta,
     validate_metrics_delta, FinalReport,
 };
+use crate::worker::WorkerOptions;
 use fleet::shard::CellSpec;
 use fleet::{
     assign_contiguous, fnv1a, plan_cells, population, FleetConfig, FleetMetrics, FleetReport,
@@ -228,24 +229,16 @@ fn spawn_worker(
     worker_id: u32,
     chaos: WorkerChaos,
 ) -> Result<Child, DistributedError> {
+    let mut opts = WorkerOptions::new(format!("127.0.0.1:{port}"), worker_id);
+    if let Some(hb) = dcfg.heartbeat {
+        opts.heartbeat_millis = hb.as_millis() as u64;
+    }
+    opts.chaos_exit_after_cells = chaos.exit_after_cells.unwrap_or(0);
+    opts.chaos_drop_socket_after_cells = chaos.drop_socket_after_cells.unwrap_or(0);
     let mut cmd = Command::new(&dcfg.shard_bin);
-    cmd.arg("--connect")
-        .arg(format!("127.0.0.1:{port}"))
-        .arg("--worker-id")
-        .arg(worker_id.to_string())
+    cmd.args(opts.to_args())
         .stdin(Stdio::null())
         .stdout(Stdio::null());
-    if let Some(hb) = dcfg.heartbeat {
-        cmd.arg("--heartbeat-millis")
-            .arg(hb.as_millis().max(1).to_string());
-    }
-    if let Some(n) = chaos.exit_after_cells {
-        cmd.arg("--chaos-exit-after-cells").arg(n.to_string());
-    }
-    if let Some(n) = chaos.drop_socket_after_cells {
-        cmd.arg("--chaos-drop-socket-after-cells")
-            .arg(n.to_string());
-    }
     cmd.spawn()
         .map_err(|e| DistributedError::Spawn(format!("{}: {e}", dcfg.shard_bin.display())))
 }

@@ -30,6 +30,7 @@ use crate::messages::{
     DeltaHead, FinalReport, Hello, ProgressBeat,
 };
 use fleet::cell::run_cell;
+use fleet::options::{parse_flags, Flag};
 use fleet::{fnv1a, population, FleetMetrics};
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -43,42 +44,114 @@ use std::time::{Duration, Instant};
 /// still absorbing the per-cell burst (attribution + metrics + progress).
 const FRAME_QUEUE: usize = 16;
 
-/// Default heartbeat cadence; the coordinator's crash timeout is an
-/// order of magnitude larger.
-pub const DEFAULT_HEARTBEAT: Duration = Duration::from_secs(2);
+/// One `fleet-shard` flag: how its text is stored (`flag.set`), how the
+/// stored value is spelled back (`get`), and whether the worker cannot
+/// start without it.
+pub struct WorkerFlag {
+    pub flag: Flag<WorkerOptions>,
+    pub required: bool,
+    pub get: fn(&WorkerOptions) -> String,
+}
 
-/// Everything the `fleet-shard` binary parses from its command line.
-#[derive(Debug, Clone)]
-pub struct WorkerOptions {
+impl std::borrow::Borrow<Flag<WorkerOptions>> for WorkerFlag {
+    fn borrow(&self) -> &Flag<WorkerOptions> {
+        &self.flag
+    }
+}
+
+/// The `fleet-shard` command line, declared once and read in both
+/// directions: the binary parses its arguments against [`WORKER_FLAGS`]
+/// ([`WorkerOptions::from_args`]) and the coordinator's `spawn_worker`
+/// writes them ([`WorkerOptions::to_args`]), so a flag cannot be spawned
+/// with but not accepted. A row is field, type, default, whether the worker
+/// cannot start without it, flag, argument, help.
+macro_rules! worker_options {
+    ($( $(#[$m:meta])* $f:ident: $ty:ty = $def:expr, $required:literal,
+        $flag:literal $arg:literal, $help:literal; )*) => {
+        /// Everything the `fleet-shard` binary parses from its command line.
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct WorkerOptions {
+            $( $(#[$m])* pub $f: $ty, )*
+        }
+
+        pub const WORKER_FLAGS: &[WorkerFlag] = &[ $( WorkerFlag {
+            flag: Flag {
+                name: $flag,
+                key: None,
+                arg: $arg,
+                switch: None,
+                help: $help,
+                set: |w, t| {
+                    w.$f = t.parse().ok()?;
+                    Some(())
+                },
+            },
+            required: $required,
+            get: |w| w.$f.to_string(),
+        }, )* ];
+
+        impl WorkerOptions {
+            pub fn new(connect: String, worker_id: u32) -> WorkerOptions {
+                WorkerOptions {
+                    connect,
+                    worker_id,
+                    ..WorkerOptions { $( $f: $def, )* }
+                }
+            }
+        }
+    };
+}
+
+worker_options! {
     /// Coordinator address (`127.0.0.1:<port>`).
-    pub connect: String,
+    connect: String = String::new(), true,
+        "--connect" "HOST:PORT", "coordinator address";
     /// Identity announced in `Hello` and stamped on every frame.
-    pub worker_id: u32,
+    worker_id: u32 = 0, true,
+        "--worker-id" "N", "identity stamped on every frame";
     /// How long to wait for the coordinator (config push, drain) before
     /// giving up. Generous: during a rejoin the coordinator legitimately
     /// goes quiet while lost cells recompute.
-    pub io_timeout: Duration,
-    /// Heartbeat cadence. Tests shrink this to force heartbeats to
-    /// interleave with delta traffic on runs that finish in well under
-    /// the default 2 s — the exact interleaving a short run never sees.
-    pub heartbeat: Duration,
+    io_timeout_secs: u64 = 600, false,
+        "--io-timeout-secs" "S", "give up on a silent coordinator after S seconds";
+    /// Heartbeat cadence; the coordinator's crash timeout is an order of
+    /// magnitude larger than the default. Tests shrink this to force
+    /// heartbeats to interleave with delta traffic on runs that finish in
+    /// well under 2 s — the exact interleaving a short run never sees.
+    heartbeat_millis: u64 = 2000, false,
+        "--heartbeat-millis" "MS", "test hook: heartbeat cadence";
     /// Chaos hook: exit the process (code 3) after completing this many
-    /// cells — a hard crash mid-run.
-    pub chaos_exit_after_cells: Option<u32>,
+    /// cells — a hard crash mid-run. `0`, the default, never does.
+    chaos_exit_after_cells: u32 = 0, false,
+        "--chaos-exit-after-cells" "N", "test hook: hard crash after N cells";
     /// Chaos hook: shut the socket down after completing this many cells
-    /// and exit cleanly — a network drop rather than a process death.
-    pub chaos_drop_socket_after_cells: Option<u32>,
+    /// and exit cleanly — a network drop rather than a process death. `0`,
+    /// the default, never does.
+    chaos_drop_socket_after_cells: u32 = 0, false,
+        "--chaos-drop-socket-after-cells" "N", "test hook: network drop after N cells";
 }
 
 impl WorkerOptions {
-    pub fn new(connect: String, worker_id: u32) -> WorkerOptions {
-        WorkerOptions {
-            connect,
-            worker_id,
-            io_timeout: Duration::from_secs(600),
-            heartbeat: DEFAULT_HEARTBEAT,
-            chaos_exit_after_cells: None,
-            chaos_drop_socket_after_cells: None,
+    /// The command line that [`WorkerOptions::from_args`] reads back as `self`.
+    pub fn to_args(&self) -> Vec<String> {
+        WORKER_FLAGS
+            .iter()
+            .flat_map(|row| [row.flag.name.to_string(), (row.get)(self)])
+            .collect()
+    }
+
+    /// Parse a `fleet-shard` command line; `Err` is the usage complaint.
+    pub fn from_args(args: Vec<String>) -> Result<WorkerOptions, String> {
+        if let Some(row) = WORKER_FLAGS
+            .iter()
+            .find(|row| row.required && !args.iter().any(|a| a == row.flag.name))
+        {
+            return Err(format!("{} is required", row.flag.name));
+        }
+        let mut opts = WorkerOptions::new(String::new(), 0);
+        match parse_flags(WORKER_FLAGS, &mut opts, args)?.first() {
+            Some(stray) => Err(format!("unknown argument {stray}")),
+            None => Ok(opts),
         }
     }
 }
@@ -151,7 +224,7 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), WorkerError> {
     let stream = TcpStream::connect(&opts.connect).map_err(WireError::Io)?;
     stream.set_nodelay(true).ok();
     stream
-        .set_read_timeout(Some(opts.io_timeout))
+        .set_read_timeout(Some(Duration::from_secs(opts.io_timeout_secs.max(1))))
         .map_err(WireError::Io)?;
     let mut read_half = stream.try_clone().map_err(WireError::Io)?;
 
@@ -208,7 +281,7 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), WorkerError> {
         let hb = Arc::clone(&hb);
         let tx = tx.clone();
         let worker_id = opts.worker_id;
-        let cadence = opts.heartbeat;
+        let cadence = Duration::from_millis(opts.heartbeat_millis.max(1));
         std::thread::spawn(move || {
             loop {
                 match hb_stop_rx.recv_timeout(cadence) {
@@ -274,11 +347,11 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), WorkerError> {
             );
             send_frame(&tx, frame)?;
 
-            if opts.chaos_exit_after_cells == Some(done) {
+            if opts.chaos_exit_after_cells == done {
                 // A hard crash: no goodbye, frames possibly still queued.
                 std::process::exit(3);
             }
-            if opts.chaos_drop_socket_after_cells == Some(done) {
+            if opts.chaos_drop_socket_after_cells == done {
                 // A network drop: the process survives briefly, but the
                 // coordinator only ever sees a dead socket.
                 stream.shutdown(Shutdown::Both).ok();
@@ -331,6 +404,31 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), WorkerError> {
 mod tests {
     use super::*;
     use crate::messages::decode_progress;
+
+    #[test]
+    fn options_survive_the_command_line_with_every_field_set() {
+        let opts = WorkerOptions {
+            connect: "127.0.0.1:4242".into(),
+            worker_id: 7,
+            io_timeout_secs: 33,
+            heartbeat_millis: 5,
+            chaos_exit_after_cells: 3,
+            chaos_drop_socket_after_cells: 9,
+        };
+        let args = opts.to_args();
+        assert_eq!(args.len(), 2 * WORKER_FLAGS.len(), "{args:?}");
+        assert_eq!(WorkerOptions::from_args(args), Ok(opts));
+        // A flag no row owns, a value its row rejects and a missing
+        // required flag are all usage errors.
+        for bad in [
+            "--connect a:1 --worker-id 0 --hearbeat-millis 5",
+            "--connect a:1 --worker-id minus-one",
+            "--worker-id 0",
+        ] {
+            let args = bad.split(' ').map(str::to_string).collect();
+            assert!(WorkerOptions::from_args(args).is_err(), "{bad}");
+        }
+    }
 
     /// Regression: heartbeat frames once went out with the header's
     /// length field still at its placeholder (finish() was never

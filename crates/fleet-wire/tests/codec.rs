@@ -507,3 +507,39 @@ fn metrics_delta_frame_matches_the_parent_bytes() {
          0100000000000000030000000000000003000000000000000300000000000000010003000100000000000000";
     assert_eq!(hex, expect);
 }
+
+// Captured at 7fdaac9, when `FleetConfig` was a written-out struct with a
+// derive; it is now generated from the options table. This JSON is what a
+// ConfigPush carries, so a worker built from either commit reads the other's.
+
+fn every_field_set_config() -> FleetConfig {
+    let mut cfg = FleetConfig::new(123_456, 7, FleetPolicy::Zapier);
+    cfg.master_seed = 0xdead_beef;
+    cfg.eco_scale = 0.035;
+    cfg.cell_users = 37;
+    cfg.settle_secs = 10.5;
+    cfg.window_secs = 242.25;
+    cfg.drain_secs = 999.125;
+    cfg.hot_threshold = Some(42);
+    cfg.batch_polling = false;
+    cfg.chaos = ChaosProfile::Harsh;
+    cfg.churn = fleet::ChurnProfile::Accelerated;
+    cfg.attribution = true;
+    cfg.realtime_share = 0.3;
+    cfg.multi_step_share = 0.07;
+    cfg.reference_storage = true;
+    cfg
+}
+
+#[test]
+fn fleet_config_json_matches_the_parent_bytes() {
+    let default = FleetConfig::new(100_000, 4, FleetPolicy::IftttLike);
+    assert_eq!(
+        serde_json::to_string(&default).unwrap(),
+        r#"{"attribution":false,"batch_polling":true,"cell_users":50,"chaos":"off","churn":"off","drain_secs":1000,"eco_scale":0.02,"hot_threshold":null,"master_seed":2017,"multi_step_share":0,"policy":"ifttt","realtime_share":0,"reference_storage":false,"settle_secs":10,"shards":4,"users":100000,"window_secs":240}"#
+    );
+    assert_eq!(
+        serde_json::to_string(&every_field_set_config()).unwrap(),
+        r#"{"attribution":true,"batch_polling":false,"cell_users":37,"chaos":"harsh","churn":"accelerated","drain_secs":999.125,"eco_scale":0.035,"hot_threshold":42,"master_seed":3735928559,"multi_step_share":0.07,"policy":"zapier","realtime_share":0.3,"reference_storage":true,"settle_secs":10.5,"shards":7,"users":123456,"window_secs":242.25}"#
+    );
+}

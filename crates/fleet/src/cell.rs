@@ -18,7 +18,7 @@ use crate::runner::{ChaosProfile, FleetConfig};
 use crate::shard::CellSpec;
 use devices::service_core::{Processed, ServiceCore};
 use ecosystem::population::MAX_INSTALLS_PER_USER;
-use ecosystem::PopulationSampler;
+use ecosystem::{InstalledApplet, PopulationSampler};
 use engine::{ActionRef, Applet, AppletId, LifecycleAck, LifecycleEvent, TapEngine, TriggerRef};
 use mem::FxHashMap;
 use rand::rngs::StdRng;
@@ -262,7 +262,6 @@ pub fn run_cell(
     let profiles: Vec<_> = (spec.first_user..spec.first_user + spec.users)
         .map(|u| sampler.user(u))
         .collect();
-    let mut installs_total = 0u64;
     sim.with_node::<TapEngine, _>(engine, |e, _ctx| {
         e.register_service(
             ServiceSlug::new(SERVICE_SLUG),
@@ -276,130 +275,102 @@ pub fn run_cell(
         .iter()
         .map(|p| (p.user, UserId::new(format!("user_{}", p.user))))
         .collect();
+    let mut cell = Cell {
+        sim,
+        cfg,
+        spec,
+        sampler,
+        metrics,
+        cell_seed,
+        engine,
+        svc,
+        live: None,
+        user_ids,
+        installs_total: 0,
+    };
     for (local, profile) in profiles.iter().enumerate() {
-        let user = user_ids[&profile.user].clone();
-        let token = sim.with_node::<FleetService, _>(svc, |s, ctx| {
-            s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
+        let applets = profile.installs.iter().enumerate().map(|(k, install)| {
+            let name = format!("fleet {} slot {k}", profile.user);
+            (static_applet_id(local, k), name, k, *install)
         });
-        sim.with_node::<TapEngine, _>(engine, |e, ctx| {
-            e.set_token(user.clone(), ServiceSlug::new(SERVICE_SLUG), token);
-            for (k, install) in profile.installs.iter().enumerate() {
-                let mut applet = Applet::new(
-                    AppletId((local * MAX_INSTALLS_PER_USER + k + 1) as u32),
-                    format!("fleet {} slot {k}", profile.user),
-                    user.clone(),
-                    TriggerRef {
-                        service: ServiceSlug::new(SERVICE_SLUG),
-                        trigger: TriggerSlug::new(format!("fired_{k}")),
-                        fields: FieldMap::new(),
-                    },
-                    ActionRef {
-                        service: ServiceSlug::new(SERVICE_SLUG),
-                        action: ActionSlug::new(format!("noop_{k}")),
-                        fields: FieldMap::new(),
-                    },
-                );
-                applet.add_count = install.add_count;
-                let steps = instantiate_steps(sampler.steps_of(install.applet), k);
-                if !steps.is_empty() {
-                    applet = applet.with_steps(steps);
-                }
-                e.install_applet(ctx, applet)
-                    .expect("fleet applet installs");
-                installs_total += 1;
-            }
-        });
+        cell.join(svc, profile.user, applets);
     }
 
     // Let initial polls establish subscriptions, then fire one activation
     // per installed applet at a random offset inside the window. The plan
     // comes from a dedicated RNG stream so it is independent of how the
     // simulation itself consumes randomness.
+    //
+    // One timeline drives every cell. A static cell's holds its activations
+    // and nothing else; the live world interleaves the cell's churn plan
+    // (drawn from its own seed stream) with them. Activations are pushed in
+    // `(user, slot)` order, which is how same-instant ones fire.
     let mut act_rng = StdRng::seed_from_u64(derive_seed(cell_seed, ACTIVATION_STREAM));
-    // Entries carry the engine-side applet id of the (user, slot) pair for
-    // attribution pairing. It is a pure function of the first three sort
-    // keys, so carrying it does not reorder the plan (or any RNG draw).
-    let mut plan: Vec<(u64, u64, usize, u32)> = Vec::new();
+    let mut timeline = Timeline(Vec::with_capacity(cell.installs_total as usize));
     for (local, profile) in profiles.iter().enumerate() {
-        for k in 0..profile.installs.len() {
+        for slot in 0..profile.installs.len() {
             let at_secs = cfg.settle_secs + act_rng.gen_range(0.0..cfg.window_secs);
-            plan.push((
-                SimDuration::from_secs_f64(at_secs).as_micros(),
-                profile.user,
-                k,
-                (local * MAX_INSTALLS_PER_USER + k + 1) as u32,
-            ));
+            let op = ChurnOp::Activate {
+                node: svc,
+                user: profile.user,
+                slot,
+                // Carried for attribution pairing.
+                applet: static_applet_id(local, slot),
+            };
+            timeline.push(at_secs, 2, op);
         }
     }
-    plan.sort_unstable();
-    let live = if cfg.churn.enabled() {
-        // The live world: interleave the static activation plan with the
-        // cell's churn plan (drawn from its own seed stream) and drive the
-        // whole timeline through the engine's lifecycle API.
-        Some(run_churn_timeline(
-            &mut sim,
-            cfg,
-            spec,
-            sampler,
-            &user_ids,
-            engine,
-            svc,
-            metrics,
-            cell_seed,
-            plan,
-            &mut installs_total,
-        ))
-    } else {
-        for (at_micros, user, slot, applet) in plan {
-            sim.run_until(SimTime::from_micros(at_micros));
-            let user = &user_ids[&user];
-            sim.with_node::<FleetService, _>(svc, |s, ctx| s.emit(ctx, user, slot, applet));
-        }
-        None
-    };
+    if cfg.churn.enabled() {
+        cell.plan_churn(&mut timeline);
+    }
+    cell.run(timeline);
 
     // Drain: long enough for the poll policy to visit every subscription
     // once more and the dispatches to finish; stragglers count as lost.
+    let sim = &mut cell.sim;
     let horizon = cfg.settle_secs + cfg.window_secs + cfg.drain_secs;
-    sim.run_until(SimTime::from_micros(
-        SimDuration::from_secs_f64(horizon).as_micros(),
-    ));
+    sim.run_until(sim_time(horizon));
 
-    metrics
-        .lost
-        .add(sim.node_ref::<FleetService>(svc).unmatched());
-    if let Some(live) = live {
-        // Events emitted to the churn cell's late service but undelivered
-        // when it retired (or when the cell ended) are lost like any other.
-        metrics
-            .lost
-            .add(sim.node_ref::<FleetService>(live).unmatched());
-        metrics
-            .faults_injected
-            .add(sim.node_ref::<FleetService>(live).core.faults_injected);
+    // Events emitted to a churn cell's late service but undelivered when it
+    // retired (or when the cell ended) are lost like any other.
+    for node in [Some(svc), cell.live].into_iter().flatten() {
+        let service = sim.node_ref::<FleetService>(node);
+        metrics.lost.add(service.unmatched());
+        metrics.faults_injected.add(service.core.faults_injected);
     }
-    metrics
-        .faults_injected
-        .add(sim.node_ref::<FleetService>(svc).core.faults_injected);
     metrics.sim_events.add(sim.events_processed());
     metrics.engine_events.add(sim.node_events(engine));
     metrics.users.add(spec.users);
-    metrics.applets.add(installs_total);
+    metrics.applets.add(cell.installs_total);
     metrics.cells.incr();
 }
 
-/// One entry of a churn cell's unified timeline. Ordered by
-/// `(time, priority, seq)`: onboarding opens before installs, installs
-/// before activations, uninstalls and the retirement close after them —
-/// so a same-instant tie (already vanishingly rare with f64 offsets)
-/// still resolves identically on every shard layout.
+/// Engine-side id of static user `local`'s applet in install slot `k`.
+fn static_applet_id(local: usize, k: usize) -> u32 {
+    (local * MAX_INSTALLS_PER_USER + k + 1) as u32
+}
+
+/// One entry of a cell's timeline. Ordered by `(time, priority, seq)`:
+/// onboarding opens before installs, installs before activations,
+/// uninstalls and the retirement close after them — so a same-instant tie
+/// (already vanishingly rare with f64 offsets) still resolves identically
+/// on every shard layout.
 enum ChurnOp {
-    /// A static-population activation (the churn-off plan, interleaved).
-    Activate { user: u64, slot: usize, applet: u32 },
-    /// A new user joins mid-run and installs one applet.
-    Install { joiner: u32 },
-    /// The activation of a churn-installed applet.
-    ChurnActivate { joiner: u32 },
+    /// Fire `user`'s slot on the service at `node`.
+    Activate {
+        node: NodeId,
+        user: u64,
+        slot: usize,
+        applet: u32,
+    },
+    /// A new user joins mid-run and installs one applet on the service at
+    /// `node`.
+    Install {
+        node: NodeId,
+        donor: u64,
+        applet: u32,
+        install: InstalledApplet,
+    },
     /// A static applet is uninstalled through the lifecycle API.
     Uninstall { applet: u32 },
     /// The late service onboards (opens installs on [`LIVE_SLUG`]).
@@ -408,251 +379,252 @@ enum ChurnOp {
     Retire,
 }
 
-/// Build and execute a churn cell's unified timeline: the static
-/// activation plan plus lifecycle events sampled from [`CHURN_STREAM`] at
-/// the §3.2 weekly rates times the profile's multiplier. Returns the late
-/// service's node id so `run_cell` can fold its leftovers into `lost`.
-///
-/// Orphan accounting: an activation whose applet was uninstalled (or
-/// whose service retired) before the fire time is *dropped*, not emitted —
-/// it counts as `churn_orphans`, never as an activation or a loss.
-/// Activations already emitted when their applet dies keep flowing through
-/// the normal bookkeeping: delivered ones record T2A, undelivered ones
-/// count as `lost` at the horizon.
-#[allow(clippy::too_many_arguments)]
-fn run_churn_timeline(
-    sim: &mut Sim,
-    cfg: &FleetConfig,
-    spec: &CellSpec,
-    sampler: &PopulationSampler,
-    user_ids: &FxHashMap<u64, UserId>,
+/// A cell's timeline under construction; `seq` is the push order.
+struct Timeline(Vec<(SimTime, u8, u32, ChurnOp)>);
+
+impl Timeline {
+    fn push(&mut self, at_secs: f64, prio: u8, op: ChurnOp) {
+        self.0
+            .push((sim_time(at_secs), prio, self.0.len() as u32, op));
+    }
+}
+
+/// The instant `secs` into a cell's run, at the clock's microsecond grain.
+fn sim_time(secs: f64) -> SimTime {
+    SimTime::from_micros(SimDuration::from_secs_f64(secs).as_micros())
+}
+
+/// One cell's world while its timeline runs: the simulation, its nodes, and
+/// the inputs every step reads.
+struct Cell<'a> {
+    sim: Sim,
+    cfg: &'a FleetConfig,
+    spec: &'a CellSpec,
+    sampler: &'a PopulationSampler,
+    metrics: &'a Arc<FleetMetrics>,
+    cell_seed: u64,
     engine: NodeId,
     svc: NodeId,
-    metrics: &Arc<FleetMetrics>,
-    cell_seed: u64,
-    static_plan: Vec<(u64, u64, usize, u32)>,
-    installs_total: &mut u64,
-) -> NodeId {
-    // The late service exists from t=0 as a sim node (nodes are inert until
-    // addressed) but the *engine* only learns of it at the onboard event.
-    let live = sim.add_node(
-        LIVE_SLUG,
-        FleetService::new(LIVE_SLUG, LIVE_KEY, metrics.clone(), None),
-    );
-    sim.link(engine, live, LinkSpec::datacenter());
+    /// The late service of a churn cell; a static cell has none.
+    live: Option<NodeId>,
+    /// `user_n` ids by user index, formatted once each.
+    user_ids: FxHashMap<u64, UserId>,
+    installs_total: u64,
+}
 
-    let mut churn_rng = StdRng::seed_from_u64(derive_seed(cell_seed, CHURN_STREAM));
-    let mult = cfg.churn.multiplier();
-    let static_installs = *installs_total;
-    let n_install = ((static_installs as f64 * WEEKLY_INSTALL_RATE * mult).round() as usize).max(1);
-    let n_uninstall = ((static_installs as f64 * WEEKLY_UNINSTALL_RATE * mult).round() as usize)
-        .clamp(1, static_installs as usize);
-    let onboard_secs = cfg.settle_secs + 0.25 * cfg.window_secs;
-    let retire_secs = cfg.settle_secs + 0.75 * cfg.window_secs;
-    let at_micros = |secs: f64| SimDuration::from_secs_f64(secs).as_micros();
-
-    let mut seq = 0u32;
-    let mut timeline: Vec<(u64, u8, u32, ChurnOp)> = Vec::new();
-    let mut push = |timeline: &mut Vec<(u64, u8, u32, ChurnOp)>, at: u64, prio: u8, op: ChurnOp| {
-        timeline.push((at, prio, seq, op));
-        seq += 1;
-    };
-    push(&mut timeline, at_micros(onboard_secs), 0, ChurnOp::Onboard);
-    push(&mut timeline, at_micros(retire_secs), 4, ChurnOp::Retire);
-    for (at, user, slot, applet) in static_plan {
-        push(
-            &mut timeline,
-            at,
-            2,
-            ChurnOp::Activate { user, slot, applet },
-        );
-    }
-
-    // Joiners: fresh users (indices past the cell's own range — profiles
-    // are pure functions of the index, so any index is a valid donor)
-    // installing one applet each, some on the late service while it lives.
-    // All RNG draws happen here, in planning order, never at execution.
-    struct Joiner {
-        donor: u64,
-        on_live: bool,
-        add_count: u64,
-        catalog_applet: usize,
-    }
-    let mut joiners: Vec<Joiner> = Vec::with_capacity(n_install);
-    for j in 0..n_install as u32 {
-        let install_secs = cfg.settle_secs + churn_rng.gen_range(0.0..cfg.window_secs);
-        let on_live = install_secs > onboard_secs
-            && install_secs < retire_secs
-            && churn_rng.gen::<f64>() < 0.25;
-        let act_secs = (install_secs
-            + cfg.settle_secs
-            + churn_rng.gen_range(0.0..(0.25 * cfg.window_secs).max(1.0)))
-        .min(cfg.settle_secs + cfg.window_secs);
-        let donor = spec.first_user + spec.users + j as u64;
-        let profile = sampler.user(donor);
-        let install = &profile.installs[0];
-        joiners.push(Joiner {
-            donor,
-            on_live,
-            add_count: install.add_count,
-            catalog_applet: install.applet,
+impl Cell<'_> {
+    /// Connect `user` to the service at `node` (the cell's own, or the late
+    /// one) and install their applets, given as
+    /// `(engine id, name, install slot, catalog entry)` — the one way an
+    /// applet enters a cell. Slot `k` is trigger `fired_k` → action `noop_k`;
+    /// a multi-step catalog entry brings its DAG, re-slugged onto the cell's
+    /// endpoints.
+    fn join(
+        &mut self,
+        node: NodeId,
+        user: u64,
+        applets: impl Iterator<Item = (u32, String, usize, InstalledApplet)>,
+    ) {
+        let on_live = Some(node) == self.live;
+        let slug = ServiceSlug::new(if on_live { LIVE_SLUG } else { SERVICE_SLUG });
+        let user = &self.user_ids[&user];
+        let token = self.sim.with_node::<FleetService, _>(node, |s, ctx| {
+            s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
         });
-        push(
-            &mut timeline,
-            at_micros(install_secs),
-            1,
-            ChurnOp::Install { joiner: j },
-        );
-        push(
-            &mut timeline,
-            at_micros(act_secs),
-            2,
-            ChurnOp::ChurnActivate { joiner: j },
-        );
+        let (sampler, installs_total) = (self.sampler, &mut self.installs_total);
+        self.sim.with_node::<TapEngine, _>(self.engine, |e, ctx| {
+            e.set_token(user.clone(), slug.clone(), token);
+            for (id, name, slot, install) in applets {
+                let mut applet = Applet::new(
+                    AppletId(id),
+                    name,
+                    user.clone(),
+                    TriggerRef {
+                        service: slug.clone(),
+                        trigger: TriggerSlug::new(format!("fired_{slot}")),
+                        fields: FieldMap::new(),
+                    },
+                    ActionRef {
+                        service: slug.clone(),
+                        action: ActionSlug::new(format!("noop_{slot}")),
+                        fields: FieldMap::new(),
+                    },
+                );
+                applet.add_count = install.add_count;
+                let steps = instantiate_steps(sampler.steps_of(install.applet), slot);
+                if !steps.is_empty() {
+                    applet = applet.with_steps(steps);
+                }
+                e.apply_lifecycle(ctx, LifecycleEvent::InstallApplet(applet))
+                    .expect("fleet applet installs");
+                *installs_total += 1;
+            }
+        });
     }
 
-    // Uninstall victims: a partial Fisher-Yates over the static slots
-    // picks `n_uninstall` distinct applets, each at its own drawn time.
-    let mut victims: Vec<(u64, usize, u32)> = Vec::with_capacity(static_installs as usize);
-    for (local, user) in (spec.first_user..spec.first_user + spec.users).enumerate() {
-        for k in 0..sampler.user(user).installs.len() {
-            victims.push((user, k, (local * MAX_INSTALLS_PER_USER + k + 1) as u32));
+    /// Add a churn cell's lifecycle events to `timeline`, sampled from
+    /// [`CHURN_STREAM`] at the §3.2 weekly rates times the profile's
+    /// multiplier: mid-run joiners, uninstalls, and a late service that
+    /// onboards at a quarter of the window and retires at three quarters.
+    /// All RNG draws happen here, in planning order, never at execution.
+    fn plan_churn(&mut self, timeline: &mut Timeline) {
+        let (cfg, spec) = (self.cfg, self.spec);
+        // The late service exists from t=0 as a sim node (nodes are inert until
+        // addressed) but the *engine* only learns of it at the onboard event.
+        let live = self.sim.add_node(
+            LIVE_SLUG,
+            FleetService::new(LIVE_SLUG, LIVE_KEY, self.metrics.clone(), None),
+        );
+        self.sim.link(self.engine, live, LinkSpec::datacenter());
+        self.live = Some(live);
+
+        let mut churn_rng = StdRng::seed_from_u64(derive_seed(self.cell_seed, CHURN_STREAM));
+        let mult = cfg.churn.multiplier();
+        let static_installs = self.installs_total;
+        let n_install =
+            ((static_installs as f64 * WEEKLY_INSTALL_RATE * mult).round() as usize).max(1);
+        let n_uninstall = ((static_installs as f64 * WEEKLY_UNINSTALL_RATE * mult).round()
+            as usize)
+            .clamp(1, static_installs as usize);
+        let onboard_secs = cfg.settle_secs + 0.25 * cfg.window_secs;
+        let retire_secs = cfg.settle_secs + 0.75 * cfg.window_secs;
+        timeline.push(onboard_secs, 0, ChurnOp::Onboard);
+        timeline.push(retire_secs, 4, ChurnOp::Retire);
+
+        // Joiners: fresh users (indices past the cell's own range — profiles
+        // are pure functions of the index, so any index is a valid donor)
+        // installing one applet each, some on the late service while it lives.
+        for j in 0..n_install as u32 {
+            let install_secs = cfg.settle_secs + churn_rng.gen_range(0.0..cfg.window_secs);
+            let on_live = install_secs > onboard_secs
+                && install_secs < retire_secs
+                && churn_rng.gen::<f64>() < 0.25;
+            let node = if on_live { live } else { self.svc };
+            let act_secs = (install_secs
+                + cfg.settle_secs
+                + churn_rng.gen_range(0.0..(0.25 * cfg.window_secs).max(1.0)))
+            .min(cfg.settle_secs + cfg.window_secs);
+            let donor = spec.first_user + spec.users + j as u64;
+            let install = self.sampler.user(donor).installs[0];
+            let applet = CHURN_APPLET_BASE + j;
+            self.user_ids
+                .insert(donor, UserId::new(format!("user_{donor}")));
+            let op = ChurnOp::Install {
+                node,
+                donor,
+                applet,
+                install,
+            };
+            timeline.push(install_secs, 1, op);
+            let op = ChurnOp::Activate {
+                node,
+                user: donor,
+                slot: 0,
+                applet,
+            };
+            timeline.push(act_secs, 2, op);
+        }
+
+        // Uninstall victims: a partial Fisher-Yates over the static slots
+        // picks `n_uninstall` distinct applets, each at its own drawn time.
+        let mut victims: Vec<u32> = Vec::with_capacity(static_installs as usize);
+        for (local, user) in (spec.first_user..spec.first_user + spec.users).enumerate() {
+            for k in 0..self.sampler.user(user).installs.len() {
+                victims.push(static_applet_id(local, k));
+            }
+        }
+        for j in 0..n_uninstall {
+            let pick = churn_rng.gen_range(j..victims.len());
+            victims.swap(j, pick);
+            let applet = victims[j];
+            let uninstall_secs = cfg.settle_secs + churn_rng.gen_range(0.0..cfg.window_secs);
+            timeline.push(uninstall_secs, 3, ChurnOp::Uninstall { applet });
         }
     }
-    for j in 0..n_uninstall {
-        let pick = churn_rng.gen_range(j..victims.len());
-        victims.swap(j, pick);
-        let (_user, _slot, applet) = victims[j];
-        let uninstall_secs = cfg.settle_secs + churn_rng.gen_range(0.0..cfg.window_secs);
-        push(
-            &mut timeline,
-            at_micros(uninstall_secs),
-            3,
-            ChurnOp::Uninstall { applet },
-        );
-    }
 
-    timeline.sort_unstable_by_key(|&(at, prio, seq, _)| (at, prio, seq));
-
-    // Execute. `doomed` mirrors the engine's view of which applets are
-    // gone, so planned activations for dead applets become orphans.
-    let mut doomed: mem::FxHashSet<u32> = mem::FxHashSet::default();
-    let mut live_applets: Vec<u32> = Vec::new();
-    let mut live_open = false;
-    let live_slug = || ServiceSlug::new(LIVE_SLUG);
-    for (at, _prio, _seq, op) in timeline {
-        sim.run_until(SimTime::from_micros(at));
-        match op {
-            ChurnOp::Activate { user, slot, applet } => {
-                if doomed.contains(&applet) {
+    /// Execute `timeline` in `(time, priority, seq)` order.
+    ///
+    /// Orphan accounting: an activation whose applet was uninstalled (or
+    /// whose service retired) before the fire time is *dropped*, not emitted —
+    /// it counts as `churn_orphans`, never as an activation or a loss.
+    /// Activations already emitted when their applet dies keep flowing through
+    /// the normal bookkeeping: delivered ones record T2A, undelivered ones
+    /// count as `lost` at the horizon.
+    fn run(&mut self, mut timeline: Timeline) {
+        timeline
+            .0
+            .sort_unstable_by_key(|&(at, prio, seq, _)| (at, prio, seq));
+        // `doomed` mirrors the engine's view of which applets are gone, so
+        // planned activations for dead applets become orphans.
+        let mut doomed: mem::FxHashSet<u32> = mem::FxHashSet::default();
+        let mut live_applets: Vec<u32> = Vec::new();
+        let metrics = self.metrics;
+        let live_slug = || ServiceSlug::new(LIVE_SLUG);
+        for (at, _prio, _seq, op) in timeline.0 {
+            self.sim.run_until(at);
+            match op {
+                ChurnOp::Activate { applet, .. } if doomed.contains(&applet) => {
                     metrics.churn_orphans.incr();
-                } else {
-                    let user = &user_ids[&user];
-                    sim.with_node::<FleetService, _>(svc, |s, ctx| s.emit(ctx, user, slot, applet));
                 }
-            }
-            ChurnOp::Install { joiner } => {
-                let info = &joiners[joiner as usize];
-                let applet_id = AppletId(CHURN_APPLET_BASE + joiner);
-                let (node, slug) = if info.on_live {
-                    (live, live_slug())
-                } else {
-                    (svc, ServiceSlug::new(SERVICE_SLUG))
-                };
-                let user = UserId::new(format!("user_{}", info.donor));
-                let token = sim.with_node::<FleetService, _>(node, |s, ctx| {
-                    s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
-                });
-                let steps = instantiate_steps(sampler.steps_of(info.catalog_applet), 0);
-                let add_count = info.add_count;
-                sim.with_node::<TapEngine, _>(engine, |e, ctx| {
-                    e.set_token(user.clone(), slug.clone(), token);
-                    let mut applet = Applet::new(
-                        applet_id,
-                        format!("churn join {}", info.donor),
-                        user.clone(),
-                        TriggerRef {
-                            service: slug.clone(),
-                            trigger: TriggerSlug::new("fired_0"),
-                            fields: FieldMap::new(),
-                        },
-                        ActionRef {
-                            service: slug.clone(),
-                            action: ActionSlug::new("noop_0"),
-                            fields: FieldMap::new(),
-                        },
-                    );
-                    applet.add_count = add_count;
-                    if !steps.is_empty() {
-                        applet = applet.with_steps(steps);
-                    }
-                    let ack = e
-                        .apply_lifecycle(ctx, LifecycleEvent::InstallApplet(applet))
-                        .expect("churn install applies");
-                    assert_eq!(ack, LifecycleAck::Installed(applet_id));
-                });
-                if info.on_live {
-                    live_applets.push(applet_id.0);
-                }
-                *installs_total += 1;
-                metrics.churn_installs.incr();
-            }
-            ChurnOp::ChurnActivate { joiner } => {
-                let info = &joiners[joiner as usize];
-                let applet_id = CHURN_APPLET_BASE + joiner;
-                if doomed.contains(&applet_id) {
-                    metrics.churn_orphans.incr();
-                } else {
-                    let node = if info.on_live { live } else { svc };
-                    let user = UserId::new(format!("user_{}", info.donor));
-                    sim.with_node::<FleetService, _>(node, |s, ctx| {
-                        s.emit(ctx, &user, 0, applet_id)
+                ChurnOp::Activate {
+                    node,
+                    user,
+                    slot,
+                    applet,
+                } => {
+                    let user = &self.user_ids[&user];
+                    self.sim.with_node::<FleetService, _>(node, |s, ctx| {
+                        s.emit(ctx, user, slot, applet)
                     });
                 }
-            }
-            ChurnOp::Uninstall { applet } => {
-                sim.with_node::<TapEngine, _>(engine, |e, ctx| {
-                    e.apply_lifecycle(ctx, LifecycleEvent::UninstallApplet(AppletId(applet)))
-                        .expect("churn uninstall applies");
-                });
-                doomed.insert(applet);
-                metrics.churn_uninstalls.incr();
-            }
-            ChurnOp::Onboard => {
-                sim.with_node::<TapEngine, _>(engine, |e, ctx| {
-                    e.apply_lifecycle(
-                        ctx,
-                        LifecycleEvent::OnboardService {
-                            slug: live_slug(),
-                            node: live,
-                            key: ServiceKey(LIVE_KEY.into()),
-                            realtime: false,
-                        },
-                    )
-                    .expect("churn onboard applies");
-                });
-                live_open = true;
-                metrics.churn_onboards.incr();
-            }
-            ChurnOp::Retire => {
-                debug_assert!(live_open, "retirement follows onboarding");
-                sim.with_node::<TapEngine, _>(engine, |e, ctx| {
-                    let ack = e
-                        .apply_lifecycle(ctx, LifecycleEvent::RetireService(live_slug()))
-                        .expect("churn retirement applies");
+                ChurnOp::Install {
+                    node,
+                    donor,
+                    applet,
+                    install,
+                } => {
+                    let name = format!("churn join {donor}");
+                    self.join(node, donor, [(applet, name, 0, install)].into_iter());
+                    if Some(node) == self.live {
+                        live_applets.push(applet);
+                    }
+                    metrics.churn_installs.incr();
+                }
+                ChurnOp::Uninstall { applet } => {
+                    self.engine_lifecycle(LifecycleEvent::UninstallApplet(AppletId(applet)));
+                    doomed.insert(applet);
+                    metrics.churn_uninstalls.incr();
+                }
+                ChurnOp::Onboard => {
+                    self.engine_lifecycle(LifecycleEvent::OnboardService {
+                        slug: live_slug(),
+                        node: self.live.expect("only a churn plan onboards"),
+                        key: ServiceKey(LIVE_KEY.into()),
+                        realtime: false,
+                    });
+                    metrics.churn_onboards.incr();
+                }
+                ChurnOp::Retire => {
+                    let ack = self.engine_lifecycle(LifecycleEvent::RetireService(live_slug()));
                     if let LifecycleAck::Retired {
                         applets_removed, ..
                     } = ack
                     {
                         debug_assert_eq!(applets_removed as usize, live_applets.len());
                     }
-                });
-                doomed.extend(live_applets.drain(..));
-                metrics.churn_retirements.incr();
+                    doomed.extend(live_applets.drain(..));
+                    metrics.churn_retirements.incr();
+                }
             }
         }
     }
-    live
+
+    fn engine_lifecycle(&mut self, ev: LifecycleEvent) -> LifecycleAck {
+        self.sim.with_node::<TapEngine, _>(self.engine, |e, ctx| {
+            e.apply_lifecycle(ctx, ev)
+                .expect("planned churn event applies")
+        })
+    }
 }
 
 /// Re-slug a catalog DAG for the cell's service: the first action node
@@ -684,18 +656,14 @@ fn instantiate_steps(catalog: &[StepNode], slot: usize) -> Vec<StepNode> {
 /// service. Everything derives from the cell's virtual clock — no RNG, no
 /// wall time — so the same `(seed, profile)` always produces the same run.
 fn apply_chaos(sim: &mut Sim, cfg: &FleetConfig, link: LinkId, svc: NodeId) {
-    let horizon = SimTime::from_micros(
-        SimDuration::from_secs_f64(cfg.settle_secs + cfg.window_secs + cfg.drain_secs).as_micros(),
-    );
+    let horizon = sim_time(cfg.settle_secs + cfg.window_secs + cfg.drain_secs);
     sim.apply_fault_plan(&FaultPlan::new().link_loss(
         link,
         cfg.chaos.link_loss(),
         SimTime::ZERO,
         horizon,
     ));
-    let after_settle = |secs: f64| {
-        SimTime::from_micros(SimDuration::from_secs_f64(cfg.settle_secs + secs).as_micros())
-    };
+    let after_settle = |secs: f64| sim_time(cfg.settle_secs + secs);
     let outages = match cfg.chaos {
         ChaosProfile::Off => return,
         ChaosProfile::Mild => ServerFaultPlan::new().periodic(

@@ -34,6 +34,7 @@ pub mod attribution;
 pub mod cell;
 pub mod live;
 pub mod metrics;
+pub mod options;
 pub mod report;
 pub mod runner;
 pub mod scenario;
@@ -43,6 +44,7 @@ pub mod test_support;
 pub use attribution::{AttributionRecorder, CellSink};
 pub use live::{LiveGrowth, LiveGrowthRow};
 pub use metrics::{AttributionStages, Counter, FleetMetrics, Histogram, HistogramSnapshot};
+pub use options::FleetCli;
 pub use report::{fnv1a, FleetReport, ShardSummary, PAPER_T2A_QUARTILES_SECS};
 pub use runner::{
     population, run_fleet, run_fleet_with_progress, ChaosProfile, ChurnProfile, FleetConfig,

@@ -12,6 +12,8 @@
 
 use crate::cell::run_cell;
 use crate::metrics::FleetMetrics;
+pub use crate::options::FleetConfig;
+use crate::options::{OptValue, ScenarioSpec};
 use crate::report::{FleetReport, ShardSummary};
 use crate::shard::{assign_round_robin, plan_cells};
 use ecosystem::{Ecosystem, GeneratorConfig, PopulationSampler};
@@ -28,8 +30,11 @@ pub(crate) const ECO_STREAM: u64 = 0xec0_0001;
 const POP_STREAM: u64 = 0xb0b_0001;
 
 /// An enum whose variants each have one CLI / wire name. The
-/// `Variant => "name"` pairs are the only place a name is spelled; `parse`,
-/// `name`, `Display`, `Serialize` and `Deserialize` are generated from them.
+/// `Variant => "name"` pairs are the only place a name is spelled; `name`,
+/// `Display`, `Serialize`, `Deserialize` and the flag-text [`OptValue`]
+/// (`from_text` reads a name; the usage spelling is the names joined by
+/// `|`) are generated from them. `PartialOrd` is declaration order; it is there
+/// because an options row's range bounds its type, and for these it is `..`.
 macro_rules! named_enum {
     (
         $(#[$meta:meta])*
@@ -38,24 +43,26 @@ macro_rules! named_enum {
         }
     ) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd)]
         pub enum $ty {
             $( $(#[$vmeta])* $variant, )*
         }
 
         impl $ty {
-            /// Parse a CLI name.
-            pub fn parse(s: &str) -> Option<$ty> {
-                match s {
-                    $( $name => Some($ty::$variant), )*
-                    _ => None,
-                }
-            }
-
             /// The CLI name.
             pub fn name(self) -> &'static str {
                 match self {
                     $( $ty::$variant => $name, )*
+                }
+            }
+        }
+
+        impl OptValue for $ty {
+            const ARG: &'static str = concat!($( "|", $name ),*).split_at(1).1;
+            fn from_text(s: &str) -> Option<$ty> {
+                match s {
+                    $( $name => Some($ty::$variant), )*
+                    _ => None,
                 }
             }
         }
@@ -75,7 +82,7 @@ macro_rules! named_enum {
         impl Deserialize for $ty {
             fn read_json(r: &mut de::Reader<'_>) -> Result<Self, de::Error> {
                 let name = r.str()?;
-                $ty::parse(&name)
+                $ty::from_text(&name)
                     .ok_or_else(|| de::Error::custom(format!("unknown {} `{name}`", $what)))
             }
         }
@@ -103,9 +110,9 @@ impl FleetPolicy {
     /// The policy-aware drain default: production-like polling needs to
     /// survive a full backlog gap (up to 900 s), the 1-second poller needs
     /// almost none. Every path that sets a policy after construction goes
-    /// through [`ScenarioSpec::apply_to`](crate::ScenarioSpec), which
-    /// re-derives the drain through this — otherwise a scenario-set policy
-    /// would run with the constructor policy's horizon.
+    /// through [`ScenarioSpec::apply_to`], which re-derives the drain
+    /// through this (`scenario::settle_drain`) — otherwise a
+    /// scenario-set policy would run with the constructor policy's horizon.
     pub fn default_drain_secs(self) -> f64 {
         match self {
             FleetPolicy::Fast => 30.0,
@@ -203,107 +210,19 @@ impl ChurnProfile {
     }
 }
 
-/// Everything a fleet run needs; [`FleetConfig::new`] picks defaults that
-/// scale from smoke tests to the million-user run.
-///
-/// Serializable because the distributed coordinator pushes the resolved
-/// configuration to `fleet-shard` worker processes over the wire; the
-/// JSON form must round-trip exactly (every field is an integer, a flag,
-/// a policy name, or an f64 whose shortest decimal form re-parses to the
-/// same bits) so a worker reconstructs cell-for-cell the run the
-/// coordinator planned.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FleetConfig {
-    /// Total synthetic user channels.
-    pub users: u64,
-    /// Worker threads; outcome-invariant (only wall-clock changes).
-    pub shards: usize,
-    /// Poll policy for every cell engine.
-    pub policy: FleetPolicy,
-    /// Master seed; cells derive theirs as `(master, CELL_STREAM_BASE+i)`.
-    pub master_seed: u64,
-    /// Generator scale of the applet catalog users install from.
-    pub eco_scale: f64,
-    /// Users per cell — the unit of work and the per-shard memory bound.
-    pub cell_users: u64,
-    /// Seconds before activations start (initial polls establish
-    /// subscriptions during this time).
-    pub settle_secs: f64,
-    /// Width of the randomized activation window (seconds).
-    pub window_secs: f64,
-    /// Seconds after the window closes before a cell stops; events still
-    /// undelivered then count as lost.
-    pub drain_secs: f64,
-    /// Smart policy's hot threshold; `None` derives the p90 add-count knee.
-    pub hot_threshold: Option<u64>,
-    /// Coalesce per-(user, service) sibling subscriptions into batch poll
-    /// requests (on by default — the fleet is exactly the workload the
-    /// fan-in was built for; `--no-batch` turns it off for comparison).
-    pub batch_polling: bool,
-    /// Fault-injection profile (`Off` by default; `--chaos` turns it on).
-    pub chaos: ChaosProfile,
-    /// Ecosystem-churn profile (`Off` by default; `--churn` turns it on).
-    /// Deserialize-default so pre-churn config JSON still parses.
-    #[serde(default)]
-    pub churn: ChurnProfile,
-    /// Record per-stage T2A latency attribution (off by default — the
-    /// counting-only sink keeps golden digests byte-identical;
-    /// `--attribution` turns it on).
-    pub attribution: bool,
-    /// Fraction of cells whose partner service is realtime-capable
-    /// (§6's adoption sweep). Each capable cell's service pushes a
-    /// notification on new trigger data and its engine allow-lists the
-    /// service for immediate polls. `0.0` (the default) leaves the
-    /// realtime path entirely cold, preserving pinned digests.
-    pub realtime_share: f64,
-    /// Fraction of catalog applets carrying a multi-step execution DAG
-    /// (forwarded to the ecosystem generator). `0.0` (the default) keeps
-    /// the catalog — and every pinned digest — byte-identical.
-    pub multi_step_share: f64,
-    /// Differential-testing knob: every cell engine swaps its slab-backed
-    /// in-flight stores (runs, pending batches) for the
-    /// `HashMap` reference implementation. Storage strategy must be
-    /// unobservable, so the run must be byte-identical to the slab one —
-    /// which is exactly what the differential test asserts.
-    pub reference_storage: bool,
-}
-
 impl FleetConfig {
-    /// Defaults for a run of `users` across `shards` workers. The drain is
-    /// policy-aware: production-like polling needs to survive a full
-    /// backlog gap (up to 900 s), the 1-second poller needs almost none.
+    /// The stock configuration ([`crate::options`]' defaults) for a run of
+    /// `users` across `shards` workers. The drain is policy-aware:
+    /// production-like polling needs to survive a full backlog gap (up to
+    /// 900 s), the 1-second poller needs almost none.
     pub fn new(users: u64, shards: usize, policy: FleetPolicy) -> FleetConfig {
         FleetConfig {
             users,
             shards: shards.max(1),
             policy,
-            master_seed: 2017,
-            eco_scale: 0.02,
-            cell_users: 50,
-            settle_secs: 10.0,
-            window_secs: 240.0,
             drain_secs: policy.default_drain_secs(),
-            hot_threshold: None,
-            batch_polling: true,
-            chaos: ChaosProfile::default(),
-            churn: ChurnProfile::default(),
-            attribution: false,
-            realtime_share: 0.0,
-            multi_step_share: 0.0,
-            reference_storage: false,
+            ..FleetConfig::stock()
         }
-    }
-
-    /// Set the master seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.master_seed = seed;
-        self
-    }
-
-    /// Set the users-per-cell work unit.
-    pub fn with_cell_users(mut self, cell_users: u64) -> Self {
-        self.cell_users = cell_users;
-        self
     }
 
     /// Set the settle / activation-window / drain phases (seconds).
@@ -314,53 +233,10 @@ impl FleetConfig {
         self
     }
 
-    /// Turn batch polling on or off.
-    pub fn with_batch_polling(mut self, on: bool) -> Self {
-        self.batch_polling = on;
-        self
-    }
-
-    /// Select a fault-injection profile.
-    pub fn with_chaos(mut self, chaos: ChaosProfile) -> Self {
-        self.chaos = chaos;
-        self
-    }
-
-    /// Select an ecosystem-churn profile.
-    pub fn with_churn(mut self, churn: ChurnProfile) -> Self {
-        self.churn = churn;
-        self
-    }
-
-    /// Apply a [`crate::scenario::ScenarioSpec`]: every field the spec
-    /// sets overwrites this config.
-    pub fn with_scenario(mut self, spec: crate::scenario::ScenarioSpec) -> Self {
+    /// Apply a [`ScenarioSpec`]: every field the spec sets overwrites this
+    /// config.
+    pub fn with_scenario(mut self, spec: ScenarioSpec) -> Self {
         spec.apply_to(&mut self);
-        self
-    }
-
-    /// Turn per-stage T2A attribution on or off.
-    pub fn with_attribution(mut self, on: bool) -> Self {
-        self.attribution = on;
-        self
-    }
-
-    /// Set the realtime-capable share of cells (clamped to `0..=1`).
-    pub fn with_realtime_share(mut self, share: f64) -> Self {
-        self.realtime_share = share.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Set the multi-step applet share of the catalog (clamped to `0..=1`).
-    pub fn with_multi_step_share(mut self, share: f64) -> Self {
-        self.multi_step_share = share.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Run every cell engine on the `HashMap` reference storage instead of
-    /// the slab arenas (differential testing of the slab migration).
-    pub fn with_reference_storage(mut self, on: bool) -> Self {
-        self.reference_storage = on;
         self
     }
 
@@ -574,7 +450,7 @@ mod tests {
             .with_batch_polling(false)
             .with_chaos(ChaosProfile::Harsh)
             .with_churn(ChurnProfile::Accelerated)
-            .with_scenario(crate::scenario::ScenarioSpec {
+            .with_scenario(ScenarioSpec {
                 realtime_share: Some(0.25),
                 ..Default::default()
             })
@@ -599,9 +475,9 @@ mod tests {
             FleetPolicy::Smart,
             FleetPolicy::Zapier,
         ] {
-            assert_eq!(FleetPolicy::parse(p.name()), Some(p));
+            assert_eq!(FleetPolicy::from_text(p.name()), Some(p));
         }
-        assert_eq!(FleetPolicy::parse("bogus"), None);
+        assert_eq!(FleetPolicy::from_text("bogus"), None);
     }
 
     #[test]
@@ -611,9 +487,9 @@ mod tests {
             ChurnProfile::Weekly,
             ChurnProfile::Accelerated,
         ] {
-            assert_eq!(ChurnProfile::parse(c.name()), Some(c));
+            assert_eq!(ChurnProfile::from_text(c.name()), Some(c));
         }
-        assert_eq!(ChurnProfile::parse("bogus"), None);
+        assert_eq!(ChurnProfile::from_text("bogus"), None);
         assert!(!ChurnProfile::Off.enabled());
         assert!(ChurnProfile::Weekly.enabled());
         assert_eq!(ChurnProfile::Accelerated.multiplier(), 10.0);

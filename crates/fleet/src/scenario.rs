@@ -1,90 +1,67 @@
 //! Declarative fleet scenarios.
 //!
 //! [`ScenarioSpec`] unifies the workload-shaping knobs that grew up as
-//! individual `ifttt-lab fleet` flags — poll policy, chaos profile, churn
-//! profile, attribution, realtime share, multi-step share — into one
-//! serializable document accepted as `--scenario <file.json>`. Every field
-//! is optional: an absent field leaves the [`FleetConfig`] default (or the
-//! explicit CLI flag, since flags are applied *after* the spec and win).
+//! individual `ifttt-lab fleet` flags into one document accepted as
+//! `--scenario <file.json>`: its keys are the `scenario` rows of the options
+//! table ([`crate::options`]), which generates the struct, its decoder and
+//! [`ScenarioSpec::apply_to`]. Every field is optional: an absent field
+//! leaves the [`FleetConfig`] default, or the typed flag's value — the CLI
+//! fills a second spec from its flags, lets it win field by field
+//! ([`ScenarioSpec::or`]) and applies the result once.
 //!
 //! A spec is applied where it is read and not kept: what the distributed
 //! coordinator's ConfigPush carries to `fleet-shard` workers is the
 //! resolved [`FleetConfig`], which is all a worker needs to rebuild its
-//! cells. The CLI parses its flags into a second spec and applies it after
-//! the file's, so the two sources share [`ScenarioSpec::apply_to`] and its
-//! rules (shares clamped, drain re-derived from a policy).
+//! cells.
 //!
-//! A member the spec does not know is an error, not a default: a typo in
-//! a scenario file must not run the stock configuration and exit 0.
+//! Text is checked where it enters, by the row's own range, whichever
+//! source it came from: a key no row owns, or a value outside its row's
+//! range, is an error naming the key — a typo in a scenario file must not
+//! run the stock configuration and exit 0. Specs built in code are pulled
+//! into range instead, like the builders.
 //!
 //! ```json
 //! { "policy": "zapier", "chaos": "mild", "churn": "accelerated",
 //!   "attribution": true, "realtime_share": 0.25, "multi_step_share": 0.1 }
 //! ```
 
-use crate::runner::{ChaosProfile, ChurnProfile, FleetConfig, FleetPolicy};
-use serde::{Deserialize, Serialize};
+pub use crate::options::ScenarioSpec;
+use crate::runner::FleetConfig;
 
-/// A partial fleet configuration: only the fields present in the JSON are
-/// applied. See the module docs for precedence.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct ScenarioSpec {
-    /// Poll policy (`ifttt` / `fast` / `smart` / `zapier`).
-    #[serde(default)]
-    pub policy: Option<FleetPolicy>,
-    /// Fault-injection profile (`off` / `mild` / `harsh`).
-    #[serde(default)]
-    pub chaos: Option<ChaosProfile>,
-    /// Ecosystem-churn profile (`off` / `weekly` / `accelerated`).
-    #[serde(default)]
-    pub churn: Option<ChurnProfile>,
-    /// Record per-stage T2A attribution.
-    #[serde(default)]
-    pub attribution: Option<bool>,
-    /// Fraction of cells with a realtime-capable partner service.
-    #[serde(default)]
-    pub realtime_share: Option<f64>,
-    /// Fraction of catalog applets carrying a multi-step DAG.
-    #[serde(default)]
-    pub multi_step_share: Option<f64>,
-}
+/// Seconds a run with fault injection drains at least: room for retries
+/// and breaker recovery to finish after the last activation window before
+/// stragglers count as lost.
+const CHAOS_DRAIN_FLOOR_SECS: f64 = 120.0;
 
 impl ScenarioSpec {
     /// Parse a spec from JSON text (the `--scenario <file.json>` payload).
+    /// A key no row owns, or a value outside its row's range, is an error
+    /// naming the key.
     pub fn from_json(text: &str) -> Result<ScenarioSpec, serde_json::Error> {
-        serde_json::from_str(text)
+        serde_json::from_str::<ScenarioSpec>(text)?
+            .in_range()
+            .map_err(serde_json::Error::custom)
     }
+}
 
-    /// Overwrite `cfg` with every field this spec sets. Shares are clamped
-    /// exactly like the corresponding builders, so a spec and a flag can
-    /// never disagree about range handling.
-    pub fn apply_to(&self, cfg: &mut FleetConfig) {
-        if let Some(policy) = self.policy {
-            cfg.policy = policy;
-            cfg.drain_secs = policy.default_drain_secs();
-        }
-        if let Some(chaos) = self.chaos {
-            cfg.chaos = chaos;
-        }
-        if let Some(churn) = self.churn {
-            cfg.churn = churn;
-        }
-        if let Some(attribution) = self.attribution {
-            cfg.attribution = attribution;
-        }
-        if let Some(share) = self.realtime_share {
-            cfg.realtime_share = share.clamp(0.0, 1.0);
-        }
-        if let Some(share) = self.multi_step_share {
-            cfg.multi_step_share = share.clamp(0.0, 1.0);
-        }
+/// The two rules that derive the drain horizon from what a spec sets, run
+/// by [`ScenarioSpec::apply_to`] after the fields are in: a policy brings
+/// its own default drain, and a live chaos profile raises the drain to the
+/// floor. Order matters — the floor is judged against the final policy's
+/// drain — which is why sources are merged first and applied once.
+pub(crate) fn settle_drain(spec: &ScenarioSpec, cfg: &mut FleetConfig) {
+    if let Some(policy) = spec.policy {
+        cfg.drain_secs = policy.default_drain_secs();
+    }
+    if spec.chaos.is_some_and(|chaos| chaos.enabled()) {
+        cfg.drain_secs = cfg.drain_secs.max(CHAOS_DRAIN_FLOOR_SECS);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{ChaosProfile, ChurnProfile, FleetPolicy};
 
     #[test]
     fn empty_spec_is_a_no_op() {
@@ -96,19 +73,33 @@ mod tests {
 
     #[test]
     fn spec_fields_overwrite_and_absent_fields_do_not() {
-        let spec = ScenarioSpec::from_json(
-            r#"{ "policy": "zapier", "churn": "weekly", "realtime_share": 1.5 }"#,
+        let mut spec = ScenarioSpec::from_json(
+            r#"{ "policy": "zapier", "churn": "weekly", "realtime_share": 1.0 }"#,
         )
         .expect("spec parses");
-        let mut cfg = FleetConfig::new(1_000, 2, FleetPolicy::Fast)
+        let base = FleetConfig::new(1_000, 2, FleetPolicy::Fast)
             .with_chaos(ChaosProfile::Mild)
             .with_multi_step_share(0.07);
+        let mut cfg = base.clone();
         spec.apply_to(&mut cfg);
         assert_eq!(cfg.policy, FleetPolicy::Zapier);
         assert_eq!(cfg.churn, ChurnProfile::Weekly);
-        assert_eq!(cfg.realtime_share, 1.0); // clamped like the builder
+        assert_eq!(cfg.realtime_share, 1.0);
         assert_eq!(cfg.chaos, ChaosProfile::Mild); // absent → untouched
         assert_eq!(cfg.multi_step_share, 0.07);
+        assert_eq!(cfg.drain_secs, 1000.0); // the spec set no chaos: no floor
+
+        // Out of range: text is refused, naming the key (a flag is refused
+        // the same way); a spec built in code clamps like the builder.
+        let err = ScenarioSpec::from_json(r#"{ "realtime_share": 1.5 }"#).unwrap_err();
+        assert!(
+            err.to_string().contains("`realtime_share` needs F"),
+            "{err}"
+        );
+        spec.realtime_share = Some(1.5);
+        let mut cfg = base;
+        spec.apply_to(&mut cfg);
+        assert_eq!(cfg.realtime_share, 1.0);
     }
 
     #[test]

@@ -89,8 +89,8 @@ pub fn small_churn_cfg(shards: usize, seed: u64) -> FleetConfig {
     small_fast_cfg(shards, seed).with_churn(ChurnProfile::Accelerated)
 }
 
-/// The production-like configuration the `fleet_throughput` bench runs;
-/// at 100k users it pairs with [`goldens::IFTTT_100K`].
+/// A production-like configuration with shortened phases; at 100k users it
+/// pairs with [`goldens::IFTTT_100K`].
 pub fn ifttt_bench_cfg(users: u64, shards: usize) -> FleetConfig {
     FleetConfig::new(users, shards, FleetPolicy::IftttLike).with_phases(10.0, 120.0, 400.0)
 }
