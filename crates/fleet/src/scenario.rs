@@ -3,8 +3,8 @@
 //! [`ScenarioSpec`] unifies the workload-shaping knobs that grew up as
 //! individual `ifttt-lab fleet` flags into one document accepted as
 //! `--scenario <file.json>`: its keys are the `scenario` rows of the options
-//! table ([`crate::options`]), which generates the struct, its decoder and
-//! [`ScenarioSpec::apply_to`]. Every field is optional: an absent field
+//! table ([`crate::options`]), which generates the struct, its range check
+//! and [`ScenarioSpec::apply_to`]. Every field is optional: an absent field
 //! leaves the [`FleetConfig`] default, or the typed flag's value — the CLI
 //! fills a second spec from its flags, lets it win field by field
 //! ([`ScenarioSpec::or`]) and applies the result once.
