@@ -6,6 +6,26 @@
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
+use simnet::prelude::{Context, NodeId};
+
+/// The nodes a device pushes its state changes to (a proxy, its vendor
+/// cloud, the test controller).
+#[derive(Debug, Default)]
+pub struct Observers(Vec<NodeId>);
+
+impl Observers {
+    /// Register `node` for every later push.
+    pub fn add(&mut self, node: NodeId) {
+        self.0.push(node);
+    }
+
+    /// Signal `payload` to every observer, in registration order.
+    pub fn push(&self, ctx: &mut Context<'_>, payload: Bytes) {
+        for &obs in &self.0 {
+            ctx.signal(obs, payload.clone());
+        }
+    }
+}
 
 /// A state-change notification emitted by a device.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

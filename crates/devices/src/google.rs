@@ -19,10 +19,11 @@
 //! | `POST /sheets/<user>/<sheet>/rows`       | append a row                    |
 //! | `POST /sheets/<user>/<sheet>/notify`     | toggle the notification feature |
 
-use crate::events::DeviceEvent;
+use crate::events::{DeviceEvent, Observers};
 use serde::{Deserialize, Serialize};
 use simnet::prelude::*;
 use std::collections::HashMap;
+use tap_protocol::FieldMap;
 
 /// One email in an inbox.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -60,7 +61,7 @@ pub struct GoogleCloud {
     users: HashMap<String, UserState>,
     /// Observers notified of every app event (vendor-internal push the
     /// official Google services subscribe to).
-    pub observers: Vec<NodeId>,
+    pub observers: Observers,
     /// Total emails delivered (for tests/metrics).
     pub emails_delivered: u64,
 }
@@ -72,11 +73,6 @@ impl GoogleCloud {
     /// Create an empty cloud.
     pub fn new() -> Self {
         GoogleCloud::default()
-    }
-
-    /// Register an observer for app events.
-    pub fn observe(&mut self, node: NodeId) {
-        self.observers.push(node);
     }
 
     fn user(&mut self, user: &str) -> &mut UserState {
@@ -120,9 +116,7 @@ impl GoogleCloud {
             );
         }
         for ev in events {
-            for obs in self.observers.clone() {
-                ctx.signal(obs, ev.to_bytes());
-            }
+            self.observers.push(ctx, ev.to_bytes());
         }
         seq
     }
@@ -176,9 +170,7 @@ impl GoogleCloud {
         let ev = DeviceEvent::new("sheets", "row_added", user, at)
             .with_data("sheet", sheet_name)
             .with_data("rows", row_count.to_string());
-        for obs in self.observers.clone() {
-            ctx.signal(obs, ev.to_bytes());
-        }
+        self.observers.push(ctx, ev.to_bytes());
         if notify {
             // The documented notification feature: modification → email to
             // the owner. This is the hidden half of the implicit loop.
@@ -193,6 +185,27 @@ impl GoogleCloud {
         }
         row_count
     }
+}
+
+/// The Sheets API request an `add_row` action's `fields` ask for: sheet
+/// `spreadsheet` (default `IFTTT`), cells from `row` split at `|||`.
+pub fn add_row_request(user: &str, fields: &FieldMap) -> Request {
+    let sheet = fields.get("spreadsheet").map_or("IFTTT", String::as_str);
+    let cells: Vec<&str> = fields
+        .get("row")
+        .map(|r| r.split("|||").collect())
+        .unwrap_or_default();
+    Request::post(format!("/sheets/{user}/{sheet}/rows"))
+        .with_body(serde_json::json!({ "cells": cells }).to_string())
+}
+
+/// The Drive API request a `save_file` action's `fields` ask for: file
+/// `name` (or `default_name`) holding `content`.
+pub fn save_file_request(user: &str, fields: &FieldMap, default_name: &str) -> Request {
+    let name = fields.get("name").map_or(default_name, String::as_str);
+    let content = fields.get("content").map_or("", String::as_str);
+    Request::post(format!("/drive/{user}/files"))
+        .with_body(serde_json::json!({ "name": name, "content": content }).to_string())
 }
 
 #[derive(Deserialize)]
@@ -272,9 +285,7 @@ impl Node for GoogleCloud {
                 let at = ctx.now().as_secs_f64() as u64;
                 let ev =
                     DeviceEvent::new("drive", "file_saved", *user, at).with_data("name", b.name);
-                for obs in self.observers.clone() {
-                    ctx.signal(obs, ev.to_bytes());
-                }
+                self.observers.push(ctx, ev.to_bytes());
                 reply(200, serde_json::json!({ "count": count }))
             }
             (Method::Get, ["drive", user, "files"]) => {
@@ -304,6 +315,7 @@ impl Node for GoogleCloud {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_client::Client;
     use bytes::Bytes;
 
     fn cloud_sim() -> (Sim, NodeId) {
@@ -342,7 +354,7 @@ mod tests {
         let (mut sim, g) = cloud_sim();
         let obs = sim.add_node("obs", Obs::default());
         sim.link(g, obs, LinkSpec::datacenter());
-        sim.node_mut::<GoogleCloud>(g).observe(obs);
+        sim.node_mut::<GoogleCloud>(g).observers.add(obs);
         sim.with_node::<GoogleCloud, _>(g, |gc, ctx| {
             gc.deliver_email(
                 ctx,
@@ -406,47 +418,25 @@ mod tests {
         );
     }
 
-    struct Poster {
-        target: NodeId,
-        path: String,
-        body: String,
-        status: Option<u16>,
-    }
-    impl Node for Poster {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            let req = Request::post(self.path.clone()).with_body(self.body.clone());
-            ctx.send_request(self.target, req, Token(0), RequestOpts::default());
-        }
-        fn on_response(&mut self, _c: &mut Context<'_>, _t: Token, resp: Response) {
-            self.status = Some(resp.status);
-        }
+    /// One POST of `body` to `path` on the cloud `g`, over the WAN.
+    fn post(sim: &mut Sim, g: NodeId, path: &str, body: &str) -> NodeId {
+        let req = Request::post(path).with_body(body.to_owned());
+        Client::spawn(sim, g, req, LinkSpec::wan())
     }
 
     #[test]
     fn http_api_inject_send_drive_sheets() {
         let (mut sim, g) = cloud_sim();
-        for (i, (path, body)) in [
+        for (path, body) in [
             ("/gmail/author/inject", r#"{"from":"x@y","subject":"s"}"#),
             ("/gmail/author/send", r#"{"to":"friend","subject":"fwd"}"#),
             ("/drive/author/files", r#"{"name":"f.txt","content":"c"}"#),
             ("/sheets/author/songs/rows", r#"{"cells":["t"]}"#),
             ("/sheets/author/songs/notify", r#"{"enabled":true}"#),
-        ]
-        .iter()
-        .enumerate()
-        {
-            let p = sim.add_node(
-                format!("p{i}"),
-                Poster {
-                    target: g,
-                    path: path.to_string(),
-                    body: body.to_string(),
-                    status: None,
-                },
-            );
-            sim.link(p, g, LinkSpec::wan());
+        ] {
+            let p = post(&mut sim, g, path, body);
             sim.run_until_idle();
-            assert_eq!(sim.node_ref::<Poster>(p).status, Some(200), "path {path}");
+            assert_eq!(Client::status(&sim, p), Some(200), "path {path}");
         }
         let gc = sim.node_ref::<GoogleCloud>(g);
         assert_eq!(gc.messages_since("author", 0).len(), 1);
@@ -458,17 +448,8 @@ mod tests {
     #[test]
     fn bad_bodies_are_400() {
         let (mut sim, g) = cloud_sim();
-        let p = sim.add_node(
-            "p",
-            Poster {
-                target: g,
-                path: "/gmail/author/inject".into(),
-                body: "not json".into(),
-                status: None,
-            },
-        );
-        sim.link(p, g, LinkSpec::wan());
+        let p = post(&mut sim, g, "/gmail/author/inject", "not json");
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<Poster>(p).status, Some(400));
+        assert_eq!(Client::status(&sim, p), Some(400));
     }
 }

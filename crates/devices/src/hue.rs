@@ -10,7 +10,7 @@
 //! allowlist (the home LAN rule of §2.1) — the official Hue cloud service is
 //! explicitly paired and therefore allowed from outside.
 
-use crate::events::{DeviceCommand, DeviceEvent};
+use crate::events::{DeviceCommand, DeviceEvent, Observers};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use simnet::prelude::*;
@@ -36,6 +36,28 @@ impl Default for LampState {
     }
 }
 
+/// One change to a lamp, as the bridge's REST API can express it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StateChange {
+    /// Switch on or off.
+    On(bool),
+    /// The `lselect` alert: blink for a while.
+    Blink,
+    /// Set the hue angle (at full brightness).
+    Color(u16),
+}
+
+/// The bridge's `PUT /api/<username>/lights/<lamp>/state` request for
+/// `change` — what the vendor cloud and the local proxy both send.
+pub fn state_request(username: &str, lamp: &str, change: StateChange) -> Request {
+    let body = match change {
+        StateChange::On(on) => serde_json::json!({ "on": on }),
+        StateChange::Blink => serde_json::json!({"alert": "lselect"}),
+        StateChange::Color(hue) => serde_json::json!({"hue": hue, "bri": 254}),
+    };
+    Request::put(format!("/api/{username}/lights/{lamp}/state")).with_body(body.to_string())
+}
+
 /// Timer keys used by [`HueLamp`].
 const TIMER_APPLY: TimerKey = 1;
 const TIMER_BLINK_STEP: TimerKey = 2;
@@ -52,7 +74,7 @@ pub struct HueLamp {
     /// Live lamp state.
     pub state: LampState,
     /// Nodes that receive a [`DeviceEvent`] on every state change.
-    pub observers: Vec<NodeId>,
+    pub observers: Observers,
     /// Commands waiting out their apply delay.
     queue: Vec<DeviceCommand>,
     /// Hub to acknowledge to (learned from the first command's source).
@@ -70,17 +92,12 @@ impl HueLamp {
             device_id: device_id.into(),
             user: user.into(),
             state: LampState::default(),
-            observers: Vec::new(),
+            observers: Observers::default(),
             queue: Vec::new(),
             hub: None,
             blink_left: 0,
             changes_applied: 0,
         }
-    }
-
-    /// Register an observer for state-change events.
-    pub fn observe(&mut self, node: NodeId) {
-        self.observers.push(node);
     }
 
     fn notify(&mut self, ctx: &mut Context<'_>, kind: &str) {
@@ -95,9 +112,7 @@ impl HueLamp {
         .with_data("bri", self.state.bri.to_string())
         .with_data("hue", self.state.hue.to_string());
         ctx.trace("lamp.state", format!("{} {kind}", self.device_id));
-        for obs in self.observers.clone() {
-            ctx.signal(obs, ev.to_bytes());
-        }
+        self.observers.push(ctx, ev.to_bytes());
     }
 
     fn apply(&mut self, ctx: &mut Context<'_>, cmd: &DeviceCommand) {
@@ -198,7 +213,7 @@ pub struct HueHub {
     /// Hosts allowed to call the REST API (`None` = open, for tests).
     pub allowed: Option<Vec<NodeId>>,
     /// Observers notified of every lamp state change the hub learns of.
-    pub observers: Vec<NodeId>,
+    pub observers: Observers,
     /// Replies waiting for a lamp ack: cmd_id → (request, lamp device id, op).
     pending: HashMap<u64, (RequestId, String, String)>,
     next_cmd: u64,
@@ -211,7 +226,7 @@ impl HueHub {
             username: username.into(),
             lamps: HashMap::new(),
             allowed: None,
-            observers: Vec::new(),
+            observers: Observers::default(),
             pending: HashMap::new(),
             next_cmd: 1,
         }
@@ -226,11 +241,6 @@ impl HueHub {
     /// Restrict API access to these hosts (the home-LAN rule).
     pub fn allow_only(&mut self, hosts: Vec<NodeId>) {
         self.allowed = Some(hosts);
-    }
-
-    /// Register an observer for lamp state changes.
-    pub fn observe(&mut self, node: NodeId) {
-        self.observers.push(node);
     }
 
     /// Cached state of a lamp, if registered.
@@ -360,9 +370,7 @@ impl Node for HueHub {
                     st.hue = hue;
                 }
             }
-            for obs in self.observers.clone() {
-                ctx.signal(obs, payload.clone());
-            }
+            self.observers.push(ctx, payload.clone());
         }
     }
 }
@@ -378,7 +386,7 @@ pub fn install_hue(sim: &mut Sim, username: &str, user: &str, n: usize) -> (Node
         let lamp = sim.add_node(device_id.clone(), HueLamp::new(device_id.clone(), user));
         sim.link(hub, lamp, LinkSpec::radio());
         sim.node_mut::<HueHub>(hub).register_lamp(device_id, lamp);
-        sim.node_mut::<HueLamp>(lamp).observe(hub);
+        sim.node_mut::<HueLamp>(lamp).observers.add(hub);
         lamps.push(lamp);
     }
     (hub, lamps)
@@ -387,37 +395,20 @@ pub fn install_hue(sim: &mut Sim, username: &str, user: &str, n: usize) -> (Node
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_client::Client;
 
-    /// Drives one PUT against the hub and reports the response.
-    struct Driver {
-        hub: NodeId,
-        path: String,
-        body: String,
-        response: Option<(u16, SimTime)>,
-    }
-    impl Node for Driver {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            let req = Request::put(self.path.clone()).with_body(self.body.clone());
-            ctx.send_request(self.hub, req, Token(1), RequestOpts::timeout_secs(10));
-        }
-        fn on_response(&mut self, ctx: &mut Context<'_>, _t: Token, resp: Response) {
-            self.response = Some((resp.status, ctx.now()));
-        }
+    const LAMP_1: &str = "/api/hueuser/lights/hue_lamp_1/state";
+
+    /// One PUT of `body` to `path` on `hub`, over the LAN.
+    fn put(sim: &mut Sim, hub: NodeId, path: &str, body: &str) -> NodeId {
+        let req = Request::put(path).with_body(body.to_owned());
+        Client::spawn(sim, hub, req, LinkSpec::lan())
     }
 
     fn setup(body: &str) -> (Sim, NodeId, NodeId, NodeId) {
         let mut sim = Sim::new(77);
         let (hub, lamps) = install_hue(&mut sim, "hueuser", "author", 1);
-        let driver = sim.add_node(
-            "driver",
-            Driver {
-                hub,
-                path: "/api/hueuser/lights/hue_lamp_1/state".into(),
-                body: body.into(),
-                response: None,
-            },
-        );
-        sim.link(driver, hub, LinkSpec::lan());
+        let driver = put(&mut sim, hub, LAMP_1, body);
         (sim, hub, lamps[0], driver)
     }
 
@@ -432,8 +423,8 @@ mod tests {
                 .unwrap()
                 .on
         );
-        let (status, at) = sim.node_ref::<Driver>(driver).response.unwrap();
-        assert_eq!(status, 200);
+        assert_eq!(Client::status(&sim, driver), Some(200));
+        let at = sim.node_ref::<Client>(driver).at.unwrap();
         // LAN + radio + apply delay: response well under a second but not zero.
         assert!(at > SimTime::ZERO && at < SimTime::from_secs(1));
     }
@@ -446,7 +437,7 @@ mod tests {
         assert_eq!(s.hue, 46920);
         assert_eq!(s.bri, 100);
         assert!(s.on);
-        assert_eq!(sim.node_ref::<Driver>(driver).response.unwrap().0, 200);
+        assert_eq!(Client::status(&sim, driver), Some(200));
     }
 
     #[test]
@@ -462,46 +453,29 @@ mod tests {
     #[test]
     fn unknown_lamp_is_404_and_bad_body_is_400() {
         let (mut sim, hub, _, _) = setup(r#"{"on":true}"#);
-        let d2 = sim.add_node(
-            "d2",
-            Driver {
-                hub,
-                path: "/api/hueuser/lights/nope/state".into(),
-                body: r#"{"on":true}"#.into(),
-                response: None,
-            },
+        let d2 = put(
+            &mut sim,
+            hub,
+            "/api/hueuser/lights/nope/state",
+            r#"{"on":true}"#,
         );
-        sim.link(d2, hub, LinkSpec::lan());
-        let d3 = sim.add_node(
-            "d3",
-            Driver {
-                hub,
-                path: "/api/hueuser/lights/hue_lamp_1/state".into(),
-                body: "not json".into(),
-                response: None,
-            },
-        );
-        sim.link(d3, hub, LinkSpec::lan());
+        let d3 = put(&mut sim, hub, LAMP_1, "not json");
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<Driver>(d2).response.unwrap().0, 404);
-        assert_eq!(sim.node_ref::<Driver>(d3).response.unwrap().0, 400);
+        assert_eq!(Client::status(&sim, d2), Some(404));
+        assert_eq!(Client::status(&sim, d3), Some(400));
     }
 
     #[test]
     fn wrong_username_is_401() {
         let (mut sim, hub, _, _) = setup("{}");
-        let d = sim.add_node(
-            "d",
-            Driver {
-                hub,
-                path: "/api/intruder/lights/hue_lamp_1/state".into(),
-                body: r#"{"on":true}"#.into(),
-                response: None,
-            },
+        let d = put(
+            &mut sim,
+            hub,
+            "/api/intruder/lights/hue_lamp_1/state",
+            r#"{"on":true}"#,
         );
-        sim.link(d, hub, LinkSpec::lan());
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<Driver>(d).response.unwrap().0, 401);
+        assert_eq!(Client::status(&sim, d), Some(401));
     }
 
     #[test]
@@ -510,22 +484,13 @@ mod tests {
         // Allow nobody: even the driver is rejected.
         sim.node_mut::<HueHub>(hub).allow_only(vec![]);
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<Driver>(driver).response.unwrap().0, 403);
+        assert_eq!(Client::status(&sim, driver), Some(403));
         // Allowing the driver makes it work again.
         sim.node_mut::<HueHub>(hub).allow_only(vec![driver]);
-        let d2 = sim.add_node(
-            "d2",
-            Driver {
-                hub,
-                path: "/api/hueuser/lights/hue_lamp_1/state".into(),
-                body: r#"{"on":true}"#.into(),
-                response: None,
-            },
-        );
-        sim.link(d2, hub, LinkSpec::lan());
+        let d2 = put(&mut sim, hub, LAMP_1, r#"{"on":true}"#);
         sim.run_until_idle();
         // d2 is not on the allowlist either.
-        assert_eq!(sim.node_ref::<Driver>(d2).response.unwrap().0, 403);
+        assert_eq!(Client::status(&sim, d2), Some(403));
     }
 
     #[test]
@@ -544,7 +509,7 @@ mod tests {
         let (mut sim, hub, _, _) = setup(r#"{"on":true}"#);
         let obs = sim.add_node("obs", Obs::default());
         sim.link(obs, hub, LinkSpec::lan());
-        sim.node_mut::<HueHub>(hub).observe(obs);
+        sim.node_mut::<HueHub>(hub).observers.add(obs);
         sim.run_until_idle();
         let events = &sim.node_ref::<Obs>(obs).events;
         assert_eq!(events.len(), 1);
@@ -554,29 +519,13 @@ mod tests {
 
     #[test]
     fn get_lights_lists_cached_state() {
-        struct Getter {
-            hub: NodeId,
-            body: Option<String>,
-        }
-        impl Node for Getter {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.send_request(
-                    self.hub,
-                    Request::get("/api/hueuser/lights"),
-                    Token(0),
-                    RequestOpts::default(),
-                );
-            }
-            fn on_response(&mut self, _c: &mut Context<'_>, _t: Token, resp: Response) {
-                self.body = Some(String::from_utf8_lossy(&resp.body).into_owned());
-            }
-        }
         let mut sim = Sim::new(3);
         let (hub, _) = install_hue(&mut sim, "hueuser", "author", 2);
-        let getter = sim.add_node("getter", Getter { hub, body: None });
-        sim.link(getter, hub, LinkSpec::lan());
+        let req = Request::get("/api/hueuser/lights");
+        let getter = Client::spawn(&mut sim, hub, req, LinkSpec::lan());
         sim.run_until_idle();
-        let body = sim.node_ref::<Getter>(getter).body.clone().unwrap();
+        let resp = sim.node_ref::<Client>(getter).response.as_ref().unwrap();
+        let body = String::from_utf8_lossy(&resp.body);
         assert!(body.contains("hue_lamp_1") && body.contains("hue_lamp_2"));
     }
 }

@@ -15,13 +15,15 @@
 //!   server, since "most home deployed devices only accept access from a
 //!   3rd-party host in the same LAN" ([`proxy`]).
 //! * **IFTTT partner services**: the official vendor clouds (Hue, WeMo,
-//!   Alexa, Google) and the authors' own "Our Service", all built on the
-//!   shared [`service_core::ServiceCore`] protocol front.
+//!   Alexa, Google) and the authors' own "Our Service". All of them are
+//!   one node type, [`services::PartnerService`], around the shared
+//!   [`service_core::ServiceCore`] protocol front; what differs per
+//!   vendor is a [`services::Partner`] impl ([`services`]).
 //!
 //! Devices enforce the LAN-only access rule with per-node allowlists, push
-//! state changes to registered observers, and add realistic processing
-//! delays, so end-to-end trigger-to-action latencies decompose exactly the
-//! way Table 5 of the paper does.
+//! state changes to their [`events::Observers`], and add realistic
+//! processing delays, so end-to-end trigger-to-action latencies decompose
+//! exactly the way Table 5 of the paper does.
 
 pub mod echo;
 pub mod events;
@@ -32,6 +34,8 @@ pub mod proxy;
 pub mod service_core;
 pub mod services;
 pub mod smartthings;
+#[cfg(test)]
+pub(crate) mod test_client;
 pub mod weather;
 pub mod wemo;
 

@@ -7,7 +7,7 @@
 //! exercises per-subscription trigger *fields* (each applet carries its
 //! own threshold).
 
-use crate::events::DeviceEvent;
+use crate::events::{DeviceEvent, Observers};
 use serde::Deserialize;
 use simnet::prelude::*;
 
@@ -25,7 +25,7 @@ pub struct NestThermostat {
     /// Hosts allowed to use the API (`None` = open).
     pub allowed: Option<Vec<NodeId>>,
     /// Observers notified of ambient changes and setpoint changes.
-    pub observers: Vec<NodeId>,
+    pub observers: Observers,
     /// Setpoint changes applied (for tests/metrics).
     pub setpoint_changes: u64,
 }
@@ -39,14 +39,9 @@ impl NestThermostat {
             ambient_c: 21.0,
             target_c: 20.0,
             allowed: None,
-            observers: Vec::new(),
+            observers: Observers::default(),
             setpoint_changes: 0,
         }
-    }
-
-    /// Register an observer.
-    pub fn observe(&mut self, node: NodeId) {
-        self.observers.push(node);
     }
 
     /// The room temperature changes (harness plays the environment).
@@ -70,9 +65,7 @@ impl NestThermostat {
         )
         .with_data("prev_c", format!("{prev:.2}"))
         .with_data("temp_c", format!("{temp_c:.2}"));
-        for obs in self.observers.clone() {
-            ctx.signal(obs, ev.to_bytes());
-        }
+        self.observers.push(ctx, ev.to_bytes());
     }
 }
 
@@ -119,9 +112,7 @@ impl Node for NestThermostat {
                     ctx.now().as_secs_f64() as u64,
                 )
                 .with_data("target_c", format!("{:.2}", t.temp_c));
-                for obs in self.observers.clone() {
-                    ctx.signal(obs, ev.to_bytes());
-                }
+                self.observers.push(ctx, ev.to_bytes());
                 HandlerResult::Reply(Response::ok())
             }
             _ => HandlerResult::Reply(Response::not_found()),
@@ -132,6 +123,7 @@ impl Node for NestThermostat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_client::Client;
     use bytes::Bytes;
 
     #[derive(Default)]
@@ -152,7 +144,7 @@ mod tests {
         let nest = sim.add_node("nest", NestThermostat::new("nest_1", "author"));
         let obs = sim.add_node("obs", Obs::default());
         sim.link(nest, obs, LinkSpec::wan());
-        sim.node_mut::<NestThermostat>(nest).observe(obs);
+        sim.node_mut::<NestThermostat>(nest).observers.add(obs);
         sim.with_node::<NestThermostat, _>(nest, |n, ctx| {
             n.set_ambient(ctx, 26.5);
             n.set_ambient(ctx, 26.5); // no-op duplicate
@@ -164,48 +156,27 @@ mod tests {
         assert_eq!(events[0].data["temp_c"], "26.50");
     }
 
-    struct Setter {
-        nest: NodeId,
-        body: String,
-        status: Option<u16>,
-    }
-    impl Node for Setter {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            let req = Request::put("/nest/target").with_body(self.body.clone());
-            ctx.send_request(self.nest, req, Token(0), RequestOpts::default());
-        }
-        fn on_response(&mut self, _c: &mut Context<'_>, _t: Token, resp: Response) {
-            self.status = Some(resp.status);
-        }
-    }
-
     #[test]
     fn setpoint_api_applies_in_range_and_rejects_out_of_range() {
         let mut sim = Sim::new(2);
         let nest = sim.add_node("nest", NestThermostat::new("nest_1", "author"));
-        let ok = sim.add_node(
-            "ok",
-            Setter {
-                nest,
-                body: r#"{"temp_c": 22.5}"#.into(),
-                status: None,
-            },
+        let ok = Client::spawn(
+            &mut sim,
+            nest,
+            Request::put("/nest/target").with_body(r#"{"temp_c": 22.5}"#),
+            LinkSpec::wan(),
         );
-        sim.link(ok, nest, LinkSpec::wan());
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<Setter>(ok).status, Some(200));
+        assert_eq!(Client::status(&sim, ok), Some(200));
         assert_eq!(sim.node_ref::<NestThermostat>(nest).target_c, 22.5);
-        let bad = sim.add_node(
-            "bad",
-            Setter {
-                nest,
-                body: r#"{"temp_c": 60.0}"#.into(),
-                status: None,
-            },
+        let bad = Client::spawn(
+            &mut sim,
+            nest,
+            Request::put("/nest/target").with_body(r#"{"temp_c": 60.0}"#),
+            LinkSpec::wan(),
         );
-        sim.link(bad, nest, LinkSpec::wan());
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<Setter>(bad).status, Some(400));
+        assert_eq!(Client::status(&sim, bad), Some(400));
         assert_eq!(sim.node_ref::<NestThermostat>(nest).target_c, 22.5);
     }
 }

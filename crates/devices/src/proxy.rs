@@ -14,6 +14,8 @@
 //!   after the device acknowledges.
 
 use crate::events::{DeviceCommand, DeviceEvent};
+use crate::hue::{self, StateChange};
+use crate::services::PendingReplies;
 use crate::wemo;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -43,33 +45,19 @@ pub struct ProxyCommand {
 }
 
 /// The proxy node.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LocalProxy {
     /// The lab service server events are forwarded to (set after both nodes
     /// exist, via [`LocalProxy::set_upstream`]).
     upstream: Option<NodeId>,
     /// Device registry: device id → route.
     routes: HashMap<String, DeviceRoute>,
-    /// Southbound requests in flight: token → northbound request to answer.
-    pending: HashMap<u64, RequestId>,
-    next_token: u64,
+    /// Southbound requests in flight → northbound request to answer.
+    pending: PendingReplies,
     /// Forwarded events confirmed by the upstream (for tests / Table 5).
     pub events_confirmed: u64,
     /// Commands executed end-to-end.
     pub commands_done: u64,
-}
-
-impl Default for LocalProxy {
-    fn default() -> Self {
-        LocalProxy {
-            upstream: None,
-            routes: HashMap::new(),
-            pending: HashMap::new(),
-            next_token: 1,
-            events_confirmed: 0,
-            commands_done: 0,
-        }
-    }
 }
 
 impl LocalProxy {
@@ -99,64 +87,46 @@ impl LocalProxy {
     }
 
     fn execute(&mut self, ctx: &mut Context<'_>, cmd: &DeviceCommand, northbound: RequestId) {
-        let Some(route) = self.routes.get(&cmd.device).cloned() else {
+        let Some(route) = self.routes.get(&cmd.device) else {
             ctx.reply(northbound, Response::not_found());
             return;
         };
-        let token = self.next_token;
-        self.next_token += 1;
-        self.pending.insert(token, northbound);
         ctx.trace("proxy.command", format!("{} {}", cmd.device, cmd.op));
-        match route {
+        let southbound = match route {
             DeviceRoute::HueLamp { hub, username } => {
-                let body = match cmd.op.as_str() {
-                    "turn_on" => serde_json::json!({"on": true}),
-                    "turn_off" => serde_json::json!({"on": false}),
-                    "blink" => serde_json::json!({"alert": "lselect"}),
+                let change = match cmd.op.as_str() {
+                    "turn_on" => Some(StateChange::On(true)),
+                    "turn_off" => Some(StateChange::On(false)),
+                    "blink" => Some(StateChange::Blink),
                     "set_color" => {
-                        let hue: u16 = cmd
-                            .args
-                            .get("hue")
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or(46920);
-                        serde_json::json!({"hue": hue, "bri": 254})
+                        let hue = cmd.args.get("hue").and_then(|v| v.parse().ok());
+                        Some(StateChange::Color(hue.unwrap_or(46920)))
                     }
-                    _ => {
-                        self.pending.remove(&token);
-                        ctx.reply(northbound, Response::bad_request());
-                        return;
-                    }
+                    _ => None,
                 };
-                let req = Request::put(format!("/api/{username}/lights/{}/state", cmd.device))
-                    .with_body(body.to_string());
-                ctx.send_request(hub, req, Token(token), RequestOpts::timeout_secs(10));
+                change.map(|c| (*hub, hue::state_request(username, &cmd.device, c)))
             }
             DeviceRoute::Wemo { node } => {
                 let on = match cmd.op.as_str() {
-                    "turn_on" => true,
-                    "turn_off" => false,
-                    _ => {
-                        self.pending.remove(&token);
-                        ctx.reply(northbound, Response::bad_request());
-                        return;
-                    }
+                    "turn_on" => Some(true),
+                    "turn_off" => Some(false),
+                    _ => None,
                 };
-                let req = Request::post(wemo::CONTROL_PATH)
-                    .with_header(wemo::SOAPACTION, wemo::SET_BINARY_STATE)
-                    .with_body(wemo::set_state_body(on));
-                ctx.send_request(node, req, Token(token), RequestOpts::timeout_secs(10));
+                on.map(|on| (*node, wemo::set_state_request(on)))
             }
             DeviceRoute::SmartThings { hub } => {
-                let value = cmd
-                    .args
-                    .get("value")
-                    .cloned()
-                    .unwrap_or_else(|| "on".into());
+                let value = cmd.args.get("value").map_or("on", String::as_str);
                 let req = Request::post(format!("/st/devices/{}/command", cmd.device))
                     .with_body(serde_json::json!({ "value": value }).to_string());
-                ctx.send_request(hub, req, Token(token), RequestOpts::timeout_secs(10));
+                Some((*hub, req))
             }
-        }
+        };
+        let Some((device, req)) = southbound else {
+            ctx.reply(northbound, Response::bad_request());
+            return;
+        };
+        let token = self.pending.track(northbound);
+        ctx.send_request(device, req, token, RequestOpts::timeout_secs(10));
     }
 }
 
@@ -184,7 +154,7 @@ impl Node for LocalProxy {
             }
             return;
         }
-        if let Some(northbound) = self.pending.remove(&token.0) {
+        if let Some(northbound) = self.pending.resolve(token) {
             if resp.is_success() {
                 self.commands_done += 1;
             }
@@ -257,8 +227,8 @@ mod tests {
             .allow_only(vec![proxy]);
         sim.node_mut::<WemoSwitch>(switch).allow_only(vec![proxy]);
         // Device pushes go to the proxy.
-        sim.node_mut::<crate::hue::HueHub>(hub).observe(proxy);
-        sim.node_mut::<WemoSwitch>(switch).observe(proxy);
+        sim.node_mut::<crate::hue::HueHub>(hub).observers.add(proxy);
+        sim.node_mut::<WemoSwitch>(switch).observers.add(proxy);
         let p = sim.node_mut::<LocalProxy>(proxy);
         p.set_upstream(server);
         p.register(

@@ -2,9 +2,10 @@
 //!
 //! [`ServiceCore`] bundles the protocol endpoint, the per-subscription
 //! trigger-event buffer, the subscription registry, and (optionally) the
-//! realtime API client. Concrete services delegate their `on_request` to
-//! [`ServiceCore::process`] and only implement what is genuinely theirs:
-//! feeding trigger events from their backend and executing actions.
+//! realtime API client. A service node hands each request to
+//! [`ServiceCore::process`] and does only what is left over: the testbed's
+//! services through the one shell in [`crate::services`], the fleet's and
+//! the benchmark's synchronous service nodes directly.
 
 use bytes::Bytes;
 use mem::FxHashMap;
@@ -275,6 +276,15 @@ impl ServiceCore {
         } else {
             Response::ok().with_body(out)
         }
+    }
+
+    /// Every distinct user with a subscription here, in sorted order (the
+    /// clock-driven services fire per user, not per push).
+    pub fn subscribed_users(&self) -> Vec<UserId> {
+        let mut users: Vec<UserId> = self.subs.values().map(|s| s.user.clone()).collect();
+        users.sort();
+        users.dedup();
+        users
     }
 
     /// A fresh service-unique event id.
@@ -607,6 +617,7 @@ impl ServiceCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_client::{engine_request, Client};
     use tap_protocol::auth::{ServiceKey, AUTHORIZATION_HEADER};
     use tap_protocol::wire::PollRequestBody;
     use tap_protocol::ServiceSlug;
@@ -637,44 +648,19 @@ mod tests {
         ServiceCore::new(ep)
     }
 
-    /// Engine stand-in: sends one poll (and optionally an action), and
-    /// records realtime hints it receives.
-    #[derive(Default)]
-    struct EngineStub {
-        service: Option<NodeId>,
-        token_header: String,
-        poll_body: Option<Vec<u8>>,
-        got_events: Option<usize>,
-        hints: Vec<TriggerIdentity>,
-    }
-    impl Node for EngineStub {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            if let (Some(svc), Some(body)) = (self.service, self.poll_body.clone()) {
-                let req = Request::post("/ifttt/v1/triggers/ding")
-                    .with_header(SERVICE_KEY_HEADER, "sk_1")
-                    .with_header(AUTHORIZATION_HEADER, self.token_header.clone())
-                    .with_body(body);
-                ctx.send_request(svc, req, Token(1), RequestOpts::timeout_secs(30));
-            }
-        }
-        fn on_request(&mut self, _ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-            if req.path == REALTIME_NOTIFY_PATH {
-                // The core sends the versioned first-class notification.
+    /// The subscriptions the engine stand-in was notified about, in order
+    /// (the core sends the versioned first-class notification).
+    fn hints(sim: &Sim, engine: NodeId) -> Vec<TriggerIdentity> {
+        let inbox = sim.node_ref::<Client>(engine).inbox.iter();
+        inbox
+            .flat_map(|req| {
+                assert_eq!(req.path, REALTIME_NOTIFY_PATH);
                 let n = wire::from_bytes::<wire::RealtimeNotificationV1>(&req.body)
                     .expect("core sends v1 bodies");
                 assert_eq!(n.version, wire::REALTIME_NOTIFICATION_VERSION);
-                self.hints
-                    .extend(n.data.into_iter().map(|i| i.trigger_identity));
-                HandlerResult::Reply(Response::ok())
-            } else {
-                HandlerResult::Reply(Response::not_found())
-            }
-        }
-        fn on_response(&mut self, _ctx: &mut Context<'_>, _t: Token, resp: Response) {
-            if let Ok(b) = wire::from_bytes::<wire::PollResponseBody>(&resp.body) {
-                self.got_events = Some(b.data.len());
-            }
-        }
+                n.data.into_iter().map(|i| i.trigger_identity)
+            })
+            .collect()
     }
 
     #[test]
@@ -697,18 +683,17 @@ mod tests {
             user,
             limit: 50,
         };
-        let engine = sim.add_node(
-            "engine",
-            EngineStub {
-                service: Some(svc),
-                token_header,
-                poll_body: Some(wire::to_bytes(&poll).to_vec()),
-                ..Default::default()
-            },
+        let req = engine_request(
+            "/ifttt/v1/triggers/ding".into(),
+            "sk_1",
+            &token_header,
+            wire::to_bytes(&poll),
         );
-        sim.link(engine, svc, LinkSpec::wan());
+        let engine = Client::spawn(&mut sim, svc, req, LinkSpec::wan());
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<EngineStub>(engine).got_events, Some(2));
+        let resp = sim.node_ref::<Client>(engine).response.as_ref().unwrap();
+        let got: wire::PollResponseBody = wire::from_bytes(&resp.body).unwrap();
+        assert_eq!(got.data.len(), 2);
         let ts = sim.node_ref::<TestService>(svc);
         assert_eq!(ts.core.polls_served, 1);
         assert!(ts.core.subs.contains_key(&ti));
@@ -837,7 +822,7 @@ mod tests {
     #[test]
     fn record_event_sends_realtime_hint_when_enabled() {
         let mut sim = Sim::new(53);
-        let engine = sim.add_node("engine", EngineStub::default());
+        let engine = sim.add_node("engine", Client::default());
         let svc = sim.add_node("svc", TestService { core: core() });
         sim.link(engine, svc, LinkSpec::wan());
         let ti = sim.with_node::<TestService, _>(svc, |s, _ctx| {
@@ -855,7 +840,7 @@ mod tests {
             );
         });
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<EngineStub>(engine).hints, vec![ti]);
+        assert_eq!(hints(&sim, engine), vec![ti]);
         assert_eq!(sim.node_ref::<TestService>(svc).core.hints_sent, 1);
     }
 
@@ -864,7 +849,7 @@ mod tests {
     #[test]
     fn hint_dedup_absorbs_bursts_until_a_poll_clears_it() {
         let mut sim = Sim::new(57);
-        let engine = sim.add_node("engine", EngineStub::default());
+        let engine = sim.add_node("engine", Client::default());
         let svc = sim.add_node("svc", TestService { core: core() });
         sim.link(engine, svc, LinkSpec::wan());
         let user = UserId::new("u");
@@ -897,7 +882,7 @@ mod tests {
             "a burst costs one notification"
         );
         assert_eq!(sim.node_ref::<TestService>(svc).core.hints_deduped, 3);
-        assert_eq!(sim.node_ref::<EngineStub>(engine).hints, vec![ti.clone()]);
+        assert_eq!(hints(&sim, engine), vec![ti.clone()]);
         // A poll serving the subscription clears the outstanding flag ...
         let poll = PollRequestBody {
             trigger_identity: ti.clone(),
@@ -920,10 +905,7 @@ mod tests {
         });
         sim.run_until_idle();
         assert_eq!(sim.node_ref::<TestService>(svc).core.hints_sent, 2);
-        assert_eq!(
-            sim.node_ref::<EngineStub>(engine).hints,
-            vec![ti.clone(), ti]
-        );
+        assert_eq!(hints(&sim, engine), vec![ti.clone(), ti]);
     }
 
     #[test]

@@ -7,13 +7,19 @@
 //! processes the real-time API hints for some services (such as Alexa)".
 
 use crate::echo::UTTERANCE_PATH;
-use crate::service_core::{Processed, ServiceCore};
+use crate::service_core::ServiceCore;
+use crate::services::{Partner, PartnerService};
 use serde::Deserialize;
 use simnet::prelude::*;
-use tap_protocol::auth::ServiceKey;
-use tap_protocol::service::ServiceEndpoint;
+use std::collections::HashMap;
 use tap_protocol::wire::TriggerEvent;
-use tap_protocol::{ServiceSlug, TriggerSlug, UserId};
+use tap_protocol::{TriggerSlug, UserId};
+
+const SAY_A_PHRASE: &str = "say_a_phrase";
+const SONG_PLAYED: &str = "song_played";
+const TODO_ITEM_ADDED: &str = "todo_item_added";
+const SHOPPING_ITEM_ADDED: &str = "shopping_item_added";
+const ASK_SHOPPING_LIST: &str = "ask_whats_on_shopping_list";
 
 /// How an utterance was classified.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,130 +57,140 @@ pub fn classify(utterance: &str) -> Intent {
     Intent::Phrase(phrase.to_owned())
 }
 
-/// The Alexa cloud service node.
-#[derive(Debug)]
-pub struct AlexaService {
-    /// Shared protocol front.
-    pub core: ServiceCore,
+/// What the Alexa cloud adds to the shell: the lists its skills keep.
+#[derive(Debug, Default)]
+pub struct Alexa {
     /// Per-user todo list (state the `ask_*` skills read back).
-    pub todo: std::collections::HashMap<UserId, Vec<String>>,
+    pub todo: HashMap<UserId, Vec<String>>,
     /// Per-user shopping list.
-    pub shopping: std::collections::HashMap<UserId, Vec<String>>,
+    pub shopping: HashMap<UserId, Vec<String>>,
     /// Utterances processed (for tests/metrics).
     pub utterances: u64,
 }
 
-impl AlexaService {
-    /// The service slug as listed on IFTTT.
-    pub const SLUG: &'static str = "amazon_alexa";
+/// The Alexa cloud service node.
+pub type AlexaService = PartnerService<Alexa>;
 
-    /// Create the service with its engine-issued key.
-    pub fn new(key: ServiceKey) -> Self {
-        let endpoint = ServiceEndpoint::new(ServiceSlug::new(Self::SLUG), key)
-            .with_trigger("say_a_phrase")
-            .with_trigger("song_played")
-            .with_trigger("todo_item_added")
-            .with_trigger("shopping_item_added")
-            .with_trigger("ask_whats_on_shopping_list");
-        AlexaService {
-            core: ServiceCore::new(endpoint),
-            todo: Default::default(),
-            shopping: Default::default(),
-            utterances: 0,
-        }
+/// Record one event of `trigger` for `user`. A `say_a_phrase` subscription
+/// only matches its configured phrase (one with no phrase field matches
+/// all); `said` is `None` for every other trigger.
+fn feed(
+    core: &mut ServiceCore,
+    ctx: &mut Context<'_>,
+    user: &UserId,
+    trigger: &str,
+    ingredient: Option<(&str, &str)>,
+    said: Option<&str>,
+) {
+    let id = core.next_event_id();
+    let mut event = TriggerEvent::new(id, ctx.now().as_secs_f64() as u64);
+    if let Some((k, v)) = ingredient {
+        event = event.with_ingredient(k, v);
     }
+    core.record_event(
+        ctx,
+        &TriggerSlug::new(trigger),
+        user,
+        event,
+        |fields| match (said, fields.get("phrase")) {
+            (Some(said), Some(want)) => said.eq_ignore_ascii_case(want),
+            _ => true,
+        },
+    );
+}
 
-    fn feed(
+impl Alexa {
+    /// Process one recognized utterance for `user`.
+    pub fn handle_utterance(
         &mut self,
+        core: &mut ServiceCore,
         ctx: &mut Context<'_>,
         user: &UserId,
-        trigger: &str,
-        ingredients: &[(&str, &str)],
-        phrase_filter: Option<&str>,
+        utterance: &str,
     ) {
-        let id = self.core.next_event_id();
-        let mut event = TriggerEvent::new(id, ctx.now().as_secs_f64() as u64);
-        for (k, v) in ingredients {
-            event = event.with_ingredient(*k, *v);
-        }
-        let trigger = TriggerSlug::new(trigger);
-        let filter = phrase_filter.map(str::to_owned);
-        self.core
-            .record_event(ctx, &trigger, user, event, move |fields| {
-                match (&filter, fields.get("phrase")) {
-                    // A say_a_phrase subscription only matches its configured phrase.
-                    (Some(said), Some(want)) => said.eq_ignore_ascii_case(want),
-                    (Some(_), None) => true, // subscription with no phrase field: match all
-                    (None, _) => true,
-                }
-            });
-    }
-
-    /// Process one recognized utterance for `user`.
-    pub fn handle_utterance(&mut self, ctx: &mut Context<'_>, user: &UserId, utterance: &str) {
         self.utterances += 1;
         ctx.trace("alexa.utterance", utterance.to_owned());
         match classify(utterance) {
-            Intent::Phrase(p) => self.feed(ctx, user, "say_a_phrase", &[("phrase", &p)], Some(&p)),
-            Intent::PlaySong(song) => self.feed(ctx, user, "song_played", &[("song", &song)], None),
+            Intent::Phrase(p) => feed(
+                core,
+                ctx,
+                user,
+                SAY_A_PHRASE,
+                Some(("phrase", &p)),
+                Some(&p),
+            ),
+            Intent::PlaySong(song) => {
+                feed(core, ctx, user, SONG_PLAYED, Some(("song", &song)), None)
+            }
             Intent::TodoAdd(item) => {
                 self.todo
                     .entry(user.clone())
                     .or_default()
                     .push(item.clone());
-                self.feed(ctx, user, "todo_item_added", &[("item", &item)], None)
+                feed(
+                    core,
+                    ctx,
+                    user,
+                    TODO_ITEM_ADDED,
+                    Some(("item", &item)),
+                    None,
+                )
             }
             Intent::ShoppingAdd(item) => {
                 self.shopping
                     .entry(user.clone())
                     .or_default()
                     .push(item.clone());
-                self.feed(ctx, user, "shopping_item_added", &[("item", &item)], None)
+                let ingredient = Some(("item", item.as_str()));
+                feed(core, ctx, user, SHOPPING_ITEM_ADDED, ingredient, None)
             }
-            Intent::AskShoppingList => {
-                self.feed(ctx, user, "ask_whats_on_shopping_list", &[], None)
-            }
+            Intent::AskShoppingList => feed(core, ctx, user, ASK_SHOPPING_LIST, None, None),
         }
     }
 }
 
-impl Node for AlexaService {
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        if req.path == UTTERANCE_PATH && req.method == Method::Post {
-            #[derive(Deserialize)]
-            struct Upload {
-                user: String,
-                utterance: String,
-            }
-            let Ok(u) = serde_json::from_slice::<Upload>(&req.body) else {
-                return HandlerResult::Reply(Response::bad_request());
-            };
-            let user = UserId::new(u.user);
-            self.handle_utterance(ctx, &user, &u.utterance);
-            return HandlerResult::Reply(Response::ok());
+impl Partner for Alexa {
+    fn slug(&self) -> &str {
+        "amazon_alexa"
+    }
+
+    fn triggers(&self) -> Vec<&str> {
+        vec![
+            SAY_A_PHRASE,
+            SONG_PLAYED,
+            TODO_ITEM_ADDED,
+            SHOPPING_ITEM_ADDED,
+            ASK_SHOPPING_LIST,
+        ]
+    }
+
+    /// An Echo's utterance upload.
+    fn intercept(
+        &mut self,
+        core: &mut ServiceCore,
+        ctx: &mut Context<'_>,
+        req: &Request,
+    ) -> Option<Response> {
+        if req.path != UTTERANCE_PATH || req.method != Method::Post {
+            return None;
         }
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            // Alexa exposes no actions on IFTTT; reaching here means the
-            // endpoint config and this handler disagree.
-            Processed::Action { req_id, .. } => {
-                ctx.reply(req_id, Response::not_found());
-                HandlerResult::Deferred
-            }
-            // No queries on this service (the endpoint rejects undeclared
-            // query slugs before we get here).
-            Processed::Query { req_id, .. } => {
-                ctx.reply(req_id, Response::not_found());
-                HandlerResult::Deferred
-            }
-            Processed::NoReply => HandlerResult::Deferred,
+        #[derive(Deserialize)]
+        struct Upload {
+            user: String,
+            utterance: String,
         }
+        let Ok(u) = serde_json::from_slice::<Upload>(&req.body) else {
+            return Some(Response::bad_request());
+        };
+        self.handle_utterance(core, ctx, &UserId::new(u.user), &u.utterance);
+        Some(Response::ok())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tap_protocol::auth::ServiceKey;
     use tap_protocol::FieldMap;
 
     #[test]
@@ -210,7 +226,10 @@ mod tests {
         fields: FieldMap,
     ) -> (Sim, NodeId, tap_protocol::TriggerIdentity) {
         let mut sim = Sim::new(81);
-        let svc = sim.add_node("alexa", AlexaService::new(ServiceKey("sk_a".into())));
+        let svc = sim.add_node(
+            "alexa",
+            AlexaService::new(ServiceKey("sk_a".into()), Alexa::default()),
+        );
         let ti = sim.with_node::<AlexaService, _>(svc, |s, _| {
             s.core
                 .subscribe(UserId::new("author"), TriggerSlug::new(trigger), fields)
@@ -224,19 +243,30 @@ mod tests {
         fields.insert("phrase".into(), "movie time".into());
         let (mut sim, svc, ti) = service_with_sub("say_a_phrase", fields);
         sim.with_node::<AlexaService, _>(svc, |s, ctx| {
-            s.handle_utterance(ctx, &UserId::new("author"), "alexa trigger movie time");
-            s.handle_utterance(ctx, &UserId::new("author"), "alexa trigger bedtime");
+            s.vendor.handle_utterance(
+                &mut s.core,
+                ctx,
+                &UserId::new("author"),
+                "alexa trigger movie time",
+            );
+            s.vendor.handle_utterance(
+                &mut s.core,
+                ctx,
+                &UserId::new("author"),
+                "alexa trigger bedtime",
+            );
         });
         let s = sim.node_ref::<AlexaService>(svc);
         assert_eq!(s.core.buffer.len(&ti), 1);
-        assert_eq!(s.utterances, 2);
+        assert_eq!(s.vendor.utterances, 2);
     }
 
     #[test]
     fn song_event_carries_the_song_ingredient() {
         let (mut sim, svc, ti) = service_with_sub("song_played", FieldMap::new());
         sim.with_node::<AlexaService, _>(svc, |s, ctx| {
-            s.handle_utterance(ctx, &UserId::new("author"), "play Yesterday");
+            s.vendor
+                .handle_utterance(&mut s.core, ctx, &UserId::new("author"), "play Yesterday");
         });
         let s = sim.node_ref::<AlexaService>(svc);
         let events = s.core.buffer.latest(&ti, 10);
@@ -248,10 +278,15 @@ mod tests {
     fn todo_add_updates_the_list_and_the_trigger() {
         let (mut sim, svc, ti) = service_with_sub("todo_item_added", FieldMap::new());
         sim.with_node::<AlexaService, _>(svc, |s, ctx| {
-            s.handle_utterance(ctx, &UserId::new("author"), "add buy eggs to my todo list");
+            s.vendor.handle_utterance(
+                &mut s.core,
+                ctx,
+                &UserId::new("author"),
+                "add buy eggs to my todo list",
+            );
         });
         let s = sim.node_ref::<AlexaService>(svc);
-        assert_eq!(s.todo[&UserId::new("author")], vec!["buy eggs"]);
+        assert_eq!(s.vendor.todo[&UserId::new("author")], vec!["buy eggs"]);
         assert_eq!(s.core.buffer.len(&ti), 1);
     }
 
@@ -259,7 +294,8 @@ mod tests {
     fn other_users_events_do_not_cross() {
         let (mut sim, svc, ti) = service_with_sub("song_played", FieldMap::new());
         sim.with_node::<AlexaService, _>(svc, |s, ctx| {
-            s.handle_utterance(ctx, &UserId::new("intruder"), "play Yesterday");
+            s.vendor
+                .handle_utterance(&mut s.core, ctx, &UserId::new("intruder"), "play Yesterday");
         });
         assert!(sim.node_ref::<AlexaService>(svc).core.buffer.is_empty(&ti));
     }

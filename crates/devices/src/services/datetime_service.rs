@@ -10,12 +10,11 @@
 //! * `every_day_at` — field `time` = `"HH:MM"`;
 //! * `sunrise` / `sunset` — fixed at 06:30 and 18:30 virtual time.
 
-use crate::service_core::{Processed, ServiceCore};
+use crate::service_core::ServiceCore;
+use crate::services::{Partner, PartnerService};
 use simnet::prelude::*;
-use tap_protocol::auth::ServiceKey;
-use tap_protocol::service::ServiceEndpoint;
 use tap_protocol::wire::TriggerEvent;
-use tap_protocol::{ServiceSlug, TriggerSlug, UserId};
+use tap_protocol::{FieldMap, TriggerSlug};
 
 /// Seconds in a virtual day.
 pub const DAY_SECS: u64 = 86_400;
@@ -37,101 +36,73 @@ pub fn parse_hhmm(s: &str) -> Option<u64> {
     Some(h * 3600 + m * 60)
 }
 
-/// The clock service node.
-#[derive(Debug)]
-pub struct DateTimeService {
-    /// Shared protocol front.
-    pub core: ServiceCore,
+/// Whether a subscription with these fields fires in this minute of the day.
+type Fires = fn(&FieldMap, u64) -> bool;
+
+/// Each trigger and its firing rule.
+const SCHEDULES: &[(&str, Fires)] = &[
+    ("every_day_at", |fields, minute| {
+        fields
+            .get("time")
+            .and_then(|t| parse_hhmm(t))
+            .is_some_and(|sod| sod / 60 == minute)
+    }),
+    ("sunrise", |_, minute| minute == SUNRISE / 60),
+    ("sunset", |_, minute| minute == SUNSET / 60),
+];
+
+/// What the clock adds to the shell.
+#[derive(Debug, Default)]
+pub struct DateTime {
     /// Minutes ticked (for tests).
     pub ticks: u64,
 }
 
-impl DateTimeService {
-    /// The service slug as listed on IFTTT.
-    pub const SLUG: &'static str = "date_time";
+/// The clock service node.
+pub type DateTimeService = PartnerService<DateTime>;
 
-    /// Create the service with its engine-issued key.
-    pub fn new(key: ServiceKey) -> Self {
-        let endpoint = ServiceEndpoint::new(ServiceSlug::new(Self::SLUG), key)
-            .with_trigger("every_day_at")
-            .with_trigger("sunrise")
-            .with_trigger("sunset");
-        DateTimeService {
-            core: ServiceCore::new(endpoint),
-            ticks: 0,
-        }
+impl Partner for DateTime {
+    fn slug(&self) -> &str {
+        "date_time"
     }
 
-    /// Fire the subscriptions whose schedule lands in this minute.
-    fn fire_matching(&mut self, ctx: &mut Context<'_>, minute_of_day: u64) {
-        let day = ctx.now().as_secs_f64() as u64 / DAY_SECS;
-        // Time triggers are per-user but user-independent in content; fire
-        // for every distinct subscribed user.
-        let users: Vec<UserId> = {
-            let mut v: Vec<UserId> = self.core.subs.values().map(|s| s.user.clone()).collect();
-            v.sort();
-            v.dedup();
-            v
-        };
-        let fire = |me: &mut Self,
-                    ctx: &mut Context<'_>,
-                    trigger: &str,
-                    user: &UserId,
-                    matches: &dyn Fn(&tap_protocol::FieldMap) -> bool| {
-            let id = format!("{}_{}_{}_d{}", Self::SLUG, trigger, user, day);
-            let event = TriggerEvent::new(id, ctx.now().as_secs_f64() as u64)
-                .with_ingredient("minute_of_day", minute_of_day.to_string());
-            me.core
-                .record_event(ctx, &TriggerSlug::new(trigger), user, event, matches);
-        };
-        for user in &users {
-            fire(self, ctx, "every_day_at", user, &|fields| {
-                fields
-                    .get("time")
-                    .and_then(|t| parse_hhmm(t))
-                    .is_some_and(|sod| sod / 60 == minute_of_day)
-            });
-            if minute_of_day == SUNRISE / 60 {
-                fire(self, ctx, "sunrise", user, &|_| true);
-            }
-            if minute_of_day == SUNSET / 60 {
-                fire(self, ctx, "sunset", user, &|_| true);
-            }
-        }
+    fn triggers(&self) -> Vec<&str> {
+        SCHEDULES.iter().map(|(trigger, _)| *trigger).collect()
     }
-}
 
-impl Node for DateTimeService {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
+    fn start(&mut self, _core: &mut ServiceCore, ctx: &mut Context<'_>) {
         ctx.set_timer(SimDuration::from_secs(60), TIMER_TICK);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, key: TimerKey) {
+    /// Fire the subscriptions whose schedule lands in this minute. Time
+    /// triggers are per-user but user-independent in content, so each
+    /// fires once for every distinct subscribed user.
+    fn timer(&mut self, core: &mut ServiceCore, ctx: &mut Context<'_>, key: TimerKey) {
         if key != TIMER_TICK {
             return;
         }
         self.ticks += 1;
-        let minute_of_day = (ctx.now().as_secs_f64() as u64 % DAY_SECS) / 60;
-        self.fire_matching(ctx, minute_of_day);
-        ctx.set_timer(SimDuration::from_secs(60), TIMER_TICK);
-    }
-
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            Processed::Action { req_id, .. } | Processed::Query { req_id, .. } => {
-                ctx.reply(req_id, Response::not_found());
-                HandlerResult::Deferred
+        let now = ctx.now().as_secs_f64() as u64;
+        let (day, minute) = (now / DAY_SECS, (now % DAY_SECS) / 60);
+        for user in core.subscribed_users() {
+            for (trigger, fires) in SCHEDULES {
+                let id = format!("{}_{trigger}_{user}_d{day}", core.endpoint.slug());
+                let event =
+                    TriggerEvent::new(id, now).with_ingredient("minute_of_day", minute.to_string());
+                core.record_event(ctx, &TriggerSlug::new(*trigger), &user, event, |fields| {
+                    fires(fields, minute)
+                });
             }
-            Processed::NoReply => HandlerResult::Deferred,
         }
+        ctx.set_timer(SimDuration::from_secs(60), TIMER_TICK);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tap_protocol::FieldMap;
+    use tap_protocol::auth::ServiceKey;
+    use tap_protocol::UserId;
 
     #[test]
     fn parse_hhmm_accepts_valid_rejects_invalid() {
@@ -147,7 +118,10 @@ mod tests {
     #[test]
     fn every_day_at_fires_at_the_configured_minute_once_per_day() {
         let mut sim = Sim::new(1);
-        let svc = sim.add_node("clock", DateTimeService::new(ServiceKey("sk_t".into())));
+        let svc = sim.add_node(
+            "clock",
+            DateTimeService::new(ServiceKey("sk_t".into()), DateTime::default()),
+        );
         let ti = sim.with_node::<DateTimeService, _>(svc, |s, _| {
             let mut fields = FieldMap::new();
             fields.insert("time".into(), "01:00".into());
@@ -165,7 +139,10 @@ mod tests {
     #[test]
     fn sunset_fires_for_every_subscribed_user() {
         let mut sim = Sim::new(2);
-        let svc = sim.add_node("clock", DateTimeService::new(ServiceKey("sk_t".into())));
+        let svc = sim.add_node(
+            "clock",
+            DateTimeService::new(ServiceKey("sk_t".into()), DateTime::default()),
+        );
         let (ta, tb) = sim.with_node::<DateTimeService, _>(svc, |s, _| {
             (
                 s.core.subscribe(
@@ -189,7 +166,10 @@ mod tests {
     #[test]
     fn unmatched_time_never_fires() {
         let mut sim = Sim::new(3);
-        let svc = sim.add_node("clock", DateTimeService::new(ServiceKey("sk_t".into())));
+        let svc = sim.add_node(
+            "clock",
+            DateTimeService::new(ServiceKey("sk_t".into()), DateTime::default()),
+        );
         let ti = sim.with_node::<DateTimeService, _>(svc, |s, _| {
             let mut fields = FieldMap::new();
             fields.insert("time".into(), "23:00".into());

@@ -6,13 +6,15 @@
 //! day (steps reported by the band), the daily summary fires on a schedule
 //! (23:55), and sleep sessions arrive as events.
 
-use crate::service_core::{Processed, ServiceCore};
+use crate::service_core::ServiceCore;
+use crate::services::{Partner, PartnerService};
 use simnet::prelude::*;
 use std::collections::HashMap;
-use tap_protocol::auth::ServiceKey;
-use tap_protocol::service::ServiceEndpoint;
 use tap_protocol::wire::TriggerEvent;
-use tap_protocol::{ServiceSlug, TriggerSlug, UserId};
+use tap_protocol::{TriggerSlug, UserId};
+
+const DAILY_SUMMARY: &str = "daily_activity_summary";
+const SLEEP_LOGGED: &str = "new_sleep_logged";
 
 const TIMER_TICK: TimerKey = 1;
 /// Seconds in a virtual day.
@@ -20,109 +22,86 @@ const DAY_SECS: u64 = 86_400;
 /// Minute-of-day at which the daily summary fires (23:55).
 const SUMMARY_MINUTE: u64 = 23 * 60 + 55;
 
-/// The Fitbit cloud service node.
-#[derive(Debug)]
-pub struct FitbitService {
-    /// Shared protocol front.
-    pub core: ServiceCore,
+/// What the Fitbit cloud adds to the shell: the day's activity.
+#[derive(Debug, Default)]
+pub struct Fitbit {
     /// Steps accumulated today, per user.
     steps_today: HashMap<UserId, u64>,
     /// Sleep sessions logged (for tests).
     pub sleep_sessions: u64,
 }
 
-impl FitbitService {
-    /// The service slug as listed on IFTTT.
-    pub const SLUG: &'static str = "fitbit";
+/// The Fitbit cloud service node.
+pub type FitbitService = PartnerService<Fitbit>;
 
-    /// Create the service with its engine-issued key.
-    pub fn new(key: ServiceKey) -> Self {
-        let endpoint = ServiceEndpoint::new(ServiceSlug::new(Self::SLUG), key)
-            .with_trigger("daily_activity_summary")
-            .with_trigger("new_sleep_logged");
-        FitbitService {
-            core: ServiceCore::new(endpoint),
-            steps_today: HashMap::new(),
-            sleep_sessions: 0,
-        }
-    }
-
+impl Fitbit {
     /// The band reports steps (harness-driven).
     pub fn add_steps(&mut self, user: UserId, steps: u64) {
         *self.steps_today.entry(user).or_default() += steps;
     }
 
     /// A sleep session sync arrives from the band.
-    pub fn log_sleep(&mut self, ctx: &mut Context<'_>, user: &UserId, hours: f64) {
+    pub fn log_sleep(
+        &mut self,
+        core: &mut ServiceCore,
+        ctx: &mut Context<'_>,
+        user: &UserId,
+        hours: f64,
+    ) {
         self.sleep_sessions += 1;
-        let id = self.core.next_event_id();
+        let id = core.next_event_id();
         let event = TriggerEvent::new(id, ctx.now().as_secs_f64() as u64)
             .with_ingredient("hours", format!("{hours:.1}"));
-        self.core.record_event(
-            ctx,
-            &TriggerSlug::new("new_sleep_logged"),
-            user,
-            event,
-            |_| true,
-        );
+        core.record_event(ctx, &TriggerSlug::new(SLEEP_LOGGED), user, event, |_| true);
     }
 
-    fn fire_daily_summaries(&mut self, ctx: &mut Context<'_>) {
-        let day = ctx.now().as_secs_f64() as u64 / DAY_SECS;
-        let users: Vec<UserId> = {
-            let mut v: Vec<UserId> = self.core.subs.values().map(|s| s.user.clone()).collect();
-            v.sort();
-            v.dedup();
-            v
-        };
-        for user in users {
+    fn fire_daily_summaries(&mut self, core: &mut ServiceCore, ctx: &mut Context<'_>) {
+        let now = ctx.now().as_secs_f64() as u64;
+        for user in core.subscribed_users() {
             let steps = self.steps_today.get(&user).copied().unwrap_or(0);
-            let id = format!("{}_summary_{}_d{}", Self::SLUG, user, day);
-            let event = TriggerEvent::new(id, ctx.now().as_secs_f64() as u64)
-                .with_ingredient("steps", steps.to_string());
-            self.core.record_event(
-                ctx,
-                &TriggerSlug::new("daily_activity_summary"),
-                &user,
-                event,
-                |_| true,
+            let id = format!(
+                "{}_summary_{user}_d{}",
+                core.endpoint.slug(),
+                now / DAY_SECS
             );
+            let event = TriggerEvent::new(id, now).with_ingredient("steps", steps.to_string());
+            core.record_event(ctx, &TriggerSlug::new(DAILY_SUMMARY), &user, event, |_| {
+                true
+            });
         }
         self.steps_today.clear();
     }
 }
 
-impl Node for FitbitService {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
+impl Partner for Fitbit {
+    fn slug(&self) -> &str {
+        "fitbit"
+    }
+
+    fn triggers(&self) -> Vec<&str> {
+        vec![DAILY_SUMMARY, SLEEP_LOGGED]
+    }
+
+    fn start(&mut self, _core: &mut ServiceCore, ctx: &mut Context<'_>) {
         ctx.set_timer(SimDuration::from_secs(60), TIMER_TICK);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, key: TimerKey) {
+    fn timer(&mut self, core: &mut ServiceCore, ctx: &mut Context<'_>, key: TimerKey) {
         if key != TIMER_TICK {
             return;
         }
         let minute_of_day = (ctx.now().as_secs_f64() as u64 % DAY_SECS) / 60;
         if minute_of_day == SUMMARY_MINUTE {
-            self.fire_daily_summaries(ctx);
+            self.fire_daily_summaries(core, ctx);
         }
         ctx.set_timer(SimDuration::from_secs(60), TIMER_TICK);
-    }
-
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            Processed::Action { req_id, .. } | Processed::Query { req_id, .. } => {
-                ctx.reply(req_id, Response::not_found());
-                HandlerResult::Deferred
-            }
-            Processed::NoReply => HandlerResult::Deferred,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tap_protocol::auth::ServiceKey;
     use tap_protocol::FieldMap;
 
     fn world() -> (
@@ -132,7 +111,10 @@ mod tests {
         tap_protocol::TriggerIdentity,
     ) {
         let mut sim = Sim::new(1);
-        let svc = sim.add_node("fitbit", FitbitService::new(ServiceKey("sk_f".into())));
+        let svc = sim.add_node(
+            "fitbit",
+            FitbitService::new(ServiceKey("sk_f".into()), Fitbit::default()),
+        );
         let (summary, sleep) = sim.with_node::<FitbitService, _>(svc, |s, _| {
             (
                 s.core.subscribe(
@@ -154,8 +136,10 @@ mod tests {
     fn daily_summary_fires_at_2355_with_the_days_steps() {
         let (mut sim, svc, summary, _) = world();
         sim.node_mut::<FitbitService>(svc)
+            .vendor
             .add_steps(UserId::new("u"), 8_000);
         sim.node_mut::<FitbitService>(svc)
+            .vendor
             .add_steps(UserId::new("u"), 2_345);
         sim.run_until(SimTime::from_secs(23 * 3600 + 50 * 60));
         assert!(sim
@@ -174,6 +158,7 @@ mod tests {
     fn steps_reset_between_days() {
         let (mut sim, svc, summary, _) = world();
         sim.node_mut::<FitbitService>(svc)
+            .vendor
             .add_steps(UserId::new("u"), 5_000);
         // Two full days: two summaries; the second has zero steps.
         sim.run_until(SimTime::from_secs(2 * DAY_SECS));
@@ -188,12 +173,12 @@ mod tests {
     fn sleep_sessions_feed_the_sleep_trigger() {
         let (mut sim, svc, _, sleep) = world();
         sim.with_node::<FitbitService, _>(svc, |s, ctx| {
-            s.log_sleep(ctx, &UserId::new("u"), 7.5);
+            s.vendor.log_sleep(&mut s.core, ctx, &UserId::new("u"), 7.5);
         });
         let s = sim.node_ref::<FitbitService>(svc);
         let events = s.core.buffer.latest(&sleep, 10);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].ingredients["hours"], "7.5");
-        assert_eq!(s.sleep_sessions, 1);
+        assert_eq!(s.vendor.sleep_sessions, 1);
     }
 }

@@ -6,266 +6,113 @@
 //! with backend API calls, answered after the backend confirms.
 
 use crate::events::DeviceEvent;
-use crate::service_core::{Processed, ServiceCore};
-use crate::services::PendingReplies;
-use bytes::Bytes;
+use crate::google;
+use crate::service_core::ServiceCore;
+use crate::services::{feed, lookup, Outcome, Partner, PartnerService};
 use simnet::prelude::*;
-use tap_protocol::auth::ServiceKey;
-use tap_protocol::service::ServiceEndpoint;
-use tap_protocol::wire::TriggerEvent;
-use tap_protocol::{ActionSlug, FieldMap, ServiceSlug, TriggerSlug, UserId};
+use tap_protocol::{FieldMap, UserId};
+
+/// Each Gmail push kind and the trigger it feeds (applets A3/A4).
+const MAIL_EVENTS: &[(&str, &str)] = &[
+    ("new_email", "any_new_email"),
+    ("new_attachment", "new_attachment"),
+];
+
+/// What the Gmail service adds to the shell: its backend.
+#[derive(Debug)]
+pub struct Gmail {
+    /// Backend cloud node.
+    pub cloud: NodeId,
+}
 
 /// The Gmail partner service.
-///
-/// Triggers: `any_new_email`, `new_attachment` (applets A3/A4).
-/// Action: `send_an_email`.
+pub type GmailService = PartnerService<Gmail>;
+
+impl Partner for Gmail {
+    fn slug(&self) -> &str {
+        "gmail"
+    }
+
+    fn triggers(&self) -> Vec<&str> {
+        MAIL_EVENTS.iter().map(|(_, trigger)| *trigger).collect()
+    }
+
+    fn actions(&self) -> Vec<&str> {
+        vec!["send_an_email"]
+    }
+
+    fn action(&mut self, user: &UserId, _action: &str, fields: FieldMap) -> Outcome {
+        let field = |name: &str| fields.get(name).map_or("", String::as_str);
+        let to = fields.get("to").unwrap_or(&user.0);
+        let mail =
+            serde_json::json!({ "to": to, "subject": field("subject"), "body": field("body") });
+        Outcome::Relay {
+            dst: self.cloud,
+            req: Request::post(format!("/gmail/{user}/send")).with_body(mail.to_string()),
+            done: "mail_sent",
+        }
+    }
+
+    fn device_event(&mut self, core: &mut ServiceCore, ctx: &mut Context<'_>, ev: &DeviceEvent) {
+        if let Some(trigger) = lookup(MAIL_EVENTS, &ev.kind) {
+            feed(core, ctx, trigger, ev, false);
+        }
+    }
+}
+
+/// What the Drive service adds to the shell: its backend.
 #[derive(Debug)]
-pub struct GmailService {
-    /// Shared protocol front.
-    pub core: ServiceCore,
+pub struct Drive {
     /// Backend cloud node.
     pub cloud: NodeId,
-    pending: PendingReplies,
-    /// Actions executed end-to-end.
-    pub actions_done: u64,
 }
 
-impl GmailService {
-    /// The service slug as listed on IFTTT.
-    pub const SLUG: &'static str = "gmail";
+/// The Google Drive partner service (applet A4 saves Gmail attachments
+/// to Drive).
+pub type DriveService = PartnerService<Drive>;
 
-    /// Create the service over a backend cloud.
-    pub fn new(key: ServiceKey, cloud: NodeId) -> Self {
-        let endpoint = ServiceEndpoint::new(ServiceSlug::new(Self::SLUG), key)
-            .with_trigger("any_new_email")
-            .with_trigger("new_attachment")
-            .with_action("send_an_email");
-        GmailService {
-            core: ServiceCore::new(endpoint),
-            cloud,
-            pending: PendingReplies::default(),
-            actions_done: 0,
-        }
-    }
-}
-
-impl Node for GmailService {
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            Processed::Action {
-                user,
-                action,
-                fields,
-                req_id,
-            } => {
-                if action != ActionSlug::new("send_an_email") {
-                    return HandlerResult::Reply(Response::bad_request());
-                }
-                let to = fields.get("to").cloned().unwrap_or_else(|| user.0.clone());
-                let subject = fields.get("subject").cloned().unwrap_or_default();
-                let body_text = fields.get("body").cloned().unwrap_or_default();
-                let token = self.pending.track(req_id);
-                let api = Request::post(format!("/gmail/{}/send", user.0)).with_body(
-                    serde_json::json!({ "to": to, "subject": subject, "body": body_text })
-                        .to_string(),
-                );
-                ctx.send_request(self.cloud, api, token, RequestOpts::timeout_secs(30));
-                HandlerResult::Deferred
-            }
-            Processed::Query { req_id, .. } => {
-                ctx.reply(req_id, Response::not_found());
-                HandlerResult::Deferred
-            }
-            Processed::NoReply => HandlerResult::Deferred,
-        }
+impl Partner for Drive {
+    fn slug(&self) -> &str {
+        "google_drive"
     }
 
-    fn on_response(&mut self, ctx: &mut Context<'_>, token: Token, resp: Response) {
-        if let Some(upstream) = self.pending.resolve(token) {
-            if resp.is_success() {
-                self.actions_done += 1;
-                ctx.reply(upstream, ServiceEndpoint::action_ok("mail_sent"));
-            } else {
-                ctx.reply(
-                    upstream,
-                    Response::with_status(if resp.is_timeout() { 503 } else { resp.status }),
-                );
-            }
-        }
+    fn actions(&self) -> Vec<&str> {
+        vec!["save_file"]
     }
 
-    fn on_signal(&mut self, ctx: &mut Context<'_>, _from: NodeId, payload: Bytes) {
-        let Some(ev) = DeviceEvent::from_bytes(&payload) else {
-            return;
-        };
-        let trigger = match ev.kind.as_str() {
-            "new_email" => "any_new_email",
-            "new_attachment" => "new_attachment",
-            _ => return,
-        };
-        let user = UserId::new(ev.user.clone());
-        let id = self.core.next_event_id();
-        let mut event = TriggerEvent::new(id, ev.at_secs);
-        for (k, v) in &ev.data {
-            event = event.with_ingredient(k.clone(), v.clone());
+    fn action(&mut self, user: &UserId, _action: &str, fields: FieldMap) -> Outcome {
+        Outcome::Relay {
+            dst: self.cloud,
+            req: google::save_file_request(&user.0, &fields, "attachment"),
+            done: "file_saved",
         }
-        self.core
-            .record_event(ctx, &TriggerSlug::new(trigger), &user, event, |_| true);
     }
 }
 
-/// The Google Drive partner service. Action: `save_file` (applet A4 saves
-/// Gmail attachments to Drive).
+/// What the Sheets service adds to the shell: its backend.
 #[derive(Debug)]
-pub struct DriveService {
-    /// Shared protocol front.
-    pub core: ServiceCore,
+pub struct Sheets {
     /// Backend cloud node.
     pub cloud: NodeId,
-    pending: PendingReplies,
-    /// Actions executed end-to-end.
-    pub actions_done: u64,
 }
 
-impl DriveService {
-    /// The service slug as listed on IFTTT.
-    pub const SLUG: &'static str = "google_drive";
+/// The Google Sheets partner service (applets A1/A7 add rows).
+pub type SheetsService = PartnerService<Sheets>;
 
-    /// Create the service over a backend cloud.
-    pub fn new(key: ServiceKey, cloud: NodeId) -> Self {
-        let endpoint =
-            ServiceEndpoint::new(ServiceSlug::new(Self::SLUG), key).with_action("save_file");
-        DriveService {
-            core: ServiceCore::new(endpoint),
-            cloud,
-            pending: PendingReplies::default(),
-            actions_done: 0,
-        }
-    }
-}
-
-impl Node for DriveService {
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            Processed::Action {
-                user,
-                fields,
-                req_id,
-                ..
-            } => {
-                let name = fields
-                    .get("name")
-                    .cloned()
-                    .unwrap_or_else(|| "attachment".to_owned());
-                let content = fields.get("content").cloned().unwrap_or_default();
-                let token = self.pending.track(req_id);
-                let api = Request::post(format!("/drive/{}/files", user.0))
-                    .with_body(serde_json::json!({ "name": name, "content": content }).to_string());
-                ctx.send_request(self.cloud, api, token, RequestOpts::timeout_secs(30));
-                HandlerResult::Deferred
-            }
-            Processed::Query { req_id, .. } => {
-                ctx.reply(req_id, Response::not_found());
-                HandlerResult::Deferred
-            }
-            Processed::NoReply => HandlerResult::Deferred,
-        }
+impl Partner for Sheets {
+    fn slug(&self) -> &str {
+        "google_sheets"
     }
 
-    fn on_response(&mut self, ctx: &mut Context<'_>, token: Token, resp: Response) {
-        if let Some(upstream) = self.pending.resolve(token) {
-            if resp.is_success() {
-                self.actions_done += 1;
-                ctx.reply(upstream, ServiceEndpoint::action_ok("file_saved"));
-            } else {
-                ctx.reply(
-                    upstream,
-                    Response::with_status(if resp.is_timeout() { 503 } else { resp.status }),
-                );
-            }
-        }
-    }
-}
-
-/// The Google Sheets partner service. Action: `add_row` (applets A1/A7).
-#[derive(Debug)]
-pub struct SheetsService {
-    /// Shared protocol front.
-    pub core: ServiceCore,
-    /// Backend cloud node.
-    pub cloud: NodeId,
-    pending: PendingReplies,
-    /// Actions executed end-to-end.
-    pub actions_done: u64,
-}
-
-impl SheetsService {
-    /// The service slug as listed on IFTTT.
-    pub const SLUG: &'static str = "google_sheets";
-
-    /// Create the service over a backend cloud.
-    pub fn new(key: ServiceKey, cloud: NodeId) -> Self {
-        let endpoint =
-            ServiceEndpoint::new(ServiceSlug::new(Self::SLUG), key).with_action("add_row");
-        SheetsService {
-            core: ServiceCore::new(endpoint),
-            cloud,
-            pending: PendingReplies::default(),
-            actions_done: 0,
-        }
+    fn actions(&self) -> Vec<&str> {
+        vec!["add_row"]
     }
 
-    /// Split an action's `row` field into cells.
-    fn cells(fields: &FieldMap) -> Vec<String> {
-        fields
-            .get("row")
-            .map(|r| r.split("|||").map(str::to_owned).collect())
-            .unwrap_or_default()
-    }
-}
-
-impl Node for SheetsService {
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            Processed::Action {
-                user,
-                fields,
-                req_id,
-                ..
-            } => {
-                let sheet = fields
-                    .get("spreadsheet")
-                    .cloned()
-                    .unwrap_or_else(|| "IFTTT".to_owned());
-                let cells = Self::cells(&fields);
-                let token = self.pending.track(req_id);
-                let api = Request::post(format!("/sheets/{}/{sheet}/rows", user.0))
-                    .with_body(serde_json::json!({ "cells": cells }).to_string());
-                ctx.send_request(self.cloud, api, token, RequestOpts::timeout_secs(30));
-                HandlerResult::Deferred
-            }
-            Processed::Query { req_id, .. } => {
-                ctx.reply(req_id, Response::not_found());
-                HandlerResult::Deferred
-            }
-            Processed::NoReply => HandlerResult::Deferred,
-        }
-    }
-
-    fn on_response(&mut self, ctx: &mut Context<'_>, token: Token, resp: Response) {
-        if let Some(upstream) = self.pending.resolve(token) {
-            if resp.is_success() {
-                self.actions_done += 1;
-                ctx.reply(upstream, ServiceEndpoint::action_ok("row_added"));
-            } else {
-                ctx.reply(
-                    upstream,
-                    Response::with_status(if resp.is_timeout() { 503 } else { resp.status }),
-                );
-            }
+    fn action(&mut self, user: &UserId, _action: &str, fields: FieldMap) -> Outcome {
+        Outcome::Relay {
+            dst: self.cloud,
+            req: google::add_row_request(&user.0, &fields),
+            done: "row_added",
         }
     }
 }
@@ -274,28 +121,29 @@ impl Node for SheetsService {
 mod tests {
     use super::*;
     use crate::google::GoogleCloud;
-    use tap_protocol::auth::{AUTHORIZATION_HEADER, SERVICE_KEY_HEADER};
-    use tap_protocol::wire::{self, ActionRequestBody};
+    use crate::test_client::{action_request, Client};
+    use tap_protocol::auth::ServiceKey;
+    use tap_protocol::TriggerSlug;
 
     fn google_with_services() -> (Sim, NodeId, NodeId, NodeId, NodeId) {
         let mut sim = Sim::new(91);
         let cloud = sim.add_node("google", GoogleCloud::new());
         let gmail = sim.add_node(
             "gmail_svc",
-            GmailService::new(ServiceKey("sk_g".into()), cloud),
+            GmailService::new(ServiceKey("sk_g".into()), Gmail { cloud }),
         );
         let drive = sim.add_node(
             "drive_svc",
-            DriveService::new(ServiceKey("sk_d".into()), cloud),
+            DriveService::new(ServiceKey("sk_d".into()), Drive { cloud }),
         );
         let sheets = sim.add_node(
             "sheets_svc",
-            SheetsService::new(ServiceKey("sk_s".into()), cloud),
+            SheetsService::new(ServiceKey("sk_s".into()), Sheets { cloud }),
         );
         for svc in [gmail, drive, sheets] {
             sim.link(cloud, svc, LinkSpec::datacenter());
         }
-        sim.node_mut::<GoogleCloud>(cloud).observe(gmail);
+        sim.node_mut::<GoogleCloud>(cloud).observers.add(gmail);
         (sim, cloud, gmail, drive, sheets)
     }
 
@@ -352,32 +200,6 @@ mod tests {
         assert_eq!(s.core.buffer.len(&ti_att), 1);
     }
 
-    /// Engine stand-in sending one action request.
-    struct ActionSender {
-        service: NodeId,
-        key: &'static str,
-        action: &'static str,
-        fields: FieldMap,
-        bearer: String,
-        status: Option<u16>,
-    }
-    impl Node for ActionSender {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            let body = ActionRequestBody {
-                action_fields: self.fields.clone(),
-                user: UserId::new("author"),
-            };
-            let req = Request::post(format!("/ifttt/v1/actions/{}", self.action))
-                .with_header(SERVICE_KEY_HEADER, self.key)
-                .with_header(AUTHORIZATION_HEADER, self.bearer.clone())
-                .with_body(wire::to_bytes(&body));
-            ctx.send_request(self.service, req, Token(1), RequestOpts::timeout_secs(60));
-        }
-        fn on_response(&mut self, _c: &mut Context<'_>, _t: Token, resp: Response) {
-            self.status = Some(resp.status);
-        }
-    }
-
     #[test]
     fn add_row_action_lands_in_the_sheet() {
         let (mut sim, cloud, _, _, sheets) = google_with_services();
@@ -391,20 +213,10 @@ mod tests {
         let mut fields = FieldMap::new();
         fields.insert("spreadsheet".into(), "songs".into());
         fields.insert("row".into(), "yesterday|||beatles".into());
-        let sender = sim.add_node(
-            "engine",
-            ActionSender {
-                service: sheets,
-                key: "sk_s",
-                action: "add_row",
-                fields,
-                bearer,
-                status: None,
-            },
-        );
-        sim.link(sender, sheets, LinkSpec::wan());
+        let req = action_request("add_row", "sk_s", &bearer, "author", fields);
+        let sender = Client::spawn(&mut sim, sheets, req, LinkSpec::wan());
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<ActionSender>(sender).status, Some(200));
+        assert_eq!(Client::status(&sim, sender), Some(200));
         let sheet = sim
             .node_ref::<GoogleCloud>(cloud)
             .sheet("author", "songs")
@@ -429,20 +241,10 @@ mod tests {
         let mut fields = FieldMap::new();
         fields.insert("name".into(), "report.pdf".into());
         fields.insert("content".into(), "PDFDATA".into());
-        let sender = sim.add_node(
-            "engine",
-            ActionSender {
-                service: drive,
-                key: "sk_d",
-                action: "save_file",
-                fields,
-                bearer,
-                status: None,
-            },
-        );
-        sim.link(sender, drive, LinkSpec::wan());
+        let req = action_request("save_file", "sk_d", &bearer, "author", fields);
+        let sender = Client::spawn(&mut sim, drive, req, LinkSpec::wan());
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<ActionSender>(sender).status, Some(200));
+        assert_eq!(Client::status(&sim, sender), Some(200));
         assert_eq!(
             sim.node_ref::<GoogleCloud>(cloud).files("author"),
             vec!["report.pdf"]
@@ -470,20 +272,10 @@ mod tests {
         });
         let mut fields = FieldMap::new();
         fields.insert("subject".into(), "note to self".into());
-        let sender = sim.add_node(
-            "engine",
-            ActionSender {
-                service: gmail,
-                key: "sk_g",
-                action: "send_an_email",
-                fields,
-                bearer,
-                status: None,
-            },
-        );
-        sim.link(sender, gmail, LinkSpec::wan());
+        let req = action_request("send_an_email", "sk_g", &bearer, "author", fields);
+        let sender = Client::spawn(&mut sim, gmail, req, LinkSpec::wan());
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<ActionSender>(sender).status, Some(200));
+        assert_eq!(Client::status(&sim, sender), Some(200));
         assert_eq!(
             sim.node_ref::<GoogleCloud>(cloud)
                 .messages_since("author", 0)

@@ -5,13 +5,11 @@
 //! – Hue Service" (§2.1). The hub's allowlist must therefore include this
 //! node (vendor pairing), unlike arbitrary WAN hosts.
 
-use crate::service_core::{Processed, ServiceCore};
-use crate::services::PendingReplies;
+use crate::hue::{self, StateChange};
+use crate::services::{lookup, Outcome, Partner, PartnerService};
 use simnet::prelude::*;
 use std::collections::HashMap;
-use tap_protocol::auth::ServiceKey;
-use tap_protocol::service::ServiceEndpoint;
-use tap_protocol::{ServiceSlug, UserId};
+use tap_protocol::{FieldMap, UserId};
 
 /// Map an IFTTT color-field value to a Hue angle.
 pub fn color_to_hue(color: &str) -> u16 {
@@ -27,6 +25,20 @@ pub fn color_to_hue(color: &str) -> u16 {
     }
 }
 
+/// The lamp change an action asks for, given its fields.
+type Asks = fn(&FieldMap) -> StateChange;
+
+/// Each action and the change it asks for.
+const ACTIONS: &[(&str, Asks)] = &[
+    ("turn_on_lights", |_| StateChange::On(true)),
+    ("turn_off_lights", |_| StateChange::On(false)),
+    ("blink_lights", |_| StateChange::Blink),
+    ("change_color", |fields| {
+        let color = fields.get("color").map_or("white", String::as_str);
+        StateChange::Color(color_to_hue(color))
+    }),
+];
+
 /// Where one user's lights live.
 #[derive(Debug, Clone)]
 pub struct HueAccount {
@@ -38,100 +50,45 @@ pub struct HueAccount {
     pub lamp_device: String,
 }
 
-/// The official Hue cloud service node.
-#[derive(Debug)]
-pub struct HueService {
-    /// Shared protocol front.
-    pub core: ServiceCore,
+/// What the Hue cloud adds to the shell: the paired bridges.
+#[derive(Debug, Default)]
+pub struct Hue {
     accounts: HashMap<UserId, HueAccount>,
-    pending: PendingReplies,
-    /// Actions executed end-to-end (for tests/metrics).
-    pub actions_done: u64,
 }
 
-impl HueService {
-    /// The service slug as listed on IFTTT.
-    pub const SLUG: &'static str = "philips_hue";
+/// The official Hue cloud service node.
+pub type HueService = PartnerService<Hue>;
 
-    /// Create the service with its engine-issued key.
-    pub fn new(key: ServiceKey) -> Self {
-        let endpoint = ServiceEndpoint::new(ServiceSlug::new(Self::SLUG), key)
-            .with_action("turn_on_lights")
-            .with_action("turn_off_lights")
-            .with_action("blink_lights")
-            .with_action("change_color");
-        HueService {
-            core: ServiceCore::new(endpoint),
-            accounts: HashMap::new(),
-            pending: PendingReplies::default(),
-            actions_done: 0,
-        }
-    }
-
+impl Hue {
     /// Pair a user's bridge with the service.
     pub fn add_account(&mut self, user: UserId, account: HueAccount) {
         self.accounts.insert(user, account);
     }
 }
 
-impl Node for HueService {
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            Processed::Action {
-                user,
-                action,
-                fields,
-                req_id,
-            } => {
-                let Some(account) = self.accounts.get(&user).cloned() else {
-                    return HandlerResult::Reply(
-                        Response::unauthorized()
-                            .with_body(r#"{"errors":[{"message":"no hue account"}]}"#),
-                    );
-                };
-                let body = match action.as_str() {
-                    "turn_on_lights" => serde_json::json!({"on": true}),
-                    "turn_off_lights" => serde_json::json!({"on": false}),
-                    "blink_lights" => serde_json::json!({"alert": "lselect"}),
-                    "change_color" => {
-                        let color = fields.get("color").map(String::as_str).unwrap_or("white");
-                        serde_json::json!({"hue": color_to_hue(color), "bri": 254})
-                    }
-                    _ => return HandlerResult::Reply(Response::bad_request()),
-                };
-                let lamp = fields
-                    .get("lights")
-                    .cloned()
-                    .unwrap_or_else(|| account.lamp_device.clone());
-                ctx.trace("hue_service.action", format!("{action} -> {lamp}"));
-                let token = self.pending.track(req_id);
-                let hub_req =
-                    Request::put(format!("/api/{}/lights/{lamp}/state", account.username))
-                        .with_body(body.to_string());
-                ctx.send_request(account.hub, hub_req, token, RequestOpts::timeout_secs(30));
-                HandlerResult::Deferred
-            }
-            // No queries on this service (the endpoint rejects undeclared
-            // query slugs before we get here).
-            Processed::Query { req_id, .. } => {
-                ctx.reply(req_id, Response::not_found());
-                HandlerResult::Deferred
-            }
-            Processed::NoReply => HandlerResult::Deferred,
-        }
+impl Partner for Hue {
+    fn slug(&self) -> &str {
+        "philips_hue"
     }
 
-    fn on_response(&mut self, ctx: &mut Context<'_>, token: Token, resp: Response) {
-        if let Some(upstream) = self.pending.resolve(token) {
-            if resp.is_success() {
-                self.actions_done += 1;
-                ctx.trace("hue_service.done", String::new());
-                ctx.reply(upstream, ServiceEndpoint::action_ok("hue_ok"));
-            } else {
-                let status = if resp.is_timeout() { 503 } else { resp.status };
-                ctx.reply(upstream, Response::with_status(status));
-            }
+    fn actions(&self) -> Vec<&str> {
+        ACTIONS.iter().map(|(action, _)| *action).collect()
+    }
+
+    fn action(&mut self, user: &UserId, action: &str, fields: FieldMap) -> Outcome {
+        let Some(account) = self.accounts.get(user) else {
+            return Outcome::Reply(
+                Response::unauthorized().with_body(r#"{"errors":[{"message":"no hue account"}]}"#),
+            );
+        };
+        let Some(change) = lookup(ACTIONS, action) else {
+            return Outcome::Reply(Response::bad_request());
+        };
+        let lamp = fields.get("lights").unwrap_or(&account.lamp_device);
+        Outcome::Relay {
+            dst: account.hub,
+            req: hue::state_request(&account.username, lamp, change(&fields)),
+            done: "hue_ok",
         }
     }
 }
@@ -140,41 +97,18 @@ impl Node for HueService {
 mod tests {
     use super::*;
     use crate::hue::{install_hue, HueLamp};
-    use tap_protocol::auth::{AUTHORIZATION_HEADER, SERVICE_KEY_HEADER};
-    use tap_protocol::wire::{self, ActionRequestBody};
-    use tap_protocol::FieldMap;
+    use crate::test_client::{action_request, Client};
+    use tap_protocol::auth::ServiceKey;
 
-    /// Sends one action request to the service, IFTTT-style.
-    struct EngineStub {
-        service: NodeId,
-        action: &'static str,
-        fields: FieldMap,
-        bearer: String,
-        status: Option<u16>,
-        done_at: Option<SimTime>,
-    }
-    impl Node for EngineStub {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            let body = ActionRequestBody {
-                action_fields: self.fields.clone(),
-                user: UserId::new("author"),
-            };
-            let req = Request::post(format!("/ifttt/v1/actions/{}", self.action))
-                .with_header(SERVICE_KEY_HEADER, "sk_hue")
-                .with_header(AUTHORIZATION_HEADER, self.bearer.clone())
-                .with_body(wire::to_bytes(&body));
-            ctx.send_request(self.service, req, Token(1), RequestOpts::timeout_secs(120));
-        }
-        fn on_response(&mut self, ctx: &mut Context<'_>, _t: Token, resp: Response) {
-            self.status = Some(resp.status);
-            self.done_at = Some(ctx.now());
-        }
-    }
-
-    fn setup(action: &'static str, fields: FieldMap) -> (Sim, NodeId, NodeId, NodeId) {
+    /// A Hue home paired with the service, plus one engine-style client
+    /// sending `action` for `user` with a valid token.
+    fn setup(action: &str, user: &str, fields: FieldMap) -> (Sim, NodeId, NodeId, NodeId) {
         let mut sim = Sim::new(61);
         let (hub, lamps) = install_hue(&mut sim, "hueuser", "author", 1);
-        let svc = sim.add_node("hue_service", HueService::new(ServiceKey("sk_hue".into())));
+        let svc = sim.add_node(
+            "hue_service",
+            HueService::new(ServiceKey("sk_hue".into()), Hue::default()),
+        );
         let router = sim.add_node("router", Passive);
         sim.link(hub, router, LinkSpec::lan());
         sim.link(router, svc, LinkSpec::wan());
@@ -183,7 +117,7 @@ mod tests {
         sim.node_mut::<crate::hue::HueHub>(hub)
             .allow_only(vec![svc]);
         let bearer = sim.with_node::<HueService, _>(svc, |s, ctx| {
-            s.add_account(
+            s.vendor.add_account(
                 UserId::new("author"),
                 HueAccount {
                     hub,
@@ -191,24 +125,11 @@ mod tests {
                     lamp_device: "hue_lamp_1".into(),
                 },
             );
-            s.core
-                .endpoint
-                .oauth
-                .mint_token(UserId::new("author"), ctx.rng())
-                .bearer()
+            let oauth = &mut s.core.endpoint.oauth;
+            oauth.mint_token(UserId::new(user), ctx.rng()).bearer()
         });
-        let engine = sim.add_node(
-            "engine",
-            EngineStub {
-                service: svc,
-                action,
-                fields,
-                bearer,
-                status: None,
-                done_at: None,
-            },
-        );
-        sim.link(engine, svc, LinkSpec::wan());
+        let req = action_request(action, "sk_hue", &bearer, user, fields);
+        let engine = Client::spawn(&mut sim, svc, req, LinkSpec::wan());
         (sim, svc, lamps[0], engine)
     }
 
@@ -217,13 +138,13 @@ mod tests {
 
     #[test]
     fn turn_on_action_reaches_the_lamp() {
-        let (mut sim, svc, lamp, engine) = setup("turn_on_lights", FieldMap::new());
+        let (mut sim, svc, lamp, engine) = setup("turn_on_lights", "author", FieldMap::new());
         sim.run_until_idle();
         assert!(sim.node_ref::<HueLamp>(lamp).state.on);
-        assert_eq!(sim.node_ref::<EngineStub>(engine).status, Some(200));
+        assert_eq!(Client::status(&sim, engine), Some(200));
         assert_eq!(sim.node_ref::<HueService>(svc).actions_done, 1);
         // Latency: WAN + hub + radio round trips — tens of ms, well under 1 s.
-        let at = sim.node_ref::<EngineStub>(engine).done_at.unwrap();
+        let at = sim.node_ref::<Client>(engine).at.unwrap();
         assert!(at < SimTime::from_secs(1));
     }
 
@@ -231,68 +152,27 @@ mod tests {
     fn change_color_sets_the_requested_hue() {
         let mut fields = FieldMap::new();
         fields.insert("color".into(), "blue".into());
-        let (mut sim, _, lamp, engine) = setup("change_color", fields);
+        let (mut sim, _, lamp, engine) = setup("change_color", "author", fields);
         sim.run_until_idle();
         assert_eq!(sim.node_ref::<HueLamp>(lamp).state.hue, 46920);
-        assert_eq!(sim.node_ref::<EngineStub>(engine).status, Some(200));
+        assert_eq!(Client::status(&sim, engine), Some(200));
     }
 
     #[test]
     fn unknown_action_is_404() {
         // "dance" is not declared on the endpoint → protocol-level 404.
-        let (mut sim, _, _, engine) = setup("dance", FieldMap::new());
+        let (mut sim, _, _, engine) = setup("dance", "author", FieldMap::new());
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<EngineStub>(engine).status, Some(404));
+        assert_eq!(Client::status(&sim, engine), Some(404));
     }
 
     #[test]
     fn user_without_account_is_401() {
-        let (mut sim, svc, _, _) = setup("turn_on_lights", FieldMap::new());
-        // A second engine with a token for a user that has no Hue account.
-        let bearer = sim.with_node::<HueService, _>(svc, |s, ctx| {
-            s.core
-                .endpoint
-                .oauth
-                .mint_token(UserId::new("author"), ctx.rng());
-            // mint for "stranger" and also register nothing for them
-            s.core
-                .endpoint
-                .oauth
-                .mint_token(UserId::new("stranger"), ctx.rng())
-                .bearer()
-        });
-        struct Stranger {
-            service: NodeId,
-            bearer: String,
-            status: Option<u16>,
-        }
-        impl Node for Stranger {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                let body = ActionRequestBody {
-                    action_fields: FieldMap::new(),
-                    user: UserId::new("stranger"),
-                };
-                let req = Request::post("/ifttt/v1/actions/turn_on_lights")
-                    .with_header(SERVICE_KEY_HEADER, "sk_hue")
-                    .with_header(AUTHORIZATION_HEADER, self.bearer.clone())
-                    .with_body(wire::to_bytes(&body));
-                ctx.send_request(self.service, req, Token(1), RequestOpts::timeout_secs(60));
-            }
-            fn on_response(&mut self, _c: &mut Context<'_>, _t: Token, resp: Response) {
-                self.status = Some(resp.status);
-            }
-        }
-        let stranger = sim.add_node(
-            "stranger",
-            Stranger {
-                service: svc,
-                bearer,
-                status: None,
-            },
-        );
-        sim.link(stranger, svc, LinkSpec::wan());
+        // A valid token for a user who never paired a bridge.
+        let (mut sim, _, lamp, engine) = setup("turn_on_lights", "stranger", FieldMap::new());
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<Stranger>(stranger).status, Some(401));
+        assert_eq!(Client::status(&sim, engine), Some(401));
+        assert!(!sim.node_ref::<HueLamp>(lamp).state.on);
     }
 
     #[test]

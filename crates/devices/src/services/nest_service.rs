@@ -8,103 +8,74 @@
 //! work (most IFTTT triggers are parameterless events).
 
 use crate::events::DeviceEvent;
-use crate::service_core::{Processed, ServiceCore};
-use crate::services::PendingReplies;
-use bytes::Bytes;
+use crate::service_core::ServiceCore;
+use crate::services::{Outcome, Partner, PartnerService};
 use simnet::prelude::*;
 use std::collections::HashMap;
-use tap_protocol::auth::ServiceKey;
-use tap_protocol::service::ServiceEndpoint;
 use tap_protocol::wire::TriggerEvent;
-use tap_protocol::{ServiceSlug, TriggerSlug, UserId};
+use tap_protocol::{FieldMap, TriggerSlug, UserId};
 
-/// The Nest cloud service node.
-#[derive(Debug)]
-pub struct NestService {
-    /// Shared protocol front.
-    pub core: ServiceCore,
+/// Whether a reading moving `prev → now` crosses `threshold` one way.
+type Crosses = fn(f64, f64, f64) -> bool;
+
+/// Each trigger and the crossing that fires it.
+const CROSSINGS: &[(&str, Crosses)] = &[
+    ("temperature_rises_above", |prev, now, thr| {
+        prev < thr && now >= thr
+    }),
+    ("temperature_drops_below", |prev, now, thr| {
+        prev > thr && now <= thr
+    }),
+];
+
+/// What the Nest cloud adds to the shell: the paired thermostats.
+#[derive(Debug, Default)]
+pub struct Nest {
     /// user → thermostat node.
     thermostats: HashMap<UserId, NodeId>,
-    pending: PendingReplies,
-    /// Actions executed end-to-end.
-    pub actions_done: u64,
 }
 
-impl NestService {
-    /// The service slug as listed on IFTTT.
-    pub const SLUG: &'static str = "nest_thermostat";
+/// The Nest cloud service node.
+pub type NestService = PartnerService<Nest>;
 
-    /// Create the service with its engine-issued key.
-    pub fn new(key: ServiceKey) -> Self {
-        let endpoint = ServiceEndpoint::new(ServiceSlug::new(Self::SLUG), key)
-            .with_trigger("temperature_rises_above")
-            .with_trigger("temperature_drops_below")
-            .with_action("set_temperature");
-        NestService {
-            core: ServiceCore::new(endpoint),
-            thermostats: HashMap::new(),
-            pending: PendingReplies::default(),
-            actions_done: 0,
-        }
-    }
-
-    /// Pair a user's thermostat (it must `observe` this node, and its
+impl Nest {
+    /// Pair a user's thermostat (it must observe this node, and its
     /// allowlist must include it).
     pub fn add_thermostat(&mut self, user: UserId, node: NodeId) {
         self.thermostats.insert(user, node);
     }
 }
 
-impl Node for NestService {
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            Processed::Action {
-                user,
-                action,
-                fields,
-                req_id,
-            } => {
-                if action.as_str() != "set_temperature" {
-                    return HandlerResult::Reply(Response::bad_request());
-                }
-                let Some(&node) = self.thermostats.get(&user) else {
-                    return HandlerResult::Reply(Response::unauthorized());
-                };
-                let temp: f64 = fields
-                    .get("temp_c")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(20.0);
-                let token = self.pending.track(req_id);
-                let api = Request::put("/nest/target")
-                    .with_body(serde_json::json!({ "temp_c": temp }).to_string());
-                ctx.send_request(node, api, token, RequestOpts::timeout_secs(30));
-                HandlerResult::Deferred
-            }
-            Processed::Query { req_id, .. } => {
-                ctx.reply(req_id, Response::not_found());
-                HandlerResult::Deferred
-            }
-            Processed::NoReply => HandlerResult::Deferred,
-        }
+impl Partner for Nest {
+    fn slug(&self) -> &str {
+        "nest_thermostat"
     }
 
-    fn on_response(&mut self, ctx: &mut Context<'_>, token: Token, resp: Response) {
-        if let Some(upstream) = self.pending.resolve(token) {
-            if resp.is_success() {
-                self.actions_done += 1;
-                ctx.reply(upstream, ServiceEndpoint::action_ok("nest_ok"));
-            } else {
-                let status = if resp.is_timeout() { 503 } else { resp.status };
-                ctx.reply(upstream, Response::with_status(status));
-            }
-        }
+    fn triggers(&self) -> Vec<&str> {
+        CROSSINGS.iter().map(|(trigger, _)| *trigger).collect()
     }
 
-    fn on_signal(&mut self, ctx: &mut Context<'_>, _from: NodeId, payload: Bytes) {
-        let Some(ev) = DeviceEvent::from_bytes(&payload) else {
-            return;
+    fn actions(&self) -> Vec<&str> {
+        vec!["set_temperature"]
+    }
+
+    fn action(&mut self, user: &UserId, _action: &str, fields: FieldMap) -> Outcome {
+        let Some(&node) = self.thermostats.get(user) else {
+            return Outcome::Reply(Response::unauthorized());
         };
+        let temp: f64 = fields
+            .get("temp_c")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(20.0);
+        Outcome::Relay {
+            dst: node,
+            req: Request::put("/nest/target")
+                .with_body(serde_json::json!({ "temp_c": temp }).to_string()),
+            done: "nest_ok",
+        }
+    }
+
+    fn device_event(&mut self, core: &mut ServiceCore, ctx: &mut Context<'_>, ev: &DeviceEvent) {
         if ev.kind != "temp_changed" {
             return;
         }
@@ -115,40 +86,18 @@ impl Node for NestService {
             return;
         };
         let user = UserId::new(ev.user.clone());
-        // Rising crossings: prev < threshold ≤ now.
-        let id = self.core.next_event_id();
-        let event = TriggerEvent::new(id, ev.at_secs)
-            .with_ingredient("temp_c", format!("{now:.2}"))
-            .with_ingredient("device", ev.device.clone());
-        self.core.record_event(
-            ctx,
-            &TriggerSlug::new("temperature_rises_above"),
-            &user,
-            event,
-            |fields| {
+        for (trigger, crosses) in CROSSINGS {
+            let id = core.next_event_id();
+            let event = TriggerEvent::new(id, ev.at_secs)
+                .with_ingredient("temp_c", format!("{now:.2}"))
+                .with_ingredient("device", ev.device.clone());
+            core.record_event(ctx, &TriggerSlug::new(*trigger), &user, event, |fields| {
                 fields
                     .get("threshold")
                     .and_then(|v| v.parse::<f64>().ok())
-                    .is_some_and(|thr| prev < thr && now >= thr)
-            },
-        );
-        // Falling crossings: prev > threshold ≥ now.
-        let id = self.core.next_event_id();
-        let event = TriggerEvent::new(id, ev.at_secs)
-            .with_ingredient("temp_c", format!("{now:.2}"))
-            .with_ingredient("device", ev.device);
-        self.core.record_event(
-            ctx,
-            &TriggerSlug::new("temperature_drops_below"),
-            &user,
-            event,
-            |fields| {
-                fields
-                    .get("threshold")
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .is_some_and(|thr| prev > thr && now <= thr)
-            },
-        );
+                    .is_some_and(|thr| crosses(prev, now, thr))
+            });
+        }
     }
 }
 
@@ -156,16 +105,20 @@ impl Node for NestService {
 mod tests {
     use super::*;
     use crate::nest::NestThermostat;
-    use tap_protocol::{FieldMap, TriggerIdentity};
+    use tap_protocol::auth::ServiceKey;
+    use tap_protocol::TriggerIdentity;
 
     fn world() -> (Sim, NodeId, NodeId) {
         let mut sim = Sim::new(5);
         let nest = sim.add_node("nest", NestThermostat::new("nest_1", "author"));
-        let svc = sim.add_node("nest_svc", NestService::new(ServiceKey("sk_n".into())));
+        let svc = sim.add_node(
+            "nest_svc",
+            NestService::new(ServiceKey("sk_n".into()), Nest::default()),
+        );
         sim.link(nest, svc, LinkSpec::wan());
-        sim.node_mut::<NestThermostat>(nest).observe(svc);
+        sim.node_mut::<NestThermostat>(nest).observers.add(svc);
         sim.with_node::<NestService, _>(svc, |s, _| {
-            s.add_thermostat(UserId::new("author"), nest);
+            s.vendor.add_thermostat(UserId::new("author"), nest);
         });
         (sim, nest, svc)
     }

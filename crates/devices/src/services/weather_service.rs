@@ -6,19 +6,23 @@
 //! are pushed to this node (the station must `observe` it).
 
 use crate::events::DeviceEvent;
-use crate::service_core::{Processed, ServiceCore};
-use bytes::Bytes;
+use crate::service_core::ServiceCore;
+use crate::services::{lookup, Partner, PartnerService};
 use simnet::prelude::*;
-use tap_protocol::auth::ServiceKey;
 use tap_protocol::service::ServiceEndpoint;
 use tap_protocol::wire::TriggerEvent;
-use tap_protocol::{ServiceSlug, TriggerSlug, UserId};
+use tap_protocol::{FieldMap, TriggerSlug, UserId};
 
-/// The weather partner-service node.
+/// Each station push kind and the trigger it feeds.
+const FORECASTS: &[(&str, &str)] = &[
+    ("weather_rain", "forecast_rain"),
+    ("weather_snow", "forecast_snow"),
+    ("weather_clear", "forecast_clear"),
+];
+
+/// What the weather service adds to the shell.
 #[derive(Debug)]
-pub struct WeatherService {
-    /// Shared protocol front.
-    pub core: ServiceCore,
+pub struct Weather {
     /// Users subscribed to this weather location (weather is broadcast:
     /// one station event feeds every registered user's subscriptions).
     pub users: Vec<UserId>,
@@ -27,68 +31,56 @@ pub struct WeatherService {
     pub current: String,
 }
 
-impl WeatherService {
-    /// The service slug as listed on IFTTT.
-    pub const SLUG: &'static str = "weather_underground";
+/// The weather partner-service node.
+pub type WeatherService = PartnerService<Weather>;
 
-    /// Create the service with its engine-issued key.
-    pub fn new(key: ServiceKey) -> Self {
-        let endpoint = ServiceEndpoint::new(ServiceSlug::new(Self::SLUG), key)
-            .with_trigger("forecast_rain")
-            .with_trigger("forecast_snow")
-            .with_trigger("forecast_clear")
-            .with_query("current_condition");
-        WeatherService {
-            core: ServiceCore::new(endpoint),
+impl Default for Weather {
+    fn default() -> Self {
+        Weather {
             users: Vec::new(),
             current: "clear".into(),
         }
     }
+}
 
+impl Weather {
     /// Register a user interested in this location's weather.
     pub fn add_user(&mut self, user: UserId) {
         self.users.push(user);
     }
 }
 
-impl Node for WeatherService {
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            // Weather exposes no actions.
-            Processed::Action { req_id, .. } => {
-                ctx.reply(req_id, Response::not_found());
-                HandlerResult::Deferred
-            }
-            // The `current_condition` query: read back the latest state.
-            Processed::Query { req_id, .. } => {
-                let mut data = tap_protocol::FieldMap::new();
-                data.insert("condition".into(), self.current.clone());
-                ctx.reply(req_id, ServiceEndpoint::query_ok(data));
-                HandlerResult::Deferred
-            }
-            Processed::NoReply => HandlerResult::Deferred,
-        }
+impl Partner for Weather {
+    fn slug(&self) -> &str {
+        "weather_underground"
     }
 
-    fn on_signal(&mut self, ctx: &mut Context<'_>, _from: NodeId, payload: Bytes) {
-        let Some(ev) = DeviceEvent::from_bytes(&payload) else {
+    fn triggers(&self) -> Vec<&str> {
+        FORECASTS.iter().map(|(_, trigger)| *trigger).collect()
+    }
+
+    fn queries(&self) -> Vec<&str> {
+        vec!["current_condition"]
+    }
+
+    /// Read back the latest state.
+    fn query(&mut self, _user: &UserId, _query: &str, _fields: FieldMap) -> Response {
+        let mut data = FieldMap::new();
+        data.insert("condition".into(), self.current.clone());
+        ServiceEndpoint::query_ok(data)
+    }
+
+    fn device_event(&mut self, core: &mut ServiceCore, ctx: &mut Context<'_>, ev: &DeviceEvent) {
+        let Some(trigger) = lookup(FORECASTS, &ev.kind) else {
             return;
-        };
-        let trigger = match ev.kind.as_str() {
-            "weather_rain" => "forecast_rain",
-            "weather_snow" => "forecast_snow",
-            "weather_clear" => "forecast_clear",
-            _ => return,
         };
         self.current = ev.kind.trim_start_matches("weather_").to_owned();
         // Broadcast: one station change fires every user's subscription.
-        for user in self.users.clone() {
-            let id = self.core.next_event_id();
-            let event = TriggerEvent::new(id, ev.at_secs)
-                .with_ingredient("condition", ev.kind.trim_start_matches("weather_"));
-            self.core
-                .record_event(ctx, &TriggerSlug::new(trigger), &user, event, |_| true);
+        for user in &self.users {
+            let id = core.next_event_id();
+            let event =
+                TriggerEvent::new(id, ev.at_secs).with_ingredient("condition", &*self.current);
+            core.record_event(ctx, &TriggerSlug::new(trigger), user, event, |_| true);
         }
     }
 }
@@ -97,7 +89,7 @@ impl Node for WeatherService {
 mod tests {
     use super::*;
     use crate::weather::{Condition, WeatherStation};
-    use tap_protocol::FieldMap;
+    use tap_protocol::auth::ServiceKey;
 
     #[test]
     fn rain_feeds_every_subscribed_user() {
@@ -105,13 +97,13 @@ mod tests {
         let station = sim.add_node("weather", WeatherStation::new());
         let svc = sim.add_node(
             "weather_svc",
-            WeatherService::new(ServiceKey("sk_w".into())),
+            WeatherService::new(ServiceKey("sk_w".into()), Weather::default()),
         );
         sim.link(station, svc, LinkSpec::wan());
-        sim.node_mut::<WeatherStation>(station).observe(svc);
+        sim.node_mut::<WeatherStation>(station).observers.add(svc);
         let (ti_a, ti_b) = sim.with_node::<WeatherService, _>(svc, |s, _| {
-            s.add_user(UserId::new("alice"));
-            s.add_user(UserId::new("bob"));
+            s.vendor.add_user(UserId::new("alice"));
+            s.vendor.add_user(UserId::new("bob"));
             (
                 s.core.subscribe(
                     UserId::new("alice"),
@@ -142,12 +134,12 @@ mod tests {
         let station = sim.add_node("weather", WeatherStation::new());
         let svc = sim.add_node(
             "weather_svc",
-            WeatherService::new(ServiceKey("sk_w".into())),
+            WeatherService::new(ServiceKey("sk_w".into()), Weather::default()),
         );
         sim.link(station, svc, LinkSpec::wan());
-        sim.node_mut::<WeatherStation>(station).observe(svc);
+        sim.node_mut::<WeatherStation>(station).observers.add(svc);
         let (rain_ti, clear_ti) = sim.with_node::<WeatherService, _>(svc, |s, _| {
-            s.add_user(UserId::new("alice"));
+            s.vendor.add_user(UserId::new("alice"));
             (
                 s.core.subscribe(
                     UserId::new("alice"),

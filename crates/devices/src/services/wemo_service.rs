@@ -6,144 +6,95 @@
 //! over UPnP, so the switch's allowlist must include this node.
 
 use crate::events::DeviceEvent;
-use crate::service_core::{Processed, ServiceCore};
-use crate::services::PendingReplies;
+use crate::service_core::ServiceCore;
+use crate::services::{feed, lookup, Outcome, Partner, PartnerService};
 use crate::wemo;
-use bytes::Bytes;
 use simnet::prelude::*;
 use std::collections::HashMap;
-use tap_protocol::auth::ServiceKey;
-use tap_protocol::service::ServiceEndpoint;
-use tap_protocol::wire::TriggerEvent;
-use tap_protocol::{ServiceSlug, TriggerSlug, UserId};
+use tap_protocol::{FieldMap, UserId};
 
-/// The WeMo cloud service node.
-#[derive(Debug)]
-pub struct WemoService {
-    /// Shared protocol front.
-    pub core: ServiceCore,
+/// Each switch push kind and the trigger it feeds.
+const EVENTS: &[(&str, &str)] = &[
+    ("switched_on", "switch_activated"),
+    ("switched_off", "switch_deactivated"),
+];
+
+/// Each action and the relay state it sets.
+const ACTIONS: &[(&str, bool)] = &[("turn_on", true), ("turn_off", false)];
+
+/// What the WeMo cloud adds to the shell: the paired switches.
+#[derive(Debug, Default)]
+pub struct Wemo {
     /// user → switch node.
     switches: HashMap<UserId, NodeId>,
-    pending: PendingReplies,
-    /// Actions executed end-to-end.
-    pub actions_done: u64,
 }
 
-impl WemoService {
-    /// The service slug as listed on IFTTT.
-    pub const SLUG: &'static str = "wemo";
+/// The WeMo cloud service node.
+pub type WemoService = PartnerService<Wemo>;
 
-    /// Create the service with its engine-issued key.
-    pub fn new(key: ServiceKey) -> Self {
-        let endpoint = ServiceEndpoint::new(ServiceSlug::new(Self::SLUG), key)
-            .with_trigger("switch_activated")
-            .with_trigger("switch_deactivated")
-            .with_action("turn_on")
-            .with_action("turn_off");
-        WemoService {
-            core: ServiceCore::new(endpoint),
-            switches: HashMap::new(),
-            pending: PendingReplies::default(),
-            actions_done: 0,
-        }
-    }
-
-    /// Pair a user's switch. The switch must also `observe` this node for
+impl Wemo {
+    /// Pair a user's switch. The switch must also observe this node for
     /// trigger pushes, and allowlist it for actions.
     pub fn add_switch(&mut self, user: UserId, switch: NodeId) {
         self.switches.insert(user, switch);
     }
 }
 
-impl Node for WemoService {
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            Processed::Action {
-                user,
-                action,
-                fields: _,
-                req_id,
-            } => {
-                let Some(&switch) = self.switches.get(&user) else {
-                    return HandlerResult::Reply(Response::unauthorized());
-                };
-                let on = match action.as_str() {
-                    "turn_on" => true,
-                    "turn_off" => false,
-                    _ => return HandlerResult::Reply(Response::bad_request()),
-                };
-                ctx.trace("wemo_service.action", action.0.clone());
-                let token = self.pending.track(req_id);
-                let soap = Request::post(wemo::CONTROL_PATH)
-                    .with_header(wemo::SOAPACTION, wemo::SET_BINARY_STATE)
-                    .with_body(wemo::set_state_body(on));
-                ctx.send_request(switch, soap, token, RequestOpts::timeout_secs(30));
-                HandlerResult::Deferred
-            }
-            // No queries on this service (the endpoint rejects undeclared
-            // query slugs before we get here).
-            Processed::Query { req_id, .. } => {
-                ctx.reply(req_id, Response::not_found());
-                HandlerResult::Deferred
-            }
-            Processed::NoReply => HandlerResult::Deferred,
+impl Partner for Wemo {
+    fn slug(&self) -> &str {
+        "wemo"
+    }
+
+    fn triggers(&self) -> Vec<&str> {
+        EVENTS.iter().map(|(_, trigger)| *trigger).collect()
+    }
+
+    fn actions(&self) -> Vec<&str> {
+        ACTIONS.iter().map(|(action, _)| *action).collect()
+    }
+
+    fn action(&mut self, user: &UserId, action: &str, _fields: FieldMap) -> Outcome {
+        let Some(&switch) = self.switches.get(user) else {
+            return Outcome::Reply(Response::unauthorized());
+        };
+        let Some(on) = lookup(ACTIONS, action) else {
+            return Outcome::Reply(Response::bad_request());
+        };
+        Outcome::Relay {
+            dst: switch,
+            req: wemo::set_state_request(on),
+            done: "wemo_ok",
         }
     }
 
-    fn on_response(&mut self, ctx: &mut Context<'_>, token: Token, resp: Response) {
-        if let Some(upstream) = self.pending.resolve(token) {
-            if resp.is_success() {
-                self.actions_done += 1;
-                ctx.reply(upstream, ServiceEndpoint::action_ok("wemo_ok"));
-            } else {
-                let status = if resp.is_timeout() { 503 } else { resp.status };
-                ctx.reply(upstream, Response::with_status(status));
-            }
+    fn device_event(&mut self, core: &mut ServiceCore, ctx: &mut Context<'_>, ev: &DeviceEvent) {
+        if let Some(trigger) = lookup(EVENTS, &ev.kind) {
+            feed(core, ctx, trigger, ev, true);
         }
-    }
-
-    fn on_signal(&mut self, ctx: &mut Context<'_>, _from: NodeId, payload: Bytes) {
-        // State-change push from a switch: feed the matching trigger.
-        let Some(ev) = DeviceEvent::from_bytes(&payload) else {
-            return;
-        };
-        let trigger = match ev.kind.as_str() {
-            "switched_on" => TriggerSlug::new("switch_activated"),
-            "switched_off" => TriggerSlug::new("switch_deactivated"),
-            _ => return,
-        };
-        let user = UserId::new(ev.user.clone());
-        let id = self.core.next_event_id();
-        let mut event = TriggerEvent::new(id, ev.at_secs).with_ingredient("device", ev.device);
-        for (k, v) in &ev.data {
-            event = event.with_ingredient(k.clone(), v.clone());
-        }
-        self.core
-            .record_event(ctx, &trigger, &user, event, |_| true);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_client::{engine_request, Client};
     use crate::wemo::WemoSwitch;
-    use tap_protocol::auth::{AUTHORIZATION_HEADER, SERVICE_KEY_HEADER};
+    use tap_protocol::auth::ServiceKey;
     use tap_protocol::wire::{self, PollRequestBody, PollResponseBody};
-    use tap_protocol::{FieldMap, TriggerIdentity};
+    use tap_protocol::{TriggerIdentity, TriggerSlug};
 
     fn setup() -> (Sim, NodeId, NodeId, TriggerIdentity, String) {
         let mut sim = Sim::new(71);
         let switch = sim.add_node("wemo", WemoSwitch::new("wemo_switch_1", "author"));
         let svc = sim.add_node(
             "wemo_service",
-            WemoService::new(ServiceKey("sk_wemo".into())),
+            WemoService::new(ServiceKey("sk_wemo".into()), Wemo::default()),
         );
         sim.link(switch, svc, LinkSpec::wan());
-        sim.node_mut::<WemoSwitch>(switch).observe(svc);
+        sim.node_mut::<WemoSwitch>(switch).observers.add(svc);
         sim.node_mut::<WemoSwitch>(switch).allow_only(vec![svc]);
         let (ti, bearer) = sim.with_node::<WemoService, _>(svc, |s, ctx| {
-            s.add_switch(UserId::new("author"), switch);
+            s.vendor.add_switch(UserId::new("author"), switch);
             let ti = s.core.subscribe(
                 UserId::new("author"),
                 TriggerSlug::new("switch_activated"),
@@ -191,28 +142,6 @@ mod tests {
         assert_eq!(s.core.buffer.len(&ti_off), 1);
     }
 
-    /// Poll the service like the engine would and verify the event comes
-    /// back on the wire.
-    struct Poller {
-        service: NodeId,
-        body: Vec<u8>,
-        bearer: String,
-        events: Option<usize>,
-    }
-    impl Node for Poller {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            let req = Request::post("/ifttt/v1/triggers/switch_activated")
-                .with_header(SERVICE_KEY_HEADER, "sk_wemo")
-                .with_header(AUTHORIZATION_HEADER, self.bearer.clone())
-                .with_body(self.body.clone());
-            ctx.send_request(self.service, req, Token(1), RequestOpts::timeout_secs(60));
-        }
-        fn on_response(&mut self, _c: &mut Context<'_>, _t: Token, resp: Response) {
-            let b: PollResponseBody = wire::from_bytes(&resp.body).unwrap();
-            self.events = Some(b.data.len());
-        }
-    }
-
     #[test]
     fn engine_poll_returns_buffered_events() {
         let (mut sim, switch, svc, ti, bearer) = setup();
@@ -224,17 +153,18 @@ mod tests {
             user: UserId::new("author"),
             limit: 50,
         };
-        let poller = sim.add_node(
-            "poller",
-            Poller {
-                service: svc,
-                body: wire::to_bytes(&poll).to_vec(),
-                bearer,
-                events: None,
-            },
+        // Poll the service like the engine would: the event comes back on
+        // the wire.
+        let req = engine_request(
+            "/ifttt/v1/triggers/switch_activated".into(),
+            "sk_wemo",
+            &bearer,
+            wire::to_bytes(&poll),
         );
-        sim.link(poller, svc, LinkSpec::wan());
+        let poller = Client::spawn(&mut sim, svc, req, LinkSpec::wan());
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<Poller>(poller).events, Some(1));
+        let resp = sim.node_ref::<Client>(poller).response.as_ref().unwrap();
+        let body: PollResponseBody = wire::from_bytes(&resp.body).unwrap();
+        assert_eq!(body.data.len(), 1);
     }
 }

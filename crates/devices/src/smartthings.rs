@@ -5,7 +5,7 @@
 //! sensor, contact sensor, smart plug), a REST-ish API to list devices and
 //! send commands, and observer pushes on every attribute change.
 
-use crate::events::DeviceEvent;
+use crate::events::{DeviceEvent, Observers};
 use serde::{Deserialize, Serialize};
 use simnet::prelude::*;
 use std::collections::BTreeMap;
@@ -35,7 +35,7 @@ pub struct SmartThingsHub {
     /// Hosts allowed to use the API (`None` = open).
     pub allowed: Option<Vec<NodeId>>,
     /// Observers notified on every attribute change.
-    pub observers: Vec<NodeId>,
+    pub observers: Observers,
 }
 
 impl SmartThingsHub {
@@ -63,11 +63,6 @@ impl SmartThingsHub {
         );
     }
 
-    /// Register an observer for attribute changes.
-    pub fn observe(&mut self, node: NodeId) {
-        self.observers.push(node);
-    }
-
     /// Current value of a device attribute.
     pub fn value(&self, id: &str) -> Option<&str> {
         self.devices.get(id).map(|a| a.value.as_str())
@@ -82,9 +77,7 @@ impl SmartThingsHub {
         let kind = format!("st_{value}");
         ctx.trace("smartthings.event", format!("{id} -> {value}"));
         let ev = DeviceEvent::new(id, kind, self.user.clone(), ctx.now().as_secs_f64() as u64);
-        for obs in self.observers.clone() {
-            ctx.signal(obs, ev.to_bytes());
-        }
+        self.observers.push(ctx, ev.to_bytes());
     }
 }
 
@@ -123,6 +116,7 @@ impl Node for SmartThingsHub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_client::Client;
     use bytes::Bytes;
 
     #[derive(Default)]
@@ -145,7 +139,7 @@ mod tests {
             .attach("motion_1", SensorKind::Motion);
         let obs = sim.add_node("obs", Obs::default());
         sim.link(hub, obs, LinkSpec::lan());
-        sim.node_mut::<SmartThingsHub>(hub).observe(obs);
+        sim.node_mut::<SmartThingsHub>(hub).observers.add(obs);
         sim.with_node::<SmartThingsHub, _>(hub, |h, ctx| h.sensor_event(ctx, "motion_1", "active"));
         sim.run_until_idle();
         assert_eq!(
@@ -157,20 +151,10 @@ mod tests {
         assert_eq!(events[0].kind, "st_active");
     }
 
-    struct Commander {
-        hub: NodeId,
-        path: String,
-        body: String,
-        status: Option<u16>,
-    }
-    impl Node for Commander {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            let req = Request::post(self.path.clone()).with_body(self.body.clone());
-            ctx.send_request(self.hub, req, Token(0), RequestOpts::default());
-        }
-        fn on_response(&mut self, _c: &mut Context<'_>, _t: Token, resp: Response) {
-            self.status = Some(resp.status);
-        }
+    /// One command POST to `path` on `hub`, over the LAN.
+    fn command(sim: &mut Sim, hub: NodeId, path: &str, body: &str) -> NodeId {
+        let req = Request::post(path).with_body(body.to_owned());
+        Client::spawn(sim, hub, req, LinkSpec::lan())
     }
 
     #[test]
@@ -179,18 +163,14 @@ mod tests {
         let hub = sim.add_node("st_hub", SmartThingsHub::new("author"));
         sim.node_mut::<SmartThingsHub>(hub)
             .attach("plug_1", SensorKind::Plug);
-        let c = sim.add_node(
-            "c",
-            Commander {
-                hub,
-                path: "/st/devices/plug_1/command".into(),
-                body: r#"{"value":"on"}"#.into(),
-                status: None,
-            },
+        let c = command(
+            &mut sim,
+            hub,
+            "/st/devices/plug_1/command",
+            r#"{"value":"on"}"#,
         );
-        sim.link(c, hub, LinkSpec::lan());
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<Commander>(c).status, Some(200));
+        assert_eq!(Client::status(&sim, c), Some(200));
         assert_eq!(
             sim.node_ref::<SmartThingsHub>(hub).value("plug_1"),
             Some("on")
@@ -201,28 +181,15 @@ mod tests {
     fn unknown_device_404_and_unknown_value_400() {
         let mut sim = Sim::new(3);
         let hub = sim.add_node("st_hub", SmartThingsHub::new("author"));
-        let c404 = sim.add_node(
-            "c404",
-            Commander {
-                hub,
-                path: "/st/devices/ghost/command".into(),
-                body: r#"{"value":"on"}"#.into(),
-                status: None,
-            },
+        let c404 = command(
+            &mut sim,
+            hub,
+            "/st/devices/ghost/command",
+            r#"{"value":"on"}"#,
         );
-        sim.link(c404, hub, LinkSpec::lan());
-        let c400 = sim.add_node(
-            "c400",
-            Commander {
-                hub,
-                path: "/st/devices/ghost/command".into(),
-                body: "junk".into(),
-                status: None,
-            },
-        );
-        sim.link(c400, hub, LinkSpec::lan());
+        let c400 = command(&mut sim, hub, "/st/devices/ghost/command", "junk");
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<Commander>(c404).status, Some(404));
-        assert_eq!(sim.node_ref::<Commander>(c400).status, Some(400));
+        assert_eq!(Client::status(&sim, c404), Some(404));
+        assert_eq!(Client::status(&sim, c400), Some(400));
     }
 }

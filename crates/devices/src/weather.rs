@@ -4,7 +4,7 @@
 //! lights blue whenever it starts to rain"): holds the current condition,
 //! answers REST queries, and pushes condition changes to observers.
 
-use crate::events::DeviceEvent;
+use crate::events::{DeviceEvent, Observers};
 use serde::{Deserialize, Serialize};
 use simnet::prelude::*;
 
@@ -36,7 +36,7 @@ pub struct WeatherStation {
     /// Current condition.
     pub condition: Condition,
     /// Observers notified on every change.
-    pub observers: Vec<NodeId>,
+    pub observers: Observers,
     /// Number of condition changes (for tests).
     pub changes: u64,
 }
@@ -45,7 +45,7 @@ impl Default for WeatherStation {
     fn default() -> Self {
         WeatherStation {
             condition: Condition::Clear,
-            observers: Vec::new(),
+            observers: Observers::default(),
             changes: 0,
         }
     }
@@ -55,11 +55,6 @@ impl WeatherStation {
     /// Create a station reporting clear weather.
     pub fn new() -> Self {
         WeatherStation::default()
-    }
-
-    /// Register an observer for condition changes.
-    pub fn observe(&mut self, node: NodeId) {
-        self.observers.push(node);
     }
 
     /// Change the weather (the experiment harness plays god).
@@ -76,9 +71,7 @@ impl WeatherStation {
             "*",
             ctx.now().as_secs_f64() as u64,
         );
-        for obs in self.observers.clone() {
-            ctx.signal(obs, ev.to_bytes());
-        }
+        self.observers.push(ctx, ev.to_bytes());
     }
 }
 
@@ -96,6 +89,7 @@ impl Node for WeatherStation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_client::Client;
     use bytes::Bytes;
 
     #[test]
@@ -127,7 +121,7 @@ mod tests {
         let w = sim.add_node("weather", WeatherStation::new());
         let obs = sim.add_node("obs", Obs::default());
         sim.link(w, obs, LinkSpec::wan());
-        sim.node_mut::<WeatherStation>(w).observe(obs);
+        sim.node_mut::<WeatherStation>(w).observers.add(obs);
         sim.with_node::<WeatherStation, _>(w, |s, ctx| s.set_condition(ctx, Condition::Rain));
         sim.run_until_idle();
         assert_eq!(sim.node_ref::<Obs>(obs).kinds, vec!["weather_rain"]);
@@ -135,39 +129,11 @@ mod tests {
 
     #[test]
     fn rest_api_reports_condition() {
-        struct Getter {
-            target: NodeId,
-            body: Option<String>,
-        }
-        impl Node for Getter {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.send_request(
-                    self.target,
-                    Request::get("/v1/current"),
-                    Token(0),
-                    RequestOpts::default(),
-                );
-            }
-            fn on_response(&mut self, _c: &mut Context<'_>, _t: Token, resp: Response) {
-                self.body = Some(String::from_utf8_lossy(&resp.body).into_owned());
-            }
-        }
         let mut sim = Sim::new(3);
         let w = sim.add_node("weather", WeatherStation::new());
-        let g = sim.add_node(
-            "g",
-            Getter {
-                target: w,
-                body: None,
-            },
-        );
-        sim.link(g, w, LinkSpec::wan());
+        let g = Client::spawn(&mut sim, w, Request::get("/v1/current"), LinkSpec::wan());
         sim.run_until_idle();
-        assert!(sim
-            .node_ref::<Getter>(g)
-            .body
-            .as_ref()
-            .unwrap()
-            .contains("clear"));
+        let resp = sim.node_ref::<Client>(g).response.as_ref().unwrap();
+        assert!(String::from_utf8_lossy(&resp.body).contains("clear"));
     }
 }

@@ -5,7 +5,7 @@
 //! `GetBinaryState` SOAP actions, plus the physical toggle (someone presses
 //! the switch), which is what activates the triggers of applets A1/A2.
 
-use crate::events::DeviceEvent;
+use crate::events::{DeviceEvent, Observers};
 use bytes::Bytes;
 use simnet::prelude::*;
 
@@ -26,6 +26,14 @@ pub fn set_state_body(on: bool) -> String {
          <BinaryState>{}</BinaryState></u:SetBinaryState></s:Body></s:Envelope>",
         if on { 1 } else { 0 }
     )
+}
+
+/// The `SetBinaryState` SOAP request — what the vendor cloud and the
+/// local proxy both send.
+pub fn set_state_request(on: bool) -> Request {
+    Request::post(CONTROL_PATH)
+        .with_header(SOAPACTION, SET_BINARY_STATE)
+        .with_body(set_state_body(on))
 }
 
 fn parse_binary_state(body: &[u8]) -> Option<bool> {
@@ -51,7 +59,7 @@ pub struct WemoSwitch {
     /// Hosts allowed to use the SOAP API (`None` = open).
     pub allowed: Option<Vec<NodeId>>,
     /// Observers notified on every state change (physical or remote).
-    pub observers: Vec<NodeId>,
+    pub observers: Observers,
     /// Count of physical presses (for tests).
     pub presses: u64,
 }
@@ -64,7 +72,7 @@ impl WemoSwitch {
             user: user.into(),
             on: false,
             allowed: None,
-            observers: Vec::new(),
+            observers: Observers::default(),
             presses: 0,
         }
     }
@@ -72,11 +80,6 @@ impl WemoSwitch {
     /// Restrict API access to these hosts.
     pub fn allow_only(&mut self, hosts: Vec<NodeId>) {
         self.allowed = Some(hosts);
-    }
-
-    /// Register an observer for state-change events.
-    pub fn observe(&mut self, node: NodeId) {
-        self.observers.push(node);
     }
 
     /// Someone physically toggles the switch. Used by the test controller
@@ -103,9 +106,7 @@ impl WemoSwitch {
             ctx.now().as_secs_f64() as u64,
         )
         .with_data("source", source);
-        for obs in self.observers.clone() {
-            ctx.signal(obs, ev.to_bytes());
-        }
+        self.observers.push(ctx, ev.to_bytes());
     }
 }
 
@@ -153,49 +154,24 @@ impl Node for WemoSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_client::Client;
 
-    struct SoapClient {
-        switch: NodeId,
-        action: &'static str,
-        body: String,
-        response: Option<Response>,
-    }
-    impl Node for SoapClient {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            let req = Request::post(CONTROL_PATH)
-                .with_header(SOAPACTION, self.action)
-                .with_body(self.body.clone());
-            ctx.send_request(self.switch, req, Token(0), RequestOpts::default());
-        }
-        fn on_response(&mut self, _c: &mut Context<'_>, _t: Token, resp: Response) {
-            self.response = Some(resp);
-        }
+    /// One SOAP `action` call against `switch`, over the LAN.
+    fn soap(sim: &mut Sim, switch: NodeId, action: &str, body: String) -> NodeId {
+        let req = Request::post(CONTROL_PATH)
+            .with_header(SOAPACTION, action)
+            .with_body(body);
+        Client::spawn(sim, switch, req, LinkSpec::lan())
     }
 
     #[test]
     fn set_binary_state_turns_switch_on() {
         let mut sim = Sim::new(1);
         let sw = sim.add_node("wemo", WemoSwitch::new("wemo_switch_1", "author"));
-        let client = sim.add_node(
-            "client",
-            SoapClient {
-                switch: sw,
-                action: SET_BINARY_STATE,
-                body: set_state_body(true),
-                response: None,
-            },
-        );
-        sim.link(client, sw, LinkSpec::lan());
+        let client = soap(&mut sim, sw, SET_BINARY_STATE, set_state_body(true));
         sim.run_until_idle();
         assert!(sim.node_ref::<WemoSwitch>(sw).on);
-        assert_eq!(
-            sim.node_ref::<SoapClient>(client)
-                .response
-                .as_ref()
-                .unwrap()
-                .status,
-            200
-        );
+        assert_eq!(Client::status(&sim, client), Some(200));
     }
 
     #[test]
@@ -203,18 +179,9 @@ mod tests {
         let mut sim = Sim::new(2);
         let sw = sim.add_node("wemo", WemoSwitch::new("wemo_switch_1", "author"));
         sim.node_mut::<WemoSwitch>(sw).on = true;
-        let client = sim.add_node(
-            "client",
-            SoapClient {
-                switch: sw,
-                action: GET_BINARY_STATE,
-                body: String::new(),
-                response: None,
-            },
-        );
-        sim.link(client, sw, LinkSpec::lan());
+        let client = soap(&mut sim, sw, GET_BINARY_STATE, String::new());
         sim.run_until_idle();
-        let resp = sim.node_ref::<SoapClient>(client).response.clone().unwrap();
+        let resp = sim.node_ref::<Client>(client).response.clone().unwrap();
         assert!(String::from_utf8_lossy(&resp.body).contains("<BinaryState>1</BinaryState>"));
     }
 
@@ -235,7 +202,7 @@ mod tests {
         let sw = sim.add_node("wemo", WemoSwitch::new("wemo_switch_1", "author"));
         let obs = sim.add_node("obs", Obs::default());
         sim.link(sw, obs, LinkSpec::lan());
-        sim.node_mut::<WemoSwitch>(sw).observe(obs);
+        sim.node_mut::<WemoSwitch>(sw).observers.add(obs);
         sim.with_node::<WemoSwitch, _>(sw, |s, ctx| s.press(ctx));
         sim.run_until_idle();
         sim.with_node::<WemoSwitch, _>(sw, |s, ctx| s.press(ctx));
@@ -252,25 +219,9 @@ mod tests {
         let mut sim = Sim::new(4);
         let sw = sim.add_node("wemo", WemoSwitch::new("wemo_switch_1", "author"));
         sim.node_mut::<WemoSwitch>(sw).allow_only(vec![]);
-        let client = sim.add_node(
-            "client",
-            SoapClient {
-                switch: sw,
-                action: SET_BINARY_STATE,
-                body: set_state_body(true),
-                response: None,
-            },
-        );
-        sim.link(client, sw, LinkSpec::lan());
+        let client = soap(&mut sim, sw, SET_BINARY_STATE, set_state_body(true));
         sim.run_until_idle();
-        assert_eq!(
-            sim.node_ref::<SoapClient>(client)
-                .response
-                .as_ref()
-                .unwrap()
-                .status,
-            403
-        );
+        assert_eq!(Client::status(&sim, client), Some(403));
         assert!(!sim.node_ref::<WemoSwitch>(sw).on);
     }
 
@@ -278,25 +229,14 @@ mod tests {
     fn malformed_soap_is_rejected() {
         let mut sim = Sim::new(5);
         let sw = sim.add_node("wemo", WemoSwitch::new("wemo_switch_1", "author"));
-        let client = sim.add_node(
-            "client",
-            SoapClient {
-                switch: sw,
-                action: SET_BINARY_STATE,
-                body: "<Envelope>garbage</Envelope>".into(),
-                response: None,
-            },
+        let client = soap(
+            &mut sim,
+            sw,
+            SET_BINARY_STATE,
+            "<Envelope>garbage</Envelope>".into(),
         );
-        sim.link(client, sw, LinkSpec::lan());
         sim.run_until_idle();
-        assert_eq!(
-            sim.node_ref::<SoapClient>(client)
-                .response
-                .as_ref()
-                .unwrap()
-                .status,
-            400
-        );
+        assert_eq!(Client::status(&sim, client), Some(400));
     }
 
     #[test]

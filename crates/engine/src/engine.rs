@@ -433,9 +433,6 @@ impl TapEngine {
             applet: id,
             at: ctx.now(),
         });
-        if ctx.tracing() {
-            ctx.trace("engine.poll_shed", format!("{id:?} breaker open"));
-        }
         if let Some(resume_at) = self.clear_realtime(ctx.now(), slot) {
             let after = if resume_at > ctx.now() {
                 resume_at.since(ctx.now())
@@ -485,31 +482,36 @@ impl TapEngine {
                 service,
                 at: ctx.now(),
             });
-            if ctx.tracing() {
-                ctx.trace("engine.breaker_tripped", String::new());
-            }
         }
     }
 
-    fn send_poll(&mut self, ctx: &mut Context<'_>, slot: Slot) {
+    /// The gate every poll passes before it is built: the subscription is
+    /// enabled, its trigger service is registered, its owner holds a token
+    /// there, and the service's breaker lets traffic through (a refused
+    /// poll is shed here). `true` = send.
+    fn poll_gate(&mut self, ctx: &mut Context<'_>, slot: Slot) -> bool {
         let task = &self.tasks[slot as usize];
-        if !task.enabled {
-            return;
-        }
         let (owner, trigger_service) = (task.owner, task.trigger_service);
-        if !self.services.contains_key(&trigger_service)
+        if !task.enabled
+            || !self.services.contains_key(&trigger_service)
             || !self.tokens.contains_key(&(owner, trigger_service))
         {
-            return;
+            return false;
         }
         if self.breaker_sheds(ctx.now(), trigger_service) {
             self.shed_poll(ctx, slot);
+            return false;
+        }
+        true
+    }
+
+    fn send_poll(&mut self, ctx: &mut Context<'_>, slot: Slot) {
+        if !self.poll_gate(ctx, slot) {
             return;
         }
         self.tasks[slot as usize].poll_sent_at = ctx.now();
-        let applet = &self.applets[slot as usize];
         let task = &self.tasks[slot as usize];
-        let id = task.id;
+        let (id, owner, trigger_service) = (task.id, task.owner, task.trigger_service);
         let reg = &self.services[&trigger_service];
         let bearer = &self.tokens[&(owner, trigger_service)];
         let request_id: u64 = ctx.rng().gen();
@@ -518,12 +520,6 @@ impl TapEngine {
             .with_header(AUTHORIZATION_HEADER, bearer.clone())
             .with_header(REQUEST_ID_HEADER, format!("{request_id:016x}"))
             .with_body(task.poll_body.clone());
-        if ctx.tracing() {
-            ctx.trace(
-                "engine.poll_sent",
-                format!("{id:?} {}", applet.trigger.trigger),
-            );
-        }
         let node = reg.node;
         let realtime = task.rt_pending;
         self.obs(ObsEvent::PollSent {
@@ -553,25 +549,13 @@ impl TapEngine {
     /// into one multi-trigger request. Falls back to the plain single poll
     /// when no sibling is close enough.
     fn send_batch_poll(&mut self, ctx: &mut Context<'_>, slot: Slot) {
+        // A refused batch sheds only the initiator; siblings keep their
+        // own timers and take their own gate decision when those fire.
+        if !self.poll_gate(ctx, slot) {
+            return;
+        }
         let task = &self.tasks[slot as usize];
-        if !task.enabled {
-            return;
-        }
-        let group = task.group;
-        let owner = task.owner;
-        let trigger_service = task.trigger_service;
-        let id = task.id;
-        if !self.services.contains_key(&trigger_service)
-            || !self.tokens.contains_key(&(owner, trigger_service))
-        {
-            return;
-        }
-        if self.breaker_sheds(ctx.now(), trigger_service) {
-            // Shed only the initiator; siblings keep their own timers and
-            // take their own gate decision when those fire.
-            self.shed_poll(ctx, slot);
-            return;
-        }
+        let (group, owner, trigger_service) = (task.group, task.owner, task.trigger_service);
         let window =
             SimDuration::from_secs_f64(self.config.coalesce_window.sample(ctx.rng()).max(0.0));
         let horizon = ctx.now() + window;
@@ -635,12 +619,6 @@ impl TapEngine {
             .with_header(AUTHORIZATION_HEADER, bearer.clone())
             .with_header(REQUEST_ID_HEADER, format!("{request_id:016x}"))
             .with_body(body);
-        if ctx.tracing() {
-            ctx.trace(
-                "engine.batch_poll_sent",
-                format!("{id:?} +{} riders", n - 1),
-            );
-        }
         let node = reg.node;
         self.obs(ObsEvent::BatchPollSent {
             service: trigger_service,
@@ -693,12 +671,6 @@ impl TapEngine {
                 polls: n,
                 at: ctx.now(),
             });
-            if ctx.tracing() {
-                ctx.trace(
-                    "engine.batch_poll_failed",
-                    format!("{n} members, status {}", resp.status),
-                );
-            }
             let Some((group, service)) = members
                 .first()
                 .map(|&m| &self.tasks[m as usize])
@@ -843,12 +815,6 @@ impl TapEngine {
             });
             let task = &self.tasks[slot as usize];
             let id = task.id;
-            if ctx.tracing() {
-                ctx.trace(
-                    "engine.poll_failed",
-                    format!("{id:?} status {}", resp.status),
-                );
-            }
             let service = task.trigger_service;
             let retries_made = task.retries;
             self.breaker_record(ctx, service, false);
@@ -958,10 +924,6 @@ impl TapEngine {
             at: ctx.now(),
         });
         if !fresh.is_empty() {
-            if ctx.tracing() {
-                let detail = format!("{id:?} {} new events", fresh.len());
-                ctx.trace("engine.events_received", detail);
-            }
             // Batch dispatch: one run per event, back-to-back. The
             // overhead is drawn only when there is something to dispatch.
             let mut at =
@@ -993,7 +955,6 @@ impl TapEngine {
             Some(items) => items,
             None => {
                 self.obs(ObsEvent::HintMalformed { at: ctx.now() });
-                ctx.trace("engine.hint_malformed", slug.0.clone());
                 return HandlerResult::Reply(Response::bad_request().with_body(wire::to_bytes(
                     &ErrorBody::message("malformed realtime notification"),
                 )));
@@ -1004,7 +965,6 @@ impl TapEngine {
             // has full control over trigger event queries and very likely
             // ignores real-time API's hints."
             self.obs(ObsEvent::HintIgnored { at: ctx.now() });
-            ctx.trace("engine.hint_ignored", slug.0.clone());
             return HandlerResult::Reply(Response::ok());
         }
         self.obs(ObsEvent::HintHonored { at: ctx.now() });

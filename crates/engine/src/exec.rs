@@ -385,7 +385,6 @@ impl TapEngine {
                 applet: id,
                 at: ctx.now(),
             });
-            ctx.trace("engine.loop_flagged", TraceDetail::Applet(id.0));
             if self
                 .config
                 .runtime_loop
@@ -536,29 +535,19 @@ impl TapEngine {
             .with_header(SERVICE_KEY_HEADER, reg.key.0.clone())
             .with_header(AUTHORIZATION_HEADER, bearer.clone())
             .with_body(body);
-        let (sent, trace) = match call.kind {
-            CallKind::Query(_) => (
-                ObsEvent::QuerySent {
-                    applet: id,
-                    dispatch: run_id,
-                    at: ctx.now(),
-                },
-                "engine.query_sent",
-            ),
-            CallKind::Action => (
-                ObsEvent::ActionSent {
-                    applet: id,
-                    dispatch: run_id,
-                    attempt,
-                    at: ctx.now(),
-                },
-                "engine.action_sent",
-            ),
+        let sent = match call.kind {
+            CallKind::Query(_) => ObsEvent::QuerySent {
+                applet: id,
+                dispatch: run_id,
+                at: ctx.now(),
+            },
+            CallKind::Action => ObsEvent::ActionSent {
+                applet: id,
+                dispatch: run_id,
+                attempt,
+                at: ctx.now(),
+            },
         };
-        if ctx.tracing() {
-            let detail = format!("{id:?} {} event {}", call.path, run.event.meta.id);
-            ctx.trace(trace, detail);
-        }
         let node = reg.node;
         self.obs(sent);
         ctx.send_request(
@@ -609,10 +598,6 @@ impl TapEngine {
             if let Some(ra) = retry_after {
                 delay = delay.max(ra);
             }
-            if ctx.tracing() {
-                let detail = format!("{id:?} node {idx} attempt {} in {delay}", attempts + 1);
-                ctx.trace("engine.node_retry", detail);
-            }
             if !classic {
                 self.obs(ObsEvent::DagNodeRetried {
                     applet: id,
@@ -654,7 +639,6 @@ impl TapEngine {
                 dispatch: run_id,
                 at: ctx.now(),
             });
-            ctx.trace("engine.query_failed", TraceDetail::Applet(id.0));
         }
         self.advance(ctx, run_id);
     }
@@ -669,7 +653,7 @@ impl TapEngine {
         };
         let (applet, dispatch, at) = (self.tasks[run.slot as usize].id, run_id, ctx.now());
         let dead = torn_down || run.failed || (run.any_action_failed && !run.any_action_ok);
-        let trace = if dead {
+        if dead {
             self.obs(ObsEvent::ActionFinished {
                 applet,
                 dispatch,
@@ -681,7 +665,6 @@ impl TapEngine {
                 dispatch,
                 at,
             });
-            "engine.action_failed"
         } else if run.any_action_ok {
             self.obs(ObsEvent::ActionFinished {
                 applet,
@@ -689,16 +672,13 @@ impl TapEngine {
                 ok: true,
                 at,
             });
-            "engine.action_ok"
         } else {
             self.obs(ObsEvent::ActionFiltered {
                 applet,
                 dispatch,
                 at,
             });
-            "engine.action_filtered"
-        };
-        ctx.trace(trace, TraceDetail::Applet(applet.0));
+        }
     }
 
     /// A response for one network node came back.

@@ -554,6 +554,14 @@ pub trait ObsSink: Send + Sync + std::fmt::Debug {
     fn on_event(&self, ev: &ObsEvent);
 }
 
+/// The unbounded sink: keeps every event, for runs short enough to afford
+/// it but too long for a [`FlightRecorder`] ring.
+impl ObsSink for Mutex<Vec<ObsEvent>> {
+    fn on_event(&self, ev: &ObsEvent) {
+        self.lock().expect("event log lock").push(*ev);
+    }
+}
+
 #[derive(Debug, Default)]
 struct FlightInner {
     ring: VecDeque<ObsEvent>,

@@ -6,48 +6,16 @@
 //! `batch_polling` on and off and asserts every action slot received the
 //! same event ids in the same per-subscription FIFO order.
 
-use devices::service_core::{Processed, ServiceCore};
-use engine::{ActionRef, Applet, AppletId, EngineConfig, EngineStats, TapEngine, TriggerRef};
+mod support;
+
+use engine::{EngineConfig, EngineStats, TapEngine};
 use simnet::prelude::*;
-use std::collections::HashMap;
-use tap_protocol::auth::ServiceKey;
-use tap_protocol::service::ServiceEndpoint;
+use support::{connect, slot_applet, Echo, EchoService};
 use tap_protocol::wire::TriggerEvent;
-use tap_protocol::{ActionSlug, FieldMap, ServiceSlug, TriggerSlug, UserId};
+use tap_protocol::{ServiceSlug, TriggerSlug, UserId};
 
 const SLOTS: usize = 4;
 const SLUG: &str = "echo";
-
-/// A service that remembers, per action slot, the `eid` field of every
-/// action request in arrival order.
-struct EchoService {
-    core: ServiceCore,
-    received: HashMap<usize, Vec<String>>,
-}
-
-impl Node for EchoService {
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            Processed::Action { action, fields, .. } => {
-                let slot: usize = action
-                    .as_str()
-                    .strip_prefix("act")
-                    .and_then(|s| s.parse().ok())
-                    .expect("action slot");
-                self.received
-                    .entry(slot)
-                    .or_default()
-                    .push(fields.get("eid").cloned().unwrap_or_default());
-                HandlerResult::Reply(ServiceEndpoint::action_ok("ok"))
-            }
-            Processed::Query { fields, .. } => {
-                HandlerResult::Reply(ServiceEndpoint::query_ok(fields))
-            }
-            Processed::NoReply => HandlerResult::Deferred,
-        }
-    }
-}
 
 /// One user, four subscriptions on one service, a fixed emission schedule
 /// (including some back-to-back pairs that must stay in FIFO order).
@@ -56,51 +24,16 @@ fn run_scenario(batch_polling: bool) -> (Vec<Vec<String>>, EngineStats) {
     let mut cfg = EngineConfig::fast();
     cfg.batch_polling = batch_polling;
     let mut sim = Sim::new(42);
-    let mut ep = ServiceEndpoint::new(ServiceSlug::new(SLUG), ServiceKey("sk_echo".into()));
-    for k in 0..SLOTS {
-        ep = ep
-            .with_trigger(format!("t{k}").as_str())
-            .with_action(format!("act{k}").as_str());
-    }
-    let svc = sim.add_node(
-        SLUG,
-        EchoService {
-            core: ServiceCore::new(ep),
-            received: HashMap::new(),
-        },
-    );
+    let svc = sim.add_node(SLUG, Echo::service(SLUG, "sk_echo", SLOTS, &[], &[]));
     let engine = sim.add_node("engine", TapEngine::new(cfg));
     sim.link(engine, svc, LinkSpec::datacenter());
 
     let user = UserId::new("u");
-    let token = sim.with_node::<EchoService, _>(svc, |s, ctx| {
-        s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
-    });
+    connect(&mut sim, engine, svc, &user);
     sim.with_node::<TapEngine, _>(engine, |e, ctx| {
-        e.register_service(ServiceSlug::new(SLUG), svc, ServiceKey("sk_echo".into()));
-        e.set_token(user.clone(), ServiceSlug::new(SLUG), token);
         for k in 0..SLOTS {
-            let mut action_fields = FieldMap::new();
-            action_fields.insert("eid".into(), "{{id}}".into());
-            e.install_applet(
-                ctx,
-                Applet::new(
-                    AppletId(k as u32 + 1),
-                    format!("echo slot {k}"),
-                    user.clone(),
-                    TriggerRef {
-                        service: ServiceSlug::new(SLUG),
-                        trigger: TriggerSlug::new(format!("t{k}")),
-                        fields: FieldMap::new(),
-                    },
-                    ActionRef {
-                        service: ServiceSlug::new(SLUG),
-                        action: ActionSlug::new(format!("act{k}")),
-                        fields: action_fields,
-                    },
-                ),
-            )
-            .expect("applet installs");
+            e.install_applet(ctx, slot_applet(SLUG, k, k as u32 + 1, &user))
+                .expect("applet installs");
         }
     });
 
@@ -141,9 +74,9 @@ fn run_scenario(batch_polling: bool) -> (Vec<Vec<String>>, EngineStats) {
     sim.run_until(SimTime::from_secs(60));
 
     let received = {
-        let s = sim.node_ref::<EchoService>(svc);
+        let s = &sim.node_ref::<EchoService>(svc).vendor;
         (0..SLOTS)
-            .map(|k| s.received.get(&k).cloned().unwrap_or_default())
+            .map(|k| s.eids_of(|action| action == format!("act{k}")))
             .collect()
     };
     (received, sim.node_ref::<TapEngine>(engine).stats)
@@ -196,52 +129,17 @@ fn realtime_member_splits_out_once_and_rejoins_its_group() {
     cfg.polling = engine::PollPolicy::fixed(120.0);
     cfg.batch_polling = true;
     let mut sim = Sim::new(77);
-    let mut ep = ServiceEndpoint::new(ServiceSlug::new(SLUG), ServiceKey("sk_echo".into()));
-    for k in 0..SLOTS {
-        ep = ep
-            .with_trigger(format!("t{k}").as_str())
-            .with_action(format!("act{k}").as_str());
-    }
-    let svc = sim.add_node(
-        SLUG,
-        EchoService {
-            core: ServiceCore::new(ep),
-            received: HashMap::new(),
-        },
-    );
+    let svc = sim.add_node(SLUG, Echo::service(SLUG, "sk_echo", SLOTS, &[], &[]));
     let engine = sim.add_node("engine", TapEngine::new(cfg));
     sim.with_node::<EchoService, _>(svc, |s, _| s.core.enable_realtime(engine));
     sim.link(engine, svc, LinkSpec::datacenter());
 
     let user = UserId::new("u");
-    let token = sim.with_node::<EchoService, _>(svc, |s, ctx| {
-        s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
-    });
+    connect(&mut sim, engine, svc, &user);
     sim.with_node::<TapEngine, _>(engine, |e, ctx| {
-        e.register_service(ServiceSlug::new(SLUG), svc, ServiceKey("sk_echo".into()));
-        e.set_token(user.clone(), ServiceSlug::new(SLUG), token);
         for k in 0..SLOTS {
-            let mut action_fields = FieldMap::new();
-            action_fields.insert("eid".into(), "{{id}}".into());
-            e.install_applet(
-                ctx,
-                Applet::new(
-                    AppletId(k as u32 + 1),
-                    format!("echo slot {k}"),
-                    user.clone(),
-                    TriggerRef {
-                        service: ServiceSlug::new(SLUG),
-                        trigger: TriggerSlug::new(format!("t{k}")),
-                        fields: FieldMap::new(),
-                    },
-                    ActionRef {
-                        service: ServiceSlug::new(SLUG),
-                        action: ActionSlug::new(format!("act{k}")),
-                        fields: action_fields,
-                    },
-                ),
-            )
-            .expect("applet installs");
+            e.install_applet(ctx, slot_applet(SLUG, k, k as u32 + 1, &user))
+                .expect("applet installs");
         }
     });
 
@@ -267,10 +165,10 @@ fn realtime_member_splits_out_once_and_rejoins_its_group() {
     assert_eq!(mid.events_new, 1, "the hinted event arrived early: {mid:?}");
     assert_eq!(
         sim.node_ref::<EchoService>(svc)
-            .received
-            .get(&0)
-            .map(Vec::len),
-        Some(1),
+            .vendor
+            .eids_of(|action| action == "act0")
+            .len(),
+        1,
         "one action, no double-poll duplicate"
     );
     let _ = t_emit;

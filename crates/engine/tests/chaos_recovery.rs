@@ -15,16 +15,15 @@
 //! The seed comes from `CHAOS_SEED` (default 2017) so CI can sweep a seed
 //! matrix over the same invariants.
 
-use devices::service_core::{Processed, ServiceCore};
-use engine::{ActionRef, Applet, AppletId, EngineConfig, TapEngine, TriggerRef};
+mod support;
+
+use engine::{EngineConfig, TapEngine};
 use simnet::chaos::{FaultPlan, ServerFault, ServerFaultPlan};
 use simnet::net::LinkId;
 use simnet::prelude::*;
 use std::collections::HashSet;
-use tap_protocol::auth::ServiceKey;
-use tap_protocol::service::ServiceEndpoint;
-use tap_protocol::wire::TriggerEvent;
-use tap_protocol::{ActionSlug, FieldMap, ServiceSlug, TriggerSlug, UserId};
+use support::{connect, fire, slot_applet, Echo, EchoService};
+use tap_protocol::{ServiceSlug, UserId};
 
 const SLOTS: usize = 4;
 const SLUG: &str = "chaotic";
@@ -34,31 +33,6 @@ fn chaos_seed() -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(2017)
-}
-
-/// A service that records the `eid` ingredient of every action request it
-/// executes (duplicates possible when an action response is lost and the
-/// engine retries a request the service already served).
-struct ChaoticService {
-    core: ServiceCore,
-    received: Vec<String>,
-}
-
-impl Node for ChaoticService {
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            Processed::Action { fields, .. } => {
-                self.received
-                    .push(fields.get("eid").cloned().unwrap_or_default());
-                HandlerResult::Reply(ServiceEndpoint::action_ok("ok"))
-            }
-            Processed::Query { fields, .. } => {
-                HandlerResult::Reply(ServiceEndpoint::query_ok(fields))
-            }
-            Processed::NoReply => HandlerResult::Deferred,
-        }
-    }
 }
 
 struct Harness {
@@ -86,54 +60,19 @@ fn harness_with(batch_polling: bool, breaker: bool, realtime: bool) -> Harness {
         cfg = cfg.allow_realtime(ServiceSlug::new(SLUG));
     }
     let mut sim = Sim::new(chaos_seed());
-    let mut ep = ServiceEndpoint::new(ServiceSlug::new(SLUG), ServiceKey("sk_chaos".into()));
-    for k in 0..SLOTS {
-        ep = ep
-            .with_trigger(format!("t{k}").as_str())
-            .with_action(format!("act{k}").as_str());
-    }
-    let svc = sim.add_node(
-        SLUG,
-        ChaoticService {
-            core: ServiceCore::new(ep),
-            received: Vec::new(),
-        },
-    );
+    let svc = sim.add_node(SLUG, Echo::service(SLUG, "sk_chaos", SLOTS, &[], &[]));
     let engine = sim.add_node("engine", TapEngine::new(cfg));
     if realtime {
-        sim.with_node::<ChaoticService, _>(svc, |s, _| s.core.enable_realtime(engine));
+        sim.with_node::<EchoService, _>(svc, |s, _| s.core.enable_realtime(engine));
     }
     let link = sim.link(engine, svc, LinkSpec::datacenter());
 
     let user = UserId::new("u");
-    let token = sim.with_node::<ChaoticService, _>(svc, |s, ctx| {
-        s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
-    });
+    connect(&mut sim, engine, svc, &user);
     sim.with_node::<TapEngine, _>(engine, |e, ctx| {
-        e.register_service(ServiceSlug::new(SLUG), svc, ServiceKey("sk_chaos".into()));
-        e.set_token(user.clone(), ServiceSlug::new(SLUG), token);
         for k in 0..SLOTS {
-            let mut action_fields = FieldMap::new();
-            action_fields.insert("eid".into(), "{{id}}".into());
-            e.install_applet(
-                ctx,
-                Applet::new(
-                    AppletId(k as u32 + 1),
-                    format!("chaos slot {k}"),
-                    user.clone(),
-                    TriggerRef {
-                        service: ServiceSlug::new(SLUG),
-                        trigger: TriggerSlug::new(format!("t{k}")),
-                        fields: FieldMap::new(),
-                    },
-                    ActionRef {
-                        service: ServiceSlug::new(SLUG),
-                        action: ActionSlug::new(format!("act{k}")),
-                        fields: action_fields,
-                    },
-                ),
-            )
-            .expect("applet installs");
+            e.install_applet(ctx, slot_applet(SLUG, k, k as u32 + 1, &user))
+                .expect("applet installs");
         }
     });
     // Clean settle: every subscription is learned before faults start.
@@ -153,19 +92,14 @@ impl Harness {
     fn emit(&mut self, k: usize) -> String {
         let eid = format!("e{:04}", self.next_eid);
         self.next_eid += 1;
-        let id = eid.clone();
-        self.sim.with_node::<ChaoticService, _>(self.svc, |s, ctx| {
-            let ev = TriggerEvent::new(id.clone(), ctx.now().as_secs_f64() as u64)
-                .with_ingredient("id", id);
-            let matched = s.core.record_event(
-                ctx,
-                &TriggerSlug::new(format!("t{k}")),
-                &UserId::new("u"),
-                ev,
-                |_| true,
-            );
-            assert_eq!(matched, 1, "subscription t{k} is established");
-        });
+        let matched = fire(
+            &mut self.sim,
+            self.svc,
+            &format!("t{k}"),
+            &UserId::new("u"),
+            &eid,
+        );
+        assert_eq!(matched, 1, "subscription t{k} is established");
         eid
     }
 
@@ -174,10 +108,7 @@ impl Harness {
     }
 
     fn received(&self) -> Vec<String> {
-        self.sim
-            .node_ref::<ChaoticService>(self.svc)
-            .received
-            .clone()
+        self.sim.node_ref::<EchoService>(self.svc).vendor.eids()
     }
 }
 
@@ -205,7 +136,7 @@ fn every_event_is_delivered_or_dead_lettered() {
             SimTime::from_secs(95),
             SimTime::from_secs(100),
         );
-    h.sim.with_node::<ChaoticService, _>(h.svc, move |s, _| {
+    h.sim.with_node::<EchoService, _>(h.svc, move |s, _| {
         s.core.fault_plan = Some(outages);
     });
 
@@ -255,7 +186,7 @@ fn breaker_trips_during_outage_and_recovers() {
         SimTime::from_secs(10),
         SimTime::from_secs(70),
     );
-    h.sim.with_node::<ChaoticService, _>(h.svc, move |s, _| {
+    h.sim.with_node::<EchoService, _>(h.svc, move |s, _| {
         s.core.fault_plan = Some(outage);
     });
 
@@ -302,7 +233,7 @@ fn realtime_poll_into_open_breaker_is_shed_and_falls_back_to_cadence() {
         SimTime::from_secs(10),
         SimTime::from_secs(70),
     );
-    h.sim.with_node::<ChaoticService, _>(h.svc, move |s, _| {
+    h.sim.with_node::<EchoService, _>(h.svc, move |s, _| {
         s.core.fault_plan = Some(outage);
     });
 
@@ -351,7 +282,7 @@ fn batch_polling_degrades_to_singleton_and_recoalesces() {
         SimTime::from_secs(10),
         SimTime::from_secs(14),
     );
-    h.sim.with_node::<ChaoticService, _>(h.svc, move |s, _| {
+    h.sim.with_node::<EchoService, _>(h.svc, move |s, _| {
         s.core.fault_plan = Some(outage);
     });
 

@@ -21,10 +21,10 @@
 //! The seed comes from `CHAOS_SEED` (default 2017) so CI can sweep a seed
 //! matrix over the same invariants.
 
-use devices::service_core::{Processed, ServiceCore};
+mod support;
+
 use engine::{
-    ActionRef, Applet, AppletId, EngineConfig, EnginePolicy, EngineStats, FlightRecorder, ObsEvent,
-    TapEngine, TriggerRef,
+    AppletId, EngineConfig, EnginePolicy, EngineStats, FlightRecorder, ObsEvent, TapEngine,
 };
 use proptest::prelude::*;
 use rand::Rng;
@@ -32,13 +32,8 @@ use simnet::chaos::{FaultPlan, ServerFault, ServerFaultPlan};
 use simnet::net::LinkId;
 use simnet::prelude::*;
 use std::sync::Arc;
-use tap_protocol::auth::ServiceKey;
-use tap_protocol::service::ServiceEndpoint;
-use tap_protocol::wire::TriggerEvent;
-use tap_protocol::{
-    ActionSlug, FieldMap, ServiceSlug, StepFailurePolicy, StepNode, StepPredicate, StepSpec,
-    TriggerSlug, UserId,
-};
+use support::{connect, fire, slot_applet, Echo, EchoService};
+use tap_protocol::{FieldMap, StepFailurePolicy, StepNode, StepPredicate, StepSpec, UserId};
 
 const SLUG: &str = "dagsvc";
 
@@ -47,33 +42,6 @@ fn chaos_seed() -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(2017)
-}
-
-/// A service that records the `eid` ingredient of every action request it
-/// executes and echoes the substituted request fields back from queries
-/// (so a query node's output is observable downstream).
-struct DagService {
-    core: ServiceCore,
-    received: Vec<String>,
-    queries_served: u64,
-}
-
-impl Node for DagService {
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            Processed::Action { fields, .. } => {
-                self.received
-                    .push(fields.get("eid").cloned().unwrap_or_default());
-                HandlerResult::Reply(ServiceEndpoint::action_ok("ok"))
-            }
-            Processed::Query { fields, .. } => {
-                self.queries_served += 1;
-                HandlerResult::Reply(ServiceEndpoint::query_ok(fields))
-            }
-            Processed::NoReply => HandlerResult::Deferred,
-        }
-    }
 }
 
 struct Harness {
@@ -97,20 +65,10 @@ fn dag_harness(cfg: EngineConfig, slot_steps: &[Vec<StepNode>]) -> Harness {
 
 fn dag_harness_seeded(seed: u64, cfg: EngineConfig, slot_steps: &[Vec<StepNode>]) -> Harness {
     let mut sim = Sim::new(seed);
-    let mut ep = ServiceEndpoint::new(ServiceSlug::new(SLUG), ServiceKey("sk_dag".into()));
-    for k in 0..slot_steps.len() {
-        ep = ep
-            .with_trigger(format!("t{k}").as_str())
-            .with_action(format!("act{k}").as_str());
-    }
-    ep = ep.with_action("aux").with_query("look");
+    let slots = slot_steps.len();
     let svc = sim.add_node(
         SLUG,
-        DagService {
-            core: ServiceCore::new(ep),
-            received: Vec::new(),
-            queries_served: 0,
-        },
+        Echo::service(SLUG, "sk_dag", slots, &["aux"], &["look"]),
     );
     let engine = sim.add_node("engine", TapEngine::new(cfg));
     let recorder = Arc::new(FlightRecorder::new(200_000));
@@ -118,31 +76,11 @@ fn dag_harness_seeded(seed: u64, cfg: EngineConfig, slot_steps: &[Vec<StepNode>]
     let link = sim.link(engine, svc, LinkSpec::datacenter());
 
     let user = UserId::new("u");
-    let token = sim.with_node::<DagService, _>(svc, |s, ctx| {
-        s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
-    });
+    sim.node_mut::<TapEngine>(engine).set_sink(sink);
+    connect(&mut sim, engine, svc, &user);
     sim.with_node::<TapEngine, _>(engine, |e, ctx| {
-        e.set_sink(sink);
-        e.register_service(ServiceSlug::new(SLUG), svc, ServiceKey("sk_dag".into()));
-        e.set_token(user.clone(), ServiceSlug::new(SLUG), token);
         for (k, steps) in slot_steps.iter().enumerate() {
-            let mut action_fields = FieldMap::new();
-            action_fields.insert("eid".into(), "{{id}}".into());
-            let mut applet = Applet::new(
-                AppletId(k as u32 + 1),
-                format!("dag slot {k}"),
-                user.clone(),
-                TriggerRef {
-                    service: ServiceSlug::new(SLUG),
-                    trigger: TriggerSlug::new(format!("t{k}")),
-                    fields: FieldMap::new(),
-                },
-                ActionRef {
-                    service: ServiceSlug::new(SLUG),
-                    action: ActionSlug::new(format!("act{k}")),
-                    fields: action_fields,
-                },
-            );
+            let mut applet = slot_applet(SLUG, k, k as u32 + 1, &user);
             if !steps.is_empty() {
                 applet = applet.with_steps(steps.clone());
             }
@@ -167,19 +105,14 @@ impl Harness {
     fn emit(&mut self, k: usize) -> String {
         let eid = format!("e{:04}", self.next_eid);
         self.next_eid += 1;
-        let id = eid.clone();
-        self.sim.with_node::<DagService, _>(self.svc, |s, ctx| {
-            let ev = TriggerEvent::new(id.clone(), ctx.now().as_secs_f64() as u64)
-                .with_ingredient("id", id);
-            let matched = s.core.record_event(
-                ctx,
-                &TriggerSlug::new(format!("t{k}")),
-                &UserId::new("u"),
-                ev,
-                |_| true,
-            );
-            assert_eq!(matched, 1, "subscription t{k} is established");
-        });
+        let matched = fire(
+            &mut self.sim,
+            self.svc,
+            &format!("t{k}"),
+            &UserId::new("u"),
+            &eid,
+        );
+        assert_eq!(matched, 1, "subscription t{k} is established");
         eid
     }
 
@@ -188,11 +121,14 @@ impl Harness {
     }
 
     fn received(&self) -> Vec<String> {
-        self.sim.node_ref::<DagService>(self.svc).received.clone()
+        self.sim.node_ref::<EchoService>(self.svc).vendor.eids()
     }
 
     fn queries_served(&self) -> u64 {
-        self.sim.node_ref::<DagService>(self.svc).queries_served
+        self.sim
+            .node_ref::<EchoService>(self.svc)
+            .vendor
+            .queries_served
     }
 
     /// `events_new == actions_ok + actions_filtered + dead_letters` —
@@ -531,7 +467,7 @@ fn run_dag_chaos(h: &mut Harness, slots: &[usize]) {
         SimDuration::from_secs(12),
         SimTime::from_secs(200),
     );
-    h.sim.with_node::<DagService, _>(h.svc, move |s, _| {
+    h.sim.with_node::<EchoService, _>(h.svc, move |s, _| {
         s.core.fault_plan = Some(outages);
     });
     for i in 0..12u64 {
@@ -622,7 +558,7 @@ fn classic_chaos_stream(seed: u64) -> Vec<ObsEvent> {
             SimTime::from_secs(95),
             SimTime::from_secs(100),
         );
-    h.sim.with_node::<DagService, _>(h.svc, move |s, _| {
+    h.sim.with_node::<EchoService, _>(h.svc, move |s, _| {
         s.core.fault_plan = Some(outages);
     });
     for i in 0..24u64 {
@@ -812,7 +748,7 @@ proptest! {
                 SimTime::from_secs(10),
                 SimTime::from_secs(10 + outage_len),
             );
-            h.sim.with_node::<DagService, _>(h.svc, move |s, _| {
+            h.sim.with_node::<EchoService, _>(h.svc, move |s, _| {
                 s.core.fault_plan = Some(sp);
             });
         }

@@ -2,9 +2,9 @@
 //! the full applet-execution pipeline of §2.2.
 
 use devices::hue::{install_hue, HueHub, HueLamp};
-use devices::services::alexa_service::AlexaService;
-use devices::services::hue_service::{HueAccount, HueService};
-use devices::services::wemo_service::WemoService;
+use devices::services::alexa_service::{Alexa, AlexaService};
+use devices::services::hue_service::{Hue, HueAccount, HueService};
+use devices::services::wemo_service::{Wemo, WemoService};
 use devices::wemo::WemoSwitch;
 use engine::{
     ActionRef, Applet, AppletId, EngineConfig, InstallError, PollPolicy, TapEngine, TriggerRef,
@@ -12,6 +12,11 @@ use engine::{
 use simnet::prelude::*;
 use tap_protocol::auth::ServiceKey;
 use tap_protocol::{FieldMap, ServiceSlug, TriggerSlug, UserId};
+
+/// The services' slugs as listed on IFTTT.
+const HUE: &str = "philips_hue";
+const WEMO: &str = "wemo";
+const ALEXA: &str = "amazon_alexa";
 
 /// The full A2 world: wemo switch (trigger) → hue light (action), official
 /// services, one engine.
@@ -28,10 +33,13 @@ fn build_a2(config: EngineConfig, seed: u64) -> A2World {
     let (hub, lamps) = install_hue(&mut sim, "hueuser", "author", 1);
     let switch = sim.add_node("wemo", WemoSwitch::new("wemo_switch_1", "author"));
     // Vendor clouds.
-    let hue_svc = sim.add_node("hue_service", HueService::new(ServiceKey("sk_hue".into())));
+    let hue_svc = sim.add_node(
+        "hue_service",
+        HueService::new(ServiceKey("sk_hue".into()), Hue::default()),
+    );
     let wemo_svc = sim.add_node(
         "wemo_service",
-        WemoService::new(ServiceKey("sk_wemo".into())),
+        WemoService::new(ServiceKey("sk_wemo".into()), Wemo::default()),
     );
     // Engine.
     let engine = sim.add_node("engine", TapEngine::new(config));
@@ -47,9 +55,9 @@ fn build_a2(config: EngineConfig, seed: u64) -> A2World {
     sim.node_mut::<HueHub>(hub).allow_only(vec![hue_svc]);
     sim.node_mut::<WemoSwitch>(switch)
         .allow_only(vec![wemo_svc]);
-    sim.node_mut::<WemoSwitch>(switch).observe(wemo_svc);
+    sim.node_mut::<WemoSwitch>(switch).observers.add(wemo_svc);
     sim.with_node::<HueService, _>(hue_svc, |s, _| {
-        s.add_account(
+        s.vendor.add_account(
             UserId::new("author"),
             HueAccount {
                 hub,
@@ -59,7 +67,7 @@ fn build_a2(config: EngineConfig, seed: u64) -> A2World {
         );
     });
     sim.with_node::<WemoService, _>(wemo_svc, |s, _| {
-        s.add_switch(UserId::new("author"), switch);
+        s.vendor.add_switch(UserId::new("author"), switch);
     });
     // Engine-side registration + user connections (pre-minted tokens).
     let author = UserId::new("author");
@@ -70,26 +78,14 @@ fn build_a2(config: EngineConfig, seed: u64) -> A2World {
         s.core.endpoint.oauth.mint_token(author.clone(), ctx.rng())
     });
     sim.with_node::<TapEngine, _>(engine, |e, _| {
+        e.register_service(ServiceSlug::new(HUE), hue_svc, ServiceKey("sk_hue".into()));
         e.register_service(
-            ServiceSlug::new(HueService::SLUG),
-            hue_svc,
-            ServiceKey("sk_hue".into()),
-        );
-        e.register_service(
-            ServiceSlug::new(WemoService::SLUG),
+            ServiceSlug::new(WEMO),
             wemo_svc,
             ServiceKey("sk_wemo".into()),
         );
-        e.set_token(
-            author.clone(),
-            ServiceSlug::new(HueService::SLUG),
-            hue_token,
-        );
-        e.set_token(
-            author.clone(),
-            ServiceSlug::new(WemoService::SLUG),
-            wemo_token,
-        );
+        e.set_token(author.clone(), ServiceSlug::new(HUE), hue_token);
+        e.set_token(author.clone(), ServiceSlug::new(WEMO), wemo_token);
     });
     A2World {
         sim,
@@ -108,12 +104,12 @@ fn a2_applet() -> Applet {
         "Turn on my Hue light from the Wemo light switch",
         UserId::new("author"),
         TriggerRef {
-            service: ServiceSlug::new(WemoService::SLUG),
+            service: ServiceSlug::new(WEMO),
             trigger: TriggerSlug::new("switch_activated"),
             fields: FieldMap::new(),
         },
         ActionRef {
-            service: ServiceSlug::new(HueService::SLUG),
+            service: ServiceSlug::new(HUE),
             action: tap_protocol::ActionSlug::new("turn_on_lights"),
             fields: FieldMap::new(),
         },
@@ -235,13 +231,13 @@ fn oauth_connect_flow_stores_a_working_token() {
     let mut w = build_a2(EngineConfig::fast(), 12);
     let user = UserId::new("newbie");
     w.sim.with_node::<TapEngine, _>(w.engine, |e, ctx| {
-        e.connect_service(ctx, user.clone(), ServiceSlug::new(HueService::SLUG));
+        e.connect_service(ctx, user.clone(), ServiceSlug::new(HUE));
     });
     w.sim.run_until(SimTime::from_secs(5));
     assert!(w
         .sim
         .node_ref::<TapEngine>(w.engine)
-        .is_connected(&user, &ServiceSlug::new(HueService::SLUG)));
+        .is_connected(&user, &ServiceSlug::new(HUE)));
 }
 
 #[test]
@@ -251,8 +247,14 @@ fn alexa_realtime_hints_cut_latency() {
     fn run(allowlist: bool, seed: u64) -> (SimDuration, engine::EngineStats) {
         let mut sim = Sim::new(seed);
         let (hub, lamps) = install_hue(&mut sim, "hueuser", "author", 1);
-        let hue_svc = sim.add_node("hue_service", HueService::new(ServiceKey("sk_hue".into())));
-        let alexa = sim.add_node("alexa", AlexaService::new(ServiceKey("sk_alexa".into())));
+        let hue_svc = sim.add_node(
+            "hue_service",
+            HueService::new(ServiceKey("sk_hue".into()), Hue::default()),
+        );
+        let alexa = sim.add_node(
+            "alexa",
+            AlexaService::new(ServiceKey("sk_alexa".into()), Alexa::default()),
+        );
         let mut config = EngineConfig::ifttt_like();
         if !allowlist {
             config.realtime_allowlist.clear();
@@ -265,7 +267,7 @@ fn alexa_realtime_hints_cut_latency() {
         sim.link(engine, alexa, LinkSpec::datacenter());
         sim.node_mut::<HueHub>(hub).allow_only(vec![hue_svc]);
         sim.with_node::<HueService, _>(hue_svc, |s, _| {
-            s.add_account(
+            s.vendor.add_account(
                 UserId::new("author"),
                 HueAccount {
                     hub,
@@ -283,26 +285,14 @@ fn alexa_realtime_hints_cut_latency() {
             s.core.endpoint.oauth.mint_token(author.clone(), ctx.rng())
         });
         sim.with_node::<TapEngine, _>(engine, |e, _| {
+            e.register_service(ServiceSlug::new(HUE), hue_svc, ServiceKey("sk_hue".into()));
             e.register_service(
-                ServiceSlug::new(HueService::SLUG),
-                hue_svc,
-                ServiceKey("sk_hue".into()),
-            );
-            e.register_service(
-                ServiceSlug::new(AlexaService::SLUG),
+                ServiceSlug::new(ALEXA),
                 alexa,
                 ServiceKey("sk_alexa".into()),
             );
-            e.set_token(
-                author.clone(),
-                ServiceSlug::new(HueService::SLUG),
-                hue_token,
-            );
-            e.set_token(
-                author.clone(),
-                ServiceSlug::new(AlexaService::SLUG),
-                alexa_token,
-            );
+            e.set_token(author.clone(), ServiceSlug::new(HUE), hue_token);
+            e.set_token(author.clone(), ServiceSlug::new(ALEXA), alexa_token);
         });
         let mut fields = FieldMap::new();
         fields.insert("phrase".into(), "movie time".into());
@@ -311,12 +301,12 @@ fn alexa_realtime_hints_cut_latency() {
             "Use Alexa's voice control to turn on the Hue light",
             author.clone(),
             TriggerRef {
-                service: ServiceSlug::new(AlexaService::SLUG),
+                service: ServiceSlug::new(ALEXA),
                 trigger: TriggerSlug::new("say_a_phrase"),
                 fields,
             },
             ActionRef {
-                service: ServiceSlug::new(HueService::SLUG),
+                service: ServiceSlug::new(HUE),
                 action: tap_protocol::ActionSlug::new("turn_on_lights"),
                 fields: FieldMap::new(),
             },
@@ -328,7 +318,8 @@ fn alexa_realtime_hints_cut_latency() {
         sim.run_until(SimTime::from_secs(10));
         let t0 = sim.now();
         sim.with_node::<AlexaService, _>(alexa, |s, ctx| {
-            s.handle_utterance(ctx, &author, "alexa trigger movie time");
+            s.vendor
+                .handle_utterance(&mut s.core, ctx, &author, "alexa trigger movie time");
         });
         sim.run_until(SimTime::from_secs(250));
         let lamp_on = sim
@@ -387,7 +378,7 @@ impl Node for HintSender {
 /// engine stats.
 fn drive_hint(body: Vec<u8>, seed: u64) -> (u16, engine::EngineStats) {
     let mut w = build_a2(
-        EngineConfig::fast().allow_realtime(ServiceSlug::new(WemoService::SLUG)),
+        EngineConfig::fast().allow_realtime(ServiceSlug::new(WEMO)),
         seed,
     );
     let sender = w.sim.add_node(
@@ -434,7 +425,7 @@ fn malformed_realtime_notification_is_a_counted_400() {
 
     // An unknown wire version is refused rather than half-understood.
     let mut future = tap_protocol::wire::RealtimeNotificationV1::single(
-        ServiceSlug::new(WemoService::SLUG),
+        ServiceSlug::new(WEMO),
         TriggerSlug::new("switch_activated"),
         tap_protocol::TriggerIdentity("future".into()),
     );

@@ -11,94 +11,29 @@
 //! dead_letters` holds through arbitrary churn. Slab handles reclaimed by
 //! churn must be reused identically across both arena storage modes.
 
-use devices::service_core::{Processed, ServiceCore};
+mod support;
+
 use engine::{
-    ActionRef, Applet, AppletId, Condition, EngineConfig, FlightRecorder, InstallError,
-    LifecycleAck, LifecycleError, LifecycleEvent, ObsEvent, QueryRef, TapEngine, TriggerRef,
+    Applet, AppletId, Condition, EngineConfig, FlightRecorder, InstallError, LifecycleAck,
+    LifecycleError, LifecycleEvent, ObsEvent, QueryRef, TapEngine,
 };
 use proptest::prelude::*;
 use simnet::prelude::*;
-use std::collections::HashMap;
 use std::sync::Arc;
+use support::{connect, fire, slot_applet, Echo, EchoService};
 use tap_protocol::auth::ServiceKey;
-use tap_protocol::service::ServiceEndpoint;
-use tap_protocol::wire::TriggerEvent;
-use tap_protocol::{
-    ActionSlug, FieldMap, QuerySlug, ServiceSlug, StepNode, StepSpec, TriggerSlug, UserId,
-};
+use tap_protocol::{FieldMap, QuerySlug, ServiceSlug, StepNode, StepSpec, UserId};
 
 const SLUG: &str = "lifesvc";
 const SLOTS: usize = 3;
 
-/// Partner service under churn: counts action deliveries per slot and can
-/// swallow action requests (no reply, ever) so dispatches stay in flight
-/// long enough for a retirement to have something to drain.
-struct LifeService {
-    core: ServiceCore,
-    blackhole_actions: bool,
-    received: HashMap<usize, u32>,
-}
-
-impl LifeService {
-    fn new(slug: &str, key: &str) -> Self {
-        let mut ep = ServiceEndpoint::new(ServiceSlug::new(slug), ServiceKey(key.into()));
-        for k in 0..SLOTS {
-            ep = ep
-                .with_trigger(format!("t{k}").as_str())
-                .with_action(format!("act{k}").as_str());
-        }
-        ep = ep.with_query("look");
-        LifeService {
-            core: ServiceCore::new(ep),
-            blackhole_actions: false,
-            received: HashMap::new(),
-        }
-    }
-}
-
-impl Node for LifeService {
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            Processed::Action { action, .. } => {
-                let slot: usize = action
-                    .as_str()
-                    .strip_prefix("act")
-                    .and_then(|s| s.parse().ok())
-                    .expect("action slot");
-                *self.received.entry(slot).or_default() += 1;
-                if self.blackhole_actions {
-                    HandlerResult::Deferred
-                } else {
-                    HandlerResult::Reply(ServiceEndpoint::action_ok("ok"))
-                }
-            }
-            Processed::Query { fields, .. } => {
-                HandlerResult::Reply(ServiceEndpoint::query_ok(fields))
-            }
-            Processed::NoReply => HandlerResult::Deferred,
-        }
-    }
+/// The service under churn: `SLOTS` trigger/action pairs and a query.
+fn life_service(slug: &str, key: &str) -> EchoService {
+    Echo::service(slug, key, SLOTS, &[], &["look"])
 }
 
 fn applet(k: usize, id: u32, user: &UserId) -> Applet {
-    let mut action_fields = FieldMap::new();
-    action_fields.insert("eid".into(), "{{id}}".into());
-    Applet::new(
-        AppletId(id),
-        format!("life slot {k}"),
-        user.clone(),
-        TriggerRef {
-            service: ServiceSlug::new(SLUG),
-            trigger: TriggerSlug::new(format!("t{k}")),
-            fields: FieldMap::new(),
-        },
-        ActionRef {
-            service: ServiceSlug::new(SLUG),
-            action: ActionSlug::new(format!("act{k}")),
-            fields: action_fields,
-        },
-    )
+    slot_applet(SLUG, k, id, user)
 }
 
 struct World {
@@ -112,16 +47,12 @@ struct World {
 /// through the lifecycle surface.
 fn world(cfg: EngineConfig, seed: u64, installs: usize) -> World {
     let mut sim = Sim::new(seed);
-    let svc = sim.add_node(SLUG, LifeService::new(SLUG, "sk_life"));
+    let svc = sim.add_node(SLUG, life_service(SLUG, "sk_life"));
     let engine = sim.add_node("engine", TapEngine::new(cfg));
     sim.link(engine, svc, LinkSpec::datacenter());
     let user = UserId::new("u");
-    let token = sim.with_node::<LifeService, _>(svc, |s, ctx| {
-        s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
-    });
+    connect(&mut sim, engine, svc, &user);
     sim.with_node::<TapEngine, _>(engine, |e, ctx| {
-        e.register_service(ServiceSlug::new(SLUG), svc, ServiceKey("sk_life".into()));
-        e.set_token(user.clone(), ServiceSlug::new(SLUG), token);
         for k in 0..installs {
             let ack = e
                 .apply_lifecycle(
@@ -142,14 +73,8 @@ fn world(cfg: EngineConfig, seed: u64, installs: usize) -> World {
 
 impl World {
     fn emit(&mut self, k: usize, eid: u32) {
-        let user = self.user.clone();
-        self.sim.with_node::<LifeService, _>(self.svc, |s, ctx| {
-            let id = format!("e{eid:04}");
-            let ev = TriggerEvent::new(id.clone(), ctx.now().as_secs_f64() as u64)
-                .with_ingredient("id", id);
-            s.core
-                .record_event(ctx, &TriggerSlug::new(format!("t{k}")), &user, ev, |_| true)
-        });
+        let (trigger, id) = (format!("t{k}"), format!("e{eid:04}"));
+        fire(&mut self.sim, self.svc, &trigger, &self.user, &id);
     }
 
     fn stats(&self) -> engine::EngineStats {
@@ -207,7 +132,7 @@ fn uninstall_clears_realtime_state_and_identity_routing() {
     let mut w = world(cfg, 102, 1);
     let engine = w.engine;
     w.sim
-        .with_node::<LifeService, _>(w.svc, |s, _| s.core.enable_realtime(engine));
+        .with_node::<EchoService, _>(w.svc, |s, _| s.core.enable_realtime(engine));
     w.sim.run_until(SimTime::from_secs(10));
     // First hint: honored, one out-of-cadence poll, one delivery.
     w.emit(0, 0);
@@ -272,11 +197,11 @@ fn uninstalling_a_grouped_member_reverts_the_survivor_to_solo() {
     assert_eq!(after.actions_ok, mid.actions_ok + 1, "{after:?}");
     assert_eq!(
         w.sim
-            .node_ref::<LifeService>(w.svc)
-            .received
-            .get(&1)
-            .copied(),
-        Some(1),
+            .node_ref::<EchoService>(w.svc)
+            .vendor
+            .eids_of(|action| action == "act1")
+            .len(),
+        1,
         "survivor's action arrived"
     );
     assert_conserved(&after);
@@ -286,7 +211,7 @@ fn uninstalling_a_grouped_member_reverts_the_survivor_to_solo() {
 fn retirement_drains_in_flight_dispatches_to_dead_letters() {
     let mut w = world(EngineConfig::fast(), 104, 2);
     w.sim
-        .with_node::<LifeService, _>(w.svc, |s, _| s.blackhole_actions = true);
+        .with_node::<EchoService, _>(w.svc, |s, _| s.vendor.blackhole_actions = true);
     w.sim.run_until(SimTime::from_secs(5));
     // One activation whose dispatch the service swallows: in flight, and
     // with a 10 s request timeout still far from its retry.
@@ -332,10 +257,10 @@ fn retirement_drains_in_flight_dispatches_to_dead_letters() {
 #[test]
 fn retiring_a_query_only_service_fails_the_query_node_not_the_run() {
     let mut w = world(EngineConfig::fast(), 106, 0);
-    let lookup = w.sim.add_node("qsvc", LifeService::new("qsvc", "sk_q"));
+    let lookup = w.sim.add_node("qsvc", life_service("qsvc", "sk_q"));
     w.sim.link(w.engine, lookup, LinkSpec::datacenter());
     let user = w.user.clone();
-    let token = w.sim.with_node::<LifeService, _>(lookup, |s, ctx| {
+    let token = w.sim.with_node::<EchoService, _>(lookup, |s, ctx| {
         s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
     });
     w.apply(LifecycleEvent::OnboardService {
@@ -434,12 +359,10 @@ fn onboard_service_opens_installs_and_realtime_mid_run() {
     w.sim.run_until(SimTime::from_secs(5));
     // A second partner exists as a node but was never registered: an
     // install referencing it is rejected.
-    let late = w
-        .sim
-        .add_node("latesvc", LifeService::new("late", "sk_late"));
+    let late = w.sim.add_node("latesvc", life_service("late", "sk_late"));
     w.sim.link(w.engine, late, LinkSpec::datacenter());
     let user = w.user.clone();
-    let token = w.sim.with_node::<LifeService, _>(late, |s, ctx| {
+    let token = w.sim.with_node::<EchoService, _>(late, |s, ctx| {
         s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
     });
     let mut orphan = applet(0, 50, &user);
@@ -463,7 +386,7 @@ fn onboard_service_opens_installs_and_realtime_mid_run() {
         e.set_token(user.clone(), ServiceSlug::new("late"), token);
     });
     w.sim
-        .with_node::<LifeService, _>(late, |s, _| s.core.enable_realtime(engine));
+        .with_node::<EchoService, _>(late, |s, _| s.core.enable_realtime(engine));
     assert_eq!(
         w.apply(LifecycleEvent::InstallApplet(orphan)),
         Ok(LifecycleAck::Installed(AppletId(50)))
@@ -471,13 +394,7 @@ fn onboard_service_opens_installs_and_realtime_mid_run() {
     w.sim.run_until(SimTime::from_secs(12));
     // Its realtime hints are honored (the onboard added the allowlist
     // entry), and its trigger activates end to end.
-    let user2 = w.user.clone();
-    w.sim.with_node::<LifeService, _>(late, |s, ctx| {
-        let ev = TriggerEvent::new("late01", ctx.now().as_secs_f64() as u64)
-            .with_ingredient("id", "late01");
-        s.core
-            .record_event(ctx, &TriggerSlug::new("t0"), &user2, ev, |_| true);
-    });
+    fire(&mut w.sim, late, "t0", &user, "late01");
     w.sim.run_until(SimTime::from_secs(40));
     let stats = w.stats();
     assert!(stats.hints_honored >= 1, "{stats:?}");

@@ -14,40 +14,19 @@
 //!   engine's own counters exactly — the events are not a parallel
 //!   bookkeeping system, they are the *only* one.
 
-use devices::service_core::{Processed, ServiceCore};
-use engine::{
-    ActionRef, Applet, AppletId, EngineConfig, EngineStats, FlightRecorder, ObsEvent, TapEngine,
-    TriggerRef,
-};
+mod support;
+
+use engine::{EngineConfig, EngineStats, FlightRecorder, ObsEvent, TapEngine};
 use simnet::chaos::{FaultPlan, ServerFault, ServerFaultPlan};
 use simnet::net::LinkId;
 use simnet::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tap_protocol::auth::ServiceKey;
-use tap_protocol::service::ServiceEndpoint;
-use tap_protocol::wire::TriggerEvent;
-use tap_protocol::{ActionSlug, FieldMap, ServiceSlug, TriggerSlug, UserId};
+use support::{connect, fire, slot_applet, Echo, EchoService};
+use tap_protocol::UserId;
 
 const SLOTS: usize = 3;
 const SLUG: &str = "observed";
-
-struct EchoService {
-    core: ServiceCore,
-}
-
-impl Node for EchoService {
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            Processed::Action { .. } => HandlerResult::Reply(ServiceEndpoint::action_ok("ok")),
-            Processed::Query { fields, .. } => {
-                HandlerResult::Reply(ServiceEndpoint::query_ok(fields))
-            }
-            Processed::NoReply => HandlerResult::Deferred,
-        }
-    }
-}
 
 struct World {
     sim: Sim,
@@ -64,50 +43,20 @@ fn world(seed: u64, resilient: bool) -> World {
         EngineConfig::fast()
     };
     let mut sim = Sim::new(seed);
-    let mut ep = ServiceEndpoint::new(ServiceSlug::new(SLUG), ServiceKey("sk_obs".into()));
-    for k in 0..SLOTS {
-        ep = ep
-            .with_trigger(format!("t{k}").as_str())
-            .with_action(format!("act{k}").as_str());
-    }
-    let svc = sim.add_node(
-        SLUG,
-        EchoService {
-            core: ServiceCore::new(ep),
-        },
-    );
+    let svc = sim.add_node(SLUG, Echo::service(SLUG, "sk_obs", SLOTS, &[], &[]));
     let engine = sim.add_node("engine", TapEngine::new(cfg));
     let link = sim.link(engine, svc, LinkSpec::datacenter());
     let flight = Arc::new(FlightRecorder::new(1 << 20));
     sim.node_mut::<TapEngine>(engine).set_sink(flight.clone());
 
     let user = UserId::new("u");
-    let token = sim.with_node::<EchoService, _>(svc, |s, ctx| {
-        s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
-    });
+    connect(&mut sim, engine, svc, &user);
     sim.with_node::<TapEngine, _>(engine, |e, ctx| {
-        e.register_service(ServiceSlug::new(SLUG), svc, ServiceKey("sk_obs".into()));
-        e.set_token(user.clone(), ServiceSlug::new(SLUG), token);
         for k in 0..SLOTS {
-            e.install_applet(
-                ctx,
-                Applet::new(
-                    AppletId(k as u32 + 1),
-                    format!("obs slot {k}"),
-                    user.clone(),
-                    TriggerRef {
-                        service: ServiceSlug::new(SLUG),
-                        trigger: TriggerSlug::new(format!("t{k}")),
-                        fields: FieldMap::new(),
-                    },
-                    ActionRef {
-                        service: ServiceSlug::new(SLUG),
-                        action: ActionSlug::new(format!("act{k}")),
-                        fields: FieldMap::new(),
-                    },
-                ),
-            )
-            .expect("applet installs");
+            // These applets send a bare action: no `eid` field.
+            let mut applet = slot_applet(SLUG, k, k as u32 + 1, &user);
+            applet.action.fields.clear();
+            e.install_applet(ctx, applet).expect("applet installs");
         }
     });
     sim.run_until(SimTime::from_secs(5));
@@ -122,18 +71,8 @@ fn world(seed: u64, resilient: bool) -> World {
 
 impl World {
     fn emit(&mut self, k: usize, eid: u32) {
-        self.sim.with_node::<EchoService, _>(self.svc, |s, ctx| {
-            let id = format!("e{eid:04}");
-            let ev = TriggerEvent::new(id.clone(), ctx.now().as_secs_f64() as u64)
-                .with_ingredient("id", id);
-            s.core.record_event(
-                ctx,
-                &TriggerSlug::new(format!("t{k}")),
-                &UserId::new("u"),
-                ev,
-                |_| true,
-            );
-        });
+        let (trigger, id) = (format!("t{k}"), format!("e{eid:04}"));
+        fire(&mut self.sim, self.svc, &trigger, &UserId::new("u"), &id);
     }
 
     fn drive(&mut self, rounds: u32, horizon_secs: u64) {

@@ -15,40 +15,20 @@
 //! (`dag_runs`), and a 503 outage window forces retries so dispatch slots
 //! are recycled across generations (`dispatches`).
 
-use devices::service_core::{Processed, ServiceCore};
-use engine::{
-    ActionRef, Applet, AppletId, EngineConfig, FlightRecorder, ObsEvent, TapEngine, TriggerRef,
-};
+mod support;
+
+use engine::{EngineConfig, FlightRecorder, ObsEvent, TapEngine};
 use simnet::chaos::{ServerFault, ServerFaultPlan};
 use simnet::net::LinkId;
 use simnet::prelude::*;
 use std::sync::Arc;
-use tap_protocol::auth::ServiceKey;
-use tap_protocol::service::ServiceEndpoint;
-use tap_protocol::wire::TriggerEvent;
-use tap_protocol::{ActionSlug, FieldMap, ServiceSlug, StepNode, StepSpec, TriggerSlug, UserId};
+use support::{connect, fire, slot_applet, Echo, EchoService};
+use tap_protocol::{FieldMap, StepNode, StepSpec, UserId};
 
 const SLUG: &str = "diffsvc";
 /// Classic applets t0..t2 share one (user, service) poll group; t3 carries
 /// the DAG.
 const CLASSIC: usize = 3;
-
-struct DiffService {
-    core: ServiceCore,
-}
-
-impl Node for DiffService {
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            Processed::Action { .. } => HandlerResult::Reply(ServiceEndpoint::action_ok("ok")),
-            Processed::Query { fields, .. } => {
-                HandlerResult::Reply(ServiceEndpoint::query_ok(fields))
-            }
-            Processed::NoReply => HandlerResult::Deferred,
-        }
-    }
-}
 
 struct World {
     sim: Sim,
@@ -64,18 +44,9 @@ struct World {
 fn world(seed: u64, reference: bool) -> World {
     let cfg = EngineConfig::fast().resilient().with_batch_polling(true);
     let mut sim = Sim::new(seed);
-    let mut ep = ServiceEndpoint::new(ServiceSlug::new(SLUG), ServiceKey("sk_diff".into()));
-    for k in 0..=CLASSIC {
-        ep = ep
-            .with_trigger(format!("t{k}").as_str())
-            .with_action(format!("act{k}").as_str());
-    }
-    ep = ep.with_query("look");
     let svc = sim.add_node(
         SLUG,
-        DiffService {
-            core: ServiceCore::new(ep),
-        },
+        Echo::service(SLUG, "sk_diff", CLASSIC + 1, &[], &["look"]),
     );
     let engine = sim.add_node("engine", TapEngine::new(cfg));
     if reference {
@@ -86,30 +57,10 @@ fn world(seed: u64, reference: bool) -> World {
     sim.node_mut::<TapEngine>(engine).set_sink(flight.clone());
 
     let user = UserId::new("u");
-    let token = sim.with_node::<DiffService, _>(svc, |s, ctx| {
-        s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
-    });
+    connect(&mut sim, engine, svc, &user);
     sim.with_node::<TapEngine, _>(engine, |e, ctx| {
-        e.register_service(ServiceSlug::new(SLUG), svc, ServiceKey("sk_diff".into()));
-        e.set_token(user.clone(), ServiceSlug::new(SLUG), token);
         for k in 0..=CLASSIC {
-            let mut action_fields = FieldMap::new();
-            action_fields.insert("eid".into(), "{{id}}".into());
-            let mut applet = Applet::new(
-                AppletId(k as u32 + 1),
-                format!("diff slot {k}"),
-                user.clone(),
-                TriggerRef {
-                    service: ServiceSlug::new(SLUG),
-                    trigger: TriggerSlug::new(format!("t{k}")),
-                    fields: FieldMap::new(),
-                },
-                ActionRef {
-                    service: ServiceSlug::new(SLUG),
-                    action: ActionSlug::new(format!("act{k}")),
-                    fields: action_fields,
-                },
-            );
+            let mut applet = slot_applet(SLUG, k, k as u32 + 1, &user);
             if k == CLASSIC {
                 // Slot 3 is a real two-node DAG: query → action, so every
                 // activation opens a `dag_runs` entry.
@@ -149,18 +100,8 @@ fn world(seed: u64, reference: bool) -> World {
 
 impl World {
     fn emit(&mut self, k: usize, eid: u32) {
-        self.sim.with_node::<DiffService, _>(self.svc, |s, ctx| {
-            let id = format!("e{eid:04}");
-            let ev = TriggerEvent::new(id.clone(), ctx.now().as_secs_f64() as u64)
-                .with_ingredient("id", id);
-            s.core.record_event(
-                ctx,
-                &TriggerSlug::new(format!("t{k}")),
-                &UserId::new("u"),
-                ev,
-                |_| true,
-            );
-        });
+        let (trigger, id) = (format!("t{k}"), format!("e{eid:04}"));
+        fire(&mut self.sim, self.svc, &trigger, &UserId::new("u"), &id);
     }
 
     /// One 503 outage window so dispatches retry and slab slots recycle.
@@ -175,7 +116,7 @@ impl World {
             horizon,
         );
         self.sim
-            .with_node::<DiffService, _>(self.svc, |s, _| s.core.fault_plan = Some(outages));
+            .with_node::<EchoService, _>(self.svc, |s, _| s.core.fault_plan = Some(outages));
     }
 
     /// Interleave events on every slot with sim progress, then drain.

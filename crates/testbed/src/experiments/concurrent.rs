@@ -12,7 +12,7 @@ use crate::report::ConcurrentReport;
 use crate::topology::{Testbed, TestbedConfig, AUTHOR};
 use devices::hue::HueLamp;
 use devices::wemo::WemoSwitch;
-use engine::{ActionRef, Applet, AppletId, EngineConfig, TapEngine, TriggerRef};
+use engine::{ActionRef, Applet, AppletId, EngineConfig, TriggerRef};
 use rand::Rng;
 use simnet::prelude::*;
 use tap_protocol::{ActionSlug, FieldMap, ServiceSlug, TriggerSlug, UserId};
@@ -44,12 +44,8 @@ pub fn concurrent_experiment(runs: usize, seed: u64) -> ConcurrentReport {
         engine: EngineConfig::ifttt_like(),
     });
     let a3 = paper_applet(PaperApplet::A3, ServiceVariant::Official);
-    tb.sim
-        .with_node::<TapEngine, _>(tb.nodes.engine, |e, ctx| {
-            e.install_applet(ctx, a3)?;
-            e.install_applet(ctx, email_to_wemo())
-        })
-        .expect("applets install");
+    tb.install(a3).expect("applet installs");
+    tb.install(email_to_wemo()).expect("applet installs");
     tb.sim.run_for(SimDuration::from_secs(10));
 
     let mut diffs = Vec::with_capacity(runs);
@@ -57,10 +53,7 @@ pub fn concurrent_experiment(runs: usize, seed: u64) -> ConcurrentReport {
         tb.sim.node_mut::<HueLamp>(tb.nodes.lamp).state.on = false;
         tb.sim.node_mut::<WemoSwitch>(tb.nodes.wemo_switch).on = false;
         let t0 = tb.sim.now();
-        tb.sim
-            .with_node::<TestController, _>(tb.nodes.controller, |c, ctx| {
-                c.inject_email(ctx, &format!("concurrent {run}"), None);
-            });
+        tb.controller(|c, ctx| c.inject_email(ctx, &format!("concurrent {run}"), None));
         let deadline = t0 + SimDuration::from_mins(25);
         let (mut hue_at, mut wemo_at) = (None, None);
         loop {

@@ -10,7 +10,6 @@
 //!   "some runtime detection techniques are needed", which the runtime
 //!   detector provides.
 
-use crate::controller::TestController;
 use crate::topology::{Testbed, TestbedConfig, AUTHOR};
 use devices::google::GoogleCloud;
 use engine::{
@@ -129,10 +128,7 @@ fn run_loop_world(
     }
     tb.sim.run_for(SimDuration::from_secs(5));
     // Seed the loop with one external email.
-    tb.sim
-        .with_node::<TestController, _>(tb.nodes.controller, |c, ctx| {
-            c.inject_email(ctx, "seed", None);
-        });
+    tb.controller(|c, ctx| c.inject_email(ctx, "seed", None));
     tb.sim.run_for(window);
     let engine_ref = tb.sim.node_ref::<TapEngine>(tb.nodes.engine);
     let stats = engine_ref.stats;
@@ -178,15 +174,10 @@ pub fn normal_usage_experiment(
     });
     let applet = email_to_sheet();
     let applet_id = applet.id;
-    tb.sim
-        .with_node::<TapEngine, _>(tb.nodes.engine, |e, ctx| e.install_applet(ctx, applet))
-        .expect("installs");
+    tb.install(applet).expect("installs");
     tb.sim.run_for(SimDuration::from_secs(5));
     for i in 0..emails {
-        tb.sim
-            .with_node::<TestController, _>(tb.nodes.controller, |c, ctx| {
-                c.inject_email(ctx, &format!("normal {i}"), None);
-            });
+        tb.controller(|c, ctx| c.inject_email(ctx, &format!("normal {i}"), None));
         tb.sim.run_for(SimDuration::from_secs(30));
     }
     let engine_ref = tb.sim.node_ref::<TapEngine>(tb.nodes.engine);

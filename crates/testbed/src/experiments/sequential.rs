@@ -6,15 +6,14 @@
 //! `limit` buffered events that the engine dispatches back-to-back.
 
 use crate::applets::{paper_applet, PaperApplet, ServiceVariant};
-use crate::controller::TestController;
 use crate::report::SequentialReport;
 use crate::topology::{Testbed, TestbedConfig};
-use engine::{EngineConfig, TapEngine};
+use engine::{EngineConfig, ObsEvent, TapEngine};
 use simnet::prelude::*;
 
 /// Run the Figure 6 experiment: `n` activations of A3's trigger spaced
-/// `spacing` seconds apart; actions are read from the engine's
-/// action-confirmation trace. Clusters are separated by > `cluster_gap` s.
+/// `spacing` seconds apart; actions are read from the engine's typed
+/// event stream. Clusters are separated by > `cluster_gap` s.
 pub fn sequential_experiment(
     n: usize,
     spacing_secs: u64,
@@ -26,9 +25,7 @@ pub fn sequential_experiment(
         engine: EngineConfig::ifttt_like(),
     });
     let applet = paper_applet(PaperApplet::A3, ServiceVariant::Official);
-    tb.sim
-        .with_node::<TapEngine, _>(tb.nodes.engine, |e, ctx| e.install_applet(ctx, applet))
-        .expect("applet installs");
+    tb.install(applet).expect("applet installs");
     tb.sim.run_for(SimDuration::from_secs(10));
 
     let t0 = tb.sim.now();
@@ -37,10 +34,7 @@ pub fn sequential_experiment(
         let at = t0 + SimDuration::from_secs(spacing_secs * i as u64);
         tb.sim.run_until(at);
         triggers.push(tb.sim.now().since(t0).as_secs_f64());
-        tb.sim
-            .with_node::<TestController, _>(tb.nodes.controller, |c, ctx| {
-                c.inject_email(ctx, &format!("sequential {i}"), None);
-            });
+        tb.controller(|c, ctx| c.inject_email(ctx, &format!("sequential {i}"), None));
     }
     // Wait until every action executed (each email is one blink action).
     let deadline = tb.sim.now() + SimDuration::from_mins(40);
@@ -55,13 +49,16 @@ pub fn sequential_experiment(
         }
         tb.sim.run_for(SimDuration::from_secs(5));
     }
+    assert_eq!(tb.flight.dropped(), 0, "run outgrew the flight ring");
     let actions: Vec<f64> = tb
-        .sim
-        .trace()
+        .flight
         .events()
         .iter()
-        .filter(|e| e.kind == "engine.action_ok" && e.at >= t0)
-        .map(|e| e.at.since(t0).as_secs_f64())
+        .filter_map(|ev| match ev {
+            ObsEvent::ActionFinished { ok: true, at, .. } if *at >= t0 => Some(*at),
+            _ => None,
+        })
+        .map(|at| at.since(t0).as_secs_f64())
         .collect();
     SequentialReport::new(triggers, actions, cluster_gap)
 }

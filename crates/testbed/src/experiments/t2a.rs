@@ -11,7 +11,7 @@ use crate::report::T2aReport;
 use crate::topology::{Testbed, TestbedConfig};
 use devices::hue::HueLamp;
 use devices::wemo::WemoSwitch;
-use engine::{EngineConfig, TapEngine};
+use engine::EngineConfig;
 use rand::Rng;
 use simnet::prelude::*;
 
@@ -113,19 +113,15 @@ fn reset_devices(tb: &mut Testbed, applet: PaperApplet) {
 
 /// Activate the applet's trigger through its physical channel.
 fn activate(tb: &mut Testbed, applet: PaperApplet, run: usize) {
-    let controller = tb.nodes.controller;
     match applet {
         PaperApplet::A1 | PaperApplet::A2 => {
-            tb.sim
-                .with_node::<TestController, _>(controller, |c, ctx| c.press_switch(ctx));
+            tb.controller(|c, ctx| c.press_switch(ctx));
         }
         PaperApplet::A3 => {
-            tb.sim.with_node::<TestController, _>(controller, |c, ctx| {
-                c.inject_email(ctx, &format!("test email {run}"), None);
-            });
+            tb.controller(|c, ctx| c.inject_email(ctx, &format!("test email {run}"), None));
         }
         PaperApplet::A4 => {
-            tb.sim.with_node::<TestController, _>(controller, |c, ctx| {
+            tb.controller(|c, ctx| {
                 c.inject_email(
                     ctx,
                     &format!("report {run}"),
@@ -135,8 +131,7 @@ fn activate(tb: &mut Testbed, applet: PaperApplet, run: usize) {
         }
         PaperApplet::A5 | PaperApplet::A6 | PaperApplet::A7 => {
             let phrase = applet.voice_phrase().expect("alexa applet");
-            tb.sim
-                .with_node::<TestController, _>(controller, |c, ctx| c.speak(ctx, phrase));
+            tb.controller(|c, ctx| c.speak(ctx, phrase));
         }
     }
 }
@@ -156,9 +151,7 @@ pub fn measure_t2a(scenario: &T2aScenario) -> T2aReport {
     });
     let mut applet = paper_applet(scenario.applet, scenario.variant);
     applet.add_count = scenario.add_count;
-    tb.sim
-        .with_node::<TapEngine, _>(tb.nodes.engine, |e, ctx| e.install_applet(ctx, applet))
-        .expect("applet installs");
+    tb.install(applet).expect("applet installs");
     // Let the initial poll establish the subscription.
     tb.sim.run_for(SimDuration::from_secs(10));
 

@@ -6,7 +6,7 @@ use crate::applets::{paper_applet, PaperApplet, ServiceVariant};
 use crate::controller::TestController;
 use crate::report::TimelineReport;
 use crate::topology::{Testbed, TestbedConfig};
-use engine::{EngineConfig, TapEngine};
+use engine::{EngineConfig, ObsEvent};
 use simnet::prelude::*;
 
 /// Run A2 under E2 once and reconstruct the Table 5 timeline.
@@ -16,79 +16,74 @@ pub fn timeline_experiment(seed: u64) -> TimelineReport {
         engine: EngineConfig::ifttt_like(),
     });
     let applet = paper_applet(PaperApplet::A2, ServiceVariant::OursBoth);
-    tb.sim
-        .with_node::<TapEngine, _>(tb.nodes.engine, |e, ctx| e.install_applet(ctx, applet))
-        .expect("applet installs");
+    tb.install(applet).expect("applet installs");
     tb.sim.run_for(SimDuration::from_secs(10));
 
     let t0 = tb.sim.now();
-    tb.sim
-        .with_node::<TestController, _>(tb.nodes.controller, |c, ctx| c.press_switch(ctx));
+    tb.controller(|c, ctx| c.press_switch(ctx));
     // Run until the lamp turns on (or a generous deadline passes).
     let deadline = t0 + SimDuration::from_mins(20);
-    loop {
-        let done = tb
-            .sim
-            .node_ref::<TestController>(tb.nodes.controller)
-            .observed_after("light_on", t0)
-            .is_some();
-        if done || tb.sim.now() >= deadline {
-            break;
-        }
+    let lamp_on = |tb: &Testbed| {
+        let controller = tb.sim.node_ref::<TestController>(tb.nodes.controller);
+        controller.observed_after("light_on", t0).map(|obs| obs.at)
+    };
+    while lamp_on(&tb).is_none() && tb.sim.now() < deadline {
         tb.sim.run_for(SimDuration::from_secs(1));
     }
 
-    // Pull the vantage-point events out of the trace.
+    // Pull the vantage-point events out of the trace, the engine's two
+    // out of its typed event stream, and the last from the controller's
+    // own log (its trace line fires for the switch press too).
     let trace = tb.sim.trace();
-    let first = |kind: &str, desc: &str| -> Option<(f64, String)> {
-        trace
-            .events()
-            .iter()
-            .find(|e| e.kind == kind && e.at >= t0)
-            .map(|e| (TimelineReport::rel(t0, e.at), desc.to_string()))
+    let entry = |at: SimTime, desc: &str| (TimelineReport::rel(t0, at), desc.to_string());
+    let traced = |kind: &str, desc: &str| {
+        let mut after = trace.events().iter().filter(|e| e.at >= t0);
+        after.find(|e| e.kind == kind).map(|e| entry(e.at, desc))
+    };
+    let flight = tb.flight.events();
+    let typed = |pick: fn(&ObsEvent) -> Option<SimTime>, desc: &str| {
+        let mut after = flight.iter().filter_map(pick).filter(|at| *at >= t0);
+        after.next().map(|at| entry(at, desc))
     };
     let mut entries: Vec<(f64, String)> = [
-        first(
+        traced(
             "controller.trigger",
             "Test controller (9) sets the trigger event",
         ),
-        first(
+        traced(
             "proxy.event",
             "Local proxy (3) observes the trigger event and notifies Our Server (5)",
         ),
-        first(
+        traced(
             "proxy.event_confirmed",
             "(3) receives the confirmation from trigger service (5)",
         ),
-        first(
-            "engine.events_received",
+        typed(
+            |ev| match ev {
+                ObsEvent::PollDelivered { fresh, at, .. } if *fresh > 0 => Some(*at),
+                _ => None,
+            },
             "IFTTT engine (7) polls trigger service (5) and receives the trigger",
         ),
-        first(
-            "engine.action_sent",
+        typed(
+            |ev| match ev {
+                ObsEvent::ActionSent { at, .. } => Some(*at),
+                _ => None,
+            },
             "IFTTT engine (7) sends action request to action service (5)",
         ),
-        first(
+        traced(
             "proxy.command",
             "After querying (5), (3) sends the action to the IoT device",
         ),
-        first(
-            "controller.observed",
-            "Test controller (9) confirms that the action has been executed",
-        ),
+        lamp_on(&tb).map(|at| {
+            let desc = "Test controller (9) confirms that the action has been executed";
+            entry(at, desc)
+        }),
     ]
     .into_iter()
     .flatten()
     .collect();
-    // controller.observed matches the switch press too; find the lamp one.
-    if let Some(obs) = tb
-        .sim
-        .node_ref::<TestController>(tb.nodes.controller)
-        .observed_after("light_on", t0)
-    {
-        let last = entries.last_mut().expect("entries nonempty");
-        last.0 = TimelineReport::rel(t0, obs.at);
-    }
     entries.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
     TimelineReport { entries }
 }

@@ -15,58 +15,57 @@
 //!   the engine with hints and the prompt polls + dispatches they cause.
 
 use analysis::workload::WorkloadReport;
-use devices::service_core::{Processed, ServiceCore};
-use engine::{ActionRef, Applet, AppletId, EngineConfig, PollPolicy, TapEngine, TriggerRef};
+use devices::service_core::ServiceCore;
+use devices::services::{Outcome, Partner, PartnerService};
+use engine::{
+    ActionRef, Applet, AppletId, EngineConfig, ObsEvent, PollPolicy, TapEngine, TriggerRef,
+};
 use simnet::prelude::*;
+use std::sync::{Arc, Mutex};
 use tap_protocol::auth::ServiceKey;
 use tap_protocol::service::ServiceEndpoint;
 use tap_protocol::wire::TriggerEvent;
 use tap_protocol::{ActionSlug, FieldMap, ServiceSlug, TriggerSlug, UserId};
 
+const FIRED: &str = "fired";
+const NOOP: &str = "noop";
+
 /// A synthetic partner service whose single trigger fires for every
 /// subscription at once when `burst` is called.
-struct BurstService {
-    core: ServiceCore,
+struct Burst {
+    slug: String,
     next_burst: u64,
 }
 
-impl BurstService {
-    fn new(slug: &str, key: &str) -> Self {
-        let ep = ServiceEndpoint::new(ServiceSlug::new(slug), ServiceKey(key.into()))
-            .with_trigger("fired")
-            .with_action("noop");
-        BurstService {
-            core: ServiceCore::new(ep),
-            next_burst: 0,
-        }
-    }
+type BurstService = PartnerService<Burst>;
 
-    fn burst(&mut self, ctx: &mut Context<'_>, users: usize) {
+impl Burst {
+    fn burst(&mut self, core: &mut ServiceCore, ctx: &mut Context<'_>, users: usize) {
         self.next_burst += 1;
         for u in 0..users {
             let id = format!("b{}_{u}", self.next_burst);
             let ev = TriggerEvent::new(id, ctx.now().as_secs_f64() as u64);
-            self.core.record_event(
-                ctx,
-                &TriggerSlug::new("fired"),
-                &UserId::new(format!("user_{u}")),
-                ev,
-                |_| true,
-            );
+            let user = UserId::new(format!("user_{u}"));
+            core.record_event(ctx, &TriggerSlug::new(FIRED), &user, ev, |_| true);
         }
     }
 }
 
-impl Node for BurstService {
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            Processed::Action { .. } => HandlerResult::Reply(ServiceEndpoint::action_ok("ok")),
-            Processed::Query { fields, .. } => {
-                HandlerResult::Reply(ServiceEndpoint::query_ok(fields))
-            }
-            Processed::NoReply => HandlerResult::Deferred,
-        }
+impl Partner for Burst {
+    fn slug(&self) -> &str {
+        &self.slug
+    }
+
+    fn triggers(&self) -> Vec<&str> {
+        vec![FIRED]
+    }
+
+    fn actions(&self) -> Vec<&str> {
+        vec![NOOP]
+    }
+
+    fn action(&mut self, _user: &UserId, _action: &str, _fields: FieldMap) -> Outcome {
+        Outcome::Reply(ServiceEndpoint::action_ok("ok"))
     }
 }
 
@@ -105,17 +104,25 @@ pub fn run_workload(
         }
     }
     let engine = sim.add_node("engine", TapEngine::new(cfg));
+    // Every typed event (a run can outgrow the testbed's flight ring).
+    let events = Arc::new(Mutex::new(Vec::new()));
+    sim.node_mut::<TapEngine>(engine).set_sink(events.clone());
     let mut svc_nodes = Vec::new();
     for i in 0..services {
         let slug = format!("burst_{i}");
         let key = format!("sk_{i}");
-        let node = sim.add_node(slug.clone(), BurstService::new(&slug, &key));
+        let mut burst = BurstService::new(
+            ServiceKey(key.clone()),
+            Burst {
+                slug: slug.clone(),
+                next_burst: 0,
+            },
+        );
+        if push {
+            burst.core.enable_realtime(engine);
+        }
+        let node = sim.add_node(slug.clone(), burst);
         sim.link(engine, node, LinkSpec::datacenter());
-        sim.with_node::<BurstService, _>(node, |s, _| {
-            if push {
-                s.core.enable_realtime(engine);
-            }
-        });
         svc_nodes.push((slug, node, key));
     }
     // Install users × services applets (trigger and action on the same
@@ -140,12 +147,12 @@ pub fn run_workload(
                     user.clone(),
                     TriggerRef {
                         service: ServiceSlug::new(slug.clone()),
-                        trigger: TriggerSlug::new("fired"),
+                        trigger: TriggerSlug::new(FIRED),
                         fields: FieldMap::new(),
                     },
                     ActionRef {
                         service: ServiceSlug::new(slug.clone()),
-                        action: ActionSlug::new("noop"),
+                        action: ActionSlug::new(NOOP),
                         fields: FieldMap::new(),
                     },
                 );
@@ -160,26 +167,29 @@ pub fn run_workload(
     for b in 0..bursts {
         sim.run_until(t0 + SimDuration::from_secs(b as u64 * burst_gap));
         for (_, node, _) in &svc_nodes {
-            sim.with_node::<BurstService, _>(*node, |s, ctx| s.burst(ctx, users));
+            sim.with_node::<BurstService, _>(*node, |s, ctx| {
+                s.vendor.burst(&mut s.core, ctx, users)
+            });
         }
     }
     let horizon = bursts as u64 * burst_gap + 70;
     sim.run_until(t0 + SimDuration::from_secs(horizon));
 
     // Engine workload = every request-processing event at the engine:
-    // polls sent, hints received, actions sent.
+    // polls and actions sent (typed events), hint-armed polls scheduled
+    // (the one fact the engine reports only as a trace line).
     let t0s = t0.as_secs_f64();
-    let timestamps: Vec<f64> = sim
-        .trace()
-        .events()
-        .iter()
-        .filter(|e| {
-            matches!(
-                e.kind,
-                "engine.poll_sent" | "engine.hint_poll" | "engine.action_sent"
-            ) && e.at >= t0
-        })
-        .map(|e| e.at.as_secs_f64() - t0s)
+    let hint_polls = sim.trace().events().iter();
+    let hint_polls = hint_polls.filter(|e| e.kind == "engine.hint_poll");
+    let events = events.lock().expect("event log lock");
+    let sent = events.iter().filter_map(|ev| match ev {
+        ObsEvent::PollSent { at, .. } | ObsEvent::ActionSent { at, .. } => Some(*at),
+        _ => None,
+    });
+    let timestamps: Vec<f64> = sent
+        .chain(hint_polls.map(|e| e.at))
+        .filter(|at| *at >= t0)
+        .map(|at| at.as_secs_f64() - t0s)
         .collect();
     let report = WorkloadReport::of(&timestamps, 1.0, horizon as f64);
     let actions_ok = sim.node_ref::<TapEngine>(engine).stats.actions_ok;

@@ -110,7 +110,8 @@ mod tests {
         tb.sim.link(le, tb.nodes.wemo_switch, LinkSpec::lan());
         tb.sim
             .node_mut::<WemoSwitch>(tb.nodes.wemo_switch)
-            .observe(le);
+            .observers
+            .add(le);
         tb.sim.node_mut::<LocalEngine>(le).add_rule(LocalRule {
             device: "wemo_switch_1".into(),
             kind: "switched_on".into(),

@@ -14,21 +14,22 @@ use devices::google::GoogleCloud;
 use devices::hue::{HueHub, HueLamp};
 use devices::nest::NestThermostat;
 use devices::proxy::{DeviceRoute, LocalProxy};
-use devices::services::alexa_service::AlexaService;
-use devices::services::datetime_service::DateTimeService;
-use devices::services::google_services::{DriveService, GmailService, SheetsService};
-use devices::services::hue_service::{HueAccount, HueService};
-use devices::services::nest_service::NestService;
-use devices::services::our_service::OurService;
-use devices::services::weather_service::WeatherService;
-use devices::services::wemo_service::WemoService;
+use devices::services::alexa_service::Alexa;
+use devices::services::datetime_service::DateTime;
+use devices::services::google_services::{Drive, Gmail, Sheets};
+use devices::services::hue_service::{Hue, HueAccount};
+use devices::services::nest_service::Nest;
+use devices::services::our_service::Ours;
+use devices::services::weather_service::Weather;
+use devices::services::wemo_service::Wemo;
+use devices::services::{Partner, PartnerService};
 use devices::smartthings::{SensorKind, SmartThingsHub};
 use devices::weather::WeatherStation;
 use devices::wemo::WemoSwitch;
-use engine::{EngineConfig, FlightRecorder, TapEngine};
+use engine::{Applet, AppletId, EngineConfig, FlightRecorder, InstallError, TapEngine};
 use simnet::prelude::*;
 use std::sync::Arc;
-use tap_protocol::auth::ServiceKey;
+use tap_protocol::auth::{AccessToken, ServiceKey};
 use tap_protocol::{ServiceSlug, UserId};
 
 use crate::controller::TestController;
@@ -85,6 +86,46 @@ impl Default for TestbedConfig {
 pub struct GatewayRouter;
 impl Node for GatewayRouter {}
 
+/// One partner service as the engine's registry needs it.
+struct Registered {
+    node: NodeId,
+    slug: ServiceSlug,
+    key: ServiceKey,
+    /// The author's token (the cached-token state after the OAuth dance).
+    token: AccessToken,
+}
+
+/// The cloud side under construction: the simulation plus a registry
+/// row for every partner service added so far.
+struct Cloud {
+    sim: Sim,
+    registry: Vec<Registered>,
+}
+
+impl Cloud {
+    /// Add one partner service — the only place its node name, key and
+    /// vendor are spelled — and pre-authorize the author on it. Minting
+    /// here rather than after the world is wired draws the same token: it
+    /// is the first draw on the node's own RNG stream either way.
+    fn service<V: Partner>(&mut self, name: &str, key: &str, vendor: V) -> NodeId {
+        let key = ServiceKey(key.into());
+        let service = PartnerService::new(key.clone(), vendor);
+        let slug = service.core.endpoint.slug().clone();
+        let node = self.sim.add_node(name, service);
+        let token = self.sim.with_node::<PartnerService<V>, _>(node, |s, ctx| {
+            let oauth = &mut s.core.endpoint.oauth;
+            oauth.mint_token(UserId::new(AUTHOR), ctx.rng())
+        });
+        self.registry.push(Registered {
+            node,
+            slug,
+            key,
+            token,
+        });
+        node
+    }
+}
+
 /// The assembled testbed.
 pub struct Testbed {
     pub sim: Sim,
@@ -98,46 +139,27 @@ pub struct Testbed {
 impl Testbed {
     /// Build the full Figure 1 world.
     pub fn build(config: TestbedConfig) -> Testbed {
-        let mut sim = Sim::new(config.seed);
-
         // --- Cloud side -------------------------------------------------
-        let google = sim.add_node("google_cloud", GoogleCloud::new());
-        let hue_service = sim.add_node("hue_service", HueService::new(ServiceKey("sk_hue".into())));
-        let wemo_service = sim.add_node(
-            "wemo_service",
-            WemoService::new(ServiceKey("sk_wemo".into())),
-        );
-        let gmail_service = sim.add_node(
-            "gmail_service",
-            GmailService::new(ServiceKey("sk_gmail".into()), google),
-        );
-        let drive_service = sim.add_node(
-            "drive_service",
-            DriveService::new(ServiceKey("sk_drive".into()), google),
-        );
-        let sheets_service = sim.add_node(
-            "sheets_service",
-            SheetsService::new(ServiceKey("sk_sheets".into()), google),
-        );
-        let alexa_service = sim.add_node(
-            "alexa_service",
-            AlexaService::new(ServiceKey("sk_alexa".into())),
-        );
-        let weather_station = sim.add_node("weather_station", WeatherStation::new());
-        let nest_service = sim.add_node(
-            "nest_service",
-            NestService::new(ServiceKey("sk_nest".into())),
-        );
-        let datetime_service = sim.add_node(
-            "date_time",
-            DateTimeService::new(ServiceKey("sk_time".into())),
-        );
-        let weather_service = sim.add_node(
-            "weather_service",
-            WeatherService::new(ServiceKey("sk_weather".into())),
-        );
-        let our_service =
-            sim.add_node("our_service", OurService::new(ServiceKey("sk_ours".into())));
+        let mut c = Cloud {
+            sim: Sim::new(config.seed),
+            registry: Vec::new(),
+        };
+        let google = c.sim.add_node("google_cloud", GoogleCloud::new());
+        let hue_service = c.service("hue_service", "sk_hue", Hue::default());
+        let wemo_service = c.service("wemo_service", "sk_wemo", Wemo::default());
+        let gmail_service = c.service("gmail_service", "sk_gmail", Gmail { cloud: google });
+        let drive_service = c.service("drive_service", "sk_drive", Drive { cloud: google });
+        let sheets_service = c.service("sheets_service", "sk_sheets", Sheets { cloud: google });
+        let alexa_service = c.service("alexa_service", "sk_alexa", Alexa::default());
+        let weather_station = c.sim.add_node("weather_station", WeatherStation::new());
+        let nest_service = c.service("nest_service", "sk_nest", Nest::default());
+        let datetime_service = c.service("date_time", "sk_time", DateTime::default());
+        let weather_service = c.service("weather_service", "sk_weather", Weather::default());
+        let our_service = c.service("our_service", "sk_ours", Ours::default());
+        let Cloud {
+            mut sim,
+            registry: mut reg,
+        } = c;
         let engine = sim.add_node("ifttt_engine", TapEngine::new(config.engine));
         let flight = Arc::new(FlightRecorder::new(4096));
         sim.node_mut::<TapEngine>(engine).set_sink(flight.clone());
@@ -196,124 +218,97 @@ impl Testbed {
         }
 
         // --- Wiring: device registries, allowlists, observers ------------
-        sim.node_mut::<HueHub>(hue_hub)
-            .register_lamp("hue_lamp_1", lamp);
-        sim.node_mut::<HueLamp>(lamp).observe(hue_hub);
-        // Devices accept only LAN proxy + paired vendor clouds.
-        sim.node_mut::<HueHub>(hue_hub)
-            .allow_only(vec![proxy, hue_service]);
-        sim.node_mut::<WemoSwitch>(wemo_switch)
-            .allow_only(vec![proxy, wemo_service]);
-        // State-change pushes: to the proxy (Our Service path), to the
-        // vendor clouds, and to the controller (T_A measurement).
-        sim.node_mut::<HueHub>(hue_hub).observe(proxy);
-        sim.node_mut::<HueHub>(hue_hub).observe(controller);
-        sim.node_mut::<WemoSwitch>(wemo_switch).observe(proxy);
-        sim.node_mut::<WemoSwitch>(wemo_switch)
-            .observe(wemo_service);
-        sim.node_mut::<WemoSwitch>(wemo_switch).observe(controller);
-        sim.node_mut::<SmartThingsHub>(st_hub)
-            .attach("motion_1", SensorKind::Motion);
-        sim.node_mut::<SmartThingsHub>(st_hub).observe(proxy);
-        sim.node_mut::<GoogleCloud>(google).observe(gmail_service);
-        sim.node_mut::<GoogleCloud>(google).observe(controller);
-
-        {
-            let p = sim.node_mut::<LocalProxy>(proxy);
-            p.set_upstream(our_service);
-            p.register(
-                "hue_lamp_1",
-                DeviceRoute::HueLamp {
-                    hub: hue_hub,
-                    username: "hueuser".into(),
-                },
-            );
-            p.register("wemo_switch_1", DeviceRoute::Wemo { node: wemo_switch });
-            p.register("motion_1", DeviceRoute::SmartThings { hub: st_hub });
-        }
-
+        // Devices accept only the LAN proxy and their paired vendor cloud;
+        // state changes are pushed to the proxy (Our Service path), to the
+        // vendor cloud, and to the controller (T_A measurement).
         let author = UserId::new(AUTHOR);
-        sim.with_node::<HueService, _>(hue_service, |s, _| {
-            s.add_account(
-                author.clone(),
-                HueAccount {
-                    hub: hue_hub,
-                    username: "hueuser".into(),
-                    lamp_device: "hue_lamp_1".into(),
-                },
-            );
-        });
-        sim.with_node::<WemoService, _>(wemo_service, |s, _| {
-            s.add_switch(author.clone(), wemo_switch);
-        });
-        {
-            let ours = sim.node_mut::<OurService>(our_service);
-            ours.proxy = Some(proxy);
-            ours.google = Some(google);
-            ours.watch_gmail(AUTHOR);
-        }
-        // Alexa uses the realtime API towards the engine.
-        sim.with_node::<AlexaService, _>(alexa_service, |s, _| {
-            s.core.enable_realtime(engine);
-        });
-        sim.node_mut::<WeatherStation>(weather_station)
-            .observe(weather_service);
-        sim.with_node::<WeatherService, _>(weather_service, |s, _| {
-            s.add_user(UserId::new(AUTHOR));
-        });
+        sim.node_mut::<HueLamp>(lamp).observers.add(hue_hub);
+        let hub = sim.node_mut::<HueHub>(hue_hub);
+        hub.register_lamp("hue_lamp_1", lamp);
+        hub.allow_only(vec![proxy, hue_service]);
+        hub.observers.add(proxy);
+        hub.observers.add(controller);
+        let switch = sim.node_mut::<WemoSwitch>(wemo_switch);
+        switch.allow_only(vec![proxy, wemo_service]);
+        switch.observers.add(proxy);
+        switch.observers.add(wemo_service);
+        switch.observers.add(controller);
+        let st = sim.node_mut::<SmartThingsHub>(st_hub);
+        st.attach("motion_1", SensorKind::Motion);
+        st.observers.add(proxy);
+        let g = sim.node_mut::<GoogleCloud>(google);
+        g.observers.add(gmail_service);
+        g.observers.add(controller);
+        let station = sim.node_mut::<WeatherStation>(weather_station);
+        station.observers.add(weather_service);
         // Nest pairing: cloud reaches the thermostat (vendor channel);
         // ambient pushes flow back to the cloud and the controller.
-        sim.node_mut::<NestThermostat>(nest).allowed = Some(vec![proxy, nest_service]);
-        sim.node_mut::<NestThermostat>(nest).observe(nest_service);
-        sim.node_mut::<NestThermostat>(nest).observe(controller);
-        sim.with_node::<NestService, _>(nest_service, |s, _| {
-            s.add_thermostat(UserId::new(AUTHOR), nest);
-        });
+        let thermostat = sim.node_mut::<NestThermostat>(nest);
+        thermostat.allowed = Some(vec![proxy, nest_service]);
+        thermostat.observers.add(nest_service);
+        thermostat.observers.add(controller);
+
+        let p = sim.node_mut::<LocalProxy>(proxy);
+        p.set_upstream(our_service);
+        let username = "hueuser".into();
+        p.register(
+            "hue_lamp_1",
+            DeviceRoute::HueLamp {
+                hub: hue_hub,
+                username,
+            },
+        );
+        p.register("wemo_switch_1", DeviceRoute::Wemo { node: wemo_switch });
+        p.register("motion_1", DeviceRoute::SmartThings { hub: st_hub });
+
+        // --- Vendor accounts ---------------------------------------------
+        let account = HueAccount {
+            hub: hue_hub,
+            username: "hueuser".into(),
+            lamp_device: "hue_lamp_1".into(),
+        };
+        let hue = &mut sim.node_mut::<PartnerService<Hue>>(hue_service).vendor;
+        hue.add_account(author.clone(), account);
+        let wemo = &mut sim.node_mut::<PartnerService<Wemo>>(wemo_service).vendor;
+        wemo.add_switch(author.clone(), wemo_switch);
+        let ours = &mut sim.node_mut::<PartnerService<Ours>>(our_service).vendor;
+        ours.proxy = Some(proxy);
+        ours.google = Some(google);
+        ours.watch_gmail(AUTHOR);
+        let weather = &mut sim
+            .node_mut::<PartnerService<Weather>>(weather_service)
+            .vendor;
+        weather.add_user(author.clone());
+        let nest_cloud = &mut sim.node_mut::<PartnerService<Nest>>(nest_service).vendor;
+        nest_cloud.add_thermostat(author.clone(), nest);
+        // Alexa uses the realtime API towards the engine.
+        let alexa = sim.node_mut::<PartnerService<Alexa>>(alexa_service);
+        alexa.core.enable_realtime(engine);
 
         // --- Engine registration + user connections ----------------------
-        let service_table: [(&str, NodeId, &str); 10] = [
-            (HueService::SLUG, hue_service, "sk_hue"),
-            (WemoService::SLUG, wemo_service, "sk_wemo"),
-            (GmailService::SLUG, gmail_service, "sk_gmail"),
-            (DriveService::SLUG, drive_service, "sk_drive"),
-            (SheetsService::SLUG, sheets_service, "sk_sheets"),
-            (AlexaService::SLUG, alexa_service, "sk_alexa"),
-            (OurService::SLUG, our_service, "sk_ours"),
-            (WeatherService::SLUG, weather_service, "sk_weather"),
-            (NestService::SLUG, nest_service, "sk_nest"),
-            (DateTimeService::SLUG, datetime_service, "sk_time"),
+        // In this order, not the order the nodes were added in: it fixes
+        // the engine's symbol numbering, which its typed events carry.
+        let order = [
+            hue_service,
+            wemo_service,
+            gmail_service,
+            drive_service,
+            sheets_service,
+            alexa_service,
+            our_service,
+            weather_service,
+            nest_service,
+            datetime_service,
         ];
+        reg.sort_by_key(|r| order.iter().position(|n| *n == r.node));
         sim.with_node::<TapEngine, _>(engine, |e, _| {
-            for (slug, node, key) in &service_table {
-                e.register_service(
-                    ServiceSlug::new(*slug),
-                    *node,
-                    ServiceKey((*key).to_string()),
-                );
+            for r in &reg {
+                e.register_service(r.slug.clone(), r.node, r.key.clone());
+            }
+            for r in reg {
+                e.set_token(author.clone(), r.slug, r.token);
             }
         });
-        // Pre-authorize the author on every service (the cached-token
-        // state after the OAuth dances).
-        macro_rules! connect {
-            ($ty:ty, $node:expr, $slug:expr) => {{
-                let token = sim.with_node::<$ty, _>($node, |s, ctx| {
-                    s.core.endpoint.oauth.mint_token(author.clone(), ctx.rng())
-                });
-                sim.with_node::<TapEngine, _>(engine, |e, _| {
-                    e.set_token(author.clone(), ServiceSlug::new($slug), token);
-                });
-            }};
-        }
-        connect!(HueService, hue_service, HueService::SLUG);
-        connect!(WemoService, wemo_service, WemoService::SLUG);
-        connect!(GmailService, gmail_service, GmailService::SLUG);
-        connect!(DriveService, drive_service, DriveService::SLUG);
-        connect!(SheetsService, sheets_service, SheetsService::SLUG);
-        connect!(AlexaService, alexa_service, AlexaService::SLUG);
-        connect!(OurService, our_service, OurService::SLUG);
-        connect!(WeatherService, weather_service, WeatherService::SLUG);
-        connect!(NestService, nest_service, NestService::SLUG);
-        connect!(DateTimeService, datetime_service, DateTimeService::SLUG);
 
         // Controller knows its instruments.
         {
@@ -350,6 +345,22 @@ impl Testbed {
     /// Shorthand for the engine node.
     pub fn engine_mut(&mut self) -> &mut TapEngine {
         self.sim.node_mut::<TapEngine>(self.nodes.engine)
+    }
+
+    /// Install `applet` on the engine.
+    pub fn install(&mut self, applet: Applet) -> Result<AppletId, InstallError> {
+        let engine = self.nodes.engine;
+        self.sim
+            .with_node::<TapEngine, _>(engine, |e, ctx| e.install_applet(ctx, applet))
+    }
+
+    /// Have the test controller ❾ act (press, speak, inject mail).
+    pub fn controller<R>(
+        &mut self,
+        act: impl FnOnce(&mut TestController, &mut Context<'_>) -> R,
+    ) -> R {
+        self.sim
+            .with_node::<TestController, _>(self.nodes.controller, act)
     }
 }
 
@@ -388,9 +399,7 @@ mod tests {
             crate::applets::PaperApplet::A2,
             crate::applets::ServiceVariant::OursBoth,
         );
-        tb.sim
-            .with_node::<TapEngine, _>(tb.nodes.engine, |e, ctx| e.install_applet(ctx, applet))
-            .expect("applet installs");
+        tb.install(applet).expect("applet installs");
         tb.sim.run_until(SimTime::from_secs(600));
         assert!(tb.flight.seen() > 0, "poll traffic recorded");
         assert!(tb

@@ -72,7 +72,8 @@ fn main() {
     local
         .sim
         .node_mut::<WemoSwitch>(local.nodes.wemo_switch)
-        .observe(le);
+        .observers
+        .add(le);
     local.sim.node_mut::<LocalEngine>(le).add_rule(LocalRule {
         device: "wemo_switch_1".into(),
         kind: "switched_on".into(),

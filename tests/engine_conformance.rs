@@ -2,136 +2,71 @@
 //! service: authentication headers, poll semantics, batching, dedup,
 //! realtime-hint handling, and error paths.
 
-use ifttt_core::devices::service_core::{Processed, ServiceCore};
+#[path = "../crates/engine/tests/support/mod.rs"]
+mod support;
+
 use ifttt_core::engine::{
-    ActionRef, Applet, AppletId, EngineConfig, PollPolicy, RetryPolicy, TapEngine, TriggerRef,
+    AppletId, EngineConfig, FlightRecorder, ObsEvent, PollPolicy, RetryPolicy, TapEngine,
 };
 use ifttt_core::simnet::prelude::*;
-use ifttt_core::tap_protocol::auth::{ServiceKey, REQUEST_ID_HEADER, SERVICE_KEY_HEADER};
-use ifttt_core::tap_protocol::service::ServiceEndpoint;
-use ifttt_core::tap_protocol::wire::TriggerEvent;
-use ifttt_core::tap_protocol::{FieldMap, ServiceSlug, TriggerSlug, UserId};
+use ifttt_core::tap_protocol::{ServiceSlug, UserId};
+use std::sync::Arc;
+use support::{connect, fire, slot_applet, Echo, EchoService};
 
-/// A reference partner service that records everything the engine sends.
-struct RecordingService {
-    core: ServiceCore,
-    seen_request_ids: Vec<String>,
-    action_count: u64,
-    /// If set, fail this many polls with 503 before recovering.
-    fail_polls: u32,
+/// The reference partner service: one trigger (`t0`) and one action
+/// (`act0`), recording everything the engine sends.
+fn reference_service() -> EchoService {
+    Echo::service("ref", "sk_ref", 1, &[], &[])
 }
 
-impl RecordingService {
-    fn new() -> Self {
-        let ep = ServiceEndpoint::new(ServiceSlug::new("ref"), ServiceKey("sk_ref".into()))
-            .with_trigger("tick")
-            .with_action("tock");
-        RecordingService {
-            core: ServiceCore::new(ep),
-            seen_request_ids: Vec::new(),
-            action_count: 0,
-            fail_polls: 0,
-        }
-    }
-}
-
-impl Node for RecordingService {
-    fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-        // Every engine request must carry the service key; polls also carry
-        // a random request id (observed by the paper).
-        assert_eq!(req.header(SERVICE_KEY_HEADER), Some("sk_ref"));
-        if let Some(rid) = req.header(REQUEST_ID_HEADER) {
-            self.seen_request_ids.push(rid.to_string());
-        }
-        if self.fail_polls > 0 && req.path.contains("/triggers/") {
-            self.fail_polls -= 1;
-            return HandlerResult::Reply(Response::unavailable());
-        }
-        match self.core.process(ctx, req) {
-            Processed::Done(resp) => HandlerResult::Reply(resp),
-            Processed::Action { .. } => {
-                self.action_count += 1;
-                HandlerResult::Reply(ServiceEndpoint::action_ok(format!(
-                    "n{}",
-                    self.action_count
-                )))
-            }
-            Processed::Query { fields, .. } => {
-                HandlerResult::Reply(ServiceEndpoint::query_ok(fields))
-            }
-            Processed::NoReply => HandlerResult::Deferred,
-        }
-    }
+/// Connect user `u` to `svc` and install the one `t0` → `act0` applet.
+fn install(sim: &mut Sim, engine: NodeId, svc: NodeId) -> AppletId {
+    let user = UserId::new("u");
+    connect(sim, engine, svc, &user);
+    sim.with_node::<TapEngine, _>(engine, |e, ctx| {
+        e.install_applet(ctx, slot_applet("ref", 0, 1, &user))
+            .expect("install")
+    })
 }
 
 fn world(polling_secs: f64) -> (Sim, NodeId, NodeId, AppletId) {
     let mut sim = Sim::new(11);
-    let svc = sim.add_node("ref_service", RecordingService::new());
+    let svc = sim.add_node("ref_service", reference_service());
     let mut cfg = EngineConfig::fast();
     cfg.polling = PollPolicy::fixed(polling_secs);
     let engine = sim.add_node("engine", TapEngine::new(cfg));
     sim.link(engine, svc, LinkSpec::datacenter());
-    let user = UserId::new("u");
-    let token = sim.with_node::<RecordingService, _>(svc, |s, ctx| {
-        s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
-    });
-    let applet = Applet::new(
-        AppletId(1),
-        "tick→tock",
-        user.clone(),
-        TriggerRef {
-            service: ServiceSlug::new("ref"),
-            trigger: TriggerSlug::new("tick"),
-            fields: FieldMap::new(),
-        },
-        ActionRef {
-            service: ServiceSlug::new("ref"),
-            action: ifttt_core::tap_protocol::ActionSlug::new("tock"),
-            fields: FieldMap::new(),
-        },
-    );
-    let id = sim.with_node::<TapEngine, _>(engine, |e, ctx| {
-        e.register_service(ServiceSlug::new("ref"), svc, ServiceKey("sk_ref".into()));
-        e.set_token(user, ServiceSlug::new("ref"), token);
-        e.install_applet(ctx, applet).expect("install")
-    });
+    let id = install(&mut sim, engine, svc);
     (sim, engine, svc, id)
 }
 
 /// Feed `n` events into the service's buffer for the installed applet.
 fn feed_events(sim: &mut Sim, svc: NodeId, n: usize, base: u64) {
-    sim.with_node::<RecordingService, _>(svc, |s, ctx| {
-        for i in 0..n {
-            let ev = TriggerEvent::new(format!("ev{}", base + i as u64), base + i as u64);
-            s.core.record_event(
-                ctx,
-                &TriggerSlug::new("tick"),
-                &UserId::new("u"),
-                ev,
-                |_| true,
-            );
-        }
-    });
+    for i in 0..n as u64 {
+        fire(
+            sim,
+            svc,
+            "t0",
+            &UserId::new("u"),
+            &format!("ev{}", base + i),
+        );
+    }
 }
 
 #[test]
 fn poll_requests_carry_fresh_request_ids() {
-    let (mut sim, _, svc, _) = world(1.0);
+    let (mut sim, engine, svc, _) = world(1.0);
     sim.run_until(SimTime::from_secs(20));
-    let s = sim.node_ref::<RecordingService>(svc);
-    assert!(
-        s.seen_request_ids.len() >= 15,
-        "polls {}",
-        s.seen_request_ids.len()
-    );
-    let mut dedup = s.seen_request_ids.clone();
+    // Every poll carried the service key and the user's token: a request
+    // without them is a 401, which the engine counts as a failed poll.
+    assert_eq!(sim.node_ref::<TapEngine>(engine).stats.polls_failed, 0);
+    // And each carried a random request id (observed by the paper).
+    let ids = &sim.node_ref::<EchoService>(svc).vendor.request_ids;
+    assert!(ids.len() >= 15, "polls {}", ids.len());
+    let mut dedup = ids.clone();
     dedup.sort();
     dedup.dedup();
-    assert_eq!(
-        dedup.len(),
-        s.seen_request_ids.len(),
-        "request ids must be unique"
-    );
+    assert_eq!(dedup.len(), ids.len(), "request ids must be unique");
 }
 
 #[test]
@@ -165,7 +100,7 @@ fn batch_larger_than_limit_is_cut_to_50() {
 #[test]
 fn poll_failures_dont_kill_the_polling_chain() {
     let (mut sim, engine, svc, _) = world(2.0);
-    sim.node_mut::<RecordingService>(svc).fail_polls = 5;
+    sim.node_mut::<EchoService>(svc).vendor.fail_polls = 5;
     sim.run_until(SimTime::from_secs(30));
     let stats = sim.node_ref::<TapEngine>(engine).stats;
     assert!(stats.polls_failed >= 5);
@@ -183,7 +118,7 @@ fn hints_from_unlisted_services_are_counted_and_ignored() {
     sim.run_until(SimTime::from_secs(2));
     // Enable the realtime client on the service; the engine's allowlist
     // does not contain "ref".
-    sim.with_node::<RecordingService, _>(svc, |s, _| s.core.enable_realtime(engine));
+    sim.with_node::<EchoService, _>(svc, |s, _| s.core.enable_realtime(engine));
     sim.run_until(SimTime::from_secs(5));
     feed_events(&mut sim, svc, 1, 1);
     sim.run_until(SimTime::from_secs(120));
@@ -199,39 +134,18 @@ fn hints_from_unlisted_services_are_counted_and_ignored() {
 #[test]
 fn allowlisted_hints_trigger_prompt_polls() {
     let mut sim = Sim::new(12);
-    let svc = sim.add_node("ref_service", RecordingService::new());
+    let svc = sim.add_node("ref_service", reference_service());
     let mut cfg = EngineConfig {
         polling: PollPolicy::fixed(600.0),
         ..EngineConfig::default()
     };
     cfg.realtime_allowlist.insert(ServiceSlug::new("ref"));
     let engine = sim.add_node("engine", TapEngine::new(cfg));
+    let flight = Arc::new(FlightRecorder::new(4096));
+    sim.node_mut::<TapEngine>(engine).set_sink(flight.clone());
     sim.link(engine, svc, LinkSpec::datacenter());
-    let user = UserId::new("u");
-    let token = sim.with_node::<RecordingService, _>(svc, |s, ctx| {
-        s.core.enable_realtime(engine);
-        s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
-    });
-    let applet = Applet::new(
-        AppletId(1),
-        "tick→tock",
-        user.clone(),
-        TriggerRef {
-            service: ServiceSlug::new("ref"),
-            trigger: TriggerSlug::new("tick"),
-            fields: FieldMap::new(),
-        },
-        ActionRef {
-            service: ServiceSlug::new("ref"),
-            action: ifttt_core::tap_protocol::ActionSlug::new("tock"),
-            fields: FieldMap::new(),
-        },
-    );
-    sim.with_node::<TapEngine, _>(engine, |e, ctx| {
-        e.register_service(ServiceSlug::new("ref"), svc, ServiceKey("sk_ref".into()));
-        e.set_token(user, ServiceSlug::new("ref"), token);
-        e.install_applet(ctx, applet).expect("install");
-    });
+    sim.with_node::<EchoService, _>(svc, |s, _| s.core.enable_realtime(engine));
+    install(&mut sim, engine, svc);
     sim.run_until(SimTime::from_secs(10)); // initial poll learns the sub
     let t0 = sim.now();
     feed_events(&mut sim, svc, 1, 1);
@@ -243,97 +157,29 @@ fn allowlisted_hints_trigger_prompt_polls() {
         "action executed without waiting for the slow poll"
     );
     // The action happened within seconds of the hint.
-    let action = sim
-        .trace()
-        .events()
-        .iter()
-        .find(|e| e.kind == "engine.action_ok" && e.at > t0)
-        .expect("action traced");
-    assert!(action.at.since(t0) < SimDuration::from_secs(10));
+    let events = flight.events();
+    let done = events.iter().find_map(|ev| match ev {
+        ObsEvent::ActionFinished { ok: true, at, .. } if *at > t0 => Some(*at),
+        _ => None,
+    });
+    assert!(done.expect("action finished").since(t0) < SimDuration::from_secs(10));
 }
 
 #[test]
 fn action_retries_recover_from_transient_failures() {
     // A service that 503s its action endpoint twice, then recovers; with
     // retries configured, the engine delivers without losing the event.
-    struct FlakyActions {
-        core: ServiceCore,
-        fail_actions: u32,
-    }
-    impl FlakyActions {
-        fn new() -> Self {
-            let ep = ServiceEndpoint::new(ServiceSlug::new("ref"), ServiceKey("sk_ref".into()))
-                .with_trigger("tick")
-                .with_action("tock");
-            FlakyActions {
-                core: ServiceCore::new(ep),
-                fail_actions: 2,
-            }
-        }
-    }
-    impl Node for FlakyActions {
-        fn on_request(&mut self, ctx: &mut Context<'_>, req: &Request) -> HandlerResult {
-            if req.path.contains("/actions/") && self.fail_actions > 0 {
-                self.fail_actions -= 1;
-                return HandlerResult::Reply(Response::unavailable());
-            }
-            match self.core.process(ctx, req) {
-                ifttt_core::devices::service_core::Processed::Done(resp) => {
-                    HandlerResult::Reply(resp)
-                }
-                ifttt_core::devices::service_core::Processed::Action { .. } => {
-                    HandlerResult::Reply(ServiceEndpoint::action_ok("ok"))
-                }
-                ifttt_core::devices::service_core::Processed::Query { fields, .. } => {
-                    HandlerResult::Reply(ServiceEndpoint::query_ok(fields))
-                }
-                ifttt_core::devices::service_core::Processed::NoReply => HandlerResult::Deferred,
-            }
-        }
-    }
-
     let mut sim = Sim::new(21);
-    let svc = sim.add_node("flaky", FlakyActions::new());
+    let svc = sim.add_node("flaky", reference_service());
+    sim.node_mut::<EchoService>(svc).vendor.fail_actions = 2;
     let mut cfg = EngineConfig::fast();
     cfg.polling = PollPolicy::fixed(2.0);
     cfg.action_retry = RetryPolicy::retries(3);
     let engine = sim.add_node("engine", TapEngine::new(cfg));
     sim.link(engine, svc, LinkSpec::datacenter());
-    let user = UserId::new("u");
-    let token = sim.with_node::<FlakyActions, _>(svc, |s, ctx| {
-        s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
-    });
-    sim.with_node::<TapEngine, _>(engine, |e, ctx| {
-        e.register_service(ServiceSlug::new("ref"), svc, ServiceKey("sk_ref".into()));
-        e.set_token(user.clone(), ServiceSlug::new("ref"), token);
-        let applet = Applet::new(
-            AppletId(1),
-            "tick→tock",
-            user,
-            TriggerRef {
-                service: ServiceSlug::new("ref"),
-                trigger: TriggerSlug::new("tick"),
-                fields: FieldMap::new(),
-            },
-            ActionRef {
-                service: ServiceSlug::new("ref"),
-                action: ifttt_core::tap_protocol::ActionSlug::new("tock"),
-                fields: FieldMap::new(),
-            },
-        );
-        e.install_applet(ctx, applet).unwrap();
-    });
+    install(&mut sim, engine, svc);
     sim.run_until(SimTime::from_secs(5));
-    sim.with_node::<FlakyActions, _>(svc, |s, ctx| {
-        let ev = TriggerEvent::new("e1", 5);
-        s.core.record_event(
-            ctx,
-            &TriggerSlug::new("tick"),
-            &UserId::new("u"),
-            ev,
-            |_| true,
-        );
-    });
+    feed_events(&mut sim, svc, 1, 1);
     sim.run_until(SimTime::from_secs(60));
     let stats = sim.node_ref::<TapEngine>(engine).stats;
     assert_eq!(stats.actions_retried, 2, "two failed attempts retried");
@@ -348,11 +194,7 @@ fn without_retries_a_failed_action_is_lost() {
     // the event's action never happens (the engine's dedup prevents a
     // later poll from redelivering it).
     let (mut sim, engine, svc, _) = world(2.0);
-    sim.node_mut::<RecordingService>(svc).fail_polls = 0;
-    // Fail the single action by pointing fail at the action path: reuse
-    // fail_polls? RecordingService only fails polls; emulate by cutting
-    // the link right after the event is picked up is complex — instead
-    // verify the accounting path directly with a bogus action slug.
+    sim.node_mut::<EchoService>(svc).vendor.fail_actions = 1;
     sim.run_until(SimTime::from_secs(3));
     sim.with_node::<TapEngine, _>(engine, |e, _| {
         assert!(!e.config.action_retry.enabled());
@@ -360,6 +202,8 @@ fn without_retries_a_failed_action_is_lost() {
     feed_events(&mut sim, svc, 1, 9000);
     sim.run_until(SimTime::from_secs(20));
     let stats = sim.node_ref::<TapEngine>(engine).stats;
-    assert_eq!(stats.actions_ok, 1);
-    assert_eq!(stats.actions_retried, 0);
+    assert_eq!(stats.actions_sent, 1, "{stats:?}");
+    assert_eq!(stats.actions_ok, 0, "{stats:?}");
+    assert_eq!(stats.actions_failed, 1, "{stats:?}");
+    assert_eq!(stats.actions_retried, 0, "{stats:?}");
 }
