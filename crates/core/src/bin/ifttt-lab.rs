@@ -20,8 +20,7 @@
 
 use fleet_wire::{run_fleet_distributed_with_progress, DistributedConfig};
 use ifttt_core::analysis::tables::HeadlineIot;
-use ifttt_core::ecosystem::crawler::{Crawler, CrawlerConfig};
-use ifttt_core::ecosystem::frontend::IftttFrontend;
+use ifttt_core::ecosystem::crawler::crawl_week;
 use ifttt_core::ecosystem::generator::{Ecosystem, GeneratorConfig};
 use ifttt_core::ecosystem::model::GROWTH;
 use ifttt_core::engine::RuntimeLoopConfig;
@@ -203,30 +202,17 @@ fn main() {
                 scale,
                 multi_step_share: 0.0,
             });
-            let week = GROWTH.week_canonical as u32;
-            let mut sim = Sim::new(seed);
-            let frontend = IftttFrontend::new(eco, week);
-            let max_id = frontend.max_applet_id();
-            let fe = sim.add_node("ifttt.com", frontend);
-            let crawler = sim.add_node(
-                "crawler",
-                Crawler::new(CrawlerConfig::new(fe, 100_000, max_id + 1)),
-            );
-            sim.link(crawler, fe, LinkSpec::wan());
-            sim.try_run_until_idle(100_000_000)
-                .expect("crawl terminates");
-            let c = sim.node_ref::<Crawler>(crawler);
+            let crawl = crawl_week(&eco, GROWTH.week_canonical as u32, seed);
             println!(
                 "crawl done in {} virtual time: {} pages fetched, {} applets, {} services, {} 404s, {} retries",
-                sim.now(),
-                c.stats.pages_fetched,
-                c.stats.applets_found,
-                c.services.len(),
-                c.stats.not_found,
-                c.stats.retries
+                crawl.elapsed,
+                crawl.stats.pages_fetched,
+                crawl.stats.applets_found,
+                crawl.snapshot.services.len(),
+                crawl.stats.not_found,
+                crawl.stats.retries
             );
-            let snap = c.snapshot(week, "crawled");
-            println!("crawled add count: {}", snap.total_add_count());
+            println!("crawled add count: {}", crawl.snapshot.total_add_count());
         }
         "help" => print!("{}", usage_text()),
         _ => usage("unknown subcommand"),

@@ -9,10 +9,14 @@
 //! service must not panic, must answer each request exactly once with a
 //! status the protocol knows, and must not leave a relayed action
 //! dangling.
+//!
+//! A second property takes the same shots to a bare [`ServiceCore`]: what
+//! it answers must not depend on what its request memo already holds.
 
 use bytes::Bytes;
 use devices::echo::UTTERANCE_PATH;
 use devices::proxy::EVENTS_PATH;
+use devices::service_core::ServiceCore;
 use devices::services::alexa_service::Alexa;
 use devices::services::datetime_service::DateTime;
 use devices::services::fitbit_service::Fitbit;
@@ -27,7 +31,9 @@ use proptest::prelude::*;
 use simnet::prelude::*;
 use tap_protocol::auth::{ServiceKey, AUTHORIZATION_HEADER, SERVICE_KEY_HEADER};
 use tap_protocol::endpoints::{BATCH_POLL_PATH, STATUS_PATH, TEST_SETUP_PATH};
-use tap_protocol::UserId;
+use tap_protocol::service::ServiceEndpoint;
+use tap_protocol::wire::TriggerEvent;
+use tap_protocol::{ServiceSlug, TriggerIdentity, UserId};
 
 const USER: &str = "author";
 const KEY: &str = "sk_fuzz";
@@ -113,6 +119,25 @@ const UTTERANCES: &[&str] = &[
     "what's on my shopping list",
 ];
 
+/// The triggers a batch body's entries name: two the memo property's core
+/// lists and one nobody does.
+const BATCH_TRIGGERS: &[&str] = &["fuzz_a", "fuzz_b", "not_listed"];
+
+/// A batch poll for [`USER`] with one entry per pick, each subscription
+/// named after its trigger.
+fn batch_json(picks: &[usize]) -> String {
+    let entries: Vec<String> = picks
+        .iter()
+        .map(|p| BATCH_TRIGGERS[p % BATCH_TRIGGERS.len()])
+        .map(|t| {
+            format!(
+                r#"{{"trigger":"{t}","trigger_identity":"ti_{t}","trigger_fields":{{}},"limit":2}}"#
+            )
+        })
+        .collect();
+    format!(r#"{{"user":"{USER}","entries":[{}]}}"#, entries.join(","))
+}
+
 /// One request to fire: which served path (reduced modulo their number),
 /// what body, and whether it carries a valid key and bearer.
 type Shot = (usize, Bytes, bool, bool);
@@ -128,9 +153,25 @@ fn shots() -> impl Strategy<Value = Vec<Shot>> {
     // Weighted towards what gets past the front door, so the vendors'
     // own handlers see traffic too: half the bodies decode, and three in
     // four requests carry the right key (and, separately, bearer).
-    let body = prop_oneof![arbitrary, wrong, nested, right(), right(), right()];
+    let batch = collection::vec(0usize..3, 1..4).prop_map(|picks| Bytes::from(batch_json(&picks)));
+    let body = prop_oneof![arbitrary, wrong, nested, batch, right(), right(), right()];
     let valid = || (0u8..4).prop_map(|roll| roll > 0);
     collection::vec((0usize..64, body, valid(), valid()), 1..12)
+}
+
+/// The request each shot stands for, given the served `paths` and a valid
+/// `bearer`.
+fn requests(shots: &[Shot], paths: &[String], bearer: &str) -> Vec<Request> {
+    let request = |(path, body, key, authorized): &Shot| {
+        Request::post(paths[path % paths.len()].clone())
+            .with_header(SERVICE_KEY_HEADER, if *key { KEY } else { "sk_wrong" })
+            .with_header(
+                AUTHORIZATION_HEADER,
+                if *authorized { bearer } else { "Bearer no" },
+            )
+            .with_body(body.clone())
+    };
+    shots.iter().map(request).collect()
 }
 
 /// Fire `shots` at the service `vendor` makes (given its backend's node)
@@ -171,18 +212,9 @@ fn assail<V: Partner>(vendor: impl FnOnce(NodeId) -> V, backend_status: u16, sho
         let oauth = &mut s.core.endpoint.oauth;
         oauth.mint_token(UserId::new(USER), ctx.rng()).bearer()
     });
-    let requests = shots.iter().map(|(path, body, key, authorized)| {
-        Request::post(paths[path % paths.len()].clone())
-            .with_header(SERVICE_KEY_HEADER, if *key { KEY } else { "sk_wrong" })
-            .with_header(
-                AUTHORIZATION_HEADER,
-                if *authorized { &bearer } else { "Bearer no" },
-            )
-            .with_body(body.clone())
-    });
     let attacker = Attacker {
         service: svc,
-        requests: requests.collect(),
+        requests: requests(shots, &paths, &bearer),
         answers: vec![Vec::new(); shots.len()],
     };
     let attacker = sim.add_node("attacker", attacker);
@@ -213,7 +245,67 @@ fn assail<V: Partner>(vendor: impl FnOnce(NodeId) -> V, backend_status: u16, sho
     assert_eq!(dangling, 0, "{slug}: relays left in flight");
 }
 
+/// Holds a bare core so the memo property can reach it with a [`Context`].
+struct Host(ServiceCore);
+
+impl Node for Host {}
+
+/// Fire `shots` at a new core `passes` times over; what the last pass was
+/// answered with (variant, status, headers, body — the `Debug` of each
+/// `Processed`). The core lists two triggers, an action and a query, and
+/// has events buffered for every subscription a decodable body can name.
+fn last_pass_answers(shots: &[Shot], passes: usize) -> Vec<String> {
+    let mut sim = Sim::new(23);
+    let mut endpoint = ServiceEndpoint::new(ServiceSlug::new("memo"), ServiceKey(KEY.into()))
+        .with_action("act")
+        .with_query("qry");
+    for trigger in &BATCH_TRIGGERS[..2] {
+        endpoint = endpoint.with_trigger(*trigger);
+    }
+    let mut core = ServiceCore::new(endpoint);
+    for (k, ti) in ["ti_fuzz", "ti_fuzz_a", "ti_fuzz_b"]
+        .into_iter()
+        .enumerate()
+    {
+        for e in 0..=k {
+            let event = TriggerEvent::new(format!("{ti}_e{e}"), e as u64);
+            core.buffer.push(&TriggerIdentity(ti.into()), event);
+        }
+    }
+    let host = sim.add_node("memo", Host(core));
+    let bearer = sim.with_node::<Host, _>(host, |h, ctx| {
+        let oauth = &mut h.0.endpoint.oauth;
+        oauth.mint_token(UserId::new(USER), ctx.rng()).bearer()
+    });
+    let slugs = |kind: &str, listed: &[&str]| -> Vec<String> {
+        let listed = listed.iter().chain(&["not_listed"]);
+        listed
+            .map(|slug| format!("/ifttt/v1/{kind}/{slug}"))
+            .collect()
+    };
+    let mut paths = slugs("triggers", &BATCH_TRIGGERS[..2]);
+    paths.extend(slugs("actions", &["act"]));
+    paths.extend(slugs("queries", &["qry"]));
+    paths.extend([BATCH_POLL_PATH, STATUS_PATH, TEST_SETUP_PATH].map(str::to_owned));
+    let requests = requests(shots, &paths, &bearer);
+    let mut answers = Vec::new();
+    for _ in 0..passes {
+        answers = sim.with_node::<Host, _>(host, |h, ctx| {
+            let each = requests.iter().map(|req| h.0.process(ctx, req));
+            each.map(|processed| format!("{processed:?}")).collect()
+        });
+    }
+    answers
+}
+
 proptest! {
+    /// The request memo is unobservable: a core that has seen the whole
+    /// sequence before answers it byte for byte as a fresh one does.
+    #[test]
+    fn a_warmed_core_answers_exactly_as_a_fresh_one(shots in shots()) {
+        prop_assert_eq!(last_pass_answers(&shots, 1), last_pass_answers(&shots, 2));
+    }
+
     #[test]
     fn no_partner_service_panics_hangs_or_double_answers(
         shots in shots(),

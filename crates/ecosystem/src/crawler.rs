@@ -6,11 +6,58 @@
 //! URLs can be systematically retrieved by enumerating a six-digit applet
 //! ID") with bounded concurrency, politeness delays, and 503 retries.
 //! Produces a [`Snapshot`] equivalent to the generator's direct view — an
-//! integration test asserts the equivalence.
+//! integration test asserts the equivalence. [`crawl_week`] is the whole
+//! pipeline for one week, frontend and simulation included.
 
+use crate::frontend::IftttFrontend;
+use crate::generator::Ecosystem;
+use crate::model::week_date_label;
 use crate::snapshot::{AppletRecord, Author, ServiceRecord, Snapshot};
 use crate::taxonomy::Category;
 use simnet::prelude::*;
+
+/// First applet page id the generator assigns: where the id scan starts.
+pub const APPLET_ID_BASE: u32 = 100_000;
+
+/// What one weekly crawl brought back.
+#[derive(Debug, Clone)]
+pub struct Crawl {
+    /// The crawled view of the week, dated by [`week_date_label`].
+    pub snapshot: Snapshot,
+    pub stats: CrawlStats,
+    /// Virtual time the crawl took.
+    pub elapsed: SimTime,
+}
+
+/// The §3.1 pipeline for one week, in a simulation of its own seeded with
+/// `seed`: serve `eco` as of `week` from an [`IftttFrontend`], point a
+/// [`Crawler`] with stock settings at it over a WAN link, run to idle.
+///
+/// # Panics
+/// Panics if the crawl does not finish (it always does against a frontend
+/// that is not overloaded).
+pub fn crawl_week(eco: &Ecosystem, week: u32, seed: u64) -> Crawl {
+    let mut sim = Sim::new(seed);
+    sim.trace_mut().set_enabled(false);
+    let frontend = IftttFrontend::new(eco.clone(), week);
+    let id_hi = frontend.max_applet_id() + 1;
+    let fe = sim.add_node("ifttt.com", frontend);
+    let config = CrawlerConfig::new(fe, APPLET_ID_BASE, id_hi);
+    let crawler = sim.add_node("crawler", Crawler::new(config));
+    sim.link(crawler, fe, LinkSpec::wan());
+    sim.try_run_until_idle(100_000_000)
+        .expect("crawl terminates");
+    let crawler = sim.node_ref::<Crawler>(crawler);
+    assert!(
+        crawler.is_done(),
+        "crawl of week {week} left pages unfetched"
+    );
+    Crawl {
+        snapshot: crawler.snapshot(week, week_date_label(week as usize)),
+        stats: crawler.stats,
+        elapsed: sim.now(),
+    }
+}
 
 /// Extract `data-<attr>="…"` values following a `class="<class>"` marker.
 fn extract_all<'a>(html: &'a str, class: &str, attr: &str) -> Vec<&'a str> {

@@ -77,7 +77,7 @@ impl IftttFrontend {
             .iter()
             .map(|a| a.id)
             .max()
-            .unwrap_or(100_000)
+            .unwrap_or(crate::crawler::APPLET_ID_BASE)
     }
 
     fn service_index_page(&self) -> String {

@@ -1225,7 +1225,7 @@ impl Ecosystem {
         let id_span = ((n_total as f64) / 0.375).ceil() as u32;
         let mut ids: Vec<u32> = rand::seq::index::sample(&mut rng, id_span as usize, n_total)
             .into_iter()
-            .map(|v| 100_000 + v as u32)
+            .map(|v| crate::crawler::APPLET_ID_BASE + v as u32)
             .collect();
         ids.sort_unstable();
         ids.shuffle(&mut rng);
@@ -1449,7 +1449,7 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), n, "ids unique");
-        assert!(ids.iter().all(|&i| i >= 100_000));
+        assert!(ids.iter().all(|&i| i >= crate::crawler::APPLET_ID_BASE));
     }
 
     #[test]

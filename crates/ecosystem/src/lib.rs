@@ -11,7 +11,6 @@
 //! come from either the crawler (full pipeline) or the generator directly
 //! (fast path) — a dedicated test asserts the two agree.
 
-pub mod archive;
 pub mod crawler;
 pub mod frontend;
 pub mod generator;

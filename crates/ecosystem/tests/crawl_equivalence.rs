@@ -2,7 +2,7 @@
 //! serves: crawl the simulated frontend and compare against the direct
 //! snapshot view, including under sporadic 503 overload.
 
-use ecosystem::crawler::{Crawler, CrawlerConfig};
+use ecosystem::crawler::{Crawler, CrawlerConfig, APPLET_ID_BASE};
 use ecosystem::frontend::IftttFrontend;
 use ecosystem::generator::{Ecosystem, GeneratorConfig};
 use ecosystem::model::GROWTH;
@@ -18,7 +18,7 @@ fn crawl(seed: u64, overload: f64) -> (ecosystem::Snapshot, ecosystem::Snapshot,
         let max = f.max_applet_id();
         let fe = sim.add_node("ifttt.com", f);
         sim.node_mut::<IftttFrontend>(fe).overload_rate = overload;
-        let cfg = CrawlerConfig::new(fe, 100_000, max + 1);
+        let cfg = CrawlerConfig::new(fe, APPLET_ID_BASE, max + 1);
         let crawler = sim.add_node("crawler", Crawler::new(cfg));
         sim.link(crawler, fe, LinkSpec::wan());
         (fe, crawler, max)

@@ -35,11 +35,13 @@ use tap_protocol::auth::{
     AccessToken, ServiceKey, AUTHORIZATION_HEADER, REQUEST_ID_HEADER, RETRY_AFTER_HEADER,
     SERVICE_KEY_HEADER,
 };
-use tap_protocol::endpoints::{BATCH_POLL_PATH, REALTIME_NOTIFY_PATH};
+use tap_protocol::endpoints::{
+    BATCH_POLL_PATH, OAUTH_AUTHORIZE_PATH, OAUTH_TOKEN_PATH, REALTIME_NOTIFY_PATH,
+};
 use tap_protocol::error::FailureClass;
 use tap_protocol::wire::{
-    self, BatchPollEntry, BatchPollRequestBody, BatchPollResponseBody, BatchPollResult, ErrorBody,
-    PollResponseBody, RealtimeAckBody, RealtimeNotification, TriggerEvent,
+    self, BatchPollEntry, BatchPollRequestBody, BatchPollResponseBody, ErrorBody, PollResponseBody,
+    RealtimeAckBody, RealtimeNotification, TriggerEvent,
 };
 use tap_protocol::{Interner, ServiceSlug, Symbol, TriggerIdentity, UserId};
 
@@ -90,8 +92,17 @@ pub(crate) struct PollTask {
     pub(crate) poll_body: bytes::Bytes,
     /// What a run of this applet executes, compiled at install.
     pub(crate) plan: Plan,
-    /// Event ids already dispatched, as interned symbols.
+    /// Event ids already dispatched, as interned symbols. Only ever grows
+    /// while the applet is installed — which is what [`PollTask::last_reply`]
+    /// rests on.
     pub(crate) seen: FxHashSet<Symbol>,
+    /// The last non-empty single-poll reply this subscription ingested:
+    /// its exact bytes and how many events it carried. Polls do not consume
+    /// the service's buffer, so until a new event arrives every reply is
+    /// these bytes again; every id in them is in `seen`, so ingesting them
+    /// again could only report `fresh: 0` — which takes the count, not a
+    /// parse.
+    pub(crate) last_reply: Option<(bytes::Bytes, u64)>,
     pub(crate) enabled: bool,
     pub(crate) next_poll: Option<TimerId>,
     /// Absolute time the pending poll timer fires (meaningful only while
@@ -137,6 +148,19 @@ pub(crate) struct PollTask {
     pub(crate) uninstalled: bool,
 }
 
+/// What the engine keeps per coalescing group between rounds.
+#[derive(Debug)]
+pub(crate) struct BatchMemo {
+    /// The members the request was serialized for, in entry order.
+    members: Vec<Slot>,
+    /// The serialized batch request body.
+    request: bytes::Bytes,
+    /// The last non-empty reply these members ingested together, as
+    /// [`PollTask::last_reply`]: exact bytes, events per entry (shared, so
+    /// a replay holds the counts and not the memo).
+    reply: Option<(bytes::Bytes, std::sync::Arc<[u64]>)>,
+}
+
 /// The engine node.
 #[derive(Debug)]
 pub struct TapEngine {
@@ -173,8 +197,10 @@ pub struct TapEngine {
     /// Serialized batch request body per group, reused verbatim while the
     /// group's membership is unchanged — after the first response
     /// phase-locks a group this is every round, so a steady-state batch
-    /// poll clones a `Bytes` handle exactly like a single poll does.
-    pub(crate) batch_bodies: FxHashMap<(Symbol, Symbol, u8), (Vec<Slot>, bytes::Bytes)>,
+    /// poll clones a `Bytes` handle exactly like a single poll does — and
+    /// beside it the last reply that membership ingested. Evicted when a
+    /// member is uninstalled, replaced when a different membership polls.
+    pub(crate) batch_bodies: FxHashMap<(Symbol, Symbol, u8), BatchMemo>,
     /// In-flight activations, classic and multi-step alike; the
     /// generation-checked arena handle is the dispatch id carried by
     /// tokens, timer keys and observation events.
@@ -207,25 +233,6 @@ pub struct TapEngine {
     /// capacity kept) serves the next enqueue, so a steady-state
     /// activation allocates nothing for its run.
     pub(crate) node_pool: Vec<Vec<RunNode>>,
-    /// Parsed non-empty poll replies keyed by exact body bytes. Polls do
-    /// not consume the service's buffer, so an active subscription returns
-    /// the same body every cycle until a new event arrives; one parse then
-    /// serves every repeat. Cleared wholesale when it outgrows the live
-    /// working set of distinct bodies.
-    poll_parse_cache: FxHashMap<bytes::Bytes, std::sync::Arc<ParsedPollBody>>,
-}
-
-/// Upper bound on distinct memoized poll reply bodies. Bodies churn as new
-/// events arrive, so the cache is cleared (capacity kept) at the cap; the
-/// steady-state working set — subscriptions currently re-serving buffered
-/// events — re-fills it within one poll cycle.
-const POLL_PARSE_CACHE_MAX: usize = 4096;
-
-/// A memoized parse of a non-empty poll reply body.
-#[derive(Debug)]
-enum ParsedPollBody {
-    Single(Vec<TriggerEvent>),
-    Batch(Vec<BatchPollResult>),
 }
 
 impl TapEngine {
@@ -263,7 +270,6 @@ impl TapEngine {
             member_pool: Vec::new(),
             event_pool: Vec::new(),
             node_pool: Vec::new(),
-            poll_parse_cache: FxHashMap::default(),
         }
     }
 
@@ -345,11 +351,8 @@ impl TapEngine {
         self.next_oauth += 1;
         self.pending_oauth
             .insert(seq, (user.clone(), service.clone()));
-        let mut body = String::with_capacity(user.0.len() + 12);
-        body.push_str("{\"user\":");
-        serde_json::write_json_str(&mut body, &user.0);
-        body.push('}');
-        let req = Request::post("/oauth2/authorize").with_body(body);
+        let body = wire::to_bytes(&wire::OAuthAuthorizeBody { user });
+        let req = Request::post(OAUTH_AUTHORIZE_PATH).with_body(body);
         ctx.send_request(
             reg.node,
             req,
@@ -433,20 +436,25 @@ impl TapEngine {
             applet: id,
             at: ctx.now(),
         });
-        if let Some(resume_at) = self.clear_realtime(ctx.now(), slot) {
-            let after = if resume_at > ctx.now() {
-                resume_at.since(ctx.now())
-            } else {
-                SimDuration::ZERO
-            };
-            self.schedule_poll(ctx, slot, after);
-            return;
-        }
-        let gap = self
-            .config
-            .polling
-            .next_gap(&self.applets[slot as usize], ctx.rng());
-        self.schedule_poll(ctx, slot, gap);
+        self.schedule_next_poll(ctx, slot);
+    }
+
+    /// Keep the polling chain alive after a poll resolved (or was shed).
+    /// An out-of-band realtime poll restores the schedule its notification
+    /// preempted — a grouped member rejoins its batch group at the saved
+    /// phase instant (immediately, if the detour overran it) — while
+    /// everything else, including a solo realtime poll, draws a fresh
+    /// cadence gap.
+    fn schedule_next_poll(&mut self, ctx: &mut Context<'_>, slot: Slot) {
+        let after = match self.clear_realtime(ctx.now(), slot) {
+            Some(resume_at) if resume_at > ctx.now() => resume_at.since(ctx.now()),
+            Some(_) => SimDuration::ZERO,
+            None => self
+                .config
+                .polling
+                .next_gap(&self.applets[slot as usize], ctx.rng()),
+        };
+        self.schedule_poll(ctx, slot, after);
     }
 
     /// Resolve a subscription's armed realtime poll, if any: clear the
@@ -511,17 +519,9 @@ impl TapEngine {
         }
         self.tasks[slot as usize].poll_sent_at = ctx.now();
         let task = &self.tasks[slot as usize];
-        let (id, owner, trigger_service) = (task.id, task.owner, task.trigger_service);
-        let reg = &self.services[&trigger_service];
-        let bearer = &self.tokens[&(owner, trigger_service)];
-        let request_id: u64 = ctx.rng().gen();
-        let req = Request::post(task.poll_path.clone())
-            .with_header(SERVICE_KEY_HEADER, reg.key.0.clone())
-            .with_header(AUTHORIZATION_HEADER, bearer.clone())
-            .with_header(REQUEST_ID_HEADER, format!("{request_id:016x}"))
-            .with_body(task.poll_body.clone());
-        let node = reg.node;
-        let realtime = task.rt_pending;
+        let (id, trigger_service, realtime) = (task.id, task.trigger_service, task.rt_pending);
+        let (node, req) =
+            self.poll_request(ctx, slot, task.poll_path.clone(), task.poll_body.clone());
         self.obs(ObsEvent::PollSent {
             applet: id,
             service: trigger_service,
@@ -543,6 +543,29 @@ impl TapEngine {
         );
     }
 
+    /// A poll request on behalf of `slot`'s owner and where it goes: `path`
+    /// and `body` under the trigger service's key, the owner's bearer and a
+    /// fresh random request id (one RNG draw). [`TapEngine::poll_gate`] has
+    /// established that the service and the token exist.
+    fn poll_request(
+        &self,
+        ctx: &mut Context<'_>,
+        slot: Slot,
+        path: impl Into<String>,
+        body: bytes::Bytes,
+    ) -> (NodeId, Request) {
+        let task = &self.tasks[slot as usize];
+        let reg = &self.services[&task.trigger_service];
+        let bearer = &self.tokens[&(task.owner, task.trigger_service)];
+        let request_id: u64 = ctx.rng().gen();
+        let req = Request::post(path)
+            .with_header(SERVICE_KEY_HEADER, reg.key.0.clone())
+            .with_header(AUTHORIZATION_HEADER, bearer.clone())
+            .with_header(REQUEST_ID_HEADER, format!("{request_id:016x}"))
+            .with_body(body);
+        (reg.node, req)
+    }
+
     /// Poll-timer entry point when [`EngineConfig::batch_polling`] is on:
     /// coalesce every sibling subscription — same (owner, trigger service,
     /// cadence class) — whose next poll falls inside the jittered window
@@ -555,7 +578,7 @@ impl TapEngine {
             return;
         }
         let task = &self.tasks[slot as usize];
-        let (group, owner, trigger_service) = (task.group, task.owner, task.trigger_service);
+        let (group, trigger_service) = (task.group, task.trigger_service);
         let window =
             SimDuration::from_secs_f64(self.config.coalesce_window.sample(ctx.rng()).max(0.0));
         let horizon = ctx.now() + window;
@@ -591,35 +614,28 @@ impl TapEngine {
             }
             task.poll_sent_at = ctx.now();
         }
-        let reg = &self.services[&trigger_service];
-        let bearer = &self.tokens[&(owner, trigger_service)];
-        let cached = self
-            .batch_bodies
-            .get(&group)
-            .filter(|(cached_for, _)| *cached_for == members)
-            .map(|(_, bytes)| bytes.clone());
-        let body = cached.unwrap_or_else(|| {
+        let cached = self.batch_bodies.get(&group);
+        let cached = cached.filter(|memo| memo.members == members);
+        let body = cached.map(|memo| memo.request.clone()).unwrap_or_else(|| {
             let entries = members
                 .iter()
                 .map(|&m| self.tasks[m as usize].batch_entry.clone())
                 .collect();
-            let bytes = wire::to_bytes(&BatchPollRequestBody {
+            let request = wire::to_bytes(&BatchPollRequestBody {
                 user: self.applets[slot as usize].owner.clone(),
                 entries,
             });
-            self.batch_bodies
-                .insert(group, (members.clone(), bytes.clone()));
-            bytes
+            let memo = BatchMemo {
+                members: members.clone(),
+                request: request.clone(),
+                reply: None,
+            };
+            self.batch_bodies.insert(group, memo);
+            request
         });
         let n = members.len() as u64;
         let seq = self.pending_batches.insert(members);
-        let request_id: u64 = ctx.rng().gen();
-        let req = Request::post(BATCH_POLL_PATH)
-            .with_header(SERVICE_KEY_HEADER, reg.key.0.clone())
-            .with_header(AUTHORIZATION_HEADER, bearer.clone())
-            .with_header(REQUEST_ID_HEADER, format!("{request_id:016x}"))
-            .with_body(body);
-        let node = reg.node;
+        let (node, req) = self.poll_request(ctx, slot, BATCH_POLL_PATH, body);
         self.obs(ObsEvent::BatchPollSent {
             service: trigger_service,
             members: n,
@@ -650,14 +666,14 @@ impl TapEngine {
         // round, and because all members share a cadence class the draw has
         // exactly the per-subscription gap distribution the unbatched path
         // would give each of them — T2A quartiles are preserved.
-        let gap = members
-            .first()
-            .map(|&m| {
-                self.config
-                    .polling
-                    .next_gap(&self.applets[m as usize], ctx.rng())
-            })
-            .unwrap_or(SimDuration::from_secs(60));
+        // (A batch leaves with at least two members, all of one group and so
+        // of one trigger service: the first speaks for them.)
+        let first = members[0] as usize;
+        let (group, service) = (self.tasks[first].group, self.tasks[first].trigger_service);
+        let gap = self
+            .config
+            .polling
+            .next_gap(&self.applets[first], ctx.rng());
         for &m in members {
             // Members uninstalled while the batch was in flight stay off
             // the wheel (schedule_poll also backstops this).
@@ -671,13 +687,6 @@ impl TapEngine {
                 polls: n,
                 at: ctx.now(),
             });
-            let Some((group, service)) = members
-                .first()
-                .map(|&m| &self.tasks[m as usize])
-                .map(|t| (t.group, t.trigger_service))
-            else {
-                return;
-            };
             self.breaker_record(ctx, service, false);
             // Graceful degradation: the whole batch failed as one request,
             // so demote the group to singleton polls for the next cycle.
@@ -691,14 +700,7 @@ impl TapEngine {
                 .insert(group, ctx.now() + gap + SimDuration::from_secs(1));
             return;
         }
-        if self.config.breaker.is_some() {
-            if let Some(service) = members
-                .first()
-                .map(|&m| self.tasks[m as usize].trigger_service)
-            {
-                self.breaker_record(ctx, service, true);
-            }
-        }
+        self.breaker_record(ctx, service, true);
         // Canonical all-empty reply, recognized by bytes like the single
         // poll's empty fast path.
         if *resp.body == *wire::EMPTY_BATCH_JSON {
@@ -708,7 +710,18 @@ impl TapEngine {
             });
             return;
         }
-        let Some(parsed) = self.parse_poll_body(&resp.body, false) else {
+        // The bytes these members ingested last round: replay the counts.
+        let memo = self.batch_bodies.get(&group);
+        let memo = memo.filter(|memo| memo.members == members);
+        let seen = memo.and_then(|memo| memo.reply.as_ref());
+        if let Some((_, received)) = seen.filter(|(body, _)| *body == resp.body) {
+            let received = received.clone();
+            for (&m, &n) in members.iter().zip(&*received) {
+                self.replay_entry(ctx, m, n);
+            }
+            return;
+        }
+        let Ok(parsed) = wire::from_bytes::<BatchPollResponseBody>(&resp.body) else {
             // A 200 with an unparseable body: the service is up (no breaker
             // signal) and the events stay buffered server-side, so the next
             // cycle re-fetches them — no retry needed for delivery.
@@ -718,14 +731,11 @@ impl TapEngine {
             });
             return;
         };
-        let ParsedPollBody::Batch(data) = &*parsed else {
-            unreachable!("parse_poll_body(single=false) returns Batch");
-        };
         // Results come back in entry order; demux by position. Entries are
         // ingested in member order and each entry's dispatch timers are set
         // immediately, so per-subscription FIFO is preserved. An entry for
         // a member uninstalled mid-flight is discarded, not ingested.
-        for (&m, result) in members.iter().zip(data.iter()) {
+        for (&m, result) in members.iter().zip(&parsed.data) {
             if self.tasks[m as usize].uninstalled {
                 self.obs(ObsEvent::PollDiscarded {
                     received: result.data.len() as u64,
@@ -735,78 +745,53 @@ impl TapEngine {
                 self.ingest_poll_events(ctx, m, &result.data);
             }
         }
+        // An uninstall evicts the memo, so one that is still these members'
+        // says every entry above was ingested.
+        let memo = self.batch_bodies.get_mut(&group);
+        if let Some(memo) = memo.filter(|memo| memo.members == members) {
+            let received = parsed.data.iter().map(|r| r.data.len() as u64);
+            memo.reply = Some((resp.body, received.collect()));
+        }
     }
 
-    /// Look up (or parse and memoize) a non-empty poll reply body.
-    /// `single` selects the expected shape; a cached entry of the other
-    /// shape is impossible for bytes that parsed successfully (the two wire
-    /// types have disjoint required fields), but is treated as a miss
-    /// rather than trusted.
-    fn parse_poll_body(
-        &mut self,
-        body: &bytes::Bytes,
-        single: bool,
-    ) -> Option<std::sync::Arc<ParsedPollBody>> {
-        if let Some(hit) = self.poll_parse_cache.get(body) {
-            let shape_matches = matches!(
-                (&**hit, single),
-                (ParsedPollBody::Single(_), true) | (ParsedPollBody::Batch(_), false)
-            );
-            if shape_matches {
-                return Some(hit.clone());
+    /// Ingest one entry of a reply whose exact bytes this subscription (or
+    /// its batch group, every member live) ingested before: every event id
+    /// in it is in `seen`, so this is what [`TapEngine::ingest_poll_events`]
+    /// would make of the parsed entry.
+    fn replay_entry(&mut self, ctx: &mut Context<'_>, slot: Slot, received: u64) {
+        let task = &self.tasks[slot as usize];
+        debug_assert!(!task.uninstalled, "an uninstall drops what it ingested");
+        self.obs(if received == 0 {
+            ObsEvent::PollEmpty {
+                polls: 1,
+                at: ctx.now(),
             }
-        }
-        let parsed = if single {
-            ParsedPollBody::Single(wire::from_bytes::<PollResponseBody>(body).ok()?.data)
         } else {
-            ParsedPollBody::Batch(wire::from_bytes::<BatchPollResponseBody>(body).ok()?.data)
-        };
-        let parsed = std::sync::Arc::new(parsed);
-        if self.poll_parse_cache.len() >= POLL_PARSE_CACHE_MAX {
-            self.poll_parse_cache.clear();
-        }
-        self.poll_parse_cache.insert(body.clone(), parsed.clone());
-        Some(parsed)
+            ObsEvent::PollDelivered {
+                applet: task.id,
+                received,
+                fresh: 0,
+                sent_at: task.poll_sent_at,
+                at: ctx.now(),
+            }
+        });
     }
 
     fn on_poll_response(&mut self, ctx: &mut Context<'_>, slot: Slot, resp: Response) {
         // A response racing the uninstall: drop the payload (counted, not
         // ingested) and never reschedule — the subscription is gone.
         if self.tasks[slot as usize].uninstalled {
-            let received = if resp.is_success() && *resp.body != *wire::EMPTY_POLL_JSON {
-                match self.parse_poll_body(&resp.body, true).as_deref() {
-                    Some(ParsedPollBody::Single(data)) => data.len() as u64,
-                    _ => 0,
-                }
-            } else {
-                0
-            };
+            let body = resp.is_success().then_some(&resp.body);
+            let parsed = body.and_then(|b| wire::from_bytes::<PollResponseBody>(b).ok());
+            let received = parsed.map_or(0, |parsed| parsed.data.len() as u64);
             self.obs(ObsEvent::PollDiscarded {
                 received,
                 at: ctx.now(),
             });
             return;
         }
-        // Always keep the polling chain alive. The response of a realtime
-        // out-of-band poll restores the schedule its notification
-        // preempted — a grouped member rejoins its batch group at the
-        // saved phase instant (immediately, if the detour overran it) —
-        // while everything else, including a solo realtime poll, draws a
-        // fresh cadence gap.
-        if let Some(resume_at) = self.clear_realtime(ctx.now(), slot) {
-            let after = if resume_at > ctx.now() {
-                resume_at.since(ctx.now())
-            } else {
-                SimDuration::ZERO
-            };
-            self.schedule_poll(ctx, slot, after);
-        } else {
-            let gap = self
-                .config
-                .polling
-                .next_gap(&self.applets[slot as usize], ctx.rng());
-            self.schedule_poll(ctx, slot, gap);
-        }
+        // Always keep the polling chain alive.
+        self.schedule_next_poll(ctx, slot);
 
         if !resp.is_success() {
             self.obs(ObsEvent::PollFailed {
@@ -847,10 +832,8 @@ impl TapEngine {
         if self.config.poll_retry.enabled() {
             self.tasks[slot as usize].retries = 0;
         }
-        if self.config.breaker.is_some() {
-            let service = self.tasks[slot as usize].trigger_service;
-            self.breaker_record(ctx, service, true);
-        }
+        let service = self.tasks[slot as usize].trigger_service;
+        self.breaker_record(ctx, service, true);
         // Recognize the canonical empty reply by bytes: no parse needed,
         // and nothing below observes anything an empty body would change.
         if *resp.body == *wire::EMPTY_POLL_JSON {
@@ -860,7 +843,13 @@ impl TapEngine {
             });
             return;
         }
-        let Some(parsed) = self.parse_poll_body(&resp.body, true) else {
+        // The bytes this subscription ingested last time: replay the count.
+        let seen = self.tasks[slot as usize].last_reply.as_ref();
+        if let Some(&(_, received)) = seen.filter(|(body, _)| *body == resp.body) {
+            self.replay_entry(ctx, slot, received);
+            return;
+        }
+        let Ok(parsed) = wire::from_bytes::<PollResponseBody>(&resp.body) else {
             // 200 with garbage: counted, not retried — the events stay in
             // the service buffer and the next cycle re-fetches them.
             self.obs(ObsEvent::PollFailed {
@@ -869,10 +858,8 @@ impl TapEngine {
             });
             return;
         };
-        let ParsedPollBody::Single(data) = &*parsed else {
-            unreachable!("parse_poll_body(single=true) returns Single");
-        };
-        self.ingest_poll_events(ctx, slot, data);
+        self.ingest_poll_events(ctx, slot, &parsed.data);
+        self.tasks[slot as usize].last_reply = Some((resp.body, parsed.data.len() as u64));
     }
 
     /// Shared tail of the single and batched poll paths: dedupe one
@@ -1112,18 +1099,14 @@ impl Node for TapEngine {
             }
             TAG_OAUTH_AUTH => {
                 let seq = token.0 & !TAG_MASK;
-                let Some((user, service)) = self.pending_oauth.get(&seq).cloned() else {
+                let Some((_, service)) = self.pending_oauth.get(&seq).cloned() else {
                     return;
                 };
                 if !resp.is_success() {
                     self.pending_oauth.remove(&seq);
                     return;
                 }
-                #[derive(serde::Deserialize)]
-                struct CodeBody {
-                    code: String,
-                }
-                let Ok(b) = serde_json::from_slice::<CodeBody>(&resp.body) else {
+                let Ok(code) = wire::from_bytes::<wire::OAuthCodeBody>(&resp.body) else {
                     self.pending_oauth.remove(&seq);
                     return;
                 };
@@ -1134,12 +1117,7 @@ impl Node for TapEngine {
                     return;
                 };
                 let node = reg.node;
-                let _ = user;
-                let mut body = String::with_capacity(b.code.len() + 12);
-                body.push_str("{\"code\":");
-                serde_json::write_json_str(&mut body, &b.code);
-                body.push('}');
-                let req = Request::post("/oauth2/token").with_body(body);
+                let req = Request::post(OAUTH_TOKEN_PATH).with_body(wire::to_bytes(&code));
                 let timeout = self.config.request_timeout;
                 ctx.send_request(
                     node,
@@ -1158,15 +1136,11 @@ impl Node for TapEngine {
                 if !resp.is_success() {
                     return;
                 }
-                #[derive(serde::Deserialize)]
-                struct TokenBody {
-                    access_token: String,
-                }
-                if let Ok(b) = serde_json::from_slice::<TokenBody>(&resp.body) {
+                if let Ok(granted) = wire::from_bytes::<wire::OAuthTokenBody>(&resp.body) {
                     if ctx.tracing() {
                         ctx.trace("engine.connected", format!("{user:?} {service}"));
                     }
-                    self.set_token(user, service, AccessToken(b.access_token));
+                    self.set_token(user, service, granted.access_token);
                 }
             }
             _ => {}

@@ -211,6 +211,7 @@ impl TapEngine {
             poll_body,
             plan,
             seen: FxHashSet::default(),
+            last_reply: None,
             enabled: true,
             next_poll: None,
             next_poll_at: SimTime::ZERO,
@@ -267,8 +268,9 @@ impl TapEngine {
             ctx.cancel_timer(timer);
         }
         // The seen-set is the slot's only unbounded allocation; a
-        // tombstone does not need it.
+        // tombstone needs neither it nor the reply it vouched for.
         task.seen = FxHashSet::default();
+        task.last_reply = None;
         let group = task.group;
         let identity_sym = self.syms.get(task.batch_entry.trigger_identity.as_str());
         // Coalescing group: shrink the membership, evict the cached batch

@@ -207,6 +207,65 @@ fn uninstalling_a_grouped_member_reverts_the_survivor_to_solo() {
     assert_conserved(&after);
 }
 
+/// Two byte-identical batch replies with a member uninstalled while the
+/// second is in flight: the reply is the one the engine ingested a round
+/// earlier, so every id in it is already seen — the survivors report
+/// nothing fresh (or empty), the tombstone's entry is discarded by count,
+/// and nothing is dispatched twice.
+#[test]
+fn a_repeated_batch_reply_discards_only_the_member_uninstalled_in_between() {
+    let cfg = EngineConfig::fast().with_batch_polling(true);
+    let mut w = world(cfg, 108, SLOTS);
+    let flight = Arc::new(FlightRecorder::new(1 << 20));
+    w.sim
+        .node_mut::<TapEngine>(w.engine)
+        .set_sink(flight.clone());
+    w.sim.run_until(SimTime::from_secs(5));
+    // Two events on slot 0, one on slot 1, none on slot 2: polls do not
+    // consume the buffer, so every later batch reply is these same bytes.
+    w.emit(0, 0);
+    w.emit(0, 1);
+    w.emit(1, 2);
+    w.sim.run_until(SimTime::from_secs(20));
+    let settled = w.stats();
+    assert_eq!(settled.events_new, 3, "{settled:?}");
+    assert_eq!(settled.actions_ok, 3, "{settled:?}");
+    // Stop at the instant a full batch has left and nothing came back.
+    flight.clear();
+    let full_batch_left = |e: &ObsEvent| matches!(e, ObsEvent::BatchPollSent { members, .. } if *members == SLOTS as u64);
+    while !flight.events().last().is_some_and(full_batch_left) {
+        assert!(w.sim.step(), "the group stopped polling");
+    }
+    let sent_at = w.sim.now();
+    assert_eq!(
+        w.apply(LifecycleEvent::UninstallApplet(AppletId(2))),
+        Ok(LifecycleAck::Uninstalled(AppletId(2)))
+    );
+    flight.clear();
+    while flight.events().len() < 3 {
+        assert!(w.sim.step(), "the batch reply never arrived");
+    }
+    let at = w.sim.now();
+    assert_eq!(
+        flight.events(),
+        vec![
+            ObsEvent::PollDelivered {
+                applet: AppletId(1),
+                received: 2,
+                fresh: 0,
+                sent_at,
+                at,
+            },
+            ObsEvent::PollDiscarded { received: 1, at },
+            ObsEvent::PollEmpty { polls: 1, at },
+        ]
+    );
+    w.sim.run_until(SimTime::from_secs(60));
+    let after = w.stats();
+    assert_eq!(after.events_new, 3, "a seen event was dispatched again");
+    assert_conserved(&after);
+}
+
 #[test]
 fn retirement_drains_in_flight_dispatches_to_dead_letters() {
     let mut w = world(EngineConfig::fast(), 104, 2);

@@ -171,6 +171,11 @@ pub fn decode_config_push(payload: &[u8]) -> Result<ConfigPush, WireError> {
     let config: FleetConfig = serde_json::from_str(json).map_err(|_| WireError::BadPayload {
         context: "config json does not parse",
     })?;
+    // A coordinator is not trusted to have range-checked what it pushes: a
+    // zero `cell_users` or `window_secs` would panic the worker mid-run.
+    let config = config.in_range().map_err(|_| WireError::BadPayload {
+        context: "config value out of its option's range",
+    })?;
     let n = r.u32("cell count")? as usize;
     // 24 bytes per cell must fit in what remains — checked implicitly by
     // the bounded reads below, so a huge count fails fast as Truncated.

@@ -418,6 +418,37 @@ fn config_push_with_bad_json_is_rejected() {
     ));
 }
 
+/// A coordinator's JSON is range-checked like any other text source: the
+/// two values that would panic a worker mid-run come back as typed errors.
+#[test]
+fn config_push_with_an_out_of_range_value_is_rejected() {
+    let good = serde_json::to_string(&every_field_set_config()).unwrap();
+    for (was, now) in [
+        (r#""window_secs":242.25"#, r#""window_secs":0"#),
+        (r#""cell_users":37"#, r#""cell_users":0"#),
+        (r#""realtime_share":0.3"#, r#""realtime_share":1.5"#),
+        (r#""window_secs":242.25"#, r#""window_secs":242.25"#),
+    ] {
+        assert!(good.contains(was), "{was} not in {good}");
+        let json = good.replace(was, now);
+        let mut fb = FrameBuf::new();
+        fb.begin(FrameType::ConfigPush);
+        fb.put_u32(json.len() as u32);
+        fb.put_bytes(json.as_bytes());
+        fb.put_u32(0);
+        let frame = fb.finish().to_vec();
+        let decoded = Frame::decode(FrameType::ConfigPush, &frame[HEADER_LEN..]);
+        if was == now {
+            assert!(matches!(decoded, Ok(Frame::ConfigPush(_))), "{decoded:?}");
+        } else {
+            assert!(
+                matches!(decoded, Err(WireError::BadPayload { .. })),
+                "{now}: {decoded:?}"
+            );
+        }
+    }
+}
+
 // ------------------------------------------------------- byte fixtures
 // Captured at e8f8729, when `FleetMetrics`' field list, `merge_from`,
 // `wire_counters()`, `Serialize` and `counter_for` were five hand-written

@@ -15,16 +15,10 @@
 //! multi_step_share)` — the exact catalog parameters the cells used.
 
 use crate::runner::{FleetConfig, ECO_STREAM};
-use ecosystem::crawler::{Crawler, CrawlerConfig};
-use ecosystem::frontend::IftttFrontend;
-use ecosystem::model::{week_date_label, GROWTH};
+use ecosystem::crawler::crawl_week;
+use ecosystem::model::GROWTH;
 use ecosystem::{Ecosystem, GeneratorConfig};
-use simnet::prelude::*;
 use simnet::rng::derive_seed;
-
-/// First applet id the generator assigns (the crawler scans upward from
-/// here, mirroring `ifttt-lab crawl`).
-const APPLET_ID_BASE: u32 = 100_000;
 
 /// One crawled weekly snapshot of the live ecosystem.
 #[derive(Debug, Clone)]
@@ -73,31 +67,18 @@ impl LiveGrowth {
             scale: cfg.eco_scale,
             multi_step_share: cfg.multi_step_share,
         });
-        let mut sim = Sim::new(derive_seed(cfg.master_seed, 0x11fe_0001));
-        sim.trace_mut().set_enabled(false);
-        let fe = sim.add_node("ifttt.com", IftttFrontend::new(eco, first));
+        let seed = derive_seed(cfg.master_seed, 0x11fe_0001);
         let mut rows = Vec::with_capacity((last - first + 1) as usize);
         let mut pages_fetched = 0u64;
         for week in first..=last {
-            sim.with_node::<IftttFrontend, _>(fe, |node, _| node.set_week(week));
-            let max_id = sim.node_ref::<IftttFrontend>(fe).max_applet_id();
-            let crawler = sim.add_node(
-                format!("crawler-w{week}"),
-                Crawler::new(CrawlerConfig::new(fe, APPLET_ID_BASE, max_id + 1)),
-            );
-            sim.link(crawler, fe, LinkSpec::wan());
-            sim.try_run_until_idle(100_000_000)
-                .expect("weekly crawl terminates");
-            let c = sim.node_ref::<Crawler>(crawler);
-            debug_assert!(c.is_done(), "crawl of week {week} left pages unfetched");
-            let snap = c.snapshot(week, week_date_label(week as usize));
-            pages_fetched += c.stats.pages_fetched;
+            let crawl = crawl_week(&eco, week, seed);
+            pages_fetched += crawl.stats.pages_fetched;
             rows.push(LiveGrowthRow {
                 week,
-                date: snap.date.clone(),
-                services: snap.services.len(),
-                applets: snap.applets.len(),
-                adds: snap.total_add_count(),
+                services: crawl.snapshot.services.len(),
+                applets: crawl.snapshot.applets.len(),
+                adds: crawl.snapshot.total_add_count(),
+                date: crawl.snapshot.date,
             });
         }
         LiveGrowth {

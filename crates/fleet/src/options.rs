@@ -207,6 +207,20 @@ macro_rules! fleet_options {
                 }
             )?)*
 
+            /// This configuration, unless a field lies outside its row's
+            /// range: then the field's name. The builders and the text
+            /// sources cannot produce one; a public field written directly
+            /// or a pushed [`FleetConfig`] (`fleet-wire`) can.
+            pub fn in_range(self) -> Result<FleetConfig, &'static str> {
+                $( if !RangeBounds::<$ty>::contains(&$range, &self.$f) {
+                    return Err(stringify!($f));
+                } )*
+                $( if !RangeBounds::<$sty>::contains(&$srange, &self.$s) {
+                    return Err(stringify!($s));
+                } )*
+                Ok(self)
+            }
+
             /// The line `ifttt-lab fleet` prints before it runs. The
             /// parenthesised knobs are the rows with a banner label, in row order.
             pub fn banner(&self) -> String {
@@ -313,15 +327,18 @@ fleet_options! {
         /// Generator scale of the applet catalog users install from.
         eco_scale: f64 = 0.02, in ..;
         /// Users per cell — the unit of work and the per-shard memory bound.
-        cell_users: u64 = 50, in .., with with_cell_users, banner "cells of";
+        /// At least one: the cell plan divides by it.
+        cell_users: u64 = 50, in 1.., with with_cell_users, banner "cells of";
         /// Seconds before activations start (initial polls establish
         /// subscriptions during this time).
-        settle_secs: f64 = 10.0, in ..;
-        /// Width of the randomized activation window (seconds).
-        window_secs: f64 = 240.0, in ..;
+        settle_secs: f64 = 10.0, in .., with with_settle_secs;
+        /// Width of the randomized activation window (seconds). Positive:
+        /// every activation instant is drawn from inside it.
+        window_secs: f64 = 240.0, in f64::MIN_POSITIVE.., with with_window_secs;
         /// Seconds after the window closes before a cell stops; events still
         /// undelivered then count as lost.
-        drain_secs: f64 = FleetPolicy::IftttLike.default_drain_secs(), in ..;
+        drain_secs: f64 = FleetPolicy::IftttLike.default_drain_secs(), in ..,
+            with with_drain_secs;
         /// Smart policy's hot threshold; `None` derives the p90 add-count knee.
         hot_threshold: Option<u64> = None, in ..;
         /// Coalesce per-(user, service) sibling subscriptions into batch poll

@@ -225,12 +225,12 @@ impl FleetConfig {
         }
     }
 
-    /// Set the settle / activation-window / drain phases (seconds).
-    pub fn with_phases(mut self, settle: f64, window: f64, drain: f64) -> Self {
-        self.settle_secs = settle;
-        self.window_secs = window;
-        self.drain_secs = drain;
-        self
+    /// Set the settle / activation-window / drain phases (seconds), each
+    /// pulled into its row's range like any other builder's value.
+    pub fn with_phases(self, settle: f64, window: f64, drain: f64) -> Self {
+        self.with_settle_secs(settle)
+            .with_window_secs(window)
+            .with_drain_secs(drain)
     }
 
     /// Apply a [`ScenarioSpec`]: every field the spec sets overwrites this

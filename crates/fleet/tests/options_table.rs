@@ -3,7 +3,7 @@
 //! the one resolve step.
 
 use fleet::options::usage_lines;
-use fleet::{ChaosProfile, FleetCli, FleetConfig, ScenarioSpec};
+use fleet::{run_fleet, ChaosProfile, FleetCli, FleetConfig, FleetPolicy, ScenarioSpec};
 
 fn parse(args: &[&str]) -> Result<FleetCli, String> {
     FleetCli::parse(args.iter().map(|a| a.to_string())).map(|(cli, _)| cli)
@@ -124,4 +124,27 @@ fn the_drain_is_settled_once_after_file_and_flags_are_merged() {
         .unwrap_err();
     assert!(err.contains("`realtime_share`"), "{err}");
     std::fs::remove_file(&path).unwrap();
+}
+
+/// `with_cell_users(0)` used to trip the cell plan's assert and
+/// `with_phases(_, 0, _)` an empty `gen_range`: both builders now pull
+/// their value into the row's range, and a field written past them is
+/// caught by `in_range`, which names it.
+#[test]
+fn degenerate_cell_size_and_window_are_clamped_not_panics() {
+    let cfg = FleetConfig::new(100, 1, FleetPolicy::Fast)
+        .with_cell_users(0)
+        .with_phases(2.0, 0.0, 5.0);
+    assert_eq!(cfg.cell_users, 1);
+    assert!(cfg.window_secs > 0.0 && cfg.window_secs < 1e-300);
+    assert_eq!((cfg.settle_secs, cfg.drain_secs), (2.0, 5.0));
+    let report = run_fleet(&cfg.clone().in_range().expect("builders stay in range"));
+    let cells: usize = report.per_shard.iter().map(|s| s.cells).sum();
+    assert_eq!((report.users, cells), (100, 100));
+    let mut zero_window = cfg.clone();
+    zero_window.window_secs = -1.0;
+    assert_eq!(zero_window.in_range().unwrap_err(), "window_secs");
+    let mut no_cells = cfg;
+    no_cells.cell_users = 0;
+    assert_eq!(no_cells.in_range().unwrap_err(), "cell_users");
 }

@@ -22,9 +22,29 @@ pub const REALTIME_NOTIFY_PATH: &str = "/ifttt/v1/realtime/notifications";
 /// subscriptions of one user (the trigger slugs ride in the body).
 pub const BATCH_POLL_PATH: &str = "/ifttt/v1/batch/poll";
 
+/// Path of the hosted OAuth2 authorization page (user-facing: no service key).
+pub const OAUTH_AUTHORIZE_PATH: &str = "/oauth2/authorize";
+
+/// Path of the OAuth2 code-for-token exchange.
+pub const OAUTH_TOKEN_PATH: &str = "/oauth2/token";
+
+/// What every trigger polling endpoint's path starts with.
+const TRIGGER_PREFIX: &str = "/ifttt/v1/triggers/";
+
 /// Path of a trigger polling endpoint.
 pub fn trigger_path(slug: &TriggerSlug) -> String {
-    format!("{API_PREFIX}/triggers/{slug}")
+    format!("{TRIGGER_PREFIX}{slug}")
+}
+
+/// Is `path` exactly [`trigger_path`]`(slug)`? (No allocation.)
+pub fn is_trigger_path(path: &str, slug: &TriggerSlug) -> bool {
+    path.strip_prefix(TRIGGER_PREFIX) == Some(slug.as_str())
+}
+
+/// Does `path` address a polling endpoint — some trigger's, or the batch
+/// one? A prefix test, not [`parse`]: it asks what a request was meant for.
+pub fn is_poll_path(path: &str) -> bool {
+    path.starts_with(TRIGGER_PREFIX) || path == BATCH_POLL_PATH
 }
 
 /// Path of an action execution endpoint.
@@ -59,8 +79,8 @@ pub fn parse(path: &str) -> Option<Endpoint> {
         STATUS_PATH => return Some(Endpoint::Status),
         TEST_SETUP_PATH => return Some(Endpoint::TestSetup),
         BATCH_POLL_PATH => return Some(Endpoint::BatchPoll),
-        "/oauth2/authorize" => return Some(Endpoint::OAuthAuthorize),
-        "/oauth2/token" => return Some(Endpoint::OAuthToken),
+        OAUTH_AUTHORIZE_PATH => return Some(Endpoint::OAuthAuthorize),
+        OAUTH_TOKEN_PATH => return Some(Endpoint::OAuthToken),
         _ => {}
     }
     let rest = path.strip_prefix(API_PREFIX)?;
@@ -80,6 +100,9 @@ mod tests {
     #[test]
     fn builders_and_parser_agree() {
         let t = TriggerSlug::new("any_new_email");
+        assert!(is_trigger_path(&trigger_path(&t), &t) && is_poll_path(&trigger_path(&t)));
+        assert!(!is_trigger_path("/ifttt/v1/triggers/any_new_email/", &t));
+        assert!(is_poll_path(BATCH_POLL_PATH) && !is_poll_path("/ifttt/v1/actions/x"));
         assert_eq!(parse(&trigger_path(&t)), Some(Endpoint::Trigger(t)));
         let a = ActionSlug::new("turn_on_lights");
         assert_eq!(parse(&action_path(&a)), Some(Endpoint::Action(a)));
@@ -89,8 +112,8 @@ mod tests {
     fn fixed_endpoints_parse() {
         assert_eq!(parse(STATUS_PATH), Some(Endpoint::Status));
         assert_eq!(parse(TEST_SETUP_PATH), Some(Endpoint::TestSetup));
-        assert_eq!(parse("/oauth2/authorize"), Some(Endpoint::OAuthAuthorize));
-        assert_eq!(parse("/oauth2/token"), Some(Endpoint::OAuthToken));
+        assert_eq!(parse(OAUTH_AUTHORIZE_PATH), Some(Endpoint::OAuthAuthorize));
+        assert_eq!(parse(OAUTH_TOKEN_PATH), Some(Endpoint::OAuthToken));
         assert_eq!(parse(BATCH_POLL_PATH), Some(Endpoint::BatchPoll));
     }
 

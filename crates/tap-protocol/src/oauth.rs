@@ -12,10 +12,12 @@
 use crate::auth::AccessToken;
 use crate::ids::UserId;
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A one-time authorization code handed to the user's browser redirect.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(transparent)]
 pub struct AuthCode(pub String);
 
 /// Errors of the token-exchange step.

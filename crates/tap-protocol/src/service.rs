@@ -5,19 +5,25 @@
 //! endpoint routing, service-key and token checks, body parsing, response
 //! building — and a [`TriggerBuffer`] to hold trigger events between polls.
 
-use crate::auth::{AccessToken, ServiceKey, AUTHORIZATION_HEADER, SERVICE_KEY_HEADER};
+use crate::auth::{ServiceKey, AUTHORIZATION_HEADER, SERVICE_KEY_HEADER};
 use crate::endpoints::{self, Endpoint};
 use crate::error::ProtocolError;
 use crate::ids::{ActionSlug, QuerySlug, ServiceSlug, TriggerIdentity, TriggerSlug, UserId};
-use crate::intern::Interner;
+use crate::intern::{Interner, Symbol};
 use crate::oauth::{AuthCode, OAuthProvider};
 use crate::wire::{
     self, ActionRequestBody, ActionResponseBody, BatchPollRequestBody, BatchPollResponseBody,
-    BatchPollResult, ErrorBody, PollRequestBody, PollResponseBody, QueryRequestBody,
-    QueryResponseBody, TriggerEvent,
+    BatchPollResult, ErrorBody, OAuthAuthorizeBody, OAuthCodeBody, PollRequestBody,
+    PollResponseBody, QueryRequestBody, QueryResponseBody, TriggerEvent,
 };
+use serde::de::DeserializeOwned;
 use simnet::http::{Method, Request, Response};
 use std::collections::{HashSet, VecDeque};
+
+/// Decode a request's JSON body.
+fn decode<B: DeserializeOwned>(req: &Request) -> Result<B, ProtocolError> {
+    wire::from_bytes(&req.body).map_err(|e| ProtocolError::MalformedBody(e.to_string()))
+}
 
 /// A fully parsed, authenticated inbound request.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,40 +121,27 @@ impl ServiceEndpoint {
     pub fn parse(&self, req: &Request) -> Result<ParsedServiceRequest, ProtocolError> {
         let endpoint = endpoints::parse(&req.path)
             .ok_or_else(|| ProtocolError::UnknownEndpoint(req.path.clone()))?;
+        // The OAuth pages are user-facing; everything else is the engine's
+        // and carries the service key.
+        if !matches!(endpoint, Endpoint::OAuthAuthorize | Endpoint::OAuthToken) {
+            self.check_key(req)?;
+        }
         match endpoint {
-            Endpoint::Status => {
-                self.check_key(req)?;
-                Ok(ParsedServiceRequest::Status)
-            }
-            Endpoint::TestSetup => {
-                self.check_key(req)?;
-                Ok(ParsedServiceRequest::TestSetup)
-            }
-            Endpoint::Trigger(slug) => {
-                self.check_key(req)?;
-                if !self.triggers.contains(&slug) {
-                    return Err(ProtocolError::UnknownTrigger(slug.0));
+            Endpoint::Status => Ok(ParsedServiceRequest::Status),
+            Endpoint::TestSetup => Ok(ParsedServiceRequest::TestSetup),
+            Endpoint::Trigger(trigger) => {
+                if !self.triggers.contains(&trigger) {
+                    return Err(ProtocolError::UnknownTrigger(trigger.0));
                 }
-                let user = self.check_token(req)?;
-                let body: PollRequestBody = wire::from_bytes(&req.body)
-                    .map_err(|e| ProtocolError::MalformedBody(e.to_string()))?;
-                if body.user != user {
-                    return Err(ProtocolError::BadAccessToken);
-                }
+                let (user, body) = self.authed_body(req, |b: &PollRequestBody| &b.user)?;
                 Ok(ParsedServiceRequest::Poll {
                     user,
-                    trigger: slug,
+                    trigger,
                     body,
                 })
             }
             Endpoint::BatchPoll => {
-                self.check_key(req)?;
-                let user = self.check_token(req)?;
-                let body: BatchPollRequestBody = wire::from_bytes(&req.body)
-                    .map_err(|e| ProtocolError::MalformedBody(e.to_string()))?;
-                if body.user != user {
-                    return Err(ProtocolError::BadAccessToken);
-                }
+                let (user, body) = self.authed_body(req, |b: &BatchPollRequestBody| &b.user)?;
                 // Every entry must name a trigger this service exposes; one
                 // bad entry fails the whole batch, like one bad URL would.
                 for entry in &body.entries {
@@ -158,65 +151,47 @@ impl ServiceEndpoint {
                 }
                 Ok(ParsedServiceRequest::BatchPoll { user, body })
             }
-            Endpoint::Action(slug) => {
-                self.check_key(req)?;
-                if !self.actions.contains(&slug) {
-                    return Err(ProtocolError::UnknownAction(slug.0));
+            Endpoint::Action(action) => {
+                if !self.actions.contains(&action) {
+                    return Err(ProtocolError::UnknownAction(action.0));
                 }
-                let user = self.check_token(req)?;
-                let body: ActionRequestBody = wire::from_bytes(&req.body)
-                    .map_err(|e| ProtocolError::MalformedBody(e.to_string()))?;
-                if body.user != user {
-                    return Err(ProtocolError::BadAccessToken);
-                }
-                Ok(ParsedServiceRequest::Action {
-                    user,
-                    action: slug,
-                    body,
-                })
+                let (user, body) = self.authed_body(req, |b: &ActionRequestBody| &b.user)?;
+                Ok(ParsedServiceRequest::Action { user, action, body })
             }
-            Endpoint::Query(slug) => {
-                self.check_key(req)?;
-                if !self.queries.contains(&slug) {
+            Endpoint::Query(query) => {
+                if !self.queries.contains(&query) {
                     return Err(ProtocolError::UnknownEndpoint(req.path.clone()));
                 }
-                let user = self.check_token(req)?;
-                let body: QueryRequestBody = wire::from_bytes(&req.body)
-                    .map_err(|e| ProtocolError::MalformedBody(e.to_string()))?;
-                if body.user != user {
-                    return Err(ProtocolError::BadAccessToken);
-                }
-                Ok(ParsedServiceRequest::Query {
-                    user,
-                    query: slug,
-                    body,
-                })
+                let (user, body) = self.authed_body(req, |b: &QueryRequestBody| &b.user)?;
+                Ok(ParsedServiceRequest::Query { user, query, body })
             }
             Endpoint::OAuthAuthorize => {
-                // User-facing page: no service key; body carries the user id.
                 if req.method != Method::Post {
                     return Err(ProtocolError::MalformedBody("POST required".into()));
                 }
-                #[derive(serde::Deserialize)]
-                struct AuthorizeBody {
-                    user: UserId,
-                }
-                let body: AuthorizeBody = wire::from_bytes(&req.body)
-                    .map_err(|e| ProtocolError::MalformedBody(e.to_string()))?;
+                let body: OAuthAuthorizeBody = decode(req)?;
                 Ok(ParsedServiceRequest::OAuthAuthorize { user: body.user })
             }
             Endpoint::OAuthToken => {
-                #[derive(serde::Deserialize)]
-                struct TokenBody {
-                    code: String,
-                }
-                let body: TokenBody = wire::from_bytes(&req.body)
-                    .map_err(|e| ProtocolError::MalformedBody(e.to_string()))?;
-                Ok(ParsedServiceRequest::OAuthToken {
-                    code: AuthCode(body.code),
-                })
+                let body: OAuthCodeBody = decode(req)?;
+                Ok(ParsedServiceRequest::OAuthToken { code: body.code })
             }
         }
+    }
+
+    /// What every API request goes through once its endpoint is known to
+    /// exist: bearer → user, body → `B`, and the body must claim that user.
+    fn authed_body<B: DeserializeOwned>(
+        &self,
+        req: &Request,
+        claimed: impl Fn(&B) -> &UserId,
+    ) -> Result<(UserId, B), ProtocolError> {
+        let user = self.token_user(req)?;
+        let body: B = decode(req)?;
+        if claimed(&body) != user {
+            return Err(ProtocolError::BadAccessToken);
+        }
+        Ok((user.clone(), body))
     }
 
     /// Authenticate an API request without allocating: service key plus
@@ -226,13 +201,7 @@ impl ServiceEndpoint {
     /// re-authenticate per delivery and skip the parse.
     pub fn authenticate(&self, req: &Request) -> Result<&UserId, ProtocolError> {
         self.check_key(req)?;
-        let token = req
-            .header(AUTHORIZATION_HEADER)
-            .and_then(|h| h.strip_prefix("Bearer "))
-            .ok_or(ProtocolError::BadAccessToken)?;
-        self.oauth
-            .validate_str(token)
-            .ok_or(ProtocolError::BadAccessToken)
+        self.token_user(req)
     }
 
     fn check_key(&self, req: &Request) -> Result<(), ProtocolError> {
@@ -242,14 +211,11 @@ impl ServiceEndpoint {
         }
     }
 
-    fn check_token(&self, req: &Request) -> Result<UserId, ProtocolError> {
-        let token = req
-            .header(AUTHORIZATION_HEADER)
-            .and_then(AccessToken::from_bearer)
-            .ok_or(ProtocolError::BadAccessToken)?;
-        self.oauth
-            .validate(&token)
-            .cloned()
+    /// The user the request's bearer token was issued to.
+    fn token_user(&self, req: &Request) -> Result<&UserId, ProtocolError> {
+        req.header(AUTHORIZATION_HEADER)
+            .and_then(|h| h.strip_prefix("Bearer "))
+            .and_then(|token| self.oauth.validate_str(token))
             .ok_or(ProtocolError::BadAccessToken)
     }
 
@@ -296,10 +262,13 @@ impl ServiceEndpoint {
 /// events (newest first) and *does not* consume them — the engine
 /// de-duplicates by event id across polls.
 ///
-/// Internally, identities are interned once into a private
-/// [`crate::Interner`] and the per-subscription state lives in a dense
-/// slab indexed by the symbol, so the steady-state push/poll path hashes
-/// each identity string once and never clones it.
+/// Identities are interned once into a private [`crate::Interner`] and the
+/// per-subscription state lives in a dense vector indexed by the symbol.
+/// That symbol is the subscription's *slot*: [`TriggerBuffer::slot`] hands
+/// it out, and a caller that keeps it (a service core keeps one per
+/// subscription record) pushes and polls without hashing the identity
+/// again. The identity-keyed methods are the same operations, one lookup
+/// first.
 #[derive(Debug, Default)]
 pub struct TriggerBuffer {
     syms: Interner,
@@ -351,25 +320,33 @@ impl TriggerBuffer {
         }
     }
 
-    fn slot_mut(&mut self, identity: &TriggerIdentity) -> &mut BufferSlot {
-        let sym = self.syms.intern(identity.as_str());
-        let idx = sym.index() as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize_with(idx + 1, BufferSlot::default);
+    /// The subscription's slot, made on first sight. Slots are dense, start
+    /// at zero and are never reused or dropped.
+    pub fn slot(&mut self, identity: &TriggerIdentity) -> Symbol {
+        let slot = self.syms.intern(identity.as_str());
+        if slot.index() as usize >= self.slots.len() {
+            self.slots
+                .resize_with(slot.index() as usize + 1, BufferSlot::default);
         }
-        &mut self.slots[idx]
+        slot
     }
 
-    fn slot(&self, identity: &TriggerIdentity) -> Option<&BufferSlot> {
-        let sym = self.syms.get(identity.as_str())?;
-        self.slots.get(sym.index() as usize)
+    fn known(&self, identity: &TriggerIdentity) -> Option<&BufferSlot> {
+        let slot = self.syms.get(identity.as_str())?;
+        self.slots.get(slot.index() as usize)
     }
 
     /// Record an event for a subscription. Duplicate event ids are ignored.
     /// Returns true if the event was newly recorded.
     pub fn push(&mut self, identity: &TriggerIdentity, event: TriggerEvent) -> bool {
+        let slot = self.slot(identity);
+        self.push_at(slot, event)
+    }
+
+    /// [`TriggerBuffer::push`] by slot.
+    pub fn push_at(&mut self, slot: Symbol, event: TriggerEvent) -> bool {
         let cap = self.cap;
-        let slot = self.slot_mut(identity);
+        let slot = &mut self.slots[slot.index() as usize];
         if !slot.seen.insert(event.meta.id.clone()) {
             return false;
         }
@@ -385,7 +362,7 @@ impl TriggerBuffer {
 
     /// The newest `limit` events for a subscription, newest first.
     pub fn latest(&self, identity: &TriggerIdentity, limit: usize) -> Vec<TriggerEvent> {
-        let Some(slot) = self.slot(identity) else {
+        let Some(slot) = self.known(identity) else {
             return Vec::new();
         };
         slot.events.iter().rev().take(limit).cloned().collect()
@@ -393,7 +370,7 @@ impl TriggerBuffer {
 
     /// Number of buffered events for a subscription.
     pub fn len(&self, identity: &TriggerIdentity) -> usize {
-        self.slot(identity).map_or(0, |s| s.events.len())
+        self.known(identity).map_or(0, |s| s.events.len())
     }
 
     /// True if nothing is buffered for a subscription.
@@ -403,33 +380,24 @@ impl TriggerBuffer {
 
     /// Drop a subscription's buffer entirely.
     pub fn clear(&mut self, identity: &TriggerIdentity) {
-        if let Some(sym) = self.syms.get(identity.as_str()) {
-            if let Some(slot) = self.slots.get_mut(sym.index() as usize) {
-                slot.events.clear();
-                slot.seen.clear();
-                slot.cache = None;
-            }
+        if let Some(slot) = self.syms.get(identity.as_str()) {
+            let slot = &mut self.slots[slot.index() as usize];
+            slot.events.clear();
+            slot.seen.clear();
+            slot.cache = None;
         }
     }
 
-    /// The subscription's slot, if it exists and holds any events.
-    fn live_slot_mut(&mut self, identity: &TriggerIdentity) -> Option<&mut BufferSlot> {
-        let sym = self.syms.get(identity.as_str())?;
-        let slot = self.slots.get_mut(sym.index() as usize)?;
+    /// The slot's serialization for `limit`, (re)built if it is missing or
+    /// was built for a different limit; `None` while the slot holds no
+    /// events. Byte-identical to what [`ServiceEndpoint::poll_ok`] would
+    /// serialize from [`TriggerBuffer::latest`].
+    fn serialized(&mut self, slot: Symbol, limit: usize) -> Option<&SerializedPoll> {
+        let slot = &mut self.slots[slot.index() as usize];
         if slot.events.is_empty() {
-            None
-        } else {
-            Some(slot)
+            return None;
         }
-    }
-
-    /// (Re)build the slot's serialization for `limit` if it is missing or
-    /// was built for a different limit. Byte-identical to what
-    /// [`ServiceEndpoint::poll_ok`] would serialize from
-    /// [`TriggerBuffer::latest`].
-    fn ensure_serialized(slot: &mut BufferSlot, limit: usize) -> &SerializedPoll {
-        let stale = !matches!(&slot.cache, Some(c) if c.limit == limit);
-        if stale {
+        if !matches!(&slot.cache, Some(c) if c.limit == limit) {
             let events: Vec<&TriggerEvent> = slot.events.iter().rev().take(limit).collect();
             let frag = serde_json::to_string(&events).expect("wire types serialize");
             let mut body = String::with_capacity(frag.len() + 9);
@@ -443,41 +411,28 @@ impl TriggerBuffer {
                 body: bytes::Bytes::from(body),
             });
         }
-        slot.cache.as_ref().expect("just ensured")
+        slot.cache.as_ref()
     }
 
     /// The full reply body for a single-subscription poll, plus the number
     /// of events it carries. Repeat polls of an unchanged buffer reuse the
     /// cached serialization (the returned [`bytes::Bytes`] is a refcount
     /// clone, not a fresh allocation).
-    pub fn poll_response(
-        &mut self,
-        identity: &TriggerIdentity,
-        limit: usize,
-    ) -> (bytes::Bytes, usize) {
-        match self.live_slot_mut(identity) {
-            Some(slot) => {
-                let c = Self::ensure_serialized(slot, limit);
-                (c.body.clone(), c.count)
-            }
+    pub fn poll_response(&mut self, slot: Symbol, limit: usize) -> (bytes::Bytes, usize) {
+        match self.serialized(slot, limit) {
+            Some(c) => (c.body.clone(), c.count),
             None => (wire::empty_poll_body(), 0),
         }
     }
 
     /// Append one batch-poll result fragment
-    /// (`{"data":[…],"trigger_identity":"…"}`) for `identity` to `out`;
-    /// returns the number of events included. Key order matches the derived
+    /// (`{"data":[…],"trigger_identity":"…"}`) for `slot` to `out`; returns
+    /// the number of events included. Key order matches the derived
     /// [`wire::BatchPollResult`] serialization (alphabetical).
-    pub fn write_batch_result(
-        &mut self,
-        identity: &TriggerIdentity,
-        limit: usize,
-        out: &mut String,
-    ) -> usize {
+    pub fn write_batch_result(&mut self, slot: Symbol, limit: usize, out: &mut String) -> usize {
         out.push_str("{\"data\":");
-        let count = match self.live_slot_mut(identity) {
-            Some(slot) => {
-                let c = Self::ensure_serialized(slot, limit);
+        let count = match self.serialized(slot, limit) {
+            Some(c) => {
                 out.push_str(&c.frag);
                 c.count
             }
@@ -487,7 +442,7 @@ impl TriggerBuffer {
             }
         };
         out.push_str(",\"trigger_identity\":");
-        serde_json::write_json_str(out, identity.as_str());
+        serde_json::write_json_str(out, self.syms.resolve(slot));
         out.push('}');
         count
     }
@@ -797,23 +752,24 @@ mod tests {
                 TriggerEvent::new(format!("e{i}"), i).with_ingredient("k", format!("v{i}")),
             );
         }
-        let (body, count) = b.poll_response(&ti(1), 3);
+        let (one, two) = (b.slot(&ti(1)), b.slot(&ti(2)));
+        let (body, count) = b.poll_response(one, 3);
         assert_eq!(count, 3);
         let via_serde = ServiceEndpoint::poll_ok(b.latest(&ti(1), 3));
         assert_eq!(&*body, &*via_serde.body);
         // Second poll returns the same storage (refcount clone).
-        let (again, _) = b.poll_response(&ti(1), 3);
+        let (again, _) = b.poll_response(one, 3);
         assert_eq!(&*again, &*body);
         // A push invalidates the cache.
         b.push(&ti(1), TriggerEvent::new("e9", 9));
-        let (fresh, count) = b.poll_response(&ti(1), 3);
+        let (fresh, count) = b.poll_response(one, 3);
         assert_eq!(count, 3);
         assert_eq!(
             &*fresh,
             &*ServiceEndpoint::poll_ok(b.latest(&ti(1), 3)).body
         );
         // Empty subscription: the static fast-path bytes.
-        let (empty, count) = b.poll_response(&ti(2), 3);
+        let (empty, count) = b.poll_response(two, 3);
         assert_eq!(count, 0);
         assert_eq!(&*empty, wire::EMPTY_POLL_JSON);
     }
@@ -823,10 +779,11 @@ mod tests {
         let mut b = TriggerBuffer::new();
         b.push(&ti(1), TriggerEvent::new("e1", 1).with_ingredient("a", "x"));
         b.push(&ti(1), TriggerEvent::new("e2", 2));
+        let (one, two) = (b.slot(&ti(1)), b.slot(&ti(2)));
         let mut out = String::from("{\"data\":[");
-        let n1 = b.write_batch_result(&ti(1), 50, &mut out);
+        let n1 = b.write_batch_result(one, 50, &mut out);
         out.push(',');
-        let n2 = b.write_batch_result(&ti(2), 50, &mut out);
+        let n2 = b.write_batch_result(two, 50, &mut out);
         out.push_str("]}");
         assert_eq!((n1, n2), (2, 0));
         let via_serde = ServiceEndpoint::batch_poll_ok(vec![

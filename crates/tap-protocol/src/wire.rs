@@ -3,7 +3,9 @@
 //! Bodies are serialized with `serde_json` into real JSON bytes, so message
 //! sizes and parse failures behave like the production protocol.
 
+use crate::auth::AccessToken;
 use crate::ids::{FieldMap, ServiceSlug, TriggerIdentity, TriggerSlug, UserId};
+use crate::oauth::AuthCode;
 
 use bytes::Bytes;
 use serde::de::DeserializeOwned;
@@ -274,6 +276,38 @@ pub struct QueryRequestBody {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryResponseBody {
     pub data: FieldMap,
+}
+
+/// User → service, on the hosted authorization page: who is consenting.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct OAuthAuthorizeBody {
+    pub user: UserId,
+}
+
+/// A one-time authorization code on the wire: the service's answer to a
+/// consent, and the engine's request to exchange it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct OAuthCodeBody {
+    pub code: AuthCode,
+}
+
+/// Service → engine: the access token a code was exchanged for.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct OAuthTokenBody {
+    pub access_token: AccessToken,
+    /// `"Bearer"` from our services; a body without it still decodes.
+    #[serde(default)]
+    pub token_type: String,
+}
+
+impl OAuthTokenBody {
+    /// The grant of a bearer token.
+    pub fn bearer(access_token: AccessToken) -> Self {
+        OAuthTokenBody {
+            access_token,
+            token_type: "Bearer".into(),
+        }
+    }
 }
 
 /// Error body: `{"errors": [{"message": "..."}]}`.

@@ -10,12 +10,14 @@ use proptest::prelude::*;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use serde_json::Value;
+use tap_protocol::oauth::AuthCode;
 use tap_protocol::steps::{StepFailurePolicy, StepNode, StepPredicate, StepSpec};
 use tap_protocol::wire::{
     self, ActionOutcome, ActionRequestBody, ActionResponseBody, BatchPollEntry,
     BatchPollRequestBody, BatchPollResponseBody, BatchPollResult, ErrorBody, EventMeta,
-    PollRequestBody, PollResponseBody, QueryRequestBody, QueryResponseBody, RealtimeAckBody,
-    RealtimeChannel, RealtimeItem, RealtimeNotification, RealtimeNotificationV1, TriggerEvent,
+    OAuthAuthorizeBody, OAuthCodeBody, OAuthTokenBody, PollRequestBody, PollResponseBody,
+    QueryRequestBody, QueryResponseBody, RealtimeAckBody, RealtimeChannel, RealtimeItem,
+    RealtimeNotification, RealtimeNotificationV1, TriggerEvent,
 };
 use tap_protocol::{
     AccessToken, FieldMap, ServiceKey, ServiceSlug, TriggerIdentity, TriggerSlug, UserId,
@@ -166,6 +168,31 @@ fn action_query_and_error_bodies_are_pinned() {
         &ErrorBody::message("nope: \"bad\""),
         r#"{"errors":[{"message":"nope: \"bad\""}]}"#,
     );
+}
+
+/// The three OAuth bodies, byte for byte what the engine and the service
+/// core assembled by hand before the structs existed.
+#[test]
+fn oauth_bodies_are_pinned() {
+    pin(
+        &OAuthAuthorizeBody {
+            user: UserId::new(TRICKY),
+        },
+        "{\"user\":\"q\\\" b\\\\ /\\n\\r\\t\\b\\f\\u0001\\u001f\u{7f}é€\u{1F600}\"}",
+    );
+    pin(
+        &OAuthCodeBody {
+            code: AuthCode("ac_00000000353a4d52f07a6e24".into()),
+        },
+        r#"{"code":"ac_00000000353a4d52f07a6e24"}"#,
+    );
+    pin(
+        &OAuthTokenBody::bearer(AccessToken("at_c677b18ff47ab559bc22a870e22b7d0f".into())),
+        r#"{"access_token":"at_c677b18ff47ab559bc22a870e22b7d0f","token_type":"Bearer"}"#,
+    );
+    // The engine never read `token_type`; a grant without one still decodes.
+    let bare: OAuthTokenBody = wire::from_bytes(br#"{"access_token":"at_1"}"#).unwrap();
+    assert_eq!(bare.access_token, AccessToken("at_1".into()));
 }
 
 #[test]

@@ -3,35 +3,16 @@
 //! run the longitudinal analysis on the result.
 
 use ifttt_core::analysis::GrowthReport;
-use ifttt_core::ecosystem::crawler::{Crawler, CrawlerConfig};
-use ifttt_core::ecosystem::frontend::IftttFrontend;
+use ifttt_core::ecosystem::crawler::crawl_week;
 use ifttt_core::ecosystem::generator::{Ecosystem, GeneratorConfig};
-use ifttt_core::ecosystem::model::week_date_label;
 use ifttt_core::ecosystem::Snapshot;
-use ifttt_core::simnet::prelude::*;
-
-fn crawl_week(eco: &Ecosystem, week: u32, seed: u64) -> Snapshot {
-    let mut sim = Sim::new(seed);
-    let frontend = IftttFrontend::new(eco.clone(), week);
-    let max_id = frontend.max_applet_id();
-    let fe = sim.add_node("ifttt.com", frontend);
-    let crawler = sim.add_node(
-        "crawler",
-        Crawler::new(CrawlerConfig::new(fe, 100_000, max_id + 1)),
-    );
-    sim.link(crawler, fe, LinkSpec::wan());
-    sim.try_run_until_idle(30_000_000).expect("crawl completes");
-    assert!(sim.node_ref::<Crawler>(crawler).is_done());
-    sim.node_ref::<Crawler>(crawler)
-        .snapshot(week, week_date_label(week as usize))
-}
 
 #[test]
 fn weekly_crawls_support_longitudinal_analysis() {
     let eco = Ecosystem::generate(GeneratorConfig::test_scale(77));
     // Crawl week 0 and week 19 (the paper's growth comparison pair).
-    let w0 = crawl_week(&eco, 0, 1);
-    let w19 = crawl_week(&eco, 19, 2);
+    let w0 = crawl_week(&eco, 0, 1).snapshot;
+    let w19 = crawl_week(&eco, 19, 2).snapshot;
 
     // Archive + reload round trip (the paper kept ~200 GB of snapshots;
     // we keep JSON).
@@ -61,17 +42,7 @@ fn weekly_crawls_support_longitudinal_analysis() {
 #[test]
 fn crawler_stats_reflect_the_id_space() {
     let eco = Ecosystem::generate(GeneratorConfig::test_scale(78));
-    let mut sim = Sim::new(3);
-    let frontend = IftttFrontend::new(eco.clone(), 18);
-    let max_id = frontend.max_applet_id();
-    let fe = sim.add_node("ifttt.com", frontend);
-    let crawler = sim.add_node(
-        "crawler",
-        Crawler::new(CrawlerConfig::new(fe, 100_000, max_id + 1)),
-    );
-    sim.link(crawler, fe, LinkSpec::wan());
-    sim.try_run_until_idle(30_000_000).expect("crawl completes");
-    let stats = sim.node_ref::<Crawler>(crawler).stats;
+    let stats = crawl_week(&eco, 18, 3).stats;
     let expected = eco.snapshot(18).applets.len() as u64;
     assert_eq!(stats.applets_found, expected);
     // The six-digit id space is sparse: many enumerated ids are 404s.
