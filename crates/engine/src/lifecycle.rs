@@ -117,7 +117,9 @@ impl TapEngine {
                     self.config.realtime_allowlist.insert(slug.clone());
                 }
                 self.register_service(slug.clone(), node, key);
-                ctx.trace("engine.service_onboarded", slug.0.clone());
+                if ctx.tracing() {
+                    ctx.trace("engine.service_onboarded", slug.0.clone());
+                }
                 Ok(LifecycleAck::Onboarded(slug))
             }
             LifecycleEvent::RetireService(slug) => self.do_retire(ctx, slug),
@@ -358,7 +360,9 @@ impl TapEngine {
         self.tokens.retain(|&(_, s), _| s != sym);
         self.config.realtime_allowlist.remove(&slug);
         self.breakers.remove(&sym);
-        ctx.trace("engine.service_retired", slug.0.clone());
+        if ctx.tracing() {
+            ctx.trace("engine.service_retired", slug.0.clone());
+        }
         Ok(LifecycleAck::Retired {
             service: slug,
             applets_removed,

@@ -1,7 +1,20 @@
-//! The distributed coordinator: spawn `fleet-shard` workers, push each a
-//! contiguous cell range, merge their streamed deltas, and assemble the
-//! same [`FleetReport`] the in-process runner produces — byte-for-byte
-//! the same digest.
+//! The distributed coordinator: spawn `fleet-shard` workers, deal the
+//! cells across them round-robin, commit their streamed deltas, and
+//! assemble the same [`FleetReport`] the in-process runner produces —
+//! byte-for-byte the same digest.
+//!
+//! ## Who owns what
+//!
+//! * One **reader thread per connection** owns that socket's read half
+//!   and nothing else: it forwards each frame as `(slot, type, payload)`,
+//!   then the reason the stream ended, and never looks inside a payload.
+//! * The **main loop** owns everything the frames mean — the plan, the
+//!   merged metrics, each connection's digest mirror, which cells are
+//!   done — in one `Commit` state machine: data in, decision out. It is
+//!   the only thread that validates or applies, so there is no lock, and
+//!   a rejoin's undone-scan cannot observe a half-applied cell because
+//!   scan and apply are the same thread. `Commit` touches no socket,
+//!   which is what lets its unit tests drive it with encoded frames alone.
 //!
 //! ## Why the digest survives the process boundary
 //!
@@ -11,16 +24,19 @@
 //! coordinator's job reduces to guaranteeing **exactly-once commit** per
 //! cell:
 //!
-//! * a cell commits atomically when its `MetricsDelta` frame is applied
-//!   (any `AttributionDelta` for the cell is stashed and folded in at
-//!   the same instant, under the same lock);
-//! * a per-run `done` set drops duplicates, so a worker that died after
-//!   sending a cell and a replacement that re-ran it cannot double-count;
-//! * a dead worker's **uncommitted** cells are exactly its assigned
-//!   range minus the `done` set — a suffix of its contiguous range —
-//!   and re-running them on a fresh worker reproduces the lost results
-//!   exactly, because nothing about a cell depends on which process runs
-//!   it.
+//! * a delta is accepted only from the connection its cell was dealt to,
+//!   and only for a cell of the plan — anything else takes that worker
+//!   down with nothing applied;
+//! * a cell commits when its `MetricsDelta` is applied (any
+//!   `AttributionDelta` for the cell is stashed and folded in at the
+//!   same step), after the whole payload validated;
+//! * a dense per-cell `done` flag drops duplicates, so no cell can be
+//!   counted twice whoever sends it again;
+//! * a dead worker's **uncommitted** cells are exactly its deal minus
+//!   the done cells, and re-running them on a fresh worker reproduces
+//!   the lost results exactly, because nothing about a cell depends on
+//!   which process runs it. That filter is all a rejoin needs, so the
+//!   deal is [`assign_round_robin`], the same as the in-process runner's.
 //!
 //! Crash detection is read-driven: every worker heartbeats a `Progress`
 //! frame every ~2 s, and each reader thread's socket carries a read
@@ -30,25 +46,21 @@
 //! its local merged metrics, which must equal the digest of what the
 //! coordinator committed on that worker's behalf.
 
-use crate::frame::{read_frame, FrameBuf, FrameType, WireError};
+use crate::frame::{read_frame, write_frame, FrameBuf, FrameType, PayloadReader, WireError};
 use crate::messages::{
-    apply_attribution_delta, apply_metrics_delta, decode_final_report, decode_hello,
-    decode_progress, encode_config_push, encode_drain, validate_attribution_delta,
-    validate_metrics_delta, FinalReport,
+    apply_attribution_delta, apply_metrics_delta, encode_config_push, encode_drain,
+    validate_attribution_delta, validate_metrics_delta, FinalReport, Frame,
 };
 use crate::worker::WorkerOptions;
 use fleet::shard::CellSpec;
 use fleet::{
-    assign_contiguous, fnv1a, plan_cells, population, FleetConfig, FleetMetrics, FleetReport,
+    assign_round_robin, fnv1a, plan_cells, population, FleetConfig, FleetMetrics, FleetReport,
     Progress, ShardSummary,
 };
-use std::collections::{HashMap, HashSet};
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Chaos injection for one initial worker slot (test hook; replacement
@@ -165,41 +177,200 @@ pub struct DistributedOutcome {
     pub workers_spawned: usize,
 }
 
-/// Commit state shared between reader threads: which cells have been
-/// folded into the merged metrics. Applies happen under this lock so a
-/// rejoin's undone-scan can never observe a half-applied cell.
-struct CommitState {
-    done: HashSet<u64>,
+/// One cell of the plan as the commit path sees it (index = cell id).
+struct PlannedCell {
+    spec: CellSpec,
+    /// The connection it is currently dealt to — the only one whose
+    /// deltas for it are accepted.
+    owner: usize,
+    done: bool,
 }
 
-/// What reader threads report to the main loop.
-enum Event {
-    /// A heartbeat arrived (liveness only; progress is driven by
-    /// commits so replacements don't double-report).
-    Heartbeat,
-    CellCommitted {
-        slot: usize,
-        cell: u64,
-    },
-    Final {
-        slot: usize,
-        report: FinalReport,
-        committed_digest: u64,
-    },
-    Down {
-        slot: usize,
-        reason: String,
-    },
-}
-
-struct WorkerSlot {
-    worker_id: u32,
-    assigned: Vec<CellSpec>,
-    write_half: TcpStream,
-    alive: bool,
-    /// Cells committed from this slot (progress callback bookkeeping).
-    committed: usize,
+/// One connection's ledger (index = slot = the worker's id).
+struct Dealt {
+    cells_total: usize,
+    cells_done: usize,
     users_done: u64,
+    /// The sum of every delta committed from this connection; its digest
+    /// must equal the worker's own at the final handshake.
+    mirror: FleetMetrics,
+    /// A validated attribution payload and its cell, held until that
+    /// cell's metrics delta commits.
+    stash: Option<(u64, Vec<u8>)>,
+    /// Until its final report or its loss; later messages are ignored.
+    live: bool,
+}
+
+/// What a reader forwards: a frame as it arrived, or why there will be
+/// no more.
+type Message = Result<(FrameType, Vec<u8>), String>;
+
+/// The commit path's decision on one message.
+#[derive(Debug)]
+enum Step {
+    /// Nothing to do: a heartbeat (liveness only — progress is driven by
+    /// commits so a replacement never double-reports), a stashed
+    /// attribution delta, a duplicate cell, or anything from a connection
+    /// already closed out.
+    Quiet,
+    /// A cell committed; the beat to report.
+    Committed(Progress),
+    /// The worker reported, and its digest agrees with its mirror.
+    Final(FinalReport),
+    /// The worker is lost to the run; [`Commit::undone`] is what to re-run.
+    Down(String),
+}
+
+/// Everything the frames mean, owned by the main loop: which cells are
+/// dealt to whom, which are done, and the metrics committed so far.
+struct Commit {
+    merged: FleetMetrics,
+    cells: Vec<PlannedCell>,
+    dealt: Vec<Dealt>,
+    /// Cells not yet committed.
+    remaining: usize,
+}
+
+impl Commit {
+    /// `cells` is the whole plan, dense in cell id (as [`plan_cells`] makes it).
+    fn new(cells: &[CellSpec]) -> Commit {
+        let plan = |&spec| PlannedCell {
+            spec,
+            owner: usize::MAX,
+            done: false,
+        };
+        Commit {
+            merged: FleetMetrics::default(),
+            cells: cells.iter().map(plan).collect(),
+            dealt: Vec::new(),
+            remaining: cells.len(),
+        }
+    }
+
+    /// Open the next connection's ledger and hand it `assigned` (cells of
+    /// the plan). Returns its slot, which is also the worker's id.
+    fn deal(&mut self, assigned: &[CellSpec]) -> usize {
+        let slot = self.dealt.len();
+        for c in assigned {
+            self.cells[c.cell as usize].owner = slot;
+        }
+        self.dealt.push(Dealt {
+            cells_total: assigned.len(),
+            cells_done: 0,
+            users_done: 0,
+            mirror: FleetMetrics::default(),
+            stash: None,
+            live: true,
+        });
+        slot
+    }
+
+    /// Decide one message from `slot`'s reader. `Err` fails the whole run.
+    fn step(&mut self, slot: usize, msg: Message) -> Result<Step, DistributedError> {
+        if !self.dealt[slot].live {
+            return Ok(Step::Quiet);
+        }
+        let step = msg
+            .and_then(|(ftype, payload)| self.accept(slot, ftype, payload))
+            .unwrap_or_else(Step::Down);
+        if let Step::Final(report) = &step {
+            let committed = fnv1a(self.dealt[slot].mirror.to_json().as_bytes());
+            if report.digest != committed {
+                return Err(DistributedError::DigestMismatch {
+                    worker_id: report.worker_id,
+                    reported: report.digest,
+                    committed,
+                });
+            }
+        }
+        if matches!(step, Step::Final(_) | Step::Down(_)) {
+            self.dealt[slot].live = false;
+        }
+        Ok(step)
+    }
+
+    /// Validate one frame completely, then apply it. `Err` is why its
+    /// sender goes down; nothing was applied.
+    fn accept(&mut self, slot: usize, ftype: FrameType, payload: Vec<u8>) -> Result<Step, String> {
+        let wire = |e: WireError| e.to_string();
+        let w = &mut self.dealt[slot];
+        // Every worker → coordinator payload starts with the sender's id.
+        let sender = PayloadReader::new(&payload)
+            .u32("sender id")
+            .map_err(wire)?;
+        if sender != slot as u32 {
+            return Err(format!(
+                "{ftype:?} frame stamped worker {sender} on worker {slot}'s connection"
+            ));
+        }
+        match ftype {
+            FrameType::AttributionDelta => {
+                let head = validate_attribution_delta(&payload).map_err(wire)?;
+                owned(&mut self.cells, slot, head.cell)?;
+                w.stash = Some((head.cell, payload));
+                Ok(Step::Quiet)
+            }
+            FrameType::MetricsDelta => {
+                let head = validate_metrics_delta(&payload).map_err(wire)?;
+                let cell = owned(&mut self.cells, slot, head.cell)?;
+                let stash = w
+                    .stash
+                    .take()
+                    .filter(|(for_cell, _)| *for_cell == head.cell);
+                if cell.done {
+                    return Ok(Step::Quiet);
+                }
+                // Both payloads validated above, so no apply can fail, and
+                // this is the only thread that applies or scans `done`: the
+                // cell and its attribution land whole or not at all.
+                for target in [&self.merged, &w.mirror] {
+                    apply_metrics_delta(&payload, target).expect("validated delta");
+                    if let Some((_, attribution)) = &stash {
+                        apply_attribution_delta(attribution, &target.attribution)
+                            .expect("validated attribution delta");
+                    }
+                }
+                cell.done = true;
+                self.remaining -= 1;
+                w.cells_done += 1;
+                w.users_done += cell.spec.users;
+                Ok(Step::Committed(Progress {
+                    shard: slot,
+                    cells_done: w.cells_done,
+                    cells_total: w.cells_total,
+                    users_done: w.users_done,
+                }))
+            }
+            _ => match Frame::decode(ftype, &payload).map_err(wire)? {
+                Frame::Progress(_) => Ok(Step::Quiet),
+                Frame::FinalReport(_) if w.cells_done < w.cells_total => {
+                    Err("final report with cells of its deal uncommitted".into())
+                }
+                Frame::FinalReport(report) => Ok(Step::Final(report)),
+                _ => Err(format!("unexpected frame type {ftype:?} from worker")),
+            },
+        }
+    }
+
+    /// Connections that have neither reported nor been lost.
+    fn live(&self) -> usize {
+        self.dealt.iter().filter(|w| w.live).count()
+    }
+
+    /// What a lost connection leaves to re-run: its deal minus what
+    /// committed.
+    fn undone(&self, slot: usize) -> Vec<CellSpec> {
+        let left = self.cells.iter().filter(|c| c.owner == slot && !c.done);
+        left.map(|c| c.spec).collect()
+    }
+}
+
+/// The planned cell `id`, if it is dealt to `slot`. A delta for any other
+/// cell — another worker's, or none of the plan's — is refused by name.
+fn owned(cells: &mut [PlannedCell], slot: usize, id: u64) -> Result<&mut PlannedCell, String> {
+    let cell = usize::try_from(id).ok().and_then(|i| cells.get_mut(i));
+    cell.filter(|c| c.owner == slot)
+        .ok_or_else(|| format!("delta for cell {id}, which it was not dealt"))
 }
 
 /// Kills any still-running children when the coordinator unwinds, so an
@@ -257,17 +428,12 @@ fn accept_hello(
                 stream.set_nonblocking(false)?;
                 stream.set_nodelay(true).ok();
                 stream.set_read_timeout(Some(dcfg.read_timeout))?;
-                let mut payload = Vec::new();
-                let mut r = stream.try_clone()?;
-                let hello = match read_frame(&mut r, &mut payload)? {
-                    Some(FrameType::Hello) => decode_hello(&payload)?,
-                    _ => {
-                        return Err(DistributedError::Spawn(
-                            "worker connected but did not say hello".into(),
-                        ))
-                    }
+                return match Frame::read(&mut &stream, &mut Vec::new())? {
+                    Some(Frame::Hello(hello)) => Ok((stream, hello.worker_id)),
+                    _ => Err(DistributedError::Spawn(
+                        "worker connected but did not say hello".into(),
+                    )),
                 };
-                return Ok((stream, hello.worker_id));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 if Instant::now() >= deadline {
@@ -283,103 +449,21 @@ fn accept_hello(
     }
 }
 
-/// Send a worker its configuration and cell range.
-fn push_config(
-    stream: &mut TcpStream,
-    cfg: &FleetConfig,
-    cells: &[CellSpec],
-) -> Result<(), DistributedError> {
-    let mut fb = FrameBuf::new();
-    encode_config_push(&mut fb, cfg, cells);
-    stream.write_all(fb.finish()).map_err(DistributedError::Io)
-}
-
-/// The per-connection reader: validates and commits frames until the
-/// worker reports or dies. All exits funnel into exactly one terminal
-/// event (`Final` or `Down`).
-#[allow(clippy::too_many_arguments)]
-fn reader_loop(
-    slot: usize,
-    worker_id: u32,
-    mut stream: TcpStream,
-    commit: Arc<Mutex<CommitState>>,
-    merged: Arc<FleetMetrics>,
-    events: mpsc::Sender<Event>,
-) {
-    let acc = FleetMetrics::default(); // this worker's committed mirror
-    let mut payload = Vec::new();
-    let mut stash: Vec<u8> = Vec::new(); // pending attribution payload
-    let mut stash_cell: Option<u64> = None;
-
-    let down = |reason: String| Event::Down { slot, reason };
-    let terminal = loop {
-        match read_frame(&mut stream, &mut payload) {
-            Ok(None) => break down("connection closed before final report".into()),
-            Err(e) => break down(e.to_string()),
-            Ok(Some(FrameType::Progress)) => match decode_progress(&payload) {
-                Ok(p) if p.worker_id == worker_id => {
-                    let _ = events.send(Event::Heartbeat);
-                }
-                Ok(_) => break down("progress frame with wrong worker id".into()),
-                Err(e) => break down(e.to_string()),
-            },
-            Ok(Some(FrameType::AttributionDelta)) => match validate_attribution_delta(&payload) {
-                Ok(head) if head.worker_id == worker_id => {
-                    std::mem::swap(&mut stash, &mut payload);
-                    stash_cell = Some(head.cell);
-                }
-                Ok(_) => break down("attribution delta with wrong worker id".into()),
-                Err(e) => break down(e.to_string()),
-            },
-            Ok(Some(FrameType::MetricsDelta)) => {
-                let head = match validate_metrics_delta(&payload) {
-                    Ok(h) if h.worker_id == worker_id => h,
-                    Ok(_) => break down("metrics delta with wrong worker id".into()),
-                    Err(e) => break down(e.to_string()),
-                };
-                let fresh = {
-                    let mut c = commit.lock().expect("commit lock");
-                    if c.done.contains(&head.cell) {
-                        false
-                    } else {
-                        // Validated above; apply cannot fail, and the
-                        // attribution stash commits under the same lock,
-                        // so the cell lands atomically.
-                        apply_metrics_delta(&payload, &merged).expect("validated delta");
-                        apply_metrics_delta(&payload, &acc).expect("validated delta");
-                        if stash_cell == Some(head.cell) {
-                            apply_attribution_delta(&stash, &merged.attribution)
-                                .expect("validated attribution delta");
-                            apply_attribution_delta(&stash, &acc.attribution)
-                                .expect("validated attribution delta");
-                        }
-                        c.done.insert(head.cell);
-                        true
-                    }
-                };
-                stash_cell = None;
-                if fresh {
-                    let _ = events.send(Event::CellCommitted {
-                        slot,
-                        cell: head.cell,
-                    });
-                }
-            }
-            Ok(Some(FrameType::FinalReport)) => match decode_final_report(&payload) {
-                Ok(report) if report.worker_id == worker_id => {
-                    break Event::Final {
-                        slot,
-                        report,
-                        committed_digest: fnv1a(acc.to_json().as_bytes()),
-                    };
-                }
-                Ok(_) => break down("final report with wrong worker id".into()),
-                Err(e) => break down(e.to_string()),
-            },
-            Ok(Some(t)) => break down(format!("unexpected frame type {t:?} from worker")),
+/// The per-connection reader: forward every frame to the main loop, then
+/// the reason there will be no more. It decides nothing.
+fn reader_loop(slot: usize, mut stream: TcpStream, events: mpsc::Sender<(usize, Message)>) {
+    loop {
+        let mut payload = Vec::new();
+        let msg = match read_frame(&mut stream, &mut payload) {
+            Ok(Some(ftype)) => Ok((ftype, payload)),
+            Ok(None) => Err("connection closed before final report".to_string()),
+            Err(e) => Err(e.to_string()),
+        };
+        let last = msg.is_err();
+        if events.send((slot, msg)).is_err() || last {
+            return;
         }
-    };
-    let _ = events.send(terminal);
+    }
 }
 
 /// Run the fleet across worker processes; `on_progress` fires once per
@@ -401,179 +485,126 @@ pub fn run_fleet_distributed_with_progress(
     };
 
     let cells = plan_cells(cfg.users, cfg.cell_users);
-    let users_by_cell: HashMap<u64, u64> = cells.iter().map(|c| (c.cell, c.users)).collect();
-    let total_cells = cells.len();
-    let workers = dcfg.workers.min(total_cells.max(1));
-    let assignments = if total_cells == 0 {
-        Vec::new()
-    } else {
-        assign_contiguous(&cells, workers)
-    };
+    let workers = dcfg.workers.min(cells.len().max(1));
 
     let listener = TcpListener::bind("127.0.0.1:0")?;
     listener.set_nonblocking(true)?;
     let port = listener.local_addr()?.port();
 
-    let commit = Arc::new(Mutex::new(CommitState {
-        done: HashSet::new(),
-    }));
-    let merged = Arc::new(FleetMetrics::default());
-    let (events_tx, events_rx) = mpsc::channel::<Event>();
+    let mut commit = Commit::new(&cells);
+    let (events_tx, events_rx) = mpsc::channel::<(usize, Message)>();
 
-    let mut reaper = ChildReaper(Vec::new());
-    let mut slots: Vec<WorkerSlot> = Vec::new();
-    let mut next_worker_id: u32 = 0;
+    std::thread::scope(|scope| {
+        // Declared inside the scope so that on every way out it drops —
+        // killing whatever still runs, which closes those sockets and so
+        // ends their readers — before the scope joins the reader threads.
+        let mut reaper = ChildReaper(Vec::new());
+        let mut links: Vec<TcpStream> = Vec::new(); // write halves, by slot
 
-    // Spawn everyone first, then accept: workers connect in whatever
-    // order the scheduler serves, and the hello frame tells us which
-    // cell range each connection gets. Chaos flags are tied to the
-    // *slot*, which the worker id identifies.
-    let mut start_worker = |assigned: Vec<CellSpec>,
+        // One worker at a time: spawn it, wait for it to connect and say
+        // hello, push it the config and its cells, start its reader. The
+        // slot a worker's ledger lands in is the id it is spawned with
+        // (chaos flags are tied to the slot, which the id identifies).
+        let start_worker = |assigned: Vec<CellSpec>,
                             chaos: WorkerChaos,
-                            slots: &mut Vec<WorkerSlot>,
+                            commit: &mut Commit,
+                            links: &mut Vec<TcpStream>,
                             reaper: &mut ChildReaper|
-     -> Result<(), DistributedError> {
-        let worker_id = next_worker_id;
-        next_worker_id += 1;
-        reaper.0.push(spawn_worker(dcfg, port, worker_id, chaos)?);
-        let (mut stream, announced) = accept_hello(&listener, dcfg)?;
-        if announced != worker_id {
-            return Err(DistributedError::Spawn(format!(
-                "worker announced id {announced}, expected {worker_id}"
-            )));
-        }
-        push_config(&mut stream, &cfg, &assigned)?;
-        let slot = slots.len();
-        let read_half = stream.try_clone()?;
-        slots.push(WorkerSlot {
-            worker_id,
-            assigned,
-            write_half: stream,
-            alive: true,
-            committed: 0,
-            users_done: 0,
-        });
-        let commit = Arc::clone(&commit);
-        let merged = Arc::clone(&merged);
-        let events = events_tx.clone();
-        std::thread::spawn(move || reader_loop(slot, worker_id, read_half, commit, merged, events));
-        Ok(())
-    };
-
-    for (i, assigned) in assignments.into_iter().enumerate() {
-        let chaos = dcfg.chaos.get(i).copied().unwrap_or_default();
-        start_worker(assigned, chaos, &mut slots, &mut reaper)?;
-    }
-
-    // ------------------------------------------------------- main loop
-    let mut committed_cells = 0usize;
-    let mut rejoins = 0usize;
-    let mut drained = false;
-    let mut outstanding = slots.len(); // reader threads yet to terminate
-    let mut finals: Vec<FinalReport> = Vec::new();
-
-    while committed_cells < total_cells || outstanding > 0 {
-        if committed_cells == total_cells && !drained {
-            drained = true;
+         -> Result<(), DistributedError> {
+            let slot = commit.deal(&assigned);
+            reaper.0.push(spawn_worker(dcfg, port, slot as u32, chaos)?);
+            let (mut stream, announced) = accept_hello(&listener, dcfg)?;
+            if announced != slot as u32 {
+                return Err(DistributedError::Spawn(format!(
+                    "worker announced id {announced}, expected {slot}"
+                )));
+            }
             let mut fb = FrameBuf::new();
-            encode_drain(&mut fb);
-            let frame = fb.finish().to_vec();
-            for s in slots.iter_mut().filter(|s| s.alive) {
-                // A write failure here just means the reader is about to
-                // observe the death; that path owns the bookkeeping.
-                let _ = s.write_half.write_all(&frame);
+            encode_config_push(&mut fb, &cfg, &assigned);
+            write_frame(&mut stream, fb.finish())?;
+            let read_half = stream.try_clone()?;
+            links.push(stream);
+            let events = events_tx.clone();
+            scope.spawn(move || reader_loop(slot, read_half, events));
+            Ok(())
+        };
+
+        // With no cells there is nothing to deal and nobody to spawn.
+        let deals = assign_round_robin(&cells, workers);
+        for (i, assigned) in deals.into_iter().enumerate() {
+            if !assigned.is_empty() {
+                let chaos = dcfg.chaos.get(i).copied().unwrap_or_default();
+                start_worker(assigned, chaos, &mut commit, &mut links, &mut reaper)?;
             }
         }
 
-        let ev = events_rx.recv().expect("reader threads outlive the run");
-        match ev {
-            Event::Heartbeat => {}
-            Event::CellCommitted { slot, cell } => {
-                committed_cells += 1;
-                let s = &mut slots[slot];
-                s.committed += 1;
-                s.users_done += users_by_cell.get(&cell).copied().unwrap_or(0);
-                on_progress(&Progress {
-                    shard: s.worker_id as usize,
-                    cells_done: s.committed,
-                    cells_total: s.assigned.len(),
-                    users_done: s.users_done,
-                });
-            }
-            Event::Final {
-                slot,
-                report,
-                committed_digest,
-            } => {
-                outstanding -= 1;
-                slots[slot].alive = false;
-                if report.digest != committed_digest {
-                    return Err(DistributedError::DigestMismatch {
-                        worker_id: report.worker_id,
-                        reported: report.digest,
-                        committed: committed_digest,
-                    });
+        // --------------------------------------------------- main loop
+        let mut rejoins = 0usize;
+        let mut drained = false;
+        let mut finals: Vec<FinalReport> = Vec::new();
+
+        while commit.remaining > 0 || commit.live() > 0 {
+            if commit.remaining == 0 && !drained {
+                drained = true;
+                let mut fb = FrameBuf::new();
+                encode_drain(&mut fb);
+                for (slot, link) in links.iter_mut().enumerate() {
+                    if commit.dealt[slot].live {
+                        // A write failure here just means the reader is about
+                        // to report the death; that path owns the bookkeeping.
+                        let _ = write_frame(link, fb.finish());
+                    }
                 }
-                finals.push(report);
             }
-            Event::Down { slot, reason } => {
-                outstanding -= 1;
-                slots[slot].alive = false;
-                let undone: Vec<CellSpec> = {
-                    let c = commit.lock().expect("commit lock");
-                    slots[slot]
-                        .assigned
-                        .iter()
-                        .filter(|cs| !c.done.contains(&cs.cell))
-                        .copied()
-                        .collect()
-                };
-                if undone.is_empty() {
-                    // All its cells are committed; only its execution
-                    // facts (and digest handshake) are lost. The merged
-                    // metrics — and therefore the digest — are intact.
+
+            let (slot, msg) = events_rx.recv().expect("this loop holds a sender");
+            match commit.step(slot, msg)? {
+                Step::Quiet => {}
+                Step::Committed(beat) => on_progress(&beat),
+                Step::Final(report) => finals.push(report),
+                Step::Down(reason) => {
+                    // When the verdict was ours the socket is still open:
+                    // close it, so the worker stops and its reader ends.
+                    let _ = links[slot].shutdown(Shutdown::Both);
+                    let undone = commit.undone(slot);
+                    if undone.is_empty() {
+                        // All its cells are committed; only its execution
+                        // facts (and digest handshake) are lost. The merged
+                        // metrics — and therefore the digest — are intact.
+                        eprintln!(
+                            "fleet-wire: worker {slot} lost after finishing its cells ({reason})"
+                        );
+                        continue;
+                    }
+                    if rejoins >= dcfg.max_rejoins {
+                        return Err(DistributedError::RejoinBudgetExhausted {
+                            lost_cells: undone.len(),
+                        });
+                    }
+                    rejoins += 1;
                     eprintln!(
-                        "fleet-wire: worker {} lost after finishing its range ({reason})",
-                        slots[slot].worker_id
+                        "fleet-wire: worker {slot} died ({reason}); re-running {} lost cells on a replacement",
+                        undone.len()
                     );
-                    continue;
+                    let clean = WorkerChaos::none();
+                    start_worker(undone, clean, &mut commit, &mut links, &mut reaper)?;
                 }
-                if rejoins >= dcfg.max_rejoins {
-                    return Err(DistributedError::RejoinBudgetExhausted {
-                        lost_cells: undone.len(),
-                    });
-                }
-                rejoins += 1;
-                eprintln!(
-                    "fleet-wire: worker {} died ({reason}); re-running {} lost cells on a replacement",
-                    slots[slot].worker_id,
-                    undone.len()
-                );
-                outstanding += 1;
-                start_worker(undone, WorkerChaos::none(), &mut slots, &mut reaper)?;
             }
         }
-    }
 
-    // Workers exit after their final report; reap them so the reaper's
-    // kill-on-drop is a no-op on the success path.
-    for c in &mut reaper.0 {
-        let _ = c.wait();
-    }
+        // Workers exit after their final report; reap them so the reaper's
+        // kill-on-drop is a no-op on the success path.
+        for c in &mut reaper.0 {
+            let _ = c.wait();
+        }
 
-    finals.sort_by_key(|f| f.worker_id);
-    let report = assemble_report(
-        &cfg,
-        hot_threshold,
-        workers,
-        &merged,
-        &finals,
-        started.elapsed(),
-    );
-    Ok(DistributedOutcome {
-        report,
-        rejoins,
-        workers_spawned: next_worker_id as usize,
+        finals.sort_by_key(|f| f.worker_id);
+        let wall = started.elapsed();
+        Ok(DistributedOutcome {
+            report: assemble_report(&cfg, hot_threshold, workers, &commit.merged, &finals, wall),
+            rejoins,
+            workers_spawned: links.len(),
+        })
     })
 }
 
@@ -618,6 +649,185 @@ fn assemble_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::HEADER_LEN;
+    use crate::messages::{
+        encode_attribution_delta, encode_final_report, encode_metrics_delta, DeltaHead,
+    };
+
+    // ---- `Commit` driven with encoded frames: no socket, thread or process.
+
+    /// Six cells dealt round-robin to two connections: slot 0 holds cells
+    /// 0, 2, 4 and slot 1 holds 1, 3, 5.
+    fn two_dealt() -> Commit {
+        let cells = plan_cells(300, 50);
+        let mut commit = Commit::new(&cells);
+        for assigned in assign_round_robin(&cells, 2) {
+            commit.deal(&assigned);
+        }
+        commit
+    }
+
+    /// What one cell reports; different for every cell.
+    fn cell_metrics(cell: u64) -> FleetMetrics {
+        let m = FleetMetrics::default();
+        m.cells.add(1);
+        m.polls_sent.add(cell + 1);
+        m.t2a_micros.record(1_000 * (cell + 1));
+        m.attribution.total.record(cell + 7);
+        m
+    }
+
+    fn message(ftype: FrameType, encode: impl FnOnce(&mut FrameBuf)) -> Message {
+        let mut fb = FrameBuf::new();
+        encode(&mut fb);
+        Ok((ftype, fb.finish()[HEADER_LEN..].to_vec()))
+    }
+
+    fn metrics(worker_id: u32, cell: u64) -> Message {
+        let head = DeltaHead { worker_id, cell };
+        message(FrameType::MetricsDelta, |fb| {
+            encode_metrics_delta(fb, head, &cell_metrics(cell))
+        })
+    }
+
+    fn attribution(worker_id: u32, cell: u64) -> Message {
+        let head = DeltaHead { worker_id, cell };
+        message(FrameType::AttributionDelta, |fb| {
+            encode_attribution_delta(fb, head, &cell_metrics(cell).attribution)
+        })
+    }
+
+    fn final_frame(worker_id: u32, digest: u64) -> Message {
+        let report = FinalReport {
+            digest,
+            ..final_report(worker_id, 0, 0)
+        };
+        message(FrameType::FinalReport, |fb| {
+            encode_final_report(fb, &report)
+        })
+    }
+
+    fn ids(cells: &[CellSpec]) -> Vec<u64> {
+        cells.iter().map(|c| c.cell).collect()
+    }
+
+    type Stepped = Result<Step, DistributedError>;
+
+    fn quiet(step: Stepped) {
+        assert!(matches!(step, Ok(Step::Quiet)), "{step:?}");
+    }
+
+    fn committed(step: Stepped) -> Progress {
+        match step {
+            Ok(Step::Committed(beat)) => beat,
+            other => panic!("expected a commit: {other:?}"),
+        }
+    }
+
+    fn down(step: Stepped) -> String {
+        match step {
+            Ok(Step::Down(reason)) => reason,
+            other => panic!("expected Down: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_duplicate_cell_is_ignored_and_fires_no_progress() {
+        let mut commit = two_dealt();
+        let beat = committed(commit.step(0, metrics(0, 2)));
+        assert_eq!((beat.shard, beat.cells_done, beat.cells_total), (0, 1, 3));
+        assert_eq!(beat.users_done, 50);
+        let once = commit.merged.clone();
+        quiet(commit.step(0, metrics(0, 2)));
+        assert_eq!(commit.merged, once);
+        assert_eq!((commit.remaining, commit.live()), (5, 2));
+    }
+
+    #[test]
+    fn a_foreign_unplanned_or_misstamped_delta_takes_its_sender_down_unapplied() {
+        // Each arrives on slot 0's connection: cell 1 is slot 1's, cell
+        // 999 999 is nobody's, and the last is stamped with slot 1's id.
+        for (msg, names) in [
+            (metrics(0, 1), "cell 1,"),
+            (metrics(0, 999_999), "cell 999999,"),
+            (attribution(0, 1), "cell 1,"),
+            (attribution(0, 999_999), "cell 999999,"),
+            (metrics(1, 0), "stamped worker 1"),
+        ] {
+            let mut commit = two_dealt();
+            let reason = down(commit.step(0, msg));
+            assert!(reason.contains(names), "{reason}");
+            assert_eq!(commit.merged, FleetMetrics::default(), "{names}");
+            assert_eq!((commit.remaining, commit.live()), (6, 1), "{names}");
+            assert_eq!(ids(&commit.undone(0)), [0, 2, 4]);
+            // Whatever it sends after that is ignored.
+            quiet(commit.step(0, metrics(0, 0)));
+            assert_eq!(commit.remaining, 6);
+        }
+    }
+
+    #[test]
+    fn an_attribution_stash_is_folded_into_its_own_cell_only() {
+        let mut commit = two_dealt();
+        quiet(commit.step(0, attribution(0, 0)));
+        committed(commit.step(0, metrics(0, 2)));
+        // Cell 0's stash was not cell 2's to take, and is gone.
+        assert_eq!(commit.merged.attribution, Default::default());
+        assert!(commit.dealt[0].stash.is_none());
+        quiet(commit.step(0, attribution(0, 4)));
+        committed(commit.step(0, metrics(0, 4)));
+        assert_eq!(commit.merged.attribution, cell_metrics(4).attribution);
+        assert_eq!(commit.merged, commit.dealt[0].mirror);
+    }
+
+    #[test]
+    fn a_malformed_delta_leaves_merged_as_it_was_and_the_rest_to_rerun() {
+        let mut commit = two_dealt();
+        committed(commit.step(0, metrics(0, 0)));
+        let before = commit.merged.clone();
+        let (ftype, mut payload) = metrics(0, 2).unwrap();
+        payload.pop(); // validation fails in the last histogram, after the counters
+        down(commit.step(0, Ok((ftype, payload))));
+        assert_eq!(commit.merged, before);
+        assert_eq!(ids(&commit.undone(0)), [2, 4]);
+    }
+
+    #[test]
+    fn the_final_digest_must_match_what_was_committed_for_that_worker() {
+        let mut commit = two_dealt();
+        // Reporting with cells of the deal uncommitted is a loss, not a finish.
+        down(commit.step(1, final_frame(1, 0)));
+        for cell in [0, 2, 4] {
+            committed(commit.step(0, metrics(0, cell)));
+        }
+        let digest = fnv1a(commit.dealt[0].mirror.to_json().as_bytes());
+        let mismatch = commit.step(0, final_frame(0, digest ^ 1));
+        assert!(
+            matches!(mismatch, Err(DistributedError::DigestMismatch { worker_id: 0, reported, committed })
+                if (reported, committed) == (digest ^ 1, digest)),
+            "{mismatch:?}"
+        );
+        let agreed = commit.step(0, final_frame(0, digest));
+        assert!(matches!(agreed, Ok(Step::Final(_))), "{agreed:?}");
+        assert_eq!((commit.remaining, commit.live()), (3, 0));
+    }
+
+    #[test]
+    fn after_down_the_rerun_list_is_the_deal_minus_the_done_cells() {
+        let mut commit = two_dealt();
+        committed(commit.step(0, metrics(0, 2)));
+        assert_eq!(down(commit.step(0, Err("eof".into()))), "eof");
+        let undone = commit.undone(0);
+        assert_eq!(ids(&undone), [0, 4]);
+        // The replacement owns exactly those; slot 1 is untouched.
+        assert_eq!(commit.deal(&undone), 2);
+        assert_eq!(ids(&commit.undone(2)), [0, 4]);
+        assert_eq!(ids(&commit.undone(1)), [1, 3, 5]);
+        committed(commit.step(2, metrics(2, 4)));
+        assert_eq!(ids(&commit.undone(2)), [0]);
+    }
+
+    // ---- report assembly
 
     fn final_report(worker_id: u32, allocs: u64, alloc_bytes: u64) -> FinalReport {
         FinalReport {

@@ -19,9 +19,10 @@
 //!   [`WireError`]; a hostile or corrupt peer cannot take the
 //!   coordinator down. `fleet-wire/tests/codec.rs` pins this.
 //! * **The hot path does not allocate per frame.** [`FrameBuf`] encodes
-//!   header and payload into one reusable `Vec<u8>` (recycled through
-//!   the worker's buffer pool), and [`read_frame`] reads payloads into a
-//!   caller-owned buffer that amortizes to its high-water mark.
+//!   header and payload into one reusable `Vec<u8>` (the worker keeps
+//!   one for its cell loop's whole life), and [`read_frame`] reads
+//!   payloads into a caller-owned buffer that amortizes to its
+//!   high-water mark.
 
 use std::io::{self, Read, Write};
 
@@ -40,18 +41,40 @@ pub const HEADER_LEN: usize = 8;
 /// would otherwise demand up to 4 GiB) fail fast.
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
-/// Every frame the protocol speaks. The discriminants are the on-wire
-/// bytes — stable, never reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum FrameType {
+/// The frame-type table: one row per frame, variant and on-wire byte
+/// spelled once. The enum and [`FrameType::from_u8`] are both generated
+/// from the rows, so a byte cannot encode as one type and decode as another.
+macro_rules! frame_types {
+    ($( $(#[$doc:meta])* $name:ident = $byte:literal, )*) => {
+        /// Every frame the protocol speaks. The discriminants are the
+        /// on-wire bytes — stable, never reused.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum FrameType {
+            $( $(#[$doc])* $name = $byte, )*
+        }
+
+        impl FrameType {
+            /// Decode a wire byte; `None` for unassigned values.
+            pub fn from_u8(b: u8) -> Option<FrameType> {
+                match b {
+                    $( $byte => Some(FrameType::$name), )*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+frame_types! {
     /// Worker → coordinator, once, on connect: who am I.
     Hello = 1,
     /// Coordinator → worker: the resolved run configuration plus the
-    /// contiguous cell range this worker owns.
+    /// cells this worker owns (its round-robin deal, or a lost worker's
+    /// uncommitted remainder).
     ConfigPush = 2,
-    /// Worker → coordinator: progress beat; doubles as the heartbeat
-    /// that keeps crash detection from false-tripping on long cells.
+    /// Worker → coordinator: the heartbeat that keeps crash detection
+    /// from false-tripping on long cells and on the wait for `Drain`.
     Progress = 3,
     /// Worker → coordinator: one finished cell's metrics, exactly
     /// mergeable. The coordinator's commit point for that cell.
@@ -65,22 +88,6 @@ pub enum FrameType {
     /// Worker → coordinator: execution facts plus the worker-local
     /// digest for the end-of-run handshake.
     FinalReport = 7,
-}
-
-impl FrameType {
-    /// Decode a wire byte; `None` for unassigned values.
-    pub fn from_u8(b: u8) -> Option<FrameType> {
-        match b {
-            1 => Some(FrameType::Hello),
-            2 => Some(FrameType::ConfigPush),
-            3 => Some(FrameType::Progress),
-            4 => Some(FrameType::MetricsDelta),
-            5 => Some(FrameType::AttributionDelta),
-            6 => Some(FrameType::Drain),
-            7 => Some(FrameType::FinalReport),
-            _ => None,
-        }
-    }
 }
 
 /// Everything that can go wrong on the wire. Decoders return these —
@@ -154,13 +161,6 @@ impl FrameBuf {
         FrameBuf::default()
     }
 
-    /// Wrap an existing vector (e.g. one recycled from the worker's
-    /// buffer pool), keeping its capacity.
-    pub fn from_vec(mut buf: Vec<u8>) -> FrameBuf {
-        buf.clear();
-        FrameBuf { buf }
-    }
-
     /// Start a frame of `ftype`; the length field is patched by
     /// [`FrameBuf::finish`].
     pub fn begin(&mut self, ftype: FrameType) {
@@ -205,12 +205,6 @@ impl FrameBuf {
         );
         self.buf[4..8].copy_from_slice(&(len as u32).to_le_bytes());
         &self.buf
-    }
-
-    /// Take the underlying vector (for handing a finished frame to the
-    /// writer thread); the frame must be [`FrameBuf::finish`]ed first.
-    pub fn take(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buf)
     }
 }
 

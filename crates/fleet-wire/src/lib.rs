@@ -4,9 +4,10 @@
 //! *threads*: merged metrics, and therefore the report digest, are
 //! invariant to how cells are dealt across shards. This crate extends
 //! the same claim across **processes**: `ifttt-lab fleet --distributed N`
-//! spawns `fleet-shard` workers, hands each a contiguous cell range over
-//! a version-tagged, length-prefixed TCP frame protocol, streams back
-//! per-cell metric deltas, and assembles a [`fleet::FleetReport`] whose
+//! spawns `fleet-shard` workers, deals the cells across them round-robin
+//! (the in-process runner's deal) over a version-tagged, length-prefixed
+//! TCP frame protocol, streams back per-cell metric deltas, and
+//! assembles a [`fleet::FleetReport`] whose
 //! digest is **byte-for-byte equal** to the in-process run's
 //! (`fleet-wire/tests/distributed.rs` pins this against the golden
 //! digests in `fleet::test_support`).
@@ -16,16 +17,27 @@
 //! * [`frame`] — the 8-byte header (version, type, flags, length), the
 //!   typed [`frame::WireError`], reusable encode/decode buffers. Never
 //!   panics on peer bytes; never allocates per frame at steady state.
-//! * [`messages`] — typed payloads. The hot frames encode straight from
-//!   (and apply straight into) `FleetMetrics` via the canonical
-//!   `wire_counters()` / `wire_histograms()` arrays, and applies are
-//!   transactional: full validation before the first merge.
-//! * [`worker`] — the `fleet-shard` runtime: bounded-channel
-//!   backpressure, buffer recycling, heartbeats, chaos hooks.
-//! * [`coordinator`] — spawn/accept/push, exactly-once cell commit,
-//!   crash detection by read timeout, deterministic rejoin (a lost
-//!   worker's uncommitted cells re-run on a replacement), the drain and
-//!   per-worker digest handshake, and worker-summed alloc accounting.
+//! * [`messages`] — typed payloads. The fixed-layout control messages
+//!   are one row list each (struct, encoder and decoder generated) and
+//!   both sides decode them through [`Frame::decode`]. The hot frames
+//!   encode straight from (and apply straight into) `FleetMetrics` via
+//!   the canonical `wire_counters()` / `wire_histograms()` arrays, and
+//!   applies are transactional: full validation before the first merge.
+//! * [`worker`] — the `fleet-shard` runtime: a cell loop that encodes
+//!   into one buffer and writes its own frames (the blocking socket
+//!   write is the backpressure), a heartbeat thread beside it sharing
+//!   the write half under one lock, chaos hooks.
+//! * [`coordinator`] — spawn/accept/push one worker at a time; reader
+//!   threads that only forward frames; and a main loop that owns the
+//!   commit state machine: sender and ownership checks, exactly-once
+//!   cell commit, deterministic rejoin (a lost worker's uncommitted
+//!   cells re-run on a replacement), the drain and per-worker digest
+//!   handshake. Crash detection is by EOF or read timeout; alloc
+//!   accounting is worker-summed.
+//!
+//! A thread exists only where something blocks independently: one reader
+//! per socket on the coordinator, the heartbeat on the worker. All state
+//! has one owning thread; the only lock is the worker's write half.
 //!
 //! DESIGN.md §13 documents the protocol and the determinism argument.
 

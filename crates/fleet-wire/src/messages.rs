@@ -1,6 +1,12 @@
 //! Typed payloads for every [`FrameType`], with allocation-free
 //! encoding and **apply-style** decoding.
 //!
+//! The fixed-layout control messages ([`Hello`], [`ProgressBeat`],
+//! [`FinalReport`]) are each declared once, as the rows of a
+//! `wire_message!` table that generates the struct, the encoder and the
+//! decoder; worker and coordinator both decode control frames through
+//! [`Frame::decode`], the decoder `tests/codec.rs` attacks.
+//!
 //! The hot-path frames (`MetricsDelta`, `AttributionDelta`) never build
 //! an intermediate message object: the worker encodes straight out of
 //! its per-cell [`FleetMetrics`] accumulator via the canonical
@@ -17,9 +23,10 @@
 //! rejoin path re-runs uncommitted cells, and a half-applied delta
 //! would double-count.
 
-use crate::frame::{FrameBuf, FrameType, PayloadReader, WireError};
+use crate::frame::{read_frame, FrameBuf, FrameType, PayloadReader, WireError};
 use fleet::shard::CellSpec;
 use fleet::{AttributionStages, FleetConfig, FleetMetrics, Histogram};
+use std::io::Read;
 
 /// `worker_id` + `cell`: the routing prefix shared by both delta frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,56 +35,95 @@ pub struct DeltaHead {
     pub cell: u64,
 }
 
-/// Worker → coordinator, first frame on every connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Hello {
-    pub worker_id: u32,
-    /// OS process id, for crash diagnostics only.
-    pub pid: u32,
+/// A fixed-layout message, declared once: the rows are its wire fields in
+/// wire order (little-endian integers, nothing else). The struct, its
+/// encoder and its bounds-checked decoder — which refuses trailing bytes —
+/// are generated from the same rows, so the three cannot disagree about a
+/// field's place or width. `$what` names the message in decode errors.
+macro_rules! wire_message {
+    (
+        $(#[$meta:meta])*
+        $name:ident = FrameType::$ftype:ident, $what:literal, $encode:ident, $decode:ident {
+            $( $(#[$fmeta:meta])* $field:ident: $ty:ident, )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $ty, )*
+        }
+
+        pub fn $encode(fb: &mut FrameBuf, msg: &$name) {
+            fb.begin(FrameType::$ftype);
+            $( fb.put_bytes(&msg.$field.to_le_bytes()); )*
+        }
+
+        fn $decode(payload: &[u8]) -> Result<$name, WireError> {
+            let mut r = PayloadReader::new(payload);
+            let msg = $name {
+                $( $field: r.$ty(concat!($what, " ", stringify!($field)))?, )*
+            };
+            r.expect_end(concat!("trailing bytes after ", $what))?;
+            Ok(msg)
+        }
+    };
+}
+
+wire_message! {
+    /// Worker → coordinator, first frame on every connection.
+    Hello = FrameType::Hello, "hello", encode_hello, decode_hello {
+        worker_id: u32,
+        /// OS process id, for crash diagnostics only.
+        pid: u32,
+    }
+}
+
+wire_message! {
+    /// Worker → coordinator heartbeat: how far the cell loop has got.
+    ProgressBeat = FrameType::Progress, "progress", encode_progress, decode_progress {
+        worker_id: u32,
+        cells_done: u32,
+        cells_total: u32,
+        users_done: u64,
+    }
+}
+
+wire_message! {
+    /// Worker → coordinator, after `Drain`: execution facts plus the digest
+    /// handshake value.
+    FinalReport = FrameType::FinalReport, "final report", encode_final_report, decode_final_report {
+        worker_id: u32,
+        cells: u64,
+        users: u64,
+        sim_events: u64,
+        wall_micros: u64,
+        /// Heap allocations in *this worker process* (0 unless built with
+        /// `alloc-count`); the coordinator sums these instead of measuring
+        /// its own process, so the distributed alloc gate reflects
+        /// simulation work.
+        allocs: u64,
+        alloc_bytes: u64,
+        /// FNV-1a of the worker-local merged metrics JSON
+        /// ([`fleet::fnv1a`]); the coordinator recomputes it from the deltas
+        /// it committed for this worker and refuses the run on mismatch.
+        digest: u64,
+    }
 }
 
 /// Coordinator → worker: the resolved configuration (JSON — control
-/// plane, sent once) and the worker's contiguous cell range.
+/// plane, sent once) and the cells the worker is to run, in order.
 #[derive(Debug)]
 pub struct ConfigPush {
     pub config: FleetConfig,
     pub cells: Vec<CellSpec>,
 }
 
-/// Worker → coordinator progress beat / heartbeat.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProgressBeat {
-    pub worker_id: u32,
-    pub cells_done: u32,
-    pub cells_total: u32,
-    pub users_done: u64,
-}
-
-/// Worker → coordinator, after `Drain`: execution facts plus the digest
-/// handshake value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FinalReport {
-    pub worker_id: u32,
-    pub cells: u64,
-    pub users: u64,
-    pub sim_events: u64,
-    pub wall_micros: u64,
-    /// Heap allocations in *this worker process* (0 unless built with
-    /// `alloc-count`); the coordinator sums these instead of measuring
-    /// its own process, so the distributed alloc gate reflects
-    /// simulation work.
-    pub allocs: u64,
-    pub alloc_bytes: u64,
-    /// FNV-1a of the worker-local merged metrics JSON
-    /// ([`fleet::fnv1a`]); the coordinator recomputes it from the deltas
-    /// it committed for this worker and refuses the run on mismatch.
-    pub digest: u64,
-}
-
-/// A fully-decoded frame. Production paths use the `apply_*` functions
-/// directly; this owned form exists for tests and tooling, and decodes
-/// through the same `apply_*` code, so exercising it exercises the real
-/// decoder.
+/// A fully-decoded frame. [`Frame::decode`] is the one decoder of the
+/// control frames (`Hello`, `ConfigPush`, `Progress`, `Drain`,
+/// `FinalReport`) on both sides of the wire. The coordinator applies the
+/// two delta frames straight into its accumulators with the `apply_*`
+/// functions instead; their owned form here is for tests and tooling, and
+/// decodes through the same `apply_*` code.
 #[derive(Debug)]
 pub enum Frame {
     Hello(Hello),
@@ -98,6 +144,13 @@ pub enum Frame {
 }
 
 impl Frame {
+    /// Read the next frame off `r` (through `payload`, reused) and decode
+    /// it; `Ok(None)` is a clean end-of-stream between frames.
+    pub fn read(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<Option<Frame>, WireError> {
+        let ftype = read_frame(r, payload)?;
+        ftype.map(|t| Frame::decode(t, payload)).transpose()
+    }
+
     /// Decode a received payload of known `ftype`. Never panics on
     /// arbitrary bytes.
     pub fn decode(ftype: FrameType, payload: &[u8]) -> Result<Frame, WireError> {
@@ -116,34 +169,12 @@ impl Frame {
                 Frame::AttributionDelta { head, stages }
             }
             FrameType::Drain => {
-                if !payload.is_empty() {
-                    return Err(WireError::BadPayload {
-                        context: "drain carries no payload",
-                    });
-                }
+                PayloadReader::new(payload).expect_end("drain carries no payload")?;
                 Frame::Drain
             }
             FrameType::FinalReport => Frame::FinalReport(decode_final_report(payload)?),
         })
     }
-}
-
-// ---------------------------------------------------------------- hello
-
-pub fn encode_hello(fb: &mut FrameBuf, msg: &Hello) {
-    fb.begin(FrameType::Hello);
-    fb.put_u32(msg.worker_id);
-    fb.put_u32(msg.pid);
-}
-
-pub fn decode_hello(payload: &[u8]) -> Result<Hello, WireError> {
-    let mut r = PayloadReader::new(payload);
-    let msg = Hello {
-        worker_id: r.u32("hello worker_id")?,
-        pid: r.u32("hello pid")?,
-    };
-    r.expect_end("trailing bytes after hello")?;
-    Ok(msg)
 }
 
 // ---------------------------------------------------------- config push
@@ -161,7 +192,7 @@ pub fn encode_config_push(fb: &mut FrameBuf, config: &FleetConfig, cells: &[Cell
     }
 }
 
-pub fn decode_config_push(payload: &[u8]) -> Result<ConfigPush, WireError> {
+fn decode_config_push(payload: &[u8]) -> Result<ConfigPush, WireError> {
     let mut r = PayloadReader::new(payload);
     let json_len = r.u32("config json length")? as usize;
     let json = r.bytes(json_len, "config json")?;
@@ -189,28 +220,6 @@ pub fn decode_config_push(payload: &[u8]) -> Result<ConfigPush, WireError> {
     }
     r.expect_end("trailing bytes after config push")?;
     Ok(ConfigPush { config, cells })
-}
-
-// ------------------------------------------------------------- progress
-
-pub fn encode_progress(fb: &mut FrameBuf, msg: &ProgressBeat) {
-    fb.begin(FrameType::Progress);
-    fb.put_u32(msg.worker_id);
-    fb.put_u32(msg.cells_done);
-    fb.put_u32(msg.cells_total);
-    fb.put_u64(msg.users_done);
-}
-
-pub fn decode_progress(payload: &[u8]) -> Result<ProgressBeat, WireError> {
-    let mut r = PayloadReader::new(payload);
-    let msg = ProgressBeat {
-        worker_id: r.u32("progress worker_id")?,
-        cells_done: r.u32("progress cells_done")?,
-        cells_total: r.u32("progress cells_total")?,
-        users_done: r.u64("progress users_done")?,
-    };
-    r.expect_end("trailing bytes after progress")?;
-    Ok(msg)
 }
 
 // ------------------------------------------------------------ histogram
@@ -436,36 +445,6 @@ pub fn validate_attribution_delta(payload: &[u8]) -> Result<DeltaHead, WireError
 
 pub fn encode_drain(fb: &mut FrameBuf) {
     fb.begin(FrameType::Drain);
-}
-
-// --------------------------------------------------------- final report
-
-pub fn encode_final_report(fb: &mut FrameBuf, msg: &FinalReport) {
-    fb.begin(FrameType::FinalReport);
-    fb.put_u32(msg.worker_id);
-    fb.put_u64(msg.cells);
-    fb.put_u64(msg.users);
-    fb.put_u64(msg.sim_events);
-    fb.put_u64(msg.wall_micros);
-    fb.put_u64(msg.allocs);
-    fb.put_u64(msg.alloc_bytes);
-    fb.put_u64(msg.digest);
-}
-
-pub fn decode_final_report(payload: &[u8]) -> Result<FinalReport, WireError> {
-    let mut r = PayloadReader::new(payload);
-    let msg = FinalReport {
-        worker_id: r.u32("final worker_id")?,
-        cells: r.u64("final cells")?,
-        users: r.u64("final users")?,
-        sim_events: r.u64("final sim_events")?,
-        wall_micros: r.u64("final wall_micros")?,
-        allocs: r.u64("final allocs")?,
-        alloc_bytes: r.u64("final alloc_bytes")?,
-        digest: r.u64("final digest")?,
-    };
-    r.expect_end("trailing bytes after final report")?;
-    Ok(msg)
 }
 
 #[cfg(test)]

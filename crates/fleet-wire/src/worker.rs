@@ -1,5 +1,6 @@
-//! The `fleet-shard` worker runtime: own a contiguous cell range, stream
-//! per-cell deltas back, report and exit on `Drain`.
+//! The `fleet-shard` worker runtime: run the cells it was dealt, stream
+//! per-cell deltas back, report and exit on `Drain`. A loop with a
+//! heartbeat beside it.
 //!
 //! A worker is a *pure executor*. Cells are seed-pure — each derives its
 //! RNG stream from `(master_seed, cell_id)` — so the worker regenerates
@@ -10,39 +11,36 @@
 //!
 //! ## Threads
 //!
-//! * **cell loop** (this thread): simulate one cell at a time into a
-//!   fresh per-cell accumulator, encode its delta frames, hand them to
-//!   the writer over a **bounded** channel — when the coordinator reads
-//!   slowly the channel fills and the loop blocks, so worker memory
-//!   stays bounded no matter the backlog.
-//! * **writer**: owns the socket's write half; writes frames in order
-//!   and recycles their buffers through a pool, so steady-state framing
-//!   allocates nothing.
+//! * **cell loop** (the main thread): simulate one cell at a time into a
+//!   fresh per-cell accumulator, encode its delta frames into the one
+//!   [`FrameBuf`] it keeps for the whole run, and write them to the
+//!   socket itself. The blocking `write_all` *is* the backpressure: when
+//!   the coordinator reads slowly the kernel's socket buffer fills and
+//!   the loop blocks in the write, so what a worker holds unsent is one
+//!   encoded frame plus a socket buffer, whatever the backlog. At one
+//!   ~740-byte frame per 1.2–1.6 ms cell nothing ever queues, which is why
+//!   there is no writer thread and no queue to bound.
 //! * **heartbeat**: a `Progress` frame every couple of seconds for the
 //!   coordinator's liveness check — it keeps long cells (and the long
 //!   wait for `Drain` while a rejoined worker recomputes elsewhere) from
-//!   reading as a crash. Heartbeats are dropped, not queued, when the
-//!   channel is full: delta traffic already proves liveness.
+//!   reading as a crash. The two threads share the socket's write half
+//!   under one lock, held for exactly one whole frame, so frames never
+//!   interleave; the heartbeat only `try_lock`s and skips its beat when
+//!   the cell loop is mid-write: delta traffic already proves liveness.
 
-use crate::frame::{read_frame, FrameBuf, FrameType, WireError};
+use crate::frame::{write_frame, FrameBuf, WireError};
 use crate::messages::{
-    decode_config_push, encode_final_report, encode_hello, encode_metrics_delta, encode_progress,
-    DeltaHead, FinalReport, Hello, ProgressBeat,
+    encode_attribution_delta, encode_final_report, encode_hello, encode_metrics_delta,
+    encode_progress, DeltaHead, FinalReport, Frame, Hello, ProgressBeat,
 };
 use fleet::cell::run_cell;
 use fleet::options::{parse_flags, Flag};
 use fleet::{fnv1a, population, FleetMetrics};
-use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Frames in flight between the cell loop and the writer. Small on
-/// purpose: it bounds worker memory under coordinator backpressure while
-/// still absorbing the per-cell burst (attribution + metrics + progress).
-const FRAME_QUEUE: usize = 16;
 
 /// One `fleet-shard` flag: how its text is stored (`flag.set`), how the
 /// stored value is spelled back (`get`), and whether the worker cannot
@@ -184,51 +182,52 @@ impl From<WireError> for WorkerError {
 
 /// Counters the heartbeat thread samples; written by the cell loop.
 struct HbState {
+    worker_id: u32,
     cells_done: AtomicU32,
     users_done: AtomicU64,
     cells_total: u32,
 }
 
-/// Get a recycled buffer if the writer has returned one, else allocate.
-fn pooled(pool: &mpsc::Receiver<Vec<u8>>) -> Vec<u8> {
-    pool.try_recv().unwrap_or_default()
-}
-
-/// Build one complete, *finished* `Progress` frame into `buf`. The
-/// single construction path for both the per-cell progress frame and the
-/// heartbeat thread — a frame handed to the writer must always have its
-/// header length patched, and funneling both senders through here makes
-/// an unfinished heartbeat frame unrepresentable.
-fn progress_frame(buf: Vec<u8>, beat: &ProgressBeat) -> Vec<u8> {
-    let mut fb = FrameBuf::from_vec(buf);
-    encode_progress(&mut fb, beat);
-    fb.finish();
-    fb.take()
-}
-
-/// Queue a finished frame, blocking when the channel is full (the
-/// backpressure path). `Err` means the writer thread died — its socket
-/// error is the root cause the caller reports.
-fn send_frame(tx: &SyncSender<Vec<u8>>, frame: Vec<u8>) -> Result<(), WorkerError> {
-    tx.send(frame)
-        .map_err(|_| WorkerError::Protocol("writer thread gone (socket closed?)"))
+impl HbState {
+    /// Build one complete, *finished* heartbeat frame in `fb`. The only
+    /// place a `Progress` frame is made, so a heartbeat whose header
+    /// length was never patched cannot reach the socket.
+    fn frame<'a>(&self, fb: &'a mut FrameBuf) -> &'a [u8] {
+        encode_progress(
+            fb,
+            &ProgressBeat {
+                worker_id: self.worker_id,
+                cells_done: self.cells_done.load(Ordering::Relaxed),
+                cells_total: self.cells_total,
+                users_done: self.users_done.load(Ordering::Relaxed),
+            },
+        );
+        fb.finish()
+    }
 }
 
 /// Run one worker to completion. Connects, announces itself, receives
-/// its configuration and cell range, streams deltas, and exits after the
+/// its configuration and cells, streams deltas, and exits after the
 /// drain handshake.
 pub fn run_worker(opts: &WorkerOptions) -> Result<(), WorkerError> {
     let started = Instant::now();
     let alloc_start = mem::alloc_counts();
 
-    let stream = TcpStream::connect(&opts.connect).map_err(WireError::Io)?;
+    let mut stream = TcpStream::connect(&opts.connect).map_err(WireError::Io)?;
     stream.set_nodelay(true).ok();
     stream
         .set_read_timeout(Some(Duration::from_secs(opts.io_timeout_secs.max(1))))
         .map_err(WireError::Io)?;
-    let mut read_half = stream.try_clone().map_err(WireError::Io)?;
 
-    // Hello goes out synchronously, before the writer thread exists.
+    // The write half, shared with the heartbeat thread. Each side finishes
+    // a frame in its own buffer first and holds the lock for one whole
+    // `write_all`, so frames never interleave on the wire.
+    let out = Arc::new(Mutex::new(stream.try_clone().map_err(WireError::Io)?));
+    let send = |fb: &mut FrameBuf| {
+        let mut w = out.lock().expect("no write can panic holding the lock");
+        write_frame(&mut *w, fb.finish())
+    };
+
     let mut fb = FrameBuf::new();
     encode_hello(
         &mut fb,
@@ -237,14 +236,11 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), WorkerError> {
             pid: std::process::id(),
         },
     );
-    {
-        let mut w = &stream;
-        w.write_all(fb.finish()).map_err(WireError::Io)?;
-    }
+    send(&mut fb)?;
 
     let mut payload = Vec::new();
-    let push = match read_frame(&mut read_half, &mut payload)? {
-        Some(FrameType::ConfigPush) => decode_config_push(&payload)?,
+    let push = match Frame::read(&mut stream, &mut payload)? {
+        Some(Frame::ConfigPush(push)) => push,
         Some(_) => return Err(WorkerError::Protocol("expected config push after hello")),
         None => {
             return Err(WorkerError::Protocol(
@@ -259,19 +255,8 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), WorkerError> {
     // is byte-identical to the coordinator's (and every sibling's).
     let (sampler, _hot) = population(&cfg);
 
-    let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(FRAME_QUEUE);
-    let (pool_tx, pool_rx) = mpsc::sync_channel::<Vec<u8>>(FRAME_QUEUE + 4);
-    let write_half = stream.try_clone().map_err(WireError::Io)?;
-    let writer = std::thread::spawn(move || -> Result<(), std::io::Error> {
-        let mut w = write_half;
-        for frame in rx {
-            w.write_all(&frame)?;
-            let _ = pool_tx.try_send(frame); // recycle; drop when pool is full
-        }
-        Ok(())
-    });
-
     let hb = Arc::new(HbState {
+        worker_id: opts.worker_id,
         cells_done: AtomicU32::new(0),
         users_done: AtomicU64::new(0),
         cells_total: cells.len() as u32,
@@ -279,29 +264,16 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), WorkerError> {
     let (hb_stop, hb_stop_rx) = mpsc::channel::<()>();
     let hb_thread = {
         let hb = Arc::clone(&hb);
-        let tx = tx.clone();
-        let worker_id = opts.worker_id;
+        let out = Arc::clone(&out);
         let cadence = Duration::from_millis(opts.heartbeat_millis.max(1));
         std::thread::spawn(move || {
-            loop {
-                match hb_stop_rx.recv_timeout(cadence) {
-                    Err(RecvTimeoutError::Timeout) => {}
-                    _ => return,
-                }
-                let frame = progress_frame(
-                    Vec::new(),
-                    &ProgressBeat {
-                        worker_id,
-                        cells_done: hb.cells_done.load(Ordering::Relaxed),
-                        cells_total: hb.cells_total,
-                        users_done: hb.users_done.load(Ordering::Relaxed),
-                    },
-                );
-                // try_send: a full queue means deltas are flowing, which
-                // is better liveness evidence than any heartbeat.
-                match tx.try_send(frame) {
-                    Ok(()) | Err(TrySendError::Full(_)) => {}
-                    Err(TrySendError::Disconnected(_)) => return,
+            let mut fb = FrameBuf::new();
+            while let Err(RecvTimeoutError::Timeout) = hb_stop_rx.recv_timeout(cadence) {
+                // try_lock: a held lock means a delta is being written,
+                // which is better liveness evidence than any heartbeat.
+                let Ok(mut w) = out.try_lock() else { continue };
+                if write_frame(&mut *w, hb.frame(&mut fb)).is_err() {
+                    return; // the cell loop meets the same dead socket
                 }
             }
         })
@@ -320,15 +292,11 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), WorkerError> {
                 cell: cell.cell,
             };
             if cfg.attribution {
-                let mut fb = FrameBuf::from_vec(pooled(&pool_rx));
-                crate::messages::encode_attribution_delta(&mut fb, head, &cell_metrics.attribution);
-                fb.finish();
-                send_frame(&tx, fb.take())?;
+                encode_attribution_delta(&mut fb, head, &cell_metrics.attribution);
+                send(&mut fb)?;
             }
-            let mut fb = FrameBuf::from_vec(pooled(&pool_rx));
             encode_metrics_delta(&mut fb, head, &cell_metrics);
-            fb.finish();
-            send_frame(&tx, fb.take())?;
+            send(&mut fb)?;
 
             local.merge_from(&cell_metrics);
             users_done += cell.users;
@@ -336,19 +304,8 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), WorkerError> {
             hb.cells_done.store(done, Ordering::Relaxed);
             hb.users_done.store(users_done, Ordering::Relaxed);
 
-            let frame = progress_frame(
-                pooled(&pool_rx),
-                &ProgressBeat {
-                    worker_id: opts.worker_id,
-                    cells_done: done,
-                    cells_total: cells.len() as u32,
-                    users_done,
-                },
-            );
-            send_frame(&tx, frame)?;
-
             if opts.chaos_exit_after_cells == done {
-                // A hard crash: no goodbye, frames possibly still queued.
+                // A hard crash: no goodbye, the rest of the cells never run.
                 std::process::exit(3);
             }
             if opts.chaos_drop_socket_after_cells == done {
@@ -361,49 +318,42 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), WorkerError> {
         }
 
         // Block for Drain; heartbeats keep flowing from the side thread.
-        match read_frame(&mut read_half, &mut payload)? {
-            Some(FrameType::Drain) => {}
-            Some(_) => return Err(WorkerError::Protocol("expected drain after last cell")),
-            None => return Err(WorkerError::Protocol("coordinator hung up before drain")),
+        match Frame::read(&mut stream, &mut payload)? {
+            Some(Frame::Drain) => Ok(()),
+            Some(_) => Err(WorkerError::Protocol("expected drain after last cell")),
+            None => Err(WorkerError::Protocol("coordinator hung up before drain")),
         }
-
-        let (allocs, alloc_bytes) = match (alloc_start, mem::alloc_counts()) {
-            (Some((a0, b0)), Some((a1, b1))) => (a1 - a0, b1 - b0),
-            _ => (0, 0),
-        };
-        let mut fb = FrameBuf::from_vec(pooled(&pool_rx));
-        encode_final_report(
-            &mut fb,
-            &FinalReport {
-                worker_id: opts.worker_id,
-                cells: cells.len() as u64,
-                users: users_done,
-                sim_events: local.sim_events.get(),
-                wall_micros: started.elapsed().as_micros() as u64,
-                allocs,
-                alloc_bytes,
-                digest: fnv1a(local.to_json().as_bytes()),
-            },
-        );
-        fb.finish();
-        send_frame(&tx, fb.take())
     })();
 
-    // Shut down the side threads in order: stop heartbeats, then close
-    // the frame channel so the writer drains the queue (final report
-    // included) and exits.
+    // Drain has arrived (or the run failed): nothing is left for the
+    // heartbeat to cover, so the final report is the last frame sent.
     let _ = hb_stop.send(());
     let _ = hb_thread.join();
-    drop(tx);
-    let writer_result = writer.join().unwrap_or(Ok(()));
     result?;
-    writer_result.map_err(|e| WorkerError::Wire(WireError::Io(e)))
+
+    let (allocs, alloc_bytes) = match (alloc_start, mem::alloc_counts()) {
+        (Some((a0, b0)), Some((a1, b1))) => (a1 - a0, b1 - b0),
+        _ => (0, 0),
+    };
+    encode_final_report(
+        &mut fb,
+        &FinalReport {
+            worker_id: opts.worker_id,
+            cells: cells.len() as u64,
+            users: users_done,
+            sim_events: local.sim_events.get(),
+            wall_micros: started.elapsed().as_micros() as u64,
+            allocs,
+            alloc_bytes,
+            digest: fnv1a(local.to_json().as_bytes()),
+        },
+    );
+    Ok(send(&mut fb)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::decode_progress;
 
     #[test]
     fn options_survive_the_command_line_with_every_field_set() {
@@ -433,27 +383,25 @@ mod tests {
     /// Regression: heartbeat frames once went out with the header's
     /// length field still at its placeholder (finish() was never
     /// called), desyncing the stream on every run longer than one
-    /// heartbeat period. The shared constructor must hand back a frame
-    /// the real reader parses cleanly — twice in a row, because the
-    /// heartbeat thread loops.
+    /// heartbeat period. What the heartbeat thread writes must be a frame
+    /// the real reader parses cleanly — twice in a row out of the same
+    /// buffer, because the heartbeat thread loops.
     #[test]
     fn progress_frames_are_always_finished_and_decodable() {
-        let beat = ProgressBeat {
+        let hb = HbState {
             worker_id: 7,
-            cells_done: 3,
+            cells_done: AtomicU32::new(3),
+            users_done: AtomicU64::new(150),
             cells_total: 9,
-            users_done: 150,
         };
-        let one = progress_frame(Vec::new(), &beat);
-        let two = progress_frame(Vec::with_capacity(64), &beat);
-        for frame in [&one, &two] {
-            let mut cursor: &[u8] = frame;
+        let mut fb = FrameBuf::new();
+        for _ in 0..2 {
+            let mut cursor: &[u8] = hb.frame(&mut fb);
             let mut payload = Vec::new();
-            let ftype = read_frame(&mut cursor, &mut payload)
-                .expect("well-formed frame")
-                .expect("one frame present");
-            assert_eq!(ftype, FrameType::Progress);
-            let got = decode_progress(&payload).expect("decodable payload");
+            let got = Frame::read(&mut cursor, &mut payload).expect("well-formed frame");
+            let Some(Frame::Progress(got)) = got else {
+                panic!("decoded {got:?}")
+            };
             assert_eq!(got.worker_id, 7);
             assert_eq!(got.cells_done, 3);
             assert_eq!(got.cells_total, 9);

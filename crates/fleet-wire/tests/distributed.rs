@@ -79,13 +79,25 @@ fn heartbeat_storm_does_not_corrupt_the_frame_stream() {
     // longer than one heartbeat period — which no fast test ever was.
     // A 1 ms cadence forces thousands of heartbeats to interleave with
     // delta traffic inside this sub-second run; the digest and the
-    // per-worker handshake must be completely unaffected.
-    let cfg = small_fast_cfg(1, 2017);
-    let mut d = dcfg(2);
-    d.heartbeat = Some(std::time::Duration::from_millis(1));
-    let outcome = run_fleet_distributed_with_progress(&cfg, &d, |_| {}).expect("clean run");
-    assert_eq!(outcome.report.digest(), goldens::SMALL_FAST);
-    assert_eq!(outcome.rejoins, 0);
+    // per-worker handshake must be completely unaffected. With
+    // attribution on, every cell is two frames written back to back while
+    // the heartbeat thread contends for the same write lock.
+    for attribution in [false, true] {
+        let cfg = small_fast_cfg(1, 2017).with_attribution(attribution);
+        let expected = match attribution {
+            false => goldens::SMALL_FAST.to_string(),
+            true => run_fleet(&cfg).digest(),
+        };
+        let mut d = dcfg(2);
+        d.heartbeat = Some(std::time::Duration::from_millis(1));
+        let outcome = run_fleet_distributed_with_progress(&cfg, &d, |_| {}).expect("clean run");
+        assert_eq!(
+            outcome.report.digest(),
+            expected,
+            "attribution {attribution}"
+        );
+        assert_eq!(outcome.rejoins, 0);
+    }
 }
 
 #[test]

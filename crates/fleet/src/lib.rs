@@ -51,4 +51,4 @@ pub use runner::{
     FleetPolicy, Progress,
 };
 pub use scenario::ScenarioSpec;
-pub use shard::{assign_contiguous, assign_round_robin, plan_cells, CellSpec};
+pub use shard::{assign_round_robin, plan_cells, CellSpec};

@@ -1,21 +1,27 @@
-//! Scoped-thread execution of a sharded fleet run.
+//! In-process execution of a sharded fleet run: a thread only where cells
+//! run in parallel.
 //!
-//! [`run_fleet`] plans the population into cells, deals the cells across
-//! shards round-robin, and runs one worker thread per shard on
-//! [`std::thread::scope`]. Each shard owns a private [`FleetMetrics`]
-//! accumulator and simulates its cells **one at a time**, so per-shard
-//! memory is bounded by a single cell's simulation (≤ [`FleetConfig::
-//! cell_users`] users) regardless of the total population. Progress flows
-//! back over an [`mpsc`] channel and is surfaced through the caller's
-//! callback; when the workers finish, their accumulators merge — in shard
-//! order, though order cannot matter — into one [`FleetReport`].
+//! [`run_fleet`] plans the population into cells and deals them across
+//! shards round-robin. The shard loop is written once (`run_shard`):
+//! **shard 0 runs on the calling thread**, shards 1.. each on a
+//! [`std::thread::scope`] thread, so a `--shards N` run is N threads and a
+//! one-shard run never creates a thread or sends on a channel. Each shard
+//! owns a private [`FleetMetrics`] accumulator and simulates its cells
+//! **one at a time**, so per-shard memory is bounded by a single cell's
+//! simulation (≤ [`FleetConfig::cell_users`] users) regardless of the
+//! total population. Shard 0 hands its progress beats straight to the
+//! caller's callback; the other shards send theirs over an [`mpsc`]
+//! channel that the calling thread drains between its own cells and after
+//! its last one, so the callback only ever runs on the calling thread.
+//! When the shards finish, their accumulators merge — in shard order,
+//! though order cannot matter — into one [`FleetReport`].
 
 use crate::cell::run_cell;
 use crate::metrics::FleetMetrics;
 pub use crate::options::FleetConfig;
 use crate::options::{OptValue, ScenarioSpec};
 use crate::report::{FleetReport, ShardSummary};
-use crate::shard::{assign_round_robin, plan_cells};
+use crate::shard::{assign_round_robin, plan_cells, CellSpec};
 use ecosystem::{Ecosystem, GeneratorConfig, PopulationSampler};
 use engine::{EngineConfig, EnginePolicy, PollPolicy};
 use serde::{de, Deserialize, Serialize};
@@ -306,6 +312,38 @@ pub fn population(cfg: &FleetConfig) -> (PopulationSampler, u64) {
     (sampler, hot_threshold)
 }
 
+/// One shard's whole life, on whichever thread it was given: its cells in
+/// order into a private accumulator, one `beat` per finished cell.
+fn run_shard(
+    shard: usize,
+    cells: &[CellSpec],
+    sampler: &PopulationSampler,
+    cfg: &FleetConfig,
+    mut beat: impl FnMut(Progress),
+) -> (Arc<FleetMetrics>, ShardSummary) {
+    let started = Instant::now();
+    let metrics = Arc::new(FleetMetrics::default());
+    let mut users = 0u64;
+    for (done, cell) in cells.iter().enumerate() {
+        run_cell(cell, sampler, cfg, &metrics);
+        users += cell.users;
+        beat(Progress {
+            shard,
+            cells_done: done + 1,
+            cells_total: cells.len(),
+            users_done: users,
+        });
+    }
+    let summary = ShardSummary {
+        shard,
+        cells: cells.len(),
+        users,
+        sim_events: metrics.sim_events.get(),
+        wall_secs: started.elapsed().as_secs_f64(),
+    };
+    (metrics, summary)
+}
+
 /// Run the fleet; `on_progress` is invoked on the calling thread for every
 /// cell any shard completes.
 pub fn run_fleet_with_progress(
@@ -324,53 +362,42 @@ pub fn run_fleet_with_progress(
 
     let cells = plan_cells(cfg.users, cfg.cell_users);
     let assignments = assign_round_robin(&cells, cfg.shards);
+    let (mine, theirs) = assignments.split_first().expect("at least one shard");
 
     let (tx, rx) = mpsc::channel::<Progress>();
-    let mut outcomes: Vec<(Arc<FleetMetrics>, f64)> = Vec::with_capacity(cfg.shards);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(cfg.shards);
-        for (shard, shard_cells) in assignments.iter().enumerate() {
-            let tx = tx.clone();
-            let sampler = &sampler;
-            let cfg = &cfg;
-            handles.push(scope.spawn(move || {
-                let shard_started = Instant::now();
-                let metrics = Arc::new(FleetMetrics::default());
-                let mut users_done = 0u64;
-                for (done, cell) in shard_cells.iter().enumerate() {
-                    run_cell(cell, sampler, cfg, &metrics);
-                    users_done += cell.users;
-                    let _ = tx.send(Progress {
-                        shard,
-                        cells_done: done + 1,
-                        cells_total: shard_cells.len(),
-                        users_done,
-                    });
-                }
-                (metrics, shard_started.elapsed().as_secs_f64())
-            }));
-        }
-        drop(tx); // rx ends when the last worker hangs up
-        for beat in rx {
+    let outcomes = std::thread::scope(|scope| {
+        let (sampler, cfg) = (&sampler, &cfg);
+        let spawned: Vec<_> = (1..)
+            .zip(theirs)
+            .map(|(shard, cells)| {
+                let tx = tx.clone();
+                scope.spawn(move || {
+                    run_shard(shard, cells, sampler, cfg, |beat| {
+                        let _ = tx.send(beat);
+                    })
+                })
+            })
+            .collect();
+        drop(tx); // rx ends when the last spawned shard hangs up
+        let mut outcomes = vec![run_shard(0, mine, sampler, cfg, |beat| {
             on_progress(&beat);
-        }
-        for handle in handles {
-            outcomes.push(handle.join().expect("shard worker panicked"));
-        }
+            rx.try_iter().for_each(|beat| on_progress(&beat));
+        })];
+        rx.iter().for_each(|beat| on_progress(&beat));
+        outcomes.extend(
+            spawned
+                .into_iter()
+                .map(|h| h.join().expect("shard panicked")),
+        );
+        outcomes
     });
 
     // Merge; instruments are exactly mergeable, so shard order is moot.
     let merged = FleetMetrics::default();
     let mut per_shard = Vec::with_capacity(cfg.shards);
-    for (shard, (metrics, wall_secs)) in outcomes.iter().enumerate() {
-        merged.merge_from(metrics);
-        per_shard.push(ShardSummary {
-            shard,
-            cells: assignments[shard].len(),
-            users: assignments[shard].iter().map(|c| c.users).sum(),
-            sim_events: metrics.sim_events.get(),
-            wall_secs: *wall_secs,
-        });
+    for (metrics, summary) in outcomes {
+        merged.merge_from(&metrics);
+        per_shard.push(summary);
     }
 
     // Allocation accounting (only when mem's `alloc-count` feature is on):
@@ -410,17 +437,23 @@ mod tests {
 
     #[test]
     fn progress_beats_cover_every_cell() {
-        let cfg = smoke_cfg(100, 2); // 4 cells, 2 per shard
-        let mut beats = Vec::new();
-        let report = run_fleet_with_progress(&cfg, |p| beats.push(*p));
-        assert_eq!(beats.len(), 4);
-        assert_eq!(report.merged.cells.get(), 4);
-        assert_eq!(report.merged.users.get(), 100);
-        // The final beat of each shard accounts for all of its users.
-        for shard in 0..2 {
-            let last = beats.iter().rev().find(|p| p.shard == shard).unwrap();
-            assert_eq!(last.cells_done, last.cells_total);
-            assert_eq!(last.users_done, 50);
+        // 6 cells of 25: whether a shard ran on the calling thread (shard 0)
+        // or a spawned one, every cell is reported exactly once and in order.
+        for shards in [1usize, 2, 3] {
+            let mut beats = Vec::new();
+            let report = run_fleet_with_progress(&smoke_cfg(150, shards), |p| beats.push(*p));
+            assert_eq!(beats.len(), 6, "{shards} shards");
+            assert_eq!(report.merged.cells.get(), 6);
+            assert_eq!(report.merged.users.get(), 150);
+            for shard in 0..shards {
+                let mine: Vec<&Progress> = beats.iter().filter(|p| p.shard == shard).collect();
+                let done: Vec<usize> = mine.iter().map(|p| p.cells_done).collect();
+                assert_eq!(done, (1..=6 / shards).collect::<Vec<_>>(), "shard {shard}");
+                // The final beat of each shard accounts for all of its users.
+                let last = mine.last().unwrap();
+                assert_eq!(last.cells_done, last.cells_total);
+                assert_eq!(last.users_done, 150 / shards as u64);
+            }
         }
     }
 

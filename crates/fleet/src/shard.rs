@@ -42,9 +42,11 @@ pub fn plan_cells(users: u64, cell_users: u64) -> Vec<CellSpec> {
 
 /// Deal `cells` across `shards` round-robin (cell `i` → shard `i % shards`).
 ///
-/// Round-robin (rather than contiguous ranges) keeps shard workloads
+/// The one deal, for in-process shards and `fleet-shard` worker processes
+/// alike. Round-robin (rather than contiguous ranges) keeps shard workloads
 /// balanced even when per-cell cost drifts with user index, and makes the
-/// cell→shard map independent of the total cell count.
+/// cell→shard map independent of the total cell count. With more shards
+/// than cells the trailing shards get an empty list.
 ///
 /// # Panics
 /// Panics if `shards` is zero.
@@ -53,38 +55,6 @@ pub fn assign_round_robin(cells: &[CellSpec], shards: usize) -> Vec<Vec<CellSpec
     let mut out = vec![Vec::new(); shards];
     for (i, c) in cells.iter().enumerate() {
         out[i % shards].push(*c);
-    }
-    out
-}
-
-/// Split `cells` into at most `workers` **contiguous** runs of
-/// near-equal length (sizes differ by at most one, longer runs first).
-///
-/// This is the distributed fleet's assignment shape: a `fleet-shard`
-/// worker process owns one contiguous cell range, so a lost worker can be
-/// described — and deterministically re-run — as a single `(first, len)`
-/// interval. Round-robin stays the right deal for in-process shards,
-/// where handing a thread a new cell costs nothing; contiguity only
-/// matters once a range has to be serialized, reassigned, and recomputed.
-///
-/// Empty runs are never produced: with fewer cells than workers the
-/// trailing workers simply get no entry.
-///
-/// # Panics
-/// Panics if `workers` is zero.
-pub fn assign_contiguous(cells: &[CellSpec], workers: usize) -> Vec<Vec<CellSpec>> {
-    assert!(workers > 0, "need at least one worker");
-    let mut out = Vec::with_capacity(workers.min(cells.len()));
-    let base = cells.len() / workers;
-    let extra = cells.len() % workers;
-    let mut start = 0usize;
-    for w in 0..workers {
-        let len = base + usize::from(w < extra);
-        if len == 0 {
-            break;
-        }
-        out.push(cells[start..start + len].to_vec());
-        start += len;
     }
     out
 }
@@ -117,24 +87,6 @@ mod tests {
         assert_eq!(cells[0].users, 50);
         assert_eq!(cells[1].users, 50);
         assert_eq!(cells[2].users, 30);
-    }
-
-    #[test]
-    fn contiguous_assignment_partitions_into_balanced_runs() {
-        let cells = plan_cells(1000, 50); // 20 cells
-        for workers in [1usize, 2, 3, 7, 20, 32] {
-            let assigned = assign_contiguous(&cells, workers);
-            // Never an empty run; never more runs than cells or workers.
-            assert!(assigned.iter().all(|run| !run.is_empty()));
-            assert_eq!(assigned.len(), workers.min(20));
-            // Concatenating the runs reproduces the cell list exactly —
-            // contiguity and completeness in one check.
-            let flat: Vec<u64> = assigned.iter().flatten().map(|c| c.cell).collect();
-            assert_eq!(flat, (0..20u64).collect::<Vec<_>>(), "{workers} workers");
-            let sizes: Vec<usize> = assigned.iter().map(Vec::len).collect();
-            let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(hi - lo <= 1, "unbalanced at {workers} workers: {sizes:?}");
-        }
     }
 
     #[test]

@@ -177,20 +177,16 @@ impl Kernel {
                 self.schedule(at, Ev::DeliverRequest(req));
             }
             Delivery::Lost => {
-                self.trace.record(
-                    self.now,
-                    src,
-                    "net.request_lost",
-                    format!("{} {}", req.method, req.path),
-                );
+                if self.trace.is_enabled() {
+                    let detail = format!("{} {}", req.method, req.path);
+                    self.trace.record(self.now, src, "net.request_lost", detail);
+                }
             }
             Delivery::NoRoute => {
-                self.trace.record(
-                    self.now,
-                    src,
-                    "net.no_route",
-                    format!("dst={dst:?} {}", req.path),
-                );
+                if self.trace.is_enabled() {
+                    let detail = format!("dst={dst:?} {}", req.path);
+                    self.trace.record(self.now, src, "net.no_route", detail);
+                }
                 // Fail fast: an unroutable request resolves as a timeout
                 // one quantum later, even without an explicit timeout.
                 self.schedule(
@@ -221,12 +217,11 @@ impl Kernel {
                 self.schedule(at, Ev::DeliverResponse { req_id, resp });
             }
             Delivery::Lost | Delivery::NoRoute => {
-                self.trace.record(
-                    self.now,
-                    from,
-                    "net.response_lost",
-                    format!("req={}", req_id.0),
-                );
+                if self.trace.is_enabled() {
+                    let detail = format!("req={}", req_id.0);
+                    self.trace
+                        .record(self.now, from, "net.response_lost", detail);
+                }
                 // The origin can only learn of this via its timeout, so the
                 // pending entry must stay un-answered until that fires.
                 // Without a timeout nothing will ever conclude the request:
@@ -269,14 +264,10 @@ impl Kernel {
                     LinkFault::Latency(lat) => self.topology.set_link_latency(link, lat),
                 }
             }
-            if let Some(&(link, _, _)) = e.saved.first() {
-                let fault = e.fault;
-                self.trace.record(
-                    self.now,
-                    NodeId(u32::MAX),
-                    "chaos.fault_begin",
-                    format!("link={} {fault:?}", link.0),
-                );
+            if let Some(&(link, _, _)) = e.saved.first().filter(|_| self.trace.is_enabled()) {
+                let detail = format!("link={} {:?}", link.0, e.fault);
+                self.trace
+                    .record(self.now, NodeId(u32::MAX), "chaos.fault_begin", detail);
             }
         } else {
             for (link, spec, up) in std::mem::take(&mut e.saved) {
@@ -302,6 +293,7 @@ impl Kernel {
                 self.signal_fronts.insert((src, dst), at);
                 self.schedule(at, Ev::Signal { src, dst, payload });
             }
+            Delivery::Lost | Delivery::NoRoute if !self.trace.is_enabled() => {}
             Delivery::Lost => {
                 self.trace
                     .record(self.now, src, "net.signal_lost", format!("dst={dst:?}"));
