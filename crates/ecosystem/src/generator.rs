@@ -880,7 +880,7 @@ impl Ecosystem {
         let mut applets: Vec<AppletRecord> = Vec::with_capacity(n_total);
         let mut anchor_adds_total = 0u64;
         let mut cell_spent = [[0u64; 14]; 14];
-        for (i, aa) in ANCHOR_APPLETS.iter().enumerate() {
+        for aa in ANCHOR_APPLETS {
             let adds = ((aa.adds_k * 1000) as f64 * config.scale).round() as u64;
             anchor_adds_total += adds;
             let t_cat = services[slug_index[aa.trigger_service]].category;
@@ -898,7 +898,6 @@ impl Ecosystem {
                 created_week: 0,
                 steps: Vec::new(),
             });
-            let _ = i;
         }
 
         // Synthetic add-count sequence hitting the global tail targets.
@@ -1027,16 +1026,13 @@ impl Ecosystem {
             pool.last().map(|(i, _)| *i)
         };
 
-        // Applets heavier than this are placed greedily into the cell with
-        // the most remaining budget (bin-packing style), so no single mega
-        // applet can blow a category's share; light applets sample a cell
-        // proportional to remaining budget (falling back to the raw matrix
-        // once budgets are exhausted by rounding).
-        let greedy_threshold = 0.0;
+        // While budget remains, every applet is placed greedily into the
+        // cell with the most remaining budget (bin-packing style), so no
+        // single mega applet can blow a category's share; once budgets are
+        // exhausted by rounding, applets sample a cell from the raw matrix.
         for (k, &adds) in seq.iter().enumerate() {
             let total_budget: f64 = budget.iter().flatten().sum();
             let (mut tr, mut ac) = (6usize, 8usize); // cat 7 → cat 9 default
-            let _ = greedy_threshold;
             if total_budget > 1.0 {
                 // Best-fit: the fullest cell that can absorb the whole
                 // item; fall back to the fullest cell overall (bounded
@@ -1065,20 +1061,10 @@ impl Ecosystem {
                     ac = any.1;
                 }
             } else {
-                let mut u = rng.gen::<f64>()
-                    * if total_budget > 1.0 {
-                        total_budget
-                    } else {
-                        1.0
-                    };
+                let mut u = rng.gen::<f64>();
                 'outer: for r in 0..14 {
                     for c in 0..14 {
-                        let w = if total_budget > 1.0 {
-                            budget[r][c]
-                        } else {
-                            j[r][c]
-                        };
-                        u -= w;
+                        u -= j[r][c];
                         if u <= 0.0 {
                             tr = r;
                             ac = c;
@@ -1116,7 +1102,6 @@ impl Ecosystem {
                 created_week: 0,
                 steps: Vec::new(),
             });
-            let _ = k;
         }
 
         // Post-canonical newcomers: small applets created after week 18.

@@ -1,7 +1,6 @@
 //! Engine behaviour knobs: [`EngineConfig`] and the policy types it
 //! carries.
 
-use crate::permissions::Granularity;
 use crate::polling::PollPolicy;
 use crate::resilience::{BreakerPolicy, RetryPolicy};
 use simnet::rng::Dist;
@@ -74,8 +73,6 @@ pub struct EngineConfig {
     pub poll_retry: RetryPolicy,
     /// Per-trigger-service circuit breaker; `None` (default) never sheds.
     pub breaker: Option<BreakerPolicy>,
-    /// Permission model granularity.
-    pub permission_granularity: Granularity,
     /// Reject applet installs that would create a (statically visible) loop.
     pub static_loop_check: bool,
     /// Runtime loop detection, if any.
@@ -109,7 +106,6 @@ impl Default for EngineConfig {
             action_retry: RetryPolicy::none(),
             poll_retry: RetryPolicy::none(),
             breaker: None,
-            permission_granularity: Granularity::ServiceLevel,
             static_loop_check: false,
             runtime_loop: None,
             batch_polling: false,
@@ -151,12 +147,6 @@ impl EngineConfig {
             .with_request_timeout(SimDuration::from_secs(10))
     }
 
-    /// Replace the poll scheduling policy.
-    pub fn with_polling(mut self, polling: PollPolicy) -> Self {
-        self.polling = polling;
-        self
-    }
-
     /// Select the multi-step execution semantics.
     pub fn with_policy(mut self, policy: EnginePolicy) -> Self {
         self.policy = policy;
@@ -193,33 +183,9 @@ impl EngineConfig {
         self
     }
 
-    /// Set the permission model granularity (§6).
-    pub fn with_permission_granularity(mut self, granularity: Granularity) -> Self {
-        self.permission_granularity = granularity;
-        self
-    }
-
-    /// Enable or disable the static install-time loop check (§6).
-    pub fn with_static_loop_check(mut self, on: bool) -> Self {
-        self.static_loop_check = on;
-        self
-    }
-
-    /// Install a runtime loop-detection configuration (§6).
-    pub fn with_runtime_loop(mut self, cfg: RuntimeLoopConfig) -> Self {
-        self.runtime_loop = Some(cfg);
-        self
-    }
-
     /// Add a service to the realtime-hint allowlist.
     pub fn allow_realtime(mut self, slug: ServiceSlug) -> Self {
         self.realtime_allowlist.insert(slug);
-        self
-    }
-
-    /// Set the post-poll debounce window for realtime notifications.
-    pub fn with_realtime_debounce(mut self, window: SimDuration) -> Self {
-        self.realtime_debounce = window;
         self
     }
 }

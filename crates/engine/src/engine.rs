@@ -15,8 +15,6 @@
 //!   Alexa)");
 //! * **OAuth2 token caching** per (user, service) "to make future applet
 //!   execution fully automated";
-//! * **coarse service-level permissions** (§6), with the fine-grained
-//!   alternative available behind [`crate::permissions::Granularity`];
 //! * **no loop detection by default** — the paper experimentally confirms
 //!   IFTTT performs no syntax check; both the static check and a runtime
 //!   detector can be switched on to evaluate the §6 recommendations.
@@ -26,7 +24,6 @@ use crate::config::EngineConfig;
 use crate::exec::{Plan, Run, RunNode};
 use crate::loopdetect::{RuntimeLoopDetector, StaticLoopDetector};
 use crate::obs::{EngineStats, ObsEvent, ObsSink};
-use crate::permissions::PermissionManager;
 use crate::resilience::CircuitBreaker;
 use mem::{Arena, FxHashMap, FxHashSet};
 use rand::Rng;
@@ -41,7 +38,7 @@ use tap_protocol::endpoints::{
 use tap_protocol::error::FailureClass;
 use tap_protocol::wire::{
     self, BatchPollEntry, BatchPollRequestBody, BatchPollResponseBody, ErrorBody, PollResponseBody,
-    RealtimeAckBody, RealtimeNotification, TriggerEvent,
+    RealtimeAckBody, RealtimeNotification, TriggerEvent, DEFAULT_POLL_LIMIT,
 };
 use tap_protocol::{Interner, ServiceSlug, Symbol, TriggerIdentity, UserId};
 
@@ -109,16 +106,17 @@ pub(crate) struct PollTask {
     /// `next_poll` is `Some`); lets a sibling's batch decide whether this
     /// subscription's poll is close enough to coalesce.
     pub(crate) next_poll_at: SimTime,
-    /// Coalescing-group key: (owner, trigger service, cadence class).
-    pub(crate) group: (Symbol, Symbol, u8),
+    /// The coalescing group this subscription belongs to.
+    pub(crate) group: GroupKey,
     /// Whether the coalescing group ever had a sibling. Most users install
     /// one applet per service, so most poll timers can skip the batch
     /// machinery (group scan, window jitter draw, member collection)
     /// entirely. Purely a fast-path hint: `send_batch_poll` still falls
     /// back to a single poll when no sibling is actually coalescible.
     pub(crate) grouped: bool,
-    /// Cached wire entry this subscription contributes to a batch poll.
-    pub(crate) batch_entry: BatchPollEntry,
+    /// The subscription's trigger identity: what its poll body names, what
+    /// `by_identity` routes hints by, what a batch entry carries.
+    pub(crate) identity: TriggerIdentity,
     /// Consecutive failed polls for this subscription (resets on success;
     /// bounds the poll-retry budget).
     pub(crate) retries: u32,
@@ -148,7 +146,31 @@ pub(crate) struct PollTask {
     pub(crate) uninstalled: bool,
 }
 
-/// What the engine keeps per coalescing group between rounds.
+/// Coalescing-group key: (owner, trigger service, cadence class).
+pub(crate) type GroupKey = (Symbol, Symbol, u8);
+
+/// One coalescing group: the subscriptions of one (owner, trigger service,
+/// cadence class) and everything the engine keeps about them as a group.
+/// The memo and the degradation window are facts about these members, so
+/// they live and die with the member list — a group that loses its last
+/// member is removed whole.
+#[derive(Debug, Default)]
+pub(crate) struct Group {
+    /// Live members in install order (the order batch entries are listed
+    /// on the wire and demuxed back).
+    pub(crate) members: Vec<Slot>,
+    /// The last batch round's request and reply; dropped when a member is
+    /// uninstalled, replaced when a different membership polls.
+    pub(crate) memo: Option<BatchMemo>,
+    /// After a failed batch request the group polls singleton until this
+    /// instant (graceful degradation), then re-coalesces.
+    degraded_until: SimTime,
+}
+
+/// What a group keeps between batch rounds. While the polling membership
+/// is unchanged — after the first response phase-locks a group that is
+/// every round — a batch poll clones `request` exactly like a single poll
+/// clones its body; a miss re-serializes it from the members' applets.
 #[derive(Debug)]
 pub(crate) struct BatchMemo {
     /// The members the request was serialized for, in entry order.
@@ -188,19 +210,12 @@ pub struct TapEngine {
     /// Per-applet polling state, indexed by slot parallel to `applets`.
     pub(crate) tasks: Vec<PollTask>,
     pub(crate) by_identity: FxHashMap<Symbol, Vec<Slot>>,
-    /// Coalescing groups, in install order (the order batch entries are
-    /// listed on the wire and demuxed back).
-    pub(crate) poll_groups: FxHashMap<(Symbol, Symbol, u8), Vec<Slot>>,
+    /// Coalescing groups by [`PollTask::group`]; an entry exists exactly
+    /// while the group has a live member.
+    pub(crate) groups: FxHashMap<GroupKey, Group>,
     /// In-flight batch polls: the arena handle is the wire sequence
     /// number; the value is the member slots, in entry order.
     pending_batches: Arena<Vec<Slot>>,
-    /// Serialized batch request body per group, reused verbatim while the
-    /// group's membership is unchanged — after the first response
-    /// phase-locks a group this is every round, so a steady-state batch
-    /// poll clones a `Bytes` handle exactly like a single poll does — and
-    /// beside it the last reply that membership ingested. Evicted when a
-    /// member is uninstalled, replaced when a different membership polls.
-    pub(crate) batch_bodies: FxHashMap<(Symbol, Symbol, u8), BatchMemo>,
     /// In-flight activations, classic and multi-step alike; the
     /// generation-checked arena handle is the dispatch id carried by
     /// tokens, timer keys and observation events.
@@ -208,8 +223,6 @@ pub struct TapEngine {
     /// How many of `runs` execute a classic plan: what a classic
     /// enqueue reports as `DispatchEnqueued.depth` (DESIGN.md §11.3).
     pub(crate) classic_in_flight: u64,
-    /// Permission manager (service-level by default, §6).
-    pub permissions: PermissionManager,
     /// Static loop detector (consulted only if configured).
     pub static_detector: StaticLoopDetector,
     pub(crate) runtime_detector: Option<RuntimeLoopDetector>,
@@ -218,9 +231,6 @@ pub struct TapEngine {
     /// Per-trigger-service circuit breakers (allocated lazily; only
     /// consulted when `config.breaker` is set).
     pub(crate) breakers: FxHashMap<Symbol, CircuitBreaker>,
-    /// Groups temporarily demoted to singleton polls after a batch poll
-    /// failure, until the stored instant.
-    pub(crate) degraded_until: FxHashMap<(Symbol, Symbol, u8), SimTime>,
     /// Optional instrumentation sink (see [`crate::obs`]).
     sink: Option<std::sync::Arc<dyn ObsSink>>,
     /// Recycled batch member lists: popped when a batch poll assembles its
@@ -242,7 +252,6 @@ impl TapEngine {
             .runtime_loop
             .as_ref()
             .map(|c| RuntimeLoopDetector::new(c.max_executions, c.window));
-        let permissions = PermissionManager::new(config.permission_granularity);
         TapEngine {
             config,
             syms: Interner::new(),
@@ -255,17 +264,14 @@ impl TapEngine {
             applets: Vec::new(),
             tasks: Vec::new(),
             by_identity: FxHashMap::default(),
-            poll_groups: FxHashMap::default(),
+            groups: FxHashMap::default(),
             pending_batches: Arena::new(),
-            batch_bodies: FxHashMap::default(),
             runs: Arena::new(),
             classic_in_flight: 0,
-            permissions,
             static_detector: StaticLoopDetector::new(),
             runtime_detector,
             stats: EngineStats::default(),
             breakers: FxHashMap::default(),
-            degraded_until: FxHashMap::default(),
             sink: None,
             member_pool: Vec::new(),
             event_pool: Vec::new(),
@@ -587,7 +593,8 @@ impl TapEngine {
         // list comes from (and returns to) the member pool, so the
         // steady-state batch path allocates nothing here.
         let mut members = self.member_pool.pop().unwrap_or_default();
-        for &m in &self.poll_groups[&group] {
+        let g = self.groups.get_mut(&group).expect("a grouped task's group");
+        for &m in &g.members {
             // A member with an armed realtime poll keeps its out-of-band
             // timer: sweeping it into the batch would cancel the immediate
             // poll its notification paid for.
@@ -614,25 +621,30 @@ impl TapEngine {
             }
             task.poll_sent_at = ctx.now();
         }
-        let cached = self.batch_bodies.get(&group);
-        let cached = cached.filter(|memo| memo.members == members);
-        let body = cached.map(|memo| memo.request.clone()).unwrap_or_else(|| {
-            let entries = members
-                .iter()
-                .map(|&m| self.tasks[m as usize].batch_entry.clone())
-                .collect();
-            let request = wire::to_bytes(&BatchPollRequestBody {
-                user: self.applets[slot as usize].owner.clone(),
-                entries,
-            });
-            let memo = BatchMemo {
-                members: members.clone(),
-                request: request.clone(),
-                reply: None,
-            };
-            self.batch_bodies.insert(group, memo);
-            request
-        });
+        let body = match &g.memo {
+            Some(memo) if memo.members == members => memo.request.clone(),
+            _ => {
+                let entry = |&m: &Slot| {
+                    let trigger = &self.applets[m as usize].trigger;
+                    BatchPollEntry {
+                        trigger: trigger.trigger.clone(),
+                        trigger_identity: self.tasks[m as usize].identity.clone(),
+                        trigger_fields: trigger.fields.clone(),
+                        limit: DEFAULT_POLL_LIMIT,
+                    }
+                };
+                let request = wire::to_bytes(&BatchPollRequestBody {
+                    user: self.applets[slot as usize].owner.clone(),
+                    entries: members.iter().map(entry).collect(),
+                });
+                g.memo = Some(BatchMemo {
+                    members: members.clone(),
+                    request: request.clone(),
+                    reply: None,
+                });
+                request
+            }
+        };
         let n = members.len() as u64;
         let seq = self.pending_batches.insert(members);
         let (node, req) = self.poll_request(ctx, slot, BATCH_POLL_PATH, body);
@@ -696,8 +708,9 @@ impl TapEngine {
                 service,
                 at: ctx.now(),
             });
-            self.degraded_until
-                .insert(group, ctx.now() + gap + SimDuration::from_secs(1));
+            if let Some(g) = self.groups.get_mut(&group) {
+                g.degraded_until = ctx.now() + gap + SimDuration::from_secs(1);
+            }
             return;
         }
         self.breaker_record(ctx, service, true);
@@ -711,9 +724,8 @@ impl TapEngine {
             return;
         }
         // The bytes these members ingested last round: replay the counts.
-        let memo = self.batch_bodies.get(&group);
-        let memo = memo.filter(|memo| memo.members == members);
-        let seen = memo.and_then(|memo| memo.reply.as_ref());
+        let seen = self.batch_memo(group, members);
+        let seen = seen.and_then(|memo| memo.reply.as_ref());
         if let Some((_, received)) = seen.filter(|(body, _)| *body == resp.body) {
             let received = received.clone();
             for (&m, &n) in members.iter().zip(&*received) {
@@ -747,11 +759,17 @@ impl TapEngine {
         }
         // An uninstall evicts the memo, so one that is still these members'
         // says every entry above was ingested.
-        let memo = self.batch_bodies.get_mut(&group);
-        if let Some(memo) = memo.filter(|memo| memo.members == members) {
+        if let Some(memo) = self.batch_memo(group, members) {
             let received = parsed.data.iter().map(|r| r.data.len() as u64);
             memo.reply = Some((resp.body, received.collect()));
         }
+    }
+
+    /// What `group` keeps from its last batch round, if that round was
+    /// polled by exactly `members`.
+    fn batch_memo(&mut self, group: GroupKey, members: &[Slot]) -> Option<&mut BatchMemo> {
+        let memo = self.groups.get_mut(&group)?.memo.as_mut()?;
+        (memo.members == members).then_some(memo)
     }
 
     /// Ingest one entry of a reply whose exact bytes this subscription (or
@@ -1060,22 +1078,14 @@ impl Node for TapEngine {
                     return;
                 };
                 task.next_poll = None;
-                let grouped = task.grouped;
-                let group = task.group;
-                let realtime = task.rt_pending;
-                // A group whose batch request just failed polls singleton
-                // for a cycle (graceful degradation), then re-coalesces.
-                let degraded = self.config.batch_polling
-                    && grouped
-                    && !self.degraded_until.is_empty()
-                    && self
-                        .degraded_until
-                        .get(&group)
-                        .is_some_and(|until| ctx.now() < *until);
                 // A realtime-armed poll goes out alone even for a grouped
                 // member: initiating a batch here would drag the whole
-                // group off its phase for one subscription's hint.
-                if self.config.batch_polling && grouped && !degraded && !realtime {
+                // group off its phase for one subscription's hint. So does
+                // every poll of a group inside its degradation window.
+                let group = task.group;
+                let coalesce = self.config.batch_polling && task.grouped && !task.rt_pending;
+                let degraded = |g: &Group| ctx.now() < g.degraded_until;
+                if coalesce && !self.groups.get(&group).is_some_and(degraded) {
                     self.send_batch_poll(ctx, slot);
                 } else {
                     self.send_poll(ctx, slot);

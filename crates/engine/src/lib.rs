@@ -4,8 +4,9 @@
 //! experiment E3, re-implements): applet storage, per-subscription trigger
 //! polling with batched event delivery, one plan-driven executor for
 //! classic and multi-step applets with ingredient substitution, OAuth2 token caching, realtime-API hint handling with a
-//! per-service allowlist, coarse- and fine-grained permission management,
-//! and static plus runtime infinite-loop detection.
+//! per-service allowlist, and static plus runtime infinite-loop detection.
+//! Beside the engine, as a library it does not consult, the §6 permission
+//! models ([`permissions`]).
 //!
 //! The crate is protocol-pure: it depends only on `simnet` and
 //! `tap-protocol`, never on concrete devices, so any service speaking the
@@ -18,7 +19,8 @@
 //!   retire).
 //! * [`PollPolicy`] — production-like, fixed (E3), or smart (§6) polling.
 //! * [`Applet`] / [`AppletId`] — the automation rules.
-//! * [`permissions::PermissionManager`] — §6 permission models + audit.
+//! * [`permissions::PermissionManager`] — §6 permission models + audit,
+//!   driven over a set of installed applets (not engine state).
 //! * [`loopdetect`] — §4/§6 static and runtime loop detection.
 
 pub mod applet;

@@ -5,12 +5,11 @@
 use crate::applet::{Applet, AppletId};
 use crate::engine::{PollTask, Slot, TapEngine};
 use crate::exec::Plan;
-use crate::permissions::Capability;
 use mem::FxHashSet;
 use simnet::prelude::*;
 use tap_protocol::auth::ServiceKey;
 use tap_protocol::endpoints::trigger_path;
-use tap_protocol::wire::{self, BatchPollEntry, PollRequestBody, DEFAULT_POLL_LIMIT};
+use tap_protocol::wire::{self, PollRequestBody, DEFAULT_POLL_LIMIT};
 use tap_protocol::{ServiceSlug, TriggerIdentity};
 
 /// Why an applet install was rejected.
@@ -161,17 +160,6 @@ impl TapEngine {
                 return Err(InstallError::LoopDetected(involved));
             }
         }
-        // Coarse or fine permission grants for both halves (§6).
-        self.permissions.request(
-            &applet.owner,
-            &applet.trigger.service,
-            Capability::new(format!("trigger:{}", applet.trigger.trigger)),
-        );
-        self.permissions.request(
-            &applet.owner,
-            &applet.action.service,
-            Capability::new(format!("action:{}", applet.action.action)),
-        );
         let identity = TriggerIdentity::derive(
             &applet.owner,
             &applet.trigger.service,
@@ -195,7 +183,7 @@ impl TapEngine {
             trigger_service_sym,
             self.config.polling.cadence_class(&applet),
         );
-        let siblings = self.poll_groups.entry(group).or_default();
+        let siblings = &mut self.groups.entry(group).or_default().members;
         siblings.push(slot);
         let grouped = siblings.len() >= 2;
         if siblings.len() == 2 {
@@ -219,12 +207,7 @@ impl TapEngine {
             next_poll_at: SimTime::ZERO,
             group,
             grouped,
-            batch_entry: BatchPollEntry {
-                trigger: applet.trigger.trigger.clone(),
-                trigger_identity: identity,
-                trigger_fields: applet.trigger.fields.clone(),
-                limit: DEFAULT_POLL_LIMIT,
-            },
+            identity,
             retries: 0,
             poll_sent_at: SimTime::ZERO,
             rt_pending: false,
@@ -274,21 +257,18 @@ impl TapEngine {
         task.seen = FxHashSet::default();
         task.last_reply = None;
         let group = task.group;
-        let identity_sym = self.syms.get(task.batch_entry.trigger_identity.as_str());
-        // Coalescing group: shrink the membership, evict the cached batch
-        // body (it was serialized for the old member list and would
-        // otherwise be replayed stale), and revert the survivor's
-        // `grouped` hint when the group drops back to one member so it
-        // returns to the singleton fast path.
-        if let Some(members) = self.poll_groups.get_mut(&group) {
-            members.retain(|&m| m != slot);
-            self.batch_bodies.remove(&group);
-            if members.len() == 1 {
-                let survivor = members[0];
-                self.tasks[survivor as usize].grouped = false;
-            } else if members.is_empty() {
-                self.poll_groups.remove(&group);
-                self.degraded_until.remove(&group);
+        let identity_sym = self.syms.get(task.identity.as_str());
+        // Coalescing group: shrink the membership and drop the memo (it
+        // was serialized for, and vouches for, the old member list). A
+        // lone survivor returns to the singleton fast path; a group with
+        // nobody left is removed whole, degradation window included.
+        if let Some(g) = self.groups.get_mut(&group) {
+            g.members.retain(|&m| m != slot);
+            g.memo = None;
+            match g.members[..] {
+                [] => drop(self.groups.remove(&group)),
+                [survivor] => self.tasks[survivor as usize].grouped = false,
+                _ => {}
             }
         }
         // Identity routing: realtime notifications resolve through this,

@@ -18,11 +18,13 @@ use engine::{
     LifecycleError, LifecycleEvent, ObsEvent, QueryRef, TapEngine,
 };
 use proptest::prelude::*;
+use simnet::chaos::{ServerFault, ServerFaultPlan};
 use simnet::prelude::*;
 use std::sync::Arc;
 use support::{connect, fire, slot_applet, Echo, EchoService};
 use tap_protocol::auth::ServiceKey;
-use tap_protocol::{FieldMap, QuerySlug, ServiceSlug, StepNode, StepSpec, UserId};
+use tap_protocol::wire::{self, BatchPollEntry, BatchPollRequestBody, DEFAULT_POLL_LIMIT};
+use tap_protocol::{FieldMap, QuerySlug, ServiceSlug, StepNode, StepSpec, TriggerIdentity, UserId};
 
 const SLUG: &str = "lifesvc";
 const SLOTS: usize = 3;
@@ -84,6 +86,32 @@ impl World {
     fn apply(&mut self, ev: LifecycleEvent) -> Result<LifecycleAck, LifecycleError> {
         self.sim
             .with_node::<TapEngine, _>(self.engine, |e, ctx| e.apply_lifecycle(ctx, ev))
+    }
+
+    /// The body of the last batch poll request the service received.
+    fn last_batch_request(&self) -> Bytes {
+        let echo = &self.sim.node_ref::<EchoService>(self.svc).vendor;
+        echo.batch_requests.last().expect("a batch poll").clone()
+    }
+
+    /// The batch request body that polls slots `ks` for the user, in that
+    /// order: what the wire format says, built without the engine.
+    fn batch_body(&self, ks: &[usize]) -> Bytes {
+        let entry = |&k: &usize| {
+            let t = applet(k, 0, &self.user).trigger;
+            BatchPollEntry {
+                trigger_identity: TriggerIdentity::derive(
+                    &self.user, &t.service, &t.trigger, &t.fields,
+                ),
+                trigger: t.trigger,
+                trigger_fields: t.fields,
+                limit: DEFAULT_POLL_LIMIT,
+            }
+        };
+        wire::to_bytes(&BatchPollRequestBody {
+            user: self.user.clone(),
+            entries: ks.iter().map(entry).collect(),
+        })
     }
 }
 
@@ -264,6 +292,68 @@ fn a_repeated_batch_reply_discards_only_the_member_uninstalled_in_between() {
     let after = w.stats();
     assert_eq!(after.events_new, 3, "a seen event was dispatched again");
     assert_conserved(&after);
+}
+
+/// A group that loses its last member leaves nothing behind: a failed
+/// batch degrades the group for a whole cadence gap, every member is
+/// uninstalled, and two fresh installs under the same (owner, service,
+/// cadence class) — well inside the old window — coalesce on their first
+/// round, with a request serialized for them and not for their
+/// predecessors.
+#[test]
+fn an_emptied_group_leaves_no_degradation_window_and_no_memo() {
+    let mut cfg = EngineConfig::fast().with_batch_polling(true);
+    cfg.polling = engine::PollPolicy::fixed(120.0);
+    let mut w = world(cfg, 109, SLOTS);
+    // The initial polls (0.1–1 s) coalesce into one batch, which fails.
+    let outage =
+        ServerFaultPlan::new().window(ServerFault::Http500, SimTime::ZERO, SimTime::from_secs(3));
+    w.sim
+        .with_node::<EchoService, _>(w.svc, |s, _| s.core.fault_plan = Some(outage));
+    w.sim.run_until(SimTime::from_secs(5));
+    let degraded = w.stats();
+    assert_eq!(degraded.polls_batched, 1, "{degraded:?}");
+    assert_eq!(degraded.batch_fallbacks, 1, "{degraded:?}");
+    assert_eq!(w.last_batch_request(), w.batch_body(&[0, 1, 2]));
+    // Degraded until ~121 s. Everyone leaves; two newcomers arrive at 5 s.
+    for id in 1..=SLOTS as u32 {
+        let ack = w.apply(LifecycleEvent::UninstallApplet(AppletId(id)));
+        assert_eq!(ack, Ok(LifecycleAck::Uninstalled(AppletId(id))));
+    }
+    for k in 0..2 {
+        let fresh = applet(k, 11 + k as u32, &w.user);
+        let ack = w.apply(LifecycleEvent::InstallApplet(fresh));
+        assert_eq!(ack, Ok(LifecycleAck::Installed(AppletId(11 + k as u32))));
+    }
+    w.sim.run_until(SimTime::from_secs(15));
+    let after = w.stats();
+    assert_eq!(
+        after.polls_batched, 2,
+        "the newcomers polled singleton inside a window that was not theirs: {after:?}"
+    );
+    assert_eq!(after.polls_sent, degraded.polls_sent + 2, "{after:?}");
+    assert_eq!(after.batch_fallbacks, 1, "{after:?}");
+    assert_eq!(w.last_batch_request(), w.batch_body(&[0, 1]));
+}
+
+/// Uninstalling the middle member of a phase-locked group misses the memo
+/// on the next round; the request rebuilt from the survivors' applets is
+/// byte-for-byte the wire body listing them in install order.
+#[test]
+fn a_shrunk_group_polls_its_survivors_in_install_order() {
+    let cfg = EngineConfig::fast().with_batch_polling(true);
+    let mut w = world(cfg, 110, SLOTS);
+    w.sim.run_until(SimTime::from_secs(10));
+    assert_eq!(w.last_batch_request(), w.batch_body(&[0, 1, 2]));
+    let ack = w.apply(LifecycleEvent::UninstallApplet(AppletId(2)));
+    assert_eq!(ack, Ok(LifecycleAck::Uninstalled(AppletId(2))));
+    let batches = w.stats().polls_batched;
+    while w.stats().polls_batched == batches {
+        assert!(w.sim.step(), "the survivors stopped polling");
+    }
+    // The count moves when the request leaves; give it time to arrive.
+    w.sim.run_until(w.sim.now() + SimDuration::from_secs(1));
+    assert_eq!(w.last_batch_request(), w.batch_body(&[0, 2]));
 }
 
 #[test]

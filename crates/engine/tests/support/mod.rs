@@ -8,6 +8,7 @@ use devices::services::{Outcome, Partner, PartnerService};
 use engine::{ActionRef, Applet, AppletId, TapEngine, TriggerRef};
 use simnet::prelude::*;
 use tap_protocol::auth::{ServiceKey, REQUEST_ID_HEADER};
+use tap_protocol::endpoints::BATCH_POLL_PATH;
 use tap_protocol::service::ServiceEndpoint;
 use tap_protocol::wire::TriggerEvent;
 use tap_protocol::{ActionSlug, FieldMap, ServiceSlug, TriggerSlug, UserId};
@@ -35,6 +36,8 @@ pub struct Echo {
     pub fail_actions: u32,
     /// The request-id header of every request that carried one.
     pub request_ids: Vec<String>,
+    /// The body of every batch poll request, in arrival order.
+    pub batch_requests: Vec<Bytes>,
 }
 
 pub type EchoService = PartnerService<Echo>;
@@ -115,6 +118,9 @@ impl Partner for Echo {
     ) -> Option<Response> {
         if let Some(id) = req.header(REQUEST_ID_HEADER) {
             self.request_ids.push(id.to_string());
+        }
+        if req.path == BATCH_POLL_PATH {
+            self.batch_requests.push(req.body.clone());
         }
         let budget = if req.path.contains("/triggers/") {
             &mut self.fail_polls

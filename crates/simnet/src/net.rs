@@ -202,16 +202,6 @@ impl Topology {
             .collect()
     }
 
-    /// Number of links (up or down).
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
-    /// The endpoints of a link.
-    pub fn link_endpoints(&self, id: LinkId) -> Option<(NodeId, NodeId)> {
-        self.links.get(id.0 as usize).map(|l| (l.a, l.b))
-    }
-
     /// Hop count of the current route between two nodes, if any.
     pub fn hops(&mut self, src: NodeId, dst: NodeId) -> Option<usize> {
         self.route(src, dst).map(|p| p.len())

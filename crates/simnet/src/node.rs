@@ -79,11 +79,6 @@ impl<'a> Context<'a> {
         self.kernel.now()
     }
 
-    /// The id of the node being dispatched.
-    pub fn self_id(&self) -> NodeId {
-        self.node
-    }
-
     /// The registered name of a node (empty string if unknown).
     pub fn node_name(&self, id: NodeId) -> &str {
         self.kernel.node_name(id)
@@ -118,12 +113,6 @@ impl<'a> Context<'a> {
     pub fn set_timer(&mut self, after: SimDuration, key: TimerKey) -> TimerId {
         self.kernel
             .set_timer(self.node, self.kernel.now() + after, key)
-    }
-
-    /// Schedule `on_timer(key)` at an absolute instant (clamped to now).
-    pub fn set_timer_at(&mut self, at: SimTime, key: TimerKey) -> TimerId {
-        let at = at.max(self.kernel.now());
-        self.kernel.set_timer(self.node, at, key)
     }
 
     /// Cancel a pending timer. Cancelling an already-fired timer is a no-op.

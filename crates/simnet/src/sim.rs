@@ -350,11 +350,6 @@ impl Sim {
         self.kernel.topology.add_link(a, b, spec)
     }
 
-    /// Mutable access to the topology (take links down, change loss, …).
-    pub fn topology_mut(&mut self) -> &mut Topology {
-        &mut self.kernel.topology
-    }
-
     /// Schedule a [`FaultPlan`] on the kernel queue.
     ///
     /// Each window resolves to the concrete links it degrades (node targets

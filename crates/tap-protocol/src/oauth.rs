@@ -95,11 +95,6 @@ impl OAuthProvider {
         self.tokens.insert(token.0.clone(), user);
         token
     }
-
-    /// Number of live tokens.
-    pub fn token_count(&self) -> usize {
-        self.tokens.len()
-    }
 }
 
 #[cfg(test)]

@@ -342,11 +342,6 @@ impl Testbed {
         }
     }
 
-    /// Shorthand for the engine node.
-    pub fn engine_mut(&mut self) -> &mut TapEngine {
-        self.sim.node_mut::<TapEngine>(self.nodes.engine)
-    }
-
     /// Install `applet` on the engine.
     pub fn install(&mut self, applet: Applet) -> Result<AppletId, InstallError> {
         let engine = self.nodes.engine;
