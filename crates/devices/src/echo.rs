@@ -48,7 +48,7 @@ impl EchoDot {
         // On-device wake-word detection + end-of-speech: 300–700 ms.
         let delay_us = 300_000 + ctx.rng().gen_range(0..400_000u64);
         ctx.set_timer(SimDuration::from_micros(delay_us), TIMER_RECOGNIZED);
-        ctx.trace("echo.heard", utterance.to_owned());
+        ctx.trace("echo.heard", format_args!("{utterance}"));
     }
 }
 
@@ -73,14 +73,14 @@ impl Node for EchoDot {
             "utterance": utterance,
         });
         self.uploaded += 1;
-        ctx.trace("echo.upload", utterance.clone());
+        ctx.trace("echo.upload", format_args!("{utterance}"));
         let req = Request::post(UTTERANCE_PATH).with_body(body.to_string());
         ctx.send_request(self.cloud, req, Token(0), RequestOpts::timeout_secs(10));
     }
 
     fn on_response(&mut self, ctx: &mut Context<'_>, _token: Token, resp: Response) {
         if !resp.is_success() {
-            ctx.trace("echo.error", format!("cloud status {}", resp.status));
+            ctx.trace("echo.error", format_args!("cloud status {}", resp.status));
         }
     }
 }

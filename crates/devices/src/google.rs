@@ -102,7 +102,7 @@ impl GoogleCloud {
             attachment,
         });
         self.emails_delivered += 1;
-        ctx.trace("gmail.delivered", format!("{user} #{seq} from {from}"));
+        ctx.trace("gmail.delivered", format_args!("{user} #{seq} from {from}"));
         let at = ctx.now().as_secs_f64() as u64;
         let mut events = vec![DeviceEvent::new("gmail", "new_email", user, at)
             .with_data("seq", seq.to_string())
@@ -165,7 +165,10 @@ impl GoogleCloud {
         sheet.rows.push(cells);
         let row_count = sheet.rows.len();
         let notify = sheet.notify;
-        ctx.trace("sheets.row", format!("{user}/{sheet_name} row {row_count}"));
+        ctx.trace(
+            "sheets.row",
+            format_args!("{user}/{sheet_name} row {row_count}"),
+        );
         let at = ctx.now().as_secs_f64() as u64;
         let ev = DeviceEvent::new("sheets", "row_added", user, at)
             .with_data("sheet", sheet_name)
@@ -281,7 +284,7 @@ impl Node for GoogleCloud {
                 let st = self.user(user);
                 st.files.push((b.name.clone(), b.content));
                 let count = st.files.len();
-                ctx.trace("drive.saved", format!("{user}/{}", b.name));
+                ctx.trace("drive.saved", format_args!("{user}/{}", b.name));
                 let at = ctx.now().as_secs_f64() as u64;
                 let ev =
                     DeviceEvent::new("drive", "file_saved", *user, at).with_data("name", b.name);

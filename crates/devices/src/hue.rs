@@ -111,7 +111,7 @@ impl HueLamp {
         .with_data("on", self.state.on.to_string())
         .with_data("bri", self.state.bri.to_string())
         .with_data("hue", self.state.hue.to_string());
-        ctx.trace("lamp.state", format!("{} {kind}", self.device_id));
+        ctx.trace("lamp.state", format_args!("{} {kind}", self.device_id));
         self.observers.push(ctx, ev.to_bytes());
     }
 
@@ -141,7 +141,7 @@ impl HueLamp {
                 ctx.set_timer(SimDuration::from_millis(1), TIMER_BLINK_STEP);
             }
             other => {
-                ctx.trace("lamp.error", format!("unknown op {other}"));
+                ctx.trace("lamp.error", format_args!("unknown op {other}"));
             }
         }
         // Acknowledge to the hub with the command correlation id.
@@ -162,7 +162,7 @@ impl HueLamp {
 impl Node for HueLamp {
     fn on_signal(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
         let Some(cmd) = DeviceCommand::from_bytes(&payload) else {
-            ctx.trace("lamp.error", "unparseable radio frame".to_string());
+            ctx.trace("lamp.error", format_args!("unparseable radio frame"));
             return;
         };
         self.hub.get_or_insert(from);
@@ -304,7 +304,7 @@ impl HueHub {
         cmd = cmd.with_arg("cmd_id", cmd_id.to_string());
         self.pending
             .insert(cmd_id, (req.id, device_id.to_string(), op.to_string()));
-        ctx.trace("hub.command", format!("{device_id} {op}"));
+        ctx.trace("hub.command", format_args!("{device_id} {op}"));
         ctx.signal(lamp_node, cmd.to_bytes());
         HandlerResult::Deferred
     }

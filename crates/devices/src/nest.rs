@@ -55,7 +55,7 @@ impl NestThermostat {
         self.ambient_c = temp_c;
         ctx.trace(
             "nest.ambient",
-            format!("{} {prev:.1} -> {temp_c:.1}", self.device_id),
+            format_args!("{} {prev:.1} -> {temp_c:.1}", self.device_id),
         );
         let ev = DeviceEvent::new(
             self.device_id.clone(),
@@ -103,7 +103,7 @@ impl Node for NestThermostat {
                 self.setpoint_changes += 1;
                 ctx.trace(
                     "nest.setpoint",
-                    format!("{} -> {:.1}C", self.device_id, t.temp_c),
+                    format_args!("{} -> {:.1}C", self.device_id, t.temp_c),
                 );
                 let ev = DeviceEvent::new(
                     self.device_id.clone(),

@@ -80,7 +80,7 @@ impl LocalProxy {
         let Some(upstream) = self.upstream else {
             return;
         };
-        ctx.trace("proxy.event", format!("{} {}", ev.device, ev.kind));
+        ctx.trace("proxy.event", format_args!("{} {}", ev.device, ev.kind));
         let req = Request::post(EVENTS_PATH).with_body(ev.to_bytes());
         let token = Token(0); // token 0 marks event-forward confirmations
         ctx.send_request(upstream, req, token, RequestOpts::timeout_secs(30));
@@ -91,7 +91,7 @@ impl LocalProxy {
             ctx.reply(northbound, Response::not_found());
             return;
         };
-        ctx.trace("proxy.command", format!("{} {}", cmd.device, cmd.op));
+        ctx.trace("proxy.command", format_args!("{} {}", cmd.device, cmd.op));
         let southbound = match route {
             DeviceRoute::HueLamp { hub, username } => {
                 let change = match cmd.op.as_str() {
@@ -148,9 +148,9 @@ impl Node for LocalProxy {
             // Event-forward confirmation from the upstream service.
             if resp.is_success() {
                 self.events_confirmed += 1;
-                ctx.trace("proxy.event_confirmed", String::new());
+                ctx.trace("proxy.event_confirmed", format_args!(""));
             } else {
-                ctx.trace("proxy.event_failed", format!("status {}", resp.status));
+                ctx.trace("proxy.event_failed", format_args!("status {}", resp.status));
             }
             return;
         }

@@ -278,10 +278,11 @@ impl ServiceCore {
         let record = self.subs.get_mut(sub);
         record.hint_outstanding = false;
         let (reply, count) = self.buffer.poll_response(sub, limit);
-        if ctx.tracing() {
-            let (slug, ti) = (self.endpoint.slug(), &record.ti);
-            ctx.trace("service.poll", format!("{slug} {ti} -> {count} events"));
-        }
+        let (slug, ti) = (self.endpoint.slug(), &record.ti);
+        ctx.trace(
+            "service.poll",
+            format_args!("{slug} {ti} -> {count} events"),
+        );
         Processed::Done(Response::ok().with_body(reply))
     }
 
@@ -304,13 +305,11 @@ impl ServiceCore {
             total += self.buffer.write_batch_result(sub, limit, &mut out);
         }
         out.push_str("]}");
-        if ctx.tracing() {
-            let (slug, n) = (self.endpoint.slug(), entries.len());
-            ctx.trace(
-                "service.batch_poll",
-                format!("{slug} {n} entries -> {total} events"),
-            );
-        }
+        let (slug, n) = (self.endpoint.slug(), entries.len());
+        ctx.trace(
+            "service.batch_poll",
+            format_args!("{slug} {n} entries -> {total} events"),
+        );
         Processed::Done(if total == 0 {
             Response::ok().with_body(wire::empty_batch_body())
         } else {
@@ -366,9 +365,10 @@ impl ServiceCore {
             }
             matched += 1;
             self.buffer.push_at(id, event.clone());
-            if ctx.tracing() {
-                ctx.trace("service.event", format!("{slug} {trigger} -> {}", sub.ti));
-            }
+            ctx.trace(
+                "service.event",
+                format_args!("{slug} {trigger} -> {}", sub.ti),
+            );
             if let Some(engine) = self.realtime_engine {
                 // Per-subscription dedup: while a notification is
                 // outstanding the engine is already on its way to poll, so
@@ -376,9 +376,7 @@ impl ServiceCore {
                 // clears when a poll serves this subscription.
                 if sub.hint_outstanding {
                     self.hints_deduped += 1;
-                    if ctx.tracing() {
-                        ctx.trace("service.hint_deduped", format!("{slug} {}", sub.ti));
-                    }
+                    ctx.trace("service.hint_deduped", format_args!("{slug} {}", sub.ti));
                     continue;
                 }
                 sub.hint_outstanding = true;
@@ -394,9 +392,7 @@ impl ServiceCore {
                     .with_header(SERVICE_KEY_HEADER, self.endpoint.key().0.clone())
                     .with_body(body.clone());
                 ctx.send_request(engine, req, Token(u64::MAX), RequestOpts::timeout_secs(30));
-                if ctx.tracing() {
-                    ctx.trace("service.hint", format!("{slug} {}", sub.ti));
-                }
+                ctx.trace("service.hint", format_args!("{slug} {}", sub.ti));
             }
         }
         matched
@@ -506,12 +502,10 @@ impl ServiceCore {
             }
         };
         self.faults_injected += 1;
-        if ctx.tracing() {
-            ctx.trace(
-                "service.fault",
-                format!("{} {:?} {}", self.endpoint.slug(), fault, req.path),
-            );
-        }
+        ctx.trace(
+            "service.fault",
+            format_args!("{} {:?} {}", self.endpoint.slug(), fault, req.path),
+        );
         Some(processed)
     }
 }

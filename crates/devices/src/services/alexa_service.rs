@@ -109,7 +109,7 @@ impl Alexa {
         utterance: &str,
     ) {
         self.utterances += 1;
-        ctx.trace("alexa.utterance", utterance.to_owned());
+        ctx.trace("alexa.utterance", format_args!("{utterance}"));
         match classify(utterance) {
             Intent::Phrase(p) => feed(
                 core,

@@ -213,12 +213,10 @@ pub fn feed(
     }
     let user = UserId::new(ev.user.clone());
     let n = core.record_event(ctx, &TriggerSlug::new(trigger), &user, event, |_| true);
-    if ctx.tracing() {
-        ctx.trace(
-            "partner_service.device_event",
-            format!("{} {trigger} -> {n} subs", core.endpoint.slug()),
-        );
-    }
+    ctx.trace(
+        "partner_service.device_event",
+        format_args!("{} {trigger} -> {n} subs", core.endpoint.slug()),
+    );
     n
 }
 
@@ -297,12 +295,10 @@ impl<V: Partner> Node for PartnerService<V> {
             } => match self.vendor.action(&user, action.as_str(), fields) {
                 Outcome::Reply(resp) => HandlerResult::Reply(resp),
                 Outcome::Relay { dst, req, done } => {
-                    if ctx.tracing() {
-                        ctx.trace(
-                            "partner_service.relay",
-                            format!("{} {action}", self.core.endpoint.slug()),
-                        );
-                    }
+                    ctx.trace(
+                        "partner_service.relay",
+                        format_args!("{} {action}", self.core.endpoint.slug()),
+                    );
                     let token = self.pending.track((req_id, done));
                     let opts = RequestOpts::timeout_secs(RELAY_TIMEOUT_SECS);
                     ctx.send_request(dst, req, token, opts);

@@ -465,7 +465,7 @@ mod tests {
         (
             sim.events_processed(),
             tis.iter().map(ids).collect(),
-            recorded.map(|e| (e.at, e.detail.render())).collect(),
+            recorded.map(|e| (e.at, e.detail.clone())).collect(),
         )
     }
 

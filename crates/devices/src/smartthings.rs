@@ -75,7 +75,7 @@ impl SmartThingsHub {
         };
         att.value = value.to_owned();
         let kind = format!("st_{value}");
-        ctx.trace("smartthings.event", format!("{id} -> {value}"));
+        ctx.trace("smartthings.event", format_args!("{id} -> {value}"));
         let ev = DeviceEvent::new(id, kind, self.user.clone(), ctx.now().as_secs_f64() as u64);
         self.observers.push(ctx, ev.to_bytes());
     }

@@ -64,7 +64,7 @@ impl WeatherStation {
         }
         self.condition = c;
         self.changes += 1;
-        ctx.trace("weather.change", c.as_str().to_string());
+        ctx.trace("weather.change", format_args!("{}", c.as_str()));
         let ev = DeviceEvent::new(
             "weather",
             format!("weather_{}", c.as_str()),

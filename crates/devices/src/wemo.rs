@@ -97,7 +97,7 @@ impl WemoSwitch {
         let kind = if on { "switched_on" } else { "switched_off" };
         ctx.trace(
             "wemo.state",
-            format!("{} {kind} ({source})", self.device_id),
+            format_args!("{} {kind} ({source})", self.device_id),
         );
         let ev = DeviceEvent::new(
             self.device_id.clone(),

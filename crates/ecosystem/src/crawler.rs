@@ -345,7 +345,7 @@ impl Crawler {
                     self.phase = Phase::Done;
                     ctx.trace(
                         "crawler.done",
-                        format!(
+                        format_args!(
                             "{} applets, {} services",
                             self.applets.len(),
                             self.services.len()
@@ -376,7 +376,10 @@ impl Node for Crawler {
             TAG_INDEX => {
                 if resp.is_success() {
                     self.index = parse_service_index(&body);
-                    ctx.trace("crawler.index", format!("{} services", self.index.len()));
+                    ctx.trace(
+                        "crawler.index",
+                        format_args!("{} services", self.index.len()),
+                    );
                 } else {
                     // Index failures retry immediately (the crawl cannot
                     // proceed without it).

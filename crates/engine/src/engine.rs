@@ -1030,9 +1030,7 @@ impl TapEngine {
         let task = &mut self.tasks[slot as usize];
         task.rt_pending = true;
         task.rt_resume_at = resume;
-        if ctx.tracing() {
-            ctx.trace("engine.hint_poll", format!("{id:?} in {delay}"));
-        }
+        ctx.trace("engine.hint_poll", format_args!("{id:?} in {delay}"));
         self.schedule_poll(ctx, slot, delay);
         true
     }
@@ -1147,9 +1145,7 @@ impl Node for TapEngine {
                     return;
                 }
                 if let Ok(granted) = wire::from_bytes::<wire::OAuthTokenBody>(&resp.body) {
-                    if ctx.tracing() {
-                        ctx.trace("engine.connected", format!("{user:?} {service}"));
-                    }
+                    ctx.trace("engine.connected", format_args!("{user:?} {service}"));
                     self.set_token(user, service, granted.access_token);
                 }
             }

@@ -392,7 +392,7 @@ impl TapEngine {
                 .is_some_and(|c| c.auto_disable)
             {
                 self.tasks[slot].enabled = false;
-                ctx.trace("engine.applet_disabled", format!("{id:?} (loop)"));
+                ctx.trace("engine.applet_disabled", format_args!("{id:?} (loop)"));
                 go = false;
             }
         }

@@ -116,9 +116,7 @@ impl TapEngine {
                     self.config.realtime_allowlist.insert(slug.clone());
                 }
                 self.register_service(slug.clone(), node, key);
-                if ctx.tracing() {
-                    ctx.trace("engine.service_onboarded", slug.0.clone());
-                }
+                ctx.trace("engine.service_onboarded", format_args!("{}", slug.0));
                 Ok(LifecycleAck::Onboarded(slug))
             }
             LifecycleEvent::RetireService(slug) => self.do_retire(ctx, slug),
@@ -148,14 +146,16 @@ impl TapEngine {
             }
         }
         if self.config.static_loop_check {
-            let mut all: Vec<Applet> = self.applets.clone();
-            all.push(applet.clone());
-            let cycles = self.static_detector.find_cycles(&all);
-            let involved: Vec<AppletId> = cycles
-                .into_iter()
-                .flatten()
-                .filter(|id| *id == applet.id || self.slot_of.contains_key(&id.0))
+            // Live slots only: an uninstalled applet's tombstone stays in
+            // `applets` but can no longer close a loop.
+            let live = self.applets.iter().zip(&self.tasks);
+            let all: Vec<&Applet> = live
+                .filter(|(_, task)| !task.uninstalled)
+                .map(|(a, _)| a)
+                .chain([&applet])
                 .collect();
+            let cycles = self.static_detector.find_cycles(&all);
+            let involved: Vec<AppletId> = cycles.into_iter().flatten().collect();
             if involved.contains(&applet.id) {
                 return Err(InstallError::LoopDetected(involved));
             }
@@ -219,7 +219,7 @@ impl TapEngine {
         self.slot_of.insert(id.0, slot);
         let delay = SimDuration::from_secs_f64(self.config.initial_poll_delay.sample(ctx.rng()));
         self.schedule_poll(ctx, slot, delay);
-        ctx.trace("engine.applet_installed", TraceDetail::Applet(id.0));
+        ctx.trace("engine.applet_installed", format_args!("{id:?}"));
         Ok(id)
     }
 
@@ -232,7 +232,7 @@ impl TapEngine {
             return Err(LifecycleError::UnknownApplet(id));
         };
         self.retire_slot(ctx, slot);
-        ctx.trace("engine.applet_uninstalled", TraceDetail::Applet(id.0));
+        ctx.trace("engine.applet_uninstalled", format_args!("{id:?}"));
         Ok(LifecycleAck::Uninstalled(id))
     }
 
@@ -340,9 +340,7 @@ impl TapEngine {
         self.tokens.retain(|&(_, s), _| s != sym);
         self.config.realtime_allowlist.remove(&slug);
         self.breakers.remove(&sym);
-        if ctx.tracing() {
-            ctx.trace("engine.service_retired", slug.0.clone());
-        }
+        ctx.trace("engine.service_retired", format_args!("{}", slug.0));
         Ok(LifecycleAck::Retired {
             service: slug,
             applets_removed,

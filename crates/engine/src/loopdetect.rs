@@ -69,7 +69,7 @@ impl StaticLoopDetector {
     /// Find every applet that participates in a cycle. Returns cycles as
     /// lists of applet ids (each list is one strongly connected component
     /// with ≥1 internal edge, i.e. a real loop — including self-loops).
-    pub fn find_cycles(&self, applets: &[Applet]) -> Vec<Vec<AppletId>> {
+    pub fn find_cycles(&self, applets: &[&Applet]) -> Vec<Vec<AppletId>> {
         let n = applets.len();
         // Adjacency by index.
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -251,7 +251,7 @@ mod tests {
         let mut d = StaticLoopDetector::new();
         d.declare_feed(rule("gmail", "send_an_email", "gmail", "any_new_email"));
         let a = applet(1, "u", "gmail", "any_new_email", "gmail", "send_an_email");
-        let cycles = d.find_cycles(&[a]);
+        let cycles = d.find_cycles(&[&a]);
         assert_eq!(cycles, vec![vec![AppletId(1)]]); // self-loop
     }
 
@@ -264,7 +264,7 @@ mod tests {
         d.declare_feed(rule("svc_a", "do_a", "svc_b", "trig_b"));
         let a1 = applet(1, "u", "svc_a", "trig_a", "svc_b", "do_b");
         let a2 = applet(2, "u", "svc_b", "trig_b", "svc_a", "do_a");
-        let cycles = d.find_cycles(&[a1, a2]);
+        let cycles = d.find_cycles(&[&a1, &a2]);
         assert_eq!(cycles.len(), 2);
         assert!(cycles.iter().all(|c| c.len() == 1));
     }
@@ -277,7 +277,7 @@ mod tests {
         d.declare_feed(rule("svc_y", "do_y", "svc_a", "trig_a"));
         let a1 = applet(1, "u", "svc_a", "trig_a", "svc_x", "do_x");
         let a2 = applet(2, "u", "svc_b", "trig_b", "svc_y", "do_y");
-        let cycles = d.find_cycles(&[a1, a2]);
+        let cycles = d.find_cycles(&[&a1, &a2]);
         assert_eq!(cycles, vec![vec![AppletId(1), AppletId(2)]]);
     }
 
@@ -287,7 +287,7 @@ mod tests {
         d.declare_feed(rule("svc_x", "do_x", "svc_b", "trig_b"));
         let a1 = applet(1, "u", "svc_a", "trig_a", "svc_x", "do_x");
         let a2 = applet(2, "u", "svc_b", "trig_b", "svc_z", "do_z");
-        assert!(d.find_cycles(&[a1, a2]).is_empty());
+        assert!(d.find_cycles(&[&a1, &a2]).is_empty());
     }
 
     #[test]
@@ -298,11 +298,11 @@ mod tests {
         let a = applet(1, "u", "gmail", "any_new_email", "google_sheets", "add_row");
         let mut d = StaticLoopDetector::new();
         assert!(
-            d.find_cycles(std::slice::from_ref(&a)).is_empty(),
+            d.find_cycles(&[&a]).is_empty(),
             "invisible without the rule"
         );
         d.declare_feed(rule("google_sheets", "add_row", "gmail", "any_new_email"));
-        assert_eq!(d.find_cycles(&[a]).len(), 1);
+        assert_eq!(d.find_cycles(&[&a]).len(), 1);
     }
 
     #[test]
@@ -320,7 +320,7 @@ mod tests {
         let a2 = applet(2, "bob", "gmail", "any_new_email", "gmail", "send_an_email");
         // Each is a self-loop for its own account, but there is no
         // alice→bob edge.
-        let cycles = d.find_cycles(&[a1, a2]);
+        let cycles = d.find_cycles(&[&a1, &a2]);
         assert_eq!(cycles.len(), 2);
         assert!(cycles.iter().all(|c| c.len() == 1));
     }

@@ -24,7 +24,10 @@ use std::sync::Arc;
 use support::{connect, fire, slot_applet, Echo, EchoService};
 use tap_protocol::auth::ServiceKey;
 use tap_protocol::wire::{self, BatchPollEntry, BatchPollRequestBody, DEFAULT_POLL_LIMIT};
-use tap_protocol::{FieldMap, QuerySlug, ServiceSlug, StepNode, StepSpec, TriggerIdentity, UserId};
+use tap_protocol::{
+    ActionSlug, FieldMap, QuerySlug, ServiceSlug, StepNode, StepSpec, TriggerIdentity, TriggerSlug,
+    UserId,
+};
 
 const SLUG: &str = "lifesvc";
 const SLOTS: usize = 3;
@@ -149,6 +152,43 @@ fn uninstall_ack_means_done_no_poll_no_activation_after() {
         w.apply(LifecycleEvent::UninstallApplet(AppletId(1))),
         Err(LifecycleError::UnknownApplet(AppletId(1)))
     );
+}
+
+/// The static loop check sees installed applets only: once half of a
+/// declared two-applet loop is uninstalled, its tombstone must not keep
+/// refusing the other half.
+#[test]
+fn uninstalling_half_of_a_static_loop_unblocks_the_other() {
+    let cfg = EngineConfig {
+        static_loop_check: true,
+        ..EngineConfig::fast()
+    };
+    let mut w = world(cfg, 109, 0);
+    // Slot k is `t{k}` -> `act{k}`; declare act0 -> t1 and act1 -> t0.
+    let feed = |from: usize, to: usize| engine::FeedRule {
+        action_service: ServiceSlug::new(SLUG),
+        action: ActionSlug::new(format!("act{from}")),
+        trigger_service: ServiceSlug::new(SLUG),
+        trigger: TriggerSlug::new(format!("t{to}")),
+    };
+    let detector = &mut w.sim.node_mut::<TapEngine>(w.engine).static_detector;
+    detector.declare_feed(feed(0, 1));
+    detector.declare_feed(feed(1, 0));
+    let install = |w: &mut World, k: usize| {
+        let a = applet(k, k as u32 + 1, &w.user);
+        w.apply(LifecycleEvent::InstallApplet(a))
+    };
+    let refused = |ids: &[u32]| {
+        let ids = ids.iter().map(|&i| AppletId(i)).collect();
+        Err(LifecycleError::Install(InstallError::LoopDetected(ids)))
+    };
+    assert_eq!(install(&mut w, 0), Ok(LifecycleAck::Installed(AppletId(1))));
+    assert_eq!(install(&mut w, 1), refused(&[1, 2]));
+    let ack = w.apply(LifecycleEvent::UninstallApplet(AppletId(1)));
+    assert_eq!(ack, Ok(LifecycleAck::Uninstalled(AppletId(1))));
+    assert_eq!(install(&mut w, 1), Ok(LifecycleAck::Installed(AppletId(2))));
+    // The loop is live again if the first half comes back.
+    assert_eq!(install(&mut w, 0), refused(&[1, 2]));
 }
 
 #[test]

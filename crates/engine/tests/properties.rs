@@ -113,11 +113,12 @@ proptest! {
             trigger_service: ServiceSlug::new("s1"),
             trigger: TriggerSlug::new("t1"),
         });
-        let mut applets = vec![
+        let applets = [
             chain_applet(1, "s1", "t1", "s1", "a1"),
             chain_applet(2, "s2", "t2", "s2", "a2"),
             chain_applet(3, "s1", "t1", "s2", "a_unrelated"),
         ];
+        let mut applets: Vec<&Applet> = applets.iter().collect();
         let baseline: Vec<Vec<AppletId>> = d.find_cycles(&applets);
         let mut rng = StdRng::seed_from_u64(perm_seed);
         applets.shuffle(&mut rng);

@@ -74,7 +74,7 @@ pub use net::{LatencyModel, LinkId, LinkSpec};
 pub use node::{Context, HandlerResult, Node, NodeId, TimerId, TimerKey};
 pub use sim::Sim;
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceDetail, TraceEvent, TraceLog, TraceRecord};
+pub use trace::{TraceEvent, TraceLog};
 pub use wheel::TimerWheel;
 
 /// Convenient glob import for simulation authors.
@@ -85,6 +85,5 @@ pub mod prelude {
     pub use crate::node::{Context, HandlerResult, Node, NodeId, TimerId, TimerKey};
     pub use crate::sim::Sim;
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::TraceDetail;
     pub use bytes::Bytes;
 }

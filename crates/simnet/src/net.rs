@@ -12,7 +12,7 @@ use crate::rng::Dist;
 use crate::time::SimDuration;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Identifier of a link within a topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -118,13 +118,19 @@ pub enum Delivery {
 }
 
 /// The undirected link graph with latency sampling and route caching.
+///
+/// `NodeId` is a dense index, so adjacency and routes are tables: a
+/// delivery finds its route by indexing, never by hashing.
 #[derive(Debug, Default)]
 pub struct Topology {
     links: Vec<Link>,
-    /// Adjacency: node -> (neighbor, link index) pairs.
-    adj: HashMap<NodeId, Vec<(NodeId, usize)>>,
-    /// Cached min-hop paths as link-index sequences, invalidated on change.
-    route_cache: HashMap<(NodeId, NodeId), Option<Vec<usize>>>,
+    /// Adjacency rows by node: (neighbor, link index) pairs in insertion
+    /// order. A node with no links is out of range or has an empty row.
+    adj: Vec<Vec<(NodeId, usize)>>,
+    /// Cached min-hop paths as link-index sequences, one table indexed
+    /// `src * adj.len() + dst`: `None` is not computed yet, `Some(None)` is
+    /// no path. Sized by the first lookup after a change, emptied on change.
+    routes: Vec<Option<Option<Vec<usize>>>>,
 }
 
 impl Topology {
@@ -140,11 +146,12 @@ impl Topology {
     /// are programming errors in experiment setup.
     pub fn add_link(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> LinkId {
         assert_ne!(a, b, "self-links are not allowed");
+        let (ai, bi) = (a.0 as usize, b.0 as usize);
+        if self.adj.len() <= ai.max(bi) {
+            self.adj.resize_with(ai.max(bi) + 1, Vec::new);
+        }
         assert!(
-            !self
-                .adj
-                .get(&a)
-                .is_some_and(|v| v.iter().any(|(n, _)| *n == b)),
+            !self.adj[ai].iter().any(|(n, _)| *n == b),
             "duplicate link {a:?} <-> {b:?}"
         );
         let idx = self.links.len();
@@ -154,9 +161,9 @@ impl Topology {
             spec,
             up: true,
         });
-        self.adj.entry(a).or_default().push((b, idx));
-        self.adj.entry(b).or_default().push((a, idx));
-        self.route_cache.clear();
+        self.adj[ai].push((b, idx));
+        self.adj[bi].push((a, idx));
+        self.routes.clear();
         LinkId(idx as u32)
     }
 
@@ -164,7 +171,7 @@ impl Topology {
     pub fn set_link_up(&mut self, id: LinkId, up: bool) {
         if let Some(l) = self.links.get_mut(id.0 as usize) {
             l.up = up;
-            self.route_cache.clear();
+            self.routes.clear();
         }
     }
 
@@ -204,7 +211,10 @@ impl Topology {
 
     /// Hop count of the current route between two nodes, if any.
     pub fn hops(&mut self, src: NodeId, dst: NodeId) -> Option<usize> {
-        self.route(src, dst).map(|p| p.len())
+        if src == dst {
+            return Some(0);
+        }
+        self.route(src, dst).map(|(p, _)| p.len())
     }
 
     /// Evaluate delivery of one message: route, then sample latency and
@@ -215,15 +225,12 @@ impl Topology {
             // node never observes its own message synchronously.
             return Delivery::Arrives(SimDuration::from_micros(1));
         }
-        self.ensure_route(src, dst);
-        // Borrow the cached path in place; cloning it per delivery was one
-        // heap allocation on every request AND response.
-        let Some(Some(path)) = self.route_cache.get(&(src, dst)) else {
+        let Some((path, links)) = self.route(src, dst) else {
             return Delivery::NoRoute;
         };
         let mut total = SimDuration::ZERO;
         for &idx in path {
-            let link = &self.links[idx];
+            let link = &links[idx];
             if link.spec.loss > 0.0 && rng.gen::<f64>() < link.spec.loss {
                 return Delivery::Lost;
             }
@@ -232,48 +239,53 @@ impl Topology {
         Delivery::Arrives(total)
     }
 
-    /// Min-hop path (as link indices) via BFS, with caching.
-    fn route(&mut self, src: NodeId, dst: NodeId) -> Option<&[usize]> {
-        self.ensure_route(src, dst);
-        self.route_cache[&(src, dst)].as_deref()
-    }
-
-    /// Populate the route cache entry for `(src, dst)` if absent.
-    fn ensure_route(&mut self, src: NodeId, dst: NodeId) {
-        if !self.route_cache.contains_key(&(src, dst)) {
-            let path = self.bfs(src, dst);
-            self.route_cache.insert((src, dst), path);
+    /// Min-hop path (as link indices) with the links it indexes: one table
+    /// lookup, with a BFS the first time a pair is asked for after a change.
+    fn route(&mut self, src: NodeId, dst: NodeId) -> Option<(&[usize], &[Link])> {
+        let (n, s, d) = (self.adj.len(), src.0 as usize, dst.0 as usize);
+        if s >= n || d >= n {
+            return None; // an endpoint with no links
         }
+        if self.routes.is_empty() {
+            self.routes.resize(n * n, None);
+        }
+        let path = &mut self.routes[s * n + d];
+        let path = path.get_or_insert_with(|| bfs(&self.links, &self.adj, src, dst));
+        path.as_deref().map(|p| (p, &self.links[..]))
     }
+}
 
-    fn bfs(&self, src: NodeId, dst: NodeId) -> Option<Vec<usize>> {
-        let mut prev: HashMap<NodeId, (NodeId, usize)> = HashMap::new();
-        let mut queue = VecDeque::from([src]);
-        while let Some(n) = queue.pop_front() {
-            if n == dst {
-                let mut path = Vec::new();
-                let mut cur = dst;
-                while cur != src {
-                    let (p, link) = prev[&cur];
-                    path.push(link);
-                    cur = p;
-                }
-                path.reverse();
-                return Some(path);
+/// Min-hop path from `src` to `dst` over the up links; among equal-length
+/// paths the first found in adjacency insertion order wins.
+fn bfs(
+    links: &[Link],
+    adj: &[Vec<(NodeId, usize)>],
+    src: NodeId,
+    dst: NodeId,
+) -> Option<Vec<usize>> {
+    let mut prev: Vec<Option<(NodeId, usize)>> = vec![None; adj.len()];
+    let mut queue = VecDeque::from([src]);
+    while let Some(n) = queue.pop_front() {
+        if n == dst {
+            let mut path = Vec::new();
+            let mut cur = dst;
+            while cur != src {
+                let (p, link) = prev[cur.0 as usize].expect("reached through prev");
+                path.push(link);
+                cur = p;
             }
-            let Some(neigh) = self.adj.get(&n) else {
+            path.reverse();
+            return Some(path);
+        }
+        for &(m, idx) in adj.get(n.0 as usize).into_iter().flatten() {
+            if !links[idx].up || m == src || prev[m.0 as usize].is_some() {
                 continue;
-            };
-            for &(m, idx) in neigh {
-                if !self.links[idx].up || m == src || prev.contains_key(&m) {
-                    continue;
-                }
-                prev.insert(m, (n, idx));
-                queue.push_back(m);
             }
+            prev[m.0 as usize] = Some((n, idx));
+            queue.push_back(m);
         }
-        None
     }
+    None
 }
 
 #[cfg(test)]

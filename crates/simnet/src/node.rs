@@ -13,6 +13,7 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
+use std::fmt;
 
 /// Identifier of a node within a simulation, assigned by [`crate::Sim::add_node`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -125,17 +126,11 @@ impl<'a> Context<'a> {
         self.kernel.send_signal(self.node, dst, payload.into());
     }
 
-    /// Whether trace recording is enabled. Check this before building an
-    /// expensive `detail` string for [`Context::trace`]; with tracing off
-    /// the arguments would be formatted only to be dropped.
-    pub fn tracing(&self) -> bool {
-        self.kernel.trace_ref().is_enabled()
-    }
-
-    /// Record a trace event attributed to this node.
-    pub fn trace(&mut self, kind: &'static str, detail: impl Into<crate::trace::TraceDetail>) {
+    /// Record a trace event attributed to this node. `detail` is rendered
+    /// only when the log is enabled, so call sites pass `format_args!(..)`
+    /// without guarding.
+    pub fn trace(&mut self, kind: &'static str, detail: fmt::Arguments<'_>) {
         let now = self.kernel.now();
-        let node = self.node;
-        self.kernel.trace_mut().record(now, node, kind, detail);
+        self.kernel.trace_mut().record(now, self.node, kind, detail);
     }
 }

@@ -20,6 +20,9 @@ const STREAM_NET: u64 = 1;
 const STREAM_HARNESS: u64 = 2;
 const STREAM_NODE_BASE: u64 = 1_000;
 
+/// The node id the kernel's own `chaos.*` trace lines are attributed to.
+const KERNEL_NODE: NodeId = NodeId(u32::MAX);
+
 /// Default event budget for [`Sim::run_until_idle`].
 const DEFAULT_EVENT_BUDGET: u64 = 20_000_000;
 
@@ -141,10 +144,6 @@ impl Kernel {
         &mut self.trace
     }
 
-    pub(crate) fn trace_ref(&self) -> &TraceLog {
-        &self.trace
-    }
-
     fn schedule(&mut self, at: SimTime, ev: Ev) {
         let seq = self.seq;
         self.seq += 1;
@@ -177,16 +176,12 @@ impl Kernel {
                 self.schedule(at, Ev::DeliverRequest(req));
             }
             Delivery::Lost => {
-                if self.trace.is_enabled() {
-                    let detail = format!("{} {}", req.method, req.path);
-                    self.trace.record(self.now, src, "net.request_lost", detail);
-                }
+                let detail = format_args!("{} {}", req.method, req.path);
+                self.trace.record(self.now, src, "net.request_lost", detail);
             }
             Delivery::NoRoute => {
-                if self.trace.is_enabled() {
-                    let detail = format!("dst={dst:?} {}", req.path);
-                    self.trace.record(self.now, src, "net.no_route", detail);
-                }
+                let detail = format_args!("dst={dst:?} {}", req.path);
+                self.trace.record(self.now, src, "net.no_route", detail);
                 // Fail fast: an unroutable request resolves as a timeout
                 // one quantum later, even without an explicit timeout.
                 self.schedule(
@@ -217,11 +212,9 @@ impl Kernel {
                 self.schedule(at, Ev::DeliverResponse { req_id, resp });
             }
             Delivery::Lost | Delivery::NoRoute => {
-                if self.trace.is_enabled() {
-                    let detail = format!("req={}", req_id.0);
-                    self.trace
-                        .record(self.now, from, "net.response_lost", detail);
-                }
+                let detail = format_args!("req={}", req_id.0);
+                self.trace
+                    .record(self.now, from, "net.response_lost", detail);
                 // The origin can only learn of this via its timeout, so the
                 // pending entry must stay un-answered until that fires.
                 // Without a timeout nothing will ever conclude the request:
@@ -264,10 +257,10 @@ impl Kernel {
                     LinkFault::Latency(lat) => self.topology.set_link_latency(link, lat),
                 }
             }
-            if let Some(&(link, _, _)) = e.saved.first().filter(|_| self.trace.is_enabled()) {
-                let detail = format!("link={} {:?}", link.0, e.fault);
+            if let Some(&(link, _, _)) = e.saved.first() {
+                let detail = format_args!("link={} {:?}", link.0, e.fault);
                 self.trace
-                    .record(self.now, NodeId(u32::MAX), "chaos.fault_begin", detail);
+                    .record(self.now, KERNEL_NODE, "chaos.fault_begin", detail);
             }
         } else {
             for (link, spec, up) in std::mem::take(&mut e.saved) {
@@ -276,7 +269,7 @@ impl Kernel {
                 self.topology.set_link_up(link, up);
             }
             self.trace
-                .record(self.now, NodeId(u32::MAX), "chaos.fault_end", String::new());
+                .record(self.now, KERNEL_NODE, "chaos.fault_end", format_args!(""));
         }
     }
 
@@ -293,14 +286,13 @@ impl Kernel {
                 self.signal_fronts.insert((src, dst), at);
                 self.schedule(at, Ev::Signal { src, dst, payload });
             }
-            Delivery::Lost | Delivery::NoRoute if !self.trace.is_enabled() => {}
             Delivery::Lost => {
-                self.trace
-                    .record(self.now, src, "net.signal_lost", format!("dst={dst:?}"));
+                let detail = format_args!("dst={dst:?}");
+                self.trace.record(self.now, src, "net.signal_lost", detail);
             }
             Delivery::NoRoute => {
-                self.trace
-                    .record(self.now, src, "net.no_route", format!("signal dst={dst:?}"));
+                let detail = format_args!("signal dst={dst:?}");
+                self.trace.record(self.now, src, "net.no_route", detail);
             }
         }
     }

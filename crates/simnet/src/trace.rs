@@ -5,97 +5,17 @@
 //! paper) from this log; tests use it to assert on protocol behaviour
 //! without reaching into node internals.
 //!
-//! The in-memory form is on a diet: `kind` is a `&'static str` (every
-//! recorded kind is a program literal) and `detail` is the small
-//! [`TraceDetail`] payload enum, so the common single-id hot-path events
-//! cost no heap allocation. For export, [`TraceRecord`] is the lossless
-//! owned serde form with both fields rendered to strings.
+//! Recording is one lazy call: [`TraceLog::record`] takes the kind as a
+//! `&'static str` (every recorded kind is a program literal) and the detail
+//! as [`fmt::Arguments`], and renders the detail only when the log is
+//! enabled. Call sites write `format_args!(..)` unconditionally; a disabled
+//! log never runs a formatter.
 
 use crate::node::NodeId;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Small trace payload. Hot paths use the allocation-free variants
-/// ([`TraceDetail::Empty`], [`TraceDetail::Static`], [`TraceDetail::Applet`],
-/// [`TraceDetail::Num`]); anything richer falls back to an owned
-/// [`TraceDetail::Text`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceDetail {
-    /// No payload.
-    Empty,
-    /// A program-literal payload.
-    Static(&'static str),
-    /// An owned free-form payload (the pre-diet representation).
-    Text(String),
-    /// An applet id; renders as `AppletId(n)` to match the old
-    /// `format!("{id:?}")` detail strings.
-    Applet(u32),
-    /// A bare number.
-    Num(u64),
-}
-
-impl TraceDetail {
-    /// Render to the string the pre-diet `String` detail would have held.
-    pub fn render(&self) -> String {
-        self.to_string()
-    }
-}
-
-impl fmt::Display for TraceDetail {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceDetail::Empty => Ok(()),
-            TraceDetail::Static(s) => f.write_str(s),
-            TraceDetail::Text(s) => f.write_str(s),
-            TraceDetail::Applet(n) => write!(f, "AppletId({n})"),
-            TraceDetail::Num(n) => write!(f, "{n}"),
-        }
-    }
-}
-
-impl From<String> for TraceDetail {
-    fn from(s: String) -> Self {
-        if s.is_empty() {
-            TraceDetail::Empty
-        } else {
-            TraceDetail::Text(s)
-        }
-    }
-}
-
-impl From<&'static str> for TraceDetail {
-    fn from(s: &'static str) -> Self {
-        if s.is_empty() {
-            TraceDetail::Empty
-        } else {
-            TraceDetail::Static(s)
-        }
-    }
-}
-
-impl PartialEq<str> for TraceDetail {
-    fn eq(&self, other: &str) -> bool {
-        match self {
-            TraceDetail::Empty => other.is_empty(),
-            TraceDetail::Static(s) => *s == other,
-            TraceDetail::Text(s) => s == other,
-            TraceDetail::Applet(n) => other
-                .strip_prefix("AppletId(")
-                .and_then(|rest| rest.strip_suffix(')'))
-                .is_some_and(|digits| digits.parse() == Ok(*n)),
-            TraceDetail::Num(n) => other.parse() == Ok(*n),
-        }
-    }
-}
-
-impl PartialEq<&str> for TraceDetail {
-    fn eq(&self, other: &&str) -> bool {
-        self == *other
-    }
-}
-
-/// One recorded event (in-memory form; see [`TraceRecord`] for export).
+/// One recorded event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Virtual time at which the event was recorded.
@@ -105,34 +25,8 @@ pub struct TraceEvent {
     /// Machine-readable event kind, e.g. `"poll.sent"` or
     /// `"action.executed"`. Always a program literal.
     pub kind: &'static str,
-    /// The event payload.
-    pub detail: TraceDetail,
-}
-
-/// The lossless owned serde form of a [`TraceEvent`]: `kind` and `detail`
-/// rendered to strings, round-trippable through JSON. Timeline exports
-/// (Table 5) use this.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceRecord {
-    /// Virtual time at which the event was recorded.
-    pub at: SimTime,
-    /// The node the event belongs to.
-    pub node: NodeId,
-    /// The event kind, owned.
-    pub kind: String,
-    /// The rendered payload.
+    /// The rendered event payload.
     pub detail: String,
-}
-
-impl From<&TraceEvent> for TraceRecord {
-    fn from(e: &TraceEvent) -> Self {
-        TraceRecord {
-            at: e.at,
-            node: e.node,
-            kind: e.kind.to_string(),
-            detail: e.detail.render(),
-        }
-    }
 }
 
 /// An append-only, bounded trace log.
@@ -169,21 +63,14 @@ impl TraceLog {
         self.enabled = enabled;
     }
 
-    /// Whether recording is currently enabled.
-    ///
-    /// Hot paths check this before building `format!`ted detail strings, so
-    /// a disabled log costs nothing per event.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Record one event. Events past the capacity are counted, not stored.
+    /// Record one event, rendering `detail` only if the log is enabled.
+    /// Events past the capacity are counted, not stored.
     pub fn record(
         &mut self,
         at: SimTime,
         node: NodeId,
         kind: &'static str,
-        detail: impl Into<TraceDetail>,
+        detail: fmt::Arguments<'_>,
     ) {
         if !self.enabled {
             return;
@@ -196,18 +83,13 @@ impl TraceLog {
             at,
             node,
             kind,
-            detail: detail.into(),
+            detail: detail.to_string(),
         });
     }
 
     /// All recorded events in time order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// Every event in its lossless serde form, for export.
-    pub fn to_records(&self) -> Vec<TraceRecord> {
-        self.events.iter().map(TraceRecord::from).collect()
     }
 
     /// Events whose kind starts with `prefix` (e.g. `"poll."`).
@@ -255,9 +137,9 @@ mod tests {
     #[test]
     fn records_and_filters() {
         let mut log = TraceLog::default();
-        log.record(t(1), NodeId(0), "poll.sent", "a");
-        log.record(t(2), NodeId(1), "poll.recv", "b");
-        log.record(t(3), NodeId(0), "action.executed", "c");
+        log.record(t(1), NodeId(0), "poll.sent", format_args!("a"));
+        log.record(t(2), NodeId(1), "poll.recv", format_args!("b"));
+        log.record(t(3), NodeId(0), "action.executed", format_args!("c"));
         assert_eq!(log.events().len(), 3);
         assert_eq!(log.with_kind_prefix("poll.").count(), 2);
         assert_eq!(log.by_node(NodeId(0)).count(), 2);
@@ -269,7 +151,7 @@ mod tests {
     fn capacity_counts_drops() {
         let mut log = TraceLog::with_capacity(2);
         for i in 0..5 {
-            log.record(t(i), NodeId(0), "k", "");
+            log.record(t(i), NodeId(0), "k", format_args!(""));
         }
         assert_eq!(log.events().len(), 2);
         assert_eq!(log.dropped(), 3);
@@ -278,36 +160,33 @@ mod tests {
         assert!(log.events().is_empty());
     }
 
+    /// A `Display` that must never run.
+    struct Bomb;
+    impl fmt::Display for Bomb {
+        fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+            panic!("a disabled log ran a formatter")
+        }
+    }
+
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = TraceLog::default();
         log.set_enabled(false);
-        log.record(t(0), NodeId(0), "k", "");
+        log.record(t(0), NodeId(0), "k", format_args!("{}", Bomb));
         assert!(log.events().is_empty());
         assert_eq!(log.dropped(), 0);
     }
 
     #[test]
     fn details_render_like_the_old_strings() {
-        assert_eq!(TraceDetail::from(String::new()), TraceDetail::Empty);
-        assert_eq!(TraceDetail::from("x"), TraceDetail::Static("x"));
-        assert_eq!(TraceDetail::Applet(7).render(), "AppletId(7)");
-        assert_eq!(TraceDetail::Num(42).render(), "42");
-        assert_eq!(TraceDetail::Applet(7), *"AppletId(7)");
-        assert_eq!(TraceDetail::Empty.render(), "");
-    }
-
-    #[test]
-    fn records_round_trip_losslessly() {
+        #[derive(Debug)]
+        #[allow(dead_code)] // read by the derived `Debug` only
+        struct AppletId(u32);
         let mut log = TraceLog::default();
-        log.record(t(1), NodeId(3), "poll.sent", TraceDetail::Applet(9));
-        log.record(t(2), NodeId(3), "chaos.fault_end", String::new());
-        let records = log.to_records();
-        let json = serde_json::to_string(&records).expect("serializes");
-        let back: Vec<TraceRecord> = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back, records);
-        assert_eq!(back[0].kind, "poll.sent");
-        assert_eq!(back[0].detail, "AppletId(9)");
-        assert_eq!(back[1].detail, "");
+        log.record(t(0), NodeId(0), "k", format_args!("{:?}", AppletId(7)));
+        log.record(t(0), NodeId(0), "k", format_args!("{}", 42_u64));
+        log.record(t(0), NodeId(0), "k", format_args!(""));
+        let details: Vec<&str> = log.events().iter().map(|e| e.detail.as_str()).collect();
+        assert_eq!(details, ["AppletId(7)", "42", ""]);
     }
 }

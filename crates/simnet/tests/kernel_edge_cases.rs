@@ -150,16 +150,35 @@ fn multi_hop_signals_preserve_order_and_accumulate_latency() {
     assert_eq!(got[0].0, SimTime::from_micros(30_000));
 }
 
+/// Answers every request with 200.
+struct Echo;
+impl Node for Echo {
+    fn on_request(&mut self, _c: &mut Context<'_>, _r: &Request) -> HandlerResult {
+        HandlerResult::Reply(Response::ok())
+    }
+}
+
+/// Send `GET /x` from `client` to `dst` now, without a timeout.
+fn get(sim: &mut Sim, client: NodeId, dst: NodeId, token: u64) {
+    sim.with_node::<Client, _>(client, |_, ctx| {
+        ctx.send_request(
+            dst,
+            Request::get("/x"),
+            Token(token),
+            RequestOpts::default(),
+        );
+    });
+}
+
+/// The rendered `(kind, detail)` of every trace line so far.
+fn trace_lines(sim: &Sim) -> Vec<(&'static str, &str)> {
+    let events = sim.trace().events().iter();
+    events.map(|e| (e.kind, e.detail.as_str())).collect()
+}
+
 /// Nodes added mid-run interoperate with existing ones.
 #[test]
 fn hot_added_node_can_request_immediately() {
-    #[derive(Default)]
-    struct Echo;
-    impl Node for Echo {
-        fn on_request(&mut self, _c: &mut Context<'_>, _r: &Request) -> HandlerResult {
-            HandlerResult::Reply(Response::ok())
-        }
-    }
     let mut sim = Sim::new(5);
     let echo = sim.add_node("echo", Echo);
     sim.run_until(SimTime::from_secs(1_000));
@@ -198,4 +217,114 @@ fn timer_keys_roundtrip_verbatim() {
     });
     sim.run_until_idle();
     assert_eq!(sim.node_ref::<T>(id).keys, keys);
+}
+
+/// The churn cell's late service: a node added and linked after routes were
+/// cached lies beyond every table the topology has built so far, is
+/// unroutable until its link exists, and reachable (multi-hop) afterwards.
+#[test]
+fn node_linked_after_routes_were_cached_is_reachable() {
+    let mut sim = Sim::new(7);
+    let echo = sim.add_node("echo", Echo);
+    let client = sim.add_node("client", Client::default());
+    sim.link(client, echo, LinkSpec::lan());
+    get(&mut sim, client, echo, 1);
+    sim.run_until(SimTime::from_secs(1));
+    let late = sim.add_node("late_service", Echo);
+    get(&mut sim, client, late, 2);
+    sim.run_until(SimTime::from_secs(2));
+    sim.link(echo, late, LinkSpec::lan());
+    get(&mut sim, client, late, 3);
+    sim.run_until_idle();
+    let c = sim.node_ref::<Client>(client);
+    let got: Vec<(Token, u16)> = c.responses.iter().map(|r| (r.0, r.1)).collect();
+    let timeout = simnet::http::STATUS_TIMEOUT;
+    assert_eq!(got, [(Token(1), 200), (Token(2), timeout), (Token(3), 200)]);
+    // Fail-fast: the unroutable request resolved one quantum after sending.
+    assert_eq!(c.responses[1].2, SimTime::from_micros(1_000_001));
+    assert_eq!(trace_lines(&sim), [("net.no_route", "dst=NodeId(2) /x")]);
+}
+
+/// A downed link gives the fail-fast timeout (not a hang, not a stale
+/// cached route) and delivers again once restored.
+#[test]
+fn downed_link_fails_fast_and_delivers_again_once_restored() {
+    let mut sim = Sim::new(8);
+    let echo = sim.add_node("echo", Echo);
+    let client = sim.add_node("client", Client::default());
+    let link = sim.link(client, echo, LinkSpec::lan());
+    let secs = SimTime::from_secs;
+    sim.apply_fault_plan(&FaultPlan::new().link_outage(link, secs(10), secs(20)));
+    for (token, at) in [(1, 5), (2, 15), (3, 25)] {
+        sim.run_until(secs(at));
+        get(&mut sim, client, echo, token);
+    }
+    sim.run_until_idle();
+    let c = sim.node_ref::<Client>(client);
+    let got: Vec<(Token, u16)> = c.responses.iter().map(|r| (r.0, r.1)).collect();
+    let timeout = simnet::http::STATUS_TIMEOUT;
+    assert_eq!(got, [(Token(1), 200), (Token(2), timeout), (Token(3), 200)]);
+    assert_eq!(c.responses[1].2, SimTime::from_micros(15_000_001));
+    assert_eq!(
+        trace_lines(&sim),
+        [
+            ("chaos.fault_begin", "link=0 Outage"),
+            ("net.no_route", "dst=NodeId(0) /x"),
+            ("chaos.fault_end", ""),
+        ]
+    );
+}
+
+/// The kernel's own trace lines keep their text.
+#[test]
+fn kernel_trace_lines_keep_their_text() {
+    let mut sim = Sim::new(9);
+    let late = sim.add_node("late", LateReplier { pending: vec![] });
+    let client = sim.add_node("client", Client::default());
+    let link = sim.link(client, late, LinkSpec::lan());
+    let secs = SimTime::from_secs;
+    // The reply (10 s after the request) and the second request (at 5 s)
+    // both fall inside the loss window.
+    sim.apply_fault_plan(&FaultPlan::new().link_loss(link, 1.0, secs(1), secs(20)));
+    let opts = RequestOpts::timeout_secs(30);
+    let first = sim.with_node::<Client, _>(client, |_, ctx| {
+        ctx.send_request(late, Request::get("/path"), Token(1), opts)
+    });
+    sim.run_until(secs(5));
+    sim.with_node::<Client, _>(client, |_, ctx| {
+        ctx.send_request(late, Request::post("/path"), Token(2), opts);
+        ctx.signal(late, &b"s"[..]);
+    });
+    sim.run_until_idle();
+    let lost_reply = format!("req={}", first.0);
+    assert_eq!(
+        trace_lines(&sim),
+        [
+            ("chaos.fault_begin", "link=0 Loss(1.0)"),
+            ("net.request_lost", "POST /path"),
+            ("net.signal_lost", "dst=NodeId(0)"),
+            ("net.response_lost", lost_reply.as_str()),
+            ("chaos.fault_end", ""),
+        ]
+    );
+}
+
+/// A disabled log never runs a formatter: call sites pass `format_args!`
+/// unguarded and pay nothing for it.
+#[test]
+fn disabled_trace_never_formats() {
+    struct Bomb;
+    impl std::fmt::Display for Bomb {
+        fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            panic!("a disabled log ran a formatter")
+        }
+    }
+    let mut sim = Sim::new(10);
+    let client = sim.add_node("client", Client::default());
+    sim.trace_mut().set_enabled(false);
+    sim.with_node::<Client, _>(client, |_, ctx| ctx.trace("k", format_args!("{}", Bomb)));
+    get(&mut sim, client, NodeId(9), 1); // `net.no_route`, unrendered
+    sim.run_until_idle();
+    assert!(sim.trace().events().is_empty());
+    assert_eq!(sim.node_ref::<Client>(client).responses.len(), 1);
 }

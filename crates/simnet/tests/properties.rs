@@ -6,6 +6,60 @@ use rand::SeedableRng;
 use simnet::net::{Delivery, Topology};
 use simnet::prelude::*;
 use simnet::rng::{derive_seed, Dist, Zipf};
+use std::collections::{HashMap, VecDeque};
+
+/// The routing `Topology` replaced, kept here as the reference: adjacency
+/// and BFS `prev` in `HashMap`s, min-hop, ties broken by adjacency
+/// insertion order. `links[i]` is whether link `i` is up.
+#[derive(Default)]
+struct ReferenceRoutes {
+    links: Vec<bool>,
+    adj: HashMap<NodeId, Vec<(NodeId, usize)>>,
+}
+
+impl ReferenceRoutes {
+    fn add_link(&mut self, a: NodeId, b: NodeId) {
+        let idx = self.links.len();
+        self.links.push(true);
+        self.adj.entry(a).or_default().push((b, idx));
+        self.adj.entry(b).or_default().push((a, idx));
+    }
+
+    fn has_link(&self, a: NodeId, b: NodeId) -> bool {
+        self.adj
+            .get(&a)
+            .is_some_and(|v| v.iter().any(|(n, _)| *n == b))
+    }
+
+    fn bfs(&self, src: NodeId, dst: NodeId) -> Option<Vec<usize>> {
+        let mut prev: HashMap<NodeId, (NodeId, usize)> = HashMap::new();
+        let mut queue = VecDeque::from([src]);
+        while let Some(n) = queue.pop_front() {
+            if n == dst {
+                let mut path = Vec::new();
+                let mut cur = dst;
+                while cur != src {
+                    let (p, link) = prev[&cur];
+                    path.push(link);
+                    cur = p;
+                }
+                path.reverse();
+                return Some(path);
+            }
+            let Some(neigh) = self.adj.get(&n) else {
+                continue;
+            };
+            for &(m, idx) in neigh {
+                if !self.links[idx] || m == src || prev.contains_key(&m) {
+                    continue;
+                }
+                prev.insert(m, (n, idx));
+                queue.push_back(m);
+            }
+        }
+        None
+    }
+}
 
 proptest! {
     /// Instant/duration arithmetic never wraps and stays ordered.
@@ -91,6 +145,48 @@ proptest! {
         }
     }
 
+    /// The dense topology routes exactly like the `HashMap` one it
+    /// replaced: after every step of a random `add_link` / `set_link_up`
+    /// sequence, every ordered pair has the reference's hop count, and —
+    /// link `i` taking `2^i` ms, so a latency names the links crossed —
+    /// `deliver` crosses the reference's very links, ties included.
+    #[test]
+    fn routing_matches_the_hashmap_reference(
+        steps in proptest::collection::vec((any::<bool>(), 0u32..8, 0u32..8), 1..40),
+    ) {
+        const NODES: u32 = 8;
+        let ms = SimDuration::from_millis;
+        let mut topo = Topology::new();
+        let mut reference = ReferenceRoutes::default();
+        let mut rng = StdRng::seed_from_u64(0);
+        for (add, a, b) in steps {
+            let (na, nb) = (NodeId(a), NodeId(b));
+            if add && a != b && !reference.has_link(na, nb) {
+                let latency = LatencyModel::fixed(ms(1 << reference.links.len()));
+                let spec = simnet::net::LinkSpec::new(latency);
+                topo.add_link(na, nb, spec);
+                reference.add_link(na, nb);
+            } else if !reference.links.is_empty() {
+                // Toggle link `a` (mod the count) to `b`'s parity.
+                let idx = a as usize % reference.links.len();
+                topo.set_link_up(simnet::net::LinkId(idx as u32), b % 2 == 0);
+                reference.links[idx] = b % 2 == 0;
+            }
+            for src in (0..NODES).map(NodeId) {
+                for dst in (0..NODES).map(NodeId) {
+                    let want = reference.bfs(src, dst);
+                    prop_assert_eq!(topo.hops(src, dst), want.as_ref().map(Vec::len));
+                    let want = match want {
+                        _ if src == dst => Delivery::Arrives(SimDuration::from_micros(1)),
+                        Some(path) => Delivery::Arrives(ms(path.iter().map(|i| 1 << i).sum())),
+                        None => Delivery::NoRoute,
+                    };
+                    prop_assert_eq!(topo.deliver(src, dst, &mut rng), want);
+                }
+            }
+        }
+    }
+
     /// A simulation driven twice from the same seed yields the same trace.
     #[test]
     fn identical_seeds_identical_traces(seed in any::<u64>(), n_pings in 1u32..10) {
@@ -105,7 +201,7 @@ proptest! {
                 fn on_timer(&mut self, ctx: &mut Context<'_>, _k: u64) {
                     if self.left == 0 { return; }
                     self.left -= 1;
-                    ctx.trace("ping", format!("{} left", self.left));
+                    ctx.trace("ping", format_args!("{} left", self.left));
                     ctx.signal(self.peer.unwrap(), &b"p"[..]);
                     ctx.set_timer(SimDuration::from_millis(10), 0);
                 }
@@ -118,7 +214,7 @@ proptest! {
             sim.trace()
                 .events()
                 .iter()
-                .map(|e| (e.at.as_micros(), e.detail.render()))
+                .map(|e| (e.at.as_micros(), e.detail.clone()))
                 .collect()
         }
         prop_assert_eq!(run(seed, n_pings), run(seed, n_pings));

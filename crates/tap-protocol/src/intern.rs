@@ -20,7 +20,7 @@
 //! * Strings stay at construction/serialization boundaries: wire bodies
 //!   and reports keep using the `String` newtypes unchanged.
 
-use std::collections::HashMap;
+use mem::FxHashMap;
 use std::fmt;
 
 /// A cheap, `Copy` handle for an interned string.
@@ -41,7 +41,8 @@ impl Symbol {
 /// A string-to-[`Symbol`] table with O(1) two-way lookup.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    map: HashMap<Box<str>, u32>,
+    /// Never iterated ([`Interner::iter`] walks `strings`), so Fx is safe.
+    map: FxHashMap<Box<str>, u32>,
     strings: Vec<Box<str>>,
 }
 

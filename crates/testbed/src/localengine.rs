@@ -78,7 +78,7 @@ impl Node for LocalEngine {
             self.attempted += 1;
             ctx.trace(
                 "local_engine.execute",
-                format!("{} {}", command.device, command.op),
+                format_args!("{} {}", command.device, command.op),
             );
             let req = Request::post(COMMAND_PATH)
                 .with_body(serde_json::to_vec(&ProxyCommand { command }).expect("serializes"));
@@ -89,7 +89,7 @@ impl Node for LocalEngine {
     fn on_response(&mut self, ctx: &mut Context<'_>, _token: Token, resp: Response) {
         if resp.is_success() {
             self.executed += 1;
-            ctx.trace("local_engine.done", String::new());
+            ctx.trace("local_engine.done", format_args!(""));
         }
     }
 }
