@@ -295,26 +295,31 @@ impl ServiceCore {
     fn serve_batch(&mut self, ctx: &mut Context<'_>, entries: &[(SubId, usize)]) -> Processed {
         self.polls_served += entries.len() as u64;
         self.batch_polls_served += 1;
-        let mut out = String::from("{\"data\":[");
-        let mut total = 0usize;
-        for (i, &(sub, limit)) in entries.iter().enumerate() {
+        let (mut total, mut bytes) = (0, 0);
+        for &(sub, limit) in entries {
             self.subs.get_mut(sub).hint_outstanding = false;
-            if i > 0 {
-                out.push(',');
-            }
-            total += self.buffer.write_batch_result(sub, limit, &mut out);
+            let (events, len) = self.buffer.batch_result_size(sub, limit);
+            total += events;
+            bytes += len + 1;
         }
-        out.push_str("]}");
         let (slug, n) = (self.endpoint.slug(), entries.len());
         ctx.trace(
             "service.batch_poll",
             format_args!("{slug} {n} entries -> {total} events"),
         );
-        Processed::Done(if total == 0 {
-            Response::ok().with_body(wire::empty_batch_body())
-        } else {
-            Response::ok().with_body(out)
-        })
+        if total == 0 {
+            return Processed::Done(Response::ok().with_body(wire::empty_batch_body()));
+        }
+        let mut out = String::with_capacity(wire::EMPTY_BATCH_JSON.len() + bytes);
+        out.push_str("{\"data\":[");
+        for (i, &(sub, limit)) in entries.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            self.buffer.write_batch_result(sub, limit, &mut out);
+        }
+        out.push_str("]}");
+        Processed::Done(Response::ok().with_body(out))
     }
 
     /// Every distinct user with a subscription here, in sorted order (the
@@ -690,6 +695,20 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         });
         assert_eq!(&*resp.body, wire::EMPTY_BATCH_JSON);
+    }
+
+    /// The parse memo is keyed by body: a static and a shared `Bytes` of
+    /// equal content are one entry.
+    #[test]
+    fn the_parse_memo_key_is_the_content_however_the_bytes_are_held() {
+        let mut memo: FxHashMap<Bytes, u8> = FxHashMap::default();
+        memo.insert(Bytes::from_static(wire::EMPTY_POLL_JSON), 1);
+        let shared = Bytes::from(wire::EMPTY_POLL_JSON.to_vec());
+        assert_eq!(memo.get(&shared), Some(&1));
+        assert_eq!(memo.insert(shared, 2), Some(1));
+        memo.insert(Bytes::from(Vec::new()), 3);
+        assert_eq!(memo.get(&Bytes::new()), Some(&3));
+        assert_eq!(memo.len(), 2);
     }
 
     #[test]

@@ -83,7 +83,7 @@ mod tests {
     use tap_protocol::wire::{self, PollRequestBody, PollResponseBody};
     use tap_protocol::{TriggerIdentity, TriggerSlug};
 
-    fn setup() -> (Sim, NodeId, NodeId, TriggerIdentity, String) {
+    fn setup() -> (Sim, NodeId, NodeId, TriggerIdentity, Str) {
         let mut sim = Sim::new(71);
         let switch = sim.add_node("wemo", WemoSwitch::new("wemo_switch_1", "author"));
         let svc = sim.add_node(

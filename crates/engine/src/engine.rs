@@ -62,7 +62,9 @@ pub(crate) const TK_RUN: u64 = 2 << TAG_SHIFT;
 pub struct ServiceRegistration {
     pub slug: ServiceSlug,
     pub node: NodeId,
-    pub key: ServiceKey,
+    /// The service key, as every request's `IFTTT-Service-Key` header
+    /// carries it.
+    pub key: Str,
 }
 
 /// Dense per-applet index: slots are assigned sequentially at install and
@@ -85,7 +87,7 @@ pub(crate) struct PollTask {
     /// serialized poll body (identity, fields, user, limit are all fixed
     /// per applet), so a poll clones a `Bytes` handle instead of
     /// re-serializing JSON.
-    pub(crate) poll_path: String,
+    pub(crate) poll_path: Str,
     pub(crate) poll_body: bytes::Bytes,
     /// What a run of this applet executes, compiled at install.
     pub(crate) plan: Plan,
@@ -197,9 +199,9 @@ pub struct TapEngine {
     /// authentication lookup hashes a `Symbol`, not the key string.
     pub(crate) service_by_key: FxHashMap<Symbol, ServiceSlug>,
     /// Per-(user, service) `Authorization` header values, precomputed
-    /// at token install so poll/action/query sends clone a string
-    /// instead of formatting one.
-    pub(crate) tokens: FxHashMap<(Symbol, Symbol), String>,
+    /// at token install so poll/action/query sends clone a reference
+    /// count instead of formatting a string.
+    pub(crate) tokens: FxHashMap<(Symbol, Symbol), Str>,
     pending_oauth: FxHashMap<u64, (UserId, ServiceSlug)>,
     next_oauth: u64,
     /// [`AppletId`] → dense slot, consulted only on the public id-keyed
@@ -316,6 +318,7 @@ impl TapEngine {
         let key_sym = self.syms.intern(&key.0);
         self.service_by_key.insert(key_sym, slug.clone());
         let sym = self.syms.intern(slug.as_str());
+        let key = Str::from(key.0);
         self.services
             .insert(sym, ServiceRegistration { slug, node, key });
     }
@@ -557,17 +560,16 @@ impl TapEngine {
         &self,
         ctx: &mut Context<'_>,
         slot: Slot,
-        path: impl Into<String>,
+        path: Str,
         body: bytes::Bytes,
     ) -> (NodeId, Request) {
         let task = &self.tasks[slot as usize];
         let reg = &self.services[&task.trigger_service];
         let bearer = &self.tokens[&(task.owner, task.trigger_service)];
-        let request_id: u64 = ctx.rng().gen();
         let req = Request::post(path)
-            .with_header(SERVICE_KEY_HEADER, reg.key.0.clone())
+            .with_header(SERVICE_KEY_HEADER, reg.key.clone())
             .with_header(AUTHORIZATION_HEADER, bearer.clone())
-            .with_header(REQUEST_ID_HEADER, format!("{request_id:016x}"))
+            .with_header(REQUEST_ID_HEADER, Str::hex16(ctx.rng().gen()))
             .with_body(body);
         (reg.node, req)
     }
@@ -647,7 +649,8 @@ impl TapEngine {
         };
         let n = members.len() as u64;
         let seq = self.pending_batches.insert(members);
-        let (node, req) = self.poll_request(ctx, slot, BATCH_POLL_PATH, body);
+        let path = Str::from_static(BATCH_POLL_PATH);
+        let (node, req) = self.poll_request(ctx, slot, path, body);
         self.obs(ObsEvent::BatchPollSent {
             service: trigger_service,
             members: n,

@@ -103,7 +103,7 @@ impl Predicate {
 struct Call {
     kind: CallKind,
     service: Symbol,
-    path: String,
+    path: Str,
     fields: FieldMap,
     /// The serialized body, cached when there are no fields to
     /// substitute (serializing per send would produce these exact bytes).
@@ -136,7 +136,7 @@ impl CallKind {
 
 impl Op {
     /// A network node; the body is serialized here when `fields` is empty.
-    fn call(kind: CallKind, service: Symbol, path: String, fields: &FieldMap, user: &UserId) -> Op {
+    fn call(kind: CallKind, service: Symbol, path: Str, fields: &FieldMap, user: &UserId) -> Op {
         let body = fields.is_empty().then(|| kind.body(FieldMap::new(), user));
         Op::Call(Call {
             kind,
@@ -532,7 +532,7 @@ impl TapEngine {
             call.kind.body(fields, &self.applets[slot].owner)
         });
         let req = Request::post(call.path.clone())
-            .with_header(SERVICE_KEY_HEADER, reg.key.0.clone())
+            .with_header(SERVICE_KEY_HEADER, reg.key.clone())
             .with_header(AUTHORIZATION_HEADER, bearer.clone())
             .with_body(body);
         let sent = match call.kind {

@@ -334,7 +334,7 @@ impl TapEngine {
             self.retire_slot(ctx, slot);
         }
         let reg = self.services.remove(&sym).expect("registration checked");
-        if let Some(key_sym) = self.syms.get(&reg.key.0) {
+        if let Some(key_sym) = self.syms.get(&reg.key) {
             self.service_by_key.remove(&key_sym);
         }
         self.tokens.retain(|&(_, s), _| s != sym);

@@ -69,7 +69,7 @@ pub mod wheel;
 
 pub use chaos::{FaultPlan, FaultTarget, LinkFault, ServerFault, ServerFaultPlan};
 pub use error::SimError;
-pub use http::{Method, Request, RequestId, RequestOpts, Response, Token};
+pub use http::{Method, Request, RequestId, RequestOpts, Response, Str, Token};
 pub use net::{LatencyModel, LinkId, LinkSpec};
 pub use node::{Context, HandlerResult, Node, NodeId, TimerId, TimerKey};
 pub use sim::Sim;
@@ -80,7 +80,7 @@ pub use wheel::TimerWheel;
 /// Convenient glob import for simulation authors.
 pub mod prelude {
     pub use crate::chaos::{FaultPlan, FaultTarget, LinkFault, ServerFault, ServerFaultPlan};
-    pub use crate::http::{Method, Request, RequestId, RequestOpts, Response, Token};
+    pub use crate::http::{Method, Request, RequestId, RequestOpts, Response, Str, Token};
     pub use crate::net::{LatencyModel, LinkSpec};
     pub use crate::node::{Context, HandlerResult, Node, NodeId, TimerId, TimerKey};
     pub use crate::sim::Sim;

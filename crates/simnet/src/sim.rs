@@ -147,8 +147,9 @@ impl Kernel {
     fn schedule(&mut self, at: SimTime, ev: Ev) {
         let seq = self.seq;
         self.seq += 1;
-        // The wheel clamps a second time against its own (lagging) clock;
-        // the kernel clamp against `self.now` is the authoritative one.
+        // The wheel clamps a second time against its own clock, which may
+        // lag `self.now` but never passes it (`pop_at_or_before`); the
+        // kernel clamp against `self.now` is the authoritative one.
         self.queue.push(at.max(self.now).as_micros(), seq, ev);
     }
 
@@ -436,7 +437,13 @@ impl Sim {
 
     /// Process a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some((at, _seq, ev)) = self.kernel.queue.pop() else {
+        self.step_until(SimTime::MAX)
+    }
+
+    /// Process the next event unless it is due after `limit` (or there is
+    /// none): one look at the queue per event.
+    fn step_until(&mut self, limit: SimTime) -> bool {
+        let Some((at, _seq, ev)) = self.kernel.queue.pop_at_or_before(limit.as_micros()) else {
             return false;
         };
         let at = SimTime::from_micros(at);
@@ -456,7 +463,7 @@ impl Sim {
     /// Run until idle or until `budget` events have been processed.
     pub fn try_run_until_idle(&mut self, budget: u64) -> Result<u64, SimError> {
         let start = self.kernel.processed;
-        while self.peek_time().is_some() {
+        while !self.kernel.queue.is_empty() {
             if self.kernel.processed - start >= budget {
                 return Err(SimError::EventBudgetExhausted {
                     processed: self.kernel.processed,
@@ -470,12 +477,7 @@ impl Sim {
     /// Process all events scheduled at or before `t`, then advance the
     /// clock to exactly `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        while let Some(at) = self.peek_time() {
-            if at > t {
-                break;
-            }
-            self.step();
-        }
+        while self.step_until(t) {}
         if t > self.kernel.now {
             self.kernel.now = t;
         }

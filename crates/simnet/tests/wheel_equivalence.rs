@@ -7,12 +7,16 @@
 //! `BinaryHeap<Reverse<(at, seq)>>` with the same random schedules
 //! (including equal-timestamp ties, past timestamps, far-future overflow
 //! entries, and kernel-style tombstone cancellations) and require the pop
-//! sequences to match element for element.
+//! sequences to match element for element. Every entry carries its `seq`
+//! as the item, and every pop checks the item against the key it came out
+//! under: the wheel links slab slots by index, and a mislinked slot would
+//! return the right key with the wrong payload.
 
 use proptest::prelude::*;
 use simnet::wheel::TimerWheel;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
+use std::rc::Rc;
 
 /// Reference model: plain binary heap with the kernel's old ordering.
 #[derive(Default)]
@@ -33,6 +37,23 @@ impl HeapModel {
     fn peek(&self) -> Option<(u64, u64)> {
         self.heap.peek().map(|&Reverse(k)| k)
     }
+}
+
+/// Push `seq` as its own payload.
+fn push(wheel: &mut TimerWheel<u64>, at: u64, seq: u64) {
+    wheel.push(at, seq, seq);
+}
+
+/// The key of a popped entry, once its payload is known to be the one
+/// pushed under that key.
+fn checked(popped: Option<(u64, u64, u64)>) -> Option<(u64, u64)> {
+    popped.map(|(at, seq, item)| {
+        assert_eq!(
+            item, seq,
+            "the entry at ({at}, {seq}) carries another's item"
+        );
+        (at, seq)
+    })
 }
 
 /// Turn a raw u64 into a timestamp offset that exercises interesting
@@ -63,7 +84,7 @@ proptest! {
         for (kind, raw) in ops {
             if kind == 0 {
                 // pop from both, compare
-                let got = wheel.pop().map(|(at, s, ())| (at, s));
+                let got = checked(wheel.pop());
                 let want = model.pop();
                 prop_assert_eq!(got, want);
                 if let Some((at, _)) = got {
@@ -72,7 +93,7 @@ proptest! {
             } else {
                 // The kernel clamps `at` to its clock before pushing.
                 let at = now.saturating_add(shape_offset(raw));
-                wheel.push(at, seq, ());
+                push(&mut wheel, at, seq);
                 model.push(at, seq);
                 seq += 1;
             }
@@ -80,7 +101,7 @@ proptest! {
         }
         // Drain the remainder.
         loop {
-            let got = wheel.pop().map(|(at, s, ())| (at, s));
+            let got = checked(wheel.pop());
             let want = model.pop();
             prop_assert_eq!(got, want);
             if got.is_none() {
@@ -102,15 +123,41 @@ proptest! {
         for &slot in &burst {
             // All pushes land on one of 4 adjacent ticks: dense ties.
             let at = base + slot;
-            wheel.push(at, seq, ());
+            push(&mut wheel, at, seq);
             model.push(at, seq);
             seq += 1;
             if seq.is_multiple_of(3) {
-                prop_assert_eq!(wheel.pop().map(|(a, s, ())| (a, s)), model.pop());
+                prop_assert_eq!(checked(wheel.pop()), model.pop());
             }
         }
         while let Some(want) = model.pop() {
-            prop_assert_eq!(wheel.pop().map(|(a, s, ())| (a, s)), Some(want));
+            prop_assert_eq!(checked(wheel.pop()), Some(want));
+        }
+        prop_assert!(wheel.is_empty());
+    }
+
+    /// The tie-break is the `seq` itself, not arrival order: with scrambled
+    /// (still unique) sequence numbers on a few crowded ticks, near and
+    /// far, pops still match the heap.
+    #[test]
+    fn ties_break_by_seq_in_whatever_order_seqs_arrive(
+        burst in collection::vec((0u64..4, any::<bool>()), 2..200),
+        base in 0u64..1_000_000,
+    ) {
+        let mut wheel = TimerWheel::new();
+        let mut model = HeapModel::default();
+        for (i, &(tick, pop)) in burst.iter().enumerate() {
+            // 1009 is prime: a bijection on 0..1009, far from monotone.
+            let seq = (i as u64 * 7_919) % 1_009;
+            let at = model.now.max(base) + tick * tick * 40;
+            push(&mut wheel, at, seq);
+            model.push(at, seq);
+            if pop {
+                prop_assert_eq!(checked(wheel.pop()), model.pop());
+            }
+        }
+        while let Some(want) = model.pop() {
+            prop_assert_eq!(checked(wheel.pop()), Some(want));
         }
         prop_assert!(wheel.is_empty());
     }
@@ -133,9 +180,9 @@ proptest! {
                 0 | 1 => {
                     // deliver one event, skipping tombstones — both sides
                     let got = loop {
-                        match wheel.pop() {
+                        match checked(wheel.pop()) {
                             None => break None,
-                            Some((at, s, ())) => {
+                            Some((at, s)) => {
                                 let want = model.pop();
                                 prop_assert_eq!(Some((at, s)), want);
                                 if !cancelled.remove(&s) {
@@ -160,7 +207,7 @@ proptest! {
                 }
                 _ => {
                     let at = now.saturating_add(shape_offset(raw));
-                    wheel.push(at, seq, ());
+                    push(&mut wheel, at, seq);
                     model.push(at, seq);
                     live.push(seq);
                     seq += 1;
@@ -183,17 +230,131 @@ proptest! {
             prop_assert_eq!(wheel.peek(), model.peek());
             prop_assert_eq!(wheel.peek(), wheel.peek()); // idempotent
             if kind == 0 {
-                let got = wheel.pop().map(|(at, s, ())| (at, s));
+                let got = checked(wheel.pop());
                 prop_assert_eq!(got, model.pop());
                 if let Some((at, _)) = got {
                     now = at;
                 }
             } else {
                 let at = now.saturating_add(shape_offset(raw));
-                wheel.push(at, seq, ());
+                push(&mut wheel, at, seq);
                 model.push(at, seq);
                 seq += 1;
             }
         }
     }
+
+    /// `pop_at_or_before` is the heap's "pop if the head is due": under a
+    /// kernel-style clock that moves to `limit` whenever nothing was due
+    /// (what `Sim::run_until` does), later pushes keep their own ticks.
+    #[test]
+    fn bounded_pop_matches_reference_heap(
+        ops in collection::vec((0u8..4, any::<u64>()), 1..300),
+    ) {
+        let mut wheel = TimerWheel::new();
+        let mut model = HeapModel::default();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        for (kind, raw) in ops {
+            if kind == 0 {
+                let limit = now.saturating_add(shape_offset(raw));
+                let want = match model.peek() {
+                    Some((at, _)) if at <= limit => model.pop(),
+                    _ => None,
+                };
+                prop_assert_eq!(checked(wheel.pop_at_or_before(limit)), want);
+                prop_assert!(wheel.now() <= limit.max(now));
+                now = want.map_or(limit, |(at, _)| at);
+                // The reference clamps against the kernel's clock.
+                model.now = now;
+            } else {
+                let at = now.saturating_add(shape_offset(raw));
+                push(&mut wheel, at, seq);
+                model.push(at, seq);
+                seq += 1;
+            }
+            prop_assert_eq!(wheel.len(), model.heap.len());
+            prop_assert_eq!(wheel.peek(), model.peek());
+        }
+        while let Some(want) = model.pop() {
+            prop_assert_eq!(checked(wheel.pop()), Some(want));
+        }
+        prop_assert!(wheel.is_empty());
+    }
+}
+
+/// A limit below the next entry must not move the wheel: an entry pushed
+/// afterwards between the limit and that entry is due first, at its own
+/// tick. At every level the next entry can wait on, overflow included.
+#[test]
+fn a_refused_pop_leaves_room_before_the_next_entry() {
+    for far in [
+        40u64,
+        3_000,
+        200_000,
+        10_000_000,
+        1 << 33,
+        1 << 40,
+        u64::MAX,
+    ] {
+        let mut wheel = TimerWheel::new();
+        push(&mut wheel, far, 0);
+        let limit = far / 2;
+        assert_eq!(wheel.pop_at_or_before(limit), None);
+        assert_eq!(wheel.len(), 1);
+        assert!(wheel.now() <= limit);
+        let between = limit + (far - limit) / 2;
+        push(&mut wheel, between, 1);
+        assert_eq!(checked(wheel.pop_at_or_before(far - 1)), Some((between, 1)));
+        assert_eq!(wheel.pop_at_or_before(far - 1), None);
+        assert_eq!(checked(wheel.pop_at_or_before(far)), Some((far, 0)));
+        assert!(wheel.is_empty());
+    }
+}
+
+/// A thousand entries on one tick, popped while more arrive on that same
+/// tick: FIFO by `seq` throughout, each with its own item.
+#[test]
+fn a_same_tick_burst_interleaved_with_pops_stays_fifo() {
+    let mut wheel = TimerWheel::new();
+    let mut model = HeapModel::default();
+    let tick = 77_777;
+    for seq in 0..1_000 {
+        push(&mut wheel, tick, seq);
+        model.push(tick, seq);
+        // Pops start once the tick is current, so later pushes land in the
+        // one-tick list the pops are unlinking from.
+        if seq >= 100 && seq % 3 == 0 {
+            assert_eq!(checked(wheel.pop()), model.pop());
+        }
+    }
+    while let Some(want) = model.pop() {
+        assert_eq!(checked(wheel.pop()), Some(want));
+    }
+    assert!(wheel.is_empty());
+}
+
+/// Every item is dropped exactly once, whether it was popped or was still
+/// pending — in a one-tick list, an upper level or overflow — when the
+/// wheel was dropped.
+#[test]
+fn every_item_is_dropped_exactly_once() {
+    let alive = Rc::new(());
+    let mut wheel = TimerWheel::new();
+    let ats = [5, 5, 70, 5_000, 1 << 20, 1 << 35, 1 << 50, u64::MAX];
+    for (seq, &at) in ats.iter().enumerate() {
+        wheel.push(at, seq as u64, Rc::clone(&alive));
+    }
+    assert_eq!(Rc::strong_count(&alive), 1 + ats.len());
+    for popped in 1..=3 {
+        drop(wheel.pop().expect("eight are pending"));
+        assert_eq!(Rc::strong_count(&alive), 1 + ats.len() - popped);
+    }
+    // Reuse freed slots, then leave entries at every depth.
+    wheel.push(6_000, 8, Rc::clone(&alive));
+    wheel.push(1 << 51, 9, Rc::clone(&alive));
+    assert_eq!(wheel.len(), 7);
+    assert_eq!(Rc::strong_count(&alive), 8);
+    drop(wheel);
+    assert_eq!(Rc::strong_count(&alive), 1);
 }

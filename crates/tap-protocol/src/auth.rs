@@ -8,6 +8,7 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use simnet::Str;
 use std::fmt;
 
 /// Header carrying the service key on engine→service requests.
@@ -57,8 +58,8 @@ impl AccessToken {
     }
 
     /// Render as an HTTP `Authorization` header value.
-    pub fn bearer(&self) -> String {
-        format!("Bearer {}", self.0)
+    pub fn bearer(&self) -> Str {
+        format_args!("Bearer {}", self.0).into()
     }
 
     /// Parse from an `Authorization` header value.

@@ -5,6 +5,7 @@
 //! model the v1 path shape used by the public API reference.
 
 use crate::ids::{ActionSlug, QuerySlug, TriggerSlug};
+use simnet::Str;
 
 /// API prefix shared by all partner endpoints.
 pub const API_PREFIX: &str = "/ifttt/v1";
@@ -32,8 +33,8 @@ pub const OAUTH_TOKEN_PATH: &str = "/oauth2/token";
 const TRIGGER_PREFIX: &str = "/ifttt/v1/triggers/";
 
 /// Path of a trigger polling endpoint.
-pub fn trigger_path(slug: &TriggerSlug) -> String {
-    format!("{TRIGGER_PREFIX}{slug}")
+pub fn trigger_path(slug: &TriggerSlug) -> Str {
+    format_args!("{TRIGGER_PREFIX}{slug}").into()
 }
 
 /// Is `path` exactly [`trigger_path`]`(slug)`? (No allocation.)
@@ -48,13 +49,13 @@ pub fn is_poll_path(path: &str) -> bool {
 }
 
 /// Path of an action execution endpoint.
-pub fn action_path(slug: &ActionSlug) -> String {
-    format!("{API_PREFIX}/actions/{slug}")
+pub fn action_path(slug: &ActionSlug) -> Str {
+    format_args!("{API_PREFIX}/actions/{slug}").into()
 }
 
 /// Path of a query endpoint.
-pub fn query_path(slug: &QuerySlug) -> String {
-    format!("{API_PREFIX}/queries/{slug}")
+pub fn query_path(slug: &QuerySlug) -> Str {
+    format_args!("{API_PREFIX}/queries/{slug}").into()
 }
 
 /// What a path under the service base URL refers to.

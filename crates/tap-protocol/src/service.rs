@@ -120,7 +120,7 @@ impl ServiceEndpoint {
     /// Route, authenticate, and parse an inbound request.
     pub fn parse(&self, req: &Request) -> Result<ParsedServiceRequest, ProtocolError> {
         let endpoint = endpoints::parse(&req.path)
-            .ok_or_else(|| ProtocolError::UnknownEndpoint(req.path.clone()))?;
+            .ok_or_else(|| ProtocolError::UnknownEndpoint(req.path.to_string()))?;
         // The OAuth pages are user-facing; everything else is the engine's
         // and carries the service key.
         if !matches!(endpoint, Endpoint::OAuthAuthorize | Endpoint::OAuthToken) {
@@ -160,7 +160,7 @@ impl ServiceEndpoint {
             }
             Endpoint::Query(query) => {
                 if !self.queries.contains(&query) {
-                    return Err(ProtocolError::UnknownEndpoint(req.path.clone()));
+                    return Err(ProtocolError::UnknownEndpoint(req.path.to_string()));
                 }
                 let (user, body) = self.authed_body(req, |b: &QueryRequestBody| &b.user)?;
                 Ok(ParsedServiceRequest::Query { user, query, body })
@@ -423,6 +423,17 @@ impl TriggerBuffer {
             Some(c) => (c.body.clone(), c.count),
             None => (wire::empty_poll_body(), 0),
         }
+    }
+
+    /// What [`TriggerBuffer::write_batch_result`] would append for `slot`:
+    /// how many events, and how many bytes (short only by the escapes an
+    /// identity may need). A round with no events is answered without
+    /// writing; any other reserves its reply once.
+    pub fn batch_result_size(&mut self, slot: Symbol, limit: usize) -> (usize, usize) {
+        let data = self.serialized(slot, limit);
+        let (count, data) = data.map_or((0, 2), |c| (c.count, c.frag.len()));
+        let fixed = "{\"data\":,\"trigger_identity\":\"\"}".len();
+        (count, fixed + data + self.syms.resolve(slot).len())
     }
 
     /// Append one batch-poll result fragment
@@ -780,12 +791,16 @@ mod tests {
         b.push(&ti(1), TriggerEvent::new("e1", 1).with_ingredient("a", "x"));
         b.push(&ti(1), TriggerEvent::new("e2", 2));
         let (one, two) = (b.slot(&ti(1)), b.slot(&ti(2)));
+        let ((events1, len1), (events2, len2)) =
+            (b.batch_result_size(one, 50), b.batch_result_size(two, 50));
         let mut out = String::from("{\"data\":[");
         let n1 = b.write_batch_result(one, 50, &mut out);
         out.push(',');
         let n2 = b.write_batch_result(two, 50, &mut out);
         out.push_str("]}");
         assert_eq!((n1, n2), (2, 0));
+        assert_eq!((events1, events2), (n1, n2));
+        assert_eq!(out.len(), "{\"data\":[,]}".len() + len1 + len2);
         let via_serde = ServiceEndpoint::batch_poll_ok(vec![
             wire::BatchPollResult {
                 trigger_identity: ti(1),

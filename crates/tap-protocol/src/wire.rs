@@ -87,7 +87,8 @@ pub struct PollResponseBody {
 /// there is a test pinning that.
 pub const EMPTY_POLL_JSON: &[u8] = b"{\"data\":[]}";
 
-/// The empty poll response body as a zero-allocation [`Bytes`].
+/// The empty poll response body: a [`Bytes`] over the static slice, so
+/// nothing is allocated or copied.
 pub fn empty_poll_body() -> Bytes {
     Bytes::from_static(EMPTY_POLL_JSON)
 }
@@ -145,7 +146,8 @@ pub struct BatchPollResponseBody {
 /// [`BatchPollResponseBody`].
 pub const EMPTY_BATCH_JSON: &[u8] = b"{\"data\":[]}";
 
-/// The empty batch-poll response body as a zero-allocation [`Bytes`].
+/// The empty batch-poll response body: a [`Bytes`] over the static slice,
+/// so nothing is allocated or copied.
 pub fn empty_batch_body() -> Bytes {
     Bytes::from_static(EMPTY_BATCH_JSON)
 }

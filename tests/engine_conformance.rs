@@ -10,6 +10,7 @@ use ifttt_core::engine::{
 };
 use ifttt_core::simnet::prelude::*;
 use ifttt_core::tap_protocol::{ServiceSlug, UserId};
+use rand::Rng;
 use std::sync::Arc;
 use support::{connect, fire, slot_applet, Echo, EchoService};
 
@@ -67,6 +68,16 @@ fn poll_requests_carry_fresh_request_ids() {
     dedup.sort();
     dedup.dedup();
     assert_eq!(dedup.len(), ids.len(), "request ids must be unique");
+    // Each is one `u64` draw of the engine's own stream (node streams start
+    // at 1,000), as 16 lowercase hex digits, in the order they were drawn.
+    let mut stream = ifttt_core::simnet::rng::stream_rng(11, 1_000 + u64::from(engine.0));
+    let mut draws = std::iter::repeat_with(|| format!("{:016x}", stream.gen::<u64>())).take(1_000);
+    for id in ids {
+        assert!(
+            draws.any(|d| d == *id),
+            "{id} is not the engine's next draw"
+        );
+    }
 }
 
 #[test]
