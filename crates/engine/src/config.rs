@@ -47,18 +47,9 @@ pub struct EngineConfig {
     pub policy: EnginePolicy,
     /// Services whose realtime hints are honored (the paper: Alexa).
     pub realtime_allowlist: HashSet<ServiceSlug>,
-    /// Delay between an honored hint and the prompt poll it schedules (s).
-    pub hint_processing: Dist,
-    /// Debounce window armed after a realtime-scheduled poll resolves:
-    /// further notifications for the same subscription inside the window
-    /// are absorbed (counted as `realtime_suppressed`), so a burst of
-    /// service events costs at most one out-of-cadence poll per window.
-    pub realtime_debounce: SimDuration,
     /// Engine-internal delay between a poll response with events and the
     /// first action request (Table 5 measures ≈1 s).
     pub dispatch_overhead: Dist,
-    /// Gap between successive actions of one batch (s).
-    pub inter_action_gap: Dist,
     /// Delay of the first poll after installing an applet (s).
     pub initial_poll_delay: Dist,
     /// Timeout for polls and action requests.
@@ -82,9 +73,6 @@ pub struct EngineConfig {
     /// default so E3 and the IftttLike calibration stay comparable with
     /// earlier revisions; the fleet workload turns it on.
     pub batch_polling: bool,
-    /// How far ahead (seconds) a sibling's scheduled poll may be and still
-    /// ride the current batch request. Jittered per batch.
-    pub coalesce_window: Dist,
 }
 
 impl Default for EngineConfig {
@@ -93,14 +81,11 @@ impl Default for EngineConfig {
             polling: PollPolicy::ifttt_like(),
             policy: EnginePolicy::IftttLike,
             realtime_allowlist: HashSet::new(),
-            hint_processing: Dist::Uniform { lo: 0.5, hi: 1.5 },
-            realtime_debounce: SimDuration::from_secs(5),
             dispatch_overhead: Dist::LogNormal {
                 mu: 0.0,
                 sigma: 0.35,
                 cap: 5.0,
             },
-            inter_action_gap: Dist::Uniform { lo: 0.05, hi: 0.3 },
             initial_poll_delay: Dist::Uniform { lo: 1.0, hi: 5.0 },
             request_timeout: SimDuration::from_secs(30),
             action_retry: RetryPolicy::none(),
@@ -109,9 +94,6 @@ impl Default for EngineConfig {
             static_loop_check: false,
             runtime_loop: None,
             batch_polling: false,
-            // Wide enough to capture the initial-poll stagger (1–5 s);
-            // after the first batch the group is phase-locked anyway.
-            coalesce_window: Dist::Uniform { lo: 4.0, hi: 6.0 },
         }
     }
 }

@@ -28,6 +28,7 @@ use crate::resilience::CircuitBreaker;
 use mem::{Arena, FxHashMap, FxHashSet};
 use rand::Rng;
 use simnet::prelude::*;
+use simnet::rng::Dist;
 use tap_protocol::auth::{
     AccessToken, ServiceKey, AUTHORIZATION_HEADER, REQUEST_ID_HEADER, RETRY_AFTER_HEADER,
     SERVICE_KEY_HEADER,
@@ -69,15 +70,17 @@ pub struct ServiceRegistration {
 
 /// Dense per-applet index: slots are assigned sequentially at install and
 /// never reused — an uninstalled applet leaves a tombstone, not a hole —
-/// so hot paths index straight into the engine's `tasks`/`applets`
-/// vectors instead of hashing an [`AppletId`].
+/// so hot paths index straight into the engine's `tasks` vector instead of
+/// hashing an [`AppletId`].
 pub(crate) type Slot = u32;
 
+/// One installed applet: the applet as it was installed and everything
+/// the engine keeps about it while it polls and runs.
 #[derive(Debug)]
 pub(crate) struct PollTask {
-    /// The public applet id this slot was assigned to (observability
-    /// events and traces speak applet ids, not slots).
-    pub(crate) id: AppletId,
+    /// The applet itself; its `id` is what observability events and traces
+    /// speak (applet ids, not slots).
+    pub(crate) applet: Applet,
     /// Interned symbols for the hot (user, service) token lookups — the
     /// strings are hashed once at install, never per poll.
     pub(crate) owner: Symbol,
@@ -116,9 +119,10 @@ pub(crate) struct PollTask {
     /// entirely. Purely a fast-path hint: `send_batch_poll` still falls
     /// back to a single poll when no sibling is actually coalescible.
     pub(crate) grouped: bool,
-    /// The subscription's trigger identity: what its poll body names, what
-    /// `by_identity` routes hints by, what a batch entry carries.
-    pub(crate) identity: TriggerIdentity,
+    /// The subscription's trigger identity, interned: what its poll body
+    /// names, what `by_identity` routes hints by, what a batch entry
+    /// carries.
+    pub(crate) identity: Symbol,
     /// Consecutive failed polls for this subscription (resets on success;
     /// bounds the poll-retry budget).
     pub(crate) retries: u32,
@@ -207,9 +211,8 @@ pub struct TapEngine {
     /// [`AppletId`] → dense slot, consulted only on the public id-keyed
     /// API; internal paths carry slots.
     pub(crate) slot_of: FxHashMap<u32, Slot>,
-    /// Applet catalog, indexed by slot (install order; never removed).
-    pub(crate) applets: Vec<Applet>,
-    /// Per-applet polling state, indexed by slot parallel to `applets`.
+    /// Every applet ever installed, indexed by slot (install order; never
+    /// removed): the catalog entry and its polling state in one record.
     pub(crate) tasks: Vec<PollTask>,
     pub(crate) by_identity: FxHashMap<Symbol, Vec<Slot>>,
     /// Coalescing groups by [`PollTask::group`]; an entry exists exactly
@@ -263,7 +266,6 @@ impl TapEngine {
             pending_oauth: FxHashMap::default(),
             next_oauth: 1,
             slot_of: FxHashMap::default(),
-            applets: Vec::new(),
             tasks: Vec::new(),
             by_identity: FxHashMap::default(),
             groups: FxHashMap::default(),
@@ -380,7 +382,8 @@ impl TapEngine {
 
     /// The applet catalog.
     pub fn applet(&self, id: AppletId) -> Option<&Applet> {
-        self.slot_of.get(&id.0).map(|&s| &self.applets[s as usize])
+        let slot = *self.slot_of.get(&id.0)?;
+        Some(&self.tasks[slot as usize].applet)
     }
 
     /// Enable or disable an applet (disabled applets stop polling).
@@ -440,7 +443,7 @@ impl TapEngine {
     /// draws a fresh gap — and still arms the debounce window so a
     /// notifying service cannot hammer an open breaker.
     fn shed_poll(&mut self, ctx: &mut Context<'_>, slot: Slot) {
-        let id = self.tasks[slot as usize].id;
+        let id = self.tasks[slot as usize].applet.id;
         self.obs(ObsEvent::PollShed {
             applet: id,
             at: ctx.now(),
@@ -461,10 +464,16 @@ impl TapEngine {
             None => self
                 .config
                 .polling
-                .next_gap(&self.applets[slot as usize], ctx.rng()),
+                .next_gap(&self.tasks[slot as usize].applet, ctx.rng()),
         };
         self.schedule_poll(ctx, slot, after);
     }
+
+    /// Debounce window armed when a realtime-scheduled poll resolves:
+    /// further notifications for the same subscription inside it are
+    /// absorbed (counted as `realtime_suppressed`), so a burst of service
+    /// events costs at most one out-of-cadence poll per window.
+    const REALTIME_DEBOUNCE: SimDuration = SimDuration::from_secs(5);
 
     /// Resolve a subscription's armed realtime poll, if any: clear the
     /// outstanding flag, arm the debounce window, and hand back the
@@ -477,7 +486,7 @@ impl TapEngine {
             return None;
         }
         task.rt_pending = false;
-        task.rt_debounce_until = now + self.config.realtime_debounce;
+        task.rt_debounce_until = now + Self::REALTIME_DEBOUNCE;
         task.rt_resume_at.take()
     }
 
@@ -528,7 +537,8 @@ impl TapEngine {
         }
         self.tasks[slot as usize].poll_sent_at = ctx.now();
         let task = &self.tasks[slot as usize];
-        let (id, trigger_service, realtime) = (task.id, task.trigger_service, task.rt_pending);
+        let (id, trigger_service, realtime) =
+            (task.applet.id, task.trigger_service, task.rt_pending);
         let (node, req) =
             self.poll_request(ctx, slot, task.poll_path.clone(), task.poll_body.clone());
         self.obs(ObsEvent::PollSent {
@@ -574,6 +584,12 @@ impl TapEngine {
         (reg.node, req)
     }
 
+    /// How far ahead (seconds) a sibling's scheduled poll may be and still
+    /// ride the current batch request, jittered per batch. Wide enough to
+    /// capture the initial-poll stagger (1–5 s); after the first batch the
+    /// group is phase-locked anyway.
+    const COALESCE_WINDOW: Dist = Dist::Uniform { lo: 4.0, hi: 6.0 };
+
     /// Poll-timer entry point when [`EngineConfig::batch_polling`] is on:
     /// coalesce every sibling subscription — same (owner, trigger service,
     /// cadence class) — whose next poll falls inside the jittered window
@@ -587,8 +603,7 @@ impl TapEngine {
         }
         let task = &self.tasks[slot as usize];
         let (group, trigger_service) = (task.group, task.trigger_service);
-        let window =
-            SimDuration::from_secs_f64(self.config.coalesce_window.sample(ctx.rng()).max(0.0));
+        let window = SimDuration::from_secs_f64(Self::COALESCE_WINDOW.sample(ctx.rng()));
         let horizon = ctx.now() + window;
         // Members in install order: the initiator (whose timer just fired)
         // plus every sibling with a pending poll inside the window. The
@@ -627,16 +642,16 @@ impl TapEngine {
             Some(memo) if memo.members == members => memo.request.clone(),
             _ => {
                 let entry = |&m: &Slot| {
-                    let trigger = &self.applets[m as usize].trigger;
+                    let task = &self.tasks[m as usize];
                     BatchPollEntry {
-                        trigger: trigger.trigger.clone(),
-                        trigger_identity: self.tasks[m as usize].identity.clone(),
-                        trigger_fields: trigger.fields.clone(),
+                        trigger: task.applet.trigger.trigger.clone(),
+                        trigger_identity: TriggerIdentity(self.syms.resolve(task.identity).into()),
+                        trigger_fields: task.applet.trigger.fields.clone(),
                         limit: DEFAULT_POLL_LIMIT,
                     }
                 };
                 let request = wire::to_bytes(&BatchPollRequestBody {
-                    user: self.applets[slot as usize].owner.clone(),
+                    user: self.tasks[slot as usize].applet.owner.clone(),
                     entries: members.iter().map(entry).collect(),
                 });
                 g.memo = Some(BatchMemo {
@@ -688,7 +703,7 @@ impl TapEngine {
         let gap = self
             .config
             .polling
-            .next_gap(&self.applets[first], ctx.rng());
+            .next_gap(&self.tasks[first].applet, ctx.rng());
         for &m in members {
             // Members uninstalled while the batch was in flight stay off
             // the wheel (schedule_poll also backstops this).
@@ -789,7 +804,7 @@ impl TapEngine {
             }
         } else {
             ObsEvent::PollDelivered {
-                applet: task.id,
+                applet: task.applet.id,
                 received,
                 fresh: 0,
                 sent_at: task.poll_sent_at,
@@ -820,7 +835,7 @@ impl TapEngine {
                 at: ctx.now(),
             });
             let task = &self.tasks[slot as usize];
-            let id = task.id;
+            let id = task.applet.id;
             let service = task.trigger_service;
             let retries_made = task.retries;
             self.breaker_record(ctx, service, false);
@@ -883,6 +898,9 @@ impl TapEngine {
         self.tasks[slot as usize].last_reply = Some((resp.body, parsed.data.len() as u64));
     }
 
+    /// Gap between successive actions of one batch (s).
+    const INTER_ACTION_GAP: Dist = Dist::Uniform { lo: 0.05, hi: 0.3 };
+
     /// Shared tail of the single and batched poll paths: dedupe one
     /// subscription's event list against its seen-set and enqueue a
     /// dispatch per fresh event, oldest first.
@@ -897,7 +915,7 @@ impl TapEngine {
         }
         let (id, sent_at) = {
             let t = &self.tasks[slot as usize];
-            (t.id, t.poll_sent_at)
+            (t.applet.id, t.poll_sent_at)
         };
         // Newest-first on the wire; dispatch oldest-first. Seen event ids
         // are tracked as interned symbols: a repeat (the common case, since
@@ -938,7 +956,7 @@ impl TapEngine {
                 SimDuration::from_secs_f64(self.config.dispatch_overhead.sample(ctx.rng()));
             for event in fresh.drain(..) {
                 self.enqueue_run(ctx, slot, event, at);
-                at += SimDuration::from_secs_f64(self.config.inter_action_gap.sample(ctx.rng()));
+                at += SimDuration::from_secs_f64(Self::INTER_ACTION_GAP.sample(ctx.rng()));
             }
         }
         self.event_pool.push(fresh);
@@ -1001,6 +1019,9 @@ impl TapEngine {
         })))
     }
 
+    /// Delay between an honored hint and the prompt poll it schedules (s).
+    const HINT_PROCESSING: Dist = Dist::Uniform { lo: 0.5, hi: 1.5 };
+
     /// Arm the immediate out-of-cadence poll an honored notification asks
     /// for: preempt the subscription's pending wheel entry (a grouped
     /// member remembers the preempted instant so its batch group's phase
@@ -1013,15 +1034,9 @@ impl TapEngine {
     fn realtime_poll(&mut self, ctx: &mut Context<'_>, slot: Slot) -> bool {
         let now = ctx.now();
         let task = &self.tasks[slot as usize];
-        let id = task.id;
-        if !task.enabled || task.rt_pending || now < task.rt_debounce_until {
-            self.obs(ObsEvent::RealtimeSuppressed {
-                applet: id,
-                at: now,
-            });
-            return false;
-        }
-        if task.next_poll.is_none() {
+        let id = task.applet.id;
+        let absorbed = !task.enabled || task.rt_pending || now < task.rt_debounce_until;
+        if absorbed || task.next_poll.is_none() {
             self.obs(ObsEvent::RealtimeSuppressed {
                 applet: id,
                 at: now,
@@ -1029,7 +1044,7 @@ impl TapEngine {
             return false;
         }
         let resume = (task.grouped && self.config.batch_polling).then_some(task.next_poll_at);
-        let delay = SimDuration::from_secs_f64(self.config.hint_processing.sample(ctx.rng()));
+        let delay = SimDuration::from_secs_f64(Self::HINT_PROCESSING.sample(ctx.rng()));
         let task = &mut self.tasks[slot as usize];
         task.rt_pending = true;
         task.rt_resume_at = resume;

@@ -320,7 +320,8 @@ impl TapEngine {
         after: SimDuration,
     ) {
         let task = &self.tasks[slot as usize];
-        let (applet, poll_sent_at, classic) = (task.id, task.poll_sent_at, task.plan.classic);
+        let (applet, poll_sent_at, classic) =
+            (task.applet.id, task.poll_sent_at, task.plan.classic);
         let mut nodes = self.node_pool.pop().unwrap_or_default();
         nodes.resize_with(task.plan.nodes.len(), RunNode::default);
         let run = self.runs.insert(Run {
@@ -376,7 +377,7 @@ impl TapEngine {
             return;
         };
         let slot = run.slot as usize;
-        let id = self.tasks[slot].id;
+        let id = self.tasks[slot].applet.id;
         let mut go = self.tasks[slot].enabled;
         let suspected =
             |d: &mut RuntimeLoopDetector| d.record(id, ctx.now()) == RuntimeVerdict::LoopSuspected;
@@ -467,7 +468,7 @@ impl TapEngine {
             run.nodes[i].out = out;
             if !task.plan.classic {
                 self.obs(ObsEvent::DagNodeExecuted {
-                    applet: task.id,
+                    applet: task.applet.id,
                     dispatch: run_id,
                     node: i as u16,
                     kind,
@@ -511,7 +512,7 @@ impl TapEngine {
         let attempt = run.nodes[idx].attempts;
         let slot = run.slot as usize;
         let task = &self.tasks[slot];
-        let (id, owner, gated) = (task.id, task.owner, !task.plan.classic);
+        let (id, owner, gated) = (task.applet.id, task.owner, !task.plan.classic);
         let service = task.plan.nodes[idx].call().service;
         if gated && self.breaker_sheds(ctx.now(), service) {
             self.node_failure(ctx, run_id, idx, FailureClass::Transport, None);
@@ -529,7 +530,7 @@ impl TapEngine {
         let call = plan.nodes[idx].call();
         let body = call.body.clone().unwrap_or_else(|| {
             let fields = substitute_fields(&call.fields, &node_input(run, plan, idx));
-            call.kind.body(fields, &self.applets[slot].owner)
+            call.kind.body(fields, &self.tasks[slot].applet.owner)
         });
         let req = Request::post(call.path.clone())
             .with_header(SERVICE_KEY_HEADER, reg.key.clone())
@@ -580,7 +581,7 @@ impl TapEngine {
         };
         let attempts = run.nodes[idx].attempts;
         let task = &self.tasks[run.slot as usize];
-        let (id, classic) = (task.id, task.plan.classic);
+        let (id, classic) = (task.applet.id, task.plan.classic);
         let node = &task.plan.nodes[idx];
         let is_action = matches!(node.call().kind, CallKind::Action);
         let base = if is_action {
@@ -651,7 +652,7 @@ impl TapEngine {
         let Some(run) = self.release_run(run_id) else {
             return;
         };
-        let (applet, dispatch, at) = (self.tasks[run.slot as usize].id, run_id, ctx.now());
+        let (applet, dispatch, at) = (self.tasks[run.slot as usize].applet.id, run_id, ctx.now());
         let dead = torn_down || run.failed || (run.any_action_failed && !run.any_action_ok);
         if dead {
             self.obs(ObsEvent::ActionFinished {
@@ -691,7 +692,7 @@ impl TapEngine {
             return;
         }
         let task = &self.tasks[run.slot as usize];
-        let (id, classic) = (task.id, task.plan.classic);
+        let (id, classic) = (task.applet.id, task.plan.classic);
         let call = task.plan.nodes[idx].call();
         let service = call.service;
         if !resp.is_success() {

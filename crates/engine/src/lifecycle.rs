@@ -147,13 +147,9 @@ impl TapEngine {
         }
         if self.config.static_loop_check {
             // Live slots only: an uninstalled applet's tombstone stays in
-            // `applets` but can no longer close a loop.
-            let live = self.applets.iter().zip(&self.tasks);
-            let all: Vec<&Applet> = live
-                .filter(|(_, task)| !task.uninstalled)
-                .map(|(a, _)| a)
-                .chain([&applet])
-                .collect();
+            // `tasks` but can no longer close a loop.
+            let live = self.tasks.iter().filter(|task| !task.uninstalled);
+            let all: Vec<&Applet> = live.map(|task| &task.applet).chain([&applet]).collect();
             let cycles = self.static_detector.find_cycles(&all);
             let involved: Vec<AppletId> = cycles.into_iter().flatten().collect();
             if involved.contains(&applet.id) {
@@ -171,7 +167,7 @@ impl TapEngine {
         let identity_sym = self.syms.intern(identity.as_str());
         self.by_identity.entry(identity_sym).or_default().push(slot);
         let poll_body = wire::to_bytes(&PollRequestBody {
-            trigger_identity: identity.clone(),
+            trigger_identity: identity,
             trigger_fields: applet.trigger.fields.clone(),
             user: applet.owner.clone(),
             limit: DEFAULT_POLL_LIMIT,
@@ -193,7 +189,6 @@ impl TapEngine {
             self.tasks[first as usize].grouped = true;
         }
         self.tasks.push(PollTask {
-            id,
             owner: owner_sym,
             trigger_service: trigger_service_sym,
             action_service,
@@ -207,15 +202,15 @@ impl TapEngine {
             next_poll_at: SimTime::ZERO,
             group,
             grouped,
-            identity,
+            identity: identity_sym,
             retries: 0,
             poll_sent_at: SimTime::ZERO,
             rt_pending: false,
             rt_resume_at: None,
             rt_debounce_until: SimTime::ZERO,
             uninstalled: false,
+            applet,
         });
-        self.applets.push(applet);
         self.slot_of.insert(id.0, slot);
         let delay = SimDuration::from_secs_f64(self.config.initial_poll_delay.sample(ctx.rng()));
         self.schedule_poll(ctx, slot, delay);
@@ -256,8 +251,7 @@ impl TapEngine {
         // tombstone needs neither it nor the reply it vouched for.
         task.seen = FxHashSet::default();
         task.last_reply = None;
-        let group = task.group;
-        let identity_sym = self.syms.get(task.identity.as_str());
+        let (group, identity) = (task.group, task.identity);
         // Coalescing group: shrink the membership and drop the memo (it
         // was serialized for, and vouches for, the old member list). A
         // lone survivor returns to the singleton fast path; a group with
@@ -273,12 +267,10 @@ impl TapEngine {
         }
         // Identity routing: realtime notifications resolve through this,
         // so pruning it is what makes later hints miss.
-        if let Some(sym) = identity_sym {
-            if let Some(slots) = self.by_identity.get_mut(&sym) {
-                slots.retain(|&m| m != slot);
-                if slots.is_empty() {
-                    self.by_identity.remove(&sym);
-                }
+        if let Some(slots) = self.by_identity.get_mut(&identity) {
+            slots.retain(|&m| m != slot);
+            if slots.is_empty() {
+                self.by_identity.remove(&identity);
             }
         }
         // In-flight work owned by the slot dead-letters now — the slab
@@ -329,7 +321,7 @@ impl TapEngine {
             .collect();
         let applets_removed = doomed.len() as u32;
         for slot in doomed {
-            let id = self.tasks[slot as usize].id;
+            let id = self.tasks[slot as usize].applet.id;
             self.slot_of.remove(&id.0);
             self.retire_slot(ctx, slot);
         }

@@ -234,6 +234,114 @@ fn uninstall_clears_realtime_state_and_identity_routing() {
     assert_conserved(&after);
 }
 
+/// An installed applet is one record per slot — the applet and its polling
+/// state together — and a tombstone keeps its record. Through install →
+/// uninstall → install of the same id, every reader of that record must
+/// see the live one and never the tombstone: the id-keyed accessors, the
+/// static loop check, identity routing of realtime hints, and the
+/// retirement cascade.
+#[test]
+fn a_reinstalled_id_reads_its_live_record_never_the_tombstone() {
+    let mut cfg = EngineConfig::fast().allow_realtime(ServiceSlug::new(SLUG));
+    cfg.polling = engine::PollPolicy::fixed(120.0);
+    cfg.static_loop_check = true;
+    let mut w = world(cfg, 110, 0);
+    let engine = w.engine;
+    w.sim
+        .with_node::<EchoService, _>(w.svc, |s, _| s.core.enable_realtime(engine));
+    // act0 feeds t1 and act1 feeds t0: slots 0 and 1 close a loop.
+    let feed = |from: usize, to: usize| engine::FeedRule {
+        action_service: ServiceSlug::new(SLUG),
+        action: ActionSlug::new(format!("act{from}")),
+        trigger_service: ServiceSlug::new(SLUG),
+        trigger: TriggerSlug::new(format!("t{to}")),
+    };
+    let detector = &mut w.sim.node_mut::<TapEngine>(engine).static_detector;
+    detector.declare_feed(feed(0, 1));
+    detector.declare_feed(feed(1, 0));
+    let install = |w: &mut World, k: usize, id: u32| {
+        let a = applet(k, id, &w.user);
+        w.apply(LifecycleEvent::InstallApplet(a))
+    };
+    // What the id-keyed accessors say: (the applet's trigger, enabled).
+    let read = |w: &World, id: u32| {
+        let e = w.sim.node_ref::<TapEngine>(engine);
+        let trigger = e.applet(AppletId(id)).map(|a| a.trigger.trigger.clone());
+        (trigger, e.is_enabled(AppletId(id)))
+    };
+    let t = |k: usize| Some(TriggerSlug::new(format!("t{k}")));
+
+    assert_eq!(
+        install(&mut w, 0, 1),
+        Ok(LifecycleAck::Installed(AppletId(1)))
+    );
+    assert_eq!(read(&w, 1), (t(0), true));
+    // Let the first poll establish the subscription the hints resolve by.
+    w.sim.run_until(SimTime::from_secs(10));
+    let ack = w.apply(LifecycleEvent::UninstallApplet(AppletId(1)));
+    assert_eq!(ack, Ok(LifecycleAck::Uninstalled(AppletId(1))));
+    assert_eq!(read(&w, 1), (None, false));
+    // The tombstone in slot 0 still holds `t0 -> act0`; the loop check
+    // must not count it, or slot 1's applet would be refused.
+    assert_eq!(
+        install(&mut w, 1, 2),
+        Ok(LifecycleAck::Installed(AppletId(2)))
+    );
+    // Id 1 comes back on another trigger, in a new slot.
+    assert_eq!(
+        install(&mut w, 2, 1),
+        Ok(LifecycleAck::Installed(AppletId(1)))
+    );
+    assert_eq!(read(&w, 1), (t(2), true), "the live record, not slot 0's");
+    assert_eq!(read(&w, 2), (t(1), true));
+    w.sim.with_node::<TapEngine, _>(engine, |e, ctx| {
+        e.set_enabled(ctx, AppletId(1), false);
+        assert!(!e.is_enabled(AppletId(1)) && e.applet(AppletId(1)).is_some());
+        e.set_enabled(ctx, AppletId(1), true);
+    });
+    assert_eq!(read(&w, 1), (t(2), true));
+    // And a live loop is still a loop.
+    let refused = install(&mut w, 0, 3);
+    assert!(
+        matches!(
+            refused,
+            Err(LifecycleError::Install(InstallError::LoopDetected(_)))
+        ),
+        "{refused:?}"
+    );
+
+    // A hint for the uninstalled identity (t0) is honored and misses; one
+    // for the reinstalled id's identity (t2) arms its out-of-cadence poll.
+    w.sim.run_until(SimTime::from_secs(20));
+    let before = w.stats();
+    w.emit(0, 0);
+    w.sim.run_until(SimTime::from_secs(40));
+    let missed = w.stats();
+    assert_eq!(missed.hints_honored, before.hints_honored + 1, "{missed:?}");
+    assert_eq!(missed.realtime_polls, before.realtime_polls, "{missed:?}");
+    assert_eq!(missed.realtime_suppressed, before.realtime_suppressed);
+    assert_eq!(missed.events_new, before.events_new, "{missed:?}");
+    w.emit(2, 1);
+    w.sim.run_until(SimTime::from_secs(60));
+    let hit = w.stats();
+    assert_eq!(hit.realtime_polls, missed.realtime_polls + 1, "{hit:?}");
+    assert_eq!(hit.events_new, missed.events_new + 1, "{hit:?}");
+
+    // The cascade walks the same records: two live applets, one tombstone.
+    let ack = w.apply(LifecycleEvent::RetireService(ServiceSlug::new(SLUG)));
+    let retired = LifecycleAck::Retired {
+        service: ServiceSlug::new(SLUG),
+        applets_removed: 2,
+    };
+    assert_eq!(ack, Ok(retired));
+    assert_eq!(read(&w, 1), (None, false));
+    assert_eq!(read(&w, 2), (None, false));
+    w.sim.run_until(SimTime::from_secs(400));
+    let after = w.stats();
+    assert_eq!(after.polls_sent, hit.polls_sent, "a retired applet polled");
+    assert_conserved(&after);
+}
+
 /// Satellite regression: uninstalling one member of a two-applet
 /// coalescing group must evict the group's cached batch body and revert
 /// the survivor's `grouped` hint — the survivor returns to the singleton

@@ -271,10 +271,7 @@ pub fn run_cell(
     });
     // Each `user_n` id is formatted exactly once; installs, the emit loop,
     // and the token mint all share the same `UserId`.
-    let user_ids: FxHashMap<u64, UserId> = profiles
-        .iter()
-        .map(|p| (p.user, UserId::new(format!("user_{}", p.user))))
-        .collect();
+    let user_ids: Vec<UserId> = profiles.iter().map(|p| user_id(p.user)).collect();
     let mut cell = Cell {
         sim,
         cfg,
@@ -289,10 +286,8 @@ pub fn run_cell(
         installs_total: 0,
     };
     for (local, profile) in profiles.iter().enumerate() {
-        let applets = profile.installs.iter().enumerate().map(|(k, install)| {
-            let name = format!("fleet {} slot {k}", profile.user);
-            (static_applet_id(local, k), name, k, *install)
-        });
+        let installs = profile.installs.iter().enumerate();
+        let applets = installs.map(|(k, install)| (static_applet_id(local, k), k, *install));
         cell.join(svc, profile.user, applets);
     }
 
@@ -343,6 +338,11 @@ pub fn run_cell(
     metrics.users.add(spec.users);
     metrics.applets.add(cell.installs_total);
     metrics.cells.incr();
+}
+
+/// The `user_n` id of user index `user`.
+fn user_id(user: u64) -> UserId {
+    UserId::new(format!("user_{user}"))
 }
 
 /// Engine-side id of static user `local`'s applet in install slot `k`.
@@ -407,15 +407,17 @@ struct Cell<'a> {
     svc: NodeId,
     /// The late service of a churn cell; a static cell has none.
     live: Option<NodeId>,
-    /// `user_n` ids by user index, formatted once each.
-    user_ids: FxHashMap<u64, UserId>,
+    /// `user_n` ids, formatted once each, indexed by `user -
+    /// spec.first_user`: the cell's own users, then the churn donors (the
+    /// contiguous indices past the cell's range, appended as planned).
+    user_ids: Vec<UserId>,
     installs_total: u64,
 }
 
 impl Cell<'_> {
     /// Connect `user` to the service at `node` (the cell's own, or the late
     /// one) and install their applets, given as
-    /// `(engine id, name, install slot, catalog entry)` — the one way an
+    /// `(engine id, install slot, catalog entry)` — the one way an
     /// applet enters a cell. Slot `k` is trigger `fired_k` → action `noop_k`;
     /// a multi-step catalog entry brings its DAG, re-slugged onto the cell's
     /// endpoints.
@@ -423,21 +425,22 @@ impl Cell<'_> {
         &mut self,
         node: NodeId,
         user: u64,
-        applets: impl Iterator<Item = (u32, String, usize, InstalledApplet)>,
+        applets: impl Iterator<Item = (u32, usize, InstalledApplet)>,
     ) {
         let on_live = Some(node) == self.live;
         let slug = ServiceSlug::new(if on_live { LIVE_SLUG } else { SERVICE_SLUG });
-        let user = &self.user_ids[&user];
+        let user = &self.user_ids[(user - self.spec.first_user) as usize];
         let token = self.sim.with_node::<FleetService, _>(node, |s, ctx| {
             s.core.endpoint.oauth.mint_token(user.clone(), ctx.rng())
         });
         let (sampler, installs_total) = (self.sampler, &mut self.installs_total);
         self.sim.with_node::<TapEngine, _>(self.engine, |e, ctx| {
             e.set_token(user.clone(), slug.clone(), token);
-            for (id, name, slot, install) in applets {
+            for (id, slot, install) in applets {
+                // Nothing a fleet run reads names an applet.
                 let mut applet = Applet::new(
                     AppletId(id),
-                    name,
+                    "",
                     user.clone(),
                     TriggerRef {
                         service: slug.clone(),
@@ -507,8 +510,7 @@ impl Cell<'_> {
             let donor = spec.first_user + spec.users + j as u64;
             let install = self.sampler.user(donor).installs[0];
             let applet = CHURN_APPLET_BASE + j;
-            self.user_ids
-                .insert(donor, UserId::new(format!("user_{donor}")));
+            self.user_ids.push(user_id(donor));
             let op = ChurnOp::Install {
                 node,
                 donor,
@@ -572,7 +574,7 @@ impl Cell<'_> {
                     slot,
                     applet,
                 } => {
-                    let user = &self.user_ids[&user];
+                    let user = &self.user_ids[(user - self.spec.first_user) as usize];
                     self.sim.with_node::<FleetService, _>(node, |s, ctx| {
                         s.emit(ctx, user, slot, applet)
                     });
@@ -583,8 +585,7 @@ impl Cell<'_> {
                     applet,
                     install,
                 } => {
-                    let name = format!("churn join {donor}");
-                    self.join(node, donor, [(applet, name, 0, install)].into_iter());
+                    self.join(node, donor, [(applet, 0, install)].into_iter());
                     if Some(node) == self.live {
                         live_applets.push(applet);
                     }

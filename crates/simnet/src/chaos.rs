@@ -7,12 +7,12 @@
 //!
 //! * [`FaultPlan`] — *network* faults. A list of [`FaultWindow`]s, each
 //!   putting a link (or every link touching a node) into a degraded state
-//!   for a closed virtual-time interval: full outage, elevated loss, or a
-//!   replacement latency model. [`crate::Sim::apply_fault_plan`] resolves
-//!   targets to concrete links and schedules begin/end events on the
-//!   kernel's queue, so faults interleave with traffic in deterministic
-//!   `(time, seq)` order. The pre-fault link state is captured when a
-//!   window opens and restored when it closes.
+//!   for a closed virtual-time interval: full outage or elevated loss.
+//!   [`crate::Sim::apply_fault_plan`] resolves targets to concrete links
+//!   and schedules begin/end events on the kernel's queue, so faults
+//!   interleave with traffic in deterministic `(time, seq)` order. The
+//!   pre-fault link state is captured when a window opens and restored
+//!   when it closes.
 //! * [`ServerFaultPlan`] — *server-side* faults. A schedule a service node
 //!   (e.g. `devices::ServiceCore`) consults at request-processing time to
 //!   inject HTTP 500s, 503+`Retry-After`, request timeouts (never reply),
@@ -23,7 +23,7 @@
 //! re-applies the state captured at open, so overlapping windows would
 //! restore a mid-fault snapshot.
 
-use crate::net::{LatencyModel, LinkId};
+use crate::net::LinkId;
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
 
@@ -44,8 +44,6 @@ pub enum LinkFault {
     Outage,
     /// Replace the loss probability.
     Loss(f64),
-    /// Replace the latency model (e.g. a congestion burst).
-    Latency(LatencyModel),
 }
 
 /// One scheduled fault: `target` is degraded by `fault` during
@@ -115,22 +113,6 @@ impl FaultPlan {
     /// Elevate loss on every link touching `node` during `[start, end)`.
     pub fn node_loss(self, node: NodeId, loss: f64, start: SimTime, end: SimTime) -> Self {
         self.window(FaultTarget::Node(node), LinkFault::Loss(loss), start, end)
-    }
-
-    /// Replace a link's latency model during `[start, end)`.
-    pub fn link_latency_burst(
-        self,
-        link: LinkId,
-        latency: LatencyModel,
-        start: SimTime,
-        end: SimTime,
-    ) -> Self {
-        self.window(
-            FaultTarget::Link(link),
-            LinkFault::Latency(latency),
-            start,
-            end,
-        )
     }
 
     /// Repeat `fault` on `target`: windows of `duration` starting at

@@ -10,15 +10,12 @@
 use crate::node::NodeId;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// A header name. Almost every header in the modeled protocols is a
-/// `&'static str` constant, so names are borrowed by default and only
-/// computed names pay for an owned `String`.
-pub type HeaderName = Cow<'static, str>;
+/// A header name: every header in the modeled protocols is a constant.
+pub type HeaderName = &'static str;
 
 /// Longest string a [`Str`] holds inline.
 const INLINE_CAP: usize = 22;
@@ -246,8 +243,8 @@ impl Request {
     }
 
     /// Attach a header (appends; duplicate names allowed, first wins on read).
-    pub fn with_header(mut self, name: impl Into<HeaderName>, value: impl Into<Str>) -> Self {
-        self.headers.push((name.into(), value.into()));
+    pub fn with_header(mut self, name: HeaderName, value: impl Into<Str>) -> Self {
+        self.headers.push((name, value.into()));
         self
     }
 
@@ -330,8 +327,8 @@ impl Response {
     }
 
     /// Attach a header.
-    pub fn with_header(mut self, name: impl Into<HeaderName>, value: impl Into<Str>) -> Self {
-        self.headers.push((name.into(), value.into()));
+    pub fn with_header(mut self, name: HeaderName, value: impl Into<Str>) -> Self {
+        self.headers.push((name, value.into()));
         self
     }
 

@@ -182,13 +182,6 @@ impl Topology {
         }
     }
 
-    /// Replace the latency model of a link.
-    pub fn set_link_latency(&mut self, id: LinkId, latency: LatencyModel) {
-        if let Some(l) = self.links.get_mut(id.0 as usize) {
-            l.spec.latency = latency;
-        }
-    }
-
     /// The current spec of a link.
     pub fn link_spec(&self, id: LinkId) -> Option<LinkSpec> {
         self.links.get(id.0 as usize).map(|l| l.spec)

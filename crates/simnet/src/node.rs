@@ -19,9 +19,15 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct NodeId(pub u32);
 
-/// Kernel-assigned handle of a scheduled timer; used to cancel it.
+/// Kernel-assigned handle of a scheduled timer; used to cancel it. It
+/// names the timer's entry in the event queue — the slot the entry sits
+/// in and the sequence number it was queued under — so a handle kept past
+/// its timer's firing matches nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(pub u64);
+pub struct TimerId {
+    pub(crate) slot: u32,
+    pub(crate) seq: u64,
+}
 
 /// Caller-chosen discriminant delivered back in `on_timer`.
 ///

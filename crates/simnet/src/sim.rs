@@ -11,7 +11,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceLog;
 use crate::wheel::TimerWheel;
 use bytes::Bytes;
-use mem::{FxHashMap, FxHashSet, Slab};
+use mem::{FxHashMap, Slab};
 use rand::rngs::StdRng;
 use std::any::Any;
 
@@ -37,9 +37,11 @@ enum Ev {
     RequestTimeout(RequestId),
     Timer {
         node: NodeId,
-        id: u64,
         key: TimerKey,
     },
+    /// What [`Kernel::cancel_timer`] leaves in a timer's wheel entry: it
+    /// pops at the timer's tick and is counted, and reaches no node.
+    Cancelled,
     Signal {
         src: NodeId,
         dst: NodeId,
@@ -57,8 +59,8 @@ struct FaultEntry {
     links: Vec<LinkId>,
     fault: LinkFault,
     /// Pre-fault state captured when the window opens, restored when it
-    /// closes: `(link, spec, up)`.
-    saved: Vec<(LinkId, LinkSpec, bool)>,
+    /// closes: `(link, loss, up)`.
+    saved: Vec<(LinkId, f64, bool)>,
 }
 
 struct Pending {
@@ -85,13 +87,11 @@ pub struct Kernel {
     net_rng: StdRng,
     harness_rng: StdRng,
     master_seed: u64,
-    next_timer: u64,
     /// In-flight requests. A [`RequestId`] *is* the slab handle — never
     /// zero (so `Request::new`'s `RequestId(0)` sentinel cannot collide),
     /// generation-checked (a concluded request's id misses instead of
     /// aliasing a recycled slot), and resolved by index, not by hashing.
     pending: Slab<Pending>,
-    cancelled_timers: FxHashSet<u64>,
     trace: TraceLog,
     processed: u64,
     signal_fronts: FxHashMap<(NodeId, NodeId), SimTime>,
@@ -114,9 +114,7 @@ impl Kernel {
             net_rng: stream_rng(master_seed, STREAM_NET),
             harness_rng: stream_rng(master_seed, STREAM_HARNESS),
             master_seed,
-            next_timer: 1,
             pending: Slab::new(),
-            cancelled_timers: FxHashSet::default(),
             trace: TraceLog::default(),
             processed: 0,
             signal_fronts: FxHashMap::default(),
@@ -144,13 +142,15 @@ impl Kernel {
         &mut self.trace
     }
 
-    fn schedule(&mut self, at: SimTime, ev: Ev) {
+    /// Queue `ev` for `at`; the answer names its wheel entry.
+    fn schedule(&mut self, at: SimTime, ev: Ev) -> TimerId {
         let seq = self.seq;
         self.seq += 1;
         // The wheel clamps a second time against its own clock, which may
         // lag `self.now` but never passes it (`pop_at_or_before`); the
         // kernel clamp against `self.now` is the authoritative one.
-        self.queue.push(at.max(self.now).as_micros(), seq, ev);
+        let slot = self.queue.push(at.max(self.now).as_micros(), seq, ev);
+        TimerId { slot, seq }
     }
 
     pub(crate) fn send_request(
@@ -228,14 +228,16 @@ impl Kernel {
     }
 
     pub(crate) fn set_timer(&mut self, node: NodeId, at: SimTime, key: TimerKey) -> TimerId {
-        let id = self.next_timer;
-        self.next_timer += 1;
-        self.schedule(at, Ev::Timer { node, id, key });
-        TimerId(id)
+        self.schedule(at, Ev::Timer { node, key })
     }
 
+    /// Overwrite the timer's wheel entry in place. A handle whose timer
+    /// fired, or whose slot went on to another entry, misses on `seq`;
+    /// a hit can only be the `Ev::Timer` the handle was minted for.
     pub(crate) fn cancel_timer(&mut self, id: TimerId) {
-        self.cancelled_timers.insert(id.0);
+        if let Some(ev) = self.queue.get_mut(id.slot, id.seq) {
+            *ev = Ev::Cancelled;
+        }
     }
 
     /// Open (`begin`) or close a fault window: degrade the entry's links,
@@ -251,11 +253,10 @@ impl Kernel {
                 ) else {
                     continue;
                 };
-                e.saved.push((link, spec, up));
+                e.saved.push((link, spec.loss, up));
                 match e.fault {
                     LinkFault::Outage => self.topology.set_link_up(link, false),
                     LinkFault::Loss(loss) => self.topology.set_link_loss(link, loss),
-                    LinkFault::Latency(lat) => self.topology.set_link_latency(link, lat),
                 }
             }
             if let Some(&(link, _, _)) = e.saved.first() {
@@ -264,9 +265,8 @@ impl Kernel {
                     .record(self.now, KERNEL_NODE, "chaos.fault_begin", detail);
             }
         } else {
-            for (link, spec, up) in std::mem::take(&mut e.saved) {
-                self.topology.set_link_loss(link, spec.loss);
-                self.topology.set_link_latency(link, spec.latency);
+            for (link, loss, up) in std::mem::take(&mut e.saved) {
+                self.topology.set_link_loss(link, loss);
                 self.topology.set_link_up(link, up);
             }
             self.trace
@@ -304,7 +304,7 @@ impl Kernel {
 /// See the crate-level docs for an end-to-end example.
 pub struct Sim {
     kernel: Kernel,
-    nodes: Vec<Option<Box<dyn Node>>>,
+    nodes: Vec<Box<dyn Node>>,
 }
 
 impl Sim {
@@ -326,7 +326,7 @@ impl Sim {
     /// zero if the simulation has not been driven yet).
     pub fn add_node(&mut self, name: impl Into<String>, node: impl Node) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Some(Box::new(node)));
+        self.nodes.push(Box::new(node));
         self.kernel.node_names.push(name.into());
         let stream = STREAM_NODE_BASE + id.0 as u64;
         self.kernel
@@ -489,14 +489,6 @@ impl Sim {
         self.run_until(t);
     }
 
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.kernel
-            .queue
-            .peek()
-            .map(|(at, _)| SimTime::from_micros(at))
-    }
-
     /// Immutable typed view of a node.
     ///
     /// # Panics
@@ -510,9 +502,8 @@ impl Sim {
         let slot = self
             .nodes
             .get(id.0 as usize)
-            .and_then(|s| s.as_deref())
             .ok_or(SimError::UnknownNode(id))?;
-        (slot as &dyn Any)
+        (slot.as_ref() as &dyn Any)
             .downcast_ref::<T>()
             .ok_or(SimError::WrongNodeType {
                 node: id,
@@ -523,14 +514,7 @@ impl Sim {
     /// Mutable typed view of a node (state inspection / out-of-band config).
     /// For interactions that must schedule events, use [`Sim::with_node`].
     pub fn node_mut<T: Node>(&mut self, id: NodeId) -> &mut T {
-        let slot = self
-            .nodes
-            .get_mut(id.0 as usize)
-            .and_then(|s| s.as_deref_mut())
-            .unwrap_or_else(|| panic!("unknown node {id:?}"));
-        (slot as &mut dyn Any)
-            .downcast_mut::<T>()
-            .unwrap_or_else(|| panic!("node {id:?} is not a {}", std::any::type_name::<T>()))
+        typed_mut(&mut self.nodes, id)
     }
 
     /// Call `f` with a typed node *and* a [`Context`], so harness code can
@@ -541,37 +525,29 @@ impl Sim {
         id: NodeId,
         f: impl FnOnce(&mut T, &mut Context<'_>) -> R,
     ) -> R {
-        let mut node = self.nodes[id.0 as usize]
-            .take()
-            .expect("node busy or unknown");
         let mut ctx = Context {
             kernel: &mut self.kernel,
             node: id,
         };
-        let t = (node.as_mut() as &mut dyn Any)
-            .downcast_mut::<T>()
-            .unwrap_or_else(|| panic!("node {id:?} is not a {}", std::any::type_name::<T>()));
-        let r = f(t, &mut ctx);
-        self.nodes[id.0 as usize] = Some(node);
-        r
+        f(typed_mut(&mut self.nodes, id), &mut ctx)
     }
 
     fn dispatch(&mut self, ev: Ev) {
         match ev {
             Ev::Start(id) => {
-                self.with_taken(id, |node, ctx| node.on_start(ctx));
+                self.deliver(id, |node, ctx| node.on_start(ctx));
             }
             Ev::DeliverRequest(req) => {
                 let dst = req.dst;
                 let req_id = req.id;
-                let result = self.with_taken(dst, |node, ctx| node.on_request(ctx, &req));
+                let result = self.deliver(dst, |node, ctx| node.on_request(ctx, &req));
                 if let Some(HandlerResult::Reply(resp)) = result {
                     self.kernel.send_response(dst, req_id, resp);
                 }
             }
             Ev::DeliverResponse { req_id, resp } => {
                 if let Some(p) = self.kernel.pending.remove(req_id.0) {
-                    self.with_taken(p.origin, |node, ctx| node.on_response(ctx, p.token, resp));
+                    self.deliver(p.origin, |node, ctx| node.on_response(ctx, p.token, resp));
                 }
             }
             Ev::RequestTimeout(req_id) => {
@@ -586,19 +562,17 @@ impl Sim {
                 };
                 if fire {
                     let p = self.kernel.pending.remove(req_id.0).expect("checked");
-                    self.with_taken(p.origin, |node, ctx| {
+                    self.deliver(p.origin, |node, ctx| {
                         node.on_response(ctx, p.token, Response::timeout())
                     });
                 }
             }
-            Ev::Timer { node, id, key } => {
-                if self.kernel.cancelled_timers.remove(&id) {
-                    return;
-                }
-                self.with_taken(node, |n, ctx| n.on_timer(ctx, key));
+            Ev::Timer { node, key } => {
+                self.deliver(node, |n, ctx| n.on_timer(ctx, key));
             }
+            Ev::Cancelled => {}
             Ev::Signal { src, dst, payload } => {
-                self.with_taken(dst, |n, ctx| n.on_signal(ctx, src, payload));
+                self.deliver(dst, |n, ctx| n.on_signal(ctx, src, payload));
             }
             Ev::Fault { entry, begin } => {
                 self.kernel.toggle_fault(entry, begin);
@@ -606,26 +580,36 @@ impl Sim {
         }
     }
 
-    /// Take the node out of its slot, run `f`, put it back. Returns `None`
-    /// if the node slot is empty (cannot happen from queue dispatch, but
-    /// guards against misuse).
-    fn with_taken<R>(
+    /// Run one handler of node `id`, counted as one of its events. The
+    /// node is borrowed where it sits: `nodes` and `kernel` are disjoint
+    /// fields and a handler reaches the kernel only. `None` for an id no
+    /// `add_node` minted (a queued event never carries one).
+    fn deliver<R>(
         &mut self,
         id: NodeId,
         f: impl FnOnce(&mut dyn Node, &mut Context<'_>) -> R,
     ) -> Option<R> {
-        let mut node = self.nodes.get_mut(id.0 as usize)?.take()?;
-        if let Some(c) = self.kernel.node_events.get_mut(id.0 as usize) {
-            *c += 1;
-        }
+        let node = self.nodes.get_mut(id.0 as usize)?;
+        self.kernel.node_events[id.0 as usize] += 1;
         let mut ctx = Context {
             kernel: &mut self.kernel,
             node: id,
         };
-        let r = f(node.as_mut(), &mut ctx);
-        self.nodes[id.0 as usize] = Some(node);
-        Some(r)
+        Some(f(node.as_mut(), &mut ctx))
     }
+}
+
+/// Node `id` as the `T` it was added as.
+///
+/// # Panics
+/// Panics if `id` is unknown or the node is not a `T`.
+fn typed_mut<T: Node>(nodes: &mut [Box<dyn Node>], id: NodeId) -> &mut T {
+    let node = nodes
+        .get_mut(id.0 as usize)
+        .unwrap_or_else(|| panic!("unknown node {id:?}"));
+    (node.as_mut() as &mut dyn Any)
+        .downcast_mut::<T>()
+        .unwrap_or_else(|| panic!("node {id:?} is not a {}", std::any::type_name::<T>()))
 }
 
 #[cfg(test)]

@@ -129,8 +129,10 @@ impl<T> TimerWheel<T> {
     }
 
     /// Schedule `item` at tick `at` (clamped to the current tick) with the
-    /// caller's monotone sequence number as tie-break.
-    pub fn push(&mut self, at: u64, seq: u64, item: T) {
+    /// caller's monotone sequence number as tie-break. Returns the slab
+    /// slot the entry keeps until it pops; with `seq` it names the entry
+    /// for [`TimerWheel::get_mut`].
+    pub fn push(&mut self, at: u64, seq: u64, item: T) -> u32 {
         let at = at.max(self.now);
         let entry = Entry {
             at,
@@ -154,6 +156,17 @@ impl<T> TimerWheel<T> {
             self.link(idx);
         }
         self.len += 1;
+        idx
+    }
+
+    /// The pending item in `slot`, if it is still the one pushed with
+    /// `seq`: a popped entry's slot holds no item, and a reused slot holds
+    /// another `seq`. This is how a caller cancels — it overwrites the
+    /// item with a tombstone of its own, and the entry stays linked and
+    /// pops at its tick like any other.
+    pub fn get_mut(&mut self, slot: u32, seq: u64) -> Option<&mut T> {
+        let e = self.entries.get_mut(slot as usize)?;
+        e.item.as_mut().filter(|_| e.seq == seq)
     }
 
     /// The `(at, seq)` of the next entry [`TimerWheel::pop`] would return.

@@ -328,3 +328,126 @@ fn disabled_trace_never_formats() {
     assert!(sim.trace().events().is_empty());
     assert_eq!(sim.node_ref::<Client>(client).responses.len(), 1);
 }
+
+/// Records the keys of the timers that reach it.
+#[derive(Default)]
+struct Timers {
+    fired: Vec<TimerKey>,
+}
+impl Node for Timers {
+    fn on_timer(&mut self, _ctx: &mut Context<'_>, key: TimerKey) {
+        self.fired.push(key);
+    }
+}
+
+fn set_timer(sim: &mut Sim, node: NodeId, secs: u64, key: TimerKey) -> TimerId {
+    sim.with_node::<Timers, _>(node, |_, ctx| {
+        ctx.set_timer(SimDuration::from_secs(secs), key)
+    })
+}
+
+fn cancel_timer(sim: &mut Sim, node: NodeId, id: TimerId) {
+    sim.with_node::<Timers, _>(node, |_, ctx| ctx.cancel_timer(id));
+}
+
+fn fired(sim: &Sim, node: NodeId) -> &[TimerKey] {
+    &sim.node_ref::<Timers>(node).fired
+}
+
+/// A cancel that arrives after the timer fired finds nothing to mark, and
+/// keeps nothing: the timer queued next — in the slot the fired one gave
+/// back — is delivered.
+#[test]
+fn cancelling_a_fired_timer_is_a_no_op() {
+    let mut sim = Sim::new(20);
+    let node = sim.add_node("t", Timers::default());
+    let first = set_timer(&mut sim, node, 1, 1);
+    sim.run_until_idle();
+    assert_eq!(fired(&sim, node), [1]);
+    let processed = sim.events_processed();
+    cancel_timer(&mut sim, node, first);
+    cancel_timer(&mut sim, node, first);
+    assert_eq!(sim.events_processed(), processed);
+    set_timer(&mut sim, node, 1, 2);
+    sim.run_until_idle();
+    assert_eq!(fired(&sim, node), [1, 2]);
+    assert_eq!(sim.events_processed(), processed + 1);
+}
+
+/// A handle names one entry, not a slot: once its timer has popped — fired
+/// or cancelled — cancelling through it again cannot reach whatever entry
+/// took the slot over, timer or message.
+#[test]
+fn a_stale_handle_never_kills_the_slots_next_occupant() {
+    let mut sim = Sim::new(21);
+    let node = sim.add_node("t", Timers::default());
+    sim.run_until_idle(); // the start event gives its slot back
+    let fired_one = set_timer(&mut sim, node, 1, 1);
+    sim.run_until_idle();
+    let cancelled_one = set_timer(&mut sim, node, 1, 2);
+    assert_ne!(fired_one, cancelled_one, "same slot, another entry");
+    cancel_timer(&mut sim, node, fired_one);
+    cancel_timer(&mut sim, node, cancelled_one);
+    sim.run_until_idle();
+    assert_eq!(fired(&sim, node), [1]);
+    // One pending entry at a time, so each of these sits in that slot.
+    for key in 3..6 {
+        let live = set_timer(&mut sim, node, 1, key);
+        cancel_timer(&mut sim, node, fired_one);
+        cancel_timer(&mut sim, node, cancelled_one);
+        sim.run_until_idle();
+        assert_eq!(fired(&sim, node).last(), Some(&key));
+        cancel_timer(&mut sim, node, live);
+    }
+    // A signal in the slot is out of a timer handle's reach too.
+    let sink = sim.add_node("sink", Sink::default());
+    sim.link(node, sink, LinkSpec::lan());
+    sim.run_until_idle();
+    sim.with_node::<Timers, _>(node, |_, ctx| {
+        ctx.signal(sink, &b"x"[..]);
+        ctx.cancel_timer(fired_one);
+        ctx.cancel_timer(cancelled_one);
+    });
+    sim.run_until_idle();
+    assert_eq!(sim.node_ref::<Sink>(sink).got.len(), 1);
+}
+
+/// A cancelled timer keeps its place in the queue: it pops at its tick and
+/// is one processed event (fleet digests count it), and no node's.
+#[test]
+fn a_cancelled_timer_is_one_processed_event_and_no_nodes() {
+    let mut sim = Sim::new(22);
+    let node = sim.add_node("t", Timers::default());
+    sim.run_until_idle();
+    let (processed, delivered) = (sim.events_processed(), sim.node_events(node));
+    let doomed = set_timer(&mut sim, node, 5, 1);
+    cancel_timer(&mut sim, node, doomed);
+    cancel_timer(&mut sim, node, doomed); // twice is once
+    sim.run_until(SimTime::from_secs(4));
+    assert_eq!(sim.events_processed(), processed, "not before its tick");
+    sim.run_until_idle();
+    assert_eq!(sim.now(), SimTime::from_secs(5), "it popped at its tick");
+    assert_eq!(sim.events_processed(), processed + 1);
+    assert_eq!(sim.node_events(node), delivered);
+    assert!(fired(&sim, node).is_empty());
+}
+
+/// Beyond the wheel's ~19-hour reach an entry waits in the overflow map and
+/// is linked into the wheel when time gets there; a cancel that found it in
+/// the map holds through that move, and its live neighbour is delivered.
+#[test]
+fn a_timer_cancelled_in_the_overflow_map_stays_dead() {
+    const DAY: u64 = 86_400;
+    let mut sim = Sim::new(23);
+    let node = sim.add_node("t", Timers::default());
+    let doomed = set_timer(&mut sim, node, 2 * DAY, 1);
+    set_timer(&mut sim, node, 2 * DAY, 2);
+    set_timer(&mut sim, node, 60, 3);
+    cancel_timer(&mut sim, node, doomed);
+    sim.run_until(SimTime::from_secs(DAY));
+    assert_eq!(fired(&sim, node), [3]);
+    let processed = sim.events_processed();
+    sim.run_until_idle();
+    assert_eq!(fired(&sim, node), [3, 2]);
+    assert_eq!(sim.events_processed(), processed + 2);
+}

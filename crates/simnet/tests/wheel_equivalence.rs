@@ -6,7 +6,7 @@
 //! `(time, insertion-seq)` order. These properties drive the wheel and a
 //! `BinaryHeap<Reverse<(at, seq)>>` with the same random schedules
 //! (including equal-timestamp ties, past timestamps, far-future overflow
-//! entries, and kernel-style tombstone cancellations) and require the pop
+//! entries, and cancellations marked in the wheel entry) and require the pop
 //! sequences to match element for element. Every entry carries its `seq`
 //! as the item, and every pop checks the item against the key it came out
 //! under: the wheel links slab slots by index, and a mislinked slot would
@@ -162,58 +162,84 @@ proptest! {
         prop_assert!(wheel.is_empty());
     }
 
-    /// Kernel-style cancellation: timers are cancelled via a tombstone set
-    /// consulted at pop time (entries stay queued). The observable stream
-    /// of *delivered* timers must match the reference exactly.
+    /// Cancellation in the wheel entry, held to the mechanism it replaced:
+    /// the reference is the heap plus the external tombstone set the kernel
+    /// used to consult at pop time. The wheel side cancels through
+    /// [`TimerWheel::get_mut`] with the `(slot, seq)` handle `push` gave —
+    /// the item becomes `None` where it sits, at whatever level or in the
+    /// overflow map, and survives every cascade and refill from there.
+    /// Every pop, bounded or not, must agree on the key *and* on whether
+    /// the entry was cancelled; a handle whose entry already popped must
+    /// find nothing, whoever holds its slot now.
     #[test]
     fn tombstone_cancellation_delivers_identical_streams(
-        ops in collection::vec((0u8..6, any::<u64>()), 1..300),
+        ops in collection::vec((0u8..8, any::<u64>()), 1..300),
     ) {
-        let mut wheel = TimerWheel::new();
+        let mut wheel: TimerWheel<Option<u64>> = TimerWheel::new();
         let mut model = HeapModel::default();
         let mut cancelled: HashSet<u64> = HashSet::new();
-        let mut live: Vec<u64> = Vec::new(); // seqs believed pending
+        let mut handles: Vec<(u32, u64)> = Vec::new(); // every one ever issued
+        let mut pending: HashSet<u64> = HashSet::new();
+        let mut stale_cancels: HashSet<u64> = HashSet::new();
         let mut seq = 0u64;
         let mut now = 0u64;
         for (kind, raw) in ops {
             match kind {
                 0 | 1 => {
-                    // deliver one event, skipping tombstones — both sides
-                    let got = loop {
-                        match checked(wheel.pop()) {
-                            None => break None,
-                            Some((at, s)) => {
-                                let want = model.pop();
-                                prop_assert_eq!(Some((at, s)), want);
-                                if !cancelled.remove(&s) {
-                                    break Some((at, s));
-                                }
-                            }
-                        }
+                    // Pop, bounded (1) or not (0), on both sides.
+                    let limit = match kind {
+                        0 => u64::MAX,
+                        _ => now.saturating_add(shape_offset(raw)),
                     };
-                    if let Some((at, s)) = got {
+                    let want = match model.peek() {
+                        Some((at, _)) if at <= limit => model.pop(),
+                        _ => None,
+                    };
+                    let got = wheel.pop_at_or_before(limit);
+                    prop_assert_eq!(got.map(|(at, s, _)| (at, s)), want);
+                    if let Some((at, s, item)) = got {
+                        prop_assert!(pending.remove(&s));
+                        // Live entries still carry their own payload.
+                        prop_assert_eq!(item, (!cancelled.remove(&s)).then_some(s));
                         now = at;
-                        live.retain(|&x| x != s);
-                    } else {
-                        prop_assert!(model.pop().is_none());
+                    } else if kind == 1 {
+                        now = limit.max(now);
                     }
+                    model.now = now;
                 }
-                2 => {
-                    // cancel a pending timer (if any)
-                    if !live.is_empty() {
-                        let victim = live.remove((raw as usize) % live.len());
-                        cancelled.insert(victim);
+                2 | 3 => {
+                    // Cancel through any handle ever issued: pending (at any
+                    // level, or in overflow), already cancelled, or stale.
+                    if !handles.is_empty() {
+                        let (slot, s) = handles[(raw as usize) % handles.len()];
+                        let hit = wheel.get_mut(slot, s).map(|item| *item = None);
+                        prop_assert_eq!(hit.is_some(), pending.contains(&s));
+                        // The old mechanism remembered every cancel …
+                        cancelled.insert(s);
+                        if hit.is_none() {
+                            stale_cancels.insert(s);
+                        }
                     }
                 }
                 _ => {
                     let at = now.saturating_add(shape_offset(raw));
-                    push(&mut wheel, at, seq);
+                    handles.push((wheel.push(at, seq, Some(seq)), seq));
                     model.push(at, seq);
-                    live.push(seq);
+                    pending.insert(seq);
                     seq += 1;
                 }
             }
+            prop_assert_eq!(wheel.len(), model.heap.len());
         }
+        while let Some(want) = model.pop() {
+            let (at, s, item) = wheel.pop().expect("the reference has one more");
+            prop_assert_eq!((at, s), want);
+            prop_assert_eq!(item, (!cancelled.remove(&s)).then_some(s));
+        }
+        prop_assert!(wheel.is_empty());
+        // … including the ones that came after the pop, for good: exactly
+        // the leak the in-place tombstone cannot have.
+        prop_assert_eq!(cancelled, stale_cancels);
     }
 
     /// `peek` always agrees with the reference heap's head and never

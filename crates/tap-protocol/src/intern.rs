@@ -21,7 +21,7 @@
 //!   and reports keep using the `String` newtypes unchanged.
 
 use mem::FxHashMap;
-use std::fmt;
+use std::sync::Arc;
 
 /// A cheap, `Copy` handle for an interned string.
 ///
@@ -38,12 +38,13 @@ impl Symbol {
     }
 }
 
-/// A string-to-[`Symbol`] table with O(1) two-way lookup.
+/// A string-to-[`Symbol`] table with O(1) two-way lookup. Each string is
+/// stored once: the map key and the `strings` entry share it.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
     /// Never iterated ([`Interner::iter`] walks `strings`), so Fx is safe.
-    map: FxHashMap<Box<str>, u32>,
-    strings: Vec<Box<str>>,
+    map: FxHashMap<Arc<str>, u32>,
+    strings: Vec<Arc<str>>,
 }
 
 impl Interner {
@@ -53,15 +54,15 @@ impl Interner {
     }
 
     /// Intern `s`, returning its (stable within `self`) symbol. The first
-    /// call for a given string allocates; later calls only hash it.
+    /// call for a given string allocates once; later calls only hash it.
     pub fn intern(&mut self, s: &str) -> Symbol {
         if let Some(&i) = self.map.get(s) {
             return Symbol(i);
         }
         let i = u32::try_from(self.strings.len()).expect("interner overflow");
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.map.insert(boxed, i);
+        let shared: Arc<str> = s.into();
+        self.strings.push(shared.clone());
+        self.map.insert(shared, i);
         Symbol(i)
     }
 
@@ -97,12 +98,6 @@ impl Interner {
             .iter()
             .enumerate()
             .map(|(i, s)| (Symbol(i as u32), &**s))
-    }
-}
-
-impl fmt::Display for Symbol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "sym#{}", self.0)
     }
 }
 
@@ -185,5 +180,83 @@ mod tests {
         let rev_counts: Vec<(Symbol, u64)> =
             names.iter().map(|n| (rev.get(n).unwrap(), 7)).collect();
         assert_eq!(render(&fwd, &fwd_counts), render(&rev, &rev_counts));
+    }
+
+    /// Symbol values are first-seen indices and `iter` walks them in that
+    /// order, whatever backs the strings. The table was captured at the
+    /// commit before the strings became shared.
+    #[test]
+    fn symbol_values_and_iter_order_match_the_captured_table() {
+        // (string interned, symbol value it must get), in call order.
+        let calls = [
+            ("fleet_svc", 0),
+            ("sk_fleet", 1),
+            ("user_0", 2),
+            ("fired_0", 3),
+            ("user_0", 2),
+            ("ti_8c1d", 4),
+            ("", 5),
+            ("fleet_svc", 0),
+            ("user_1", 6),
+            ("ti_8c1d", 4),
+            ("noop_0", 7),
+            ("", 5),
+        ];
+        let mut i = Interner::new();
+        for (s, value) in calls {
+            assert_eq!(i.intern(s).index(), value, "{s:?}");
+        }
+        let listed: Vec<(u32, &str)> = i.iter().map(|(sym, s)| (sym.index(), s)).collect();
+        let table = [
+            (0, "fleet_svc"),
+            (1, "sk_fleet"),
+            (2, "user_0"),
+            (3, "fired_0"),
+            (4, "ti_8c1d"),
+            (5, ""),
+            (6, "user_1"),
+            (7, "noop_0"),
+        ];
+        assert_eq!(listed, table);
+        for (value, s) in table {
+            assert_eq!(i.resolve(Symbol(value)), s);
+        }
+    }
+
+    /// A string is stored once: its first `intern` goes to the allocator
+    /// once, for the string itself, and a repeat not at all. Counted by
+    /// `mem`'s `alloc-count` allocator (`cargo test -p tap-protocol
+    /// --features mem/alloc-count`); a build without it has nothing to
+    /// count. The counter is process-wide and tests share the process:
+    /// other threads can add to a reading, never take from it, so the
+    /// claim is made of the quietest of a few rounds. What a round reads
+    /// above one per string is the table itself growing (the map and the
+    /// index double a few times on the way to 512 entries).
+    #[test]
+    fn a_first_intern_allocates_once_and_a_repeat_never() {
+        let allocs = || mem::alloc_counts().map(|(allocs, _)| allocs);
+        if allocs().is_none() {
+            return;
+        }
+        let names: Vec<String> = (0..512).map(|n| format!("ti_{n:016x}")).collect();
+        let round = |_| {
+            let mut i = Interner::new();
+            let mut pass = || {
+                let before = allocs().expect("counting does not stop");
+                for n in &names {
+                    i.intern(n);
+                }
+                allocs().expect("counting does not stop") - before
+            };
+            (pass(), pass())
+        };
+        let rounds: Vec<(u64, u64)> = (0..8).map(round).collect();
+        let first = rounds.iter().map(|r| r.0).min().expect("eight rounds");
+        let repeat = rounds.iter().map(|r| r.1).min().expect("eight rounds");
+        assert!(
+            (512..512 + 32).contains(&first),
+            "first interns: {rounds:?}"
+        );
+        assert_eq!(repeat, 0, "repeats: {rounds:?}");
     }
 }

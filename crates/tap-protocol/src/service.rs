@@ -516,7 +516,7 @@ mod tests {
     fn missing_service_key_is_401() {
         let mut ep = endpoint();
         let (mut req, _) = authed_poll_request(&mut ep);
-        req.headers.retain(|(n, _)| n != SERVICE_KEY_HEADER);
+        req.headers.retain(|(n, _)| *n != SERVICE_KEY_HEADER);
         assert_eq!(ep.parse(&req), Err(ProtocolError::BadServiceKey));
     }
 
@@ -524,7 +524,7 @@ mod tests {
     fn wrong_service_key_is_401() {
         let mut ep = endpoint();
         let (mut req, _) = authed_poll_request(&mut ep);
-        req.headers.retain(|(n, _)| n != SERVICE_KEY_HEADER);
+        req.headers.retain(|(n, _)| *n != SERVICE_KEY_HEADER);
         let req = req.with_header(SERVICE_KEY_HEADER, "sk_wrong");
         assert_eq!(ep.parse(&req), Err(ProtocolError::BadServiceKey));
     }
@@ -533,7 +533,7 @@ mod tests {
     fn missing_token_is_401() {
         let mut ep = endpoint();
         let (mut req, _) = authed_poll_request(&mut ep);
-        req.headers.retain(|(n, _)| n != AUTHORIZATION_HEADER);
+        req.headers.retain(|(n, _)| *n != AUTHORIZATION_HEADER);
         assert_eq!(ep.parse(&req), Err(ProtocolError::BadAccessToken));
     }
 
