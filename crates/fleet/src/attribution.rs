@@ -32,8 +32,9 @@
 
 use crate::metrics::FleetMetrics;
 use engine::{ObsEvent, ObsSink};
+use mem::FxHashMap;
 use simnet::time::SimTime;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// Engine-side timestamps of one dispatch, gathered from the event stream.
@@ -54,10 +55,10 @@ struct Chain {
 #[derive(Debug, Default)]
 struct Inner {
     /// Open spans by dispatch id.
-    chains: HashMap<u64, Chain>,
+    chains: FxHashMap<u64, Chain>,
     /// Per-applet FIFO of dispatches whose action is in flight, in
     /// first-attempt order — the order arrivals consume them.
-    ready: HashMap<u32, VecDeque<u64>>,
+    ready: FxHashMap<u32, VecDeque<u64>>,
 }
 
 /// Decomposes each delivered activation into latency stages (one recorder

@@ -27,22 +27,32 @@
 //! `⌊highest_set_bit(at ^ now) / 6⌋`. Per-level occupancy bitmaps make
 //! "find the earliest non-empty slot" a `trailing_zeros` instruction, so
 //! an idle wheel is never scanned slot-by-slot. When the earliest
-//! occupied slot sits above level 0, its bucket *cascades*: time advances
-//! to the bucket's minimum timestamp and the entries redistribute into
-//! finer levels. Each entry cascades at most [`LEVELS`] times over its
-//! life, giving the O(1) amortized bound.
+//! occupied slot sits above level 0 and holds more than one entry, its
+//! bucket *cascades*: time advances to the bucket's minimum timestamp and
+//! the entries redistribute into finer levels. Each entry cascades at most
+//! [`LEVELS`] times over its life, giving the O(1) amortized bound.
 //!
 //! # Storage
 //!
-//! Every entry lives in one slab for its whole life, and a bucket is the
-//! head index of a singly linked list threaded through that slab. A push
-//! links a slot, a pop unlinks one and returns it to the free list, a
-//! cascade rewrites `next` indices: no item is moved between push and pop
-//! whatever its width, and once the slab has grown to the run's peak
-//! number of pending entries nothing is allocated or freed. A list above
-//! level 0 is in no particular order (the cascade scans it for its
-//! minimum); a level-0 list — one tick — is kept in `seq` order, so its
-//! head is the FIFO winner however many entries share the tick.
+//! Every entry lives in one slot of a slab for its whole life, and a
+//! bucket is the head index of a singly linked list threaded through that
+//! slab. The slab is two parallel vectors: the *links* — `at`, `seq`,
+//! `next`, 24 bytes a slot — and the *items*, written once by the push and
+//! taken once by the pop. A list walk, a cascade and the ordered level-0
+//! insert read links only, however wide the item is. A push links a slot,
+//! a pop unlinks one and returns it to the free list, a cascade rewrites
+//! `next` indices: no item is moved between push and pop, and once the
+//! slab has grown to the run's peak number of pending entries nothing is
+//! allocated or freed. Both vectors grow together, in one step, to one
+//! capacity.
+//!
+//! A list above level 0 is in no particular order; its smallest
+//! `(at, seq)` is kept beside its head as entries are linked (entries
+//! leave such a list only all at once), so neither a cascade nor
+//! [`TimerWheel::peek`] scans it. A lone entry there is the global minimum
+//! and pops where it sits, without a cascade. A level-0 list — one tick —
+//! is kept in `seq` order, so its head is the FIFO winner however many
+//! entries share the tick.
 
 use std::collections::BTreeMap;
 
@@ -56,15 +66,20 @@ pub const LEVELS: usize = 6;
 const HORIZON: u64 = 1 << (BITS * LEVELS as u32);
 /// The end of a list: no slab index.
 const NIL: u32 = u32::MAX;
+/// Slots the slab reserves when it first grows; it doubles from there.
+/// Two vectors doubling from Rust's minimum of 4 would pay two allocator
+/// calls where one did; starting at 128 skips five doublings, so a wheel
+/// that peaks anywhere from 65 to 2,048 entries grows in no more calls
+/// than one vector did, and to the same capacity.
+const FIRST_RESERVE: usize = 128;
 
-#[derive(Debug)]
-struct Entry<T> {
+/// Where an entry is due and what follows it: all a list operation reads.
+#[derive(Debug, Clone, Copy)]
+struct Link {
     at: u64,
     seq: u64,
     /// The next entry of the same bucket (or of the free list).
     next: u32,
-    /// `None` exactly while the slot is on the free list.
-    item: Option<T>,
 }
 
 /// A hierarchical timing wheel with a sorted overflow level.
@@ -77,12 +92,18 @@ pub struct TimerWheel<T> {
     /// Current tick: the `at` of the most recently popped entry. No
     /// stored entry is earlier than this.
     now: u64,
-    /// Every pending entry, wheel and overflow alike, plus the free slots.
-    entries: Vec<Entry<T>>,
-    /// Head of the free list threaded through `entries`.
+    /// One link per slab slot: every pending entry, wheel and overflow
+    /// alike, plus the free slots.
+    links: Vec<Link>,
+    /// The item of each slab slot; `None` exactly while it is free.
+    items: Vec<Option<T>>,
+    /// Head of the free list threaded through `links`.
     free: u32,
-    /// `LEVELS * SLOTS` list heads into `entries`, flattened level-major.
+    /// `LEVELS * SLOTS` list heads into the slab, flattened level-major.
     heads: [u32; LEVELS * SLOTS],
+    /// The smallest `(at, seq)` of each list above level 0, at
+    /// `heads`' index less `SLOTS` (stale while the list is empty).
+    mins: [(u64, u64); (LEVELS - 1) * SLOTS],
     /// Last entry of each level-0 list (stale while the list is empty).
     tails: [u32; SLOTS],
     /// One occupancy bitmap per level (bit `s` set ⇔ list non-empty).
@@ -103,9 +124,11 @@ impl<T> TimerWheel<T> {
     pub fn new() -> Self {
         TimerWheel {
             now: 0,
-            entries: Vec::new(),
+            links: Vec::new(),
+            items: Vec::new(),
             free: NIL,
             heads: [NIL; LEVELS * SLOTS],
+            mins: [(0, 0); (LEVELS - 1) * SLOTS],
             tails: [NIL; SLOTS],
             occupied: [0; LEVELS],
             overflow: BTreeMap::new(),
@@ -134,26 +157,29 @@ impl<T> TimerWheel<T> {
     /// for [`TimerWheel::get_mut`].
     pub fn push(&mut self, at: u64, seq: u64, item: T) -> u32 {
         let at = at.max(self.now);
-        let entry = Entry {
-            at,
-            seq,
-            next: NIL,
-            item: Some(item),
-        };
+        let link = Link { at, seq, next: NIL };
         let idx = if self.free == NIL {
-            let idx = u32::try_from(self.entries.len()).unwrap_or(NIL);
+            let len = self.links.len();
+            if len == self.links.capacity() {
+                let more = len.max(FIRST_RESERVE);
+                self.links.reserve_exact(more);
+                self.items.reserve_exact(more);
+            }
+            let idx = u32::try_from(len).unwrap_or(NIL);
             assert!(idx != NIL, "more than u32::MAX - 1 pending entries");
-            self.entries.push(entry);
+            self.links.push(link);
+            self.items.push(Some(item));
             idx
         } else {
             let idx = self.free;
-            self.free = std::mem::replace(&mut self.entries[idx as usize], entry).next;
+            self.free = std::mem::replace(&mut self.links[idx as usize], link).next;
+            self.items[idx as usize] = Some(item);
             idx
         };
         if (at ^ self.now) >= HORIZON {
             self.overflow.insert((at, seq), idx);
         } else {
-            self.link(idx);
+            self.link(idx, at, seq);
         }
         self.len += 1;
         idx
@@ -165,8 +191,11 @@ impl<T> TimerWheel<T> {
     /// item with a tombstone of its own, and the entry stays linked and
     /// pops at its tick like any other.
     pub fn get_mut(&mut self, slot: u32, seq: u64) -> Option<&mut T> {
-        let e = self.entries.get_mut(slot as usize)?;
-        e.item.as_mut().filter(|_| e.seq == seq)
+        let link = self.links.get(slot as usize)?;
+        if link.seq != seq {
+            return None;
+        }
+        self.items[slot as usize].as_mut()
     }
 
     /// The `(at, seq)` of the next entry [`TimerWheel::pop`] would return.
@@ -174,16 +203,15 @@ impl<T> TimerWheel<T> {
         if self.len == 0 {
             return None;
         }
-        match self.lowest_occupied_level() {
-            None => self.overflow.keys().next().copied(),
-            Some(level) => {
-                let slot = self.occupied[level].trailing_zeros() as usize;
-                self.list(self.heads[level * SLOTS + slot])
-                    .map(|e| (e.at, e.seq))
-                    .min()
-                    .or_else(|| unreachable!("occupancy bit set on empty bucket"))
-            }
+        let Some(level) = self.lowest_occupied_level() else {
+            return self.overflow.keys().next().copied();
+        };
+        let bucket = level * SLOTS + self.occupied[level].trailing_zeros() as usize;
+        if level > 0 {
+            return Some(self.mins[bucket - SLOTS]);
         }
+        let head = self.links[self.heads[bucket] as usize];
+        Some((head.at, head.seq))
     }
 
     /// Remove and return the entry with the smallest `(at, seq)`.
@@ -195,6 +223,7 @@ impl<T> TimerWheel<T> {
     /// then nothing is removed and the wheel's clock stays at or before
     /// `limit`, so an entry pushed later for any tick from `limit` on is
     /// filed under its own tick and not clamped to a later one.
+    #[inline]
     pub fn pop_at_or_before(&mut self, limit: u64) -> Option<(u64, u64, T)> {
         if self.len == 0 {
             return None;
@@ -211,51 +240,48 @@ impl<T> TimerWheel<T> {
                 self.refill_from_overflow(at);
                 continue;
             };
+            // The earliest occupied slot of the lowest occupied level
+            // holds the global minimum.
             let slot = self.occupied[level].trailing_zeros() as usize;
-            let head = self.heads[level * SLOTS + slot];
-            if level > 0 {
-                // The earliest occupied slot holds the global minimum.
-                let min = self.list(head).map(|e| e.at).min().unwrap_or(self.now);
+            let bucket = level * SLOTS + slot;
+            let head = self.heads[bucket];
+            let Link { at, seq, next } = self.links[head as usize];
+            if level > 0 && next != NIL {
+                let (min, _) = self.mins[bucket - SLOTS];
                 if min > limit {
                     return None;
                 }
                 self.cascade(level, slot, min);
                 continue;
             }
-            // A level-0 slot maps to exactly one tick, so every entry here
-            // shares `at`; the list is in `seq` order, so the FIFO winner
-            // is its head.
-            let free = self.free;
-            let e = &mut self.entries[head as usize];
-            if e.at > limit {
+            // A level-0 slot maps to exactly one tick and its list is in
+            // `seq` order, so the FIFO winner is its head; a lone entry
+            // above level 0 is its bucket's minimum. Either pops here.
+            if at > limit {
                 return None;
             }
-            let (at, seq, rest) = (e.at, e.seq, std::mem::replace(&mut e.next, free));
-            let item = e.item.take().expect("a linked slot holds an item");
-            self.free = head;
-            self.heads[slot] = rest;
-            if rest == NIL {
-                self.occupied[0] &= !(1 << slot);
+            self.heads[bucket] = next;
+            if next == NIL {
+                self.occupied[level] &= !(1 << slot);
             }
             self.now = at;
             self.len -= 1;
-            return Some((at, seq, item));
+            return Some((at, seq, self.release(head)));
         }
+    }
+
+    /// Put unlinked slot `idx` on the free list and take its item.
+    #[inline]
+    fn release(&mut self, idx: u32) -> T {
+        self.links[idx as usize].next = std::mem::replace(&mut self.free, idx);
+        self.items[idx as usize]
+            .take()
+            .expect("a linked slot holds an item")
     }
 
     /// Lowest level with at least one occupied slot.
     fn lowest_occupied_level(&self) -> Option<usize> {
         self.occupied.iter().position(|&bits| bits != 0)
-    }
-
-    /// The entries of the list starting at slab index `head`.
-    fn list(&self, head: u32) -> impl Iterator<Item = &Entry<T>> {
-        let mut cur = head;
-        std::iter::from_fn(move || {
-            let e = self.entries.get(cur as usize)?;
-            cur = e.next;
-            Some(e)
-        })
     }
 
     /// Where an entry due at `at` belongs when the wheel sits at `now`.
@@ -271,38 +297,42 @@ impl<T> TimerWheel<T> {
         (level, slot)
     }
 
-    /// Link slab entry `idx` into the list its `at` belongs to: at the
-    /// head above level 0, in `seq` order at level 0.
-    fn link(&mut self, idx: u32) {
-        let Entry { at, seq, .. } = self.entries[idx as usize];
+    /// Link slab entry `idx`, due at `at` with `seq`, into the list its
+    /// `at` belongs to: at the head above level 0 (keeping the list's
+    /// minimum), in `seq` order at level 0.
+    fn link(&mut self, idx: u32, at: u64, seq: u64) {
         let (level, slot) = Self::position(self.now, at);
+        let bucket = level * SLOTS + slot;
         let was_empty = self.occupied[level] & (1 << slot) == 0;
         self.occupied[level] |= 1 << slot;
         if level > 0 {
-            let head = &mut self.heads[level * SLOTS + slot];
-            self.entries[idx as usize].next = std::mem::replace(head, idx);
+            let min = &mut self.mins[bucket - SLOTS];
+            if was_empty || (at, seq) < *min {
+                *min = (at, seq);
+            }
+            self.links[idx as usize].next = std::mem::replace(&mut self.heads[bucket], idx);
             return;
         }
         // The caller's `seq` grows, so a push belongs at the tail, and an
         // upper list is mostly newest first, so what a cascade brings
         // mostly belongs at the head: both are found without a walk.
-        self.entries[idx as usize].next = NIL;
+        self.links[idx as usize].next = NIL;
         let tail = self.tails[slot];
         if was_empty {
             (self.heads[slot], self.tails[slot]) = (idx, idx);
-        } else if self.entries[tail as usize].seq < seq {
-            self.entries[tail as usize].next = idx;
+        } else if self.links[tail as usize].seq < seq {
+            self.links[tail as usize].next = idx;
             self.tails[slot] = idx;
         } else {
             // Not last, so the walk stops at or before the tail.
             let (mut prev, mut cur) = (NIL, self.heads[slot]);
-            while self.entries[cur as usize].seq < seq {
-                (prev, cur) = (cur, self.entries[cur as usize].next);
+            while self.links[cur as usize].seq < seq {
+                (prev, cur) = (cur, self.links[cur as usize].next);
             }
-            self.entries[idx as usize].next = cur;
+            self.links[idx as usize].next = cur;
             match prev {
                 NIL => self.heads[slot] = idx,
-                _ => self.entries[prev as usize].next = idx,
+                _ => self.links[prev as usize].next = idx,
             }
         }
     }
@@ -316,8 +346,8 @@ impl<T> TimerWheel<T> {
         self.occupied[level] &= !(1 << slot);
         self.now = min;
         while cur != NIL {
-            let next = self.entries[cur as usize].next;
-            self.link(cur);
+            let Link { at, seq, next } = self.links[cur as usize];
+            self.link(cur, at, seq);
             cur = next;
         }
     }
@@ -331,8 +361,8 @@ impl<T> TimerWheel<T> {
             Some(end) => self.overflow.split_off(&(end, 0)),
             None => BTreeMap::new(), // top block: everything fits
         };
-        for idx in std::mem::replace(&mut self.overflow, rest).into_values() {
-            self.link(idx);
+        for ((at, seq), idx) in std::mem::replace(&mut self.overflow, rest) {
+            self.link(idx, at, seq);
         }
     }
 }
@@ -345,6 +375,17 @@ mod tests {
         let mut out = Vec::new();
         while let Some((at, seq, _)) = w.pop() {
             out.push((at, seq));
+        }
+        out
+    }
+
+    /// The slab slots of the list starting at `head`, in list order.
+    fn list(w: &TimerWheel<u32>, head: u32) -> Vec<u32> {
+        let mut out = Vec::new();
+        let mut cur = head;
+        while cur != NIL {
+            out.push(cur);
+            cur = w.links[cur as usize].next;
         }
         out
     }
@@ -414,9 +455,88 @@ mod tests {
             w.push(w.now() + offsets[seq as usize % 8], seq, seq as u32);
         }
         assert_eq!(w.len(), 8);
-        assert!(w.entries.len() <= 8, "{} slots", w.entries.len());
-        let (pending, free) = (drain(&mut w).len(), w.list(w.free).count());
-        assert_eq!((pending, free), (8, w.entries.len()));
+        // Both halves of the slab stop at the peak, at one capacity.
+        assert!(w.links.len() <= 8, "{} slots", w.links.len());
+        assert_eq!(w.items.len(), w.links.len());
+        assert_eq!(w.items.capacity(), w.links.capacity());
+        assert_eq!(drain(&mut w).len(), 8);
+        let free = list(&w, w.free);
+        assert_eq!(free.len(), w.links.len());
+        assert!(free.iter().all(|&i| w.items[i as usize].is_none()));
+    }
+
+    #[test]
+    fn a_link_is_24_bytes_whatever_the_item() {
+        assert_eq!(std::mem::size_of::<Link>(), 24);
+    }
+
+    #[test]
+    fn the_slab_grows_both_halves_in_one_step() {
+        let mut w = TimerWheel::new();
+        for seq in 0..=FIRST_RESERVE as u64 {
+            w.push(seq * 1_000, seq, [0u8; 100]);
+            assert_eq!(w.items.capacity(), w.links.capacity());
+        }
+        assert_eq!(w.links.capacity(), 2 * FIRST_RESERVE);
+    }
+
+    /// Every occupied list above level 0 has its true minimum beside it.
+    fn assert_minima_exact(w: &TimerWheel<u32>) {
+        for level in 1..LEVELS {
+            for slot in (0..SLOTS).filter(|&s| w.occupied[level] & (1 << s) != 0) {
+                let bucket = level * SLOTS + slot;
+                let keys = list(w, w.heads[bucket])
+                    .into_iter()
+                    .map(|i| w.links[i as usize]);
+                let min = keys.map(|l| (l.at, l.seq)).min();
+                assert_eq!(Some(w.mins[bucket - SLOTS]), min, "{level}/{slot}");
+            }
+        }
+    }
+
+    /// A bucket's minimum is kept from its first link on, lowered by a
+    /// smaller push, and rebuilt exactly in every bucket a cascade or an
+    /// overflow refill fills.
+    #[test]
+    fn bucket_minima_survive_cascade_and_overflow_refill() {
+        let mut w = TimerWheel::new();
+        let far = HORIZON * 2;
+        // One level-2 bucket (ticks 8_192..12_288) whose cascade fills a
+        // two-entry level-1 bucket, and one overflow block whose refill
+        // fills a three-entry level-2 bucket; each pushed out of order.
+        let ats = [
+            9_000,
+            8_500,
+            11_000,
+            8_500,
+            8_310,
+            8_300,
+            far + 71_000,
+            far + 70_000,
+            far,
+            far + 70_500,
+        ];
+        for (seq, &at) in ats.iter().enumerate() {
+            w.push(at, seq as u64, seq as u32);
+            assert_minima_exact(&w);
+        }
+        assert_eq!(w.mins[2 * SLOTS + 2 - SLOTS], (8_300, 5));
+        let mut want: Vec<(u64, u64)> = ats.iter().copied().zip(0..).collect();
+        want.sort_unstable();
+        for &(at, seq) in &want {
+            assert_eq!(w.peek(), Some((at, seq)));
+            assert_eq!(w.pop(), Some((at, seq, seq as u32)));
+            assert_minima_exact(&w);
+            if at == 8_300 {
+                // The cascade left both 8_500s in one level-1 bucket.
+                assert_eq!(w.mins[SLOTS + (8_500 >> BITS) % SLOTS - SLOTS], (8_500, 1));
+            }
+            if at == far {
+                // The refill left the other three in one level-2 bucket.
+                assert_eq!(w.occupied.map(u64::count_ones), [0, 0, 1, 0, 0, 0]);
+            }
+        }
+        assert!(w.is_empty());
     }
 
     #[test]

@@ -451,3 +451,48 @@ fn a_timer_cancelled_in_the_overflow_map_stays_dead() {
     assert_eq!(fired(&sim, node), [3, 2]);
     assert_eq!(sim.events_processed(), processed + 2);
 }
+
+/// Counts the requests it answers, and answers each with 200 at once.
+#[derive(Default)]
+struct CountingEcho {
+    requests: u32,
+}
+impl Node for CountingEcho {
+    fn on_request(&mut self, _c: &mut Context<'_>, _r: &Request) -> HandlerResult {
+        self.requests += 1;
+        HandlerResult::Reply(Response::ok())
+    }
+}
+
+/// A request that outlives its requester's timeout is still delivered:
+/// the responder runs once, at the arrival, and its reply finds nothing
+/// to conclude; the requester hears the timeout once, at its deadline.
+#[test]
+fn a_request_slower_than_its_timeout_still_reaches_the_responder() {
+    let mut sim = Sim::new(24);
+    let echo = sim.add_node("echo", CountingEcho::default());
+    let client = sim.add_node("client", Client::default());
+    let five_s = LinkSpec::new(LatencyModel::fixed(SimDuration::from_secs(5)));
+    sim.link(client, echo, five_s);
+    sim.with_node::<Client, _>(client, |_, ctx| {
+        ctx.send_request(
+            echo,
+            Request::get("/x"),
+            Token(1),
+            RequestOpts::timeout_secs(2),
+        );
+    });
+    sim.run_until_idle();
+    assert_eq!(sim.node_ref::<CountingEcho>(echo).requests, 1);
+    let c = sim.node_ref::<Client>(client);
+    let timeout = simnet::http::STATUS_TIMEOUT;
+    assert_eq!(c.responses, [(Token(1), timeout, SimTime::from_secs(2))]);
+    // The reply was dropped at the responder: nothing was queued after
+    // the request arrived at 5 s, and nothing was lost in transit.
+    assert_eq!(sim.now(), SimTime::from_secs(5));
+    assert!(sim.trace().events().is_empty());
+    // Two starts, the timeout and the delivery; the dropped reply queued
+    // nothing.
+    assert_eq!(sim.events_processed(), 4);
+    assert_eq!((sim.node_events(echo), sim.node_events(client)), (2, 2));
+}

@@ -270,6 +270,49 @@ proptest! {
         }
     }
 
+    /// With at most a few entries pending, spread over every level, an
+    /// upper bucket mostly holds one entry, which pops where it sits:
+    /// `peek` still agrees with the reference heap after every such pop,
+    /// bounded or not.
+    #[test]
+    fn peek_matches_reference_after_single_entry_pops(
+        ops in collection::vec((0u8..4, any::<u64>()), 1..300),
+    ) {
+        let mut wheel = TimerWheel::new();
+        let mut model = HeapModel::default();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        for (kind, raw) in ops {
+            if kind == 0 || model.heap.len() >= 3 {
+                let limit = match kind {
+                    1 => now.saturating_add(shape_offset(raw)),
+                    _ => u64::MAX,
+                };
+                let want = match model.peek() {
+                    Some((at, _)) if at <= limit => model.pop(),
+                    _ => None,
+                };
+                prop_assert_eq!(checked(wheel.pop_at_or_before(limit)), want);
+                // Only a bounded pop moves the kernel's clock to its limit.
+                now = match want {
+                    Some((at, _)) => at,
+                    None if kind == 1 => limit,
+                    None => now,
+                };
+                model.now = now;
+            } else {
+                // At least 64 ticks ahead: above level 0 when pushed, and
+                // in the overflow map past the wheel's 2^36-tick reach.
+                let at = now.saturating_add(64 + raw % (1 << 40));
+                push(&mut wheel, at, seq);
+                model.push(at, seq);
+                seq += 1;
+            }
+            prop_assert_eq!(wheel.peek(), model.peek());
+            prop_assert_eq!(wheel.len(), model.heap.len());
+        }
+    }
+
     /// `pop_at_or_before` is the heap's "pop if the head is due": under a
     /// kernel-style clock that moves to `limit` whenever nothing was due
     /// (what `Sim::run_until` does), later pushes keep their own ticks.
@@ -383,4 +426,66 @@ fn every_item_is_dropped_exactly_once() {
     assert_eq!(Rc::strong_count(&alive), 8);
     drop(wheel);
     assert_eq!(Rc::strong_count(&alive), 1);
+}
+
+/// A lone entry at each of levels 1–5 and in the overflow map pops where it
+/// sits: a bounded pop short of it refuses and moves the clock no further
+/// than its limit, and the pop at its tick returns its own item and leaves
+/// the clock on that tick. All six pending at once, then one at a time.
+#[test]
+fn a_lone_entry_at_every_level_pops_in_order_with_its_own_item() {
+    let offsets = [100u64, 5_000, 300_000, 20_000_000, 1 << 31, 1 << 37];
+    let item = |seq: u64| format!("lone {seq}");
+    let mut wheel = TimerWheel::new();
+    for (seq, &at) in (0..).zip(&offsets) {
+        wheel.push(at, seq, item(seq));
+    }
+    for (seq, &at) in (0..).zip(&offsets) {
+        assert_eq!(wheel.peek(), Some((at, seq)));
+        assert_eq!(wheel.pop_at_or_before(at - 1), None);
+        assert!(wheel.now() < at);
+        assert_eq!(wheel.pop_at_or_before(at), Some((at, seq, item(seq))));
+        assert_eq!(wheel.now(), at);
+    }
+    assert!(wheel.is_empty());
+    for (seq, &offset) in (6..).zip(&offsets) {
+        let at = wheel.now() + offset;
+        wheel.push(at, seq, item(seq));
+        let limit = at - offset / 2;
+        assert_eq!(wheel.pop_at_or_before(limit), None);
+        assert!(wheel.now() <= limit);
+        assert_eq!(wheel.pop(), Some((at, seq, item(seq))));
+        assert_eq!(wheel.now(), at);
+    }
+    assert!(wheel.is_empty());
+}
+
+/// A tombstone keeps its entry's `(at, seq)`, so a cancelled bucket
+/// minimum — in a crowded upper bucket, alone in one, or in the overflow
+/// map — still pops first, as the tombstone.
+#[test]
+fn a_tombstoned_minimum_still_pops_first() {
+    let mut wheel: TimerWheel<Option<u64>> = TimerWheel::new();
+    let far = 1 << 40;
+    // One level-2 bucket of three, a lone level-3 entry, two in overflow.
+    let ats = [9_000, 8_500, 11_000, 300_000, far + 5, far + 9];
+    let slots: Vec<u32> = (0..)
+        .zip(&ats)
+        .map(|(seq, &at)| wheel.push(at, seq, Some(seq)))
+        .collect();
+    for seq in [1u64, 3, 4] {
+        *wheel.get_mut(slots[seq as usize], seq).expect("pending") = None;
+    }
+    let popped: Vec<_> = std::iter::from_fn(|| wheel.pop()).collect();
+    assert_eq!(
+        popped,
+        [
+            (8_500, 1, None),
+            (9_000, 0, Some(0)),
+            (11_000, 2, Some(2)),
+            (300_000, 3, None),
+            (far + 5, 4, None),
+            (far + 9, 5, Some(5)),
+        ]
+    );
 }

@@ -11,9 +11,9 @@
 
 use crate::auth::AccessToken;
 use crate::ids::UserId;
+use mem::FxHashMap;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A one-time authorization code handed to the user's browser redirect.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -31,9 +31,9 @@ pub enum OAuthError {
 #[derive(Debug, Default)]
 pub struct OAuthProvider {
     /// Outstanding (unredeemed) codes.
-    codes: HashMap<String, UserId>,
+    codes: FxHashMap<String, UserId>,
     /// Live tokens.
-    tokens: HashMap<String, UserId>,
+    tokens: FxHashMap<String, UserId>,
 }
 
 impl OAuthProvider {
