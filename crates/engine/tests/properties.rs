@@ -130,7 +130,10 @@ proptest! {
     }
 
     /// The nominal backoff schedule is monotone non-decreasing and capped
-    /// for any policy with `factor >= 1`.
+    /// for any policy with `factor >= 1`, and once it reaches the cap it
+    /// stays there. When it reaches the cap depends on the policy: a factor
+    /// near 1 with a small base takes thousands of retries, and a factor of
+    /// exactly 1 never grows at all.
     #[test]
     fn backoff_nominal_monotone_up_to_cap(
         base in 0.01f64..30.0,
@@ -138,15 +141,24 @@ proptest! {
         cap in 0.01f64..120.0,
     ) {
         let b = BackoffPolicy { base_secs: base, factor, cap_secs: cap, jitter: 0.25 };
+        let retries = (0..256u32).chain([1_000, 10_000, 1 << 20, u32::MAX]);
         let mut prev = 0.0f64;
-        for retry in 0..64u32 {
+        let mut capped_at = None;
+        for retry in retries.clone() {
             let n = b.nominal_secs(retry);
             prop_assert!(n >= prev - 1e-12, "schedule decreased at retry {retry}: {n} < {prev}");
-            prop_assert!(n <= cap + 1e-12, "retry {retry} exceeded cap: {n} > {cap}");
+            prop_assert!(n <= cap, "retry {retry} exceeded cap: {n} > {cap}");
+            if let Some(first) = capped_at {
+                prop_assert_eq!(n, cap, "left the cap at retry {} after reaching it at {}", retry, first);
+            } else if n == cap {
+                capped_at = Some(retry);
+            }
             prev = n;
         }
-        // Once capped, the schedule stays exactly at the cap.
-        prop_assert_eq!(b.nominal_secs(200), b.nominal_secs(201));
+        let flat = BackoffPolicy { factor: 1.0, ..b };
+        for retry in retries {
+            prop_assert_eq!(flat.nominal_secs(retry), base.min(cap));
+        }
     }
 
     /// Sampled delays stay inside the jitter band for any seed: jitter

@@ -27,9 +27,9 @@
 //! * a delta is accepted only from the connection its cell was dealt to,
 //!   and only for a cell of the plan — anything else takes that worker
 //!   down with nothing applied;
-//! * a cell commits when its `MetricsDelta` is applied (any
-//!   `AttributionDelta` for the cell is stashed and folded in at the
-//!   same step), after the whole payload validated;
+//! * a cell commits when its `MetricsDelta` is applied, after the whole
+//!   payload decoded — attribution rides inside it, so a cell lands whole
+//!   or not at all;
 //! * a dense per-cell `done` flag drops duplicates, so no cell can be
 //!   counted twice whoever sends it again;
 //! * a dead worker's **uncommitted** cells are exactly its deal minus
@@ -47,10 +47,7 @@
 //! coordinator committed on that worker's behalf.
 
 use crate::frame::{read_frame, write_frame, FrameBuf, FrameType, PayloadReader, WireError};
-use crate::messages::{
-    apply_attribution_delta, apply_metrics_delta, encode_config_push, encode_drain,
-    validate_attribution_delta, validate_metrics_delta, FinalReport, Frame,
-};
+use crate::messages::{encode_config_push, encode_drain, FinalReport, Frame};
 use crate::worker::WorkerOptions;
 use fleet::shard::CellSpec;
 use fleet::{
@@ -194,9 +191,6 @@ struct Dealt {
     /// The sum of every delta committed from this connection; its digest
     /// must equal the worker's own at the final handshake.
     mirror: FleetMetrics,
-    /// A validated attribution payload and its cell, held until that
-    /// cell's metrics delta commits.
-    stash: Option<(u64, Vec<u8>)>,
     /// Until its final report or its loss; later messages are ignored.
     live: bool,
 }
@@ -209,9 +203,8 @@ type Message = Result<(FrameType, Vec<u8>), String>;
 #[derive(Debug)]
 enum Step {
     /// Nothing to do: a heartbeat (liveness only — progress is driven by
-    /// commits so a replacement never double-reports), a stashed
-    /// attribution delta, a duplicate cell, or anything from a connection
-    /// already closed out.
+    /// commits so a replacement never double-reports), a duplicate cell,
+    /// or anything from a connection already closed out.
     Quiet,
     /// A cell committed; the beat to report.
     Committed(Progress),
@@ -259,7 +252,6 @@ impl Commit {
             cells_done: 0,
             users_done: 0,
             mirror: FleetMetrics::default(),
-            stash: None,
             live: true,
         });
         slot
@@ -271,7 +263,7 @@ impl Commit {
             return Ok(Step::Quiet);
         }
         let step = msg
-            .and_then(|(ftype, payload)| self.accept(slot, ftype, payload))
+            .and_then(|(ftype, payload)| self.accept(slot, ftype, &payload))
             .unwrap_or_else(Step::Down);
         if let Step::Final(report) = &step {
             let committed = fnv1a(self.dealt[slot].mirror.to_json().as_bytes());
@@ -289,47 +281,29 @@ impl Commit {
         Ok(step)
     }
 
-    /// Validate one frame completely, then apply it. `Err` is why its
+    /// Decode one frame completely, then apply it. `Err` is why its
     /// sender goes down; nothing was applied.
-    fn accept(&mut self, slot: usize, ftype: FrameType, payload: Vec<u8>) -> Result<Step, String> {
+    fn accept(&mut self, slot: usize, ftype: FrameType, payload: &[u8]) -> Result<Step, String> {
         let wire = |e: WireError| e.to_string();
         let w = &mut self.dealt[slot];
         // Every worker → coordinator payload starts with the sender's id.
-        let sender = PayloadReader::new(&payload)
-            .u32("sender id")
-            .map_err(wire)?;
+        let sender = PayloadReader::new(payload).u32("sender id").map_err(wire)?;
         if sender != slot as u32 {
             return Err(format!(
                 "{ftype:?} frame stamped worker {sender} on worker {slot}'s connection"
             ));
         }
-        match ftype {
-            FrameType::AttributionDelta => {
-                let head = validate_attribution_delta(&payload).map_err(wire)?;
-                owned(&mut self.cells, slot, head.cell)?;
-                w.stash = Some((head.cell, payload));
-                Ok(Step::Quiet)
-            }
-            FrameType::MetricsDelta => {
-                let head = validate_metrics_delta(&payload).map_err(wire)?;
+        match Frame::decode(ftype, payload).map_err(wire)? {
+            Frame::MetricsDelta { head, metrics } => {
                 let cell = owned(&mut self.cells, slot, head.cell)?;
-                let stash = w
-                    .stash
-                    .take()
-                    .filter(|(for_cell, _)| *for_cell == head.cell);
                 if cell.done {
                     return Ok(Step::Quiet);
                 }
-                // Both payloads validated above, so no apply can fail, and
-                // this is the only thread that applies or scans `done`: the
-                // cell and its attribution land whole or not at all.
-                for target in [&self.merged, &w.mirror] {
-                    apply_metrics_delta(&payload, target).expect("validated delta");
-                    if let Some((_, attribution)) = &stash {
-                        apply_attribution_delta(attribution, &target.attribution)
-                            .expect("validated attribution delta");
-                    }
-                }
+                // The delta decoded whole into `metrics`, so nothing here
+                // can fail, and this is the only thread that merges or
+                // scans `done`: the cell lands whole or not at all.
+                self.merged.merge_from(&metrics);
+                w.mirror.merge_from(&metrics);
                 cell.done = true;
                 self.remaining -= 1;
                 w.cells_done += 1;
@@ -341,14 +315,12 @@ impl Commit {
                     users_done: w.users_done,
                 }))
             }
-            _ => match Frame::decode(ftype, &payload).map_err(wire)? {
-                Frame::Progress(_) => Ok(Step::Quiet),
-                Frame::FinalReport(_) if w.cells_done < w.cells_total => {
-                    Err("final report with cells of its deal uncommitted".into())
-                }
-                Frame::FinalReport(report) => Ok(Step::Final(report)),
-                _ => Err(format!("unexpected frame type {ftype:?} from worker")),
-            },
+            Frame::Progress(_) => Ok(Step::Quiet),
+            Frame::FinalReport(_) if w.cells_done < w.cells_total => {
+                Err("final report with cells of its deal uncommitted".into())
+            }
+            Frame::FinalReport(report) => Ok(Step::Final(report)),
+            _ => Err(format!("unexpected frame type {ftype:?} from worker")),
         }
     }
 
@@ -650,9 +622,7 @@ fn assemble_report(
 mod tests {
     use super::*;
     use crate::frame::HEADER_LEN;
-    use crate::messages::{
-        encode_attribution_delta, encode_final_report, encode_metrics_delta, DeltaHead,
-    };
+    use crate::messages::{encode_final_report, encode_metrics_delta, DeltaHead};
 
     // ---- `Commit` driven with encoded frames: no socket, thread or process.
 
@@ -687,13 +657,6 @@ mod tests {
         let head = DeltaHead { worker_id, cell };
         message(FrameType::MetricsDelta, |fb| {
             encode_metrics_delta(fb, head, &cell_metrics(cell))
-        })
-    }
-
-    fn attribution(worker_id: u32, cell: u64) -> Message {
-        let head = DeltaHead { worker_id, cell };
-        message(FrameType::AttributionDelta, |fb| {
-            encode_attribution_delta(fb, head, &cell_metrics(cell).attribution)
         })
     }
 
@@ -750,8 +713,6 @@ mod tests {
         for (msg, names) in [
             (metrics(0, 1), "cell 1,"),
             (metrics(0, 999_999), "cell 999999,"),
-            (attribution(0, 1), "cell 1,"),
-            (attribution(0, 999_999), "cell 999999,"),
             (metrics(1, 0), "stamped worker 1"),
         ] {
             let mut commit = two_dealt();
@@ -767,17 +728,37 @@ mod tests {
     }
 
     #[test]
-    fn an_attribution_stash_is_folded_into_its_own_cell_only() {
+    fn a_delta_carrying_attribution_commits_both_in_one_step() {
         let mut commit = two_dealt();
-        quiet(commit.step(0, attribution(0, 0)));
-        committed(commit.step(0, metrics(0, 2)));
-        // Cell 0's stash was not cell 2's to take, and is gone.
-        assert_eq!(commit.merged.attribution, Default::default());
-        assert!(commit.dealt[0].stash.is_none());
-        quiet(commit.step(0, attribution(0, 4)));
         committed(commit.step(0, metrics(0, 4)));
-        assert_eq!(commit.merged.attribution, cell_metrics(4).attribution);
+        assert!(commit.merged.attribution.total.count() > 0);
+        assert_eq!(commit.merged, cell_metrics(4));
         assert_eq!(commit.merged, commit.dealt[0].mirror);
+    }
+
+    #[test]
+    fn a_delta_with_a_hostile_histogram_takes_its_sender_down_with_nothing_applied() {
+        let mut commit = two_dealt();
+        committed(commit.step(0, metrics(0, 0)));
+        let before = commit.merged.clone();
+        // Cell 2's own delta, but its T2A histogram names a bucket 5000:
+        // the index that once reached an unchecked slice index.
+        let m = cell_metrics(2);
+        let t2a = serde_json::to_string(&m.t2a_micros).unwrap();
+        let hostile = r#"{"buckets":[[5000,1]],"count":1,"max":7,"min":7,"sum":7}"#;
+        let json = m.to_json().replace(&t2a, hostile);
+        assert_ne!(json, m.to_json());
+        let msg = message(FrameType::MetricsDelta, |fb| {
+            fb.begin(FrameType::MetricsDelta);
+            fb.put_u32(0);
+            fb.put_u64(2);
+            fb.put_bytes(json.as_bytes());
+        });
+        let reason = down(commit.step(0, msg));
+        assert!(reason.contains("metrics json does not decode"), "{reason}");
+        assert_eq!(commit.merged, before);
+        assert_eq!(commit.dealt[0].mirror, before);
+        assert_eq!(ids(&commit.undone(0)), [2, 4]);
     }
 
     #[test]
@@ -786,7 +767,7 @@ mod tests {
         committed(commit.step(0, metrics(0, 0)));
         let before = commit.merged.clone();
         let (ftype, mut payload) = metrics(0, 2).unwrap();
-        payload.pop(); // validation fails in the last histogram, after the counters
+        payload.pop(); // the JSON loses its closing brace; all before it decodes
         down(commit.step(0, Ok((ftype, payload))));
         assert_eq!(commit.merged, before);
         assert_eq!(ids(&commit.undone(0)), [2, 4]);

@@ -7,7 +7,7 @@
 //! offset  size  field
 //!      0     1  protocol version (PROTOCOL_VERSION)
 //!      1     1  frame type       (FrameType as u8)
-//!      2     2  flags, little-endian (must be zero in version 1)
+//!      2     2  flags, little-endian (must be zero)
 //!      4     4  payload length, little-endian (≤ MAX_PAYLOAD)
 //! ```
 //!
@@ -18,27 +18,30 @@
 //!   frame type, garbage payload bytes — surfaces as a typed
 //!   [`WireError`]; a hostile or corrupt peer cannot take the
 //!   coordinator down. `fleet-wire/tests/codec.rs` pins this.
-//! * **The hot path does not allocate per frame.** [`FrameBuf`] encodes
+//! * **Framing does not allocate per frame.** [`FrameBuf`] encodes
 //!   header and payload into one reusable `Vec<u8>` (the worker keeps
 //!   one for its cell loop's whole life), and [`read_frame`] reads
 //!   payloads into a caller-owned buffer that amortizes to its
-//!   high-water mark.
+//!   high-water mark. What a payload costs to build is the message's
+//!   own business (a metrics delta serializes its cell's JSON).
 
 use std::io::{self, Read, Write};
 
 /// Protocol version tag carried in every frame header. Bumped whenever
 /// any payload layout changes; peers reject mismatches outright rather
-/// than guessing.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// than guessing. Version 2: a metrics delta carries the cell's metrics
+/// JSON, attribution included, and frame type 5 is retired.
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Bytes in a frame header.
 pub const HEADER_LEN: usize = 8;
 
-/// Upper bound on a payload. The largest legitimate frame is a
+/// Upper bound on a payload. The largest legitimate frames are a
 /// `ConfigPush` carrying the cell list — 24 bytes per cell, so ~480 KiB
-/// for the million-user run's 20k cells. 16 MiB leaves two orders of
-/// magnitude of headroom while making a corrupt length prefix (which
-/// would otherwise demand up to 4 GiB) fail fast.
+/// for the million-user run's 20k cells — and a metrics delta with every
+/// bucket of its eight histograms set, ~420 KiB of JSON. 16 MiB leaves
+/// two orders of magnitude of headroom while making a corrupt length
+/// prefix (which would otherwise demand up to 4 GiB) fail fast.
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
 /// The frame-type table: one row per frame, variant and on-wire byte
@@ -76,13 +79,11 @@ frame_types! {
     /// Worker → coordinator: the heartbeat that keeps crash detection
     /// from false-tripping on long cells and on the wait for `Drain`.
     Progress = 3,
-    /// Worker → coordinator: one finished cell's metrics, exactly
-    /// mergeable. The coordinator's commit point for that cell.
+    /// Worker → coordinator: one finished cell's metrics, attribution
+    /// included, exactly mergeable. The coordinator's commit point for
+    /// that cell. (5 carried attribution separately in version 1; it is
+    /// retired, not reused.)
     MetricsDelta = 4,
-    /// Worker → coordinator: one finished cell's per-stage T2A
-    /// attribution. Sent *before* the cell's `MetricsDelta` and stashed
-    /// until it, so a cell commits atomically or not at all.
-    AttributionDelta = 5,
     /// Coordinator → worker: all cells are committed; report and exit.
     Drain = 6,
     /// Worker → coordinator: execution facts plus the worker-local
@@ -234,7 +235,7 @@ pub fn read_frame(
     let ftype = FrameType::from_u8(header[1]).ok_or(WireError::BadFrameType { got: header[1] })?;
     if u16::from_le_bytes([header[2], header[3]]) != 0 {
         return Err(WireError::BadPayload {
-            context: "nonzero flags in version-1 frame",
+            context: "nonzero flags in frame header",
         });
     }
     let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
@@ -301,6 +302,12 @@ impl<'a> PayloadReader<'a> {
         self.take(n, context)
     }
 
+    /// Everything not yet read, for a payload that ends in one body.
+    pub(crate) fn rest(self) -> &'a [u8] {
+        // `take` never moves `pos` past the end.
+        &self.buf[self.pos..]
+    }
+
     /// Assert the payload is fully consumed — trailing bytes mean the
     /// peer and we disagree about the layout, which must not pass
     /// silently.
@@ -324,13 +331,13 @@ mod tests {
             FrameType::ConfigPush,
             FrameType::Progress,
             FrameType::MetricsDelta,
-            FrameType::AttributionDelta,
             FrameType::Drain,
             FrameType::FinalReport,
         ] {
             assert_eq!(FrameType::from_u8(t as u8), Some(t));
         }
         assert_eq!(FrameType::from_u8(0), None);
+        assert_eq!(FrameType::from_u8(5), None, "retired in version 2");
         assert_eq!(FrameType::from_u8(8), None);
         assert_eq!(FrameType::from_u8(255), None);
     }

@@ -18,11 +18,11 @@
 //!   typed [`frame::WireError`], reusable encode/decode buffers. Never
 //!   panics on peer bytes; never allocates per frame at steady state.
 //! * [`messages`] — typed payloads. The fixed-layout control messages
-//!   are one row list each (struct, encoder and decoder generated) and
-//!   both sides decode them through [`Frame::decode`]. The hot frames
-//!   encode straight from (and apply straight into) `FleetMetrics` via
-//!   the canonical `wire_counters()` / `wire_histograms()` arrays, and
-//!   applies are transactional: full validation before the first merge.
+//!   are one row list each (struct, encoder and decoder generated); a
+//!   metrics delta carries its cell's `FleetMetrics` JSON, the form the
+//!   digest is computed over. Both sides decode every frame through
+//!   [`Frame::decode`], and a delta is decoded whole into a staged value
+//!   before the first merge, so a bad one applies nothing.
 //! * [`worker`] — the `fleet-shard` runtime: a cell loop that encodes
 //!   into one buffer and writes its own frames (the blocking socket
 //!   write is the backpressure), a heartbeat thread beside it sharing

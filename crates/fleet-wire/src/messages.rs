@@ -1,34 +1,28 @@
 //! Typed payloads for every [`FrameType`], with allocation-free
-//! encoding and **apply-style** decoding.
+//! framing and one decoder per message.
 //!
 //! The fixed-layout control messages ([`Hello`], [`ProgressBeat`],
 //! [`FinalReport`]) are each declared once, as the rows of a
 //! `wire_message!` table that generates the struct, the encoder and the
-//! decoder; worker and coordinator both decode control frames through
+//! decoder. A metrics delta is a routing head followed by the cell's
+//! [`FleetMetrics`] JSON — the serialization every digest is already
+//! computed over — so the metrics have one encoding and one validating
+//! decoder. Worker and coordinator decode every frame through
 //! [`Frame::decode`], the decoder `tests/codec.rs` attacks.
 //!
-//! The hot-path frames (`MetricsDelta`, `AttributionDelta`) never build
-//! an intermediate message object: the worker encodes straight out of
-//! its per-cell [`FleetMetrics`] accumulator via the canonical
-//! `wire_counters()` / `wire_histograms()` arrays, and the coordinator
-//! decodes straight *into* its merge targets with
-//! [`apply_metrics_delta`] / [`apply_attribution_delta`]. Both
-//! directions walk the same accessor arrays, so the layout cannot drift
-//! between encoder and decoder.
-//!
-//! Apply functions are **transactional**: every payload is fully
-//! validated (bounds, ordering, summary consistency) before the first
-//! merge touches the target. A malformed frame therefore leaves the
+//! Decoding a delta is **transactional** by construction: the JSON
+//! decodes into a staged `FleetMetrics`, and only a value that decoded
+//! completely is merged. A malformed frame therefore leaves the
 //! coordinator's accumulators untouched — which matters because the
 //! rejoin path re-runs uncommitted cells, and a half-applied delta
 //! would double-count.
 
 use crate::frame::{read_frame, FrameBuf, FrameType, PayloadReader, WireError};
 use fleet::shard::CellSpec;
-use fleet::{AttributionStages, FleetConfig, FleetMetrics, Histogram};
+use fleet::{FleetConfig, FleetMetrics};
 use std::io::Read;
 
-/// `worker_id` + `cell`: the routing prefix shared by both delta frames.
+/// `worker_id` + `cell`: the routing prefix of a metrics delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaHead {
     pub worker_id: u32,
@@ -118,26 +112,17 @@ pub struct ConfigPush {
     pub cells: Vec<CellSpec>,
 }
 
-/// A fully-decoded frame. [`Frame::decode`] is the one decoder of the
-/// control frames (`Hello`, `ConfigPush`, `Progress`, `Drain`,
-/// `FinalReport`) on both sides of the wire. The coordinator applies the
-/// two delta frames straight into its accumulators with the `apply_*`
-/// functions instead; their owned form here is for tests and tooling, and
-/// decodes through the same `apply_*` code.
+/// A fully-decoded frame. [`Frame::decode`] is the one decoder of every
+/// frame on both sides of the wire.
 #[derive(Debug)]
 pub enum Frame {
     Hello(Hello),
     ConfigPush(ConfigPush),
     Progress(ProgressBeat),
-    // Boxed: the accumulators dwarf every other variant, and this owned
-    // form travels through test helpers by value.
+    // Boxed: the accumulators dwarf every other variant.
     MetricsDelta {
         head: DeltaHead,
         metrics: Box<FleetMetrics>,
-    },
-    AttributionDelta {
-        head: DeltaHead,
-        stages: Box<AttributionStages>,
     },
     Drain,
     FinalReport(FinalReport),
@@ -159,14 +144,11 @@ impl Frame {
             FrameType::ConfigPush => Frame::ConfigPush(decode_config_push(payload)?),
             FrameType::Progress => Frame::Progress(decode_progress(payload)?),
             FrameType::MetricsDelta => {
-                let metrics = Box::new(FleetMetrics::default());
-                let head = apply_metrics_delta(payload, &metrics)?;
-                Frame::MetricsDelta { head, metrics }
-            }
-            FrameType::AttributionDelta => {
-                let stages = Box::new(AttributionStages::default());
-                let head = apply_attribution_delta(payload, &stages)?;
-                Frame::AttributionDelta { head, stages }
+                let (head, metrics) = decode_metrics_delta(payload)?;
+                Frame::MetricsDelta {
+                    head,
+                    metrics: Box::new(metrics),
+                }
             }
             FrameType::Drain => {
                 PayloadReader::new(payload).expect_end("drain carries no payload")?;
@@ -222,223 +204,42 @@ fn decode_config_push(payload: &[u8]) -> Result<ConfigPush, WireError> {
     Ok(ConfigPush { config, cells })
 }
 
-// ------------------------------------------------------------ histogram
-
-/// Histogram wire form: `count:u64`, then — only when nonzero —
-/// `sum:u64 min:u64 max:u64 nbuckets:u16 (index:u16 count:u64)*`, with
-/// bucket indices strictly increasing and their counts summing to
-/// `count`. Walked directly off the atomics; no snapshot allocation.
-fn put_histogram(fb: &mut FrameBuf, h: &Histogram) {
-    let count = h.count();
-    fb.put_u64(count);
-    if count == 0 {
-        return;
-    }
-    fb.put_u64(h.sum());
-    fb.put_u64(h.min());
-    fb.put_u64(h.max());
-    let mut nonzero = 0u16;
-    h.for_each_bucket(|_, _| nonzero += 1);
-    fb.put_u16(nonzero);
-    h.for_each_bucket(|i, c| {
-        fb.put_u16(i as u16);
-        fb.put_u64(c);
-    });
-}
-
-/// One validate-or-apply walk over a histogram section. With
-/// `target: None` nothing is mutated (the validation pass); with a
-/// target, buckets and summary merge into it. Both passes run the same
-/// code, so what was validated is exactly what gets applied.
-fn walk_histogram(r: &mut PayloadReader<'_>, target: Option<&Histogram>) -> Result<(), WireError> {
-    let count = r.u64("histogram count")?;
-    if count == 0 {
-        return Ok(());
-    }
-    let sum = r.u64("histogram sum")?;
-    let min = r.u64("histogram min")?;
-    let max = r.u64("histogram max")?;
-    if min > max {
-        return Err(WireError::BadPayload {
-            context: "histogram min exceeds max",
-        });
-    }
-    let nbuckets = r.u16("histogram bucket count")?;
-    let mut last: Option<u16> = None;
-    let mut total = 0u64;
-    for _ in 0..nbuckets {
-        let idx = r.u16("bucket index")?;
-        let n = r.u64("bucket count")?;
-        if (idx as usize) >= fleet::metrics::BUCKETS {
-            return Err(WireError::BadPayload {
-                context: "bucket index out of range",
-            });
-        }
-        if last.is_some_and(|l| idx <= l) {
-            return Err(WireError::BadPayload {
-                context: "bucket indices not strictly increasing",
-            });
-        }
-        if n == 0 {
-            return Err(WireError::BadPayload {
-                context: "zero-count bucket entry",
-            });
-        }
-        last = Some(idx);
-        total = total.checked_add(n).ok_or(WireError::BadPayload {
-            context: "bucket counts overflow",
-        })?;
-        if let Some(h) = target {
-            let ok = h.merge_bucket(idx as usize, n);
-            debug_assert!(ok, "validated index rejected by merge_bucket");
-        }
-    }
-    if total != count {
-        return Err(WireError::BadPayload {
-            context: "bucket counts disagree with summary count",
-        });
-    }
-    if let Some(h) = target {
-        h.merge_summary(count, sum, min, max);
-    }
-    Ok(())
-}
-
 // -------------------------------------------------------- metrics delta
 
-// The counter section spends one byte on the entry count and one on each
-// index; the `as u8` casts in the encoder are exact only under this bound.
-const _: () = assert!(FleetMetrics::N_COUNTERS <= u8::MAX as usize);
-
-/// Encode one finished cell's metrics. Counter section: `n:u8`, then `n`
-/// `(index:u8, value:u64)` pairs over the nonzero entries of
-/// [`FleetMetrics::wire_counters`], indices strictly increasing; then
-/// the two [`FleetMetrics::wire_histograms`] sections.
+/// Encode one finished cell's metrics: the head, then the bytes of
+/// [`FleetMetrics::to_json`] — the form every digest is computed over,
+/// attribution included when it was recorded.
 pub fn encode_metrics_delta(fb: &mut FrameBuf, head: DeltaHead, m: &FleetMetrics) {
     fb.begin(FrameType::MetricsDelta);
     fb.put_u32(head.worker_id);
     fb.put_u64(head.cell);
-    let counters = m.wire_counters();
-    let nonzero = counters.iter().filter(|c| c.get() > 0).count() as u8;
-    fb.put_u8(nonzero);
-    for (i, c) in counters.iter().enumerate() {
-        let v = c.get();
-        if v > 0 {
-            fb.put_u8(i as u8);
-            fb.put_u64(v);
-        }
-    }
-    for h in m.wire_histograms() {
-        put_histogram(fb, h);
-    }
+    fb.put_bytes(m.to_json().as_bytes());
 }
 
-fn walk_metrics_delta(
-    payload: &[u8],
-    target: Option<&FleetMetrics>,
-) -> Result<DeltaHead, WireError> {
+/// Decode a delta into a staged value. Validation is the JSON decoder's:
+/// a histogram no recording could produce, an unknown key or a value out
+/// of range is an error like a syntax error is.
+fn decode_metrics_delta(payload: &[u8]) -> Result<(DeltaHead, FleetMetrics), WireError> {
     let mut r = PayloadReader::new(payload);
     let head = DeltaHead {
         worker_id: r.u32("delta worker_id")?,
         cell: r.u64("delta cell")?,
     };
-    let n = r.u8("counter count")?;
-    let mut last: Option<u8> = None;
-    for _ in 0..n {
-        let idx = r.u8("counter index")?;
-        let v = r.u64("counter value")?;
-        // A frame from a build with a newer counter set fails loudly here
-        // instead of merging into the wrong instrument.
-        if (idx as usize) >= FleetMetrics::N_COUNTERS {
-            return Err(WireError::BadPayload {
-                context: "counter index out of range",
-            });
-        }
-        if last.is_some_and(|l| idx <= l) {
-            return Err(WireError::BadPayload {
-                context: "counter indices not strictly increasing",
-            });
-        }
-        if v == 0 {
-            return Err(WireError::BadPayload {
-                context: "zero-value counter entry",
-            });
-        }
-        last = Some(idx);
-        if let Some(m) = target {
-            m.wire_counters()[idx as usize].add(v);
-        }
-    }
-    let n_hists = target.map_or(2, |m| m.wire_histograms().len());
-    for i in 0..n_hists {
-        walk_histogram(&mut r, target.map(|m| m.wire_histograms()[i]))?;
-    }
-    r.expect_end("trailing bytes after metrics delta")?;
-    Ok(head)
+    let json = std::str::from_utf8(r.rest()).map_err(|_| WireError::BadPayload {
+        context: "metrics json is not utf-8",
+    })?;
+    let metrics = serde_json::from_str(json).map_err(|_| WireError::BadPayload {
+        context: "metrics json does not decode",
+    })?;
+    Ok((head, metrics))
 }
 
-/// Validate `payload` completely, then merge it into `target`. On any
+/// Decode `payload` completely, then merge it into `target`. On any
 /// error the target is untouched.
 pub fn apply_metrics_delta(payload: &[u8], target: &FleetMetrics) -> Result<DeltaHead, WireError> {
-    walk_metrics_delta(payload, None)?;
-    walk_metrics_delta(payload, Some(target))
-}
-
-/// Validate without applying — the coordinator's first look at a delta
-/// whose commit is deferred (and the cheap path for duplicates).
-pub fn validate_metrics_delta(payload: &[u8]) -> Result<DeltaHead, WireError> {
-    walk_metrics_delta(payload, None)
-}
-
-// ---------------------------------------------------- attribution delta
-
-/// Encode one finished cell's per-stage attribution: `unmatched:u64`,
-/// then the six [`AttributionStages::wire_histograms`] sections.
-pub fn encode_attribution_delta(fb: &mut FrameBuf, head: DeltaHead, a: &AttributionStages) {
-    fb.begin(FrameType::AttributionDelta);
-    fb.put_u32(head.worker_id);
-    fb.put_u64(head.cell);
-    fb.put_u64(a.unmatched.get());
-    for h in a.wire_histograms() {
-        put_histogram(fb, h);
-    }
-}
-
-fn walk_attribution_delta(
-    payload: &[u8],
-    target: Option<&AttributionStages>,
-) -> Result<DeltaHead, WireError> {
-    let mut r = PayloadReader::new(payload);
-    let head = DeltaHead {
-        worker_id: r.u32("attr worker_id")?,
-        cell: r.u64("attr cell")?,
-    };
-    let unmatched = r.u64("attr unmatched")?;
-    if let Some(a) = target {
-        a.unmatched.add(unmatched);
-    }
-    let n_hists = target.map_or(6, |a| a.wire_histograms().len());
-    for i in 0..n_hists {
-        walk_histogram(&mut r, target.map(|a| a.wire_histograms()[i]))?;
-    }
-    r.expect_end("trailing bytes after attribution delta")?;
+    let (head, staged) = decode_metrics_delta(payload)?;
+    target.merge_from(&staged);
     Ok(head)
-}
-
-/// Validate `payload` completely, then merge it into `target`. On any
-/// error the target is untouched.
-pub fn apply_attribution_delta(
-    payload: &[u8],
-    target: &AttributionStages,
-) -> Result<DeltaHead, WireError> {
-    walk_attribution_delta(payload, None)?;
-    walk_attribution_delta(payload, Some(target))
-}
-
-/// Validate without applying — used when the coordinator stashes an
-/// attribution payload until its cell's `MetricsDelta` commits.
-pub fn validate_attribution_delta(payload: &[u8]) -> Result<DeltaHead, WireError> {
-    walk_attribution_delta(payload, None)
 }
 
 // ---------------------------------------------------------------- drain
@@ -450,14 +251,6 @@ pub fn encode_drain(fb: &mut FrameBuf) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wire_counter_width_matches_the_canonical_array() {
-        // The counter width is `FleetMetrics::N_COUNTERS` by type; the
-        // histogram counts the validation pass assumes are checked here.
-        assert_eq!(FleetMetrics::default().wire_histograms().len(), 2);
-        assert_eq!(AttributionStages::default().wire_histograms().len(), 6);
-    }
 
     #[test]
     fn a_failed_apply_leaves_the_target_untouched() {
@@ -474,7 +267,7 @@ mod tests {
             &m,
         );
         let frame = fb.finish().to_vec();
-        // Corrupt the tail so validation fails after the counters parse.
+        // Drop the JSON's closing brace: everything before it decodes.
         let mut bad = frame[crate::frame::HEADER_LEN..].to_vec();
         bad.truncate(bad.len() - 1);
 

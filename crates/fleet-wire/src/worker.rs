@@ -12,13 +12,13 @@
 //! ## Threads
 //!
 //! * **cell loop** (the main thread): simulate one cell at a time into a
-//!   fresh per-cell accumulator, encode its delta frames into the one
-//!   [`FrameBuf`] it keeps for the whole run, and write them to the
+//!   fresh per-cell accumulator, encode its one delta frame into the
+//!   [`FrameBuf`] it keeps for the whole run, and write it to the
 //!   socket itself. The blocking `write_all` *is* the backpressure: when
 //!   the coordinator reads slowly the kernel's socket buffer fills and
 //!   the loop blocks in the write, so what a worker holds unsent is one
 //!   encoded frame plus a socket buffer, whatever the backlog. At one
-//!   ~740-byte frame per 1.2–1.6 ms cell nothing ever queues, which is why
+//!   ~810-byte frame per 1.2–1.6 ms cell nothing ever queues, which is why
 //!   there is no writer thread and no queue to bound.
 //! * **heartbeat**: a `Progress` frame every couple of seconds for the
 //!   coordinator's liveness check — it keeps long cells (and the long
@@ -30,8 +30,8 @@
 
 use crate::frame::{write_frame, FrameBuf, WireError};
 use crate::messages::{
-    encode_attribution_delta, encode_final_report, encode_hello, encode_metrics_delta,
-    encode_progress, DeltaHead, FinalReport, Frame, Hello, ProgressBeat,
+    encode_final_report, encode_hello, encode_metrics_delta, encode_progress, DeltaHead,
+    FinalReport, Frame, Hello, ProgressBeat,
 };
 use fleet::cell::run_cell;
 use fleet::options::{parse_flags, Flag};
@@ -291,10 +291,6 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), WorkerError> {
                 worker_id: opts.worker_id,
                 cell: cell.cell,
             };
-            if cfg.attribution {
-                encode_attribution_delta(&mut fb, head, &cell_metrics.attribution);
-                send(&mut fb)?;
-            }
             encode_metrics_delta(&mut fb, head, &cell_metrics);
             send(&mut fb)?;
 

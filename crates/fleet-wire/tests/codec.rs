@@ -9,9 +9,8 @@ use fleet_wire::frame::{
     read_frame, FrameBuf, FrameType, WireError, HEADER_LEN, MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 use fleet_wire::messages::{
-    apply_metrics_delta, encode_attribution_delta, encode_config_push, encode_final_report,
-    encode_hello, encode_metrics_delta, encode_progress, DeltaHead, FinalReport, Frame, Hello,
-    ProgressBeat,
+    apply_metrics_delta, encode_config_push, encode_final_report, encode_hello,
+    encode_metrics_delta, encode_progress, DeltaHead, FinalReport, Frame, Hello, ProgressBeat,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng, StdRng};
@@ -34,31 +33,51 @@ fn round_trip(fb: &mut FrameBuf) -> (FrameType, Vec<u8>) {
     (ftype, payload)
 }
 
-/// A randomized FleetMetrics touching every wire counter and histogram.
+/// A full-range `u64`, often an edge: JSON integers must carry every one
+/// exactly.
+fn any_u64(rng: &mut StdRng) -> u64 {
+    match rng.gen_range(0u32..4) {
+        0 => 0,
+        1 => u64::MAX,
+        _ => rng.gen(),
+    }
+}
+
+/// A randomized FleetMetrics touching every counter and histogram,
+/// attribution's included, over the full `u64` range. The counters are
+/// the number members of the pinned every-counter JSON, so this names no
+/// counter of its own.
 fn arbitrary_metrics(rng: &mut StdRng) -> FleetMetrics {
-    let m = FleetMetrics::default();
-    for c in m.wire_counters() {
-        if rng.gen_bool(0.7) {
-            c.add(rng.gen_range(0u64..1 << 40));
+    let serde_json::Value::Object(mut members) = serde_json::from_str(&numbered_json()).unwrap()
+    else {
+        unreachable!("the pinned metrics JSON is an object")
+    };
+    for v in members.values_mut() {
+        if v.as_u64().is_some() {
+            *v = any_u64(rng).into();
         }
     }
-    for h in m.wire_histograms() {
-        for _ in 0..rng.gen_range(0usize..40) {
-            h.record(rng.gen_range(0u64..1 << 50));
+    let json = serde_json::Value::Object(members).to_string();
+    let m: FleetMetrics = serde_json::from_str(&json).unwrap();
+    for h in [&m.t2a_micros, &m.dispatch_depth] {
+        for _ in 0..rng.gen_range(0usize..25) {
+            h.record(any_u64(rng));
         }
     }
+    record_attribution(rng, &m.attribution);
     m
 }
 
-fn arbitrary_stages(rng: &mut StdRng) -> AttributionStages {
-    let a = AttributionStages::default();
-    a.unmatched.add(rng.gen_range(0u64..100));
-    for h in a.wire_histograms() {
-        for _ in 0..rng.gen_range(0usize..25) {
-            h.record(rng.gen_range(0u64..1 << 45));
+/// Attribution records a delivery into every stage and the total at once,
+/// as its recorder does.
+fn record_attribution(rng: &mut StdRng, a: &AttributionStages) {
+    a.unmatched.add(any_u64(rng));
+    for _ in 0..rng.gen_range(0usize..25) {
+        for (_, h) in a.stages() {
+            h.record(any_u64(rng));
         }
+        a.total.record(any_u64(rng));
     }
-    a
 }
 
 proptest! {
@@ -168,8 +187,8 @@ proptest! {
             Frame::MetricsDelta { head: got_head, metrics } => {
                 prop_assert_eq!(got_head, head);
                 // Exact instrument equality — buckets, counts, sums,
-                // mins, maxes — which is precisely what digest equality
-                // across the process boundary requires.
+                // mins, maxes, attribution — which is precisely what digest
+                // equality across the process boundary requires.
                 prop_assert_eq!(*metrics, m);
             }
             other => panic!("decoded {other:?}"),
@@ -178,16 +197,20 @@ proptest! {
 
     #[test]
     fn attribution_delta_round_trips_exactly(seed in any::<u64>()) {
+        // A cell whose only activity is attribution: the stages ride in a
+        // metrics delta on their own and come back exactly.
         let mut rng = StdRng::seed_from_u64(seed);
-        let a = arbitrary_stages(&mut rng);
+        let m = FleetMetrics::default();
+        record_attribution(&mut rng, &m.attribution);
         let head = DeltaHead { worker_id: rng.gen(), cell: rng.gen() };
         let mut fb = FrameBuf::new();
-        encode_attribution_delta(&mut fb, head, &a);
+        encode_metrics_delta(&mut fb, head, &m);
         let (ftype, payload) = round_trip(&mut fb);
         match Frame::decode(ftype, &payload).unwrap() {
-            Frame::AttributionDelta { head: got_head, stages } => {
+            Frame::MetricsDelta { head: got_head, metrics } => {
                 prop_assert_eq!(got_head, head);
-                prop_assert_eq!(*stages, a);
+                prop_assert_eq!(&metrics.attribution, &m.attribution);
+                prop_assert_eq!(*metrics, m);
             }
             other => panic!("decoded {other:?}"),
         }
@@ -210,6 +233,30 @@ proptest! {
     }
 
     #[test]
+    fn a_mutated_metrics_delta_decodes_or_fails_typed_and_whole(seed in any::<u64>()) {
+        // Well-formed-but-hostile JSON: a real delta with a few bytes
+        // swapped for JSON punctuation and digits, so the edits land in
+        // keys, numbers, bucket lists and nesting rather than failing at
+        // the first byte.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m = arbitrary_metrics(&mut rng);
+        let mut fb = FrameBuf::new();
+        encode_metrics_delta(&mut fb, DeltaHead { worker_id: 1, cell: 2 }, &m);
+        let mut payload = fb.finish()[HEADER_LEN..].to_vec();
+        let alphabet = br#"{}[],:"0123456789-.e"#;
+        for _ in 0..rng.gen_range(1usize..4) {
+            let at = rng.gen_range(12..payload.len());
+            payload[at] = alphabet[rng.gen_range(0..alphabet.len())];
+        }
+        let target = FleetMetrics::default();
+        match apply_metrics_delta(&payload, &target) {
+            Ok(_) => {}
+            Err(WireError::BadPayload { .. }) => prop_assert_eq!(&target, &FleetMetrics::default()),
+            Err(other) => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
     fn garbage_payloads_never_panic_any_decoder(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let len = rng.gen_range(0usize..256);
@@ -219,7 +266,6 @@ proptest! {
             FrameType::ConfigPush,
             FrameType::Progress,
             FrameType::MetricsDelta,
-            FrameType::AttributionDelta,
             FrameType::Drain,
             FrameType::FinalReport,
         ] {
@@ -288,7 +334,8 @@ fn wrong_protocol_version_is_rejected() {
 
 #[test]
 fn unknown_frame_type_is_rejected() {
-    for t in [0u8, 8, 200, 255] {
+    // 5 carried attribution in version 1 and is retired.
+    for t in [0u8, 5, 8, 200, 255] {
         let bytes = header(PROTOCOL_VERSION, t, 0, 0);
         assert!(matches!(read_one(&bytes), Err(WireError::BadFrameType { got }) if got == t));
     }
@@ -311,78 +358,103 @@ fn drain_with_payload_is_rejected() {
     ));
 }
 
-#[test]
-fn metrics_delta_with_out_of_range_counter_index_is_rejected() {
-    let mut fb = FrameBuf::new();
-    fb.begin(FrameType::MetricsDelta);
-    fb.put_u32(1); // worker
-    fb.put_u64(2); // cell
-    fb.put_u8(1); // one counter entry
-    fb.put_u8(FleetMetrics::N_COUNTERS as u8); // one past the last slot
-    fb.put_u64(5);
-    fb.put_u64(0); // empty histogram 1
-    fb.put_u64(0); // empty histogram 2
-    let frame = fb.finish().to_vec();
-    let err = apply_metrics_delta(&frame[HEADER_LEN..], &FleetMetrics::default()).unwrap_err();
-    assert!(matches!(err, WireError::BadPayload { context } if context.contains("counter index")));
+/// `json` as the payload of a delta from worker 1 for cell 2.
+fn delta_payload(json: &[u8]) -> Vec<u8> {
+    [&1u32.to_le_bytes()[..], &2u64.to_le_bytes(), json].concat()
+}
+
+/// `json` as a delta applied to a fresh target: the typed error, after
+/// checking nothing was merged.
+fn refused(json: &[u8]) -> WireError {
+    let target = FleetMetrics::default();
+    let err = apply_metrics_delta(&delta_payload(json), &target).unwrap_err();
+    assert_eq!(target, FleetMetrics::default(), "partial apply");
+    err
+}
+
+fn is_bad_payload(err: &WireError, says: &str) -> bool {
+    matches!(err, WireError::BadPayload { context } if context.contains(says))
 }
 
 #[test]
-fn metrics_delta_with_unsorted_counters_is_rejected() {
-    let mut fb = FrameBuf::new();
-    fb.begin(FrameType::MetricsDelta);
-    fb.put_u32(1);
-    fb.put_u64(2);
-    fb.put_u8(2);
-    fb.put_u8(5);
-    fb.put_u64(1);
-    fb.put_u8(5); // duplicate index
-    fb.put_u64(1);
-    fb.put_u64(0);
-    fb.put_u64(0);
-    let frame = fb.finish().to_vec();
-    let err = apply_metrics_delta(&frame[HEADER_LEN..], &FleetMetrics::default()).unwrap_err();
-    assert!(matches!(err, WireError::BadPayload { context } if context.contains("increasing")));
+fn metrics_delta_with_an_unknown_counter_key_is_rejected() {
+    // A build with a counter this one lacks fails loudly instead of
+    // dropping it from the merge.
+    let good = numbered_json();
+    let json = good.replace(r#""polls_sent":1,"#, r#""polls_sent":1,"polls_sent_v2":1,"#);
+    assert_ne!(json, good);
+    assert!(is_bad_payload(&refused(json.as_bytes()), "does not decode"));
 }
+
+#[test]
+fn metrics_delta_with_a_non_integer_counter_is_rejected() {
+    let good = numbered_json();
+    for bad in ["-1", "1.5", r#""1""#, "null", "true", "[1]"] {
+        let json = good.replace(r#""polls_sent":1,"#, &format!(r#""polls_sent":{bad},"#));
+        assert_ne!(json, good);
+        assert!(
+            is_bad_payload(&refused(json.as_bytes()), "does not decode"),
+            "{bad}"
+        );
+    }
+}
+
+/// The pinned every-counter JSON with attribution recorded, with the
+/// one-sample histogram under `key` (`dispatch_depth` at top level,
+/// `total` inside attribution) written as `histogram` instead.
+fn delta_json_with(key: &str, histogram: &str) -> String {
+    let m = numbered_metrics();
+    m.attribution.total.record(3);
+    let good = format!(r#""{key}":{ONE_SAMPLE}"#);
+    let json = m.to_json();
+    assert!(json.contains(&good), "{json}");
+    json.replace(&good, &format!(r#""{key}":{histogram}"#))
+}
+
+const ONE_SAMPLE: &str = r#"{"buckets":[[3,1]],"count":1,"max":3,"min":3,"sum":3}"#;
 
 #[test]
 fn histogram_with_inconsistent_bucket_sum_is_rejected() {
-    let mut fb = FrameBuf::new();
-    fb.begin(FrameType::MetricsDelta);
-    fb.put_u32(1);
-    fb.put_u64(2);
-    fb.put_u8(0); // no counters
-    fb.put_u64(5); // histogram 1 claims 5 samples...
-    fb.put_u64(100); // sum
-    fb.put_u64(1); // min
-    fb.put_u64(50); // max
-    fb.put_u16(1); // one bucket
-    fb.put_u16(0);
-    fb.put_u64(3); // ...but buckets only hold 3
-    fb.put_u64(0); // empty histogram 2
-    let frame = fb.finish().to_vec();
-    let err = apply_metrics_delta(&frame[HEADER_LEN..], &FleetMetrics::default()).unwrap_err();
-    assert!(matches!(err, WireError::BadPayload { context } if context.contains("disagree")));
+    // Each of the decoder's histogram checks once, arriving inside a
+    // delta: count mismatch, count overflow, a zero-count bucket, a
+    // repeated index, min above max, a non-zero empty, an unknown key.
+    let max = u64::MAX;
+    let defects = [
+        r#"{"buckets":[[3,1]],"count":5,"max":3,"min":3,"sum":3}"#.to_string(),
+        format!(r#"{{"buckets":[[3,{max}],[4,1]],"count":0,"max":4,"min":3,"sum":7}}"#),
+        r#"{"buckets":[[2,0],[3,1]],"count":1,"max":3,"min":3,"sum":3}"#.to_string(),
+        r#"{"buckets":[[3,1],[3,1]],"count":2,"max":3,"min":3,"sum":6}"#.to_string(),
+        r#"{"buckets":[[3,1]],"count":1,"max":2,"min":3,"sum":3}"#.to_string(),
+        r#"{"buckets":[],"count":0,"max":3,"min":3,"sum":3}"#.to_string(),
+        r#"{"buckets":[[3,1]],"count":1,"max":3,"min":3,"p50":3,"sum":3}"#.to_string(),
+    ];
+    for key in ["dispatch_depth", "total"] {
+        let control = delta_json_with(key, ONE_SAMPLE);
+        apply_metrics_delta(&delta_payload(control.as_bytes()), &FleetMetrics::default()).unwrap();
+        for bad in &defects {
+            let err = refused(delta_json_with(key, bad).as_bytes());
+            assert!(is_bad_payload(&err, "does not decode"), "{key}: {bad}");
+        }
+    }
 }
 
 #[test]
 fn histogram_with_out_of_range_bucket_index_is_rejected() {
-    let mut fb = FrameBuf::new();
-    fb.begin(FrameType::MetricsDelta);
-    fb.put_u32(1);
-    fb.put_u64(2);
-    fb.put_u8(0);
-    fb.put_u64(1);
-    fb.put_u64(10);
-    fb.put_u64(10);
-    fb.put_u64(10);
-    fb.put_u16(1);
-    fb.put_u16(fleet::metrics::BUCKETS as u16); // one past the end
-    fb.put_u64(1);
-    fb.put_u64(0);
-    let frame = fb.finish().to_vec();
-    let err = apply_metrics_delta(&frame[HEADER_LEN..], &FleetMetrics::default()).unwrap_err();
-    assert!(matches!(err, WireError::BadPayload { context } if context.contains("bucket index")));
+    for key in ["dispatch_depth", "total"] {
+        for i in [fleet::metrics::BUCKETS, 5000, u32::MAX as usize] {
+            let bad = format!(r#"{{"buckets":[[{i},1]],"count":1,"max":3,"min":3,"sum":3}}"#);
+            let err = refused(delta_json_with(key, &bad).as_bytes());
+            assert!(is_bad_payload(&err, "does not decode"), "{key}: {i}");
+        }
+    }
+}
+
+#[test]
+fn metrics_delta_that_is_not_utf8_or_nests_too_deep_is_a_typed_error() {
+    assert!(is_bad_payload(&refused(b"{\"polls_sent\":\xff}"), "utf-8"));
+    for deep in ["[".repeat(100_000), r#"{"attribution":"#.repeat(100_000)] {
+        assert!(is_bad_payload(&refused(deep.as_bytes()), "does not decode"));
+    }
 }
 
 #[test]
@@ -451,20 +523,21 @@ fn config_push_with_an_out_of_range_value_is_rejected() {
 
 // ------------------------------------------------------- byte fixtures
 // Captured at e8f8729, when `FleetMetrics`' field list, `merge_from`,
-// `wire_counters()`, `Serialize` and `counter_for` were five hand-written
-// lists. They are now generated from one table; these literals are what
-// says the generated code equals the lists it replaced.
+// `Serialize` and `counter_for` were hand-written lists. They are now
+// generated from one table; these literals are what says the generated
+// code equals the lists it replaced.
 
-/// Wire counter `i` holds `i + 1`, so (a)'s JSON spells each counter's wire
-/// slot beside its name and (c) pins the slot order on the wire.
+/// Every counter set to a distinct value (its row number at e8f8729), so
+/// a dropped, renamed or swapped key shows.
+fn numbered_json() -> String {
+    let [depth, t2a] = HISTOGRAMS_JSON;
+    format!(
+        r#"{{"actions_failed":6,"actions_ok":5,"actions_retried":18,"activations":7,"applets":13,"breaker_trips":17,"cells":11,"churn_installs":31,"churn_onboards":33,"churn_orphans":35,"churn_retirements":34,"churn_uninstalls":32,"dag_node_retries":30,"dag_nodes_action":29,"dag_nodes_filter":26,"dag_nodes_query":28,"dag_nodes_transform":27,"dag_runs":25,"dead_letters":19,{depth},"engine_events":10,"events_new":4,"faults_injected":20,"lost":8,"polls_batched":2,"polls_coalesced":3,"polls_failed":14,"polls_retried":15,"polls_sent":1,"polls_shed":16,"realtime_malformed":24,"realtime_notifications":21,"realtime_polls":22,"realtime_suppressed":23,"sim_events":9,{t2a},"users":12}}"#
+    )
+}
+
 fn numbered_metrics() -> FleetMetrics {
-    let m = FleetMetrics::default();
-    for (i, c) in m.wire_counters().iter().enumerate() {
-        c.add(i as u64 + 1);
-    }
-    m.t2a_micros.record(92_000_000);
-    m.dispatch_depth.record(3);
-    m
+    serde_json::from_str(&numbered_json()).unwrap()
 }
 
 const HISTOGRAMS_JSON: [&str; 2] = [
@@ -474,11 +547,11 @@ const HISTOGRAMS_JSON: [&str; 2] = [
 
 #[test]
 fn metrics_json_with_every_counter_set_matches_the_parent_bytes() {
-    let [depth, t2a] = HISTOGRAMS_JSON;
-    let expect = format!(
-        r#"{{"actions_failed":6,"actions_ok":5,"actions_retried":18,"activations":7,"applets":13,"breaker_trips":17,"cells":11,"churn_installs":31,"churn_onboards":33,"churn_orphans":35,"churn_retirements":34,"churn_uninstalls":32,"dag_node_retries":30,"dag_nodes_action":29,"dag_nodes_filter":26,"dag_nodes_query":28,"dag_nodes_transform":27,"dag_runs":25,"dead_letters":19,{depth},"engine_events":10,"events_new":4,"faults_injected":20,"lost":8,"polls_batched":2,"polls_coalesced":3,"polls_failed":14,"polls_retried":15,"polls_sent":1,"polls_shed":16,"realtime_malformed":24,"realtime_notifications":21,"realtime_polls":22,"realtime_suppressed":23,"sim_events":9,{t2a},"users":12}}"#
-    );
-    assert_eq!(numbered_metrics().to_json(), expect);
+    let m = numbered_metrics();
+    // Each key lands in its own field: spot-check one of each section.
+    assert_eq!((m.polls_sent.get(), m.churn_orphans.get()), (1, 35));
+    assert_eq!(m.t2a_micros.max(), 92_000_000);
+    assert_eq!(m.to_json(), numbered_json());
 }
 
 #[test]
@@ -515,28 +588,28 @@ fn clean_run_metrics_json_carries_no_nonzero_only_key() {
 
 #[test]
 fn metrics_delta_frame_matches_the_parent_bytes() {
+    // Protocol 2: the header, worker 7 and cell 1734, then exactly the
+    // bytes the metrics JSON fixture above pins — no second encoding.
     let mut fb = FrameBuf::new();
     let head = DeltaHead {
         worker_id: 7,
         cell: 1734,
     };
     encode_metrics_delta(&mut fb, head, &numbered_metrics());
-    let hex: String = fb.finish().iter().map(|b| format!("{b:02x}")).collect();
-    // Header; worker 7, cell 1734; `n = 0x23`; (slot:u8, value:u64) pairs
-    // 00→1 … 22→35; the two histogram sections.
-    let expect = "01040000a0010000\
-         07000000c606000000000000\
-         23\
-         000100000000000000010200000000000000020300000000000000030400000000000000040500000000000000\
-         050600000000000000060700000000000000070800000000000000080900000000000000090a00000000000000\
-         0a0b000000000000000b0c000000000000000c0d000000000000000d0e000000000000000e0f00000000000000\
-         0f1000000000000000101100000000000000111200000000000000121300000000000000131400000000000000\
-         141500000000000000151600000000000000161700000000000000171800000000000000181900000000000000\
-         191a000000000000001a1b000000000000001b1c000000000000001c1d000000000000001d1e00000000000000\
-         1e1f000000000000001f2000000000000000202100000000000000212200000000000000222300000000000000\
-         010000000000000000cf7b050000000000cf7b050000000000cf7b05000000000100cb020100000000000000\
-         0100000000000000030000000000000003000000000000000300000000000000010003000100000000000000";
-    assert_eq!(hex, expect);
+    let frame = fb.finish();
+    let json = numbered_json();
+    let len = (12 + json.len()) as u32;
+    let header = format!("02040000{}", hex(&len.to_le_bytes()));
+    assert_eq!(hex(&frame[..HEADER_LEN]), header);
+    assert_eq!(
+        hex(&frame[HEADER_LEN..HEADER_LEN + 12]),
+        "07000000c606000000000000"
+    );
+    assert_eq!(&frame[HEADER_LEN + 12..], json.as_bytes());
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 // Captured at 7fdaac9, when `FleetConfig` was a written-out struct with a

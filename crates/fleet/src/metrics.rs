@@ -223,48 +223,15 @@ impl Histogram {
         points
     }
 
-    /// Visit every nonzero bucket as `(index, count)`, in index order,
-    /// without materializing a snapshot. This is the wire encoder's view
-    /// of the histogram: together with [`Histogram::merge_bucket`] and
-    /// [`Histogram::merge_summary`] it lets a codec stream the exact
-    /// integer state across a process boundary with no allocation.
-    pub fn for_each_bucket(&self, mut f: impl FnMut(u32, u64)) {
-        for (i, b) in self.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
-            if c > 0 {
-                f(i as u32, c);
-            }
-        }
-    }
-
-    /// Fold `n` occurrences into bucket `index` (one leg of a remote
-    /// merge). Returns `false` — folding nothing — when `index` is out of
-    /// range, so codecs can reject corrupt frames instead of panicking.
-    #[must_use]
-    pub fn merge_bucket(&self, index: usize, n: u64) -> bool {
-        match self.buckets.get(index) {
-            Some(b) => {
-                b.fetch_add(n, Ordering::Relaxed);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Fold remote summary state (count, sum, and real min/max of a
-    /// **non-empty** histogram) into `self`. The other leg of a remote
-    /// merge: a codec replays nonzero buckets through
-    /// [`Histogram::merge_bucket`] and the scalars through here, which is
-    /// exactly what [`Histogram::merge_from`] does in-process.
-    pub fn merge_summary(&self, count: u64, sum: u64, min: u64, max: u64) {
-        self.count.fetch_add(count, Ordering::Relaxed);
-        self.sum.fetch_add(sum, Ordering::Relaxed);
-        self.min.fetch_min(min, Ordering::Relaxed);
-        self.max.fetch_max(max, Ordering::Relaxed);
-    }
-
     /// Fold `other` into `self` (exact; commutative and associative).
     pub fn merge_from(&self, other: &Histogram) {
+        // An empty histogram is all zero buckets, a zero sum, `min` at
+        // `u64::MAX` and `max` at 0 — recorded or decoded, since decoding
+        // checks it — so merging one is a no-op, and skipping it skips
+        // 1,920 bucket loads.
+        if other.count() == 0 {
+            return;
+        }
         for (a, b) in self.buckets.iter().zip(&other.buckets) {
             let n = b.load(Ordering::Relaxed);
             if n > 0 {
@@ -298,7 +265,9 @@ impl Histogram {
         }
     }
 
-    /// Rebuild from a snapshot.
+    /// Rebuild from a snapshot, which must be one [`Histogram::snapshot`]
+    /// could have produced: a bucket index past [`BUCKETS`] panics. Decoding
+    /// checks the snapshot before it gets here.
     pub fn from_snapshot(s: &HistogramSnapshot) -> Self {
         let h = Histogram::new();
         for &(i, c) in &s.buckets {
@@ -333,21 +302,63 @@ impl Serialize for Histogram {
     }
 }
 
+/// The one decoder of histogram state from outside the process: a
+/// worker's delta reaches the coordinator through here, so a snapshot no
+/// [`Histogram`] could have produced is an error, never a panic or a
+/// silently wrong merge.
 impl Deserialize for Histogram {
     fn read_json(r: &mut de::Reader<'_>) -> Result<Self, de::Error> {
-        Ok(Histogram::from_snapshot(&HistogramSnapshot::read_json(r)?))
+        let s = HistogramSnapshot::read_json(r)?;
+        s.check().map_err(de::Error::custom)?;
+        Ok(Histogram::from_snapshot(&s))
     }
 }
 
 /// Serializable mirror of a [`Histogram`]: sparse `(bucket, count)` pairs
 /// plus the exact count/sum/min/max.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct HistogramSnapshot {
     pub count: u64,
     pub sum: u64,
     pub min: u64,
     pub max: u64,
     pub buckets: Vec<(u32, u64)>,
+}
+
+impl HistogramSnapshot {
+    /// Why this is not the snapshot of any [`Histogram`], if it is not:
+    /// buckets in range, strictly increasing and nonzero, summing to
+    /// `count`; `min <= max` when non-empty; and all zero when empty.
+    fn check(&self) -> Result<(), &'static str> {
+        let mut last = None;
+        let mut total = 0u64;
+        for &(i, n) in &self.buckets {
+            if i as usize >= BUCKETS {
+                return Err("histogram bucket index out of range");
+            }
+            if last.is_some_and(|l| i <= l) {
+                return Err("histogram bucket indices not strictly increasing");
+            }
+            if n == 0 {
+                return Err("zero-count histogram bucket");
+            }
+            total = total
+                .checked_add(n)
+                .ok_or("histogram bucket counts overflow")?;
+            last = Some(i);
+        }
+        if total != self.count {
+            return Err("histogram bucket counts disagree with its count");
+        }
+        if self.count > 0 && self.min > self.max {
+            return Err("histogram min exceeds max");
+        }
+        if self.count == 0 && (self.sum, self.min, self.max) != (0, 0, 0) {
+            return Err("empty histogram with a nonzero sum, min or max");
+        }
+        Ok(())
+    }
 }
 
 /// Per-stage decomposition of trigger-to-action latency, one histogram per
@@ -361,6 +372,7 @@ pub struct HistogramSnapshot {
 /// `FleetConfig::attribution`; the serialized form omits an empty value so
 /// attribution-off runs keep their pinned golden digests.
 #[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct AttributionStages {
     /// Trigger fire → the poll request that surfaced it leaving the
     /// engine: the polling-cadence wait, the paper's dominant T2A term.
@@ -399,21 +411,6 @@ impl AttributionStages {
         self.total.count() == 0 && self.unmatched.get() == 0
     }
 
-    /// Every stage histogram (the five stages plus `total`) in the fixed
-    /// canonical order the distributed wire protocol streams them in.
-    /// Both codec directions index this same array, so the attribution
-    /// frame layout can never drift between encoder and decoder.
-    pub fn wire_histograms(&self) -> [&Histogram; 6] {
-        [
-            &self.cadence_wait,
-            &self.poll_rtt,
-            &self.dispatch_lag,
-            &self.retry_penalty,
-            &self.action_rtt,
-            &self.total,
-        ]
-    }
-
     /// The five stages in report order, with display labels.
     pub fn stages(&self) -> [(&'static str, &Histogram); 5] {
         [
@@ -428,15 +425,15 @@ impl AttributionStages {
 
 /// The fleet's plain counters, declared once. A row is a field name and,
 /// after `=>`, the [`engine::Stat`] it mirrors (absent for counters the
-/// fleet books itself). Row order is the wire slot of the distributed
-/// metrics delta, the `always` section first. `always` rows are serialized
-/// unconditionally; `nonzero` rows only when nonzero, so a run that never
-/// touches a later-added subsystem (chaos, realtime, DAGs, churn) produces
-/// the exact byte string — and pinned golden digest — it did before that
-/// subsystem existed. A new counter is therefore a `nonzero` row, appended.
+/// fleet books itself). `always` rows are serialized unconditionally;
+/// `nonzero` rows only when nonzero, so a run that never touches a
+/// later-added subsystem (chaos, realtime, DAGs, churn) produces the exact
+/// byte string — and pinned golden digest — it did before that subsystem
+/// existed. A new counter is therefore a `nonzero` row. Keys serialize in
+/// sorted order, so where a row sits within its section means nothing.
 ///
-/// Generates [`FleetMetrics`] with its `merge_from`, `wire_counters`,
-/// `N_COUNTERS`, `counter_for` and `Serialize`.
+/// Generates [`FleetMetrics`] with its `merge_from`, `counter_for` and
+/// `Serialize`.
 macro_rules! fleet_counters {
     (
         always { $( $(#[$adoc:meta])* $a:ident $(=> $astat:ident)?, )* }
@@ -451,6 +448,7 @@ macro_rules! fleet_counters {
         /// same [`engine::Stat`] mapping `EngineStats` itself uses — the
         /// two can never drift apart.
         #[derive(Debug, Default, Clone, PartialEq, Deserialize)]
+        #[serde(deny_unknown_fields)]
         pub struct FleetMetrics {
             /// Trigger-to-action latency in µs, measured at the workload
             /// service (event emission → action request arrival).
@@ -465,11 +463,6 @@ macro_rules! fleet_counters {
         }
 
         impl FleetMetrics {
-            /// Width of the counter section of the metrics delta frame:
-            /// both codec directions bound counter indices by it.
-            pub const N_COUNTERS: usize =
-                [$( stringify!($a), )* $( stringify!($n), )*].len();
-
             /// Fold `other` into `self`. Exact: commutative, associative, and
             /// partition-invariant.
             pub fn merge_from(&self, other: &FleetMetrics) {
@@ -478,15 +471,6 @@ macro_rules! fleet_counters {
                 $( self.$a.merge_from(&other.$a); )*
                 $( self.$n.merge_from(&other.$n); )*
                 self.attribution.merge_from(&other.attribution);
-            }
-
-            /// Every plain counter in the fixed canonical order the
-            /// distributed wire protocol streams them in (attribution's
-            /// `unmatched` rides the attribution frame instead). Encoder
-            /// and decoder both walk this one array, so the layouts cannot
-            /// drift apart.
-            pub fn wire_counters(&self) -> [&Counter; Self::N_COUNTERS] {
-                [$( &self.$a, )* $( &self.$n, )*]
             }
 
             /// The fleet counter a [`engine::Stat`] routes to, if the fleet
@@ -610,15 +594,10 @@ impl FleetMetrics {
     }
 
     /// Canonical JSON of the full instrument state — the byte string the
-    /// determinism invariant compares across shard counts.
+    /// determinism invariant compares across shard counts, and what a
+    /// distributed worker sends for each cell.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("metrics serialize")
-    }
-
-    /// The non-attribution histograms in wire order, like
-    /// [`FleetMetrics::wire_counters`].
-    pub fn wire_histograms(&self) -> [&Histogram; 2] {
-        [&self.t2a_micros, &self.dispatch_depth]
     }
 }
 
@@ -753,9 +732,16 @@ mod tests {
                 mirrored += 1;
             }
         }
-        assert!(m.wire_counters().iter().all(|c| c.get() <= 1));
-        let hit: u64 = m.wire_counters().iter().map(|c| c.get()).sum();
-        assert_eq!(hit, mirrored);
+        // Every counter is a number member of the JSON; histograms are objects.
+        let json: serde_json::Value = serde_json::from_str(&m.to_json()).unwrap();
+        let counters: Vec<u64> = json
+            .as_object()
+            .unwrap()
+            .values()
+            .filter_map(|v| v.as_u64())
+            .collect();
+        assert!(counters.iter().all(|&c| c <= 1), "{json}");
+        assert_eq!(counters.iter().sum::<u64>(), mirrored);
         assert!(mirrored > 0 && (mirrored as usize) < engine::Stat::ALL.len());
     }
 
