@@ -179,9 +179,9 @@ impl Lab {
         shards: usize,
         policy: fleet::FleetPolicy,
     ) -> fleet::FleetReport {
-        let mut cfg = fleet::FleetConfig::new(users, shards, policy);
-        cfg.master_seed = self.seed;
-        cfg.eco_scale = self.scale.max(0.02);
+        let cfg = fleet::FleetConfig::new(users, shards, policy)
+            .with_seed(self.seed)
+            .with_eco_scale(self.scale);
         fleet::run_fleet(&cfg)
     }
 }

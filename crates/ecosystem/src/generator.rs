@@ -100,6 +100,17 @@ fn curve(canonical: f64, growth: f64, week: f64) -> f64 {
     canonical * (1.0 + growth).powf((week - GROWTH.week_canonical as f64) / span)
 }
 
+/// How week `week` sees an applet: `None` if it was created later, else its
+/// canonical add count scaled back along the growth curve (at least 1).
+/// The one rule every weekly view applies: [`Ecosystem::snapshot`] copies
+/// records through it, [`PopulationSampler::from_ecosystem`] moves them.
+///
+/// [`PopulationSampler::from_ecosystem`]: crate::PopulationSampler::from_ecosystem
+pub(crate) fn add_count_in_week(week: u32) -> impl Fn(&AppletRecord) -> Option<u64> {
+    let factor = curve(1.0, GROWTH.add_count, week as f64);
+    move |a| (a.created_week <= week).then(|| ((a.add_count as f64 * factor).round() as u64).max(1))
+}
+
 /// Largest-remainder apportionment of `total` across `weights`.
 fn apportion(total: usize, weights: &[f64]) -> Vec<usize> {
     let wsum: f64 = weights.iter().sum();
@@ -1291,15 +1302,15 @@ impl Ecosystem {
         let a_target = curve(SCALE.actions as f64, GROWTH.actions, week as f64).round() as usize;
         trim(&mut services, t_target, |s| &mut s.triggers);
         trim(&mut services, a_target, |s| &mut s.actions);
-        let factor = curve(1.0, GROWTH.add_count, week as f64);
+        let add_count = add_count_in_week(week);
         let applets: Vec<AppletRecord> = self
             .applets
             .iter()
-            .filter(|a| a.created_week <= week)
-            .map(|a| {
-                let mut a = a.clone();
-                a.add_count = ((a.add_count as f64 * factor).round() as u64).max(1);
-                a
+            .filter_map(|a| {
+                Some(AppletRecord {
+                    add_count: add_count(a)?,
+                    ..a.clone()
+                })
             })
             .collect();
         Snapshot {

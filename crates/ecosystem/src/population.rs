@@ -10,6 +10,8 @@
 //! shard-count invariant and keeps per-shard memory bounded — a shard only
 //! ever holds the profiles of the cell it is currently simulating.
 
+use crate::generator::{add_count_in_week, Ecosystem};
+use crate::model::GROWTH;
 use crate::snapshot::Snapshot;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,7 +42,7 @@ pub struct UserProfile {
 }
 
 /// Deterministic, O(#applets)-memory sampler of synthetic user channels.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopulationSampler {
     /// Cumulative install weights over the snapshot's applets (each applet
     /// weighs `max(add_count, 1)` so zero-add applets stay reachable).
@@ -54,20 +56,53 @@ pub struct PopulationSampler {
 }
 
 impl PopulationSampler {
-    /// Build a sampler over `snap`'s applet catalog.
+    /// Build a sampler over `snap`'s applet catalog, copying each DAG.
     ///
     /// # Panics
     /// Panics if the snapshot has no applets.
     pub fn new(snap: &Snapshot, seed: u64) -> Self {
-        let mut cum = Vec::with_capacity(snap.applets.len());
-        let mut adds = Vec::with_capacity(snap.applets.len());
-        let mut steps = Vec::with_capacity(snap.applets.len());
+        let applets = snap.applets.iter();
+        Self::build(
+            applets.len(),
+            applets.map(|a| (a.add_count, a.steps.clone())),
+            seed,
+        )
+    }
+
+    /// Build the sampler `new(&eco.canonical_snapshot(), seed)` builds, by
+    /// consuming `eco`: each canonical applet's DAG moves into the sampler
+    /// and no [`Snapshot`] is made, so the catalog is held once.
+    ///
+    /// # Panics
+    /// Panics if the canonical week has no applets.
+    pub fn from_ecosystem(eco: Ecosystem, seed: u64) -> Self {
+        let add_count = add_count_in_week(GROWTH.week_canonical as u32);
+        let len = eco
+            .applets
+            .iter()
+            .filter(|a| add_count(a).is_some())
+            .count();
+        let applets = eco.applets.into_iter();
+        Self::build(
+            len,
+            applets.filter_map(|a| Some((add_count(&a)?, a.steps))),
+            seed,
+        )
+    }
+
+    /// The one constructor: `len` applets as `(add_count, steps)`, in
+    /// catalog order. The vectors are reserved at exactly `len`, so the
+    /// sampler a run keeps holds no spare capacity.
+    fn build(len: usize, applets: impl Iterator<Item = (u64, Vec<StepNode>)>, seed: u64) -> Self {
+        let mut cum = Vec::with_capacity(len);
+        let mut adds = Vec::with_capacity(len);
+        let mut steps = Vec::with_capacity(len);
         let mut total = 0u64;
-        for a in &snap.applets {
-            total += a.add_count.max(1);
+        for (add_count, dag) in applets {
+            total += add_count.max(1);
             cum.push(total);
-            adds.push(a.add_count);
-            steps.push(a.steps.clone());
+            adds.push(add_count);
+            steps.push(dag);
         }
         assert!(total > 0, "population sampler needs a non-empty snapshot");
         PopulationSampler {
@@ -134,11 +169,44 @@ impl PopulationSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::{Ecosystem, GeneratorConfig};
+    use crate::generator::GeneratorConfig;
 
     fn sampler(seed: u64) -> PopulationSampler {
         let eco = Ecosystem::generate(GeneratorConfig::test_scale(7));
         PopulationSampler::new(&eco.canonical_snapshot(), seed)
+    }
+
+    /// Consuming the ecosystem builds the sampler the canonical snapshot
+    /// builds — same weights, add counts, DAGs and seed, so the same
+    /// percentiles and users — and keeps no spare capacity.
+    #[test]
+    fn from_ecosystem_builds_the_snapshot_sampler() {
+        for scale in [0.02, 0.035] {
+            for multi_step_share in [0.0, 0.5] {
+                for seed in [7, 2017, 0xdead_beef] {
+                    let eco = Ecosystem::generate(GeneratorConfig {
+                        seed,
+                        scale,
+                        multi_step_share,
+                    });
+                    let want = PopulationSampler::new(&eco.canonical_snapshot(), seed);
+                    let got = PopulationSampler::from_ecosystem(eco, seed);
+                    let case = format!("scale {scale}, share {multi_step_share}, seed {seed}");
+                    assert!(got == want, "{case}");
+                    let n = got.applet_count();
+                    assert_eq!(
+                        [
+                            got.cum.capacity(),
+                            got.adds.capacity(),
+                            got.steps.capacity()
+                        ],
+                        [n; 3],
+                        "{case}"
+                    );
+                    assert!(multi_step_share == 0.0 || got.steps.iter().any(|s| !s.is_empty()));
+                }
+            }
+        }
     }
 
     #[test]

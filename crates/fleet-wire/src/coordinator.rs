@@ -449,8 +449,9 @@ pub fn run_fleet_distributed_with_progress(
 
     // Resolve the config exactly like the in-process runner: the hot
     // threshold is derived once, here, and shipped resolved so every
-    // worker plans from identical inputs.
-    let (_sampler, hot_threshold) = population(cfg);
+    // worker plans from identical inputs. The coordinator runs no cell, so
+    // it keeps the threshold and drops the sampler here.
+    let hot_threshold = population(cfg).1;
     let cfg = FleetConfig {
         hot_threshold: Some(hot_threshold),
         ..cfg.clone()

@@ -490,8 +490,12 @@ fn config_push_with_bad_json_is_rejected() {
     ));
 }
 
-/// A coordinator's JSON is range-checked like any other text source: the
-/// two values that would panic a worker mid-run come back as typed errors.
+/// A coordinator's JSON is range-checked like any other text source: a
+/// value outside its row's range comes back as a typed error before the
+/// worker runs anything. Unchecked, a zero window or cell size panics a
+/// worker mid-run, and an `eco_scale` below 0.02 panics it in
+/// `Ecosystem::generate` while one far above 1.0 has it build a catalog
+/// proportional to the value.
 #[test]
 fn config_push_with_an_out_of_range_value_is_rejected() {
     let good = serde_json::to_string(&every_field_set_config()).unwrap();
@@ -499,6 +503,10 @@ fn config_push_with_an_out_of_range_value_is_rejected() {
         (r#""window_secs":242.25"#, r#""window_secs":0"#),
         (r#""cell_users":37"#, r#""cell_users":0"#),
         (r#""realtime_share":0.3"#, r#""realtime_share":1.5"#),
+        (r#""eco_scale":0.035"#, r#""eco_scale":0"#),
+        (r#""eco_scale":0.035"#, r#""eco_scale":0.019"#),
+        (r#""eco_scale":0.035"#, r#""eco_scale":-1"#),
+        (r#""eco_scale":0.035"#, r#""eco_scale":1e9"#),
         (r#""window_secs":242.25"#, r#""window_secs":242.25"#),
     ] {
         assert!(good.contains(was), "{was} not in {good}");

@@ -721,7 +721,7 @@ mod tests {
 
     fn sampler() -> PopulationSampler {
         let eco = Ecosystem::generate(GeneratorConfig::test_scale(7));
-        PopulationSampler::new(&eco.canonical_snapshot(), 7)
+        PopulationSampler::from_ecosystem(eco, 7)
     }
 
     #[test]

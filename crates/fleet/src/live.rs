@@ -14,10 +14,10 @@
 //! render-only output keyed by the run's `(master_seed, eco_scale,
 //! multi_step_share)` — the exact catalog parameters the cells used.
 
-use crate::runner::{FleetConfig, ECO_STREAM};
+use crate::runner::FleetConfig;
 use ecosystem::crawler::crawl_week;
 use ecosystem::model::GROWTH;
-use ecosystem::{Ecosystem, GeneratorConfig};
+use ecosystem::Ecosystem;
 use simnet::rng::derive_seed;
 
 /// One crawled weekly snapshot of the live ecosystem.
@@ -62,11 +62,7 @@ impl LiveGrowth {
 
     /// Crawl an explicit inclusive week range (exposed for tests).
     pub fn crawl_weeks(cfg: &FleetConfig, first: u32, last: u32) -> LiveGrowth {
-        let eco = Ecosystem::generate(GeneratorConfig {
-            seed: derive_seed(cfg.master_seed, ECO_STREAM),
-            scale: cfg.eco_scale,
-            multi_step_share: cfg.multi_step_share,
-        });
+        let eco = Ecosystem::generate(cfg.generator_config());
         let seed = derive_seed(cfg.master_seed, 0x11fe_0001);
         let mut rows = Vec::with_capacity((last - first + 1) as usize);
         let mut pages_fetched = 0u64;
@@ -150,11 +146,7 @@ mod tests {
         assert_eq!(growth.rows.len(), 3);
         // The crawled view must match the generator's own snapshot — the
         // crawler measures the live world, it does not approximate it.
-        let eco = Ecosystem::generate(GeneratorConfig {
-            seed: derive_seed(cfg.master_seed, ECO_STREAM),
-            scale: 0.02,
-            multi_step_share: 0.0,
-        });
+        let eco = Ecosystem::generate(cfg.generator_config());
         for row in &growth.rows {
             let snap = eco.snapshot(row.week);
             assert_eq!(row.services, snap.services.len(), "week {}", row.week);

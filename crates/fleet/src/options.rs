@@ -324,8 +324,9 @@ fleet_options! {
         /// Worker threads; outcome-invariant (only wall-clock changes).
         shards: usize = 1, in 1..,
             flag "--shards", "worker threads (default: one per core); the digest does not depend on it";
-        /// Generator scale of the applet catalog users install from.
-        eco_scale: f64 = 0.02, in ..;
+        /// Generator scale of the applet catalog users install from: the
+        /// generator's floor up to 1.0, the paper's ~320K-applet catalog.
+        eco_scale: f64 = 0.02, in 0.02..=1.0, with with_eco_scale;
         /// Users per cell — the unit of work and the per-shard memory bound.
         /// At least one: the cell plan divides by it.
         cell_users: u64 = 50, in 1.., with with_cell_users, banner "cells of";

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Seed stream for the generated ecosystem catalog.
-pub(crate) const ECO_STREAM: u64 = 0xec0_0001;
+const ECO_STREAM: u64 = 0xec0_0001;
 /// Seed stream for the population sampler.
 const POP_STREAM: u64 = 0xb0b_0001;
 
@@ -246,6 +246,16 @@ impl FleetConfig {
         self
     }
 
+    /// The generator configuration of the run's applet catalog: pure in
+    /// `(master_seed, eco_scale, multi_step_share)`.
+    pub fn generator_config(&self) -> GeneratorConfig {
+        GeneratorConfig {
+            seed: derive_seed(self.master_seed, ECO_STREAM),
+            scale: self.eco_scale,
+            multi_step_share: self.multi_step_share,
+        }
+    }
+
     /// The engine configuration every cell runs.
     pub(crate) fn engine_config(&self) -> EngineConfig {
         let mut cfg = match self.policy {
@@ -297,15 +307,12 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
 /// runner calls it once and shares the sampler across shard threads, and
 /// every `fleet-shard` worker process calls it again and gets the
 /// identical catalog — which is why a config (with the threshold already
-/// resolved by the coordinator) is all that has to cross the wire.
+/// resolved by the coordinator) is all that has to cross the wire. The
+/// generated catalog is consumed into the sampler, so a process holds it
+/// once: no `Snapshot` is built and no step DAG is cloned.
 pub fn population(cfg: &FleetConfig) -> (PopulationSampler, u64) {
-    let eco = Ecosystem::generate(GeneratorConfig {
-        seed: derive_seed(cfg.master_seed, ECO_STREAM),
-        scale: cfg.eco_scale,
-        multi_step_share: cfg.multi_step_share,
-    });
-    let snap = eco.canonical_snapshot();
-    let sampler = PopulationSampler::new(&snap, derive_seed(cfg.master_seed, POP_STREAM));
+    let eco = Ecosystem::generate(cfg.generator_config());
+    let sampler = PopulationSampler::from_ecosystem(eco, derive_seed(cfg.master_seed, POP_STREAM));
     let hot_threshold = cfg
         .hot_threshold
         .unwrap_or_else(|| sampler.add_count_percentile(90.0));
