@@ -1,6 +1,7 @@
 //! Longitudinal growth (§3.2's first paragraph).
 
 use crate::render;
+use ecosystem::model::GROWTH;
 use ecosystem::snapshot::{diff, Snapshot};
 use serde::{Deserialize, Serialize};
 
@@ -75,7 +76,11 @@ impl GrowthReport {
             &rows,
         );
         out.push_str(&format!(
-            "\ngrowth (paper: +11% / +31% / +27% / +19%): services {} triggers {} actions {} adds {}\n",
+            "\ngrowth (paper: +{:.0}% / +{:.0}% / +{:.0}% / +{:.0}%): services {} triggers {} actions {} adds {}\n",
+            GROWTH.services * 100.0,
+            GROWTH.triggers * 100.0,
+            GROWTH.actions * 100.0,
+            GROWTH.add_count * 100.0,
             render::pct(self.services_growth),
             render::pct(self.triggers_growth),
             render::pct(self.actions_growth),
@@ -89,7 +94,6 @@ impl GrowthReport {
 mod tests {
     use super::*;
     use ecosystem::generator::{Ecosystem, GeneratorConfig};
-    use ecosystem::model::GROWTH;
 
     #[test]
     fn growth_report_matches_paper_rates() {

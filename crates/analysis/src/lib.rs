@@ -3,8 +3,8 @@
 //! Statistical machinery ([`stats`], [`tail`]) plus one builder per table
 //! and figure of the paper's §3 ([`tables`], [`heatmap`], [`growth`],
 //! [`users`]). Builders take crawled/generated [`ecosystem::Snapshot`]s and
-//! return typed reports with plain-text renderings, so `cargo bench` output
-//! doubles as the reproduction artifact.
+//! return typed reports with plain-text renderings; `ifttt-lab paper`
+//! writes those renderings as the reproduction artifacts.
 
 pub mod growth;
 pub mod heatmap;

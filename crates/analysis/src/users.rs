@@ -1,6 +1,7 @@
 //! User-contribution analytics (§3.2, "Applet Properties").
 
 use crate::tail::top_share;
+use ecosystem::model::TAILS;
 use ecosystem::snapshot::{Author, Snapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -52,15 +53,19 @@ impl UserContribution {
     /// Text rendering.
     pub fn render(&self) -> String {
         format!(
-            "user channels: {}\nuser-made applets: {:.1}% (paper 98%)\n\
-             user-made add count: {:.1}% (paper 86%)\n\
-             top 1% users contribute: {:.1}% of applets (paper 18%)\n\
-             top 10% users contribute: {:.1}% of applets (paper 49%)\n",
+            "user channels: {}\nuser-made applets: {:.1}% (paper {:.0}%)\n\
+             user-made add count: {:.1}% (paper {:.0}%)\n\
+             top 1% users contribute: {:.1}% of applets (paper {:.0}%)\n\
+             top 10% users contribute: {:.1}% of applets (paper {:.0}%)\n",
             self.user_channels,
             self.user_made_applets * 100.0,
+            TAILS.user_made_applets * 100.0,
             self.user_made_adds * 100.0,
+            TAILS.user_made_adds * 100.0,
             self.top1_user_share * 100.0,
+            TAILS.user_top1_share * 100.0,
             self.top10_user_share * 100.0,
+            TAILS.user_top10_share * 100.0,
         )
     }
 }

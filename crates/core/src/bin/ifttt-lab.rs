@@ -1,17 +1,10 @@
 //! `ifttt-lab` — command-line front end for the reproduction.
 //!
 //! ```text
-//! ifttt-lab report [scale]           §3: Tables 1-3, Figs 2-3, growth, users
-//! ifttt-lab t2a [runs]               Fig 4: T2A latency for A1-A7
-//! ifttt-lab substitution [runs]      Fig 5: E1/E2/E3
-//! ifttt-lab timeline                 Table 5: execution timeline
-//! ifttt-lab sequential [n]           Fig 6: action clustering
-//! ifttt-lab concurrent [runs]        Fig 7: same-trigger divergence
-//! ifttt-lab loops                    §4: explicit & implicit infinite loops
-//! ifttt-lab workload                 §6: push-vs-poll engine burstiness
-//! ifttt-lab crawl [scale]            §3.1: run the crawler pipeline once
-//! ifttt-lab fleet [flags]             sharded fleet-scale workload run
-//! ifttt-lab help                      this list, and every flag with its help line
+//! ifttt-lab paper [scale]    every table and figure, checked against the paper
+//! ifttt-lab crawl [scale]    §3.1: run the crawler pipeline once
+//! ifttt-lab fleet [flags]    sharded fleet-scale workload run
+//! ifttt-lab help             this list, and every flag with its help line
 //! ```
 //!
 //! The flags are not repeated here: they are the rows of the options table
@@ -19,106 +12,43 @@
 //! applies to every subcommand.
 
 use fleet_wire::{run_fleet_distributed_with_progress, DistributedConfig};
-use ifttt_core::analysis::tables::HeadlineIot;
 use ifttt_core::ecosystem::crawler::crawl_week;
 use ifttt_core::ecosystem::generator::{Ecosystem, GeneratorConfig};
 use ifttt_core::ecosystem::model::GROWTH;
-use ifttt_core::engine::RuntimeLoopConfig;
 use ifttt_core::fleet::options::usage_lines;
 use ifttt_core::fleet::{run_fleet_with_progress, FleetCli, LiveGrowth};
-use ifttt_core::simnet::prelude::*;
-use ifttt_core::testbed::experiments::{
-    explicit_loop_experiment, implicit_loop_experiment, run_workload,
-};
-use ifttt_core::Lab;
+use ifttt_core::{paper, Lab};
 
 fn main() {
     let (cli, positional) = FleetCli::parse(std::env::args().skip(1)).unwrap_or_else(|e| usage(&e));
     let seed = cli.cfg.master_seed;
     let cmd = positional.first().map(String::as_str).unwrap_or("help");
     let arg1: Option<f64> = positional.get(1).and_then(|v| v.parse().ok());
-    let lab = Lab::new(seed).with_scale(
-        arg1.filter(|_| cmd == "report" || cmd == "crawl")
-            .unwrap_or(0.05),
-    );
+    let scale = arg1.unwrap_or(0.05);
 
     match cmd {
-        "report" => {
-            let snap = lab.snapshot();
-            println!(
-                "snapshot {}: {} services / {} triggers / {} actions / {} applets / {} adds\n",
-                snap.date,
-                snap.services.len(),
-                snap.trigger_count(),
-                snap.action_count(),
-                snap.applets.len(),
-                snap.total_add_count()
-            );
-            println!("{}", lab.table1().render());
-            let h = HeadlineIot::of(&snap);
-            println!(
-                "IoT: {:.1}% of services, {:.1}% of usage (paper: 52% / 16%)\n",
-                h.service_share * 100.0,
-                h.usage_share * 100.0
-            );
-            println!("{}", lab.table2().render());
-            println!("{}", lab.table3().render());
-            println!("{}", lab.fig2().render());
-            println!("{}", lab.growth().render());
-            println!("{}", lab.users().render());
-        }
-        "t2a" => {
-            let runs = arg1.map(|v| v as usize).unwrap_or(10);
-            println!(
-                "Figure 4 ({runs} runs per applet; paper: A1-A4 = 58/84/122 s, A5-A7 = seconds)\n"
-            );
-            for r in lab.fig4_t2a(runs) {
-                println!("{}", r.render_line());
+        "paper" => {
+            if !paper::SCALES.contains(&scale) {
+                usage("the paper's scale is 0.02 to 1.0");
             }
-        }
-        "substitution" => {
-            let runs = arg1.map(|v| v as usize).unwrap_or(10);
-            println!("Figure 5 ({runs} runs; paper: E1 ≈ E2 slow, E3 ≈ 1-2 s)\n");
-            for r in lab.fig5_substitution(runs) {
-                println!("{}", r.render_line());
-            }
-        }
-        "timeline" => println!("{}", lab.table5().render()),
-        "sequential" => {
-            let n = arg1.map(|v| v as usize).unwrap_or(60);
-            println!("{}", lab.fig6_sequential(n).render());
-        }
-        "concurrent" => {
-            let runs = arg1.map(|v| v as usize).unwrap_or(20);
-            println!("{}", lab.fig7_concurrent(runs).render());
-        }
-        "loops" => {
-            let window = SimDuration::from_secs(120);
-            let unchecked = explicit_loop_experiment(false, None, window, seed);
-            println!(
-                "explicit loop, no checks: {} actions / {} emails from one seed email in {window}",
-                unchecked.actions_executed, unchecked.emails_delivered
-            );
-            let det = RuntimeLoopConfig {
-                max_executions: 5,
-                window: SimDuration::from_secs(120),
-                auto_disable: true,
+            let lab = Lab::new(seed).with_scale(scale);
+            let artifacts = paper::regenerate(&lab);
+            let dir = std::path::Path::new("target/paper_out");
+            let write = |(name, a): &(&str, paper::Artifact)| {
+                std::fs::write(dir.join(format!("{name}.txt")), &a.text)
             };
-            let caught = implicit_loop_experiment(true, Some(det), window, seed + 1);
+            let written = std::fs::create_dir_all(dir);
+            if let Err(e) = written.and_then(|()| artifacts.iter().try_for_each(write)) {
+                eprintln!("cannot write {}: {e}", dir.display());
+                std::process::exit(1);
+            }
+            let checks = paper::check(paper::PAPER_TARGETS, &artifacts, scale);
             println!(
-                "implicit loop + runtime detector: flagged={} disabled={} after {} actions",
-                caught.flagged, caught.disabled, caught.actions_executed
+                "scale {scale}, seed {seed}; artifacts in {}/\n",
+                dir.display()
             );
-        }
-        "workload" => {
-            let poll = run_workload(false, 6, 12, 4, 90, seed);
-            let push = run_workload(true, 6, 12, 4, 90, seed + 1);
-            print!("{}", poll.report.render("poll"));
-            print!("{}", push.report.render("push"));
-            println!(
-                "push peak/mean is {:.1}x the poll regime's — §6's burstiness concern",
-                push.report.peak_to_mean() / poll.report.peak_to_mean().max(0.01)
-            );
+            print!("{}", paper::render_checks(&checks));
+            std::process::exit(paper::exit_code(&checks));
         }
         "fleet" => {
             let cfg = cli.resolve().unwrap_or_else(|e| usage(&e));
@@ -196,7 +126,6 @@ fn main() {
             }
         }
         "crawl" => {
-            let scale = arg1.unwrap_or(0.05);
             let eco = Ecosystem::generate(GeneratorConfig {
                 seed,
                 scale,
@@ -221,9 +150,7 @@ fn main() {
 
 fn usage_text() -> String {
     format!(
-        "usage: ifttt-lab [flags] <report [scale] | t2a [runs] | substitution [runs] | \
-         timeline | sequential [n] | concurrent [runs] | loops | workload | crawl [scale] | \
-         fleet | help>\n\nflags:\n{}",
+        "usage: ifttt-lab [flags] <paper [scale] | crawl [scale] | fleet | help>\n\nflags:\n{}",
         usage_lines(FleetCli::FLAGS)
     )
 }

@@ -5,8 +5,6 @@
 //! polling with batched event delivery, one plan-driven executor for
 //! classic and multi-step applets with ingredient substitution, OAuth2 token caching, realtime-API hint handling with a
 //! per-service allowlist, and static plus runtime infinite-loop detection.
-//! Beside the engine, as a library it does not consult, the §6 permission
-//! models ([`permissions`]).
 //!
 //! The crate is protocol-pure: it depends only on `simnet` and
 //! `tap-protocol`, never on concrete devices, so any service speaking the
@@ -19,8 +17,6 @@
 //!   retire).
 //! * [`PollPolicy`] — production-like, fixed (E3), or smart (§6) polling.
 //! * [`Applet`] / [`AppletId`] — the automation rules.
-//! * [`permissions::PermissionManager`] — §6 permission models + audit,
-//!   driven over a set of installed applets (not engine state).
 //! * [`loopdetect`] — §4/§6 static and runtime loop detection.
 
 pub mod applet;
@@ -31,7 +27,6 @@ mod exec;
 pub mod lifecycle;
 pub mod loopdetect;
 pub mod obs;
-pub mod permissions;
 pub mod polling;
 pub mod resilience;
 
@@ -42,6 +37,5 @@ pub use engine::{ServiceRegistration, TapEngine};
 pub use lifecycle::{InstallError, LifecycleAck, LifecycleError, LifecycleEvent};
 pub use loopdetect::{FeedRule, RuntimeLoopDetector, StaticLoopDetector};
 pub use obs::{EngineStats, FlightRecorder, ObsEvent, ObsSink, Stat};
-pub use permissions::{AuditEntry, Capability, Granularity, PermissionManager};
 pub use polling::PollPolicy;
 pub use resilience::{BackoffPolicy, BreakerPolicy, BreakerState, CircuitBreaker, RetryPolicy};

@@ -50,14 +50,6 @@ impl Default for TraceLog {
 }
 
 impl TraceLog {
-    /// A log that records up to `cap` events.
-    pub fn with_capacity(cap: usize) -> Self {
-        TraceLog {
-            cap,
-            ..TraceLog::default()
-        }
-    }
-
     /// Enable or disable recording (disabled logs drop silently).
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
@@ -92,37 +84,14 @@ impl TraceLog {
         &self.events
     }
 
-    /// Events whose kind starts with `prefix` (e.g. `"poll."`).
-    pub fn with_kind_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
-        self.events
-            .iter()
-            .filter(move |e| e.kind.starts_with(prefix))
-    }
-
-    /// Events recorded by one node.
-    pub fn by_node(&self, node: NodeId) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.node == node)
-    }
-
     /// The first event with exactly this kind, if any.
     pub fn first(&self, kind: &str) -> Option<&TraceEvent> {
         self.events.iter().find(|e| e.kind == kind)
     }
 
-    /// The last event with exactly this kind, if any.
-    pub fn last(&self, kind: &str) -> Option<&TraceEvent> {
-        self.events.iter().rev().find(|e| e.kind == kind)
-    }
-
     /// Number of events silently dropped after hitting capacity.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Forget all recorded events (capacity and enablement unchanged).
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
     }
 }
 
@@ -141,23 +110,22 @@ mod tests {
         log.record(t(2), NodeId(1), "poll.recv", format_args!("b"));
         log.record(t(3), NodeId(0), "action.executed", format_args!("c"));
         assert_eq!(log.events().len(), 3);
-        assert_eq!(log.with_kind_prefix("poll.").count(), 2);
-        assert_eq!(log.by_node(NodeId(0)).count(), 2);
+        assert_eq!(log.events()[2].node, NodeId(0));
         assert_eq!(log.first("poll.recv").unwrap().detail, "b");
-        assert_eq!(log.last("poll.sent").unwrap().at, t(1));
+        assert!(log.first("poll").is_none());
     }
 
     #[test]
     fn capacity_counts_drops() {
-        let mut log = TraceLog::with_capacity(2);
+        let mut log = TraceLog {
+            cap: 2,
+            ..TraceLog::default()
+        };
         for i in 0..5 {
             log.record(t(i), NodeId(0), "k", format_args!(""));
         }
         assert_eq!(log.events().len(), 2);
         assert_eq!(log.dropped(), 3);
-        log.clear();
-        assert_eq!(log.dropped(), 0);
-        assert!(log.events().is_empty());
     }
 
     /// A `Display` that must never run.

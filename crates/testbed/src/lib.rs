@@ -12,12 +12,14 @@
 //! * **Concurrent execution** of same-trigger applets (Figure 7);
 //! * **Infinite loops**, explicit and implicit, with the §6 runtime
 //!   detector as the countermeasure;
-//! * the §6 **local/distributed engine** extension as an ablation.
+//! * the §6 **local/distributed engine** extension as an ablation;
+//! * the §6 **permission models**, audited over A1–A7 ([`permissions`]).
 
 pub mod applets;
 pub mod controller;
 pub mod experiments;
 pub mod localengine;
+pub mod permissions;
 pub mod report;
 pub mod topology;
 

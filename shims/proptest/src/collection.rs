@@ -2,7 +2,7 @@
 
 use crate::strategy::Strategy;
 use rand::{Rng, StdRng};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::ops::Range;
 
@@ -82,48 +82,6 @@ where
         (0..n)
             .map(|_| (self.keys.generate(rng), self.values.generate(rng)))
             .collect()
-    }
-}
-
-/// Strategy for `BTreeSet<T>`.
-pub fn btree_set<S: Strategy>(element: S, size: SizeRange) -> BTreeSetStrategy<S> {
-    BTreeSetStrategy { element, size }
-}
-
-pub struct BTreeSetStrategy<S> {
-    element: S,
-    size: SizeRange,
-}
-
-impl<S: Strategy> Strategy for BTreeSetStrategy<S>
-where
-    S::Value: Ord,
-{
-    type Value = BTreeSet<S::Value>;
-    fn generate(&self, rng: &mut StdRng) -> BTreeSet<S::Value> {
-        let n = sample_size(rng, &self.size);
-        (0..n).map(|_| self.element.generate(rng)).collect()
-    }
-}
-
-/// Strategy for `HashSet<T>`.
-pub fn hash_set<S: Strategy>(element: S, size: SizeRange) -> HashSetStrategy<S> {
-    HashSetStrategy { element, size }
-}
-
-pub struct HashSetStrategy<S> {
-    element: S,
-    size: SizeRange,
-}
-
-impl<S: Strategy> Strategy for HashSetStrategy<S>
-where
-    S::Value: Eq + Hash,
-{
-    type Value = HashSet<S::Value>;
-    fn generate(&self, rng: &mut StdRng) -> HashSet<S::Value> {
-        let n = sample_size(rng, &self.size);
-        (0..n).map(|_| self.element.generate(rng)).collect()
     }
 }
 

@@ -56,10 +56,6 @@ pub mod seq {
             pub fn is_empty(&self) -> bool {
                 self.0.is_empty()
             }
-
-            pub fn into_vec(self) -> Vec<usize> {
-                self.0
-            }
         }
 
         impl IntoIterator for IndexVec {

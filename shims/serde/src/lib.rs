@@ -65,10 +65,14 @@ macro_rules! ser_unsigned {
         }
         impl Deserialize for $t {
             fn read_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+                // A float token (`1e3`, `2.0`, or an integer past `u64::MAX`)
+                // is refused, not rounded into range.
                 let n = r.number()?;
-                n.as_u64()
-                    .and_then(|u| <$t>::try_from(u).ok())
-                    .ok_or_else(|| Error::custom(format!("{n} is not a {}", stringify!($t))))
+                match n {
+                    Number::F(_) => None,
+                    _ => n.as_u64().and_then(|u| <$t>::try_from(u).ok()),
+                }
+                .ok_or_else(|| Error::custom(format!("{n} is not a {}", stringify!($t))))
             }
         }
     )*};
@@ -85,9 +89,11 @@ macro_rules! ser_signed {
         impl Deserialize for $t {
             fn read_json(r: &mut Reader<'_>) -> Result<Self, Error> {
                 let n = r.number()?;
-                n.as_i64()
-                    .and_then(|i| <$t>::try_from(i).ok())
-                    .ok_or_else(|| Error::custom(format!("{n} is not an {}", stringify!($t))))
+                match n {
+                    Number::F(_) => None,
+                    _ => n.as_i64().and_then(|i| <$t>::try_from(i).ok()),
+                }
+                .ok_or_else(|| Error::custom(format!("{n} is not an {}", stringify!($t))))
             }
         }
     )*};

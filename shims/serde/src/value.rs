@@ -74,13 +74,6 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Number(n) => n.as_u64(),

@@ -216,10 +216,20 @@ fn integer_edges_keep_their_exact_value() {
         from_str::<Value>("-9223372036854775809").unwrap(),
         Value::Number(Number::F(_))
     ));
-    // Integral floats are accepted where an integer is expected.
-    assert_eq!(from_str::<u64>("2.0").unwrap(), 2);
-    assert_eq!(from_str::<u32>("1e3").unwrap(), 1000);
-    assert!(from_str::<u64>("2.5").is_err());
+    // A float spelling is refused where an integer is expected, integral
+    // or not, and so is an integer one past the end that parsed as a float
+    // (it used to saturate to `u64::MAX`).
+    for text in ["2.0", "1e3", "1E3", "2.5", "-0.0", "18446744073709551616"] {
+        let err = from_str::<u64>(text).unwrap_err().to_string();
+        assert!(err.contains("is not a u64"), "{text}: {err}");
+        assert!(from_str::<u32>(text).is_err(), "{text}");
+        assert!(from_str::<i64>(text).is_err(), "{text}");
+    }
+    assert!(from_str::<i64>("-9223372036854775809").is_err());
+    assert!(from_str::<i32>("-1e3").is_err());
+    assert_eq!(from_str::<u64>("1000").unwrap(), 1000);
+    assert_eq!(from_str::<i32>("-1000").unwrap(), -1000);
+    assert_eq!(from_str::<f64>("1e3").unwrap(), 1000.0);
     assert_eq!(to_string(&from_str::<Value>("-0").unwrap()).unwrap(), "0");
 }
 

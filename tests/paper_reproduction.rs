@@ -1,105 +1,78 @@
-//! End-to-end reproduction smoke test: every table and figure of the paper
-//! regenerates at reduced scale, and the headline *shape* conclusions hold.
+//! End-to-end reproduction: every artifact `ifttt-lab paper` writes is
+//! regenerated once at scale 0.02, and every row of `PAPER_TARGETS` must hit.
 
-use ifttt_core::analysis::tables::HeadlineIot;
-use ifttt_core::analysis::tail::top_share;
+use ifttt_core::paper::{self, Artifact, Verdict, ARTIFACTS, PAPER_TARGETS};
 use ifttt_core::Lab;
+use std::sync::OnceLock;
 
-fn lab() -> Lab {
-    Lab::new(2017).with_scale(0.02)
+const SCALE: f64 = 0.02;
+
+fn artifacts() -> &'static [(&'static str, Artifact)] {
+    static ALL: OnceLock<Vec<(&'static str, Artifact)>> = OnceLock::new();
+    ALL.get_or_init(|| paper::regenerate(&Lab::new(2017).with_scale(SCALE)))
+}
+
+/// Every row of the artifacts whose names start with one of `prefixes`
+/// hits, and each prefix names at least one row.
+fn assert_rows_hit(prefixes: &[&str]) {
+    for prefix in prefixes {
+        let of_prefix = |t: &&paper::Target| t.artifact.starts_with(prefix);
+        let rows: Vec<_> = PAPER_TARGETS.iter().filter(of_prefix).cloned().collect();
+        let checks = paper::check(&rows, artifacts(), SCALE);
+        let table = paper::render_checks(&checks);
+        assert!(!rows.is_empty(), "no target row for {prefix}");
+        assert!(
+            checks.iter().all(|c| c.verdict == Verdict::Hit),
+            "\n{table}"
+        );
+    }
 }
 
 #[test]
 fn section3_tables_and_figures_hold() {
-    let lab = lab();
-    let snap = lab.snapshot();
-
-    // Table 1 + headline: IoT dominance of services, modest usage share.
-    let t1 = lab.table1();
-    assert!((t1.iot_service_share() - 0.517).abs() < 0.01);
-    let h = HeadlineIot::of(&snap);
-    assert!((h.service_share - 0.52).abs() < 0.01);
-    assert!((h.usage_share - 0.16).abs() < 0.05);
-
-    // Table 2 scale (scaled by 0.02).
-    let t2 = lab.table2();
-    assert_eq!(t2.measured_channels, 408);
-    assert_eq!(t2.measured_snapshots, 25);
-
-    // Table 3: Alexa tops triggers, Hue tops actions.
-    let t3 = lab.table3();
-    assert_eq!(t3.top_trigger_services[0].name, "amazon_alexa");
-    assert_eq!(t3.top_action_services[0].name, "philips_hue");
-
-    // Figure 2: the heat map marginals equal Table 1's columns.
-    let fig2 = lab.fig2();
-    let rows = fig2.row_shares();
-    for (i, r) in t1.rows.iter().enumerate() {
-        assert!((rows[i] - r.trigger_ac).abs() < 0.03, "row {i}");
-    }
-
-    // Figure 3: the heavy tail. At 2% scale the Table 3 anchor applets are
-    // coarse relative to the 1% knee, which inflates the top-1% share a
-    // few points (at full scale the calibration is exact — see the
-    // heavy_tail_sequence unit test); the shape bound is what matters.
-    let adds: Vec<u64> = snap.applets.iter().map(|a| a.add_count).collect();
-    let top1 = top_share(&adds, 0.01);
-    assert!((0.80..0.92).contains(&top1), "top1 {top1} (paper 0.841)");
-    assert!((top_share(&adds, 0.10) - 0.976).abs() < 0.02);
-
-    // Growth headline.
-    let g = lab.growth();
-    assert!((g.services_growth - 0.11).abs() < 0.03);
-    assert!((g.add_count_growth - 0.19).abs() < 0.06);
-
-    // Users.
-    let u = lab.users();
-    assert!((u.user_made_applets - 0.98).abs() < 0.01);
+    assert_rows_hit(&["table1", "table2", "table3", "fig2", "fig3", "growth"]);
 }
 
 #[test]
 fn section4_performance_shape_holds() {
-    let lab = Lab::new(99);
-
-    // Figure 4's shape: poll-driven applets are minutes; Alexa is seconds.
-    let a2 = lab.fig4_one(ifttt_core::testbed::PaperApplet::A2, 6);
-    let a5 = lab.fig4_one(ifttt_core::testbed::PaperApplet::A5, 6);
-    assert!(a2.summary().p50 > 30.0, "A2 median {}", a2.summary().p50);
-    assert!(a5.summary().p50 < 10.0, "A5 median {}", a5.summary().p50);
-    assert!(
-        a2.summary().p50 > a5.summary().p50 * 5.0,
-        "poll-bound must be much slower than hinted"
-    );
-
-    // Figure 5's shape: E1 ≈ E2 slow, E3 fast — the engine is the
-    // bottleneck.
-    let subs = lab.fig5_substitution(4);
-    assert!(subs[0].summary().p50 > 30.0, "E1");
-    assert!(subs[1].summary().p50 > 30.0, "E2");
-    assert!(subs[2].summary().p50 < 5.0, "E3");
-
-    // Table 5's shape: service learns in <1 s, engine polls much later.
-    let t5 = lab.table5();
-    let confirm = t5
-        .entries
-        .iter()
-        .find(|(_, d)| d.contains("confirmation"))
-        .expect("confirmation entry");
-    let poll = t5
-        .entries
-        .iter()
-        .find(|(_, d)| d.contains("polls"))
-        .expect("poll entry");
-    assert!(confirm.0 < 2.0 && poll.0 > 10.0, "t5: {t5:?}");
+    assert_rows_hit(&["fig4", "fig5", "table5", "loops"]);
 }
 
 #[test]
 fn figure6_and_7_shapes_hold() {
-    let lab = Lab::new(123);
-    let seq = lab.fig6_sequential(10);
-    assert_eq!(seq.actions.len(), 10);
-    assert!(seq.clusters.len() < 10, "actions must cluster");
-    let conc = lab.fig7_concurrent(6);
-    let s = conc.summary();
-    assert!(s.max - s.min > 10.0, "diffs must spread: {s:?}");
+    assert_rows_hit(&["fig6", "fig7"]);
+}
+
+#[test]
+fn section6_recommendations_hold() {
+    assert_rows_hit(&["workload", "ablation"]);
+}
+
+#[test]
+fn every_target_reads_a_written_artifact_and_none_is_skipped() {
+    let written: Vec<&str> = artifacts().iter().map(|(name, _)| *name).collect();
+    assert_eq!(
+        written,
+        ARTIFACTS.iter().map(|(name, _)| *name).collect::<Vec<_>>()
+    );
+    let checks = paper::check(PAPER_TARGETS, artifacts(), SCALE);
+    for c in &checks {
+        let (artifact, quantity) = (c.target.artifact, c.target.quantity);
+        assert!(written.contains(&artifact), "{artifact} is not written");
+        assert!(
+            c.measured.is_some(),
+            "{artifact}: {quantity} is not measured"
+        );
+        assert_ne!(
+            c.verdict,
+            Verdict::Skip,
+            "{artifact}: {quantity} is skipped"
+        );
+    }
+    assert_eq!(
+        paper::exit_code(&checks),
+        0,
+        "\n{}",
+        paper::render_checks(&checks)
+    );
 }
