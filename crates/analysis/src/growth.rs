@@ -2,14 +2,14 @@
 
 use crate::render;
 use ecosystem::model::GROWTH;
-use ecosystem::snapshot::{diff, Snapshot};
+use ecosystem::WeekCounts;
 use serde::{Deserialize, Serialize};
 
 /// Weekly totals plus the headline growth comparison.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GrowthReport {
-    /// `(week, services, triggers, actions, add_count)` per snapshot.
-    pub weekly: Vec<(u32, usize, usize, usize, u64)>,
+    /// The series the report was measured over.
+    pub weekly: Vec<WeekCounts>,
     /// Relative growth from the first to the 11/24→4/1 comparison week.
     pub services_growth: f64,
     pub triggers_growth: f64,
@@ -18,41 +18,22 @@ pub struct GrowthReport {
 }
 
 impl GrowthReport {
-    /// Measure growth across a snapshot series; the headline numbers
-    /// compare `week_start` to `week_end` (paper: weeks 0 and 19).
-    pub fn of(snapshots: &[Snapshot], week_start: u32, week_end: u32) -> GrowthReport {
-        let weekly = snapshots
-            .iter()
-            .map(|s| {
-                (
-                    s.week,
-                    s.services.len(),
-                    s.trigger_count(),
-                    s.action_count(),
-                    s.total_add_count(),
-                )
-            })
-            .collect();
-        let a = snapshots.iter().find(|s| s.week == week_start);
-        let b = snapshots.iter().find(|s| s.week == week_end);
-        let (sg, tg, ag, cg) = match (a, b) {
-            (Some(a), Some(b)) => {
-                let d = diff(a, b);
-                (
-                    d.services_growth,
-                    d.triggers_growth,
-                    d.actions_growth,
-                    d.add_count_growth,
-                )
-            }
-            _ => (0.0, 0.0, 0.0, 0.0),
+    /// Measure growth across a weekly series; the headline numbers
+    /// compare `week_start` to `week_end` (paper: weeks 0 and 19), and are
+    /// zero if either week is missing.
+    pub fn of(weekly: &[WeekCounts], week_start: u32, week_end: u32) -> GrowthReport {
+        let find = |week| weekly.iter().find(|c| c.week == week);
+        let (a, b) = (find(week_start), find(week_end));
+        let growth = |count: fn(&WeekCounts) -> f64| match (a, b) {
+            (Some(a), Some(b)) if count(a) > 0.0 => count(b) / count(a) - 1.0,
+            _ => 0.0,
         };
         GrowthReport {
-            weekly,
-            services_growth: sg,
-            triggers_growth: tg,
-            actions_growth: ag,
-            add_count_growth: cg,
+            weekly: weekly.to_vec(),
+            services_growth: growth(|c| c.services as f64),
+            triggers_growth: growth(|c| c.triggers as f64),
+            actions_growth: growth(|c| c.actions as f64),
+            add_count_growth: growth(|c| c.add_count as f64),
         }
     }
 
@@ -61,13 +42,13 @@ impl GrowthReport {
         let rows: Vec<Vec<String>> = self
             .weekly
             .iter()
-            .map(|(w, s, t, a, c)| {
+            .map(|c| {
                 vec![
-                    w.to_string(),
-                    s.to_string(),
-                    t.to_string(),
-                    a.to_string(),
-                    render::count(*c),
+                    c.week.to_string(),
+                    c.services.to_string(),
+                    c.triggers.to_string(),
+                    c.actions.to_string(),
+                    render::count(c.add_count),
                 ]
             })
             .collect();
@@ -98,8 +79,8 @@ mod tests {
     #[test]
     fn growth_report_matches_paper_rates() {
         let eco = Ecosystem::generate(GeneratorConfig::test_scale(51));
-        let snaps = eco.all_snapshots();
-        let g = GrowthReport::of(&snaps, GROWTH.week_start as u32, GROWTH.week_end as u32);
+        let counts = eco.week_counts();
+        let g = GrowthReport::of(&counts, GROWTH.week_start as u32, GROWTH.week_end as u32);
         assert_eq!(g.weekly.len(), 25);
         assert!(
             (g.services_growth - 0.11).abs() < 0.03,
@@ -123,8 +104,26 @@ mod tests {
         );
         // Weekly series is monotone non-decreasing in every column.
         for w in g.weekly.windows(2) {
-            assert!(w[1].1 >= w[0].1 && w[1].4 >= w[0].4);
+            assert!(w[1].services >= w[0].services && w[1].add_count >= w[0].add_count);
         }
+    }
+
+    #[test]
+    fn growth_is_relative_to_the_start_week() {
+        let week = |week, services, triggers, add_count| WeekCounts {
+            week,
+            services,
+            triggers,
+            actions: 4,
+            applets: 4,
+            add_count,
+            contributors: 2,
+        };
+        let g = GrowthReport::of(&[week(18, 2, 3, 200), week(19, 3, 5, 240)], 18, 19);
+        assert!((g.services_growth - 0.5).abs() < 1e-9);
+        assert!((g.triggers_growth - 2.0 / 3.0).abs() < 1e-9);
+        assert_eq!(g.actions_growth, 0.0);
+        assert!((g.add_count_growth - 0.2).abs() < 1e-9);
     }
 
     #[test]
@@ -137,8 +136,7 @@ mod tests {
     #[test]
     fn render_mentions_paper_targets() {
         let eco = Ecosystem::generate(GeneratorConfig::test_scale(52));
-        let snaps: Vec<_> = [0u32, 19].iter().map(|w| eco.snapshot(*w)).collect();
-        let g = GrowthReport::of(&snaps, 0, 19);
+        let g = GrowthReport::of(&eco.week_counts(), 0, 19);
         assert!(g.render().contains("+11%"));
     }
 }

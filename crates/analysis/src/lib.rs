@@ -2,8 +2,9 @@
 //!
 //! Statistical machinery ([`stats`], [`tail`]) plus one builder per table
 //! and figure of the paper's §3 ([`tables`], [`heatmap`], [`growth`],
-//! [`users`]). Builders take crawled/generated [`ecosystem::Snapshot`]s and
-//! return typed reports with plain-text renderings; `ifttt-lab paper`
+//! [`users`]). Builders take crawled/generated [`ecosystem::Snapshot`]s (or,
+//! for Table 2 and growth, [`ecosystem::WeekCounts`]) and return typed
+//! reports with plain-text renderings; `ifttt-lab paper`
 //! writes those renderings as the reproduction artifacts.
 
 pub mod growth;

@@ -3,7 +3,7 @@
 use crate::render;
 use ecosystem::model::{ComparisonDataset, OURS_2017, UR_ET_AL_2015};
 use ecosystem::taxonomy::{Category, ALL_CATEGORIES};
-use ecosystem::Snapshot;
+use ecosystem::{Snapshot, WeekCounts};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -135,7 +135,7 @@ impl HeadlineIot {
 /// Table 2: our dataset vs Ur et al.'s.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table2Report {
-    /// Measured from our snapshots.
+    /// Measured from our weekly counts.
     pub measured_applets: usize,
     pub measured_channels: usize,
     pub measured_triggers: usize,
@@ -149,23 +149,23 @@ pub struct Table2Report {
 }
 
 impl Table2Report {
-    /// Measure from the full snapshot series (adoptions use the final
-    /// snapshot, like the paper's running totals).
-    pub fn of(snapshots: &[Snapshot]) -> Table2Report {
-        let canonical = snapshots
+    /// Measure from the full weekly series (adoptions use the final
+    /// week, like the paper's running totals).
+    pub fn of(weekly: &[WeekCounts]) -> Table2Report {
+        let canonical = weekly
             .iter()
-            .find(|s| s.week == ecosystem::model::GROWTH.week_canonical as u32)
-            .or(snapshots.last())
-            .expect("at least one snapshot");
-        let last = snapshots.last().expect("at least one snapshot");
+            .find(|c| c.week == ecosystem::model::GROWTH.week_canonical as u32)
+            .or(weekly.last())
+            .expect("at least one week");
+        let last = weekly.last().expect("at least one week");
         Table2Report {
-            measured_applets: canonical.applets.len(),
-            measured_channels: canonical.services.len(),
-            measured_triggers: canonical.trigger_count(),
-            measured_actions: canonical.action_count(),
-            measured_adoptions: last.total_add_count(),
-            measured_contributors: canonical.user_channel_count(),
-            measured_snapshots: snapshots.len(),
+            measured_applets: canonical.applets,
+            measured_channels: canonical.services,
+            measured_triggers: canonical.triggers,
+            measured_actions: canonical.actions,
+            measured_adoptions: last.add_count,
+            measured_contributors: canonical.contributors,
+            measured_snapshots: weekly.len(),
             ours_published: OURS_2017,
             ur_published: UR_ET_AL_2015,
         }
@@ -394,8 +394,7 @@ mod tests {
     #[test]
     fn table2_measures_the_series() {
         let eco = Ecosystem::generate(GeneratorConfig::test_scale(42));
-        let snaps: Vec<Snapshot> = eco.all_snapshots();
-        let t = Table2Report::of(&snaps);
+        let t = Table2Report::of(&eco.week_counts());
         assert_eq!(t.measured_snapshots, 25);
         assert_eq!(t.measured_channels, 408);
         // Adoptions at crawl end ≈ 24M × scale (Table 2's "24 millions").

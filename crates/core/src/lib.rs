@@ -44,12 +44,14 @@ use std::cell::OnceCell;
 /// The master seed and catalog scale every [`paper`] artifact is
 /// regenerated from.
 ///
-/// Construction is cheap; the ecosystem is generated lazily on first use
-/// and cached. All results are deterministic in the seed.
+/// Construction is cheap; the ecosystem and its canonical snapshot are
+/// built lazily on first use and held once. All results are deterministic
+/// in the seed.
 pub struct Lab {
     seed: u64,
     scale: f64,
     eco: OnceCell<Ecosystem>,
+    snapshot: OnceCell<Snapshot>,
 }
 
 impl Lab {
@@ -59,6 +61,7 @@ impl Lab {
             seed,
             scale: 1.0,
             eco: OnceCell::new(),
+            snapshot: OnceCell::new(),
         }
     }
 
@@ -80,9 +83,10 @@ impl Lab {
         })
     }
 
-    /// The canonical snapshot (3/25/2017).
-    pub fn snapshot(&self) -> Snapshot {
-        self.ecosystem().canonical_snapshot()
+    /// The canonical snapshot (3/25/2017, cached).
+    pub fn snapshot(&self) -> &Snapshot {
+        self.snapshot
+            .get_or_init(|| self.ecosystem().canonical_snapshot())
     }
 }
 
@@ -97,6 +101,7 @@ mod tests {
         assert_eq!(a.snapshot(), b.snapshot());
         let c = Lab::new(8).with_scale(0.02);
         assert_ne!(a.snapshot(), c.snapshot());
+        assert!(std::ptr::eq(a.snapshot(), a.snapshot()), "built once");
     }
 
     #[test]

@@ -260,7 +260,7 @@ pub fn regenerate(lab: &Lab) -> Vec<(&'static str, Artifact)> {
 /// Table 1: the service-category breakdown and the IoT headline.
 pub fn table1(lab: &Lab) -> Artifact {
     let snapshot = lab.snapshot();
-    let (t1, h) = (Table1Report::of(&snapshot), HeadlineIot::of(&snapshot));
+    let (t1, h) = (Table1Report::of(snapshot), HeadlineIot::of(snapshot));
     let gap = t1.rows.iter().zip(&TABLE1).fold(0.0_f64, |g, (m, p)| {
         g.max((m.services * 100.0 - p.services_pct).abs())
             .max((m.trigger_ac * 100.0 - p.trigger_ac_pct).abs())
@@ -274,9 +274,9 @@ pub fn table1(lab: &Lab) -> Artifact {
     Artifact::new(t1.render(), &measured)
 }
 
-/// Table 2: the dataset, measured over all 25 weekly snapshots.
+/// Table 2: the dataset, counted over all 25 crawl weeks.
 pub fn table2(lab: &Lab) -> Artifact {
-    let t2 = Table2Report::of(&lab.ecosystem().all_snapshots());
+    let t2 = Table2Report::of(&lab.ecosystem().week_counts());
     let per_scale = |n: u64| n as f64 / lab.scale;
     let (applets, users) = (t2.measured_applets as u64, t2.measured_contributors as u64);
     let measured = [
@@ -293,7 +293,7 @@ pub fn table2(lab: &Lab) -> Artifact {
 
 /// Table 3: the top IoT services, triggers and actions.
 pub fn table3(lab: &Lab) -> Artifact {
-    let t3 = Table3Report::of(&lab.snapshot(), 7);
+    let t3 = Table3Report::of(lab.snapshot(), 7);
     let found = |paper: &[Table3Anchor], top: &[TopEntry]| {
         let listed = |a: &&Table3Anchor| top.iter().any(|e| e.name == a.slug);
         paper.iter().filter(listed).count() as f64
@@ -329,7 +329,7 @@ pub fn table5(lab: &Lab) -> Artifact {
 
 /// Figure 2: the trigger × action category heat map.
 pub fn fig2(lab: &Lab) -> Artifact {
-    let heatmap = Heatmap::of(&lab.snapshot());
+    let heatmap = Heatmap::of(lab.snapshot());
     let gap = |shares: Vec<f64>, pct: fn(&Table1Row) -> f64| {
         let gaps = shares.iter().zip(&TABLE1);
         gaps.fold(0.0, |g: f64, (s, p)| g.max((s - pct(p) / 100.0).abs()))
@@ -347,8 +347,7 @@ pub fn fig2(lab: &Lab) -> Artifact {
 
 /// Figure 3: applet add count against rank, and the tail's shares.
 pub fn fig3(lab: &Lab) -> Artifact {
-    let snapshot = lab.snapshot();
-    let adds: Vec<u64> = snapshot.applets.iter().map(|a| a.add_count).collect();
+    let adds: Vec<u64> = lab.snapshot().applets.iter().map(|a| a.add_count).collect();
     let mut text = String::from("# rank\tadd_count (log-log series)\n");
     for p in rank_series(&adds, 25) {
         text.push_str(&format!("{}\t{}\n", p.rank, p.value));
@@ -435,11 +434,11 @@ pub fn fig7(lab: &Lab) -> Artifact {
     Artifact::new(report.render(), &measured)
 }
 
-/// §3.2: growth across the weekly snapshots, and who contributes applets.
+/// §3.2: growth across the crawl weeks, and who contributes applets.
 pub fn growth_users(lab: &Lab) -> Artifact {
     let (start, end) = (GROWTH.week_start as u32, GROWTH.week_end as u32);
-    let g = GrowthReport::of(&lab.ecosystem().all_snapshots(), start, end);
-    let u = UserContribution::of(&lab.snapshot());
+    let g = GrowthReport::of(&lab.ecosystem().week_counts(), start, end);
+    let u = UserContribution::of(lab.snapshot());
     let measured = [
         ("services growth", g.services_growth),
         ("triggers growth", g.triggers_growth),

@@ -39,7 +39,7 @@ pub struct Crawl {
 pub fn crawl_week(eco: &Ecosystem, week: u32, seed: u64) -> Crawl {
     let mut sim = Sim::new(seed);
     sim.trace_mut().set_enabled(false);
-    let frontend = IftttFrontend::new(eco.clone(), week);
+    let frontend = IftttFrontend::new(eco.snapshot(week));
     let id_hi = frontend.max_applet_id() + 1;
     let fe = sim.add_node("ifttt.com", frontend);
     let config = CrawlerConfig::new(fe, APPLET_ID_BASE, id_hi);

@@ -9,7 +9,6 @@
 //! A configurable `overload_rate` makes the frontend return sporadic 503s,
 //! which exercises the crawler's retry logic.
 
-use crate::generator::Ecosystem;
 use crate::snapshot::{AppletRecord, Author, Snapshot};
 use rand::Rng;
 use simnet::prelude::*;
@@ -18,10 +17,7 @@ use std::collections::HashMap;
 /// The web frontend node.
 #[derive(Debug)]
 pub struct IftttFrontend {
-    eco: Ecosystem,
-    /// The week whose state is being served.
-    week: u32,
-    /// Cached snapshot for `week`.
+    /// The week being served.
     pub view: Snapshot,
     /// Applet-page index: id → position in `view.applets`.
     by_id: HashMap<u32, usize>,
@@ -32,9 +28,8 @@ pub struct IftttFrontend {
 }
 
 impl IftttFrontend {
-    /// Serve `eco` as of `week`.
-    pub fn new(eco: Ecosystem, week: u32) -> Self {
-        let view = eco.snapshot(week);
+    /// Serve `view` (one week of the site).
+    pub fn new(view: Snapshot) -> Self {
         let by_id = view
             .applets
             .iter()
@@ -42,8 +37,6 @@ impl IftttFrontend {
             .map(|(i, a)| (a.id, i))
             .collect();
         IftttFrontend {
-            eco,
-            week,
             view,
             by_id,
             overload_rate: 0.0,
@@ -51,22 +44,9 @@ impl IftttFrontend {
         }
     }
 
-    /// Advance the served week (the site moves on between crawls).
-    pub fn set_week(&mut self, week: u32) {
-        self.week = week;
-        self.view = self.eco.snapshot(week);
-        self.by_id = self
-            .view
-            .applets
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a.id, i))
-            .collect();
-    }
-
     /// Currently served week.
     pub fn week(&self) -> u32 {
-        self.week
+        self.view.week
     }
 
     /// Largest applet page id currently served (bounds the crawler's
@@ -162,12 +142,11 @@ impl Node for IftttFrontend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::GeneratorConfig;
-    use crate::model::GROWTH;
+    use crate::generator::{Ecosystem, GeneratorConfig};
 
     fn frontend() -> IftttFrontend {
         let eco = Ecosystem::generate(GeneratorConfig::test_scale(5));
-        IftttFrontend::new(eco, GROWTH.week_canonical as u32)
+        IftttFrontend::new(eco.canonical_snapshot())
     }
 
     #[test]
@@ -197,11 +176,11 @@ mod tests {
     }
 
     #[test]
-    fn set_week_changes_the_view() {
-        let mut f = frontend();
-        let later = f.view.applets.len();
-        f.set_week(0);
-        assert!(f.view.applets.len() < later);
-        assert_eq!(f.week(), 0);
+    fn a_week_0_frontend_serves_fewer_applets() {
+        let eco = Ecosystem::generate(GeneratorConfig::test_scale(5));
+        let early = IftttFrontend::new(eco.snapshot(0));
+        let canonical = IftttFrontend::new(eco.canonical_snapshot());
+        assert!(early.by_id.len() < canonical.by_id.len());
+        assert_eq!((early.week(), canonical.week()), (0, 18));
     }
 }

@@ -30,7 +30,7 @@
 
 use crate::model::{self, GROWTH, SCALE, TAILS};
 use crate::names;
-use crate::snapshot::{AppletRecord, Author, ServiceRecord, Snapshot};
+use crate::snapshot::{AppletRecord, Author, ServiceRecord, Snapshot, WeekCounts};
 use crate::taxonomy::{Category, ALL_CATEGORIES, TABLE1};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -103,7 +103,8 @@ fn curve(canonical: f64, growth: f64, week: f64) -> f64 {
 /// How week `week` sees an applet: `None` if it was created later, else its
 /// canonical add count scaled back along the growth curve (at least 1).
 /// The one rule every weekly view applies: [`Ecosystem::snapshot`] copies
-/// records through it, [`PopulationSampler::from_ecosystem`] moves them.
+/// records through it, [`Ecosystem::week_counts`] counts them and
+/// [`PopulationSampler::from_ecosystem`] moves them.
 ///
 /// [`PopulationSampler::from_ecosystem`]: crate::PopulationSampler::from_ecosystem
 pub(crate) fn add_count_in_week(week: u32) -> impl Fn(&AppletRecord) -> Option<u64> {
@@ -1251,24 +1252,22 @@ impl Ecosystem {
         }
     }
 
-    /// The weekly snapshot view: entities created by `week`, with add
-    /// counts scaled back along the growth curve.
-    pub fn snapshot(&self, week: u32) -> Snapshot {
-        let week = week.min(self.final_week);
-        let mut services: Vec<ServiceRecord> = self
+    /// The services week `week` sees, in catalog order, each with the
+    /// length of the trigger and action prefix it exposes (every service
+    /// has one of each, so a prefix is never empty).
+    ///
+    /// Triggers/actions accumulate over time: expose per-service slot
+    /// prefixes whose global totals follow the published growth curves.
+    /// Apportioning globally (largest remainder, floor 1, cap at the final
+    /// count) avoids the per-service ceil bias a local rule has.
+    fn services_in_week(&self, week: u32) -> Vec<(&ServiceRecord, usize, usize)> {
+        let services: Vec<&ServiceRecord> = self
             .services
             .iter()
             .filter(|s| s.created_week <= week)
-            .cloned()
             .collect();
-        // Triggers/actions accumulate over time: expose per-service slot
-        // prefixes whose global totals follow the published growth curves.
-        // Apportioning globally (largest remainder, floor 1, cap at the
-        // final count) avoids the per-service ceil bias a local rule has.
-        let trim = |services: &mut Vec<ServiceRecord>,
-                    target: usize,
-                    pick: fn(&mut ServiceRecord) -> &mut Vec<String>| {
-            let lens: Vec<usize> = services.iter_mut().map(|s| pick(s).len()).collect();
+        let prefixes = |target: usize, pick: fn(&ServiceRecord) -> usize| -> Vec<usize> {
+            let lens: Vec<usize> = services.iter().map(|s| pick(s)).collect();
             let capacity: usize = lens.iter().sum();
             let target = target.min(capacity).max(services.len());
             // Start everyone at 1, then deal remaining slots round-robin in
@@ -1293,15 +1292,30 @@ impl Ecosystem {
                 }
                 i += 1;
             }
-            for (s, keep) in services.iter_mut().zip(keeps) {
-                let v = pick(s);
-                v.truncate(keep.max(1));
-            }
+            keeps
         };
         let t_target = curve(SCALE.triggers as f64, GROWTH.triggers, week as f64).round() as usize;
         let a_target = curve(SCALE.actions as f64, GROWTH.actions, week as f64).round() as usize;
-        trim(&mut services, t_target, |s| &mut s.triggers);
-        trim(&mut services, a_target, |s| &mut s.actions);
+        let triggers = prefixes(t_target, |s| s.triggers.len());
+        let actions = prefixes(a_target, |s| s.actions.len());
+        let prefixes = triggers.into_iter().zip(actions);
+        let services = services.into_iter().zip(prefixes);
+        services.map(|(s, (t, a))| (s, t, a)).collect()
+    }
+
+    /// The weekly snapshot view: entities created by `week`, with add
+    /// counts scaled back along the growth curve.
+    pub fn snapshot(&self, week: u32) -> Snapshot {
+        let week = week.min(self.final_week);
+        let services = self.services_in_week(week).into_iter();
+        let services = services
+            .map(|(s, triggers, actions)| {
+                let mut s = s.clone();
+                s.triggers.truncate(triggers);
+                s.actions.truncate(actions);
+                s
+            })
+            .collect();
         let add_count = add_count_in_week(week);
         let applets: Vec<AppletRecord> = self
             .applets
@@ -1326,9 +1340,40 @@ impl Ecosystem {
         self.snapshot(GROWTH.week_canonical as u32)
     }
 
-    /// All weekly snapshots of the crawl.
-    pub fn all_snapshots(&self) -> Vec<Snapshot> {
-        (0..=self.final_week).map(|w| self.snapshot(w)).collect()
+    /// What [`WeekCounts::of`] reads off `snapshot(week)`, for every crawl
+    /// week, counted through the same rules without building a snapshot.
+    pub fn week_counts(&self) -> Vec<WeekCounts> {
+        let users = self.applets.iter().filter_map(|a| match a.author {
+            Author::User(u) => Some(u as usize + 1),
+            Author::Service(_) => None,
+        });
+        // The last week each user channel was counted in.
+        let mut counted_in = vec![u32::MAX; users.max().unwrap_or(0)];
+        (0..=self.final_week)
+            .map(|week| {
+                let services = self.services_in_week(week);
+                let add_count = add_count_in_week(week);
+                let mut counts = WeekCounts {
+                    week,
+                    services: services.len(),
+                    triggers: services.iter().map(|s| s.1).sum(),
+                    actions: services.iter().map(|s| s.2).sum(),
+                    ..WeekCounts::default()
+                };
+                for a in &self.applets {
+                    let Some(adds) = add_count(a) else { continue };
+                    counts.applets += 1;
+                    counts.add_count += adds;
+                    if let Author::User(u) = a.author {
+                        if counted_in[u as usize] != week {
+                            counted_in[u as usize] = week;
+                            counts.contributors += 1;
+                        }
+                    }
+                }
+                counts
+            })
+            .collect()
     }
 }
 
@@ -1416,24 +1461,23 @@ mod tests {
 
     #[test]
     fn canonical_snapshot_scale_matches_paper() {
-        let eco = small();
-        let snap = eco.canonical_snapshot();
-        assert_eq!(snap.services.len(), 408);
+        let counts = WeekCounts::of(&small().canonical_snapshot());
+        assert_eq!(counts.services, 408);
         let n_target = (320_000.0 * 0.02) as usize;
         assert!(
-            (snap.applets.len() as i64 - n_target as i64).abs() < 50,
+            (counts.applets as i64 - n_target as i64).abs() < 50,
             "applets {}",
-            snap.applets.len()
+            counts.applets
         );
-        let adds = snap.total_add_count() as f64;
+        let adds = counts.add_count as f64;
         let adds_target = 23_000_000.0 * 0.02;
         assert!(
             (adds / adds_target - 1.0).abs() < 0.03,
             "adds {adds} vs {adds_target}"
         );
-        let trig = snap.trigger_count() as f64;
+        let trig = counts.triggers as f64;
         assert!((trig / 1490.0 - 1.0).abs() < 0.08, "triggers {trig}");
-        let act = snap.action_count() as f64;
+        let act = counts.actions as f64;
         assert!((act / 957.0 - 1.0).abs() < 0.08, "actions {act}");
     }
 
@@ -1484,30 +1528,39 @@ mod tests {
 
     #[test]
     fn growth_between_week0_and_week19_matches_paper() {
-        let eco = small();
-        let a = eco.snapshot(GROWTH.week_start as u32);
-        let b = eco.snapshot(GROWTH.week_end as u32);
-        let d = crate::snapshot::diff(&a, &b);
-        assert!(
-            (d.services_growth - 0.11).abs() < 0.03,
-            "services {}",
-            d.services_growth
-        );
-        assert!(
-            (d.triggers_growth - 0.31).abs() < 0.08,
-            "triggers {}",
-            d.triggers_growth
-        );
-        assert!(
-            (d.actions_growth - 0.27).abs() < 0.08,
-            "actions {}",
-            d.actions_growth
-        );
-        assert!(
-            (d.add_count_growth - 0.19).abs() < 0.06,
-            "adds {}",
-            d.add_count_growth
-        );
+        let counts = small().week_counts();
+        let (a, b) = (counts[GROWTH.week_start], counts[GROWTH.week_end]);
+        let growth = |from: usize, to: usize| to as f64 / from as f64 - 1.0;
+        let services = growth(a.services, b.services);
+        assert!((services - 0.11).abs() < 0.03, "services {services}");
+        let triggers = growth(a.triggers, b.triggers);
+        assert!((triggers - 0.31).abs() < 0.08, "triggers {triggers}");
+        let actions = growth(a.actions, b.actions);
+        assert!((actions - 0.27).abs() < 0.08, "actions {actions}");
+        let adds = b.add_count as f64 / a.add_count as f64 - 1.0;
+        assert!((adds - 0.19).abs() < 0.06, "adds {adds}");
+    }
+
+    #[test]
+    fn week_counts_are_the_snapshots_counts() {
+        for seed in [7, 8] {
+            for scale in [0.02, 0.035] {
+                for multi_step_share in [0.0, 0.5] {
+                    let config = GeneratorConfig {
+                        seed,
+                        scale,
+                        multi_step_share,
+                    };
+                    let eco = Ecosystem::generate(config);
+                    let counts = eco.week_counts();
+                    assert_eq!(counts.len(), GROWTH.snapshots);
+                    for (w, c) in counts.iter().enumerate() {
+                        let snap = eco.snapshot(w as u32);
+                        assert_eq!(*c, WeekCounts::of(&snap), "{config:?} week {w}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

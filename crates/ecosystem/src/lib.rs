@@ -9,7 +9,9 @@
 //! applet ids and parses pages exactly the way §3.1 describes
 //! ([`crawler`]). Analyses operate on [`snapshot::Snapshot`]s, which can
 //! come from either the crawler (full pipeline) or the generator directly
-//! (fast path) — a dedicated test asserts the two agree.
+//! (fast path) — a dedicated test asserts the two agree — and on weekly
+//! [`snapshot::WeekCounts`], which the generator counts without building
+//! a snapshot.
 
 pub mod crawler;
 pub mod frontend;
@@ -22,5 +24,5 @@ pub mod taxonomy;
 
 pub use generator::{Ecosystem, GeneratorConfig};
 pub use population::{InstalledApplet, PopulationSampler, UserProfile};
-pub use snapshot::{AppletRecord, Author, ServiceRecord, Snapshot, SnapshotDiff};
+pub use snapshot::{AppletRecord, Author, ServiceRecord, Snapshot, WeekCounts};
 pub use taxonomy::{Category, ALL_CATEGORIES, TABLE1};

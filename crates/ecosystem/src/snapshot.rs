@@ -1,9 +1,9 @@
-//! The crawled-data model: services, applets, snapshots, and longitudinal
-//! diffs — the shapes §3.1's crawler produces and §3.2's analyses consume.
+//! The crawled-data model: services, applets, snapshots, and the weekly
+//! counts — the shapes §3.1's crawler produces and §3.2's analyses consume.
 
 use crate::taxonomy::Category;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use tap_protocol::StepNode;
 
 /// Who published an applet.
@@ -94,38 +94,9 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Total trigger count across services.
-    pub fn trigger_count(&self) -> usize {
-        self.services.iter().map(|s| s.triggers.len()).sum()
-    }
-
-    /// Total action count across services.
-    pub fn action_count(&self) -> usize {
-        self.services.iter().map(|s| s.actions.len()).sum()
-    }
-
     /// Total add count across applets.
     pub fn total_add_count(&self) -> u64 {
         self.applets.iter().map(|a| a.add_count).sum()
-    }
-
-    /// Distinct user channels with at least one published applet.
-    pub fn user_channel_count(&self) -> usize {
-        let mut users = std::collections::HashSet::new();
-        for a in &self.applets {
-            if let Author::User(u) = a.author {
-                users.insert(u);
-            }
-        }
-        users.len()
-    }
-
-    /// Category of a service slug, if known.
-    pub fn category_of(&self, slug: &str) -> Option<Category> {
-        self.services
-            .iter()
-            .find(|s| s.slug == slug)
-            .map(|s| s.category)
     }
 
     /// A slug → category lookup map (build once for hot analyses).
@@ -147,41 +118,39 @@ impl Snapshot {
     }
 }
 
-/// The difference between two snapshots (growth reporting, §3.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SnapshotDiff {
-    pub from_week: u32,
-    pub to_week: u32,
-    pub services_growth: f64,
-    pub triggers_growth: f64,
-    pub actions_growth: f64,
-    pub add_count_growth: f64,
-    pub new_services: Vec<String>,
+/// One week's totals: what Table 2 and §3.2's growth paragraph read.
+/// [`Ecosystem::week_counts`] counts them without building a [`Snapshot`];
+/// [`WeekCounts::of`] counts a crawled one.
+///
+/// [`Ecosystem::week_counts`]: crate::Ecosystem::week_counts
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct WeekCounts {
+    pub week: u32,
+    pub services: usize,
+    pub triggers: usize,
+    pub actions: usize,
+    pub applets: usize,
+    pub add_count: u64,
+    /// Distinct user channels with at least one published applet.
+    pub contributors: usize,
 }
 
-/// Compute the relative growth between two snapshots.
-pub fn diff(a: &Snapshot, b: &Snapshot) -> SnapshotDiff {
-    fn growth(from: f64, to: f64) -> f64 {
-        if from <= 0.0 {
-            0.0
-        } else {
-            to / from - 1.0
+impl WeekCounts {
+    /// Count a snapshot.
+    pub fn of(snap: &Snapshot) -> WeekCounts {
+        let users = snap.applets.iter().filter_map(|a| match a.author {
+            Author::User(u) => Some(u),
+            Author::Service(_) => None,
+        });
+        WeekCounts {
+            week: snap.week,
+            services: snap.services.len(),
+            triggers: snap.services.iter().map(|s| s.triggers.len()).sum(),
+            actions: snap.services.iter().map(|s| s.actions.len()).sum(),
+            applets: snap.applets.len(),
+            add_count: snap.total_add_count(),
+            contributors: users.collect::<HashSet<u32>>().len(),
         }
-    }
-    let old: std::collections::HashSet<&str> = a.services.iter().map(|s| s.slug.as_str()).collect();
-    SnapshotDiff {
-        from_week: a.week,
-        to_week: b.week,
-        services_growth: growth(a.services.len() as f64, b.services.len() as f64),
-        triggers_growth: growth(a.trigger_count() as f64, b.trigger_count() as f64),
-        actions_growth: growth(a.action_count() as f64, b.action_count() as f64),
-        add_count_growth: growth(a.total_add_count() as f64, b.total_add_count() as f64),
-        new_services: b
-            .services
-            .iter()
-            .filter(|s| !old.contains(s.slug.as_str()))
-            .map(|s| s.slug.clone())
-            .collect(),
     }
 }
 
@@ -234,13 +203,16 @@ mod tests {
 
     #[test]
     fn aggregate_counts() {
-        let s = snapshot();
-        assert_eq!(s.trigger_count(), 3);
-        assert_eq!(s.action_count(), 4);
-        assert_eq!(s.total_add_count(), 200);
-        assert_eq!(s.user_channel_count(), 2);
-        assert_eq!(s.category_of("svc_a"), Some(Category::SmartHomeDevice));
-        assert_eq!(s.category_of("ghost"), None);
+        let counts = WeekCounts {
+            week: 18,
+            services: 2,
+            triggers: 3,
+            actions: 4,
+            applets: 4,
+            add_count: 200,
+            contributors: 2,
+        };
+        assert_eq!(WeekCounts::of(&snapshot()), counts);
     }
 
     #[test]
@@ -248,21 +220,6 @@ mod tests {
         let s = snapshot();
         let back = Snapshot::from_json(&s.to_json()).unwrap();
         assert_eq!(back, s);
-    }
-
-    #[test]
-    fn diff_reports_relative_growth() {
-        let a = snapshot();
-        let mut b = snapshot();
-        b.week = 19;
-        b.services.push(service("svc_c", Category::Other, 2, 0));
-        b.applets.push(applet(5, Author::User(1), 40));
-        let d = diff(&a, &b);
-        assert_eq!(d.from_week, 18);
-        assert!((d.services_growth - 0.5).abs() < 1e-9);
-        assert!((d.triggers_growth - 2.0 / 3.0).abs() < 1e-9);
-        assert!((d.add_count_growth - 0.2).abs() < 1e-9);
-        assert_eq!(d.new_services, vec!["svc_c"]);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use ecosystem::crawler::{Crawler, CrawlerConfig, APPLET_ID_BASE};
 use ecosystem::frontend::IftttFrontend;
 use ecosystem::generator::{Ecosystem, GeneratorConfig};
 use ecosystem::model::GROWTH;
+use ecosystem::WeekCounts;
 use simnet::prelude::*;
 
 fn crawl(seed: u64, overload: f64) -> (ecosystem::Snapshot, ecosystem::Snapshot, u64) {
@@ -14,7 +15,7 @@ fn crawl(seed: u64, overload: f64) -> (ecosystem::Snapshot, ecosystem::Snapshot,
     let direct = eco.snapshot(week);
     let mut sim = Sim::new(seed);
     let max_id = {
-        let f = IftttFrontend::new(eco, week);
+        let f = IftttFrontend::new(direct.clone());
         let max = f.max_applet_id();
         let fe = sim.add_node("ifttt.com", f);
         sim.node_mut::<IftttFrontend>(fe).overload_rate = overload;
@@ -35,11 +36,7 @@ fn crawl(seed: u64, overload: f64) -> (ecosystem::Snapshot, ecosystem::Snapshot,
 }
 
 fn assert_equivalent(direct: &ecosystem::Snapshot, crawled: &ecosystem::Snapshot) {
-    assert_eq!(crawled.services.len(), direct.services.len());
-    assert_eq!(crawled.applets.len(), direct.applets.len());
-    assert_eq!(crawled.total_add_count(), direct.total_add_count());
-    assert_eq!(crawled.trigger_count(), direct.trigger_count());
-    assert_eq!(crawled.action_count(), direct.action_count());
+    assert_eq!(WeekCounts::of(crawled), WeekCounts::of(direct));
     // Record-level equality (modulo created_week, which a scraper cannot
     // observe and the crawler leaves at zero).
     let mut direct_applets = direct.applets.clone();

@@ -5,7 +5,7 @@
 use ifttt_core::analysis::GrowthReport;
 use ifttt_core::ecosystem::crawler::crawl_week;
 use ifttt_core::ecosystem::generator::{Ecosystem, GeneratorConfig};
-use ifttt_core::ecosystem::Snapshot;
+use ifttt_core::ecosystem::{Snapshot, WeekCounts};
 
 #[test]
 fn weekly_crawls_support_longitudinal_analysis() {
@@ -21,7 +21,8 @@ fn weekly_crawls_support_longitudinal_analysis() {
     let w0 = Snapshot::from_json(&json0).unwrap();
     let w19 = Snapshot::from_json(&json19).unwrap();
 
-    let g = GrowthReport::of(&[w0.clone(), w19.clone()], 0, 19);
+    let weekly = [WeekCounts::of(&w0), WeekCounts::of(&w19)];
+    let g = GrowthReport::of(&weekly, 0, 19);
     assert!(
         (g.services_growth - 0.11).abs() < 0.03,
         "services {}",
@@ -33,10 +34,9 @@ fn weekly_crawls_support_longitudinal_analysis() {
         g.add_count_growth
     );
 
-    // The crawled snapshots agree with the generator's direct views.
-    assert_eq!(w0.applets.len(), eco.snapshot(0).applets.len());
-    assert_eq!(w19.applets.len(), eco.snapshot(19).applets.len());
-    assert_eq!(w19.total_add_count(), eco.snapshot(19).total_add_count());
+    // The crawled snapshots count what the generator counts.
+    let counts = eco.week_counts();
+    assert_eq!(weekly, [counts[0], counts[19]]);
 }
 
 #[test]
