@@ -44,15 +44,20 @@
 //! wedged worker, not a slow cell. The drain handshake then closes the
 //! loop on integrity: each surviving worker reports the FNV-1a digest of
 //! its local merged metrics, which must equal the digest of what the
-//! coordinator committed on that worker's behalf.
+//! coordinator committed on that worker's behalf, and the hot threshold it
+//! resolved, which must equal every other worker's.
+//!
+//! The coordinator runs no cell, so it generates no applet catalog: it
+//! ships the config as given, and each worker resolves the hot threshold
+//! from it exactly as the in-process runner does.
 
 use crate::frame::{read_frame, write_frame, FrameBuf, FrameType, PayloadReader, WireError};
 use crate::messages::{encode_config_push, encode_drain, FinalReport, Frame};
 use crate::worker::WorkerOptions;
 use fleet::shard::CellSpec;
 use fleet::{
-    assign_round_robin, fnv1a, plan_cells, population, FleetConfig, FleetMetrics, FleetReport,
-    Progress, ShardSummary,
+    assign_round_robin, fnv1a, plan_cells, FleetConfig, FleetMetrics, FleetReport, Progress,
+    ShardSummary,
 };
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -126,6 +131,14 @@ pub enum DistributedError {
         reported: u64,
         committed: u64,
     },
+    /// Two workers resolved different hot thresholds from the same config —
+    /// a determinism bug, never acceptable.
+    HotThresholdMismatch {
+        worker_id: u32,
+        reported: u64,
+        agreed_by: u32,
+        agreed: u64,
+    },
     /// Workers kept dying past the replacement budget.
     RejoinBudgetExhausted {
         lost_cells: usize,
@@ -141,6 +154,10 @@ impl std::fmt::Display for DistributedError {
             DistributedError::DigestMismatch { worker_id, reported, committed } => write!(
                 f,
                 "worker {worker_id} digest handshake failed: worker reported {reported:016x}, coordinator committed {committed:016x}"
+            ),
+            DistributedError::HotThresholdMismatch { worker_id, reported, agreed_by, agreed } => write!(
+                f,
+                "worker {worker_id} resolved hot threshold {reported}, worker {agreed_by} resolved {agreed}"
             ),
             DistributedError::RejoinBudgetExhausted { lost_cells } => {
                 write!(f, "rejoin budget exhausted with {lost_cells} cells unrecovered")
@@ -208,7 +225,8 @@ enum Step {
     Quiet,
     /// A cell committed; the beat to report.
     Committed(Progress),
-    /// The worker reported, and its digest agrees with its mirror.
+    /// The worker reported, its digest agrees with its mirror and its hot
+    /// threshold with every earlier report's.
     Final(FinalReport),
     /// The worker is lost to the run; [`Commit::undone`] is what to re-run.
     Down(String),
@@ -222,6 +240,9 @@ struct Commit {
     dealt: Vec<Dealt>,
     /// Cells not yet committed.
     remaining: usize,
+    /// The first final report's `(worker_id, hot_threshold)`; every later
+    /// one must carry the same threshold.
+    agreed: Option<(u32, u64)>,
 }
 
 impl Commit {
@@ -237,6 +258,7 @@ impl Commit {
             cells: cells.iter().map(plan).collect(),
             dealt: Vec::new(),
             remaining: cells.len(),
+            agreed: None,
         }
     }
 
@@ -272,6 +294,17 @@ impl Commit {
                     worker_id: report.worker_id,
                     reported: report.digest,
                     committed,
+                });
+            }
+            let (agreed_by, agreed) = *self
+                .agreed
+                .get_or_insert((report.worker_id, report.hot_threshold));
+            if report.hot_threshold != agreed {
+                return Err(DistributedError::HotThresholdMismatch {
+                    worker_id: report.worker_id,
+                    reported: report.hot_threshold,
+                    agreed_by,
+                    agreed,
                 });
             }
         }
@@ -386,6 +419,12 @@ fn spawn_worker(
         .map_err(|e| DistributedError::Spawn(format!("{}: {e}", dcfg.shard_bin.display())))
 }
 
+/// The accept loop's first and longest wait between polls. A spawned
+/// worker connects about a millisecond after it starts, so the wait starts
+/// short and grows by half after each miss, up to the ceiling.
+const ACCEPT_FIRST_WAIT: Duration = Duration::from_micros(100);
+const ACCEPT_MAX_WAIT: Duration = Duration::from_millis(5);
+
 /// Accept one worker connection and return its stream + announced id.
 /// The listener is non-blocking so a worker that dies before connecting
 /// turns into a timely `Spawn` error instead of a hang.
@@ -394,6 +433,7 @@ fn accept_hello(
     dcfg: &DistributedConfig,
 ) -> Result<(TcpStream, u32), DistributedError> {
     let deadline = Instant::now() + dcfg.connect_timeout;
+    let mut wait = ACCEPT_FIRST_WAIT;
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -408,13 +448,15 @@ fn accept_hello(
                 };
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
+                let now = Instant::now();
+                if now >= deadline {
                     return Err(DistributedError::Spawn(format!(
                         "no worker connected within {:?}",
                         dcfg.connect_timeout
                     )));
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(wait.min(deadline - now));
+                wait = (wait * 3 / 2).min(ACCEPT_MAX_WAIT);
             }
             Err(e) => return Err(e.into()),
         }
@@ -446,17 +488,6 @@ pub fn run_fleet_distributed_with_progress(
     mut on_progress: impl FnMut(&Progress),
 ) -> Result<DistributedOutcome, DistributedError> {
     let started = Instant::now();
-
-    // Resolve the config exactly like the in-process runner: the hot
-    // threshold is derived once, here, and shipped resolved so every
-    // worker plans from identical inputs. The coordinator runs no cell, so
-    // it keeps the threshold and drops the sampler here.
-    let hot_threshold = population(cfg).1;
-    let cfg = FleetConfig {
-        hot_threshold: Some(hot_threshold),
-        ..cfg.clone()
-    };
-
     let cells = plan_cells(cfg.users, cfg.cell_users);
     let workers = dcfg.workers.min(cells.len().max(1));
 
@@ -493,7 +524,7 @@ pub fn run_fleet_distributed_with_progress(
                 )));
             }
             let mut fb = FrameBuf::new();
-            encode_config_push(&mut fb, &cfg, &assigned);
+            encode_config_push(&mut fb, cfg, &assigned);
             write_frame(&mut stream, fb.finish())?;
             let read_half = stream.try_clone()?;
             links.push(stream);
@@ -574,7 +605,7 @@ pub fn run_fleet_distributed_with_progress(
         finals.sort_by_key(|f| f.worker_id);
         let wall = started.elapsed();
         Ok(DistributedOutcome {
-            report: assemble_report(&cfg, hot_threshold, workers, &commit.merged, &finals, wall),
+            report: assemble_report(cfg, workers, &commit.merged, &finals, wall),
             rejoins,
             workers_spawned: links.len(),
         })
@@ -586,10 +617,10 @@ pub fn run_fleet_distributed_with_progress(
 /// per-process counters — the coordinator's own allocations (framing,
 /// merge bookkeeping) are not simulation work and are excluded, so the
 /// distributed alloc gate measures the same thing the in-process one
-/// does.
+/// does. The hot threshold is the one the workers agreed on (`Commit`
+/// refused any disagreement); with no final report it is the config's.
 fn assemble_report(
     cfg: &FleetConfig,
-    hot_threshold: u64,
     workers: usize,
     merged: &FleetMetrics,
     finals: &[FinalReport],
@@ -610,7 +641,9 @@ fn assemble_report(
         shards: workers,
         policy: cfg.policy.name().to_string(),
         master_seed: cfg.master_seed,
-        hot_threshold,
+        hot_threshold: finals
+            .first()
+            .map_or(cfg.hot_threshold.unwrap_or(0), |f| f.hot_threshold),
         merged: merged.clone(),
         per_shard,
         wall_secs: wall.as_secs_f64(),
@@ -661,9 +694,10 @@ mod tests {
         })
     }
 
-    fn final_frame(worker_id: u32, digest: u64) -> Message {
+    fn final_frame(worker_id: u32, digest: u64, hot_threshold: u64) -> Message {
         let report = FinalReport {
             digest,
+            hot_threshold,
             ..final_report(worker_id, 0, 0)
         };
         message(FrameType::FinalReport, |fb| {
@@ -778,18 +812,18 @@ mod tests {
     fn the_final_digest_must_match_what_was_committed_for_that_worker() {
         let mut commit = two_dealt();
         // Reporting with cells of the deal uncommitted is a loss, not a finish.
-        down(commit.step(1, final_frame(1, 0)));
+        down(commit.step(1, final_frame(1, 0, 3)));
         for cell in [0, 2, 4] {
             committed(commit.step(0, metrics(0, cell)));
         }
         let digest = fnv1a(commit.dealt[0].mirror.to_json().as_bytes());
-        let mismatch = commit.step(0, final_frame(0, digest ^ 1));
+        let mismatch = commit.step(0, final_frame(0, digest ^ 1, 3));
         assert!(
             matches!(mismatch, Err(DistributedError::DigestMismatch { worker_id: 0, reported, committed })
                 if (reported, committed) == (digest ^ 1, digest)),
             "{mismatch:?}"
         );
-        let agreed = commit.step(0, final_frame(0, digest));
+        let agreed = commit.step(0, final_frame(0, digest, 3));
         assert!(matches!(agreed, Ok(Step::Final(_))), "{agreed:?}");
         assert_eq!((commit.remaining, commit.live()), (3, 0));
     }
@@ -809,6 +843,67 @@ mod tests {
         assert_eq!(ids(&commit.undone(2)), [0]);
     }
 
+    /// Both connections of [`two_dealt`] with their whole deal committed;
+    /// returns each one's digest.
+    fn all_committed(commit: &mut Commit) -> [u64; 2] {
+        for cell in 0..6 {
+            committed(commit.step(cell as usize % 2, metrics(cell as u32 % 2, cell)));
+        }
+        [0, 1].map(|slot| fnv1a(commit.dealt[slot].mirror.to_json().as_bytes()))
+    }
+
+    #[test]
+    fn workers_that_resolve_different_hot_thresholds_fail_the_run_by_name() {
+        let mut commit = two_dealt();
+        let [d0, d1] = all_committed(&mut commit);
+        let agreed = commit.step(1, final_frame(1, d1, 3));
+        assert!(matches!(agreed, Ok(Step::Final(_))), "{agreed:?}");
+        let split = commit.step(0, final_frame(0, d0, 4));
+        assert!(
+            matches!(
+                split,
+                Err(DistributedError::HotThresholdMismatch {
+                    worker_id: 0,
+                    reported: 4,
+                    agreed_by: 1,
+                    agreed: 3
+                })
+            ),
+            "{split:?}"
+        );
+        let text = split.unwrap_err().to_string();
+        assert!(
+            text.contains("worker 0") && text.contains("worker 1"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn the_report_carries_the_hot_threshold_the_workers_agreed_on() {
+        let cfg = FleetConfig::new(300, 2, fleet::FleetPolicy::Smart);
+        let mut commit = two_dealt();
+        let digests = all_committed(&mut commit);
+        let mut finals = Vec::new();
+        for slot in [0, 1] {
+            match commit.step(slot, final_frame(slot as u32, digests[slot], 11)) {
+                Ok(Step::Final(report)) => finals.push(report),
+                other => panic!("expected a final report: {other:?}"),
+            }
+        }
+        let report = assemble_report(&cfg, 2, &commit.merged, &finals, Duration::ZERO);
+        assert_eq!(report.hot_threshold, 11);
+        // No final report at all (every worker lost after its cells): the
+        // config's explicit threshold, else 0.
+        let none = assemble_report(&cfg, 2, &commit.merged, &[], Duration::ZERO);
+        assert_eq!(none.hot_threshold, 0);
+        let explicit = FleetConfig {
+            hot_threshold: Some(5),
+            ..cfg
+        };
+        let none = assemble_report(&explicit, 2, &commit.merged, &[], Duration::ZERO);
+        assert_eq!(none.hot_threshold, 5);
+    }
+
     // ---- report assembly
 
     fn final_report(worker_id: u32, allocs: u64, alloc_bytes: u64) -> FinalReport {
@@ -821,6 +916,7 @@ mod tests {
             allocs,
             alloc_bytes,
             digest: 0,
+            hot_threshold: 3,
         }
     }
 
@@ -836,7 +932,7 @@ mod tests {
             final_report(0, 10_000, 800_000),
             final_report(1, 2_345, 120_000),
         ];
-        let report = assemble_report(&cfg, 7, 2, &merged, &finals, Duration::from_secs(3));
+        let report = assemble_report(&cfg, 2, &merged, &finals, Duration::from_secs(3));
         assert_eq!(report.allocs, 12_345);
         assert_eq!(report.alloc_bytes, 920_000);
         // Per-shard execution facts survive with worker identity.

@@ -30,8 +30,9 @@ use std::io::{self, Read, Write};
 /// Protocol version tag carried in every frame header. Bumped whenever
 /// any payload layout changes; peers reject mismatches outright rather
 /// than guessing. Version 2: a metrics delta carries the cell's metrics
-/// JSON, attribution included, and frame type 5 is retired.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// JSON, attribution included, and frame type 5 is retired. Version 3:
+/// `FinalReport` carries the hot threshold the worker resolved.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Bytes in a frame header.
 pub const HEADER_LEN: usize = 8;

@@ -101,6 +101,10 @@ wire_message! {
         /// ([`fleet::fnv1a`]); the coordinator recomputes it from the deltas
         /// it committed for this worker and refuses the run on mismatch.
         digest: u64,
+        /// The hot threshold `fleet::population` resolved from the pushed
+        /// config, which this worker's cells ran with. Every worker must
+        /// report the same one; the coordinator refuses the run otherwise.
+        hot_threshold: u64,
     }
 }
 

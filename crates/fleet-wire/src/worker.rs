@@ -3,11 +3,11 @@
 //! heartbeat beside it.
 //!
 //! A worker is a *pure executor*. Cells are seed-pure — each derives its
-//! RNG stream from `(master_seed, cell_id)` — so the worker regenerates
-//! the identical catalog and sampler from the pushed [`fleet::FleetConfig`] and
-//! produces cell outcomes byte-identical to any other process (or
-//! thread) running the same cells. Nothing a worker does can influence
-//! *what* is computed, only *where*.
+//! RNG stream from `(master_seed, cell_id)` — so the worker generates the
+//! identical catalog, sampler and hot threshold from the pushed
+//! [`FleetConfig`] and produces cell outcomes byte-identical to any other
+//! process (or thread) running the same cells. Nothing a worker does can
+//! influence *what* is computed, only *where*.
 //!
 //! ## Threads
 //!
@@ -35,7 +35,7 @@ use crate::messages::{
 };
 use fleet::cell::run_cell;
 use fleet::options::{parse_flags, Flag};
-use fleet::{fnv1a, population, FleetMetrics};
+use fleet::{fnv1a, population, FleetConfig, FleetMetrics};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -248,12 +248,17 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), WorkerError> {
             ))
         }
     };
-    let cfg = push.config;
     let cells = push.cells;
 
-    // Regenerate the catalog and sampler — pure in the config, so this
-    // is byte-identical to the coordinator's (and every sibling's).
-    let (sampler, _hot) = population(&cfg);
+    // Generate the catalog and sampler — pure in the config, so this is
+    // byte-identical to every sibling's — and resolve the hot threshold
+    // exactly as the in-process runner does. The threshold is reported
+    // back, so the coordinator can check that every worker agrees.
+    let (sampler, hot_threshold) = population(&push.config);
+    let cfg = FleetConfig {
+        hot_threshold: Some(hot_threshold),
+        ..push.config
+    };
 
     let hb = Arc::new(HbState {
         worker_id: opts.worker_id,
@@ -342,6 +347,7 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), WorkerError> {
             allocs,
             alloc_bytes,
             digest: fnv1a(local.to_json().as_bytes()),
+            hot_threshold,
         },
     );
     Ok(send(&mut fb)?)

@@ -123,6 +123,7 @@ proptest! {
             allocs: rng.gen(),
             alloc_bytes: rng.gen(),
             digest: rng.gen(),
+            hot_threshold: rng.gen(),
         };
         let mut fb = FrameBuf::new();
         encode_final_report(&mut fb, &msg);
@@ -321,15 +322,14 @@ fn oversized_length_prefix_is_rejected_before_any_read() {
 
 #[test]
 fn wrong_protocol_version_is_rejected() {
-    let bytes = header(PROTOCOL_VERSION + 1, 3, 0, 0);
-    assert!(
-        matches!(read_one(&bytes), Err(WireError::BadVersion { got }) if got == PROTOCOL_VERSION + 1)
-    );
-    let bytes = header(0, 3, 0, 0);
-    assert!(matches!(
-        read_one(&bytes),
-        Err(WireError::BadVersion { got: 0 })
-    ));
+    // 2 is the previous version, whose `FinalReport` had no hot threshold.
+    for version in [0, 2, PROTOCOL_VERSION + 1] {
+        let bytes = header(version, FrameType::FinalReport as u8, 0, 0);
+        assert!(
+            matches!(read_one(&bytes), Err(WireError::BadVersion { got }) if got == version),
+            "version {version}"
+        );
+    }
 }
 
 #[test]
@@ -596,8 +596,9 @@ fn clean_run_metrics_json_carries_no_nonzero_only_key() {
 
 #[test]
 fn metrics_delta_frame_matches_the_parent_bytes() {
-    // Protocol 2: the header, worker 7 and cell 1734, then exactly the
-    // bytes the metrics JSON fixture above pins — no second encoding.
+    // The header, worker 7 and cell 1734, then exactly the bytes the
+    // metrics JSON fixture above pins — no second encoding. The delta's
+    // layout is protocol 2's; only the version byte read 02 then.
     let mut fb = FrameBuf::new();
     let head = DeltaHead {
         worker_id: 7,
@@ -607,7 +608,7 @@ fn metrics_delta_frame_matches_the_parent_bytes() {
     let frame = fb.finish();
     let json = numbered_json();
     let len = (12 + json.len()) as u32;
-    let header = format!("02040000{}", hex(&len.to_le_bytes()));
+    let header = format!("03040000{}", hex(&len.to_le_bytes()));
     assert_eq!(hex(&frame[..HEADER_LEN]), header);
     assert_eq!(
         hex(&frame[HEADER_LEN..HEADER_LEN + 12]),

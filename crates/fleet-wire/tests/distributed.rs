@@ -15,12 +15,13 @@
 use fleet::test_support::{
     goldens, small_chaos_cfg, small_churn_cfg, small_fast_cfg, small_realtime_cfg,
 };
-use fleet::{run_fleet, FleetConfig};
+use fleet::{run_fleet, FleetConfig, FleetPolicy};
 use fleet_wire::coordinator::{
     run_fleet_distributed, run_fleet_distributed_with_progress, DistributedError,
 };
 use fleet_wire::{DistributedConfig, WorkerChaos};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn shard_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_fleet-shard"))
@@ -89,7 +90,7 @@ fn heartbeat_storm_does_not_corrupt_the_frame_stream() {
             true => run_fleet(&cfg).digest(),
         };
         let mut d = dcfg(2);
-        d.heartbeat = Some(std::time::Duration::from_millis(1));
+        d.heartbeat = Some(Duration::from_millis(1));
         let outcome = run_fleet_distributed_with_progress(&cfg, &d, |_| {}).expect("clean run");
         assert_eq!(
             outcome.report.digest(),
@@ -162,6 +163,45 @@ fn distributed_scenario_run_matches_in_process() {
     assert_eq!(distributed.digest(), in_process.digest());
     assert!(distributed.merged.churn_installs.get() > 0);
     assert!(distributed.merged.realtime_notifications.get() > 0);
+}
+
+/// The coordinator ships the config without a hot threshold; every worker
+/// resolves it from the catalog it generates. At the default `eco_scale`
+/// the threshold is 1 and every applet is hot, so a worker that dropped
+/// it would still match; at 0.05 it is 3, and the control run shows the
+/// digest tells the two apart.
+#[test]
+fn workers_resolve_the_hot_threshold_the_in_process_run_resolves() {
+    let at_scale_005 = |policy| {
+        FleetConfig::new(400, 1, policy)
+            .with_seed(2017)
+            .with_eco_scale(0.05)
+            .with_phases(10.0, 240.0, 900.0)
+    };
+    for policy in [FleetPolicy::Smart, FleetPolicy::Zapier] {
+        let cfg = at_scale_005(policy);
+        let in_process = run_fleet(&cfg);
+        let distributed = run_fleet_distributed(&cfg, &dcfg(2)).expect("run");
+        assert_eq!(in_process.hot_threshold, 3, "{policy:?}");
+        assert_eq!(
+            distributed.hot_threshold, in_process.hot_threshold,
+            "{policy:?}"
+        );
+        assert_eq!(distributed.digest(), in_process.digest(), "{policy:?}");
+        let all_hot = run_fleet(&FleetConfig {
+            hot_threshold: Some(1),
+            ..cfg.clone()
+        });
+        assert_ne!(all_hot.digest(), in_process.digest(), "{policy:?}");
+    }
+    // An explicit threshold is shipped as given and echoed back.
+    let cfg = FleetConfig {
+        hot_threshold: Some(5),
+        ..at_scale_005(FleetPolicy::Smart)
+    };
+    let distributed = run_fleet_distributed(&cfg, &dcfg(2)).expect("run");
+    assert_eq!(distributed.hot_threshold, 5);
+    assert_eq!(distributed.digest(), run_fleet(&cfg).digest());
 }
 
 #[test]
@@ -243,6 +283,49 @@ fn rejoin_budget_exhaustion_is_a_typed_error_not_a_hang() {
         }
         other => panic!("expected RejoinBudgetExhausted, got {other:?}"),
     }
+}
+
+/// A worker binary that never connects — one that exits at once, and one
+/// that stays alive — is a typed `Spawn` error once `connect_timeout`
+/// passes, not a hang, and the coordinator leaves no process behind.
+#[test]
+fn a_worker_that_never_connects_is_a_spawn_error_at_the_deadline() {
+    use std::os::unix::fs::PermissionsExt;
+    let dir = std::env::temp_dir().join(format!("fleet-wire-no-hello-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (name, then) in [("exits", "exit 0"), ("lingers", "exec sleep 30")] {
+        let pid_file = dir.join(format!("{name}.pid"));
+        let bin = dir.join(name);
+        let script = format!("#!/bin/sh\necho $$ > '{}'\n{then}\n", pid_file.display());
+        std::fs::write(&bin, script).expect("write script");
+        std::fs::set_permissions(&bin, std::fs::Permissions::from_mode(0o755)).expect("chmod");
+
+        let timeout = Duration::from_millis(300);
+        let mut d = DistributedConfig::new(1, bin);
+        d.connect_timeout = timeout;
+        let t0 = Instant::now();
+        let outcome = run_fleet_distributed(&small_fast_cfg(1, 2017), &d);
+        let took = t0.elapsed();
+        match outcome {
+            Err(DistributedError::Spawn(why)) => {
+                assert!(why.contains("no worker connected within"), "{name}: {why}")
+            }
+            other => panic!("{name}: expected a Spawn error, got {other:?}"),
+        }
+        assert!(
+            took >= timeout && took < timeout * 3 / 2,
+            "{name}: {took:?}"
+        );
+        // The script wrote its pid before the deadline; reaped, it is gone.
+        let pid = std::fs::read_to_string(&pid_file).expect("the script ran");
+        let proc_dir = PathBuf::from(format!("/proc/{}", pid.trim()));
+        assert!(
+            !proc_dir.exists(),
+            "{name}: worker {} left behind",
+            pid.trim()
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

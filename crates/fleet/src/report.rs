@@ -32,6 +32,9 @@ pub struct FleetReport {
     pub policy: String,
     pub master_seed: u64,
     /// Add-count knee used by the smart policy (informational otherwise).
+    /// A distributed run reports the value its workers resolved and agreed
+    /// on; if no worker's final report arrived (every worker was lost after
+    /// finishing its cells), the config's explicit value, else 0.
     pub hot_threshold: u64,
     /// Exactly-merged instruments from every shard.
     pub merged: FleetMetrics,
