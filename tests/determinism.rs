@@ -14,6 +14,32 @@ fn ecosystems_are_deterministic() {
     assert_eq!(a.applets, b.applets);
 }
 
+/// The catalog's bytes across commits: `generate` must make the same RNG
+/// draws in the same order, so a refactor that moves one fails here.
+#[test]
+fn ecosystem_bytes_are_pinned() {
+    let pins = [
+        (2017, 0.02, 0.0, "c76edc3702392666"),
+        (2017, 0.02, 0.25, "ab5738cfe3e7df50"),
+        (2017, 0.05, 0.0, "3f90a1a85a0cdfcb"),
+        (2017, 0.05, 0.25, "fa46185bcadb5411"),
+        (7, 0.02, 0.0, "04e3cc8b746951e7"),
+        (7, 0.02, 0.25, "3e66785e5c685dc8"),
+        (7, 0.05, 0.0, "4e61717fbe4937d0"),
+        (7, 0.05, 0.25, "633aa00fd4b03347"),
+    ];
+    for (seed, scale, multi_step_share, want) in pins {
+        let config = GeneratorConfig {
+            seed,
+            scale,
+            multi_step_share,
+        };
+        let json = serde_json::to_string(&Ecosystem::generate(config)).unwrap();
+        let got = format!("{:016x}", ifttt_core::fleet::fnv1a(json.as_bytes()));
+        assert_eq!(got, want, "{config:?}");
+    }
+}
+
 #[test]
 fn t2a_measurements_are_deterministic() {
     let s = T2aScenario::official(PaperApplet::A2, 4, 77);
