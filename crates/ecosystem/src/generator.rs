@@ -8,25 +8,38 @@
 //! so the analysis pipeline can re-derive the paper's findings from data
 //! rather than echo constants.
 //!
-//! Construction outline:
+//! Construction outline: [`Ecosystem::generate`] runs one function per
+//! step, in this order.
 //!
-//! 1. **Services**: category counts by largest-remainder apportionment of
-//!    Table 1's percentages; 12 real IoT anchor services (Table 3) plus a
-//!    pool of well-known non-IoT services, then synthetic names.
-//! 2. **Interaction matrix**: a 14×14 trigger×action add-count matrix fit
-//!    by iterative proportional fitting to Table 1's marginals, seeded with
-//!    Figure 2's qualitative hotspots.
-//! 3. **Anchor applets**: a hand-authored pairing table that realizes
-//!    Table 3's per-service add counts exactly.
-//! 4. **Synthetic applets**: a three-segment heavy-tail add-count sequence
-//!    (head/mid/tail) hitting Figure 3's top-1% = 84.1% and top-10% =
-//!    97.6% shares, assigned to category cells by budgeted sampling.
-//! 5. **Authors**: a service-made band (2% of applets, 14% of adds) and a
-//!    heavy-tailed user quota sequence (top 1% → 18%, top 10% → 49%).
-//! 6. **Longitudinal model**: per-entity creation weeks following the
-//!    published growth rates, with add counts scaled geometrically.
-
-#![allow(clippy::needless_range_loop)] // 14x14 matrix code reads best with indices
+//! 1. **Services** (`services_with_weeks`): category counts by
+//!    largest-remainder apportionment of Table 1's percentages; 12 real IoT
+//!    anchor services (Table 3) plus a pool of well-known non-IoT services,
+//!    then synthetic names and post-canonical newcomers, with creation
+//!    weeks following the services growth rate.
+//! 2. **Trigger and action slots** (`deal_slots`): anchors get their real
+//!    slots, every service at least one of each, and the rest go to early
+//!    services by weight, up to the triggers and actions growth curves.
+//! 3. **Anchor applets** (`anchor_applets`): a hand-authored pairing table
+//!    that realizes Table 3's per-service add counts exactly.
+//! 4. **Synthetic applets** (`synthetic_applets`): a three-segment
+//!    heavy-tail add-count sequence (head/mid/tail) hitting Figure 3's
+//!    top-1% = 84.1% and top-10% = 97.6% shares, assigned to category cells
+//!    by budget. The budget is a 14×14 trigger×action matrix seeded with
+//!    Figure 2's qualitative hotspots and fit by iterative proportional
+//!    fitting to Table 1's marginals net of the anchors. Small
+//!    post-canonical newcomers follow.
+//! 5. **Authors** (`assign_authors`): a service-made band (2% of applets,
+//!    14% of adds) and a heavy-tailed user quota sequence (top 1% → 18%,
+//!    top 10% → 49%).
+//! 6. **Creation weeks and ids** (`creation_weeks_and_ids`): canonical
+//!    applets are born along the add-count growth curve, roughly in
+//!    add-count order and never before their services; unique
+//!    six-digit-style page ids.
+//! 7. **Multi-step DAGs** (`multi_step_dags`, opt-in): Zapier-style
+//!    execution DAGs for a share of the applets, on a derived RNG stream.
+//!
+//! Steps 1–6 draw from one RNG stream seeded by the config. Weekly views
+//! scale add counts back geometrically along the growth curve.
 
 use crate::model::{self, GROWTH, SCALE, TAILS};
 use crate::names;
@@ -37,11 +50,16 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use simnet::rng::derive_seed;
+use std::collections::{HashMap, HashSet};
+use std::iter;
 use tap_protocol::{FieldMap, StepNode, StepPredicate, StepSpec};
 
 /// Derived-seed stream for the multi-step shape post-pass, so enabling
 /// `multi_step_share` perturbs no draw of the base ecosystem RNG.
 const MULTI_STEP_STREAM: u64 = 0x57e9_0001;
+
+/// The last crawl week (inclusive).
+const FINAL_WEEK: u32 = (GROWTH.snapshots - 1) as u32;
 
 /// Generator configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -502,12 +520,78 @@ const ANCHOR_APPLETS: &[AnchorApplet] = &[
     },
 ];
 
-/// Iterative proportional fitting of the 14×14 interaction matrix to
-/// Table 1's trigger/action add-count marginals, from a seed encoding
-/// Figure 2's qualitative hotspots. Returns fractions summing to 1.
-pub fn interaction_matrix() -> [[f64; 14]; 14] {
+/// The interaction matrix's shape: 14 trigger categories × 14 action
+/// categories, in Table 1's order.
+type Matrix = [[f64; 14]; 14];
+
+/// Where `u` lands when walked down `weights`: the first index at which the
+/// running sum reaches it, or `None` if rounding left `u` past the total.
+fn weighted_index(weights: impl IntoIterator<Item = f64>, mut u: f64) -> Option<usize> {
+    weights.into_iter().position(|w| {
+        u -= w;
+        u <= 0.0
+    })
+}
+
+/// The week the `count`-th entity in creation order is born: the first week
+/// in `0..last` whose growth curve through `canonical` reaches `count`, else
+/// `last`.
+fn first_week_reaching(canonical: f64, growth: f64, count: usize, last: u32) -> u32 {
+    (0..last)
+        .find(|&w| curve(canonical, growth, w as f64).round() as usize >= count)
+        .unwrap_or(last)
+}
+
+/// A catalog applet as steps 3 and 4 make it; step 5 gives it its author
+/// and step 6 its id and, if it is canonical, its creation week.
+fn applet(
+    trigger_service: &str,
+    trigger: &str,
+    action_service: &str,
+    action: &str,
+    add_count: u64,
+    created_week: u32,
+) -> AppletRecord {
+    AppletRecord {
+        id: 0,
+        name: format!("If {trigger} then {action}"),
+        trigger_service: trigger_service.into(),
+        trigger: trigger.into(),
+        action_service: action_service.into(),
+        action: action.into(),
+        author: Author::User(0),
+        add_count,
+        created_week,
+        steps: Vec::new(),
+    }
+}
+
+/// Iterative proportional fitting: 200 rounds of scaling `m`'s rows to sum
+/// to `rows`, then its columns to `cols`. A row or column of zeros stays
+/// zero.
+fn fit_marginals(m: &mut Matrix, rows: &[f64], cols: &[f64]) {
+    for _ in 0..200 {
+        for (row, want) in m.iter_mut().zip(rows) {
+            let s: f64 = row.iter().sum();
+            if s > 0.0 {
+                row.iter_mut().for_each(|v| *v *= want / s);
+            }
+        }
+        for (c, want) in cols.iter().enumerate() {
+            let s: f64 = m.iter().map(|row| row[c]).sum();
+            if s > 0.0 {
+                m.iter_mut().for_each(|row| row[c] *= want / s);
+            }
+        }
+    }
+}
+
+/// The 14×14 interaction matrix: a seed encoding Figure 2's qualitative
+/// hotspots, fit to Table 1's trigger/action add-count marginals. Returns
+/// fractions summing to 1.
+fn interaction_matrix() -> Matrix {
     let mut m = [[1.0f64; 14]; 14];
-    let boost = |m: &mut [[f64; 14]; 14], r: usize, c: usize, f: f64| {
+    let boost = |m: &mut Matrix, r: usize, c: usize, f: f64| {
         m[r - 1][c - 1] *= f;
     };
     // IoT triggers pair with action categories 1, 5, 9 (§3.2 / Fig. 2).
@@ -533,8 +617,8 @@ pub fn interaction_matrix() -> [[f64; 14]; 14] {
     // Email ↔ storage/notification.
     boost(&mut m, 13, 6, 4.0);
     boost(&mut m, 13, 9, 4.0);
-    let rows: Vec<f64> = TABLE1.iter().map(|r| r.trigger_ac_pct / 100.0).collect();
-    let cols: Vec<f64> = TABLE1.iter().map(|r| r.action_ac_pct / 100.0).collect();
+    let rows = TABLE1.map(|r| r.trigger_ac_pct / 100.0);
+    let cols = TABLE1.map(|r| r.action_ac_pct / 100.0);
     // Zero columns stay zero (Time & location exposes no real actions).
     for (j, c) in cols.iter().enumerate() {
         if *c == 0.0 {
@@ -543,45 +627,21 @@ pub fn interaction_matrix() -> [[f64; 14]; 14] {
             }
         }
     }
-    for _ in 0..200 {
-        // Scale rows.
-        for i in 0..14 {
-            let s: f64 = m[i].iter().sum();
-            if s > 0.0 {
-                for j in 0..14 {
-                    m[i][j] *= rows[i] / s;
-                }
-            }
-        }
-        // Scale columns.
-        for j in 0..14 {
-            let s: f64 = (0..14).map(|i| m[i][j]).sum();
-            if s > 0.0 {
-                for row in m.iter_mut() {
-                    row[j] *= cols[j] / s;
-                }
-            }
-        }
-    }
+    fit_marginals(&mut m, &rows, &cols);
     m
 }
 
-/// A heavy-tail add-count sequence: `n` descending values summing to
-/// exactly `total`, with the top 1% holding `head_share` and ranks 1%–10%
-/// holding `mid_share` of the total (Figure 3's calibration).
+/// A heavy-tail sequence: `n` descending values summing to exactly `total`,
+/// with ranks `1..=k1` holding `head_share` and ranks `k1+1..=k2` holding
+/// `mid_share` of the total (Figure 3's calibration). The knees are 1% and
+/// 10% of `n` unless part of the population (the anchor applets) already
+/// occupies top ranks.
 ///
 /// Shape: a continuous piecewise power law `v(r) = C·r^-a`. The head
 /// exponent is fixed; the mid and tail exponents are solved numerically so
 /// the segment sums hit their budgets while values stay continuous (and
 /// therefore globally monotone) across segment boundaries.
-fn heavy_tail_sequence(n: usize, total: u64, head_share: f64, mid_share: f64) -> Vec<u64> {
-    heavy_tail_sequence_with_knees(n, total, head_share, mid_share, n / 100, n / 10)
-}
-
-/// [`heavy_tail_sequence`] with explicit segment knees — used when part of
-/// the population (the anchor applets) already occupies top ranks, so the
-/// synthetic head must be smaller than a straight 1% of `n`.
-fn heavy_tail_sequence_with_knees(
+fn heavy_tail_sequence(
     n: usize,
     total: u64,
     head_share: f64,
@@ -691,8 +751,453 @@ fn heavy_tail_sequence_with_knees(
     out
 }
 
+/// What the scale fixes before any step runs.
+struct Sizes {
+    /// Applets at the canonical week.
+    n_canonical: usize,
+    /// Applets at the final week, post-canonical newcomers included.
+    n_total: usize,
+    /// The canonical week's total add count.
+    total_adds: u64,
+    /// User channels, before step 5 caps them at the user-made applets.
+    n_users: usize,
+}
+
+impl Sizes {
+    fn new(scale: f64) -> Sizes {
+        let n_canonical = (SCALE.applets as f64 * scale).round() as usize;
+        let final_week = FINAL_WEEK as f64;
+        Sizes {
+            n_canonical,
+            n_total: curve(n_canonical as f64, GROWTH.add_count, final_week).round() as usize,
+            total_adds: (SCALE.total_add_count as f64 * scale).round() as u64,
+            n_users: (SCALE.user_channels as f64 * scale).round() as usize,
+        }
+    }
+}
+
+/// Step 1: the services, with creation weeks. Table 3's anchors and the
+/// [`FAMOUS`] services come first, synthetic names fill each category to
+/// its largest-remainder share of Table 1's 408, and post-canonical
+/// newcomers in random categories bring the count to the services growth
+/// curve's final week.
+fn services_with_weeks(rng: &mut StdRng) -> Vec<ServiceRecord> {
+    let canonical = SCALE.services;
+    let total = curve(canonical as f64, GROWTH.services, FINAL_WEEK as f64).round() as usize;
+    let mut services = Vec::with_capacity(total);
+    let mut used = HashSet::with_capacity(total);
+    // Adds a service unless its slug is taken; says whether it did.
+    let mut add = |services: &mut Vec<ServiceRecord>, name: String, slug: String, category| {
+        let fresh = used.insert(slug.clone());
+        if fresh {
+            services.push(ServiceRecord {
+                slug,
+                name,
+                category,
+                triggers: Vec::new(),
+                actions: Vec::new(),
+                created_week: 0,
+            });
+        }
+        fresh
+    };
+    // An anchor on both of Table 3's lists is added once.
+    let anchors = model::TOP_IOT_TRIGGER_SERVICES.iter();
+    for a in anchors.chain(model::TOP_IOT_ACTION_SERVICES) {
+        let category = Category::from_index(a.category).expect("valid category");
+        add(&mut services, a.service.into(), a.slug.into(), category);
+    }
+    for &(name, slug, category) in FAMOUS {
+        add(&mut services, name.into(), slug.into(), category);
+    }
+    let fixed = services.len();
+    let per_cat = apportion(canonical, &TABLE1.map(|r| r.services_pct));
+    for (&category, want) in ALL_CATEGORIES.iter().zip(per_cat) {
+        let mut have = services.iter().filter(|s| s.category == category).count();
+        let mut idx = 0;
+        while have < want {
+            let name = names::service_name(category, idx);
+            let slug = names::slugify(&name);
+            idx += 1;
+            have += usize::from(add(&mut services, name, slug, category));
+        }
+    }
+    debug_assert_eq!(services.len(), canonical);
+    let mut idx = 1000;
+    while services.len() < total {
+        let category = ALL_CATEGORIES[rng.gen_range(0..14)];
+        let name = names::service_name(category, idx);
+        let slug = names::slugify(&name);
+        idx += 1;
+        add(&mut services, name, slug, category);
+    }
+    // The first `curve(w)` services in this order exist at week `w`: the
+    // fixed ones at week 0, then the canonical synthetics shuffled among
+    // themselves (all predate the canonical week), then the newcomers.
+    let mut rest: Vec<usize> = (fixed..canonical).collect();
+    rest.shuffle(rng);
+    let mut newcomers: Vec<usize> = (canonical..total).collect();
+    newcomers.shuffle(rng);
+    for (pos, i) in (0..fixed).chain(rest).chain(newcomers).enumerate() {
+        let week = first_week_reaching(canonical as f64, GROWTH.services, pos + 1, FINAL_WEEK);
+        services[i].created_week = week;
+    }
+    services
+}
+
+/// Step 2: trigger and action slots. Table 3's anchors get their real
+/// slots and every other service one of each; the rest, up to the final
+/// week of the triggers and actions growth curves, go to services drawn
+/// with more weight on early ones.
+fn deal_slots(services: &mut [ServiceRecord], rng: &mut StdRng) {
+    let anchor_slots = |anchors: &[model::Table3Anchor], slug: &str| -> Vec<String> {
+        let anchor = anchors.iter().find(|a| a.slug == slug);
+        let slots = anchor.map(|a| a.top_slots.iter().map(|(s, _)| s.to_string()).collect());
+        slots.unwrap_or_default()
+    };
+    for s in services.iter_mut() {
+        s.triggers = anchor_slots(model::TOP_IOT_TRIGGER_SERVICES, &s.slug);
+        s.actions = anchor_slots(model::TOP_IOT_ACTION_SERVICES, &s.slug);
+        if s.triggers.is_empty() {
+            s.triggers.push(names::trigger_slug(s.category, 0));
+        }
+        if s.actions.is_empty() {
+            s.actions.push(names::action_slug(s.category, 0));
+        }
+    }
+    let final_week = FINAL_WEEK as f64;
+    let weights: Vec<f64> = (0..services.len())
+        .map(|i| 1.0 / (i as f64 + 2.0).powf(0.7))
+        .collect();
+    let wsum: f64 = weights.iter().sum();
+    let sides: [Side; 2] = [
+        (
+            curve(SCALE.triggers as f64, GROWTH.triggers, final_week).round() as usize,
+            |s| &mut s.triggers,
+            names::trigger_slug,
+        ),
+        (
+            curve(SCALE.actions as f64, GROWTH.actions, final_week).round() as usize,
+            |s| &mut s.actions,
+            names::action_slug,
+        ),
+    ];
+    for (total, slots, slot_name) in sides {
+        let have: usize = services.iter_mut().map(|s| slots(s).len()).sum();
+        for _ in have..total {
+            let u = rng.gen::<f64>() * wsum;
+            let s = &mut services[weighted_index(weights.iter().copied(), u).unwrap_or(0)];
+            let slot = slot_name(s.category, slots(s).len());
+            slots(s).push(slot);
+        }
+    }
+}
+
+/// One side of step 2: its final-week total, its slots in a service, and
+/// how a new slot is named.
+type Side = (
+    usize,
+    fn(&mut ServiceRecord) -> &mut Vec<String>,
+    fn(Category, usize) -> String,
+);
+
+/// Step 3: the anchor applets, [`ANCHOR_APPLETS`] at `scale`, in a vector
+/// with room for the `capacity` applets step 4 brings it to.
+fn anchor_applets(scale: f64, capacity: usize) -> Vec<AppletRecord> {
+    let mut applets = Vec::with_capacity(capacity);
+    applets.extend(ANCHOR_APPLETS.iter().map(|a| {
+        let adds = ((a.adds_k * 1000) as f64 * scale).round() as u64;
+        applet(
+            a.trigger_service,
+            a.trigger,
+            a.action_service,
+            a.action,
+            adds,
+            0,
+        )
+    }));
+    applets
+}
+
+/// Step 4: the synthetic applets. Their add counts are one heavy-tail
+/// sequence that, with the anchors, holds Figure 3's top-1% and top-10%
+/// shares of the canonical applets. Each lands in a (trigger, action)
+/// category cell by [`pick_cell`], on services drawn from that cell's
+/// [`Pools`]. Small post-canonical newcomers follow.
+fn synthetic_applets(
+    applets: &mut Vec<AppletRecord>,
+    services: &[ServiceRecord],
+    by_slug: &HashMap<&str, &ServiceRecord>,
+    sizes: &Sizes,
+    rng: &mut StdRng,
+) {
+    let n_anchors = applets.len();
+    let anchor_adds: u64 = applets.iter().map(|a| a.add_count).sum();
+    let (n_canonical, total_adds) = (sizes.n_canonical, sizes.total_adds);
+    let synth_total = total_adds.saturating_sub(anchor_adds);
+    // Global head/mid shares, net of the anchors' contribution, as
+    // fractions of the synthetic budget. The anchors already occupy top
+    // ranks, so the synthetic head/mid segments shrink: with the anchors
+    // they fill exactly the top 1% / 10% of the canonical applets.
+    let head = (TAILS.applet_top1_share * total_adds as f64 - anchor_adds as f64).max(0.0);
+    let mid = (TAILS.applet_top10_share - TAILS.applet_top1_share) * total_adds as f64;
+    let k1 = (n_canonical / 100).saturating_sub(n_anchors).max(1);
+    let k2 = (n_canonical / 10).saturating_sub(n_anchors).max(k1);
+    let seq = heavy_tail_sequence(
+        n_canonical.saturating_sub(n_anchors),
+        synth_total,
+        head / synth_total as f64,
+        mid / synth_total as f64,
+        k1,
+        k2,
+    );
+    let matrix = interaction_matrix();
+    let mut budget = residual_budget(matrix, applets, by_slug, total_adds);
+    let trig = Pools::new(services, model::TOP_IOT_TRIGGER_SERVICES);
+    let act = Pools::new(services, model::TOP_IOT_ACTION_SERVICES);
+    for (k, &adds) in seq.iter().enumerate() {
+        let (tr, ac) = pick_cell(&budget, &matrix, adds, rng);
+        budget[tr][ac] = (budget[tr][ac] - adds as f64).max(0.0);
+        // The popular 10% live on services that already existed at week 0,
+        // keeping the longitudinal add-count growth clean.
+        let hot = k < seq.len() / 10 && !trig.week0[tr].is_empty() && !act.week0[ac].is_empty();
+        let (tp, ap) = if hot {
+            (&trig.week0[tr], &act.week0[ac])
+        } else {
+            (&trig.all[tr], &act.all[ac])
+        };
+        let ts = &services[pick(tp, rng)];
+        let as_ = &services[pick(ap, rng)];
+        // Squared draws favour a service's first slots.
+        let t = (rng.gen::<f64>().powi(2) * ts.triggers.len() as f64) as usize;
+        let a = (rng.gen::<f64>().powi(2) * as_.actions.len() as f64) as usize;
+        let trigger = &ts.triggers[t.min(ts.triggers.len() - 1)];
+        let action = &as_.actions[a.min(as_.actions.len() - 1)];
+        applets.push(applet(&ts.slug, trigger, &as_.slug, action, adds, 0));
+    }
+    // Post-canonical newcomers: small applets created after the canonical
+    // week.
+    while applets.len() < sizes.n_total {
+        let tr = rng.gen_range(0..14);
+        let ac = loop {
+            let c = rng.gen_range(0..14);
+            if c != 11 {
+                break c; // cat 12 has no actions
+            }
+        };
+        let ts = &services[pick(&trig.all[tr], rng)];
+        let as_ = &services[pick(&act.all[ac], rng)];
+        let adds: u64 = 1 + rng.gen_range(0..20);
+        let week = rng.gen_range(GROWTH.week_canonical as u32 + 1..=FINAL_WEEK);
+        let (trigger, action) = (&ts.triggers[0], &as_.actions[0]);
+        applets.push(applet(&ts.slug, trigger, &as_.slug, action, adds, week));
+    }
+}
+
+/// Step 4's add-count budget per (trigger, action) category cell: the
+/// interaction matrix, as the structural seed, re-fit to the residual
+/// marginals — Table 1's row and column targets minus what the anchor
+/// applets already spent. Subtracting per cell and clamping would leak
+/// anchor overshoot into neighbouring cells and distort the measured
+/// marginals; marginal-level IPF cannot.
+fn residual_budget(
+    matrix: Matrix,
+    anchors: &[AppletRecord],
+    by_slug: &HashMap<&str, &ServiceRecord>,
+    total_adds: u64,
+) -> Matrix {
+    let mut spent = [[0u64; 14]; 14];
+    let cat = |slug: &str| by_slug[slug].category.index() - 1;
+    for a in anchors {
+        spent[cat(&a.trigger_service)][cat(&a.action_service)] += a.add_count;
+    }
+    let t = total_adds as f64;
+    let residual = |pct: f64, spent: u64| (pct / 100.0 * t - spent as f64).max(0.0);
+    let rows: Vec<f64> = (0..14)
+        .map(|r| residual(TABLE1[r].trigger_ac_pct, spent[r].iter().sum()))
+        .collect();
+    let cols: Vec<f64> = (0..14)
+        .map(|c| residual(TABLE1[c].action_ac_pct, spent.iter().map(|r| r[c]).sum()))
+        .collect();
+    let mut budget = matrix;
+    fit_marginals(&mut budget, &rows, &cols);
+    budget
+}
+
+/// The cell a synthetic applet of `adds` lands in. While budget remains,
+/// it is the fullest cell that can absorb the whole applet, else the
+/// fullest cell overall (bin packing: the overshoot is at most one applet,
+/// so no mega applet blows a Table 1 marginal). Once rounding has spent
+/// the budget, it is a draw from the raw matrix.
+fn pick_cell(budget: &Matrix, matrix: &Matrix, adds: u64, rng: &mut StdRng) -> (usize, usize) {
+    if budget.iter().flatten().sum::<f64>() > 1.0 {
+        let (mut fit, mut any) = ((f64::MIN, None), (f64::MIN, (6, 8)));
+        for (r, row) in budget.iter().enumerate() {
+            for (c, &b) in row.iter().enumerate() {
+                if b > any.0 {
+                    any = (b, (r, c));
+                }
+                if b >= adds as f64 && b > fit.0 {
+                    fit = (b, Some((r, c)));
+                }
+            }
+        }
+        fit.1.unwrap_or(any.1)
+    } else {
+        let u = rng.gen::<f64>();
+        let cell = weighted_index(matrix.iter().flatten().copied(), u);
+        cell.map_or((6, 8), |i| (i / 14, i % 14)) // cat 7 → cat 9
+    }
+}
+
+/// One side's (trigger or action) service pools for step 4, one per
+/// category: `(service index, weight)`, the weight falling with rank in
+/// the category. Table 3's anchors on that side are left out, so their
+/// add counts stay exact, and so are post-canonical services.
+struct Pools {
+    /// Every canonical-era service.
+    all: Vec<Vec<(usize, f64)>>,
+    /// The services of week 0: a popular applet must be old, so its
+    /// services must predate the crawl.
+    week0: Vec<Vec<(usize, f64)>>,
+}
+
+impl Pools {
+    fn new(services: &[ServiceRecord], anchored: &[model::Table3Anchor]) -> Pools {
+        let mut pools = Pools {
+            all: vec![Vec::new(); 14],
+            week0: vec![Vec::new(); 14],
+        };
+        for (i, s) in services.iter().enumerate() {
+            let canonical = s.created_week <= GROWTH.week_canonical as u32;
+            if !canonical || anchored.iter().any(|a| a.slug == s.slug) {
+                continue;
+            }
+            let ci = s.category.index() - 1;
+            let w = 1.0 / ((pools.all[ci].len() + 1) as f64).powf(0.9);
+            pools.all[ci].push((i, w));
+            if s.created_week == 0 {
+                pools.week0[ci].push((i, w));
+            }
+        }
+        // Which services are canonical and which are anchors follows from
+        // Table 1 and Table 3 alone, not from a draw, and every category has
+        // canonical services besides its anchors: a pick never meets an
+        // empty pool. (A week-0 pool can be empty; step 4 uses `all` then.)
+        assert!(
+            pools.all.iter().all(|p| !p.is_empty()),
+            "a category has no service to host applets"
+        );
+        pools
+    }
+}
+
+/// A service index drawn from `pool` by weight.
+fn pick(pool: &[(usize, f64)], rng: &mut StdRng) -> usize {
+    let wsum: f64 = pool.iter().map(|(_, w)| w).sum();
+    let u = rng.gen::<f64>() * wsum;
+    let k = weighted_index(pool.iter().map(|&(_, w)| w), u);
+    pool[k.unwrap_or(pool.len() - 1)].0
+}
+
+/// Step 5: authors. A service-made band of 2% of the canonical applets
+/// holding ≈14% of their adds, then heavy-tailed user quotas: the top 1%
+/// of users make 18% of the user-made applets and the top 10% make 49%.
+/// Returns the canonical applets by add count, descending, for step 6.
+fn assign_authors(applets: &mut [AppletRecord], sizes: &Sizes, rng: &mut StdRng) -> Vec<usize> {
+    let mut by_adds: Vec<usize> = (0..sizes.n_canonical.min(applets.len())).collect();
+    by_adds.sort_by(|&a, &b| applets[b].add_count.cmp(&applets[a].add_count));
+    // Slide a contiguous band down the ranking until its share fits.
+    let svc_count = ((1.0 - TAILS.user_made_applets) * sizes.n_canonical as f64) as usize;
+    let svc_target = (1.0 - TAILS.user_made_adds) * sizes.total_adds as f64;
+    let mut start = 0usize;
+    let band = by_adds.iter().take(svc_count);
+    let mut band_sum: u64 = band.map(|&i| applets[i].add_count).sum();
+    while start + svc_count < by_adds.len() && band_sum as f64 > svc_target {
+        band_sum -= applets[by_adds[start]].add_count;
+        band_sum += applets[by_adds[start + svc_count]].add_count;
+        start += 1;
+    }
+    for &i in by_adds.iter().skip(start).take(svc_count) {
+        applets[i].author = Author::Service(applets[i].trigger_service.clone());
+    }
+    let mut user_made: Vec<usize> = (0..applets.len())
+        .filter(|&i| applets[i].author.is_user())
+        .collect();
+    let n_users = sizes.n_users.max(1).min(user_made.len().max(1));
+    let quotas = heavy_tail_sequence(
+        n_users,
+        user_made.len() as u64,
+        TAILS.user_top1_share,
+        TAILS.user_top10_share - TAILS.user_top1_share,
+        n_users / 100,
+        n_users / 10,
+    );
+    user_made.shuffle(rng);
+    let quota_owners = quotas.iter().zip(1u32..);
+    let owners = quota_owners.flat_map(|(&q, user)| iter::repeat_n(user, q as usize));
+    // Leftovers from rounding go to the last user.
+    let owners = owners.chain(iter::repeat(n_users as u32));
+    for (&i, user) in user_made.iter().zip(owners) {
+        applets[i].author = Author::User(user);
+    }
+    by_adds
+}
+
+/// Step 6: creation weeks and ids. Older applets are generally more
+/// popular, so the canonical applets are born in add-count order, shuffled
+/// within twentieths of it, along the add-count growth curve, and never
+/// before their services. Ids are unique six-digit-style page ids.
+fn creation_weeks_and_ids(
+    applets: &mut [AppletRecord],
+    by_slug: &HashMap<&str, &ServiceRecord>,
+    mut by_adds: Vec<usize>,
+    n_canonical: usize,
+    rng: &mut StdRng,
+) {
+    let block = (by_adds.len() / 20).max(1);
+    for chunk in by_adds.chunks_mut(block) {
+        chunk.shuffle(rng);
+    }
+    let last = GROWTH.week_canonical as u32 + 1;
+    for (pos, &i) in by_adds.iter().enumerate() {
+        let week = first_week_reaching(n_canonical as f64, GROWTH.add_count, pos + 1, last);
+        let a = &mut applets[i];
+        let trigger_week = by_slug[a.trigger_service.as_str()].created_week;
+        let action_week = by_slug[a.action_service.as_str()].created_week;
+        a.created_week = week.max(trigger_week).max(action_week);
+    }
+    let n = applets.len();
+    let id_span = (n as f64 / 0.375).ceil() as usize;
+    let mut ids: Vec<u32> = rand::seq::index::sample(rng, id_span, n)
+        .into_iter()
+        .map(|v| crate::crawler::APPLET_ID_BASE + v as u32)
+        .collect();
+    ids.sort_unstable();
+    ids.shuffle(rng);
+    for (a, id) in applets.iter_mut().zip(ids) {
+        a.id = id;
+    }
+}
+
+/// Step 7 (opt-in): Zapier-style execution DAGs for `multi_step_share` of
+/// the applets. They are drawn on a derived stream, and a share of 0.0
+/// makes no draw, so the catalog is byte-identical without them.
+fn multi_step_dags(applets: &mut [AppletRecord], config: &GeneratorConfig) {
+    if config.multi_step_share > 0.0 {
+        let share = config.multi_step_share.clamp(0.0, 1.0);
+        let mut rng = StdRng::seed_from_u64(derive_seed(config.seed, MULTI_STEP_STREAM));
+        for a in applets.iter_mut() {
+            if rng.gen::<f64>() < share {
+                a.steps = multi_step_shape(rng.gen::<f64>(), &a.action);
+            }
+        }
+    }
+}
+
 impl Ecosystem {
-    /// Generate an ecosystem.
+    /// Generate an ecosystem: the module doc's steps 1–7, in order, each
+    /// one function. All but step 7 draw from one RNG stream.
     ///
     /// # Panics
     /// Panics if `config.scale < 0.02` (below that the heavy-tail segments
@@ -700,555 +1205,20 @@ impl Ecosystem {
     pub fn generate(config: GeneratorConfig) -> Ecosystem {
         assert!(config.scale >= 0.02, "scale too small");
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let final_week = (GROWTH.snapshots - 1) as u32;
-
-        // ---- 1. Services ----------------------------------------------
-        let canonical_services = SCALE.services;
-        let total_services = curve(
-            canonical_services as f64,
-            GROWTH.services,
-            final_week as f64,
-        )
-        .round() as usize;
-        let per_cat = apportion(
-            canonical_services,
-            &TABLE1.iter().map(|r| r.services_pct).collect::<Vec<_>>(),
-        );
-
-        let mut services: Vec<ServiceRecord> = Vec::with_capacity(total_services);
-        let mut cat_fill = vec![0usize; 14];
-        let push_service = |services: &mut Vec<ServiceRecord>,
-                            cat_fill: &mut Vec<usize>,
-                            name: String,
-                            slug: String,
-                            cat: Category| {
-            cat_fill[cat.index() - 1] += 1;
-            services.push(ServiceRecord {
-                slug,
-                name,
-                category: cat,
-                triggers: Vec::new(),
-                actions: Vec::new(),
-                created_week: 0,
-            });
-        };
-        // Real anchors first (deduplicated across the two Table 3 lists).
-        let mut seen = std::collections::HashSet::new();
-        for a in model::TOP_IOT_TRIGGER_SERVICES
-            .iter()
-            .chain(model::TOP_IOT_ACTION_SERVICES)
-        {
-            if seen.insert(a.slug) {
-                let cat = Category::from_index(a.category).expect("valid category");
-                push_service(
-                    &mut services,
-                    &mut cat_fill,
-                    a.service.into(),
-                    a.slug.into(),
-                    cat,
-                );
-            }
-        }
-        // Well-known non-IoT services.
-        for (name, slug, cat) in FAMOUS {
-            push_service(
-                &mut services,
-                &mut cat_fill,
-                (*name).into(),
-                (*slug).into(),
-                *cat,
-            );
-        }
-        // Synthetic fill to canonical counts per category.
-        for (ci, cat) in ALL_CATEGORIES.iter().enumerate() {
-            let mut idx = 0;
-            while cat_fill[ci] < per_cat[ci] {
-                let name = names::service_name(*cat, idx);
-                idx += 1;
-                let slug = names::slugify(&name);
-                if services.iter().any(|s| s.slug == slug) {
-                    continue;
-                }
-                push_service(&mut services, &mut cat_fill, name, slug, *cat);
-            }
-        }
-        debug_assert_eq!(services.len(), canonical_services);
-        // Post-canonical newcomers: random categories.
-        let mut idx_extra = 1000;
-        while services.len() < total_services {
-            let cat = ALL_CATEGORIES[rng.gen_range(0..14)];
-            let name = names::service_name(cat, idx_extra);
-            idx_extra += 1;
-            let slug = names::slugify(&name);
-            if services.iter().any(|s| s.slug == slug) {
-                continue;
-            }
-            push_service(&mut services, &mut cat_fill, name, slug, cat);
-        }
-        // Creation weeks: anchors+famous at week 0; synthetics spread so
-        // the weekly service count follows the growth curve. The first
-        // `count(0)` services exist at week 0.
-        let order: Vec<usize> = {
-            let fixed = seen.len() + FAMOUS.len();
-            // Canonical services must all predate the canonical week, so
-            // shuffle them among themselves; post-canonical extras follow.
-            let mut canonical_rest: Vec<usize> = (fixed..canonical_services).collect();
-            canonical_rest.shuffle(&mut rng);
-            let mut extras: Vec<usize> = (canonical_services..services.len()).collect();
-            extras.shuffle(&mut rng);
-            (0..fixed).chain(canonical_rest).chain(extras).collect()
-        };
-        for (pos, &svc_idx) in order.iter().enumerate() {
-            let mut w = 0u32;
-            while (curve(canonical_services as f64, GROWTH.services, w as f64).round() as usize)
-                < pos + 1
-            {
-                w += 1;
-                if w >= final_week {
-                    break;
-                }
-            }
-            services[svc_idx].created_week = w;
-        }
-
-        // ---- 2. Triggers and actions per service ----------------------
-        let trig_total =
-            curve(SCALE.triggers as f64, GROWTH.triggers, final_week as f64).round() as usize;
-        let act_total =
-            curve(SCALE.actions as f64, GROWTH.actions, final_week as f64).round() as usize;
-        // Anchor services get their real slots; everyone gets ≥1 of each.
-        let anchor_slots = |slug: &str, as_trigger: bool| -> Vec<String> {
-            let list = if as_trigger {
-                model::TOP_IOT_TRIGGER_SERVICES
-            } else {
-                model::TOP_IOT_ACTION_SERVICES
-            };
-            list.iter()
-                .find(|a| a.slug == slug)
-                .map(|a| a.top_slots.iter().map(|(s, _)| s.to_string()).collect())
-                .unwrap_or_default()
-        };
-        for s in services.iter_mut() {
-            s.triggers = anchor_slots(&s.slug, true);
-            s.actions = anchor_slots(&s.slug, false);
-            if s.triggers.is_empty() {
-                s.triggers.push(names::trigger_slug(s.category, 0));
-            }
-            if s.actions.is_empty() {
-                s.actions.push(names::action_slug(s.category, 0));
-            }
-        }
-        // Distribute the remainder with heavier weight on early services.
-        let mut distribute = |is_trigger: bool, total: usize, rng: &mut StdRng| {
-            let have: usize = services
-                .iter()
-                .map(|s| {
-                    if is_trigger {
-                        s.triggers.len()
-                    } else {
-                        s.actions.len()
-                    }
-                })
-                .sum();
-            let n = services.len();
-            let weights: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 2.0).powf(0.7)).collect();
-            let wsum: f64 = weights.iter().sum();
-            for _ in have..total {
-                let mut u = rng.gen::<f64>() * wsum;
-                let mut pick = 0;
-                for (i, w) in weights.iter().enumerate() {
-                    u -= w;
-                    if u <= 0.0 {
-                        pick = i;
-                        break;
-                    }
-                }
-                let s = &mut services[pick];
-                if is_trigger {
-                    let slug = names::trigger_slug(s.category, s.triggers.len());
-                    s.triggers.push(slug);
-                } else {
-                    let slug = names::action_slug(s.category, s.actions.len());
-                    s.actions.push(slug);
-                }
-            }
-        };
-        distribute(true, trig_total, &mut rng);
-        distribute(false, act_total, &mut rng);
-
-        // ---- 3 & 4. Applets --------------------------------------------
-        let n_canonical = (SCALE.applets as f64 * config.scale).round() as usize;
-        let n_total =
-            curve(n_canonical as f64, GROWTH.add_count, final_week as f64).round() as usize;
-        let total_adds = (SCALE.total_add_count as f64 * config.scale).round() as u64;
-
-        let slug_index: std::collections::HashMap<String, usize> = services
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.slug.clone(), i))
-            .collect();
-
-        // Anchor applets (scaled).
-        let mut applets: Vec<AppletRecord> = Vec::with_capacity(n_total);
-        let mut anchor_adds_total = 0u64;
-        let mut cell_spent = [[0u64; 14]; 14];
-        for aa in ANCHOR_APPLETS {
-            let adds = ((aa.adds_k * 1000) as f64 * config.scale).round() as u64;
-            anchor_adds_total += adds;
-            let t_cat = services[slug_index[aa.trigger_service]].category;
-            let a_cat = services[slug_index[aa.action_service]].category;
-            cell_spent[t_cat.index() - 1][a_cat.index() - 1] += adds;
-            applets.push(AppletRecord {
-                id: 0, // assigned later
-                name: format!("If {} then {}", aa.trigger, aa.action),
-                trigger_service: aa.trigger_service.into(),
-                trigger: aa.trigger.into(),
-                action_service: aa.action_service.into(),
-                action: aa.action.into(),
-                author: Author::User(0), // reassigned later
-                add_count: adds,
-                created_week: 0,
-                steps: Vec::new(),
-            });
-        }
-
-        // Synthetic add-count sequence hitting the global tail targets.
-        let n_synth = n_canonical.saturating_sub(applets.len());
-        let synth_total = total_adds.saturating_sub(anchor_adds_total);
-        // Global head/mid shares, net of the anchors' contribution,
-        // re-expressed as fractions of the synthetic budget.
-        let head_global =
-            (TAILS.applet_top1_share * total_adds as f64 - anchor_adds_total as f64).max(0.0);
-        let mid_global = (TAILS.applet_top10_share - TAILS.applet_top1_share) * total_adds as f64;
-        // The anchors already occupy top-of-ranking slots, so the
-        // synthetic head/mid segments shrink accordingly: together with
-        // the anchors they must fill exactly the top 1% / 10% of the
-        // canonical population.
-        let n_anchors = applets.len();
-        let k1 = (n_canonical / 100).saturating_sub(n_anchors).max(1);
-        let k2 = (n_canonical / 10).saturating_sub(n_anchors).max(k1);
-        let seq = if synth_total > 0 {
-            heavy_tail_sequence_with_knees(
-                n_synth,
-                synth_total,
-                head_global / synth_total as f64,
-                mid_global / synth_total as f64,
-                k1,
-                k2,
-            )
-        } else {
-            vec![0; n_synth]
-        };
-
-        // Budgeted cell assignment.
-        let j = interaction_matrix();
-        // The synthetic budget matrix: re-fit J (as the structural seed) to
-        // the *residual* marginals — Table 1's row/column targets minus what
-        // the anchor applets already consumed. Subtracting per cell and
-        // clamping would leak anchor overshoot into neighbouring cells and
-        // distort the measured marginals; marginal-level IPF cannot.
-        let mut budget = j;
-        let t = total_adds as f64;
-        let res_rows: Vec<f64> = TABLE1
-            .iter()
-            .enumerate()
-            .map(|(r, row)| {
-                let spent: u64 = cell_spent[r].iter().sum();
-                (row.trigger_ac_pct / 100.0 * t - spent as f64).max(0.0)
-            })
-            .collect();
-        let res_cols: Vec<f64> = TABLE1
-            .iter()
-            .enumerate()
-            .map(|(c, col)| {
-                let spent: u64 = (0..14).map(|r| cell_spent[r][c]).sum();
-                (col.action_ac_pct / 100.0 * t - spent as f64).max(0.0)
-            })
-            .collect();
-        for _ in 0..200 {
-            for r in 0..14 {
-                let s: f64 = budget[r].iter().sum();
-                if s > 0.0 {
-                    for c in 0..14 {
-                        budget[r][c] *= res_rows[r] / s;
-                    }
-                }
-            }
-            for c in 0..14 {
-                let s: f64 = (0..14).map(|r| budget[r][c]).sum();
-                if s > 0.0 {
-                    for row in budget.iter_mut() {
-                        row[c] *= res_cols[c] / s;
-                    }
-                }
-            }
-        }
-        // Per-category service pools for synthetic assignment; anchors are
-        // excluded on their anchored side so Table 3 stays exact.
-        let anchored_trigger: std::collections::HashSet<&str> = model::TOP_IOT_TRIGGER_SERVICES
-            .iter()
-            .map(|a| a.slug)
-            .collect();
-        let anchored_action: std::collections::HashSet<&str> = model::TOP_IOT_ACTION_SERVICES
-            .iter()
-            .map(|a| a.slug)
-            .collect();
-        // Two pool tiers per category: week-0 services (which host the
-        // popular applets — a popular applet must be old, so its services
-        // must predate the crawl) and all canonical-era services.
-        let mut trig_pool0: Vec<Vec<(usize, f64)>> = vec![Vec::new(); 14];
-        let mut act_pool0: Vec<Vec<(usize, f64)>> = vec![Vec::new(); 14];
-        let mut trig_pool: Vec<Vec<(usize, f64)>> = vec![Vec::new(); 14];
-        let mut act_pool: Vec<Vec<(usize, f64)>> = vec![Vec::new(); 14];
-        for (i, s) in services.iter().enumerate() {
-            // Post-canonical services host only post-canonical applets.
-            if s.created_week > GROWTH.week_canonical as u32 {
-                continue;
-            }
-            let ci = s.category.index() - 1;
-            if !anchored_trigger.contains(s.slug.as_str()) {
-                let rank = trig_pool[ci].len() + 1;
-                let w = 1.0 / (rank as f64).powf(0.9);
-                trig_pool[ci].push((i, w));
-                if s.created_week == 0 {
-                    trig_pool0[ci].push((i, w));
-                }
-            }
-            if !anchored_action.contains(s.slug.as_str()) {
-                let rank = act_pool[ci].len() + 1;
-                let w = 1.0 / (rank as f64).powf(0.9);
-                act_pool[ci].push((i, w));
-                if s.created_week == 0 {
-                    act_pool0[ci].push((i, w));
-                }
-            }
-        }
-        let pick_weighted = |pool: &[(usize, f64)], rng: &mut StdRng| -> Option<usize> {
-            if pool.is_empty() {
-                return None;
-            }
-            let wsum: f64 = pool.iter().map(|(_, w)| w).sum();
-            let mut u = rng.gen::<f64>() * wsum;
-            for (i, w) in pool {
-                u -= w;
-                if u <= 0.0 {
-                    return Some(*i);
-                }
-            }
-            pool.last().map(|(i, _)| *i)
-        };
-
-        // While budget remains, every applet is placed greedily into the
-        // cell with the most remaining budget (bin-packing style), so no
-        // single mega applet can blow a category's share; once budgets are
-        // exhausted by rounding, applets sample a cell from the raw matrix.
-        for (k, &adds) in seq.iter().enumerate() {
-            let total_budget: f64 = budget.iter().flatten().sum();
-            let (mut tr, mut ac) = (6usize, 8usize); // cat 7 → cat 9 default
-            if total_budget > 1.0 {
-                // Best-fit: the fullest cell that can absorb the whole
-                // item; fall back to the fullest cell overall (bounded
-                // overshoot ≤ one item).
-                let mut best_fit = f64::MIN;
-                let mut best_any = f64::MIN;
-                let mut any = (6usize, 8usize);
-                let mut fits = false;
-                for r in 0..14 {
-                    for c in 0..14 {
-                        let b = budget[r][c];
-                        if b > best_any {
-                            best_any = b;
-                            any = (r, c);
-                        }
-                        if b >= adds as f64 && b > best_fit {
-                            best_fit = b;
-                            tr = r;
-                            ac = c;
-                            fits = true;
-                        }
-                    }
-                }
-                if !fits {
-                    tr = any.0;
-                    ac = any.1;
-                }
-            } else {
-                let mut u = rng.gen::<f64>();
-                'outer: for r in 0..14 {
-                    for c in 0..14 {
-                        u -= j[r][c];
-                        if u <= 0.0 {
-                            tr = r;
-                            ac = c;
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-            budget[tr][ac] = (budget[tr][ac] - adds as f64).max(0.0);
-            // The popular 10% live on services that already existed at
-            // week 0, keeping the longitudinal add-count growth clean.
-            let hot = k < seq.len() / 10;
-            let (tp, ap) = if hot && !trig_pool0[tr].is_empty() && !act_pool0[ac].is_empty() {
-                (&trig_pool0[tr], &act_pool0[ac])
-            } else {
-                (&trig_pool[tr], &act_pool[ac])
-            };
-            let ts = pick_weighted(tp, &mut rng).unwrap_or(0);
-            let as_ = pick_weighted(ap, &mut rng).unwrap_or(0);
-            let t_slug_count = services[ts].triggers.len();
-            let a_slug_count = services[as_].actions.len();
-            let t_pick = (rng.gen::<f64>().powi(2) * t_slug_count as f64) as usize;
-            let a_pick = (rng.gen::<f64>().powi(2) * a_slug_count as f64) as usize;
-            let trigger = services[ts].triggers[t_pick.min(t_slug_count - 1)].clone();
-            let action = services[as_].actions[a_pick.min(a_slug_count - 1)].clone();
-            applets.push(AppletRecord {
-                id: 0,
-                name: format!("If {} then {}", trigger, action),
-                trigger_service: services[ts].slug.clone(),
-                trigger,
-                action_service: services[as_].slug.clone(),
-                action,
-                author: Author::User(0),
-                add_count: adds,
-                created_week: 0,
-                steps: Vec::new(),
-            });
-        }
-
-        // Post-canonical newcomers: small applets created after week 18.
-        while applets.len() < n_total {
-            let tr = rng.gen_range(0..14);
-            let ac = loop {
-                let c = rng.gen_range(0..14);
-                if c != 11 {
-                    break c; // cat 12 has no actions
-                }
-            };
-            let ts = pick_weighted(&trig_pool[tr], &mut rng).unwrap_or(0);
-            let as_ = pick_weighted(&act_pool[ac], &mut rng).unwrap_or(0);
-            let trigger = services[ts].triggers[0].clone();
-            let action = services[as_].actions[0].clone();
-            applets.push(AppletRecord {
-                id: 0,
-                name: format!("If {} then {}", trigger, action),
-                trigger_service: services[ts].slug.clone(),
-                trigger,
-                action_service: services[as_].slug.clone(),
-                action,
-                author: Author::User(0),
-                add_count: 1 + rng.gen_range(0..20),
-                created_week: rng.gen_range(GROWTH.week_canonical as u32 + 1..=24),
-                steps: Vec::new(),
-            });
-        }
-
-        // ---- 5. Authors -------------------------------------------------
-        // Sort canonical applets by add count (descending) for band math.
-        let mut by_adds: Vec<usize> = (0..n_canonical.min(applets.len())).collect();
-        by_adds.sort_by(|&a, &b| applets[b].add_count.cmp(&applets[a].add_count));
-        // Service-made band: 2% of applets holding ≈14% of adds. Slide a
-        // contiguous band down the ranking until its share fits.
-        let svc_count = ((1.0 - TAILS.user_made_applets) * n_canonical as f64) as usize;
-        let svc_target = (1.0 - TAILS.user_made_adds) * total_adds as f64;
-        let mut start = 0usize;
-        let mut band_sum: u64 = by_adds
-            .iter()
-            .take(svc_count)
-            .map(|&i| applets[i].add_count)
-            .sum();
-        while start + svc_count < by_adds.len() && band_sum as f64 > svc_target {
-            band_sum -= applets[by_adds[start]].add_count;
-            band_sum += applets[by_adds[start + svc_count]].add_count;
-            start += 1;
-        }
-        for &i in by_adds.iter().skip(start).take(svc_count) {
-            applets[i].author = Author::Service(applets[i].trigger_service.clone());
-        }
-        // User quotas: heavy-tailed so top 1% of users hold 18% and top
-        // 10% hold 49% of user-made applets.
-        let user_made: Vec<usize> = (0..applets.len())
-            .filter(|&i| applets[i].author.is_user())
-            .collect();
-        let n_users = ((SCALE.user_channels as f64) * config.scale).round() as usize;
-        let n_users = n_users.max(1).min(user_made.len().max(1));
-        let quotas = heavy_tail_sequence(
-            n_users,
-            user_made.len() as u64,
-            TAILS.user_top1_share,
-            TAILS.user_top10_share - TAILS.user_top1_share,
-        );
-        let mut shuffled = user_made.clone();
-        shuffled.shuffle(&mut rng);
-        let mut cursor = 0usize;
-        for (uid, &q) in quotas.iter().enumerate() {
-            for _ in 0..q {
-                if cursor >= shuffled.len() {
-                    break;
-                }
-                applets[shuffled[cursor]].author = Author::User(uid as u32 + 1);
-                cursor += 1;
-            }
-        }
-        // Leftovers from rounding go to the last user.
-        while cursor < shuffled.len() {
-            applets[shuffled[cursor]].author = Author::User(n_users as u32);
-            cursor += 1;
-        }
-
-        // ---- 6. Creation weeks and ids ----------------------------------
-        // Older applets are generally more popular: creation order follows
-        // the add-count order with local shuffling for realism.
-        let mut creation_order: Vec<usize> = by_adds.clone();
-        let block = (creation_order.len() / 20).max(1);
-        for chunk in creation_order.chunks_mut(block) {
-            chunk.shuffle(&mut rng);
-        }
-        for (pos, &i) in creation_order.iter().enumerate() {
-            let mut w = 0u32;
-            while (curve(n_canonical as f64, GROWTH.add_count, w as f64).round() as usize) < pos + 1
-            {
-                w += 1;
-                if w > GROWTH.week_canonical as u32 {
-                    break;
-                }
-            }
-            // An applet cannot precede its services.
-            let ts_week = services[slug_index[&applets[i].trigger_service]].created_week;
-            let as_week = services[slug_index[&applets[i].action_service]].created_week;
-            applets[i].created_week = w.max(ts_week).max(as_week);
-        }
-        // Unique six-digit-style page ids.
-        let id_span = ((n_total as f64) / 0.375).ceil() as u32;
-        let mut ids: Vec<u32> = rand::seq::index::sample(&mut rng, id_span as usize, n_total)
-            .into_iter()
-            .map(|v| crate::crawler::APPLET_ID_BASE + v as u32)
-            .collect();
-        ids.sort_unstable();
-        ids.shuffle(&mut rng);
-        for (a, id) in applets.iter_mut().zip(ids) {
-            a.id = id;
-        }
-
-        // ---- 7. Multi-step DAGs (opt-in) --------------------------------
-        // Assign Zapier-style execution DAGs to a share of applets. Drawn
-        // on a derived stream and guarded so the default share of 0.0
-        // performs zero extra draws and emits a byte-identical ecosystem.
-        if config.multi_step_share > 0.0 {
-            let share = config.multi_step_share.clamp(0.0, 1.0);
-            let mut ms_rng = StdRng::seed_from_u64(derive_seed(config.seed, MULTI_STEP_STREAM));
-            for a in applets.iter_mut() {
-                if ms_rng.gen::<f64>() < share {
-                    a.steps = multi_step_shape(ms_rng.gen::<f64>(), &a.action);
-                }
-            }
-        }
-
+        let sizes = Sizes::new(config.scale);
+        let mut services = services_with_weeks(&mut rng);
+        deal_slots(&mut services, &mut rng);
+        let by_slug = services.iter().map(|s| (s.slug.as_str(), s)).collect();
+        let mut applets = anchor_applets(config.scale, sizes.n_total);
+        synthetic_applets(&mut applets, &services, &by_slug, &sizes, &mut rng);
+        let by_adds = assign_authors(&mut applets, &sizes, &mut rng);
+        creation_weeks_and_ids(&mut applets, &by_slug, by_adds, sizes.n_canonical, &mut rng);
+        multi_step_dags(&mut applets, &config);
         Ecosystem {
             config,
             services,
             applets,
-            final_week,
+            final_week: FINAL_WEEK,
         }
     }
 
@@ -1442,7 +1412,7 @@ mod tests {
     fn heavy_tail_sequence_hits_total_and_shares() {
         let n = 10_000;
         let total = 1_000_000;
-        let seq = heavy_tail_sequence(n, total, 0.841, 0.135);
+        let seq = heavy_tail_sequence(n, total, 0.841, 0.135, n / 100, n / 10);
         assert_eq!(seq.len(), n);
         assert_eq!(seq.iter().sum::<u64>(), total);
         assert!(seq.windows(2).all(|w| w[0] >= w[1]), "descending");
