@@ -14,21 +14,10 @@ fn ecosystems_are_deterministic() {
     assert_eq!(a.applets, b.applets);
 }
 
-/// The catalog's bytes across commits: `generate` must make the same RNG
-/// draws in the same order, so a refactor that moves one fails here.
-#[test]
-fn ecosystem_bytes_are_pinned() {
-    let pins = [
-        (2017, 0.02, 0.0, "c76edc3702392666"),
-        (2017, 0.02, 0.25, "ab5738cfe3e7df50"),
-        (2017, 0.05, 0.0, "3f90a1a85a0cdfcb"),
-        (2017, 0.05, 0.25, "fa46185bcadb5411"),
-        (7, 0.02, 0.0, "04e3cc8b746951e7"),
-        (7, 0.02, 0.25, "3e66785e5c685dc8"),
-        (7, 0.05, 0.0, "4e61717fbe4937d0"),
-        (7, 0.05, 0.25, "633aa00fd4b03347"),
-    ];
-    for (seed, scale, multi_step_share, want) in pins {
+/// The FNV-1a digest of the serialized catalog at each
+/// `(seed, scale, multi_step_share)`, checked against `want`.
+fn assert_ecosystem_bytes(pins: &[(u64, f64, f64, &str)]) {
+    for &(seed, scale, multi_step_share, want) in pins {
         let config = GeneratorConfig {
             seed,
             scale,
@@ -38,6 +27,37 @@ fn ecosystem_bytes_are_pinned() {
         let got = format!("{:016x}", ifttt_core::fleet::fnv1a(json.as_bytes()));
         assert_eq!(got, want, "{config:?}");
     }
+}
+
+/// The catalog's bytes across commits: `generate` must make the same RNG
+/// draws in the same order, so a refactor that moves one fails here.
+/// Scale 0.2 reaches cell-budget and growth-curve states the small scales
+/// do not.
+#[test]
+fn ecosystem_bytes_are_pinned() {
+    assert_ecosystem_bytes(&[
+        (2017, 0.02, 0.0, "c76edc3702392666"),
+        (2017, 0.02, 0.25, "ab5738cfe3e7df50"),
+        (2017, 0.05, 0.0, "3f90a1a85a0cdfcb"),
+        (2017, 0.05, 0.25, "fa46185bcadb5411"),
+        (7, 0.02, 0.0, "04e3cc8b746951e7"),
+        (7, 0.02, 0.25, "3e66785e5c685dc8"),
+        (7, 0.05, 0.0, "4e61717fbe4937d0"),
+        (7, 0.05, 0.25, "633aa00fd4b03347"),
+        (2017, 0.2, 0.0, "2d9ec7a5dec1f8a0"),
+        (2017, 0.2, 0.25, "bc2980065c34f57f"),
+    ]);
+}
+
+/// The paper-scale catalog (~320K applets), pinned like the others. Slow in
+/// a debug build; CI's release job runs it with `--include-ignored`.
+#[test]
+#[ignore]
+fn ecosystem_bytes_are_pinned_at_full_scale() {
+    assert_ecosystem_bytes(&[
+        (2017, 1.0, 0.0, "99834bd7bd99e9b2"),
+        (2017, 1.0, 0.25, "18f878b4c6b22eb4"),
+    ]);
 }
 
 #[test]
