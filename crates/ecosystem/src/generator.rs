@@ -23,11 +23,11 @@
 //!    that realizes Table 3's per-service add counts exactly.
 //! 4. **Synthetic applets** (`synthetic_applets`): a three-segment
 //!    heavy-tail add-count sequence (head/mid/tail) hitting Figure 3's
-//!    top-1% = 84.1% and top-10% = 97.6% shares, assigned to category cells
-//!    by budget. The budget is a 14×14 trigger×action matrix seeded with
-//!    Figure 2's qualitative hotspots and fit by iterative proportional
-//!    fitting to Table 1's marginals net of the anchors. Small
-//!    post-canonical newcomers follow.
+//!    top-1% = 84.1% and top-10% = 97.6% shares, each applet placed in the
+//!    category cell with the most budget left. The budget is a 14×14
+//!    trigger×action matrix seeded with Figure 2's qualitative hotspots and
+//!    fit by iterative proportional fitting to Table 1's marginals net of
+//!    the anchors. Small post-canonical newcomers follow.
 //! 5. **Authors** (`assign_authors`): a service-made band (2% of applets,
 //!    14% of adds) and a heavy-tailed user quota sequence (top 1% → 18%,
 //!    top 10% → 49%).
@@ -45,12 +45,12 @@ use crate::model::{self, GROWTH, SCALE, TAILS};
 use crate::names;
 use crate::snapshot::{AppletRecord, Author, ServiceRecord, Snapshot, WeekCounts};
 use crate::taxonomy::{Category, ALL_CATEGORIES, TABLE1};
+use mem::{FxHashMap, FxHashSet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use simnet::rng::derive_seed;
-use std::collections::{HashMap, HashSet};
 use std::iter;
 use tap_protocol::{FieldMap, StepNode, StepPredicate, StepSpec};
 
@@ -533,13 +533,30 @@ fn weighted_index(weights: impl IntoIterator<Item = f64>, mut u: f64) -> Option<
     })
 }
 
-/// The week the `count`-th entity in creation order is born: the first week
-/// in `0..last` whose growth curve through `canonical` reaches `count`, else
-/// `last`.
-fn first_week_reaching(canonical: f64, growth: f64, count: usize, last: u32) -> u32 {
-    (0..last)
-        .find(|&w| curve(canonical, growth, w as f64).round() as usize >= count)
-        .unwrap_or(last)
+/// The creation-week search of steps 1 and 6 along one growth curve: for
+/// each week in `0..last`, how many entities the curve through `canonical`
+/// has reached by then, rounded. Built once per step, so a birth week is a
+/// binary search, not a walk of `powf` calls.
+struct GrowthWeeks(Vec<usize>);
+
+impl GrowthWeeks {
+    fn new(canonical: f64, growth: f64, last: u32) -> GrowthWeeks {
+        // A running maximum, so the table is sorted even if `powf` is not
+        // monotone in its last bit; the first week at which it reaches a
+        // count is then the first week the curve itself does.
+        let mut most = 0;
+        let reached = (0..last).map(|w| {
+            most = most.max(curve(canonical, growth, w as f64).round() as usize);
+            most
+        });
+        GrowthWeeks(reached.collect())
+    }
+
+    /// The week the `count`-th entity in creation order is born: the first
+    /// week in `0..last` whose curve reaches `count`, else `last`.
+    fn week_of(&self, count: usize) -> u32 {
+        self.0.partition_point(|&n| n < count) as u32
+    }
 }
 
 /// A catalog applet as steps 3 and 4 make it; step 5 gives it its author
@@ -552,9 +569,13 @@ fn applet(
     add_count: u64,
     created_week: u32,
 ) -> AppletRecord {
+    let mut name = String::with_capacity("If  then ".len() + trigger.len() + action.len());
+    for part in ["If ", trigger, " then ", action] {
+        name.push_str(part);
+    }
     AppletRecord {
         id: 0,
-        name: format!("If {trigger} then {action}"),
+        name,
         trigger_service: trigger_service.into(),
         trigger: trigger.into(),
         action_service: action_service.into(),
@@ -704,11 +725,11 @@ fn heavy_tail_sequence(
     let v_k2 = values[k2 - 1].max(1.0);
     solve_segment(&mut values, k2, n, v_k2, s3);
 
-    // Cap any single item at 2.5% of the total, carrying the excess down
+    // Cap any single item at 2% of the total, carrying the excess down
     // the ranking (a plateau at the cap). This keeps every item safely
     // below the largest interaction-matrix cell budget (~6% of adds) so
     // the greedy placement cannot blow a Table 1 marginal, while leaving
-    // the top-1% share reachable even at reduced scale (64 items × 2.5%
+    // the top-1% share reachable even at reduced scale (64 items × 2%
     // ≥ 84.1% at scale 0.02).
     let cap = (total as f64 * 0.02).max(1.0);
     let mut carry = 0.0;
@@ -785,7 +806,7 @@ fn services_with_weeks(rng: &mut StdRng) -> Vec<ServiceRecord> {
     let canonical = SCALE.services;
     let total = curve(canonical as f64, GROWTH.services, FINAL_WEEK as f64).round() as usize;
     let mut services = Vec::with_capacity(total);
-    let mut used = HashSet::with_capacity(total);
+    let mut used = FxHashSet::with_capacity_and_hasher(total, Default::default());
     // Adds a service unless its slug is taken; says whether it did.
     let mut add = |services: &mut Vec<ServiceRecord>, name: String, slug: String, category| {
         let fresh = used.insert(slug.clone());
@@ -838,9 +859,9 @@ fn services_with_weeks(rng: &mut StdRng) -> Vec<ServiceRecord> {
     rest.shuffle(rng);
     let mut newcomers: Vec<usize> = (canonical..total).collect();
     newcomers.shuffle(rng);
+    let weeks = GrowthWeeks::new(canonical as f64, GROWTH.services, FINAL_WEEK);
     for (pos, i) in (0..fixed).chain(rest).chain(newcomers).enumerate() {
-        let week = first_week_reaching(canonical as f64, GROWTH.services, pos + 1, FINAL_WEEK);
-        services[i].created_week = week;
+        services[i].created_week = weeks.week_of(pos + 1);
     }
     services
 }
@@ -927,7 +948,7 @@ fn anchor_applets(scale: f64, capacity: usize) -> Vec<AppletRecord> {
 fn synthetic_applets(
     applets: &mut Vec<AppletRecord>,
     services: &[ServiceRecord],
-    by_slug: &HashMap<&str, &ServiceRecord>,
+    by_slug: &FxHashMap<&str, &ServiceRecord>,
     sizes: &Sizes,
     rng: &mut StdRng,
 ) {
@@ -952,22 +973,24 @@ fn synthetic_applets(
         k2,
     );
     let matrix = interaction_matrix();
-    let mut budget = residual_budget(matrix, applets, by_slug, total_adds);
+    let mut budget = CellBudget::new(residual_budget(matrix, applets, by_slug, total_adds));
     let trig = Pools::new(services, model::TOP_IOT_TRIGGER_SERVICES);
     let act = Pools::new(services, model::TOP_IOT_ACTION_SERVICES);
     for (k, &adds) in seq.iter().enumerate() {
-        let (tr, ac) = pick_cell(&budget, &matrix, adds, rng);
-        budget[tr][ac] = (budget[tr][ac] - adds as f64).max(0.0);
+        let cell @ (tr, ac) = pick_cell(&budget, &matrix, rng);
+        budget.spend(cell, adds);
         // The popular 10% live on services that already existed at week 0,
         // keeping the longitudinal add-count growth clean.
-        let hot = k < seq.len() / 10 && !trig.week0[tr].is_empty() && !act.week0[ac].is_empty();
+        let hot = k < seq.len() / 10
+            && !trig.week0[tr].members.is_empty()
+            && !act.week0[ac].members.is_empty();
         let (tp, ap) = if hot {
             (&trig.week0[tr], &act.week0[ac])
         } else {
             (&trig.all[tr], &act.all[ac])
         };
-        let ts = &services[pick(tp, rng)];
-        let as_ = &services[pick(ap, rng)];
+        let ts = &services[tp.pick(rng)];
+        let as_ = &services[ap.pick(rng)];
         // Squared draws favour a service's first slots.
         let t = (rng.gen::<f64>().powi(2) * ts.triggers.len() as f64) as usize;
         let a = (rng.gen::<f64>().powi(2) * as_.actions.len() as f64) as usize;
@@ -985,8 +1008,8 @@ fn synthetic_applets(
                 break c; // cat 12 has no actions
             }
         };
-        let ts = &services[pick(&trig.all[tr], rng)];
-        let as_ = &services[pick(&act.all[ac], rng)];
+        let ts = &services[trig.all[tr].pick(rng)];
+        let as_ = &services[act.all[ac].pick(rng)];
         let adds: u64 = 1 + rng.gen_range(0..20);
         let week = rng.gen_range(GROWTH.week_canonical as u32 + 1..=FINAL_WEEK);
         let (trigger, action) = (&ts.triggers[0], &as_.actions[0]);
@@ -1003,7 +1026,7 @@ fn synthetic_applets(
 fn residual_budget(
     matrix: Matrix,
     anchors: &[AppletRecord],
-    by_slug: &HashMap<&str, &ServiceRecord>,
+    by_slug: &FxHashMap<&str, &ServiceRecord>,
     total_adds: u64,
 ) -> Matrix {
     let mut spent = [[0u64; 14]; 14];
@@ -1024,25 +1047,65 @@ fn residual_budget(
     budget
 }
 
-/// The cell a synthetic applet of `adds` lands in. While budget remains,
-/// it is the fullest cell that can absorb the whole applet, else the
-/// fullest cell overall (bin packing: the overshoot is at most one applet,
-/// so no mega applet blows a Table 1 marginal). Once rounding has spent
-/// the budget, it is a draw from the raw matrix.
-fn pick_cell(budget: &Matrix, matrix: &Matrix, adds: u64, rng: &mut StdRng) -> (usize, usize) {
-    if budget.iter().flatten().sum::<f64>() > 1.0 {
-        let (mut fit, mut any) = ((f64::MIN, None), (f64::MIN, (6, 8)));
-        for (r, row) in budget.iter().enumerate() {
-            for (c, &b) in row.iter().enumerate() {
-                if b > any.0 {
-                    any = (b, (r, c));
-                }
-                if b >= adds as f64 && b > fit.0 {
-                    fit = (b, Some((r, c)));
-                }
+/// Step 4's add-count budget per (trigger, action) category cell, with
+/// each row's fullest cell kept beside it: a pick reads 14 row maxima and
+/// a spend re-reads the one row it changed.
+struct CellBudget {
+    cells: Matrix,
+    /// Per row: its largest budget and the first column holding it.
+    row_max: [(f64, usize); 14],
+}
+
+impl CellBudget {
+    fn new(cells: Matrix) -> CellBudget {
+        let mut budget = CellBudget {
+            cells,
+            row_max: [(0.0, 0); 14],
+        };
+        (0..14).for_each(|r| budget.rescan(r));
+        budget
+    }
+
+    fn rescan(&mut self, r: usize) {
+        let mut max = (f64::MIN, 0);
+        for (c, &b) in self.cells[r].iter().enumerate() {
+            if b > max.0 {
+                max = (b, c);
             }
         }
-        fit.1.unwrap_or(any.1)
+        self.row_max[r] = max;
+    }
+
+    /// The fullest cell, the first in row-major order among ties, and its
+    /// budget.
+    fn fullest(&self) -> (f64, (usize, usize)) {
+        let mut max = (f64::MIN, (0, 0));
+        for (r, &(b, c)) in self.row_max.iter().enumerate() {
+            if b > max.0 {
+                max = (b, (r, c));
+            }
+        }
+        max
+    }
+
+    /// Spends `adds` of `cell`'s budget, stopping at zero.
+    fn spend(&mut self, (r, c): (usize, usize), adds: u64) {
+        self.cells[r][c] = (self.cells[r][c] - adds as f64).max(0.0);
+        self.rescan(r);
+    }
+}
+
+/// The cell the next synthetic applet lands in. While budget remains, it
+/// is the fullest cell, which absorbs the whole applet whenever any cell
+/// can (bin packing: the overshoot is at most one applet, so no mega
+/// applet blows a Table 1 marginal). Once rounding has spent the budget,
+/// it is a draw from the raw matrix.
+fn pick_cell(budget: &CellBudget, matrix: &Matrix, rng: &mut StdRng) -> (usize, usize) {
+    let (max, fullest) = budget.fullest();
+    // A float sum of non-negative cells is never below its largest term, so
+    // the whole-budget sum decides only when every cell is at most 1.
+    if max > 1.0 || budget.cells.iter().flatten().sum::<f64>() > 1.0 {
+        fullest
     } else {
         let u = rng.gen::<f64>();
         let cell = weighted_index(matrix.iter().flatten().copied(), u);
@@ -1051,33 +1114,29 @@ fn pick_cell(budget: &Matrix, matrix: &Matrix, adds: u64, rng: &mut StdRng) -> (
 }
 
 /// One side's (trigger or action) service pools for step 4, one per
-/// category: `(service index, weight)`, the weight falling with rank in
-/// the category. Table 3's anchors on that side are left out, so their
-/// add counts stay exact, and so are post-canonical services.
+/// category. Table 3's anchors on that side are left out, so their add
+/// counts stay exact, and so are post-canonical services.
 struct Pools {
     /// Every canonical-era service.
-    all: Vec<Vec<(usize, f64)>>,
+    all: Vec<Pool>,
     /// The services of week 0: a popular applet must be old, so its
     /// services must predate the crawl.
-    week0: Vec<Vec<(usize, f64)>>,
+    week0: Vec<Pool>,
 }
 
 impl Pools {
     fn new(services: &[ServiceRecord], anchored: &[model::Table3Anchor]) -> Pools {
-        let mut pools = Pools {
-            all: vec![Vec::new(); 14],
-            week0: vec![Vec::new(); 14],
-        };
+        let (mut all, mut week0) = (vec![Vec::new(); 14], vec![Vec::new(); 14]);
         for (i, s) in services.iter().enumerate() {
             let canonical = s.created_week <= GROWTH.week_canonical as u32;
             if !canonical || anchored.iter().any(|a| a.slug == s.slug) {
                 continue;
             }
             let ci = s.category.index() - 1;
-            let w = 1.0 / ((pools.all[ci].len() + 1) as f64).powf(0.9);
-            pools.all[ci].push((i, w));
+            let w = 1.0 / ((all[ci].len() + 1) as f64).powf(0.9);
+            all[ci].push((i, w));
             if s.created_week == 0 {
-                pools.week0[ci].push((i, w));
+                week0[ci].push((i, w));
             }
         }
         // Which services are canonical and which are anchors follows from
@@ -1085,19 +1144,36 @@ impl Pools {
         // canonical services besides its anchors: a pick never meets an
         // empty pool. (A week-0 pool can be empty; step 4 uses `all` then.)
         assert!(
-            pools.all.iter().all(|p| !p.is_empty()),
+            all.iter().all(|p| !p.is_empty()),
             "a category has no service to host applets"
         );
-        pools
+        let pools = |side: Vec<Vec<(usize, f64)>>| side.into_iter().map(Pool::new).collect();
+        Pools {
+            all: pools(all),
+            week0: pools(week0),
+        }
     }
 }
 
-/// A service index drawn from `pool` by weight.
-fn pick(pool: &[(usize, f64)], rng: &mut StdRng) -> usize {
-    let wsum: f64 = pool.iter().map(|(_, w)| w).sum();
-    let u = rng.gen::<f64>() * wsum;
-    let k = weighted_index(pool.iter().map(|&(_, w)| w), u);
-    pool[k.unwrap_or(pool.len() - 1)].0
+/// One category's services: `(service index, weight)`, the weight falling
+/// with rank in the category, and the weights' total.
+struct Pool {
+    members: Vec<(usize, f64)>,
+    total: f64,
+}
+
+impl Pool {
+    fn new(members: Vec<(usize, f64)>) -> Pool {
+        let total = members.iter().map(|(_, w)| w).sum();
+        Pool { members, total }
+    }
+
+    /// A service index drawn by weight.
+    fn pick(&self, rng: &mut StdRng) -> usize {
+        let u = rng.gen::<f64>() * self.total;
+        let k = weighted_index(self.members.iter().map(|&(_, w)| w), u);
+        self.members[k.unwrap_or(self.members.len() - 1)].0
+    }
 }
 
 /// Step 5: authors. A service-made band of 2% of the canonical applets
@@ -1150,7 +1226,7 @@ fn assign_authors(applets: &mut [AppletRecord], sizes: &Sizes, rng: &mut StdRng)
 /// before their services. Ids are unique six-digit-style page ids.
 fn creation_weeks_and_ids(
     applets: &mut [AppletRecord],
-    by_slug: &HashMap<&str, &ServiceRecord>,
+    by_slug: &FxHashMap<&str, &ServiceRecord>,
     mut by_adds: Vec<usize>,
     n_canonical: usize,
     rng: &mut StdRng,
@@ -1159,9 +1235,13 @@ fn creation_weeks_and_ids(
     for chunk in by_adds.chunks_mut(block) {
         chunk.shuffle(rng);
     }
-    let last = GROWTH.week_canonical as u32 + 1;
+    let weeks = GrowthWeeks::new(
+        n_canonical as f64,
+        GROWTH.add_count,
+        GROWTH.week_canonical as u32 + 1,
+    );
     for (pos, &i) in by_adds.iter().enumerate() {
-        let week = first_week_reaching(n_canonical as f64, GROWTH.add_count, pos + 1, last);
+        let week = weeks.week_of(pos + 1);
         let a = &mut applets[i];
         let trigger_week = by_slug[a.trigger_service.as_str()].created_week;
         let action_week = by_slug[a.action_service.as_str()].created_week;
@@ -1427,6 +1507,91 @@ mod tests {
             "top10 {top10}"
         );
         assert!(*seq.last().unwrap() >= 1);
+    }
+
+    /// Step 4's cell pick as first written: the fullest cell that can absorb
+    /// the whole applet, else the fullest cell overall, each found by a scan
+    /// of all 196 cells, and the whole-budget sum taken on every pick.
+    fn pick_cell_reference(
+        budget: &Matrix,
+        matrix: &Matrix,
+        adds: u64,
+        rng: &mut StdRng,
+    ) -> (usize, usize) {
+        if budget.iter().flatten().sum::<f64>() > 1.0 {
+            let (mut fit, mut any) = ((f64::MIN, None), (f64::MIN, (6, 8)));
+            for (r, row) in budget.iter().enumerate() {
+                for (c, &b) in row.iter().enumerate() {
+                    if b > any.0 {
+                        any = (b, (r, c));
+                    }
+                    if b >= adds as f64 && b > fit.0 {
+                        fit = (b, Some((r, c)));
+                    }
+                }
+            }
+            fit.1.unwrap_or(any.1)
+        } else {
+            let u = rng.gen::<f64>();
+            let cell = weighted_index(matrix.iter().flatten().copied(), u);
+            cell.map_or((6, 8), |i| (i / 14, i % 14))
+        }
+    }
+
+    proptest::proptest! {
+        /// Over a run of picks and spends, `pick_cell` on the kept row
+        /// maxima names the cell the reference names and makes the same
+        /// draws. The budgets take few distinct values, so ties and zeros
+        /// are common. Regime 0 has cells above 1; regime 1 has every cell at
+        /// most 1 and is spent down through a total of 1 into the raw-matrix
+        /// draw; regime 2 starts with a total below 1.
+        #[test]
+        fn pick_cell_is_the_fits_else_fullest_rule(seed in 0u64..u64::MAX, regime in 0usize..3) {
+            let matrix = interaction_matrix();
+            let mut draw = StdRng::seed_from_u64(seed);
+            let unit = [4.0, 0.25, 0.001][regime];
+            let mut cells = [[0.0; 14]; 14];
+            for b in cells.iter_mut().flatten() {
+                *b = draw.gen_range(0..4) as f64 * unit;
+            }
+            let mut budget = CellBudget::new(cells);
+            for _ in 0..256 {
+                let adds = draw.gen_range(1..20);
+                let mut want_rng = StdRng::seed_from_u64(draw.gen());
+                let mut got_rng = want_rng.clone();
+                let want = pick_cell_reference(&cells, &matrix, adds, &mut want_rng);
+                let got = pick_cell(&budget, &matrix, &mut got_rng);
+                proptest::prop_assert_eq!(got, want, "adds {} over {:?}", adds, cells);
+                proptest::prop_assert_eq!(got_rng, want_rng, "draws differ");
+                let (r, c) = want;
+                cells[r][c] = (cells[r][c] - adds as f64).max(0.0);
+                budget.spend(got, adds);
+                proptest::prop_assert_eq!(budget.cells, cells);
+            }
+        }
+    }
+
+    #[test]
+    fn growth_weeks_are_the_first_week_each_count_is_reached() {
+        for scale in [0.02, 1.0] {
+            let n_canonical = Sizes::new(scale).n_canonical as f64;
+            let curves = [
+                (SCALE.services as f64, GROWTH.services, FINAL_WEEK),
+                (
+                    n_canonical,
+                    GROWTH.add_count,
+                    GROWTH.week_canonical as u32 + 1,
+                ),
+            ];
+            for (canonical, growth, last) in curves {
+                let weeks = GrowthWeeks::new(canonical, growth, last);
+                let reached = |w: u32| curve(canonical, growth, w as f64).round() as usize;
+                for count in 1..=reached(FINAL_WEEK) + 1 {
+                    let direct = (0..last).find(|&w| reached(w) >= count).unwrap_or(last);
+                    assert_eq!(weeks.week_of(count), direct, "{canonical} {growth} {count}");
+                }
+            }
+        }
     }
 
     #[test]
