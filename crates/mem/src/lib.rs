@@ -13,79 +13,16 @@
 //!   maps. Iteration order of these maps is never observable in reports
 //!   or digests (the same rule that allows symbol interning), so the
 //!   hasher swap is determinism-neutral.
-//! * the `alloc-count` feature — a counting [`std::alloc::GlobalAlloc`]
-//!   wrapper so allocations/event is a tracked regression metric
-//!   (`BENCH_alloc.json`), not a guess.
+//! * the global allocator of every process that links this crate: small
+//!   blocks recycle through a per-thread cache in front of `malloc`
+//!   (§12.5). With the `alloc-count` feature it also counts
+//!   allocations, so allocations/event is a tracked regression metric
+//!   (`BENCH_alloc.json`), not a guess ([`alloc_counts`]).
 
+mod alloc;
 mod fx;
 mod slab;
 
+pub use alloc::alloc_counts;
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use slab::{Arena, Handle, Slab};
-
-#[cfg(feature = "alloc-count")]
-mod alloc_count {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    static BYTES: AtomicU64 = AtomicU64::new(0);
-
-    /// Forwards to the system allocator, counting every allocation path
-    /// that returns fresh memory (alloc, alloc_zeroed, and growth via
-    /// realloc). Deallocations are not counted: the metric is "how often
-    /// did we go to the allocator", not live heap.
-    pub struct CountingAlloc;
-
-    // SAFETY: pure forwarding to `System`; the counters are side effects.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            System.alloc_zeroed(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(
-                new_size.saturating_sub(layout.size()) as u64,
-                Ordering::Relaxed,
-            );
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: CountingAlloc = CountingAlloc;
-
-    pub fn counts() -> (u64, u64) {
-        (
-            ALLOCS.load(Ordering::Relaxed),
-            BYTES.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// Cumulative `(allocations, bytes requested)` since process start, or
-/// `None` when the `alloc-count` feature is off. Callers diff two
-/// snapshots around a region of interest.
-pub fn alloc_counts() -> Option<(u64, u64)> {
-    #[cfg(feature = "alloc-count")]
-    {
-        Some(alloc_count::counts())
-    }
-    #[cfg(not(feature = "alloc-count"))]
-    {
-        None
-    }
-}

@@ -22,22 +22,25 @@ pub mod seq {
 
         /// Sample `amount` distinct indices from `0..length`, like
         /// `rand::seq::index::sample`. Uses Floyd's algorithm, then shuffles
-        /// so the order is random as upstream guarantees.
+        /// so the order is random as upstream guarantees. The chosen set is
+        /// a bit vector over `0..length`, so it allocates `length` bits
+        /// (rounded up to whole `u64` words) whatever `amount` is.
         pub fn sample<R: Rng + RngCore>(rng: &mut R, length: usize, amount: usize) -> IndexVec {
             assert!(
                 amount <= length,
                 "cannot sample {amount} of {length} indices"
             );
-            let mut chosen = std::collections::HashSet::with_capacity(amount);
+            let mut chosen = vec![0u64; length.div_ceil(64)];
             let mut out = Vec::with_capacity(amount);
             for j in length - amount..length {
                 let t = rng.gen_range(0..=j);
-                if chosen.insert(t) {
-                    out.push(t);
+                let pick = if chosen[t / 64] & (1 << (t % 64)) == 0 {
+                    t
                 } else {
-                    chosen.insert(j);
-                    out.push(j);
-                }
+                    j
+                };
+                chosen[pick / 64] |= 1 << (pick % 64);
+                out.push(pick);
             }
             use crate::SliceRandom;
             out.shuffle(rng);
@@ -389,6 +392,52 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
+    }
+
+    /// `seq::index::sample` as it was, with Floyd's chosen set in a
+    /// `HashSet`: the bit vector must make the same draws and picks.
+    fn sample_with_hash_set(rng: &mut StdRng, length: usize, amount: usize) -> Vec<usize> {
+        let mut chosen = std::collections::HashSet::with_capacity(amount);
+        let mut out = Vec::with_capacity(amount);
+        for j in length - amount..length {
+            let t = rng.gen_range(0..=j);
+            if chosen.insert(t) {
+                out.push(t);
+            } else {
+                chosen.insert(j);
+                out.push(j);
+            }
+        }
+        out.shuffle(rng);
+        out
+    }
+
+    #[test]
+    fn index_sample_matches_the_hash_set_version() {
+        let mut cases = StdRng::seed_from_u64(37);
+        let mut shapes = vec![(0, 0), (1, 0), (1, 1), (64, 64), (65, 1), (200, 75)];
+        for _ in 0..300 {
+            let length: usize = cases.gen_range(0..700);
+            let amount = match cases.gen_range(0..4u32) {
+                0 => 0,
+                1 => length,
+                _ => cases.gen_range(0..=length),
+            };
+            shapes.push((length, amount));
+        }
+        for (case, (length, amount)) in shapes.into_iter().enumerate() {
+            let mut a = StdRng::seed_from_u64(case as u64);
+            let mut b = a.clone();
+            let got: Vec<usize> = seq::index::sample(&mut a, length, amount)
+                .into_iter()
+                .collect();
+            assert_eq!(
+                got,
+                sample_with_hash_set(&mut b, length, amount),
+                "{length} {amount}"
+            );
+            assert_eq!(a, b, "the same number of draws");
+        }
     }
 
     #[test]
