@@ -6,7 +6,7 @@
 
 use crate::render;
 
-use ecosystem::Snapshot;
+use ecosystem::{ServiceTable, Snapshot};
 use serde::{Deserialize, Serialize};
 
 /// The 14×14 interaction matrix measured from a snapshot.
@@ -21,17 +21,11 @@ pub struct Heatmap {
 impl Heatmap {
     /// Measure the interaction matrix from a snapshot.
     pub fn of(snapshot: &Snapshot) -> Heatmap {
-        let index = snapshot.category_index();
         let mut cells = vec![vec![0u64; 14]; 14];
         let mut total = 0u64;
+        let cat = |id| snapshot.service(id).category.index() - 1;
         for a in &snapshot.applets {
-            let (Some(tc), Some(ac)) = (
-                index.get(a.trigger_service.as_str()),
-                index.get(a.action_service.as_str()),
-            ) else {
-                continue;
-            };
-            cells[tc.index() - 1][ac.index() - 1] += a.add_count;
+            cells[cat(a.trigger.service)][cat(a.action.service)] += a.add_count;
             total += a.add_count;
         }
         Heatmap { cells, total }
@@ -102,7 +96,7 @@ impl Heatmap {
 mod tests {
     use super::*;
     use ecosystem::taxonomy::Category;
-    use ecosystem::{AppletRecord, Author, ServiceRecord};
+    use ecosystem::{AppletRecord, Author, ServiceRecord, Slot};
 
     fn snap() -> Snapshot {
         let svc = |slug: &str, cat: Category| ServiceRecord {
@@ -112,14 +106,14 @@ mod tests {
             triggers: vec!["t".into()],
             actions: vec!["a".into()],
             created_week: 0,
+            unlisted_triggers: Vec::new(),
+            unlisted_actions: Vec::new(),
         };
-        let applet = |id: u32, ts: &str, as_: &str, adds: u64| AppletRecord {
+        let slot = |service| Slot { service, slot: 0 };
+        let applet = |id: u32, ts: u32, as_: u32, adds: u64| AppletRecord {
             id,
-            name: "x".into(),
-            trigger_service: ts.into(),
-            trigger: "t".into(),
-            action_service: as_.into(),
-            action: "a".into(),
+            trigger: slot(ts),
+            action: slot(as_),
             author: Author::User(1),
             add_count: adds,
             created_week: 0,
@@ -133,9 +127,9 @@ mod tests {
                 svc("mail", Category::Email),
             ],
             applets: vec![
-                applet(1, "iot", "mail", 30),
-                applet(2, "mail", "iot", 50),
-                applet(3, "iot", "iot", 20),
+                applet(1, 0, 1, 30),
+                applet(2, 1, 0, 50),
+                applet(3, 0, 0, 20),
             ],
         }
     }

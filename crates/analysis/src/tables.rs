@@ -3,7 +3,7 @@
 use crate::render;
 use ecosystem::model::{ComparisonDataset, OURS_2017, UR_ET_AL_2015};
 use ecosystem::taxonomy::{Category, ALL_CATEGORIES};
-use ecosystem::{Snapshot, WeekCounts};
+use ecosystem::{ServiceTable, Snapshot, WeekCounts};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -28,7 +28,6 @@ pub struct Table1Report {
 impl Table1Report {
     /// Measure the category breakdown.
     pub fn of(snapshot: &Snapshot) -> Table1Report {
-        let index = snapshot.category_index();
         let n_services = snapshot.services.len().max(1) as f64;
         let total_adds = snapshot.total_add_count().max(1) as f64;
         let mut svc = BTreeMap::new();
@@ -37,13 +36,10 @@ impl Table1Report {
         }
         let mut trig = BTreeMap::new();
         let mut act = BTreeMap::new();
+        let category = |id| snapshot.service(id).category;
         for a in &snapshot.applets {
-            if let Some(c) = index.get(a.trigger_service.as_str()) {
-                *trig.entry(*c).or_insert(0u64) += a.add_count;
-            }
-            if let Some(c) = index.get(a.action_service.as_str()) {
-                *act.entry(*c).or_insert(0u64) += a.add_count;
-            }
+            *trig.entry(category(a.trigger.service)).or_insert(0u64) += a.add_count;
+            *act.entry(category(a.action.service)).or_insert(0u64) += a.add_count;
         }
         let rows = ALL_CATEGORIES
             .iter()
@@ -105,7 +101,6 @@ pub struct HeadlineIot {
 impl HeadlineIot {
     /// Measure the headline numbers.
     pub fn of(snapshot: &Snapshot) -> HeadlineIot {
-        let index = snapshot.category_index();
         let iot_services = snapshot
             .services
             .iter()
@@ -116,12 +111,9 @@ impl HeadlineIot {
             .applets
             .iter()
             .filter(|a| {
-                index
-                    .get(a.trigger_service.as_str())
-                    .is_some_and(|c| c.is_iot())
-                    || index
-                        .get(a.action_service.as_str())
-                        .is_some_and(|c| c.is_iot())
+                [a.trigger, a.action]
+                    .iter()
+                    .any(|s| snapshot.service(s.service).category.is_iot())
             })
             .map(|a| a.add_count)
             .sum();
@@ -243,25 +235,21 @@ pub struct Table3Report {
 impl Table3Report {
     /// Measure the top-`k` IoT lists from a snapshot.
     pub fn of(snapshot: &Snapshot, k: usize) -> Table3Report {
-        let index = snapshot.category_index();
+        let iot = |id| snapshot.service(id).category.is_iot();
         let mut ts: BTreeMap<&str, u64> = BTreeMap::new();
         let mut as_: BTreeMap<&str, u64> = BTreeMap::new();
         let mut tt: BTreeMap<(&str, &str), u64> = BTreeMap::new();
         let mut ta: BTreeMap<(&str, &str), u64> = BTreeMap::new();
         for a in &snapshot.applets {
-            if index
-                .get(a.trigger_service.as_str())
-                .is_some_and(|c| c.is_iot())
-            {
-                *ts.entry(&a.trigger_service).or_default() += a.add_count;
-                *tt.entry((&a.trigger, &a.trigger_service)).or_default() += a.add_count;
+            if iot(a.trigger.service) {
+                let service = snapshot.trigger_service(a);
+                *ts.entry(service).or_default() += a.add_count;
+                *tt.entry((snapshot.trigger(a), service)).or_default() += a.add_count;
             }
-            if index
-                .get(a.action_service.as_str())
-                .is_some_and(|c| c.is_iot())
-            {
-                *as_.entry(&a.action_service).or_default() += a.add_count;
-                *ta.entry((&a.action, &a.action_service)).or_default() += a.add_count;
+            if iot(a.action.service) {
+                let service = snapshot.action_service(a);
+                *as_.entry(service).or_default() += a.add_count;
+                *ta.entry((snapshot.action(a), service)).or_default() += a.add_count;
             }
         }
         fn top<K: Clone>(

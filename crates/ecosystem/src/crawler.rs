@@ -12,7 +12,9 @@
 use crate::frontend::IftttFrontend;
 use crate::generator::Ecosystem;
 use crate::model::week_date_label;
-use crate::snapshot::{AppletRecord, Author, ServiceRecord, Snapshot};
+use crate::snapshot::{
+    AppletRecord, NamedApplet, NamedAuthor, RecordError, ServiceRecord, SlugIndex, Snapshot,
+};
 use crate::taxonomy::Category;
 use simnet::prelude::*;
 
@@ -121,41 +123,61 @@ pub fn parse_service_page(html: &str) -> (Vec<String>, Vec<String>) {
     )
 }
 
-/// Parse an applet page into an [`AppletRecord`] (week is filled by the
-/// caller — a scraper cannot see creation dates).
-pub fn parse_applet_page(html: &str) -> Option<AppletRecord> {
-    let id: u32 = extract_first(html, "applet", "id")?.parse().ok()?;
-    let name = html.find("<h1>").and_then(|i| {
-        html[i + 4..]
-            .find("</h1>")
-            .map(|j| html[i + 4..i + 4 + j].to_string())
-    })?;
-    let trigger_service = extract_first(html, "trigger", "service")?.to_string();
-    let trigger = extract_first(html, "trigger", "slug")?.to_string();
-    let action_service = extract_first(html, "action", "service")?.to_string();
-    let action = extract_first(html, "action", "slug")?.to_string();
-    let author_kind = extract_first(html, "author", "kind")?;
-    let author_name = extract_first(html, "author", "name")?;
-    let author = match author_kind {
-        "user" => Author::User(author_name.strip_prefix("user_")?.parse().ok()?),
-        "service" => Author::Service(author_name.to_string()),
-        _ => return None,
+/// The number in the first `data-<attr>` after a `class="<class>"` marker.
+fn number<T: std::str::FromStr>(
+    html: &str,
+    class: &str,
+    attr: &str,
+    what: &'static str,
+) -> Result<T, RecordError> {
+    let text = extract_first(html, class, attr).ok_or(RecordError::Malformed(what))?;
+    text.parse().map_err(|_| RecordError::Malformed(what))
+}
+
+/// Parse an applet page into an [`AppletRecord`] over `services`, the
+/// table `by_slug` was built over (week is filled by the caller — a scraper
+/// cannot see creation dates). A page that names a service the table lacks,
+/// or whose heading is not its slots' name, is a [`RecordError`]. A trigger
+/// or action its service's page did not list joins that service's unlisted
+/// slots: a week's pages list a prefix of each service's slots.
+pub fn parse_applet_page(
+    html: &str,
+    services: &mut [ServiceRecord],
+    by_slug: &SlugIndex,
+) -> Result<AppletRecord, RecordError> {
+    use RecordError::Malformed;
+    let field = |class, attr, what| extract_first(html, class, attr).ok_or(Malformed(what));
+    let text = |class, attr, what| field(class, attr, what).map(String::from);
+    let id = number(html, "applet", "id", "id")?;
+    let heading = html.find("<h1>").map(|i| &html[i + 4..]);
+    let name = heading.and_then(|h| h.find("</h1>").map(|j| h[..j].to_string()));
+    let author = match (
+        field("author", "kind", "author")?,
+        field("author", "name", "author")?,
+    ) {
+        ("user", user) => {
+            let user = user.strip_prefix("user_").and_then(|u| u.parse().ok());
+            NamedAuthor::User(user.ok_or(Malformed("author"))?)
+        }
+        ("service", slug) => NamedAuthor::Service(slug.into()),
+        _ => return Err(Malformed("author")),
     };
-    let add_count: u64 = extract_first(html, "add-count", "value")?.parse().ok()?;
-    Some(AppletRecord {
+    let add_count = number(html, "add-count", "value", "add count")?;
+    let named = NamedApplet {
         id,
-        name,
-        trigger_service,
-        trigger,
-        action_service,
-        action,
+        name: name.ok_or(Malformed("name"))?,
+        trigger_service: text("trigger", "service", "trigger service")?,
+        trigger: text("trigger", "slug", "trigger")?,
+        action_service: text("action", "service", "action service")?,
+        action: text("action", "slug", "action")?,
         author,
         add_count,
         created_week: 0,
         // The crawler sees the paper's public pages, which render only the
         // classic trigger→action pair.
         steps: Vec::new(),
-    })
+    };
+    by_slug.resolve(services, named)
 }
 
 /// Crawler configuration.
@@ -213,6 +235,8 @@ pub struct CrawlStats {
     pub not_found: u64,
     pub retries: u64,
     pub gave_up: u64,
+    /// Applet pages that did not parse into a record ([`RecordError`]).
+    pub rejected: u64,
 }
 
 /// The crawler node.
@@ -227,8 +251,11 @@ pub struct Crawler {
     /// Service indices awaiting a retry after a 503.
     service_retry: Vec<usize>,
     services_pending: usize,
-    /// Completed service records.
+    /// Completed service records, in slug order once the applet phase
+    /// starts.
     pub services: Vec<ServiceRecord>,
+    /// Finds a service in `services` by slug.
+    by_slug: SlugIndex,
     /// Next applet id to request.
     next_id: u32,
     applets_pending: usize,
@@ -253,6 +280,7 @@ impl Crawler {
             service_retry: Vec::new(),
             services_pending: 0,
             services: Vec::new(),
+            by_slug: SlugIndex::default(),
             next_id: 0,
             applets_pending: 0,
             retry_queue: Vec::new(),
@@ -269,8 +297,7 @@ impl Crawler {
 
     /// Assemble the snapshot (caller supplies week/date labels).
     pub fn snapshot(&self, week: u32, date: impl Into<String>) -> Snapshot {
-        let mut services = self.services.clone();
-        services.sort_by(|a, b| a.slug.cmp(&b.slug));
+        let services = self.services.clone();
         let mut applets = self.applets.clone();
         applets.sort_by_key(|a| a.id);
         Snapshot {
@@ -318,6 +345,8 @@ impl Crawler {
                     && self.service_retry.is_empty()
                 {
                     self.phase = Phase::Applets;
+                    self.services.sort_by(|a, b| a.slug.cmp(&b.slug));
+                    self.by_slug = SlugIndex::new(&self.services);
                     self.next_id = self.config.id_lo;
                     self.pump(ctx);
                 }
@@ -400,6 +429,8 @@ impl Node for Crawler {
                         triggers,
                         actions,
                         created_week: 0,
+                        unlisted_triggers: Vec::new(),
+                        unlisted_actions: Vec::new(),
                     });
                 } else if resp.status == 503 {
                     // Put the service back for a retry (service pages are
@@ -411,9 +442,15 @@ impl Node for Crawler {
             TAG_APPLET => {
                 self.applets_pending -= 1;
                 if resp.is_success() {
-                    if let Some(rec) = parse_applet_page(&body) {
-                        self.stats.applets_found += 1;
-                        self.applets.push(rec);
+                    match parse_applet_page(&body, &mut self.services, &self.by_slug) {
+                        Ok(rec) => {
+                            self.stats.applets_found += 1;
+                            self.applets.push(rec);
+                        }
+                        Err(e) => {
+                            self.stats.rejected += 1;
+                            ctx.trace("crawler.rejected", format_args!("{e}"));
+                        }
                     }
                 } else if resp.status == 404 {
                     self.stats.not_found += 1;
@@ -438,6 +475,8 @@ impl Node for Crawler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::tests::service;
+    use crate::snapshot::{Author, ServiceTable, Slot};
 
     #[test]
     fn attribute_extraction_handles_multiple_elements() {
@@ -453,32 +492,104 @@ mod tests {
         assert_eq!(parsed[1].2, "B");
     }
 
-    #[test]
-    fn applet_page_parsing_roundtrip() {
-        let html = r#"<div class="applet" data-id="123456">
-            <h1>If new_email then turn_on_lights</h1>
-            <span class="trigger" data-service="gmail" data-slug="new_email"></span>
-            <span class="action" data-service="philips_hue" data-slug="turn_on_lights"></span>
+    /// A page over [`table`]: user 42's `If t0 then a0`, Gmail → Hue.
+    const PAGE: &str = r#"<div class="applet" data-id="123456">
+            <h1>If t0 then a0</h1>
+            <span class="trigger" data-service="gmail" data-slug="t0"></span>
+            <span class="action" data-service="philips_hue" data-slug="a0"></span>
             <span class="author" data-kind="user" data-name="user_42"></span>
             <span class="add-count" data-value="9876"></span></div>"#;
-        let rec = parse_applet_page(html).unwrap();
-        assert_eq!(rec.id, 123_456);
-        assert_eq!(rec.trigger_service, "gmail");
-        assert_eq!(rec.action, "turn_on_lights");
-        assert_eq!(rec.author, Author::User(42));
-        assert_eq!(rec.add_count, 9_876);
+
+    /// Gmail (trigger `t0`) and Philips Hue (action `a0`), and their index.
+    fn table() -> (Vec<ServiceRecord>, SlugIndex) {
+        let services = vec![
+            service("gmail", Category::Email, 1, 0),
+            service("philips_hue", Category::SmartHomeDevice, 0, 1),
+        ];
+        let index = SlugIndex::new(&services);
+        (services, index)
     }
 
     #[test]
-    fn malformed_pages_parse_to_none() {
-        assert!(parse_applet_page("<html>nothing here</html>").is_none());
-        assert!(parse_applet_page("").is_none());
-        // Missing author.
-        let html = r#"<div class="applet" data-id="1"><h1>x</h1>
-            <span class="trigger" data-service="a" data-slug="t"></span>
-            <span class="action" data-service="b" data-slug="c"></span>
-            <span class="add-count" data-value="1"></span></div>"#;
-        assert!(parse_applet_page(html).is_none());
+    fn applet_page_parsing_roundtrip() {
+        let (mut services, index) = table();
+        let rec = parse_applet_page(PAGE, &mut services, &index).unwrap();
+        assert_eq!(rec.id, 123_456);
+        assert_eq!(services.trigger_service(&rec), "gmail");
+        assert_eq!(services.action(&rec), "a0");
+        assert_eq!(rec.author, Author::User(42));
+        assert_eq!(rec.add_count, 9_876);
+        // An action Hue's page did not list joins its unlisted ones.
+        let rec = parse_applet_page(&PAGE.replace("a0", "a7"), &mut services, &index).unwrap();
+        assert_eq!(
+            rec.action,
+            Slot {
+                service: 1,
+                slot: 1
+            }
+        );
+        assert_eq!(
+            (services.action(&rec), services[1].actions.len()),
+            ("a7", 1)
+        );
+    }
+
+    #[test]
+    fn malformed_pages_parse_to_errors() {
+        let (mut services, index) = table();
+        for page in ["<html>nothing here</html>", ""] {
+            let got = parse_applet_page(page, &mut services, &index);
+            assert_eq!(got, Err(RecordError::Malformed("id")));
+        }
+        // Every prefix of a page is an error or the page, never a panic.
+        for end in 0..=PAGE.len() {
+            let _ = parse_applet_page(&PAGE[..end], &mut services, &index);
+        }
+    }
+
+    #[test]
+    fn doctored_pages_are_typed_errors() {
+        use RecordError::*;
+        let author = r#"data-kind="user" data-name="user_42""#;
+        for (from, to, want) in [
+            (r#""gmail""#, r#""gmial""#, UnknownService("gmial".into())),
+            (r#""philips_hue""#, r#""hue""#, UnknownService("hue".into())),
+            (
+                author,
+                r#"data-kind="service" data-name="nope""#,
+                UnknownService("nope".into()),
+            ),
+            (
+                "If t0 then a0",
+                "If t0 then a1",
+                NameMismatch("If t0 then a1".into()),
+            ),
+            (
+                r#"data-slug="t0""#,
+                r#"data-slug="t1""#,
+                NameMismatch("If t0 then a0".into()),
+            ),
+            ("<h1>", "<h2>", Malformed("name")),
+            ("123456", "12x", Malformed("id")),
+            ("user_42", "user_x", Malformed("author")),
+            (r#""user""#, r#""robot""#, Malformed("author")),
+            ("9876", "-1", Malformed("add count")),
+            (
+                r#"class="action""#,
+                r#"class="act""#,
+                Malformed("action service"),
+            ),
+        ] {
+            let (mut services, index) = table();
+            let page = PAGE.replace(from, to);
+            let got = parse_applet_page(&page, &mut services, &index);
+            assert_eq!(got, Err(want), "{page}");
+            assert_eq!(
+                services,
+                table().0,
+                "a refused page leaves the table as it was"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! A configurable `overload_rate` makes the frontend return sporadic 503s,
 //! which exercises the crawler's retry logic.
 
-use crate::snapshot::{AppletRecord, Author, Snapshot};
+use crate::snapshot::{AppletRecord, Author, ServiceTable, Snapshot};
 use rand::Rng;
 use simnet::prelude::*;
 use std::collections::HashMap;
@@ -97,20 +97,23 @@ impl IftttFrontend {
     }
 
     fn applet_page(&self, id: u32) -> Option<String> {
-        let a: &AppletRecord = self.view.applets.get(*self.by_id.get(&id)?)?;
-        let (author_kind, author_name) = match &a.author {
+        let view = &self.view;
+        let a: &AppletRecord = view.applets.get(*self.by_id.get(&id)?)?;
+        let (author_kind, author_name) = match a.author {
             Author::User(u) => ("user", format!("user_{u}")),
-            Author::Service(s) => ("service", s.clone()),
+            Author::Service(s) => ("service", view.service(s).slug.clone()),
         };
+        let (name, adds) = (view.name(a), a.add_count);
+        let (ts, t) = (view.trigger_service(a), view.trigger(a));
+        let (as_, ac) = (view.action_service(a), view.action(a));
         Some(format!(
             "<html><body><div class=\"applet\" data-id=\"{id}\">\n\
-             <h1>{}</h1>\n\
-             <span class=\"trigger\" data-service=\"{}\" data-slug=\"{}\"></span>\n\
-             <span class=\"action\" data-service=\"{}\" data-slug=\"{}\"></span>\n\
+             <h1>{name}</h1>\n\
+             <span class=\"trigger\" data-service=\"{ts}\" data-slug=\"{t}\"></span>\n\
+             <span class=\"action\" data-service=\"{as_}\" data-slug=\"{ac}\"></span>\n\
              <span class=\"author\" data-kind=\"{author_kind}\" data-name=\"{author_name}\"></span>\n\
-             <span class=\"add-count\" data-value=\"{}\"></span>\n\
-             </div></body></html>",
-            a.name, a.trigger_service, a.trigger, a.action_service, a.action, a.add_count
+             <span class=\"add-count\" data-value=\"{adds}\"></span>\n\
+             </div></body></html>"
         ))
     }
 }

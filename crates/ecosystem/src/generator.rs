@@ -43,9 +43,12 @@
 
 use crate::model::{self, GROWTH, SCALE, TAILS};
 use crate::names;
-use crate::snapshot::{AppletRecord, Author, ServiceRecord, Snapshot, WeekCounts};
+use crate::snapshot::{
+    AppletRecord, Applets, Author, ServiceRecord, ServiceTable, Slot, SlugIndex, Snapshot,
+    WeekCounts,
+};
 use crate::taxonomy::{Category, ALL_CATEGORIES, TABLE1};
-use mem::{FxHashMap, FxHashSet};
+use mem::FxHashSet;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -100,8 +103,9 @@ impl GeneratorConfig {
 }
 
 /// The generated ecosystem: the full final-week population plus the growth
-/// model; weekly [`Snapshot`]s are views of it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// model; weekly [`Snapshot`]s are views of it. Its applets index into its
+/// `services`.
+#[derive(Debug, Clone)]
 pub struct Ecosystem {
     pub config: GeneratorConfig,
     /// All services ever created (including post-canonical ones).
@@ -110,6 +114,24 @@ pub struct Ecosystem {
     pub applets: Vec<AppletRecord>,
     /// Final crawl week (inclusive).
     pub final_week: u32,
+}
+
+impl Serialize for Ecosystem {
+    fn write_json(&self, out: &mut String) {
+        let mut fields: [(&str, &dyn Serialize); 4] = [
+            ("applets", &Applets(&self.services, &self.applets)),
+            ("config", &self.config),
+            ("final_week", &self.final_week),
+            ("services", &self.services),
+        ];
+        serde::ser::write_fields(out, &mut fields);
+    }
+}
+
+impl ServiceTable for Ecosystem {
+    fn services(&self) -> &[ServiceRecord] {
+        &self.services
+    }
 }
 
 /// Geometric growth value: `canonical_value · (1+g)^((week-18)/19)`.
@@ -260,264 +282,59 @@ const FAMOUS: &[(&str, &str, Category)] = &[
     ("Google Calendar", "google_calendar", Category::PersonalData),
 ];
 
-/// One anchor applet: realizes part of a Table 3 service's add count.
-struct AnchorApplet {
-    trigger_service: &'static str,
-    trigger: &'static str,
-    action_service: &'static str,
-    action: &'static str,
-    /// Thousandths of the *unscaled* paper add count (e.g. 400 = 400K).
-    adds_k: u64,
-}
-
-/// The hand-authored pairing table. Per-service sums equal Table 3's
-/// published add counts on both the trigger and action sides.
-const ANCHOR_APPLETS: &[AnchorApplet] = &[
+/// The hand-authored pairing table of anchor applets: (trigger service,
+/// trigger, action service, action, thousandths of the *unscaled* paper add
+/// count, e.g. 400 = 400K). Per-service sums equal Table 3's published add
+/// counts on both the trigger and action sides.
+#[rustfmt::skip]
+const ANCHOR_APPLETS: &[(&str, &str, &str, &str, u64)] = &[
     // Amazon Alexa triggers: 1.2M total.
-    AnchorApplet {
-        trigger_service: "amazon_alexa",
-        trigger: "say_a_phrase",
-        action_service: "philips_hue",
-        action: "turn_on_lights",
-        adds_k: 400,
-    },
-    AnchorApplet {
-        trigger_service: "amazon_alexa",
-        trigger: "todo_item_added",
-        action_service: "todoist",
-        action: "add_task",
-        adds_k: 300,
-    },
-    AnchorApplet {
-        trigger_service: "amazon_alexa",
-        trigger: "ask_whats_on_shopping_list",
-        action_service: "ios_reminders",
-        action: "set_reminder",
-        adds_k: 180,
-    },
-    AnchorApplet {
-        trigger_service: "amazon_alexa",
-        trigger: "say_a_phrase",
-        action_service: "philips_hue",
-        action: "change_color",
-        adds_k: 140,
-    },
-    AnchorApplet {
-        trigger_service: "amazon_alexa",
-        trigger: "shopping_item_added",
-        action_service: "gmail",
-        action: "send_email",
-        adds_k: 120,
-    },
-    AnchorApplet {
-        trigger_service: "amazon_alexa",
-        trigger: "song_played",
-        action_service: "google_sheets",
-        action: "add_row",
-        adds_k: 60,
-    },
+    ("amazon_alexa", "say_a_phrase", "philips_hue", "turn_on_lights", 400),
+    ("amazon_alexa", "todo_item_added", "todoist", "add_task", 300),
+    ("amazon_alexa", "ask_whats_on_shopping_list", "ios_reminders", "set_reminder", 180),
+    ("amazon_alexa", "say_a_phrase", "philips_hue", "change_color", 140),
+    ("amazon_alexa", "shopping_item_added", "gmail", "send_email", 120),
+    ("amazon_alexa", "song_played", "google_sheets", "add_row", 60),
     // Philips Hue actions: 1.2M total (540K from Alexa above).
-    AnchorApplet {
-        trigger_service: "date_time",
-        trigger: "sunset",
-        action_service: "philips_hue",
-        action: "turn_on_lights",
-        adds_k: 250,
-    },
-    AnchorApplet {
-        trigger_service: "date_time",
-        trigger: "sunrise",
-        action_service: "philips_hue",
-        action: "turn_off_lights",
-        adds_k: 160,
-    },
-    AnchorApplet {
-        trigger_service: "weather_underground",
-        trigger: "forecast_rain",
-        action_service: "philips_hue",
-        action: "change_color",
-        adds_k: 150,
-    },
-    AnchorApplet {
-        trigger_service: "ios_reminders",
-        trigger: "reminder_due",
-        action_service: "philips_hue",
-        action: "blink_lights",
-        adds_k: 100,
-    },
+    ("date_time", "sunset", "philips_hue", "turn_on_lights", 250),
+    ("date_time", "sunrise", "philips_hue", "turn_off_lights", 160),
+    ("weather_underground", "forecast_rain", "philips_hue", "change_color", 150),
+    ("ios_reminders", "reminder_due", "philips_hue", "blink_lights", 100),
     // Fitbit triggers: 200K.
-    AnchorApplet {
-        trigger_service: "fitbit",
-        trigger: "daily_activity_summary",
-        action_service: "google_sheets",
-        action: "add_row",
-        adds_k: 120,
-    },
-    AnchorApplet {
-        trigger_service: "fitbit",
-        trigger: "new_sleep_logged",
-        action_service: "evernote",
-        action: "create_note",
-        adds_k: 80,
-    },
+    ("fitbit", "daily_activity_summary", "google_sheets", "add_row", 120),
+    ("fitbit", "new_sleep_logged", "evernote", "create_note", 80),
     // Nest Thermostat triggers: 100K.
-    AnchorApplet {
-        trigger_service: "nest_thermostat",
-        trigger: "temperature_rises_above",
-        action_service: "todoist",
-        action: "add_task",
-        adds_k: 60,
-    },
-    AnchorApplet {
-        trigger_service: "nest_thermostat",
-        trigger: "temperature_drops_below",
-        action_service: "android_device",
-        action: "send_notification",
-        adds_k: 40,
-    },
+    ("nest_thermostat", "temperature_rises_above", "todoist", "add_task", 60),
+    ("nest_thermostat", "temperature_drops_below", "android_device", "send_notification", 40),
     // Google Assistant triggers: 100K.
-    AnchorApplet {
-        trigger_service: "google_assistant",
-        trigger: "say_a_phrase_ga",
-        action_service: "harmony_hub",
-        action: "start_activity",
-        adds_k: 100,
-    },
+    ("google_assistant", "say_a_phrase_ga", "harmony_hub", "start_activity", 100),
     // UP by Jawbone triggers: 100K.
-    AnchorApplet {
-        trigger_service: "up_by_jawbone",
-        trigger: "new_sleep_up",
-        action_service: "evernote",
-        action: "create_note",
-        adds_k: 60,
-    },
-    AnchorApplet {
-        trigger_service: "up_by_jawbone",
-        trigger: "new_workout_up",
-        action_service: "google_sheets",
-        action: "add_row",
-        adds_k: 40,
-    },
+    ("up_by_jawbone", "new_sleep_up", "evernote", "create_note", 60),
+    ("up_by_jawbone", "new_workout_up", "google_sheets", "add_row", 40),
     // Nest Protect triggers: 70K.
-    AnchorApplet {
-        trigger_service: "nest_protect",
-        trigger: "smoke_alarm",
-        action_service: "phone_call",
-        action: "call_me",
-        adds_k: 50,
-    },
-    AnchorApplet {
-        trigger_service: "nest_protect",
-        trigger: "co_alarm",
-        action_service: "android_sms",
-        action: "send_sms",
-        adds_k: 20,
-    },
+    ("nest_protect", "smoke_alarm", "phone_call", "call_me", 50),
+    ("nest_protect", "co_alarm", "android_sms", "send_sms", 20),
     // Automatic triggers: 60K.
-    AnchorApplet {
-        trigger_service: "automatic",
-        trigger: "ignition_off",
-        action_service: "google_calendar",
-        action: "add_event",
-        adds_k: 40,
-    },
-    AnchorApplet {
-        trigger_service: "automatic",
-        trigger: "check_engine",
-        action_service: "android_sms",
-        action: "send_sms",
-        adds_k: 20,
-    },
+    ("automatic", "ignition_off", "google_calendar", "add_event", 40),
+    ("automatic", "check_engine", "android_sms", "send_sms", 20),
     // LIFX actions: 200K.
-    AnchorApplet {
-        trigger_service: "date_time",
-        trigger: "sunset",
-        action_service: "lifx",
-        action: "turn_on_lifx",
-        adds_k: 120,
-    },
-    AnchorApplet {
-        trigger_service: "weather_underground",
-        trigger: "forecast_rain",
-        action_service: "lifx",
-        action: "breathe_lifx",
-        adds_k: 80,
-    },
+    ("date_time", "sunset", "lifx", "turn_on_lifx", 120),
+    ("weather_underground", "forecast_rain", "lifx", "breathe_lifx", 80),
     // Nest Thermostat actions: 200K.
-    AnchorApplet {
-        trigger_service: "location",
-        trigger: "exit_area",
-        action_service: "nest_thermostat",
-        action: "set_temperature",
-        adds_k: 120,
-    },
-    AnchorApplet {
-        trigger_service: "weather_underground",
-        trigger: "forecast_rain",
-        action_service: "nest_thermostat",
-        action: "set_temperature",
-        adds_k: 80,
-    },
+    ("location", "exit_area", "nest_thermostat", "set_temperature", 120),
+    ("weather_underground", "forecast_rain", "nest_thermostat", "set_temperature", 80),
     // Harmony Hub actions: 200K total (100K from Google Assistant above).
-    AnchorApplet {
-        trigger_service: "location",
-        trigger: "enter_area",
-        action_service: "harmony_hub",
-        action: "start_activity",
-        adds_k: 70,
-    },
-    AnchorApplet {
-        trigger_service: "google_calendar",
-        trigger: "event_starts",
-        action_service: "harmony_hub",
-        action: "end_activity",
-        adds_k: 30,
-    },
+    ("location", "enter_area", "harmony_hub", "start_activity", 70),
+    ("google_calendar", "event_starts", "harmony_hub", "end_activity", 30),
     // WeMo Smart Plug actions: 100K.
-    AnchorApplet {
-        trigger_service: "location",
-        trigger: "enter_area",
-        action_service: "wemo",
-        action: "turn_on",
-        adds_k: 70,
-    },
-    AnchorApplet {
-        trigger_service: "location",
-        trigger: "exit_area",
-        action_service: "wemo",
-        action: "turn_off",
-        adds_k: 30,
-    },
+    ("location", "enter_area", "wemo", "turn_on", 70),
+    ("location", "exit_area", "wemo", "turn_off", 30),
     // Android Smartwatch actions: 100K.
-    AnchorApplet {
-        trigger_service: "nytimes",
-        trigger: "new_story",
-        action_service: "android_smartwatch",
-        action: "send_a_notification",
-        adds_k: 60,
-    },
-    AnchorApplet {
-        trigger_service: "gmail",
-        trigger: "new_email",
-        action_service: "android_smartwatch",
-        action: "send_a_notification",
-        adds_k: 40,
-    },
+    ("nytimes", "new_story", "android_smartwatch", "send_a_notification", 60),
+    ("gmail", "new_email", "android_smartwatch", "send_a_notification", 40),
     // UP by Jawbone actions: 90K.
-    AnchorApplet {
-        trigger_service: "evernote",
-        trigger: "note_created",
-        action_service: "up_by_jawbone",
-        action: "log_caffeine",
-        adds_k: 50,
-    },
-    AnchorApplet {
-        trigger_service: "weather_underground",
-        trigger: "forecast_rain",
-        action_service: "up_by_jawbone",
-        action: "log_mood",
-        adds_k: 40,
-    },
+    ("evernote", "note_created", "up_by_jawbone", "log_caffeine", 50),
+    ("weather_underground", "forecast_rain", "up_by_jawbone", "log_mood", 40),
 ];
 
 /// The interaction matrix's shape: 14 trigger categories × 14 action
@@ -561,25 +378,11 @@ impl GrowthWeeks {
 
 /// A catalog applet as steps 3 and 4 make it; step 5 gives it its author
 /// and step 6 its id and, if it is canonical, its creation week.
-fn applet(
-    trigger_service: &str,
-    trigger: &str,
-    action_service: &str,
-    action: &str,
-    add_count: u64,
-    created_week: u32,
-) -> AppletRecord {
-    let mut name = String::with_capacity("If  then ".len() + trigger.len() + action.len());
-    for part in ["If ", trigger, " then ", action] {
-        name.push_str(part);
-    }
+fn applet(trigger: Slot, action: Slot, add_count: u64, created_week: u32) -> AppletRecord {
     AppletRecord {
         id: 0,
-        name,
-        trigger_service: trigger_service.into(),
-        trigger: trigger.into(),
-        action_service: action_service.into(),
-        action: action.into(),
+        trigger,
+        action,
         author: Author::User(0),
         add_count,
         created_week,
@@ -818,6 +621,8 @@ fn services_with_weeks(rng: &mut StdRng) -> Vec<ServiceRecord> {
                 triggers: Vec::new(),
                 actions: Vec::new(),
                 created_week: 0,
+                unlisted_triggers: Vec::new(),
+                unlisted_actions: Vec::new(),
             });
         }
         fresh
@@ -923,19 +728,23 @@ type Side = (
 );
 
 /// Step 3: the anchor applets, [`ANCHOR_APPLETS`] at `scale`, in a vector
-/// with room for the `capacity` applets step 4 brings it to.
-fn anchor_applets(scale: f64, capacity: usize) -> Vec<AppletRecord> {
+/// with room for the `capacity` applets step 4 brings it to. Two of them
+/// name an action their service is not dealt (Hue's `turn_off_lights`,
+/// Google Calendar's `add_event`); it becomes one of the service's unlisted
+/// slots.
+fn anchor_applets(
+    services: &mut [ServiceRecord],
+    scale: f64,
+    capacity: usize,
+) -> Vec<AppletRecord> {
+    let index = SlugIndex::new(services);
     let mut applets = Vec::with_capacity(capacity);
-    applets.extend(ANCHOR_APPLETS.iter().map(|a| {
-        let adds = ((a.adds_k * 1000) as f64 * scale).round() as u64;
-        applet(
-            a.trigger_service,
-            a.trigger,
-            a.action_service,
-            a.action,
-            adds,
-            0,
-        )
+    applets.extend(ANCHOR_APPLETS.iter().map(|&(ts, t, as_, a, adds_k)| {
+        let adds = ((adds_k * 1000) as f64 * scale).round() as u64;
+        let (trigger, action) = index
+            .slots(services, [ts, t, as_, a])
+            .expect("anchor services exist");
+        applet(trigger, action, adds, 0)
     }));
     applets
 }
@@ -948,10 +757,10 @@ fn anchor_applets(scale: f64, capacity: usize) -> Vec<AppletRecord> {
 fn synthetic_applets(
     applets: &mut Vec<AppletRecord>,
     services: &[ServiceRecord],
-    by_slug: &FxHashMap<&str, &ServiceRecord>,
     sizes: &Sizes,
     rng: &mut StdRng,
 ) {
+    let slot = |service: usize, slot: usize| Slot::new(service as u32, slot as u32);
     let n_anchors = applets.len();
     let anchor_adds: u64 = applets.iter().map(|a| a.add_count).sum();
     let (n_canonical, total_adds) = (sizes.n_canonical, sizes.total_adds);
@@ -973,7 +782,7 @@ fn synthetic_applets(
         k2,
     );
     let matrix = interaction_matrix();
-    let mut budget = CellBudget::new(residual_budget(matrix, applets, by_slug, total_adds));
+    let mut budget = CellBudget::new(residual_budget(matrix, applets, services, total_adds));
     let trig = Pools::new(services, model::TOP_IOT_TRIGGER_SERVICES);
     let act = Pools::new(services, model::TOP_IOT_ACTION_SERVICES);
     for (k, &adds) in seq.iter().enumerate() {
@@ -989,14 +798,13 @@ fn synthetic_applets(
         } else {
             (&trig.all[tr], &act.all[ac])
         };
-        let ts = &services[tp.pick(rng)];
-        let as_ = &services[ap.pick(rng)];
+        let (ts, as_) = (tp.pick(rng), ap.pick(rng));
         // Squared draws favour a service's first slots.
-        let t = (rng.gen::<f64>().powi(2) * ts.triggers.len() as f64) as usize;
-        let a = (rng.gen::<f64>().powi(2) * as_.actions.len() as f64) as usize;
-        let trigger = &ts.triggers[t.min(ts.triggers.len() - 1)];
-        let action = &as_.actions[a.min(as_.actions.len() - 1)];
-        applets.push(applet(&ts.slug, trigger, &as_.slug, action, adds, 0));
+        let (nt, na) = (services[ts].triggers.len(), services[as_].actions.len());
+        let t = (rng.gen::<f64>().powi(2) * nt as f64) as usize;
+        let a = (rng.gen::<f64>().powi(2) * na as f64) as usize;
+        let (trigger, action) = (slot(ts, t.min(nt - 1)), slot(as_, a.min(na - 1)));
+        applets.push(applet(trigger, action, adds, 0));
     }
     // Post-canonical newcomers: small applets created after the canonical
     // week.
@@ -1008,12 +816,10 @@ fn synthetic_applets(
                 break c; // cat 12 has no actions
             }
         };
-        let ts = &services[trig.all[tr].pick(rng)];
-        let as_ = &services[act.all[ac].pick(rng)];
+        let (ts, as_) = (trig.all[tr].pick(rng), act.all[ac].pick(rng));
         let adds: u64 = 1 + rng.gen_range(0..20);
         let week = rng.gen_range(GROWTH.week_canonical as u32 + 1..=FINAL_WEEK);
-        let (trigger, action) = (&ts.triggers[0], &as_.actions[0]);
-        applets.push(applet(&ts.slug, trigger, &as_.slug, action, adds, week));
+        applets.push(applet(slot(ts, 0), slot(as_, 0), adds, week));
     }
 }
 
@@ -1026,13 +832,13 @@ fn synthetic_applets(
 fn residual_budget(
     matrix: Matrix,
     anchors: &[AppletRecord],
-    by_slug: &FxHashMap<&str, &ServiceRecord>,
+    services: &[ServiceRecord],
     total_adds: u64,
 ) -> Matrix {
     let mut spent = [[0u64; 14]; 14];
-    let cat = |slug: &str| by_slug[slug].category.index() - 1;
+    let cat = |s: Slot| services.service(s.service).category.index() - 1;
     for a in anchors {
-        spent[cat(&a.trigger_service)][cat(&a.action_service)] += a.add_count;
+        spent[cat(a.trigger)][cat(a.action)] += a.add_count;
     }
     let t = total_adds as f64;
     let residual = |pct: f64, spent: u64| (pct / 100.0 * t - spent as f64).max(0.0);
@@ -1195,7 +1001,7 @@ fn assign_authors(applets: &mut [AppletRecord], sizes: &Sizes, rng: &mut StdRng)
         start += 1;
     }
     for &i in by_adds.iter().skip(start).take(svc_count) {
-        applets[i].author = Author::Service(applets[i].trigger_service.clone());
+        applets[i].author = Author::Service(applets[i].trigger.service);
     }
     let mut user_made: Vec<usize> = (0..applets.len())
         .filter(|&i| applets[i].author.is_user())
@@ -1226,7 +1032,7 @@ fn assign_authors(applets: &mut [AppletRecord], sizes: &Sizes, rng: &mut StdRng)
 /// before their services. Ids are unique six-digit-style page ids.
 fn creation_weeks_and_ids(
     applets: &mut [AppletRecord],
-    by_slug: &FxHashMap<&str, &ServiceRecord>,
+    services: &[ServiceRecord],
     mut by_adds: Vec<usize>,
     n_canonical: usize,
     rng: &mut StdRng,
@@ -1243,9 +1049,8 @@ fn creation_weeks_and_ids(
     for (pos, &i) in by_adds.iter().enumerate() {
         let week = weeks.week_of(pos + 1);
         let a = &mut applets[i];
-        let trigger_week = by_slug[a.trigger_service.as_str()].created_week;
-        let action_week = by_slug[a.action_service.as_str()].created_week;
-        a.created_week = week.max(trigger_week).max(action_week);
+        let born = |s: Slot| services.service(s.service).created_week;
+        a.created_week = week.max(born(a.trigger)).max(born(a.action));
     }
     let n = applets.len();
     let id_span = (n as f64 / 0.375).ceil() as usize;
@@ -1263,13 +1068,17 @@ fn creation_weeks_and_ids(
 /// Step 7 (opt-in): Zapier-style execution DAGs for `multi_step_share` of
 /// the applets. They are drawn on a derived stream, and a share of 0.0
 /// makes no draw, so the catalog is byte-identical without them.
-fn multi_step_dags(applets: &mut [AppletRecord], config: &GeneratorConfig) {
+fn multi_step_dags(
+    applets: &mut [AppletRecord],
+    services: &[ServiceRecord],
+    config: &GeneratorConfig,
+) {
     if config.multi_step_share > 0.0 {
         let share = config.multi_step_share.clamp(0.0, 1.0);
         let mut rng = StdRng::seed_from_u64(derive_seed(config.seed, MULTI_STEP_STREAM));
         for a in applets.iter_mut() {
             if rng.gen::<f64>() < share {
-                a.steps = multi_step_shape(rng.gen::<f64>(), &a.action);
+                a.steps = multi_step_shape(rng.gen::<f64>(), services.action(a));
             }
         }
     }
@@ -1288,12 +1097,17 @@ impl Ecosystem {
         let sizes = Sizes::new(config.scale);
         let mut services = services_with_weeks(&mut rng);
         deal_slots(&mut services, &mut rng);
-        let by_slug = services.iter().map(|s| (s.slug.as_str(), s)).collect();
-        let mut applets = anchor_applets(config.scale, sizes.n_total);
-        synthetic_applets(&mut applets, &services, &by_slug, &sizes, &mut rng);
+        let mut applets = anchor_applets(&mut services, config.scale, sizes.n_total);
+        synthetic_applets(&mut applets, &services, &sizes, &mut rng);
         let by_adds = assign_authors(&mut applets, &sizes, &mut rng);
-        creation_weeks_and_ids(&mut applets, &by_slug, by_adds, sizes.n_canonical, &mut rng);
-        multi_step_dags(&mut applets, &config);
+        creation_weeks_and_ids(
+            &mut applets,
+            &services,
+            by_adds,
+            sizes.n_canonical,
+            &mut rng,
+        );
+        multi_step_dags(&mut applets, &services, &config);
         Ecosystem {
             config,
             services,
@@ -1302,27 +1116,24 @@ impl Ecosystem {
         }
     }
 
-    /// The services week `week` sees, in catalog order, each with the
-    /// length of the trigger and action prefix it exposes (every service
-    /// has one of each, so a prefix is never empty).
+    /// The services week `week` sees, as catalog indices in catalog order,
+    /// each with the length of the trigger and action prefix it lists
+    /// (every service has one of each, so a prefix is never empty).
     ///
     /// Triggers/actions accumulate over time: expose per-service slot
     /// prefixes whose global totals follow the published growth curves.
     /// Apportioning globally (largest remainder, floor 1, cap at the final
     /// count) avoids the per-service ceil bias a local rule has.
-    fn services_in_week(&self, week: u32) -> Vec<(&ServiceRecord, usize, usize)> {
-        let services: Vec<&ServiceRecord> = self
-            .services
-            .iter()
-            .filter(|s| s.created_week <= week)
-            .collect();
+    fn services_in_week(&self, week: u32) -> Vec<(usize, usize, usize)> {
+        let live = (0..self.services.len()).filter(|&i| self.services[i].created_week <= week);
+        let live: Vec<usize> = live.collect();
         let prefixes = |target: usize, pick: fn(&ServiceRecord) -> usize| -> Vec<usize> {
-            let lens: Vec<usize> = services.iter().map(|s| pick(s)).collect();
+            let lens: Vec<usize> = live.iter().map(|&i| pick(&self.services[i])).collect();
             let capacity: usize = lens.iter().sum();
-            let target = target.min(capacity).max(services.len());
+            let target = target.min(capacity).max(live.len());
             // Start everyone at 1, then deal remaining slots round-robin in
             // proportion to capacity (deterministic largest-remainder).
-            let spare_total = target - services.len();
+            let spare_total = target - live.len();
             let spare_cap: usize = lens.iter().map(|l| l - 1).sum();
             let mut keeps: Vec<usize> = lens
                 .iter()
@@ -1349,30 +1160,41 @@ impl Ecosystem {
         let triggers = prefixes(t_target, |s| s.triggers.len());
         let actions = prefixes(a_target, |s| s.actions.len());
         let prefixes = triggers.into_iter().zip(actions);
-        let services = services.into_iter().zip(prefixes);
-        services.map(|(s, (t, a))| (s, t, a)).collect()
+        live.into_iter()
+            .zip(prefixes)
+            .map(|(i, (t, a))| (i, t, a))
+            .collect()
     }
 
     /// The weekly snapshot view: entities created by `week`, with add
-    /// counts scaled back along the growth curve.
+    /// counts scaled back along the growth curve. Its table holds only the
+    /// week's services, so each record's service ids are remapped into it
+    /// (`ids[catalog index]`); slot ids stay, since a week's service keeps
+    /// the slots it does not list as unlisted ones.
     pub fn snapshot(&self, week: u32) -> Snapshot {
         let week = week.min(self.final_week);
-        let services = self.services_in_week(week).into_iter();
-        let services = services
-            .map(|(s, triggers, actions)| {
-                let mut s = s.clone();
-                s.triggers.truncate(triggers);
-                s.actions.truncate(actions);
-                s
+        let mut ids = vec![u32::MAX; self.services.len()];
+        let live = self.services_in_week(week).into_iter().zip(0..);
+        let services = live
+            .map(|((i, triggers, actions), k)| {
+                ids[i] = k;
+                self.services[i].listing(triggers, actions)
             })
             .collect();
         let add_count = add_count_in_week(week);
+        let id = |s: Slot| Slot::new(ids[s.service as usize], s.slot);
         let applets: Vec<AppletRecord> = self
             .applets
             .iter()
             .filter_map(|a| {
                 Some(AppletRecord {
                     add_count: add_count(a)?,
+                    trigger: id(a.trigger),
+                    action: id(a.action),
+                    author: match a.author {
+                        Author::Service(s) => Author::Service(ids[s as usize]),
+                        user => user,
+                    },
                     ..a.clone()
                 })
             })
@@ -1447,7 +1269,7 @@ mod tests {
         for (b, m) in base.applets.iter().zip(&multi.applets) {
             assert!(b.steps.is_empty());
             assert_eq!(b.id, m.id);
-            assert_eq!(b.name, m.name);
+            assert_eq!((b.trigger, b.action), (m.trigger, m.action));
             assert_eq!(b.add_count, m.add_count);
             validate_steps(&m.steps).expect("generated DAGs validate");
         }
@@ -1635,7 +1457,7 @@ mod tests {
             let got: u64 = snap
                 .applets
                 .iter()
-                .filter(|a| a.trigger_service == anchor.slug)
+                .filter(|a| snap.trigger_service(a) == anchor.slug)
                 .map(|a| a.add_count)
                 .sum();
             let want = anchor.add_count as f64 * 0.02;
@@ -1649,7 +1471,7 @@ mod tests {
             let got: u64 = snap
                 .applets
                 .iter()
-                .filter(|a| a.action_service == anchor.slug)
+                .filter(|a| snap.action_service(a) == anchor.slug)
                 .map(|a| a.add_count)
                 .sum();
             let want = anchor.add_count as f64 * 0.02;

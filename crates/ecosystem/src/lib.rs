@@ -24,5 +24,8 @@ pub mod taxonomy;
 
 pub use generator::{Ecosystem, GeneratorConfig};
 pub use population::{InstalledApplet, PopulationSampler, UserProfile};
-pub use snapshot::{AppletRecord, Author, ServiceRecord, Snapshot, WeekCounts};
+pub use snapshot::{
+    AppletRecord, Author, RecordError, ServiceRecord, ServiceTable, Slot, SlugIndex, Snapshot,
+    WeekCounts,
+};
 pub use taxonomy::{Category, ALL_CATEGORIES, TABLE1};

@@ -3,7 +3,7 @@
 use ecosystem::generator::{Ecosystem, GeneratorConfig};
 use ecosystem::model::GROWTH;
 use ecosystem::names::slugify;
-use ecosystem::snapshot::Author;
+use ecosystem::snapshot::{Author, ServiceTable};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -24,8 +24,8 @@ proptest! {
         ids.dedup();
         prop_assert_eq!(ids.len(), n, "applet ids unique");
         for a in &eco.applets {
-            prop_assert!(slugs.contains(a.trigger_service.as_str()), "{}", a.trigger_service);
-            prop_assert!(slugs.contains(a.action_service.as_str()), "{}", a.action_service);
+            // Every id resolves: the accessors index the table.
+            let _ = (eco.trigger(a), eco.action(a));
             prop_assert!(a.add_count >= 1);
             prop_assert!(a.created_week <= eco.final_week);
             prop_assert!((100_000..10_000_000).contains(&a.id));
@@ -39,25 +39,27 @@ proptest! {
             prop_assert!(s.total_add_count() >= prev_adds);
             prev_applets = s.applets.len();
             prev_adds = s.total_add_count();
-            let snap_slugs: HashSet<&str> =
-                s.services.iter().map(|sv| sv.slug.as_str()).collect();
-            for a in &s.applets {
-                prop_assert!(snap_slugs.contains(a.trigger_service.as_str()));
-                prop_assert!(snap_slugs.contains(a.action_service.as_str()));
+            // A week's ids index its own table and name what the catalog
+            // names.
+            let (mut week, mut catalog) = (s.applets.iter(), eco.applets.iter());
+            for a in &mut week {
+                let c = catalog.find(|c| c.id == a.id).expect("a week's applet is the catalog's");
+                prop_assert_eq!(s.trigger_service(a), eco.trigger_service(c));
+                prop_assert_eq!(s.name(a).to_string(), eco.name(c).to_string());
+                prop_assert_eq!(s.action_service(a), eco.action_service(c));
             }
         }
     }
 
     /// Author assignment is total: every applet has either a user id ≥ 1
-    /// or a service author that exists.
+    /// or is its trigger service's own.
     #[test]
     fn authors_are_wellformed(seed in 0u64..500) {
         let eco = Ecosystem::generate(GeneratorConfig::test_scale(seed));
-        let slugs: HashSet<&str> = eco.services.iter().map(|s| s.slug.as_str()).collect();
         for a in &eco.applets {
-            match &a.author {
-                Author::User(u) => prop_assert!(*u >= 1, "user 0 is the unassigned marker"),
-                Author::Service(s) => prop_assert!(slugs.contains(s.as_str())),
+            match a.author {
+                Author::User(u) => prop_assert!(u >= 1, "user 0 is the unassigned marker"),
+                Author::Service(s) => prop_assert_eq!(s, a.trigger.service),
             }
         }
     }

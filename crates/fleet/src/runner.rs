@@ -10,9 +10,9 @@
 //! **one at a time**, so per-shard memory is bounded by a single cell's
 //! simulation (≤ [`FleetConfig::cell_users`] users) regardless of the
 //! total population. Shard 0 hands its progress beats straight to the
-//! caller's callback; the other shards send theirs over an [`mpsc`]
-//! channel that the calling thread drains between its own cells and after
-//! its last one, so the callback only ever runs on the calling thread.
+//! caller's callback; the other shards post theirs to a `Mailbox` that
+//! the calling thread empties between its own cells and after its last
+//! one, so the callback only ever runs on the calling thread.
 //! When the shards finish, their accumulators merge — in shard order,
 //! though order cannot matter — into one [`FleetReport`].
 
@@ -26,8 +26,7 @@ use ecosystem::{Ecosystem, GeneratorConfig, PopulationSampler};
 use engine::{EngineConfig, EnginePolicy, PollPolicy};
 use serde::{de, Deserialize, Serialize};
 use simnet::rng::derive_seed;
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Seed stream for the generated ecosystem catalog.
@@ -294,6 +293,65 @@ pub struct Progress {
     pub users_done: u64,
 }
 
+/// The spawned shards' progress beats, waiting for the calling thread to
+/// hand them on. It is reserved for every beat they will post and the
+/// calling thread waits on a condition variable, so handing beats over
+/// allocates nothing, whichever shard ends first: a run's allocation
+/// count must not depend on thread timing (a channel's receiver allocates
+/// a waiter only when it blocks).
+struct Mailbox {
+    /// The beats not yet handed on, and how many spawned shards still run.
+    inbox: Mutex<(Vec<Progress>, usize)>,
+    posted: Condvar,
+}
+
+impl Mailbox {
+    fn new(beats: usize, shards: usize) -> Mailbox {
+        Mailbox {
+            inbox: Mutex::new((Vec::with_capacity(beats), shards)),
+            posted: Condvar::new(),
+        }
+    }
+
+    /// The inbox, also after a shard panicked while holding it: a push or
+    /// a decrement leaves it valid at every step, and the calling thread
+    /// must still learn that the shard left.
+    fn lock(&self) -> MutexGuard<'_, (Vec<Progress>, usize)> {
+        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn post(&self, beat: Progress) {
+        self.lock().0.push(beat);
+        self.posted.notify_one();
+    }
+
+    /// Hands every waiting beat to `on_progress`, first waiting for one
+    /// (or for the last shard to leave) if `wait`. True while a spawned
+    /// shard still runs.
+    fn deliver(&self, wait: bool, on_progress: &mut impl FnMut(&Progress)) -> bool {
+        let mut inbox = self.lock();
+        while wait && inbox.0.is_empty() && inbox.1 > 0 {
+            inbox = self
+                .posted
+                .wait(inbox)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        inbox.0.drain(..).for_each(|beat| on_progress(&beat));
+        inbox.1 > 0
+    }
+}
+
+/// A spawned shard's hold on the [`Mailbox`]: dropped when the shard ends,
+/// by return or by panic, so the calling thread stops waiting for it.
+struct Poster<'a>(&'a Mailbox);
+
+impl Drop for Poster<'_> {
+    fn drop(&mut self) {
+        self.0.lock().1 -= 1;
+        self.0.posted.notify_one();
+    }
+}
+
 /// Run the fleet, discarding progress beats.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     run_fleet_with_progress(cfg, |_| {})
@@ -371,26 +429,24 @@ pub fn run_fleet_with_progress(
     let assignments = assign_round_robin(&cells, cfg.shards);
     let (mine, theirs) = assignments.split_first().expect("at least one shard");
 
-    let (tx, rx) = mpsc::channel::<Progress>();
+    let beats = theirs.iter().map(Vec::len).sum();
+    let mailbox = Mailbox::new(beats, theirs.len());
     let outcomes = std::thread::scope(|scope| {
-        let (sampler, cfg) = (&sampler, &cfg);
+        let (sampler, cfg, mailbox) = (&sampler, &cfg, &mailbox);
         let spawned: Vec<_> = (1..)
             .zip(theirs)
             .map(|(shard, cells)| {
-                let tx = tx.clone();
                 scope.spawn(move || {
-                    run_shard(shard, cells, sampler, cfg, |beat| {
-                        let _ = tx.send(beat);
-                    })
+                    let poster = Poster(mailbox);
+                    run_shard(shard, cells, sampler, cfg, |beat| poster.0.post(beat))
                 })
             })
             .collect();
-        drop(tx); // rx ends when the last spawned shard hangs up
         let mut outcomes = vec![run_shard(0, mine, sampler, cfg, |beat| {
             on_progress(&beat);
-            rx.try_iter().for_each(|beat| on_progress(&beat));
+            mailbox.deliver(false, &mut on_progress);
         })];
-        rx.iter().for_each(|beat| on_progress(&beat));
+        while mailbox.deliver(true, &mut on_progress) {}
         outcomes.extend(
             spawned
                 .into_iter()
@@ -440,6 +496,28 @@ mod tests {
         cfg.window_secs = 40.0;
         cfg.drain_secs = 20.0;
         cfg
+    }
+
+    #[test]
+    fn a_shard_that_panics_still_leaves_the_mailbox() {
+        let mailbox = Mailbox::new(2, 1);
+        let mut delivered = Vec::new();
+        std::thread::scope(|scope| {
+            let shard = scope.spawn(|| {
+                let poster = Poster(&mailbox);
+                let (cells_done, cells_total, users_done) = (1, 2, 25);
+                poster.0.post(Progress {
+                    shard: 1,
+                    cells_done,
+                    cells_total,
+                    users_done,
+                });
+                panic!("the shard fails after its first cell");
+            });
+            while mailbox.deliver(true, &mut |beat: &Progress| delivered.push(beat.cells_done)) {}
+            assert!(shard.join().is_err());
+        });
+        assert_eq!(delivered, [1]);
     }
 
     #[test]

@@ -48,4 +48,6 @@ fn crawler_stats_reflect_the_id_space() {
     // The six-digit id space is sparse: many enumerated ids are 404s.
     assert!(stats.not_found > 0);
     assert_eq!(stats.gave_up, 0);
+    // Every page the frontend serves resolves against the crawled index.
+    assert_eq!(stats.rejected, 0);
 }
