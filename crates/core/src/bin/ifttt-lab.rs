@@ -16,7 +16,7 @@ use ifttt_core::ecosystem::crawler::crawl_week;
 use ifttt_core::ecosystem::generator::{Ecosystem, GeneratorConfig};
 use ifttt_core::ecosystem::model::GROWTH;
 use ifttt_core::fleet::options::usage_lines;
-use ifttt_core::fleet::{run_fleet_with_progress, FleetCli, LiveGrowth};
+use ifttt_core::fleet::{run_fleet_with_progress, FleetCli};
 use ifttt_core::{paper, Lab};
 
 fn main() {
@@ -101,12 +101,6 @@ fn main() {
                 }
             };
             print!("{}", report.render());
-            // Churn runs close the §3 loop: crawl the live catalog's weekly
-            // snapshots after the fleet finishes (render-only — the crawl
-            // runs in its own simulation and never touches the digest).
-            if let Some(growth) = LiveGrowth::crawl(&cfg) {
-                print!("{}", growth.render());
-            }
             // Allocation regression gate (CI's alloc-count smoke job):
             // requires the counting allocator, so a budget given to a
             // default build fails loudly instead of passing vacuously.

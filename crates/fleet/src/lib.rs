@@ -32,7 +32,6 @@
 
 pub mod attribution;
 pub mod cell;
-pub mod live;
 pub mod metrics;
 pub mod options;
 pub mod report;
@@ -42,7 +41,6 @@ pub mod shard;
 pub mod test_support;
 
 pub use attribution::{AttributionRecorder, CellSink};
-pub use live::{LiveGrowth, LiveGrowthRow};
 pub use metrics::{AttributionStages, Counter, FleetMetrics, Histogram, HistogramSnapshot};
 pub use options::FleetCli;
 pub use report::{fnv1a, FleetReport, ShardSummary, PAPER_T2A_QUARTILES_SECS};

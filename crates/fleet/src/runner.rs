@@ -203,16 +203,6 @@ impl ChurnProfile {
             ChurnProfile::Accelerated => 10.0,
         }
     }
-
-    /// How many simulated weeks of ecosystem growth the activation window
-    /// represents (drives the live crawler-snapshot growth table).
-    pub fn weeks(self) -> u32 {
-        match self {
-            ChurnProfile::Off => 0,
-            ChurnProfile::Weekly => 4,
-            ChurnProfile::Accelerated => 10,
-        }
-    }
 }
 
 impl FleetConfig {

@@ -91,7 +91,7 @@ impl SimDuration {
         if s <= 0.0 || !s.is_finite() {
             return SimDuration::ZERO;
         }
-        SimDuration((s * MICROS_PER_SEC as f64).round() as u64)
+        SimDuration(round_to_u64(s * MICROS_PER_SEC as f64))
     }
 
     /// Raw microsecond count.
@@ -118,6 +118,18 @@ impl SimDuration {
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
+}
+
+/// `x.round() as u64` without the call: the x86-64 baseline has no
+/// rounding instruction, so `round` is a library call on every latency draw
+/// and poll gap. The cast truncates and saturates (NaN and negatives to 0);
+/// `x − t` is exact for `t = ⌊x⌋ < 2⁶⁴`, so the half-way test is too, and
+/// past 2⁶⁴ the sum saturates as the cast does. The test is added as a
+/// number, not branched on: a random draw's fraction is a coin flip that a
+/// branch would mispredict half the time.
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x - t as f64 >= 0.5) as u64)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -218,6 +230,59 @@ mod tests {
             SimDuration::from_secs_f64(f64::NEG_INFINITY),
             SimDuration::ZERO
         );
+    }
+
+    #[test]
+    fn rounding_is_round_then_cast_bit_for_bit() {
+        let two = |e: i32| 2f64.powi(e);
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            -0.5,
+            -1.5,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for e in [52, 53, 63, 64] {
+            let p = two(e);
+            xs.extend([
+                p,
+                p - 1.0,
+                p + 1.0,
+                p - 0.5,
+                p + 2.0,
+                p.next_down(),
+                p.next_up(),
+            ]);
+        }
+        xs.extend((0..1000).map(|k| k as f64 + 0.5));
+        xs.extend((0..1000).map(|k| two(51) + k as f64 + 0.5));
+        let mut bits = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200_000 {
+            // xorshift64: every bit pattern, subnormals, NaNs and all.
+            bits ^= bits << 13;
+            bits ^= bits >> 7;
+            bits ^= bits << 17;
+            xs.push(f64::from_bits(bits));
+            // And values in the range durations take, in microseconds.
+            xs.push((bits >> 11) as f64 / two(53) * 1e12);
+        }
+        for x in xs {
+            assert_eq!(
+                round_to_u64(x),
+                x.round() as u64,
+                "{x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
     }
 
     #[test]
